@@ -41,7 +41,7 @@ from .model import (
     init_model,
     prefill,
 )
-from .numerics import SeededRng, argsort_desc, matmul, softmax_rows
+from .numerics import SeededRng, argsort_desc, softmax_rows
 from .scoring import (
     AggregationChoice,
     AttentionCapture,

@@ -1,5 +1,5 @@
 """Structured eviction baselines: sinks+window, online eviction, window top-k,
-and a depth-decreasing budget schedule.
+a depth-decreasing budget schedule, and a uniform-random control.
 
 All selectors return ascending original-token indices and keep the same
 count in every kv head of a layer, so their outputs drop into the same
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 from .model import Model, PrefillResult, prefill
-from .numerics import argsort_desc, stable_floor
+from .numerics import SeededRng, argsort_desc, stable_floor
 from .scoring import AttentionCapture, TaskSet, collect_attention
 
 POLICY_NAMES = (
@@ -218,9 +218,10 @@ def select_baseline_indices(
 ) -> list[np.ndarray]:
     """Dispatch a baseline policy into per-layer kept-index arrays.
 
-    Per-layer budgets come from the uniform split (pyramid supplies its
-    own schedule); sink and window parameters are clamped to each layer's
-    budget so every grid ratio stays feasible.
+    Per-layer budgets come from the uniform split, whose remainder goes
+    to the earliest layers (pyramid supplies its own schedule); sink and
+    window parameters are clamped to each layer's budget so every grid
+    ratio stays feasible.
     """
     layers = model.config.layers
     n = len(context)
@@ -232,6 +233,13 @@ def select_baseline_indices(
             np.asarray(
                 streaming_select(n, b, min(policy.sinks, b)), dtype=np.int64
             )
+            for b in uniform
+        ]
+    if policy.name == "random":  # per head, a uniform-random kept subset
+        rng = SeededRng(policy.seed)
+        heads = model.config.kv_heads
+        return [
+            np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
             for b in uniform
         ]
     if policy.name == "tova":

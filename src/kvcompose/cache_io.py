@@ -300,7 +300,3 @@ def write_report(report: EvalReport, out_dir: str | Path, stem: str = "report") 
     except OSError as exc:
         raise IoError(f"cannot write report to {out_dir}: {exc}") from exc
     return {"json": json_path, "csv": csv_path}
-
-
-def parse_report_json(text: str) -> dict:
-    return json.loads(text)

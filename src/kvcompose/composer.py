@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import Policy, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
 from .model import HeadMaskSet, KVCache, Model, PrefillResult, prefill
-from .numerics import SeededRng, argsort_desc, stable_floor
+from .numerics import argsort_desc, stable_floor
 from .scoring import (
     STAGE_FINAL,
     AggregationChoice,
@@ -57,12 +57,9 @@ class CompressedCache(KVCache):
     provenance: list[np.ndarray] | None = None  # per layer (H_kv, N_l) int64
 
     def clone(self) -> "CompressedCache":
-        return CompressedCache(
-            keys=[k.copy() for k in self.keys],
-            values=[v.copy() for v in self.values],
-            next_positions=list(self.next_positions),
-            provenance=[p.copy() for p in self.provenance],
-        )
+        copy = super().clone()
+        copy.provenance = [p.copy() for p in self.provenance]
+        return copy
 
 
 @dataclass
@@ -135,6 +132,16 @@ def allocate_budgets(importance: LayerImportance, r_target: float) -> BudgetAllo
     )
 
 
+def _gather(cache: KVCache, takes: list[np.ndarray], n: int) -> CompressedCache:
+    """Take rows ``takes[l]`` (H_kv, n_l) of each layer of an n-row cache."""
+    return CompressedCache(
+        keys=[np.take_along_axis(k, t[:, :, None], axis=1) for k, t in zip(cache.keys, takes)],
+        values=[np.take_along_axis(v, t[:, :, None], axis=1) for v, t in zip(cache.values, takes)],
+        next_positions=[n] * len(takes),
+        provenance=[t.copy() for t in takes],
+    )
+
+
 def compact_cache(
     cache: KVCache, ci: CompositeIndex, alloc: BudgetAllocation
 ) -> CompressedCache:
@@ -142,7 +149,7 @@ def compact_cache(
     layers, heads, n = ci.idx.shape
     if cache.layer_count != layers:
         raise ShapeError(f"cache has {cache.layer_count} layers, index {layers}")
-    keys, values, provenance = [], [], []
+    takes = []
     for layer in range(layers):
         n_l = int(alloc.layer_budgets[layer])
         if n_l > n:
@@ -152,39 +159,19 @@ def compact_cache(
                 f"compact_cache needs the uncompressed cache; layer {layer} has "
                 f"{cache.rows(layer)} rows for context length {n}"
             )
-        take = ci.idx[layer, :, :n_l]  # (H_kv, n_l)
-        keys.append(np.take_along_axis(cache.keys[layer], take[:, :, None], axis=1).copy())
-        values.append(
-            np.take_along_axis(cache.values[layer], take[:, :, None], axis=1).copy()
-        )
-        provenance.append(take.copy())
-    return CompressedCache(
-        keys=keys,
-        values=values,
-        next_positions=[n] * layers,
-        provenance=provenance,
-    )
+        takes.append(ci.idx[layer, :, :n_l])  # (H_kv, n_l)
+    return _gather(cache, takes, n)
 
 
 def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
     """Build a compressed cache from explicit per-layer (H_kv, n_l) index arrays."""
-    keys, values, provenance = [], [], []
-    n = cache.rows(0)
+    takes = []
     for layer, take in enumerate(kept):
         take = np.asarray(take, dtype=np.int64)
         if take.ndim == 1:  # same indices for every head
-            take = np.broadcast_to(take, (cache.keys[layer].shape[0], take.size)).copy()
-        keys.append(np.take_along_axis(cache.keys[layer], take[:, :, None], axis=1).copy())
-        values.append(
-            np.take_along_axis(cache.values[layer], take[:, :, None], axis=1).copy()
-        )
-        provenance.append(take)
-    return CompressedCache(
-        keys=keys,
-        values=values,
-        next_positions=[n] * len(kept),
-        provenance=provenance,
-    )
+            take = np.broadcast_to(take, (cache.keys[layer].shape[0], take.size))
+        takes.append(take)
+    return _gather(cache, takes, cache.rows(0))
 
 
 def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
@@ -206,24 +193,6 @@ def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
     masks = np.zeros(flat.size, dtype=bool)
     masks[order[:budget]] = True
     return HeadMaskSet(masks=masks.reshape(layers, heads, n), budget=budget)
-
-
-def split_budget_uniform(budget_total: int, layers: int) -> np.ndarray:
-    """Uniform per-layer split; the first (budget mod L) layers take the remainder."""
-    base, extra = divmod(budget_total, layers)
-    return np.asarray([base + (1 if l < extra else 0) for l in range(layers)], dtype=np.int64)
-
-
-def random_structured_indices(
-    n: int, layer_budgets: np.ndarray, kv_heads: int, seed: int
-) -> list[np.ndarray]:
-    """Uniform-random structured eviction: per head, a random kept subset."""
-    rng = SeededRng(seed)
-    kept = []
-    for n_l in layer_budgets:
-        rows = [sorted(rng.sample(n, int(n_l))) for _ in range(kv_heads)]
-        kept.append(np.asarray(rows, dtype=np.int64))
-    return kept
 
 
 def compress(
@@ -257,10 +226,6 @@ def compress(
         alloc = allocate_budgets(importance, r_target)
         compressed = compact_cache(base.cache, ci, alloc)
         layer_budgets = alloc.layer_budgets
-    elif policy.name == "random":
-        layer_budgets = split_budget_uniform(budget, cfg.layers)
-        kept = random_structured_indices(n, layer_budgets, cfg.kv_heads, policy.seed)
-        compressed = gather_cache(base.cache, kept)
     elif policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     else:

@@ -9,9 +9,7 @@ epsilon stays under a tolerance.
 """
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,22 +208,24 @@ def _run_steps(
     task: TaskInstance,
     head_masks: HeadMaskSet | None,
 ) -> list[np.ndarray]:
-    """Teacher-forced logits for each scored step, on a cloned cache."""
+    """Teacher-forced logits for each scored step, on a cloned cache.
+
+    Every input is fed; the scored steps are the last ``len(targets)``.
+    """
     work = cache.clone()
     position = work.next_position
     inputs, targets = _forced_steps(task)
-    logits_out: list[np.ndarray] = []
-    if task.kind == "recall":
-        for tok in inputs[:-1]:
-            decode_step(model, work, tok, position, head_masks=head_masks)
-            position += 1
-        logits_out.append(decode_step(model, work, inputs[-1], position, head_masks=head_masks))
-    else:
-        for tok in inputs:
-            logits_out.append(decode_step(model, work, tok, position, head_masks=head_masks))
-            position += 1
-    assert len(logits_out) == len(targets)
-    return logits_out
+    logits = [
+        decode_step(model, work, tok, position + i, head_masks=head_masks)
+        for i, tok in enumerate(inputs)
+    ]
+    return logits[-len(targets) :]
+
+
+def _hit_rate(logits: list[np.ndarray], task: TaskInstance) -> float:
+    """Fraction of scored steps whose argmax is the target token."""
+    _, targets = _forced_steps(task)
+    return sum(int(np.argmax(lg)) == t for lg, t in zip(logits, targets)) / len(targets)
 
 
 def reward(
@@ -235,10 +235,7 @@ def reward(
     head_masks: HeadMaskSet | None = None,
 ) -> float:
     """Score in [0, 1]: exact recall, or per-step argmax agreement."""
-    logits = _run_steps(model, cache, task, head_masks)
-    _, targets = _forced_steps(task)
-    hits = sum(1 for lg, t in zip(logits, targets) if int(np.argmax(lg)) == t)
-    return hits / len(targets)
+    return _hit_rate(_run_steps(model, cache, task, head_masks), task)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -253,19 +250,18 @@ def _reward_and_kl(
     reference_logits: list[np.ndarray],
     head_masks: HeadMaskSet | None = None,
 ) -> tuple[float, float]:
-    """Reward plus mean KL(full || compressed) of next-token distributions."""
+    """Reward plus mean KL(full || compressed) of next-token distributions.
+
+    Each step's KL is clamped at 0: a negative value is rounding noise.
+    """
     logits = _run_steps(model, cache, task, head_masks)
-    _, targets = _forced_steps(task)
-    hits = 0
     kls = []
-    for lg, ref, t in zip(logits, reference_logits, targets):
-        if int(np.argmax(lg)) == t:
-            hits += 1
+    for lg, ref in zip(logits, reference_logits):
         ref_logp = _log_softmax(ref)
         comp_logp = _log_softmax(lg)
         p = np.exp(ref_logp)
-        kls.append(float(np.sum(p * (ref_logp - comp_logp))))
-    return hits / len(targets), float(np.mean(kls))
+        kls.append(max(float(np.sum(p * (ref_logp - comp_logp))), 0.0))
+    return _hit_rate(logits, task), float(np.mean(kls))
 
 
 def epsilon(full_rewards: list[float], comp_rewards: list[float]) -> float:
@@ -333,15 +329,6 @@ def max_ratio_under_tolerance(points: list[CurvePoint], tolerance: float) -> Tol
 # --- sweeps -------------------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KVCOMPOSE_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"KVCOMPOSE_THREADS must be an integer, got {raw!r}") from exc
-    return max(threads, 1)
-
-
 @dataclass
 class _TaskState:
     task: TaskInstance
@@ -364,12 +351,11 @@ def _prepare_task(
     if policy.name in ("kvcompose", "unstructured", "snapkv", "pyramid"):
         capture = collect_attention(model, list(task.prompt), tset, context_prefill=base)
     reference = _run_steps(model, base.cache, task, head_masks=None)
-    full_r = reward(model, base.cache, task)
     return _TaskState(
         task=task,
         base=base,
         capture=capture,
-        full_reward=full_r,
+        full_reward=_hit_rate(reference, task),
         reference_logits=reference,
     )
 
@@ -418,50 +404,27 @@ def sweep(
     mode: str = "task-agnostic",
     observation_window: int = 32,
 ) -> list[CurvePoint]:
-    """One curve point per grid ratio, averaged over all tasks.
-
-    Results are reduced in (ratio, task) order whatever the execution
-    order, so the curve is identical with any KVCOMPOSE_THREADS setting.
-    """
+    """One curve point per grid ratio, averaged over all tasks."""
     if not tasks:
         raise UsageError("sweep needs at least one task")
     if list(grid) != sorted(grid):
         raise UsageError("ratio grid must be sorted ascending")
-
-    threads = _thread_count()
-
-    def prep(task: TaskInstance) -> _TaskState:
-        return _prepare_task(model, task, mode, observation_window, policy)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            states = list(pool.map(prep, tasks))
-    else:
-        states = [prep(t) for t in tasks]
-
+    states = [_prepare_task(model, t, mode, observation_window, policy) for t in tasks]
     full_rewards = [s.full_reward for s in states]
     points = []
     for r_target in grid:
-        def evaluate(state: _TaskState) -> tuple[float, float, float]:
-            return _evaluate_point(
-                model, state, policy, agg_choice, mode, observation_window, r_target
-            )
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(evaluate, states))
-        else:
-            results = [evaluate(s) for s in states]
-        achieved = [res[0] for res in results]
-        rewards = [res[1] for res in results]
-        kls = [res[2] for res in results]
+        results = [
+            _evaluate_point(model, s, policy, agg_choice, mode, observation_window, r_target)
+            for s in states
+        ]
+        achieved, rewards, kls = zip(*results)
         points.append(
             CurvePoint(
                 r_target=float(r_target),
                 r_achieved=float(np.mean(achieved)),
                 reward_mean=float(np.mean(rewards)),
                 reward_std=float(np.std(rewards)),
-                epsilon=epsilon(full_rewards, rewards),
+                epsilon=epsilon(full_rewards, list(rewards)),
                 kl_mean=float(np.mean(kls)),
             )
         )

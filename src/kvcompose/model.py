@@ -13,7 +13,7 @@ attention invariant to row order within a head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,16 +99,12 @@ class KVCache:
         return self.keys[layer].shape[1]
 
     def clone(self) -> "KVCache":
-        return KVCache(
+        return replace(
+            self,
             keys=[k.copy() for k in self.keys],
             values=[v.copy() for v in self.values],
             next_positions=list(self.next_positions),
         )
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray, position: int) -> None:
-        self.keys[layer] = np.concatenate([self.keys[layer], k_new[:, None, :]], axis=1)
-        self.values[layer] = np.concatenate([self.values[layer], v_new[:, None, :]], axis=1)
-        self.next_positions[layer] = position + 1
 
 
 @dataclass
@@ -212,48 +208,76 @@ def empty_cache(model: Model) -> KVCache:
     )
 
 
+def _forward(
+    model: Model,
+    cache: KVCache,
+    tokens: np.ndarray,
+    positions: np.ndarray,
+    head_masks: HeadMaskSet | None = None,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Append M tokens to every layer of ``cache``; return their logits and attention.
+
+    Each layer may already hold any number of rows R. The new rows attend
+    causally to each other and freely to the R held rows, so prefill is
+    M=N on an empty cache and a decode step is M=1. ``head_masks``, when
+    given, hides masked rows of the original context from every new query.
+    Attention comes back per layer as (H_q, M, R+M).
+    """
+    cfg = model.config
+    m = len(tokens)
+    x = _embed(model, tokens, positions)  # (M, d)
+    group = cfg.group_size
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    attention: list[np.ndarray] = []
+
+    for layer in range(cfg.layers):
+        q = np.einsum("nd,hde->hne", x, model.wq[layer])  # (H_q, M, d_h)
+        k_new = np.einsum("nd,hde->hne", x, model.wk[layer])  # (H_kv, M, d_h)
+        v_new = np.einsum("nd,hde->hne", x, model.wv[layer])
+        qk = _rotate(np.concatenate([q, k_new]), positions, model.inv_freq)
+        q, k_new = qk[: cfg.query_heads], qk[cfg.query_heads :]
+
+        held = cache.rows(layer)
+        k = np.concatenate([cache.keys[layer], k_new], axis=1)  # (H_kv, R+M, d_h)
+        v = np.concatenate([cache.values[layer], v_new], axis=1)
+
+        k_rep = np.repeat(k, group, axis=0)  # (H_q, R+M, d_h)
+        v_rep = np.repeat(v, group, axis=0)
+        scores = np.einsum("hme,hce->hmc", q, k_rep)
+        if m > 1:  # hide later new rows; a single new row sees every row
+            scores = scores + np.triu(np.full((m, held + m), -np.inf), k=held + 1)
+        if head_masks is not None:
+            width = head_masks.masks.shape[2]
+            if width > held:
+                raise UsageError(
+                    f"mask covers {width} context rows but layer {layer} holds only "
+                    f"{held}; attention patching needs the uncompacted cache"
+                )
+            mask_rep = np.repeat(head_masks.masks[layer], group, axis=0)[:, None, :]
+            scores[:, :, :width] = np.where(mask_rep, scores[:, :, :width], -np.inf)
+        attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
+        out = np.einsum("hmc,hce->hme", attn, v_rep)
+        x = x + np.einsum("hme,hed->md", out, model.wo[layer])
+        attention.append(attn)
+        cache.keys[layer], cache.values[layer] = k, v
+        cache.next_positions[layer] = int(positions[-1]) + 1
+
+    return x @ model.embedding.T, attention
+
+
 def prefill(model: Model, tokens: list[int]) -> PrefillResult:
     """Causal forward pass over ``tokens`` from position 0.
 
     Fills one K,V row per token per kv head per layer and keeps every
     attention row for later capture.
     """
-    cfg = model.config
     n = len(tokens)
     if n == 0:
         raise UsageError("prefill needs at least one token")
-    if n > cfg.max_context:
-        raise UsageError(f"context of {n} tokens exceeds max_context {cfg.max_context}")
-    positions = np.arange(n)
-    x = _embed(model, np.asarray(tokens), positions)  # (n, d)
-
+    if n > model.config.max_context:
+        raise UsageError(f"context of {n} tokens exceeds max_context {model.config.max_context}")
     cache = empty_cache(model)
-    attention: list[np.ndarray] = []
-    group = cfg.group_size
-    causal = np.triu(np.full((n, n), -np.inf), k=1)  # 0 on/below diagonal
-
-    for layer in range(cfg.layers):
-        q = np.einsum("nd,hde->hne", x, model.wq[layer])  # (H_q, n, d_h)
-        k = np.einsum("nd,hde->hne", x, model.wk[layer])  # (H_kv, n, d_h)
-        v = np.einsum("nd,hde->hne", x, model.wv[layer])
-        q = _rotate(q, positions, model.inv_freq)
-        k = _rotate(k, positions, model.inv_freq)
-
-        k_rep = np.repeat(k, group, axis=0)  # (H_q, n, d_h)
-        v_rep = np.repeat(v, group, axis=0)
-        scores = np.einsum("hme,hce->hmc", q, k_rep) + causal[None, :, :]
-        attn = softmax_rows(
-            scores.reshape(-1, n), scale=1.0 / np.sqrt(cfg.head_dim)
-        ).reshape(cfg.query_heads, n, n)
-        out = np.einsum("hmc,hce->hme", attn, v_rep)
-        x = x + np.einsum("hme,hed->md", out, model.wo[layer])
-
-        cache.keys[layer] = k.copy()
-        cache.values[layer] = v.copy()
-        cache.next_positions[layer] = n
-        attention.append(attn)
-
-    logits = x @ model.embedding.T
+    logits, attention = _forward(model, cache, np.asarray(tokens), np.arange(n))
     return PrefillResult(cache=cache, logits=logits, attention=attention)
 
 
@@ -271,40 +295,10 @@ def decode_step(
     masked rows of the original context from attention; appended rows stay
     visible.
     """
-    cfg = model.config
-    x = _embed(model, np.asarray([token]), np.asarray([position]))[0]  # (d,)
-    group = cfg.group_size
-    pos_arr = np.asarray([position])
-
-    for layer in range(cfg.layers):
-        q = np.einsum("d,hde->he", x, model.wq[layer])  # (H_q, d_h)
-        k_new = np.einsum("d,hde->he", x, model.wk[layer])  # (H_kv, d_h)
-        v_new = np.einsum("d,hde->he", x, model.wv[layer])
-        q = _rotate(q[:, None, :], pos_arr, model.inv_freq)[:, 0, :]
-        k_new = _rotate(k_new[:, None, :], pos_arr, model.inv_freq)[:, 0, :]
-
-        cache.append(layer, k_new, v_new, position)
-        k = cache.keys[layer]  # (H_kv, rows, d_h)
-        v = cache.values[layer]
-        rows = k.shape[1]
-
-        k_rep = np.repeat(k, group, axis=0)  # (H_q, rows, d_h)
-        v_rep = np.repeat(v, group, axis=0)
-        scores = np.einsum("he,hce->hc", q, k_rep)  # (H_q, rows)
-        if head_masks is not None:
-            width = head_masks.masks.shape[2]
-            if width > rows - 1:
-                raise UsageError(
-                    f"mask covers {width} context rows but layer {layer} holds only "
-                    f"{rows - 1}; attention patching needs the uncompacted cache"
-                )
-            mask_rep = np.repeat(head_masks.masks[layer], group, axis=0)  # (H_q, N)
-            scores[:, :width] = np.where(mask_rep, scores[:, :width], -np.inf)
-        attn = softmax_rows(scores, scale=1.0 / np.sqrt(cfg.head_dim))
-        out = np.einsum("hc,hce->he", attn, v_rep)
-        x = x + np.einsum("he,hed->d", out, model.wo[layer])
-
-    return x @ model.embedding.T
+    logits, _ = _forward(
+        model, cache, np.asarray([token]), np.asarray([position]), head_masks
+    )
+    return logits[0]
 
 
 def greedy_decode(

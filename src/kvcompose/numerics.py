@@ -1,4 +1,4 @@
-"""Dense linear algebra, deterministic randomness, and selection primitives.
+"""Row softmax, deterministic randomness, and selection primitives.
 
 Everything here is pure and deterministic: identical inputs give
 bit-identical outputs on every platform. Matrices are plain 2-D float64
@@ -90,17 +90,6 @@ def stable_floor(x: float) -> int:
     budget arithmetic must read them as the exact 4 they stand for.
     """
     return int(np.floor(x + 1e-9))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m: Matrix, scale: float) -> Matrix:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kvcompose.baselines import Policy
 from kvcompose.composer import (
     BudgetAllocation,
+    CompressedCache,
     LayerImportance,
     allocate_budgets,
     compact_cache,
@@ -193,6 +194,40 @@ class TestCompactCache:
                         compressed.values[layer][h, slot],
                         base.cache.values[layer][h, original],
                     )
+
+    @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])
+    def test_baseline_gather_oracle_bit_equality(self, tiny_model, name):
+        context = random_context(26, 12)
+        base = prefill(tiny_model, context)
+        ts = TaskSet(mode="task-agnostic", observation_window=4)
+        for r in (0.25, 0.6):
+            compressed, _ = compress(
+                tiny_model, context, ts, AggregationChoice(), r, Policy(name=name),
+                context_prefill=base,
+            )
+            for layer in range(2):
+                for h in range(2):
+                    rows = compressed.provenance[layer][h]
+                    assert np.array_equal(
+                        compressed.keys[layer][h], base.cache.keys[layer][h, rows]
+                    )
+                    assert np.array_equal(
+                        compressed.values[layer][h], base.cache.values[layer][h, rows]
+                    )
+
+    def test_clone_keeps_type_and_provenance(self, tiny_model):
+        base = prefill(tiny_model, random_context(27, 8))
+        ci = composite_indices(final_scores(9, layers=2, heads=2, n=8))
+        alloc = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        compressed = compact_cache(base.cache, ci, alloc)
+        twice = compressed.clone().clone()
+        assert type(compressed.clone()) is CompressedCache
+        assert type(twice) is CompressedCache
+        for layer in range(2):
+            assert np.array_equal(twice.provenance[layer], compressed.provenance[layer])
+            assert twice.provenance[layer] is not compressed.provenance[layer]
+            assert np.array_equal(twice.keys[layer], compressed.keys[layer])
+        assert twice.next_positions == compressed.next_positions
 
     def test_rejects_compressed_input(self, tiny_model):
         context = random_context(23, 6)

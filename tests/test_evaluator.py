@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from kvcompose.evaluator import (
     reward,
     sweep,
 )
-from kvcompose.model import construct_induction_model, greedy_decode, prefill
+from kvcompose.model import construct_induction_model, decode_step, greedy_decode, prefill
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
 
@@ -279,6 +281,32 @@ class TestSweep:
         )
         assert points[0].reward_mean == 1.0  # all-true masks reproduce the run
         assert abs(points[1].r_achieved - 0.5) < 1e-9
+
+    def test_one_reference_decode_per_task(self, tiny_model, monkeypatch):
+        from kvcompose import evaluator
+
+        steps, grid = 4, (0.0, 0.5, 0.9)
+        tasks = make_agreement_tasks(tiny_model, 3, 16, steps, seed=16)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return decode_step(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "decode_step", counting)
+        sweep(tiny_model, tasks, Policy(name="kvcompose"), AggregationChoice(), grid=grid)
+        assert len(calls) == len(tasks) * steps * (1 + len(grid))
+
+    def test_agreement_kl_is_nonnegative(self):
+        from kvcompose.cli import build_agg, build_model, build_tasks, load_config
+
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "demo_agreement.json")
+        model = build_model(cfg)
+        points = sweep(
+            model, build_tasks(cfg, model), Policy(name="kvcompose"), build_agg(cfg),
+            mode=cfg.scoring["mode"], observation_window=cfg.scoring["observation_window"],
+        )
+        assert all(p.kl_mean >= 0.0 for p in points)
 
     def test_non_monotone_curve_takes_largest_passing(self):
         eps = [0.0, 0.3, 0.05, 0.4]

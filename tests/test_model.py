@@ -102,6 +102,23 @@ class TestPrefill:
             prefill(tiny_model, [0] * (tiny_model.config.max_context + 1))
 
 
+class TestForward:
+    def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
+        from kvcompose.model import _forward  # white-box: no public caller extends by M > 1 yet
+
+        tokens = random_context(5, 12)
+        full = prefill(tiny_model, tokens)
+        cache = prefill(tiny_model, tokens[:7]).cache
+        logits, attention = _forward(tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12))
+        assert np.abs(logits - full.logits[7:]).max() < 1e-8
+        for got, want in zip(attention, full.attention):
+            assert got.shape == (4, 5, 12)
+            assert np.abs(got - want[:, 7:, :]).max() < 1e-8
+        assert cache.next_positions == [12, 12]
+        for layer in range(2):
+            assert np.abs(cache.keys[layer] - full.cache.keys[layer]).max() < 1e-8
+
+
 class TestDecodeStep:
     def test_matches_prefill_continuation(self, tiny_model):
         tokens = random_context(4, 8)

@@ -5,45 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kvcompose.errors import ShapeError, UsageError
-from kvcompose.numerics import SeededRng, argsort_desc, matmul, softmax_rows
+from kvcompose.errors import UsageError
+from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 
 from conftest import random_matrix
-
-
-def naive_matmul(a, b):
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_selector_row(self):
-        out = matmul(np.array([[1.0, 0.0]]), np.array([[5.0], [7.0]]))
-        assert np.array_equal(out, np.array([[5.0]]))
-
-    def test_matches_triple_loop_oracle(self):
-        a = random_matrix(1, 3, 4)
-        b = random_matrix(2, 4, 2)
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_deterministic(self):
-        a = random_matrix(3, 5, 5)
-        assert np.array_equal(matmul(a, a), matmul(a, a))
 
 
 class TestSoftmaxRows:
@@ -66,6 +31,12 @@ class TestSoftmaxRows:
         out = softmax_rows(np.array([[1.0, -np.inf, 0.0]]), scale=2.0)
         assert out[0, 1] == 0.0
         assert abs(out[0].sum() - 1.0) < 1e-12
+
+    def test_fully_masked_row_is_zero_beside_live_rows(self):
+        live = np.array([[1.0, -np.inf, 0.0]])
+        out = softmax_rows(np.vstack([np.full((1, 3), -np.inf), live]), scale=2.0)
+        assert not out[0].any()
+        assert np.array_equal(out[1:], softmax_rows(live, scale=2.0))
 
     def test_bad_scale(self):
         with pytest.raises(UsageError):
