@@ -25,6 +25,8 @@ POLICY_NAMES = (
     "random",
     "unstructured",
 )
+# policies that score on an attention capture of the run's task set
+CAPTURE_POLICIES = ("kvcompose", "unstructured", "snapkv", "pyramid")
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,16 @@ class Policy:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.shape < 0:
             raise ConfigError(f"shape must be >= 0, got {self.shape}")
+
+
+def retention_budget(r_target: float, *dims: int) -> int:
+    """Entries kept at the target ratio: floor((1-r) * d1 * d2 * ...), left to right."""
+    if not 0.0 <= r_target <= 1.0:
+        raise UsageError(f"r_target must be in [0, 1], got {r_target}")
+    kept = 1.0 - r_target
+    for d in dims:
+        kept *= d
+    return stable_floor(kept)
 
 
 def streaming_select(n: int, budget: int, sinks: int) -> list[int]:
@@ -147,15 +159,13 @@ def pyramid_budgets(layers: int, context_len: int, r_target: float, shape: float
     Budgets are clamped to [1, context_len]; shape=0 gives the uniform
     split with the remainder placed on the earliest layers.
     """
-    if shape < 0:
-        raise ConfigError(f"shape must be >= 0, got {shape}")
-    if not 0.0 <= r_target <= 1.0:
-        raise UsageError(f"r_target must be in [0, 1], got {r_target}")
-    total = stable_floor((1.0 - r_target) * layers * context_len)
+    total = retention_budget(r_target, layers, context_len)
     return _schedule_budgets(layers, context_len, total, shape)
 
 
 def _schedule_budgets(layers: int, context_len: int, total: int, shape: float) -> np.ndarray:
+    if shape < 0:
+        raise ConfigError(f"shape must be >= 0, got {shape}")
     if total < layers:
         raise ConfigError(
             f"budget {total} cannot give every one of {layers} layers its floor of 1"
@@ -214,14 +224,14 @@ def select_baseline_indices(
     budget_total: int,
     base: PrefillResult,
     capture: AttentionCapture | None = None,
-    task_set: TaskSet | None = None,
 ) -> list[np.ndarray]:
     """Dispatch a baseline policy into per-layer kept-index arrays.
 
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule); sink and
     window parameters are clamped to each layer's budget so every grid
-    ratio stays feasible.
+    ratio stays feasible. snapkv/pyramid score on ``capture``; without
+    one they observe the trailing ``policy.window`` context rows.
     """
     layers = model.config.layers
     n = len(context)
@@ -251,10 +261,7 @@ def select_baseline_indices(
             budgets = np.asarray(uniform, dtype=np.int64)
         window = int(min(policy.window, budgets.min(), n))
         if capture is None:
-            cap_tasks = task_set
-            if cap_tasks is None or cap_tasks.mode != "task-agnostic":
-                cap_tasks = TaskSet(mode="task-agnostic", observation_window=min(policy.window, n))
-            capture = collect_attention(model, context, cap_tasks, context_prefill=base)
-        per_layer = snapkv_select(capture, [int(b) for b in budgets], window)
-        return per_layer
+            window_rows = TaskSet(mode="task-agnostic", observation_window=min(policy.window, n))
+            capture = collect_attention(model, context, window_rows, context_prefill=base)
+        return snapkv_select(capture, [int(b) for b in budgets], window)
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

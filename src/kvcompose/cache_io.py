@@ -3,22 +3,27 @@
 KVCF cache files (all integers little-endian):
 
     magic   b"KVCF"
-    version u16 (currently 1)
+    version u16 (2; version 1 files are still read)
     layers  u32
     kv_heads u32
     head_dim u32
     rows    u32 * layers          per-layer slot count
+    next    u32 * layers          per-layer next token position, past every kept index (v2)
     payload per layer: K then V, float32, row-major (kv_heads, rows, head_dim)
     provenance per layer: u32 * (kv_heads * rows)   original context index
     crc32   u32 over every preceding byte
 
-Tensor files ("KVCT") hold one named array: dtype byte (0=f32, 1=u32),
-ndim byte, dims, payload, crc32. Reports are JSON plus a fixed-column
-CSV; identical inputs always produce identical bytes.
+Version 1 has no ``next`` table; its reader takes one past the newest
+kept original index, which undercounts when the last context tokens
+were evicted. Tensor files ("KVCT", version 1) hold one named array:
+dtype byte (0=f32, 1=u32), ndim byte, dims, payload, crc32. Both formats
+share one frame: magic, u16 version, body, crc32. Reports are JSON plus
+a fixed-column CSV; identical inputs always produce identical bytes.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict
@@ -33,7 +38,8 @@ from .model import HeadMaskSet
 
 MAGIC_CACHE = b"KVCF"
 MAGIC_TENSOR = b"KVCT"
-FORMAT_VERSION = 1
+CACHE_VERSION = 2
+TENSOR_VERSION = 1
 
 CSV_COLUMNS = ("r_target", "r_achieved", "reward_mean", "reward_std", "epsilon", "kl_mean")
 
@@ -70,22 +76,17 @@ class IoError(KvcError):
     pass
 
 
-def _header_bytes(layers: int, kv_heads: int, head_dim: int, rows: list[int]) -> bytes:
-    return (
-        MAGIC_CACHE
-        + struct.pack("<H", FORMAT_VERSION)
-        + struct.pack("<III", layers, kv_heads, head_dim)
-        + struct.pack(f"<{layers}I", *rows)
-    )
-
-
 def cache_to_bytes(cache: CompressedCache) -> bytes:
     if cache.provenance is None:
         raise IoError("cache has no provenance; only compressed caches serialize")
     layers = cache.layer_count
     kv_heads, _, head_dim = cache.keys[0].shape
-    rows = [cache.rows(l) for l in range(layers)]
-    parts = [_header_bytes(layers, kv_heads, head_dim, rows)]
+    parts = [
+        MAGIC_CACHE,
+        struct.pack("<HIII", CACHE_VERSION, layers, kv_heads, head_dim),
+        struct.pack(f"<{layers}I", *(cache.rows(l) for l in range(layers))),
+        struct.pack(f"<{layers}I", *cache.next_positions),
+    ]
     for l in range(layers):
         parts.append(cache.keys[l].astype("<f4").tobytes(order="C"))
         parts.append(cache.values[l].astype("<f4").tobytes(order="C"))
@@ -105,38 +106,26 @@ def write_cache(cache: CompressedCache, path: str | Path) -> int:
     return len(data)
 
 
-def cache_from_bytes(data: bytes) -> CompressedCache:
-    if len(data) < 4 or data[:4] != MAGIC_CACHE:
+def _check_frame(data: bytes, magic: bytes, versions: tuple[int, ...], fixed: int) -> int:
+    """Check magic, version and the ``fixed``-byte header; return the version."""
+    if len(data) < 4 or data[:4] != magic:
         raise BadMagicError(f"bad magic at byte 0: {data[:4]!r}")
     if len(data) < 6:
         raise TruncatedError(f"file ends at byte {len(data)} inside the version field")
     (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
+    if version not in versions:
         raise UnsupportedVersionError(f"unsupported format version {version} at byte 4")
-    if len(data) < 18:
+    if len(data) < fixed:
         raise TruncatedError(f"file ends at byte {len(data)} inside the fixed header")
-    layers, kv_heads, head_dim = struct.unpack_from("<III", data, 6)
-    if layers < 1 or kv_heads < 1 or head_dim < 1:
-        raise MalformedHeaderError(
-            f"non-positive dimension in header at byte 6: "
-            f"layers={layers} kv_heads={kv_heads} head_dim={head_dim}"
-        )
-    rows_end = 18 + 4 * layers
-    if len(data) < rows_end:
-        raise TruncatedError(
-            f"file ends at byte {len(data)}, row table needs {rows_end} bytes"
-        )
-    rows = list(struct.unpack_from(f"<{layers}I", data, 18))
+    return version
 
-    total_rows = sum(rows)
-    payload = total_rows * kv_heads * head_dim * 4 * 2
-    provenance = total_rows * kv_heads * 4
-    expected = rows_end + payload + provenance + 4
+
+def _check_length_and_crc(data: bytes, expected: int) -> None:
+    """The file is exactly ``expected`` bytes and its trailing crc32 matches."""
     if len(data) < expected:
         raise TruncatedError(f"expected {expected} bytes, file has {len(data)}")
     if len(data) > expected:
         raise TrailingBytesError(f"expected {expected} bytes, file has {len(data)}")
-
     (stored_crc,) = struct.unpack_from("<I", data, expected - 4)
     actual_crc = zlib.crc32(data[: expected - 4])
     if stored_crc != actual_crc:
@@ -145,7 +134,25 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
             f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    offset = rows_end
+
+def cache_from_bytes(data: bytes) -> CompressedCache:
+    version = _check_frame(data, MAGIC_CACHE, (1, CACHE_VERSION), 18)
+    layers, kv_heads, head_dim = struct.unpack_from("<III", data, 6)
+    if layers < 1 or kv_heads < 1 or head_dim < 1:
+        raise MalformedHeaderError(
+            f"non-positive dimension in header at byte 6: "
+            f"layers={layers} kv_heads={kv_heads} head_dim={head_dim}"
+        )
+    rows_end = 18 + 4 * layers
+    tables_end = rows_end + (4 * layers if version == 2 else 0)  # v2: next table
+    if len(data) < tables_end:
+        raise TruncatedError(f"file ends at byte {len(data)}, header tables need {tables_end}")
+    rows = list(struct.unpack_from(f"<{layers}I", data, 18))
+    total_rows = sum(rows)
+    payload = total_rows * kv_heads * head_dim * 4 * 2
+    _check_length_and_crc(data, tables_end + payload + total_rows * kv_heads * 4 + 4)
+
+    offset = tables_end
     keys, values = [], []
     for n_l in rows:
         count = kv_heads * n_l * head_dim
@@ -161,14 +168,17 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
         p = np.frombuffer(data, dtype="<u4", count=count, offset=offset)
         offset += count * 4
         prov.append(p.reshape(kv_heads, n_l).astype(np.int64))
-    # the next free position is one past the newest original token kept anywhere
-    next_pos = 1 + max((int(p.max()) for p in prov if p.size), default=-1)
-    return CompressedCache(
-        keys=keys,
-        values=values,
-        next_positions=[next_pos] * layers,
-        provenance=prov,
-    )
+    if version == 1:  # guess: one past the newest original token kept anywhere
+        next_positions = [1 + max((int(p.max()) for p in prov if p.size), default=-1)] * layers
+    else:
+        next_positions = list(struct.unpack_from(f"<{layers}I", data, rows_end))
+        for l, p in enumerate(prov):
+            if p.size and next_positions[l] <= p.max():
+                raise MalformedHeaderError(
+                    f"next position {next_positions[l]} at byte {rows_end + 4 * l} "
+                    f"does not follow kept index {int(p.max())} of layer {l}"
+                )
+    return CompressedCache(keys, values, next_positions, provenance=prov)
 
 
 def read_cache(path: str | Path) -> CompressedCache:
@@ -180,7 +190,8 @@ def read_cache(path: str | Path) -> CompressedCache:
 
 
 def cache_header_size(layers: int) -> int:
-    return 18 + 4 * layers
+    """Bytes before the payload of a version-2 cache file."""
+    return 18 + 8 * layers
 
 
 # --- generic tensors ----------------------------------------------------------
@@ -197,8 +208,7 @@ def write_tensor(array: np.ndarray, path: str | Path) -> int:
         code, payload = 0, array.astype("<f4")
     header = (
         MAGIC_TENSOR
-        + struct.pack("<H", FORMAT_VERSION)
-        + struct.pack("<BB", code, array.ndim)
+        + struct.pack("<HBB", TENSOR_VERSION, code, array.ndim)
         + struct.pack(f"<{array.ndim}I", *array.shape)
     )
     body = header + payload.tobytes(order="C")
@@ -215,31 +225,23 @@ def read_tensor(path: str | Path) -> np.ndarray:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read tensor from {path}: {exc}") from exc
-    if len(data) < 4 or data[:4] != MAGIC_TENSOR:
-        raise BadMagicError(f"bad magic at byte 0: {data[:4]!r}")
-    if len(data) < 8:
-        raise TruncatedError(f"file ends at byte {len(data)} inside the fixed header")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {version} at byte 4")
+    return tensor_from_bytes(data)
+
+
+def tensor_from_bytes(data: bytes) -> np.ndarray:
+    _check_frame(data, MAGIC_TENSOR, (TENSOR_VERSION,), 8)
     code, ndim = struct.unpack_from("<BB", data, 6)
     if code not in _DTYPES:
         raise MalformedHeaderError(f"unknown dtype code {code} at byte 6")
+    if ndim > 32:
+        raise MalformedHeaderError(f"{ndim} dims at byte 7; at most 32 are supported")
     dims_end = 8 + 4 * ndim
     if len(data) < dims_end:
         raise TruncatedError(f"file ends at byte {len(data)}, dims need {dims_end}")
     dims = struct.unpack_from(f"<{ndim}I", data, 8)
-    count = int(np.prod(dims)) if ndim else 1
-    expected = dims_end + count * 4 + 4
-    if len(data) < expected:
-        raise TruncatedError(f"expected {expected} bytes, file has {len(data)}")
-    if len(data) > expected:
-        raise TrailingBytesError(f"expected {expected} bytes, file has {len(data)}")
-    (stored_crc,) = struct.unpack_from("<I", data, expected - 4)
-    if stored_crc != zlib.crc32(data[: expected - 4]):
-        raise ChecksumError(f"crc mismatch at byte {expected - 4}")
-    array = np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=dims_end)
-    return array.reshape(dims)
+    count = math.prod(dims)  # exact: numpy's product wraps at 2**64
+    _check_length_and_crc(data, dims_end + count * 4 + 4)
+    return np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=dims_end).reshape(dims)
 
 
 def write_masks(masks: "HeadMaskSet", path: str | Path) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .evaluator import (
     make_agreement_tasks,
     make_recall_tasks,
     sweep,
+    task_set_for,
 )
 from .model import Model, construct_induction_model, init_model, ModelConfig
 from .scoring import (
@@ -35,10 +36,8 @@ from .scoring import (
     NORM_VARIANTS,
     AggregationChoice,
     TaskSet,
-    aggregate_group,
-    aggregate_task,
-    augment_mean,
     collect_attention,
+    score_stages,
 )
 from .composer import composite_indices, layer_importance
 
@@ -57,7 +56,10 @@ class RunConfig:
     tolerances: list[float]
     r_target: float
     out_dir: str
-    resolved: dict = field(default_factory=dict)
+
+    @property
+    def resolved(self) -> dict:
+        return asdict(self)
 
 
 def _require_keys(section: dict, name: str, required: set[str], optional: set[str]) -> None:
@@ -151,34 +153,22 @@ def parse_config(data: dict) -> RunConfig:
         optional={"sinks", "window", "shape", "seed"},
     )
 
-    grid = list(data.get("grid", RATIO_GRID))
-    if grid != sorted(grid) or any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ConfigError("grid must be ascending ratios in [0, 1]")
-    tolerances = list(data.get("tolerances", DEFAULT_TOLERANCES))
-    r_target = float(data.get("r_target", 0.5))
-    out_dir = str(data.get("out_dir", "runs/out"))
-
-    resolved = {
-        "model": model,
-        "tasks": tasks,
-        "scoring": scoring,
-        "policy": policy,
-        "grid": grid,
-        "tolerances": tolerances,
-        "r_target": r_target,
-        "out_dir": out_dir,
-    }
     return RunConfig(
         model=model,
         tasks=tasks,
         scoring=scoring,
         policy=policy,
-        grid=grid,
-        tolerances=tolerances,
-        r_target=r_target,
-        out_dir=out_dir,
-        resolved=resolved,
+        grid=_check_grid(list(data.get("grid", RATIO_GRID)), "grid"),
+        tolerances=list(data.get("tolerances", DEFAULT_TOLERANCES)),
+        r_target=float(data.get("r_target", 0.5)),
+        out_dir=str(data.get("out_dir", "runs/out")),
     )
+
+
+def _check_grid(grid: list[float], name: str) -> list[float]:
+    if grid != sorted(grid) or any(not 0.0 <= g <= 1.0 for g in grid):
+        raise ConfigError(f"{name} must be ascending ratios in [0, 1]")
+    return grid
 
 
 def build_model(cfg: RunConfig) -> Model:
@@ -265,10 +255,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
             grid = [float(g) for g in args.grid.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--grid must be comma-separated floats: {args.grid!r}") from exc
-        if grid != sorted(grid) or any(not 0.0 <= g <= 1.0 for g in grid):
-            raise ConfigError("--grid must be ascending ratios in [0, 1]")
-        cfg.grid = grid
-        cfg.resolved["grid"] = grid
+        cfg.grid = _check_grid(grid, "--grid")
     return cfg
 
 
@@ -289,13 +276,10 @@ def _scoring_task_set(cfg: RunConfig, context_len: int) -> TaskSet:
 def cmd_compress(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     model = build_model(cfg)
-    policy = build_policy(cfg)
-    if policy.name == "unstructured":
-        raise ConfigError("unstructured policy emits masks, not a cache; use sweep")
     context = _read_context(args.context, model.config.vocab_size)
     task_set = _scoring_task_set(cfg, len(context))
     cache, report = compress(
-        model, context, task_set, build_agg(cfg), cfg.r_target, policy
+        model, context, task_set, build_agg(cfg), cfg.r_target, build_policy(cfg)
     )
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -386,16 +370,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     combined = ["label,r_target,r_achieved,reward_mean,reward_std,epsilon,kl_mean,auc"]
     count = 0
     for choice in ablation_grid():
-        arm_cfg = parse_config(json.loads(json.dumps(cfg.resolved)))
-        arm_cfg.scoring.update(
-            {
-                "agg_task": choice.agg_task,
-                "agg_group": choice.agg_group,
-                "agg_head": choice.agg_head,
-                "norm_variant": choice.norm_variant,
-                "mean_augment": choice.mean_augment,
-            }
-        )
+        arm_cfg = replace(cfg, scoring={**cfg.scoring, **asdict(choice)})
         arm_dir = out / _slug(choice)
         arm_dir.mkdir(parents=True, exist_ok=True)
         (arm_dir / "config.json").write_text(
@@ -418,44 +393,40 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_tensors(command: str, out: Path, tensors: dict[str, np.ndarray]) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, array in tensors.items():
+        array = np.asarray(array)
+        cache_io.write_tensor(array, out / name)
+        shape = "x".join(str(s) for s in array.shape)
+        print(f"{command} tensor={name} shape={shape} out={out / name}")
+
+
 def cmd_dump_scores(args: argparse.Namespace) -> int:
+    """Write the score stages, slot order and layer importance that ``sweep``
+    computes for the first task."""
     cfg = _apply_overrides(load_config(args.config), args)
     model = build_model(cfg)
-    tasks = build_tasks(cfg, model)
-    context = list(tasks[0].prompt)
-    task_set = TaskSet(
-        mode="task-agnostic",
-        observation_window=min(cfg.scoring["observation_window"], len(context)),
-    )
+    task = build_tasks(cfg, model)[0]
+    task_set = task_set_for(task, cfg.scoring["mode"], cfg.scoring["observation_window"])
     agg = build_agg(cfg)
-    cap = collect_attention(model, context, task_set)
-    s_task = aggregate_task(cap, agg.agg_task, agg.norm_variant)
-    s_group = aggregate_group(s_task, model.config.kv_heads, agg.agg_group)
-    s_final = augment_mean(s_group, agg.mean_augment)
+    cap = collect_attention(model, list(task.prompt), task_set)
+    s_task, s_group, s_final = score_stages(cap, model.config.kv_heads, agg)
     ci = composite_indices(s_final)
-    imp = layer_importance(ci, agg.agg_head)
-
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tensors = {
         "scores_task.kvct": s_task.values,
         "scores_group.kvct": s_group.values,
         "scores_final.kvct": s_final.values,
         "composite_idx.kvct": ci.idx.astype(np.uint32),
-        "layer_importance.kvct": imp.values,
+        "layer_importance.kvct": layer_importance(ci, agg.agg_head).values,
     }
-    for name, array in tensors.items():
-        cache_io.write_tensor(np.asarray(array), out / name)
-        shape = "x".join(str(s) for s in np.asarray(array).shape)
-        print(f"dump-scores tensor={name} shape={shape} out={out / name}")
+    _write_tensors("dump-scores", Path(args.out or cfg.out_dir), tensors)
     return EXIT_OK
 
 
 def cmd_gen_model(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     model = build_model(cfg)
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tensors = {
         "embedding.kvct": model.embedding,
         "wq.kvct": model.wq,
@@ -466,10 +437,7 @@ def cmd_gen_model(args: argparse.Namespace) -> int:
     }
     if model.pos_embedding is not None:
         tensors["pos_embedding.kvct"] = model.pos_embedding
-    for name, array in tensors.items():
-        cache_io.write_tensor(np.asarray(array), out / name)
-        shape = "x".join(str(s) for s in np.asarray(array).shape)
-        print(f"gen-model tensor={name} shape={shape} out={out / name}")
+    _write_tensors("gen-model", Path(args.out or cfg.out_dir), tensors)
     return EXIT_OK
 
 

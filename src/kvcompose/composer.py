@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Policy, select_baseline_indices
+from .baselines import CAPTURE_POLICIES, Policy, retention_budget, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
 from .model import HeadMaskSet, KVCache, Model, PrefillResult, prefill
-from .numerics import argsort_desc, stable_floor
 from .scoring import (
     STAGE_FINAL,
     AggregationChoice,
@@ -79,26 +78,15 @@ class CompressReport:
         )
 
 
-def retention_budget(r_target: float, layers: int, context_len: int) -> int:
-    """Total slots kept across all layers at the target ratio."""
-    if not 0.0 <= r_target <= 1.0:
-        raise UsageError(f"r_target must be in [0, 1], got {r_target}")
-    return stable_floor((1.0 - r_target) * layers * context_len)
-
-
 def composite_indices(s: ScoreTensor) -> CompositeIndex:
     """Per-head descending sort of the final scores (ties keep lower index)."""
     if s.stage != STAGE_FINAL:
         raise UsageError(f"composite_indices expects stage {STAGE_FINAL!r}, got {s.stage!r}")
-    layers, heads, n = s.values.shape
-    idx = np.empty((layers, heads, n), dtype=np.int64)
-    s_prime = np.empty((layers, heads, n))
-    for layer in range(layers):
-        for h in range(heads):
-            order = argsort_desc(s.values[layer, h])
-            idx[layer, h] = order
-            s_prime[layer, h] = s.values[layer, h, order]
-    return CompositeIndex(idx=idx, s_prime=s_prime)
+    values = np.asarray(s.values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise UsageError("composite_indices requires finite scores")
+    idx = np.argsort(-values, axis=2, kind="stable")
+    return CompositeIndex(idx=idx, s_prime=np.take_along_axis(values, idx, axis=2))
 
 
 def layer_importance(ci: CompositeIndex, op: str) -> LayerImportance:
@@ -184,10 +172,8 @@ def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
     """
     if s.stage != STAGE_FINAL:
         raise UsageError(f"unstructured_compress expects stage {STAGE_FINAL!r}")
-    if not 0.0 <= r_target <= 1.0:
-        raise UsageError(f"r_target must be in [0, 1], got {r_target}")
     layers, heads, n = s.values.shape
-    budget = stable_floor((1.0 - r_target) * layers * heads * n)
+    budget = retention_budget(r_target, layers, heads, n)
     flat = s.values.reshape(-1)
     order = np.lexsort((np.arange(flat.size), -flat))  # ties -> lower (l, h, c)
     masks = np.zeros(flat.size, dtype=bool)
@@ -208,34 +194,29 @@ def compress(
 ) -> tuple[CompressedCache, CompressReport]:
     """Full structured path: score, compose, allocate, compact (or a baseline).
 
-    ``context_prefill``/``capture`` may be passed to reuse work across
-    ratios; results are identical either way.
+    Every policy in ``CAPTURE_POLICIES`` scores on a capture of
+    ``task_set``. ``context_prefill``/``capture`` may be passed to reuse
+    work across ratios; results are identical either way.
     """
+    if policy.name == "unstructured":
+        raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cfg = model.config
     n = len(context)
     base = context_prefill if context_prefill is not None else prefill(model, context)
     budget = retention_budget(r_target, cfg.layers, n)
+    if capture is None and policy.name in CAPTURE_POLICIES:
+        capture = collect_attention(model, context, task_set, context_prefill=base)
 
     if policy.name == "kvcompose":
-        cap = capture if capture is not None else collect_attention(
-            model, context, task_set, context_prefill=base
-        )
-        scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
-        ci = composite_indices(scores)
-        importance = layer_importance(ci, agg_choice.agg_head)
-        alloc = allocate_budgets(importance, r_target)
+        ci = composite_indices(score_pipeline(capture, cfg.kv_heads, agg_choice))
+        alloc = allocate_budgets(layer_importance(ci, agg_choice.agg_head), r_target)
         compressed = compact_cache(base.cache, ci, alloc)
-        layer_budgets = alloc.layer_budgets
-    elif policy.name == "unstructured":
-        raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     else:
-        kept = select_baseline_indices(
-            model, context, policy, budget, base, capture=capture, task_set=task_set
-        )
+        kept = select_baseline_indices(model, context, policy, budget, base, capture)
         compressed = gather_cache(base.cache, kept)
-        layer_budgets = np.asarray([k.shape[-1] for k in kept], dtype=np.int64)
 
-    total = int(sum(int(b) for b in layer_budgets))
+    layer_budgets = [compressed.rows(l) for l in range(cfg.layers)]
+    total = sum(layer_budgets)
     if total != budget:
         raise UsageError(f"policy {policy.name} kept {total} slots, budget is {budget}")
     report = CompressReport(
@@ -243,6 +224,6 @@ def compress(
         r_target=r_target,
         r_achieved=1.0 - total / (cfg.layers * n),
         budget_total=budget,
-        layer_budgets=[int(b) for b in layer_budgets],
+        layer_budgets=layer_budgets,
     )
     return compressed, report

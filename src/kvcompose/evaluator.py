@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import Policy
+from .baselines import CAPTURE_POLICIES, Policy
 from .composer import compress, unstructured_compress
 from .errors import ConfigError, UsageError
 from .model import (
@@ -348,7 +348,7 @@ def _prepare_task(
     base = prefill(model, list(task.prompt))
     tset = task_set_for(task, mode, observation_window)
     capture = None
-    if policy.name in ("kvcompose", "unstructured", "snapkv", "pyramid"):
+    if policy.name in CAPTURE_POLICIES:
         capture = collect_attention(model, list(task.prompt), tset, context_prefill=base)
     reference = _run_steps(model, base.cache, task, head_masks=None)
     return _TaskState(

@@ -132,9 +132,6 @@ class HeadMaskSet:
         if self.budget == 0:
             self.budget = int(self.masks.sum())
 
-    def kept_counts(self) -> np.ndarray:
-        return self.masks.sum(axis=2)
-
 
 def _rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.ndarray:
     """Rotary rotation of (..., n, d_h) vectors at the given absolute positions."""

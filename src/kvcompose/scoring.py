@@ -103,6 +103,17 @@ def _reduce(values: np.ndarray, op: str, axis: int) -> np.ndarray:
     return values.mean(axis=axis)
 
 
+def _task_rows(model: Model, context: list[int], task: tuple[int, ...]) -> np.ndarray:
+    """(L, H_q, N, M) attention of one task's rows onto the context.
+
+    The prefill of ``context + task`` is freed on return, so a task set
+    never holds two full attention tensors at once.
+    """
+    n = len(context)
+    run = prefill(model, list(context) + list(task))
+    return np.stack([np.transpose(attn[:, n:, :n], (0, 2, 1)) for attn in run.attention])
+
+
 def collect_attention(
     model: Model,
     context: list[int],
@@ -129,15 +140,7 @@ def collect_attention(
         blocks = [np.transpose(attn[:, n - w : n, :n], (0, 2, 1)) for attn in base.attention]
         a = np.stack(blocks, axis=0)  # (L, H_q, N, w)
     else:
-        per_task = []
-        for task in task_set.tasks:
-            run = prefill(model, list(context) + list(task))
-            rows = [
-                np.transpose(attn[:, n : n + len(task), :n], (0, 2, 1))
-                for attn in run.attention
-            ]
-            per_task.append(np.stack(rows, axis=0))  # (L, H_q, N, M_tau)
-        a = np.concatenate(per_task, axis=3)
+        a = np.concatenate([_task_rows(model, context, t) for t in task_set.tasks], axis=3)
 
     raw = np.stack(
         [np.linalg.norm(v, axis=2) for v in base.cache.values], axis=0
@@ -205,10 +208,17 @@ def augment_mean(s: ScoreTensor, enabled: bool = True) -> ScoreTensor:
     return ScoreTensor(stage=STAGE_FINAL, values=s.values + mean)
 
 
+def score_stages(
+    cap: AttentionCapture, kv_heads: int, choice: AggregationChoice
+) -> list[ScoreTensor]:
+    """Task agg -> group agg -> mean augmentation, keeping every stage."""
+    s_task = aggregate_task(cap, choice.agg_task, choice.norm_variant)
+    s_group = aggregate_group(s_task, kv_heads, choice.agg_group)
+    return [s_task, s_group, augment_mean(s_group, choice.mean_augment)]
+
+
 def score_pipeline(
     cap: AttentionCapture, kv_heads: int, choice: AggregationChoice
 ) -> ScoreTensor:
-    """collect -> task agg -> group agg -> mean augmentation, in one call."""
-    s = aggregate_task(cap, choice.agg_task, choice.norm_variant)
-    s = aggregate_group(s, kv_heads, choice.agg_group)
-    return augment_mean(s, choice.mean_augment)
+    """The final-stage scores of ``score_stages``."""
+    return score_stages(cap, kv_heads, choice)[-1]

@@ -1,7 +1,11 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvcompose import cache_io
 from kvcompose.cache_io import (
@@ -9,6 +13,7 @@ from kvcompose.cache_io import (
     CacheFormatError,
     ChecksumError,
     IoError,
+    MalformedHeaderError,
     TrailingBytesError,
     TruncatedError,
     UnsupportedVersionError,
@@ -16,15 +21,18 @@ from kvcompose.cache_io import (
     cache_to_bytes,
     read_cache,
     read_tensor,
+    tensor_from_bytes,
     write_cache,
     write_report,
     write_tensor,
 )
-from kvcompose.composer import CompressedCache
+from kvcompose.composer import CompressedCache, compress
 from kvcompose.evaluator import build_report, make_agreement_tasks, sweep
 from kvcompose.baselines import Policy
 from kvcompose.numerics import SeededRng
-from kvcompose.scoring import AggregationChoice
+from kvcompose.scoring import AggregationChoice, TaskSet
+
+from conftest import random_context
 
 
 def make_cache(seed, layers=2, kv_heads=2, head_dim=4, rows=(3, 2)) -> CompressedCache:
@@ -47,7 +55,7 @@ def make_cache(seed, layers=2, kv_heads=2, head_dim=4, rows=(3, 2)) -> Compresse
     return CompressedCache(
         keys=keys,
         values=values,
-        next_positions=[max(rows)] * layers,
+        next_positions=[2 * max(rows)] * layers,  # past every provenance drawn above
         provenance=prov,
     )
 
@@ -73,7 +81,7 @@ class TestWriteCache:
     def test_payload_size_arithmetic(self):
         cache = make_cache(3, layers=1, kv_heads=1, head_dim=4, rows=(2,))
         data = cache_to_bytes(cache)
-        header = 18 + 4  # fixed fields + one row count
+        header = 18 + 4 + 4  # fixed fields + one row count + one next position
         payload = 2 * (1 * 2 * 4) * 4  # K and V, float32
         provenance = 1 * 2 * 4
         assert payload == 64
@@ -127,37 +135,78 @@ class TestReadCache:
         cache.keys[0][:] = [[[0.5, -1.25], [2.0, 3.5]]]
         cache.values[0][:] = [[[1.0, 0.0], [-0.5, 8.0]]]
         cache.provenance[0][:] = [[4, 1]]
+        cache.next_positions = [9]  # the context's tail was evicted
         path = tmp_path / "golden.kvcf"
         write_cache(cache, path)
         back = read_cache(path)
         assert back.keys[0].tolist() == [[[0.5, -1.25], [2.0, 3.5]]]
         assert back.values[0].tolist() == [[[1.0, 0.0], [-0.5, 8.0]]]
         assert back.provenance[0].tolist() == [[4, 1]]
-        assert back.next_positions == [5]  # one past the newest original index
+        assert back.next_positions == [9]  # stored, not guessed from provenance
 
     def test_golden_bytes_are_stable(self):
         cache = make_cache(12, layers=1, kv_heads=1, head_dim=2, rows=(1,))
         cache.keys[0][:] = [[[1.0, 2.0]]]
         cache.values[0][:] = [[[3.0, 4.0]]]
         cache.provenance[0][:] = [[7]]
-        expected = (
-            b"KVCF"
-            + (1).to_bytes(2, "little")
-            + (1).to_bytes(4, "little") * 3  # layers, kv_heads=1... see below
-        )
+        cache.next_positions = [10]
         data = cache_to_bytes(cache)
         assert data[:4] == b"KVCF"
-        assert data[4:6] == (1).to_bytes(2, "little")
+        assert data[4:6] == (2).to_bytes(2, "little")  # version
         assert data[6:10] == (1).to_bytes(4, "little")  # layers
         assert data[10:14] == (1).to_bytes(4, "little")  # kv heads
         assert data[14:18] == (2).to_bytes(4, "little")  # head dim
         assert data[18:22] == (1).to_bytes(4, "little")  # rows[0]
-        assert data[22:30] == np.asarray([1.0, 2.0], dtype="<f4").tobytes()
-        assert data[30:38] == np.asarray([3.0, 4.0], dtype="<f4").tobytes()
-        assert data[38:42] == (7).to_bytes(4, "little")
-        import zlib
+        assert data[22:26] == (10).to_bytes(4, "little")  # next[0]
+        assert data[26:34] == np.asarray([1.0, 2.0], dtype="<f4").tobytes()
+        assert data[34:42] == np.asarray([3.0, 4.0], dtype="<f4").tobytes()
+        assert data[42:46] == (7).to_bytes(4, "little")
+        assert data[46:50] == zlib.crc32(data[:46]).to_bytes(4, "little")
+        assert len(data) == 50
 
-        assert data[42:46] == zlib.crc32(data[:42]).to_bytes(4, "little")
+    def test_reads_version_1_golden(self):
+        # a version-1 file has no next-position table; the reader guesses
+        body = (
+            b"KVCF"
+            + struct.pack("<HIII", 1, 1, 1, 2)  # version, layers, kv heads, head dim
+            + struct.pack("<I", 1)  # rows[0]
+            + np.asarray([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()  # K then V
+            + struct.pack("<I", 7)  # provenance
+        )
+        back = cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert back.keys[0].tolist() == [[[1.0, 2.0]]]
+        assert back.values[0].tolist() == [[[3.0, 4.0]]]
+        assert back.provenance[0].tolist() == [[7]]
+        assert back.next_positions == [8]  # one past the newest original index
+
+    def test_next_position_before_kept_index_rejected(self):
+        # a valid CRC over a next position that does not follow the kept tokens
+        body = (
+            b"KVCF"
+            + struct.pack("<HIII", 2, 1, 1, 2)  # version, layers, kv heads, head dim
+            + struct.pack("<II", 1, 0)  # rows[0], next[0]
+            + np.asarray([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()  # K then V
+            + struct.pack("<I", 7)  # provenance
+        )
+        with pytest.raises(MalformedHeaderError, match="at byte 22"):
+            cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_compressed_next_positions_roundtrip_at_high_ratio(self, tiny_model):
+        # at r >= 0.9 the context's last token is often evicted everywhere,
+        # which a reader guessing from provenance gets wrong
+        guess_wrong = 0
+        for seed in range(6):
+            context = random_context(200 + seed, 24)
+            ts = TaskSet(mode="task-agnostic", observation_window=8)
+            for r in (0.9, 0.95):
+                cache, _ = compress(
+                    tiny_model, context, ts, AggregationChoice(), r, Policy(name="kvcompose")
+                )
+                back = cache_from_bytes(cache_to_bytes(cache))
+                assert back.next_positions == cache.next_positions == [24, 24]
+                newest = max(int(p.max()) for p in cache.provenance if p.size)
+                guess_wrong += newest + 1 != 24
+        assert guess_wrong > 0  # the case v1 could not represent did occur
 
     def test_header_fuzz_all_rejected(self):
         base = cache_to_bytes(make_cache(13))
@@ -204,6 +253,59 @@ class TestTensorFiles:
         path.write_bytes(bytes(data))
         with pytest.raises(CacheFormatError):
             read_tensor(path)
+
+    def test_element_count_is_exact(self, tmp_path):
+        # 65536**4 == 2**64 elements: a wrapping product would read it as 0
+        body = b"KVCT" + struct.pack("<HBB", 1, 0, 4) + struct.pack("<4I", *[65536] * 4)
+        path = tmp_path / "huge.kvct"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert path.stat().st_size == 28
+        with pytest.raises(TruncatedError):
+            read_tensor(path)
+
+    def test_too_many_dims_rejected(self):
+        body = b"KVCT" + struct.pack("<HBB", 1, 0, 65) + struct.pack("<65I", *[1] * 65)
+        body += np.zeros(1, dtype="<f4").tobytes()
+        with pytest.raises(CacheFormatError):
+            tensor_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _valid_files() -> list[bytes]:
+    cache = cache_to_bytes(make_cache(30, layers=3, kv_heads=2, head_dim=2, rows=(2, 0, 3)))
+    body = b"KVCT" + struct.pack("<HBB", 1, 0, 2) + struct.pack("<2I", 2, 3)
+    body += np.arange(6, dtype="<f4").tobytes()
+    return [cache, body + struct.pack("<I", zlib.crc32(body))]
+
+
+def _parses_or_format_error(data: bytes) -> None:
+    for parse in (cache_from_bytes, tensor_from_bytes):
+        try:
+            parse(data)
+        except CacheFormatError:
+            pass
+
+
+class TestFormatFuzz:
+    """Whatever the bytes, a reader returns a value or raises CacheFormatError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=96), st.sampled_from([b"", b"KVCF", b"KVCT"]))
+    def test_arbitrary_bytes(self, tail, magic):
+        _parses_or_format_error(magic + tail)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_valid_files()),
+        st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255)), max_size=4),
+        st.integers(-8, 8),
+    )
+    def test_crc_fixed_mutations(self, data, edits, resize):
+        body = bytearray(data[:-4])
+        for pos, value in edits:
+            if pos < len(body):
+                body[pos] = value
+        body = body[: len(body) + resize] if resize < 0 else body + bytes(resize)
+        _parses_or_format_error(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
 
 
 class TestReports:

@@ -1,8 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
+
+from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main
+from kvcompose.evaluator import _prepare_task, make_recall_tasks
+from kvcompose.model import construct_induction_model
+from kvcompose.scoring import AggregationChoice, score_pipeline
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -39,6 +45,17 @@ class TestCompressCommand:
         assert "r_achieved=0.0" in out
         cache = read_cache(tmp_path / "out" / "cache.kvcf")
         assert [cache.rows(l) for l in range(2)] == [6, 6]
+
+    def test_unstructured_policy_rejected(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            scoring={"mode": "task-agnostic", "observation_window": 4},
+            policy={"name": "unstructured"},
+        )
+        ctx = write_context(tmp_path, [1, 9, 3, 12, 5, 8])
+        assert main(["compress", "--config", str(cfg), "--context", str(ctx)]) == EXIT_CONFIG
+        assert "unstructured" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "cache.kvcf").exists()
 
     def test_budget_arithmetic(self, tmp_path, capsys):
         cfg = write_config(
@@ -179,6 +196,17 @@ class TestDumpScoresCommand:
             row = imp[layer]
             assert all(row[i] >= row[i + 1] - 1e-6 for i in range(7))
         assert "shape=2x1x8" in out
+
+    def test_task_aware_dump_matches_sweep_scores(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # task-aware recall
+        assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
+        model = construct_induction_model(4, 16)
+        task = make_recall_tasks(4, 16, 4, 3)[0]
+        # white-box: the task state sweep builds, capture included
+        state = _prepare_task(model, task, "task-aware", 32, Policy(name="kvcompose"))
+        want = score_pipeline(state.capture, model.config.kv_heads, AggregationChoice())
+        got = read_tensor(tmp_path / "out" / "scores_final.kvct")
+        assert np.array_equal(got, want.values.astype(np.float32))
 
 
 class TestGenModelCommand:

@@ -18,8 +18,15 @@ from kvcompose.composer import (
 )
 from kvcompose.errors import UsageError
 from kvcompose.model import decode_step, prefill
-from kvcompose.numerics import SeededRng
-from kvcompose.scoring import STAGE_FINAL, STAGE_GROUP, AggregationChoice, ScoreTensor, TaskSet
+from kvcompose.numerics import SeededRng, argsort_desc
+from kvcompose.scoring import (
+    STAGE_FINAL,
+    STAGE_GROUP,
+    AggregationChoice,
+    ScoreTensor,
+    TaskSet,
+    collect_attention,
+)
 
 from conftest import random_context
 
@@ -65,6 +72,22 @@ class TestCompositeIndices:
     def test_stage_enforced(self):
         with pytest.raises(UsageError):
             composite_indices(ScoreTensor(STAGE_GROUP, np.zeros((1, 1, 2))))
+
+    def test_matches_per_head_argsort_oracle(self):
+        # coarse values force ties, which must keep the lower index first
+        values = np.round(final_scores(6, layers=3, heads=4, n=12).values * 4) / 4
+        ci = composite_indices(ScoreTensor(STAGE_FINAL, values))
+        for layer in range(3):
+            for h in range(4):
+                order = argsort_desc(values[layer, h])
+                assert np.array_equal(ci.idx[layer, h], order)
+                assert np.array_equal(ci.s_prime[layer, h], values[layer, h, order])
+
+    def test_rejects_non_finite(self):
+        values = np.zeros((1, 2, 3))
+        values[0, 1, 2] = np.nan
+        with pytest.raises(UsageError):
+            composite_indices(ScoreTensor(STAGE_FINAL, values))
 
 
 class TestLayerImportance:
@@ -241,6 +264,29 @@ class TestCompactCache:
 
 
 class TestCompressPipeline:
+    @pytest.mark.parametrize(
+        "name", ["kvcompose", "streaming", "tova", "snapkv", "pyramid", "random"]
+    )
+    @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
+    def test_reuse_gives_identical_cache(self, tiny_model, name, mode):
+        context = random_context(28, 16)
+        if mode == "task-aware":
+            ts = TaskSet(mode=mode, tasks=((5, 9, 2), (17,)))
+        else:
+            ts = TaskSet(mode=mode, observation_window=6)
+        base = prefill(tiny_model, context)
+        cap = collect_attention(tiny_model, context, ts, base)
+        for r in (0.5, 0.8):
+            args = (tiny_model, context, ts, AggregationChoice(), r, Policy(name=name))
+            fresh, _ = compress(*args)
+            reused, _ = compress(*args, context_prefill=base, capture=cap)
+            for got, want in [
+                (fresh.keys, reused.keys),
+                (fresh.values, reused.values),
+                (fresh.provenance, reused.provenance),
+            ]:
+                assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
     def test_r0_logit_fidelity(self, tiny_model):
         context = random_context(24, 12)
         ts = TaskSet(mode="task-agnostic", observation_window=6)
