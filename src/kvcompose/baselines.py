@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .model import Model, PrefillResult, prefill
 from .numerics import SeededRng, argsort_desc, stable_floor
-from .scoring import AttentionCapture, TaskSet, collect_attention
+from .scoring import AttentionCapture
 
 POLICY_NAMES = (
     "kvcompose",
@@ -25,8 +24,6 @@ POLICY_NAMES = (
     "random",
     "unstructured",
 )
-# policies that score on an attention capture of the run's task set
-CAPTURE_POLICIES = ("kvcompose", "unstructured", "snapkv", "pyramid")
 
 
 @dataclass(frozen=True)
@@ -87,27 +84,17 @@ def _tova_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
     return kept
 
 
-def tova_select(
-    model: Model,
-    context: list[int],
-    budget: int | list[int],
-    base: PrefillResult | None = None,
-) -> list[list[int]]:
-    """Per-layer survivors of online least-attended eviction.
+def tova_select(attention: list[np.ndarray], budget: int | list[int]) -> list[list[int]]:
+    """Per-layer survivors of online least-attended eviction, replayed on a
+    prefill's per-layer (H_q, N, N) attention.
 
     The current step's attention is the newest token's row, averaged over
     the layer's query heads; the newest token itself is evictable.
     """
-    run = base if base is not None else prefill(model, context)
-    layers = model.config.layers
-    budgets = [budget] * layers if isinstance(budget, int) else list(budget)
+    budgets = [budget] * len(attention) if isinstance(budget, int) else list(budget)
     if any(b < 1 for b in budgets):
         raise ConfigError(f"tova budget must be >= 1 per layer, got {budgets}")
-    out = []
-    for layer in range(layers):
-        layer_rows = run.attention[layer].mean(axis=0)  # (N, N)
-        out.append(_tova_replay(layer_rows, budgets[layer]))
-    return out
+    return [_tova_replay(attn.mean(axis=0), b) for attn, b in zip(attention, budgets)]
 
 
 def snapkv_select(
@@ -218,23 +205,17 @@ def _schedule_budgets(layers: int, context_len: int, total: int, shape: float) -
 
 
 def select_baseline_indices(
-    model: Model,
-    context: list[int],
-    policy: Policy,
-    budget_total: int,
-    base: PrefillResult,
-    capture: AttentionCapture | None = None,
+    cap: AttentionCapture, policy: Policy, budget_total: int
 ) -> list[np.ndarray]:
     """Dispatch a baseline policy into per-layer kept-index arrays.
 
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule); sink and
     window parameters are clamped to each layer's budget so every grid
-    ratio stays feasible. snapkv/pyramid score on ``capture``; without
-    one they observe the trailing ``policy.window`` context rows.
+    ratio stays feasible. tova replays the capture's prefill attention;
+    snapkv/pyramid score on the capture's task rows.
     """
-    layers = model.config.layers
-    n = len(context)
+    layers, n = cap.A.shape[0], cap.context_len
     base_split, extra = divmod(budget_total, layers)
     uniform = [base_split + (1 if l < extra else 0) for l in range(layers)]
 
@@ -247,21 +228,18 @@ def select_baseline_indices(
         ]
     if policy.name == "random":  # per head, a uniform-random kept subset
         rng = SeededRng(policy.seed)
-        heads = model.config.kv_heads
+        heads = cap.value_norms_raw.shape[1]
         return [
             np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
             for b in uniform
         ]
     if policy.name == "tova":
-        return [np.asarray(k, dtype=np.int64) for k in tova_select(model, context, uniform, base)]
+        return [np.asarray(k, dtype=np.int64) for k in tova_select(cap.prefill.attention, uniform)]
     if policy.name in ("snapkv", "pyramid"):
         if policy.name == "pyramid":
             budgets = _schedule_budgets(layers, n, budget_total, policy.shape)
         else:
             budgets = np.asarray(uniform, dtype=np.int64)
         window = int(min(policy.window, budgets.min(), n))
-        if capture is None:
-            window_rows = TaskSet(mode="task-agnostic", observation_window=min(policy.window, n))
-            capture = collect_attention(model, context, window_rows, context_prefill=base)
-        return snapkv_select(capture, [int(b) for b in budgets], window)
+        return snapkv_select(cap, [int(b) for b in budgets], window)
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

@@ -34,7 +34,6 @@ import numpy as np
 from .composer import CompressedCache
 from .errors import KvcError
 from .evaluator import EvalReport
-from .model import HeadMaskSet
 
 MAGIC_CACHE = b"KVCF"
 MAGIC_TENSOR = b"KVCT"
@@ -242,18 +241,6 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
     count = math.prod(dims)  # exact: numpy's product wraps at 2**64
     _check_length_and_crc(data, dims_end + count * 4 + 4)
     return np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=dims_end).reshape(dims)
-
-
-def write_masks(masks: "HeadMaskSet", path: str | Path) -> int:
-    """Keep-masks as a 0/1 uint32 tensor (layers, kv_heads, context)."""
-    return write_tensor(masks.masks.astype(np.uint32), path)
-
-
-def read_masks(path: str | Path) -> "HeadMaskSet":
-    array = read_tensor(path)
-    if array.ndim != 3:
-        raise MalformedHeaderError(f"mask tensor must be 3-D, got {array.ndim}-D")
-    return HeadMaskSet(masks=array.astype(bool))
 
 
 # --- reports ------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cache_io
 from .baselines import Policy
-from .composer import compress
+from .composer import composite_indices, compress, layer_importance
 from .errors import ConfigError, KvcError, UsageError
 from .evaluator import (
     DEFAULT_AGREEMENT_STEPS,
@@ -27,19 +27,11 @@ from .evaluator import (
     build_report,
     make_agreement_tasks,
     make_recall_tasks,
-    sweep,
-    task_set_for,
+    prepare_task,
+    sweep_prepared,
 )
 from .model import Model, construct_induction_model, init_model, ModelConfig
-from .scoring import (
-    AGG_OPS,
-    NORM_VARIANTS,
-    AggregationChoice,
-    TaskSet,
-    collect_attention,
-    score_stages,
-)
-from .composer import composite_indices, layer_importance
+from .scoring import AGG_OPS, NORM_VARIANTS, AggregationChoice, TaskSet, score_stages
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -289,18 +281,15 @@ def cmd_compress(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_report(cfg: RunConfig, model: Model):
-    tasks = build_tasks(cfg, model)
+def _prepare_tasks(cfg: RunConfig, model: Model):
+    """Every task's capture (with its prefill) and reference run."""
+    mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+    return [prepare_task(model, t, mode, window) for t in build_tasks(cfg, model)]
+
+
+def _sweep_report(cfg: RunConfig, model: Model, states):
     policy = build_policy(cfg)
-    points = sweep(
-        model,
-        tasks,
-        policy,
-        build_agg(cfg),
-        grid=tuple(cfg.grid),
-        mode=cfg.scoring["mode"],
-        observation_window=cfg.scoring["observation_window"],
-    )
+    points = sweep_prepared(model, states, policy, build_agg(cfg), tuple(cfg.grid))
     seeds = [cfg.model.get("seed", 0), cfg.tasks["seed"]]
     return build_report(
         policy,
@@ -332,7 +321,7 @@ def _print_sweep_line(report, paths) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     model = build_model(cfg)
-    report = _sweep_report(cfg, model)
+    report = _sweep_report(cfg, model, _prepare_tasks(cfg, model))
     paths = cache_io.write_report(report, Path(args.out or cfg.out_dir))
     _print_sweep_line(report, paths)
     return EXIT_OK
@@ -367,6 +356,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    states = _prepare_tasks(cfg, model)  # scoring mode and window are the same in every arm
     combined = ["label,r_target,r_achieved,reward_mean,reward_std,epsilon,kl_mean,auc"]
     count = 0
     for choice in ablation_grid():
@@ -376,7 +366,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         (arm_dir / "config.json").write_text(
             json.dumps(arm_cfg.resolved, sort_keys=True, indent=2) + "\n"
         )
-        report = _sweep_report(arm_cfg, model)
+        report = _sweep_report(arm_cfg, model, states)
         paths = cache_io.write_report(report, arm_dir)
         for p in report.points:
             combined.append(
@@ -408,10 +398,9 @@ def cmd_dump_scores(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     model = build_model(cfg)
     task = build_tasks(cfg, model)[0]
-    task_set = task_set_for(task, cfg.scoring["mode"], cfg.scoring["observation_window"])
+    state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
     agg = build_agg(cfg)
-    cap = collect_attention(model, list(task.prompt), task_set)
-    s_task, s_group, s_final = score_stages(cap, model.config.kv_heads, agg)
+    s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, agg)
     ci = composite_indices(s_final)
     tensors = {
         "scores_task.kvct": s_task.values,

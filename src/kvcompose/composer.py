@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import CAPTURE_POLICIES, Policy, retention_budget, select_baseline_indices
+from .baselines import Policy, retention_budget, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
-from .model import HeadMaskSet, KVCache, Model, PrefillResult, prefill
+from .model import HeadMaskSet, KVCache, Model
 from .scoring import (
     STAGE_FINAL,
     AggregationChoice,
@@ -188,32 +188,34 @@ def compress(
     agg_choice: AggregationChoice,
     r_target: float,
     policy: Policy,
-    *,
-    context_prefill: PrefillResult | None = None,
-    capture: AttentionCapture | None = None,
 ) -> tuple[CompressedCache, CompressReport]:
-    """Full structured path: score, compose, allocate, compact (or a baseline).
+    """Capture ``task_set`` on ``context``, then compress at one ratio."""
+    cap = collect_attention(model, context, task_set)
+    return compress_capture(model, cap, agg_choice, r_target, policy)
 
-    Every policy in ``CAPTURE_POLICIES`` scores on a capture of
-    ``task_set``. ``context_prefill``/``capture`` may be passed to reuse
-    work across ratios; results are identical either way.
-    """
+
+def compress_capture(
+    model: Model,
+    cap: AttentionCapture,
+    agg_choice: AggregationChoice,
+    r_target: float,
+    policy: Policy,
+) -> tuple[CompressedCache, CompressReport]:
+    """One ratio of the structured path on a capture and its prefill: score,
+    compose, allocate, compact (or a baseline)."""
     if policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cfg = model.config
-    n = len(context)
-    base = context_prefill if context_prefill is not None else prefill(model, context)
+    n = cap.context_len
     budget = retention_budget(r_target, cfg.layers, n)
-    if capture is None and policy.name in CAPTURE_POLICIES:
-        capture = collect_attention(model, context, task_set, context_prefill=base)
+    full = cap.prefill.cache
 
     if policy.name == "kvcompose":
-        ci = composite_indices(score_pipeline(capture, cfg.kv_heads, agg_choice))
+        ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
         alloc = allocate_budgets(layer_importance(ci, agg_choice.agg_head), r_target)
-        compressed = compact_cache(base.cache, ci, alloc)
+        compressed = compact_cache(full, ci, alloc)
     else:
-        kept = select_baseline_indices(model, context, policy, budget, base, capture)
-        compressed = gather_cache(base.cache, kept)
+        compressed = gather_cache(full, select_baseline_indices(cap, policy, budget))
 
     layer_budgets = [compressed.rows(l) for l in range(cfg.layers)]
     total = sum(layer_budgets)

@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import CAPTURE_POLICIES, Policy
-from .composer import compress, unstructured_compress
+from .baselines import Policy
+from .composer import compress_capture, unstructured_compress
 from .errors import ConfigError, UsageError
 from .model import (
     HeadMaskSet,
     KVCache,
     Model,
-    PrefillResult,
     decode_step,
     greedy_decode,
     induction_key_range,
@@ -330,30 +329,24 @@ def max_ratio_under_tolerance(points: list[CurvePoint], tolerance: float) -> Tol
 
 
 @dataclass
-class _TaskState:
+class TaskState:
+    """One task prepared for every policy, ratio and aggregation choice:
+    its capture (which holds the full-cache prefill) and its reference run."""
+
     task: TaskInstance
-    base: PrefillResult
-    capture: AttentionCapture | None
+    capture: AttentionCapture
     full_reward: float
     reference_logits: list[np.ndarray]
 
 
-def _prepare_task(
-    model: Model,
-    task: TaskInstance,
-    mode: str,
-    observation_window: int,
-    policy: Policy,
-) -> _TaskState:
-    base = prefill(model, list(task.prompt))
+def prepare_task(
+    model: Model, task: TaskInstance, mode: str, observation_window: int
+) -> TaskState:
     tset = task_set_for(task, mode, observation_window)
-    capture = None
-    if policy.name in CAPTURE_POLICIES:
-        capture = collect_attention(model, list(task.prompt), tset, context_prefill=base)
-    reference = _run_steps(model, base.cache, task, head_masks=None)
-    return _TaskState(
+    capture = collect_attention(model, list(task.prompt), tset)
+    reference = _run_steps(model, capture.prefill.cache, task, head_masks=None)
+    return TaskState(
         task=task,
-        base=base,
         capture=capture,
         full_reward=_hit_rate(reference, task),
         reference_logits=reference,
@@ -362,61 +355,42 @@ def _prepare_task(
 
 def _evaluate_point(
     model: Model,
-    state: _TaskState,
+    state: TaskState,
     policy: Policy,
     agg_choice: AggregationChoice,
-    mode: str,
-    observation_window: int,
     r_target: float,
 ) -> tuple[float, float, float]:
     """(r_achieved, reward, kl) for one task at one ratio."""
     cfg = model.config
-    n = len(state.task.prompt)
+    cap = state.capture
     if policy.name == "unstructured":
-        scores = score_pipeline(state.capture, cfg.kv_heads, agg_choice)
-        masks = unstructured_compress(scores, r_target)
-        r_achieved = 1.0 - masks.budget / (cfg.layers * cfg.kv_heads * n)
+        masks = unstructured_compress(score_pipeline(cap, cfg.kv_heads, agg_choice), r_target)
+        r_achieved = 1.0 - masks.budget / (cfg.layers * cfg.kv_heads * cap.context_len)
         r, kl = _reward_and_kl(
-            model, state.base.cache, state.task, state.reference_logits, head_masks=masks
+            model, cap.prefill.cache, state.task, state.reference_logits, head_masks=masks
         )
         return r_achieved, r, kl
-    tset = task_set_for(state.task, mode, observation_window)
-    cache, report = compress(
-        model,
-        list(state.task.prompt),
-        tset,
-        agg_choice,
-        r_target,
-        policy,
-        context_prefill=state.base,
-        capture=state.capture,
-    )
+    cache, report = compress_capture(model, cap, agg_choice, r_target, policy)
     r, kl = _reward_and_kl(model, cache, state.task, state.reference_logits)
     return report.r_achieved, r, kl
 
 
-def sweep(
+def sweep_prepared(
     model: Model,
-    tasks: list[TaskInstance],
+    states: list[TaskState],
     policy: Policy,
     agg_choice: AggregationChoice,
-    grid: tuple[float, ...] = RATIO_GRID,
-    mode: str = "task-agnostic",
-    observation_window: int = 32,
+    grid: tuple[float, ...],
 ) -> list[CurvePoint]:
-    """One curve point per grid ratio, averaged over all tasks."""
-    if not tasks:
+    """One curve point per grid ratio, averaged over the prepared tasks."""
+    if not states:
         raise UsageError("sweep needs at least one task")
     if list(grid) != sorted(grid):
         raise UsageError("ratio grid must be sorted ascending")
-    states = [_prepare_task(model, t, mode, observation_window, policy) for t in tasks]
     full_rewards = [s.full_reward for s in states]
     points = []
     for r_target in grid:
-        results = [
-            _evaluate_point(model, s, policy, agg_choice, mode, observation_window, r_target)
-            for s in states
-        ]
+        results = [_evaluate_point(model, s, policy, agg_choice, r_target) for s in states]
         achieved, rewards, kls = zip(*results)
         points.append(
             CurvePoint(
@@ -429,6 +403,20 @@ def sweep(
             )
         )
     return points
+
+
+def sweep(
+    model: Model,
+    tasks: list[TaskInstance],
+    policy: Policy,
+    agg_choice: AggregationChoice,
+    grid: tuple[float, ...] = RATIO_GRID,
+    mode: str = "task-agnostic",
+    observation_window: int = 32,
+) -> list[CurvePoint]:
+    """Prepare every task, then evaluate one curve point per grid ratio."""
+    states = [prepare_task(model, t, mode, observation_window) for t in tasks]
+    return sweep_prepared(model, states, policy, agg_choice, grid)
 
 
 def build_report(

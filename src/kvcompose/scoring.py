@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import Model, PrefillResult, prefill
+from .model import Model, PrefillResult, _forward, prefill
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -89,6 +89,7 @@ class AttentionCapture:
     value_norms_proj: np.ndarray  # (L, H_q, N)
     context_len: int
     task_len: int
+    prefill: PrefillResult | None = None  # the context's own run; None when built by hand
 
 
 @dataclass
@@ -103,35 +104,34 @@ def _reduce(values: np.ndarray, op: str, axis: int) -> np.ndarray:
     return values.mean(axis=axis)
 
 
-def _task_rows(model: Model, context: list[int], task: tuple[int, ...]) -> np.ndarray:
+def _task_rows(model: Model, run: PrefillResult, task: tuple[int, ...]) -> np.ndarray:
     """(L, H_q, N, M) attention of one task's rows onto the context.
 
-    The prefill of ``context + task`` is freed on return, so a task set
-    never holds two full attention tensors at once.
+    The task is appended to a clone of the context cache at positions
+    N..N+M-1, so only its M rows are computed.
     """
-    n = len(context)
-    run = prefill(model, list(context) + list(task))
-    return np.stack([np.transpose(attn[:, n:, :n], (0, 2, 1)) for attn in run.attention])
+    n, m = run.cache.rows(0), len(task)
+    if n + m > model.config.max_context:
+        raise UsageError(
+            f"context plus task of {n + m} tokens exceeds max_context {model.config.max_context}"
+        )
+    _, attention = _forward(model, run.cache.clone(), np.asarray(task), np.arange(n, n + m))
+    return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
 
 
-def collect_attention(
-    model: Model,
-    context: list[int],
-    task_set: TaskSet,
-    context_prefill: PrefillResult | None = None,
-) -> AttentionCapture:
-    """Record how the task tokens attend to the context, plus value norms.
+def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> AttentionCapture:
+    """Prefill the context once; record how the task tokens attend to it, plus value norms.
 
-    task-aware runs one prefill per task over ``context + task`` and keeps
-    the task rows; task-agnostic reuses the context prefill and keeps the
-    trailing observation-window rows. Norms come from the context's own
-    value vectors, which are identical in every run.
+    task-aware appends each task to the prefilled cache and keeps its
+    rows; task-agnostic keeps the trailing observation-window rows of the
+    prefill itself. The prefill travels with the capture, so every
+    policy and ratio compresses the same full cache.
     """
     if not context:
         raise UsageError("context must be non-empty")
     cfg = model.config
     n = len(context)
-    base = context_prefill if context_prefill is not None else prefill(model, context)
+    base = prefill(model, context)
 
     if task_set.mode == "task-agnostic":
         w = task_set.observation_window
@@ -140,7 +140,7 @@ def collect_attention(
         blocks = [np.transpose(attn[:, n - w : n, :n], (0, 2, 1)) for attn in base.attention]
         a = np.stack(blocks, axis=0)  # (L, H_q, N, w)
     else:
-        a = np.concatenate([_task_rows(model, context, t) for t in task_set.tasks], axis=3)
+        a = np.concatenate([_task_rows(model, base, t) for t in task_set.tasks], axis=3)
 
     raw = np.stack(
         [np.linalg.norm(v, axis=2) for v in base.cache.values], axis=0
@@ -158,6 +158,7 @@ def collect_attention(
         value_norms_proj=proj,
         context_len=n,
         task_len=a.shape[3],
+        prefill=base,
     )
 
 

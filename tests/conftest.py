@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,19 @@ def random_context(seed: int, length: int, vocab: int = 64) -> list[int]:
 def random_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     rng = SeededRng(seed)
     return (rng.uniform_block(rows * cols) * 2.0 - 1.0).reshape(rows, cols)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``, through each
+    kvcompose module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("kvcompose") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls

@@ -66,26 +66,26 @@ def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
 
 class TestTovaSelect:
     def test_budget_at_least_context_keeps_all(self, tiny_model):
-        context = random_context(40, 8)
-        kept = tova_select(tiny_model, context, budget=8)
+        attention = prefill(tiny_model, random_context(40, 8)).attention
+        kept = tova_select(attention, budget=8)
         assert all(k == list(range(8)) for k in kept)
 
     def test_budget_one_leaves_one_survivor(self, tiny_model):
-        context = random_context(41, 8)
-        kept = tova_select(tiny_model, context, budget=1)
+        attention = prefill(tiny_model, random_context(41, 8)).attention
+        kept = tova_select(attention, budget=1)
         assert all(len(k) == 1 for k in kept)
 
     def test_matches_replay_oracle(self, tiny_model):
-        context = random_context(42, 12)
-        base = prefill(tiny_model, context)
-        kept = tova_select(tiny_model, context, budget=6, base=base)
+        base = prefill(tiny_model, random_context(42, 12))
+        kept = tova_select(base.attention, budget=6)
         for layer in range(2):
             rows = base.attention[layer].mean(axis=0)
             assert kept[layer] == tova_oracle(rows, 6)
 
     def test_deterministic(self, tiny_model):
         context = random_context(43, 10)
-        assert tova_select(tiny_model, context, 5) == tova_select(tiny_model, context, 5)
+        first = tova_select(prefill(tiny_model, context).attention, 5)
+        assert first == tova_select(prefill(tiny_model, context).attention, 5)
 
 
 def snapkv_oracle(cap: AttentionCapture, layer: int, head: int, budget: int, window: int):
@@ -181,12 +181,12 @@ class TestBudgetParity:
     @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid"])
     def test_totals_match_structured_budget(self, tiny_model, name):
         context = random_context(48, 16)
-        base = prefill(tiny_model, context)
+        cap = collect_attention(
+            tiny_model, context, TaskSet(mode="task-agnostic", observation_window=4)
+        )
         for r in (0.0, 0.25, 0.5, 0.75):
             budget = retention_budget(r, 2, 16)
-            kept = select_baseline_indices(
-                tiny_model, context, Policy(name=name), budget, base
-            )
+            kept = select_baseline_indices(cap, Policy(name=name), budget)
             total = sum(k.shape[-1] for k in kept)
             assert total == budget
             for layer_kept in kept:  # structured: uniform count across heads

@@ -349,18 +349,3 @@ class TestReports:
         report = self.make_report(tiny_model)
         csv = cache_io.report_to_csv(report)
         assert len(csv.strip().split("\n")) == 1 + len(report.points)
-
-
-class TestMaskFiles:
-    def test_roundtrip_preserves_budget(self, tmp_path):
-        from kvcompose.composer import unstructured_compress
-        from kvcompose.scoring import STAGE_FINAL, ScoreTensor
-
-        rng = SeededRng(18)
-        scores = ScoreTensor(STAGE_FINAL, rng.uniform_block(2 * 2 * 9).reshape(2, 2, 9))
-        masks = unstructured_compress(scores, 0.4)
-        path = tmp_path / "m.kvct"
-        cache_io.write_masks(masks, path)
-        back = cache_io.read_masks(path)
-        assert np.array_equal(back.masks, masks.masks)
-        assert back.budget == masks.budget

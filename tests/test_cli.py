@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 
-from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main
-from kvcompose.evaluator import _prepare_task, make_recall_tasks
+from kvcompose.evaluator import make_recall_tasks, prepare_task
 from kvcompose.model import construct_induction_model
 from kvcompose.scoring import AggregationChoice, score_pipeline
+
+from conftest import count_calls
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -175,6 +176,21 @@ class TestAblateCommand:
         ).read_bytes()
 
 
+    def test_tasks_prepared_once_for_all_arms(self, tmp_path, capsys, monkeypatch):
+        from kvcompose import scoring
+
+        calls = count_calls(monkeypatch, scoring, "collect_attention")
+        cfg = write_config(tmp_path)  # 4 recall tasks
+        assert main(["ablate", "--config", str(cfg), "--grid", "0,0.5,0.9"]) == EXIT_OK
+        assert len(calls) == 4
+        arms = sorted(p for p in (tmp_path / "out").iterdir() if p.is_dir())
+        assert len(arms) == 48
+        for arm in arms:
+            redo = tmp_path / "redo" / arm.name
+            assert main(["sweep", "--config", str(arm / "config.json"), "--out", str(redo)]) == 0
+            assert (arm / "report.json").read_bytes() == (redo / "report.json").read_bytes()
+
+
 class TestDumpScoresCommand:
     def test_shapes_and_invariants(self, tmp_path, capsys):
         cfg = write_config(
@@ -202,8 +218,8 @@ class TestDumpScoresCommand:
         assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
         model = construct_induction_model(4, 16)
         task = make_recall_tasks(4, 16, 4, 3)[0]
-        # white-box: the task state sweep builds, capture included
-        state = _prepare_task(model, task, "task-aware", 32, Policy(name="kvcompose"))
+        # the prepared task state that sweep scores on
+        state = prepare_task(model, task, "task-aware", 32)
         want = score_pipeline(state.capture, model.config.kv_heads, AggregationChoice())
         got = read_tensor(tmp_path / "out" / "scores_final.kvct")
         assert np.array_equal(got, want.values.astype(np.float32))

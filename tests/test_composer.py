@@ -12,6 +12,7 @@ from kvcompose.composer import (
     compact_cache,
     composite_indices,
     compress,
+    compress_capture,
     layer_importance,
     retention_budget,
     unstructured_compress,
@@ -28,7 +29,7 @@ from kvcompose.scoring import (
     collect_attention,
 )
 
-from conftest import random_context
+from conftest import count_calls, random_context
 
 
 def final_scores(seed, layers=2, heads=2, n=8) -> ScoreTensor:
@@ -225,8 +226,7 @@ class TestCompactCache:
         ts = TaskSet(mode="task-agnostic", observation_window=4)
         for r in (0.25, 0.6):
             compressed, _ = compress(
-                tiny_model, context, ts, AggregationChoice(), r, Policy(name=name),
-                context_prefill=base,
+                tiny_model, context, ts, AggregationChoice(), r, Policy(name=name)
             )
             for layer in range(2):
                 for h in range(2):
@@ -269,23 +269,34 @@ class TestCompressPipeline:
     )
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_reuse_gives_identical_cache(self, tiny_model, name, mode):
+        # compress equals the per-ratio path that sweep runs on one capture
         context = random_context(28, 16)
         if mode == "task-aware":
             ts = TaskSet(mode=mode, tasks=((5, 9, 2), (17,)))
         else:
             ts = TaskSet(mode=mode, observation_window=6)
-        base = prefill(tiny_model, context)
-        cap = collect_attention(tiny_model, context, ts, base)
+        cap = collect_attention(tiny_model, context, ts)
         for r in (0.5, 0.8):
-            args = (tiny_model, context, ts, AggregationChoice(), r, Policy(name=name))
-            fresh, _ = compress(*args)
-            reused, _ = compress(*args, context_prefill=base, capture=cap)
+            policy = Policy(name=name)
+            fresh, fresh_report = compress(tiny_model, context, ts, AggregationChoice(), r, policy)
+            reused, reused_report = compress_capture(tiny_model, cap, AggregationChoice(), r, policy)
             for got, want in [
                 (fresh.keys, reused.keys),
                 (fresh.values, reused.values),
                 (fresh.provenance, reused.provenance),
             ]:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert fresh.next_positions == reused.next_positions
+            assert fresh_report == reused_report
+
+    def test_task_aware_compress_prefills_context_once(self, tiny_model, monkeypatch):
+        from kvcompose import model
+
+        calls = count_calls(monkeypatch, model, "prefill")
+        context = random_context(30, 16)
+        ts = TaskSet(mode="task-aware", tasks=((5, 9, 2), (17,)))
+        compress(tiny_model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose"))
+        assert [tokens for _, tokens in calls] == [context]
 
     def test_r0_logit_fidelity(self, tiny_model):
         context = random_context(24, 12)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kvcompose.errors import ShapeError, UsageError
-from kvcompose.model import prefill
+from kvcompose.model import ModelConfig, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import (
     STAGE_FINAL,
@@ -66,21 +66,39 @@ class TestCollectAttention:
         assert cap.A.shape == (2, 4, 10, 8)
 
     def test_capture_matches_qk_recompute(self, tiny_model):
-        # recompute one task row's attention from raw q/k via the softmax oracle
-        context = random_context(4, 8)
-        task = tuple(random_context(5, 2))
-        cap = collect_attention(
-            tiny_model, context, TaskSet(mode="task-aware", tasks=(task,))
+        # task rows appended to the context cache equal the rows of one
+        # prefill over context + task; the second input is the 4-layer GQA
+        # shape at N=504, M=8, which fills max_context
+        gqa = init_model(
+            ModelConfig(
+                layers=4, query_heads=4, kv_heads=2, model_dim=32, head_dim=8,
+                vocab_size=64, seed=7,
+            )
         )
-        run = prefill(tiny_model, context + list(task))
-        n = len(context)
-        for layer in range(2):
-            full_attn = run.attention[layer]  # (H_q, N+M, N+M)
-            recomputed = np.transpose(full_attn[:, n:, :n], (0, 2, 1))
-            assert np.abs(cap.A[layer] - recomputed).max() < 1e-12
-        # context columns of a task row form a sub-distribution
-        sums = cap.A.sum(axis=2)
-        assert (sums <= 1.0 + 1e-9).all()
+        for model, n, m in [(tiny_model, 8, 2), (gqa, 504, 8)]:
+            context = random_context(4, n)
+            task = tuple(random_context(5, m))
+            cap = collect_attention(model, context, TaskSet(mode="task-aware", tasks=(task,)))
+            run = prefill(model, context + list(task))
+            for layer in range(model.config.layers):
+                full_attn = run.attention[layer]  # (H_q, N+M, N+M)
+                recomputed = np.transpose(full_attn[:, n:, :n], (0, 2, 1))
+                assert np.abs(cap.A[layer] - recomputed).max() < 1e-12
+            # context columns of a task row form a sub-distribution
+            sums = cap.A.sum(axis=2)
+            assert (sums <= 1.0 + 1e-9).all()
+
+    def test_task_beyond_max_context_rejected(self):
+        model = init_model(
+            ModelConfig(
+                layers=1, query_heads=2, kv_heads=1, model_dim=16, head_dim=8,
+                vocab_size=32, seed=1, max_context=16,
+            )
+        )
+        context = random_context(8, 12, vocab=32)
+        collect_attention(model, context, TaskSet(mode="task-aware", tasks=((1, 2, 3, 4),)))
+        with pytest.raises(UsageError):
+            collect_attention(model, context, TaskSet(mode="task-aware", tasks=((1, 2, 3, 4, 5),)))
 
     def test_task_rows_recompute_from_serialized_qk(self, tiny_model):
         # full oracle: rebuild scores q.K^T for the last row and softmax them
