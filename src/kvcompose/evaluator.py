@@ -21,7 +21,7 @@ from .model import (
     HeadMaskSet,
     KVCache,
     Model,
-    decode_step,
+    _forward,
     greedy_decode,
     induction_key_range,
     induction_value_range,
@@ -209,16 +209,14 @@ def _run_steps(
 ) -> list[np.ndarray]:
     """Teacher-forced logits for each scored step, on a cloned cache.
 
-    Every input is fed; the scored steps are the last ``len(targets)``.
+    Every input is known up front, so all of them are appended in one
+    forward pass; the scored steps are the last ``len(targets)``.
     """
     work = cache.clone()
-    position = work.next_position
     inputs, targets = _forced_steps(task)
-    logits = [
-        decode_step(model, work, tok, position + i, head_masks=head_masks)
-        for i, tok in enumerate(inputs)
-    ]
-    return logits[-len(targets) :]
+    positions = work.next_position + np.arange(len(inputs))
+    logits, _ = _forward(model, work, np.asarray(inputs), positions, head_masks)
+    return list(logits[-len(targets) :])
 
 
 def _hit_rate(logits: list[np.ndarray], task: TaskInstance) -> float:

@@ -219,28 +219,30 @@ def _forward(
     M=N on an empty cache and a decode step is M=1. ``head_masks``, when
     given, hides masked rows of the original context from every new query.
     Attention comes back per layer as (H_q, M, R+M).
+
+    Query head h reads kv head h // group. Stacking a kv head's group of
+    query rows as one (group*M, d_h) block lets one batched matmul per kv
+    head serve the whole group, without copying K or V per query head.
     """
     cfg = model.config
     m = len(tokens)
     x = _embed(model, tokens, positions)  # (M, d)
-    group = cfg.group_size
-    scale = 1.0 / np.sqrt(cfg.head_dim)
+    h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
+    scale = 1.0 / np.sqrt(d_h)
     attention: list[np.ndarray] = []
 
     for layer in range(cfg.layers):
-        q = np.einsum("nd,hde->hne", x, model.wq[layer])  # (H_q, M, d_h)
-        k_new = np.einsum("nd,hde->hne", x, model.wk[layer])  # (H_kv, M, d_h)
-        v_new = np.einsum("nd,hde->hne", x, model.wv[layer])
+        q = x @ model.wq[layer]  # (H_q, M, d_h)
+        k_new = x @ model.wk[layer]  # (H_kv, M, d_h)
+        v_new = x @ model.wv[layer]
         qk = _rotate(np.concatenate([q, k_new]), positions, model.inv_freq)
-        q, k_new = qk[: cfg.query_heads], qk[cfg.query_heads :]
+        q, k_new = qk[:h_q], qk[h_q:]
 
         held = cache.rows(layer)
         k = np.concatenate([cache.keys[layer], k_new], axis=1)  # (H_kv, R+M, d_h)
         v = np.concatenate([cache.values[layer], v_new], axis=1)
 
-        k_rep = np.repeat(k, group, axis=0)  # (H_q, R+M, d_h)
-        v_rep = np.repeat(v, group, axis=0)
-        scores = np.einsum("hme,hce->hmc", q, k_rep)
+        scores = (q.reshape(h_kv, -1, d_h) @ k.transpose(0, 2, 1)).reshape(h_q, m, held + m)
         if m > 1:  # hide later new rows; a single new row sees every row
             scores = scores + np.triu(np.full((m, held + m), -np.inf), k=held + 1)
         if head_masks is not None:
@@ -250,11 +252,12 @@ def _forward(
                     f"mask covers {width} context rows but layer {layer} holds only "
                     f"{held}; attention patching needs the uncompacted cache"
                 )
-            mask_rep = np.repeat(head_masks.masks[layer], group, axis=0)[:, None, :]
-            scores[:, :, :width] = np.where(mask_rep, scores[:, :, :width], -np.inf)
+            grouped = scores.reshape(h_kv, -1, held + m)  # a view: each kv head's query rows
+            keep = head_masks.masks[layer][:, None, :]
+            grouped[:, :, :width] = np.where(keep, grouped[:, :, :width], -np.inf)
         attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
-        out = np.einsum("hmc,hce->hme", attn, v_rep)
-        x = x + np.einsum("hme,hed->md", out, model.wo[layer])
+        out = (attn.reshape(h_kv, -1, held + m) @ v).reshape(h_q, m, d_h).transpose(1, 0, 2)
+        x = x + out.reshape(m, h_q * d_h) @ model.wo[layer].reshape(h_q * d_h, -1)
         attention.append(attn)
         cache.keys[layer], cache.values[layer] = k, v
         cache.next_positions[layer] = int(positions[-1]) + 1
@@ -303,7 +306,6 @@ def greedy_decode(
     cache: KVCache,
     start: int,
     steps: int,
-    head_masks: HeadMaskSet | None = None,
 ) -> list[int]:
     """Repeated decode_step with argmax selection (ties take the lowest id)."""
     if steps < 1:
@@ -312,7 +314,7 @@ def greedy_decode(
     current = start
     position = cache.next_position
     for _ in range(steps):
-        logits = decode_step(model, cache, current, position, head_masks=head_masks)
+        logits = decode_step(model, cache, current, position)
         current = int(np.argmax(logits))
         out.append(current)
         position += 1

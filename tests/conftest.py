@@ -22,6 +22,23 @@ def tiny_model():
     )
 
 
+@pytest.fixture
+def gqa_model():
+    """The 4-layer grouped-query shape of the random demo model (two query
+    heads per kv head)."""
+    return init_model(
+        ModelConfig(
+            layers=4,
+            query_heads=4,
+            kv_heads=2,
+            model_dim=32,
+            head_dim=8,
+            vocab_size=64,
+            seed=7,
+        )
+    )
+
+
 def random_context(seed: int, length: int, vocab: int = 64) -> list[int]:
     rng = SeededRng(seed)
     return [rng.randint(vocab) for _ in range(length)]

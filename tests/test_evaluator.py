@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvcompose.baselines import Policy
-from kvcompose.composer import compress
+from kvcompose.composer import compress, unstructured_compress
 from kvcompose.errors import UsageError
 from kvcompose.evaluator import (
     RATIO_GRID,
@@ -21,12 +21,14 @@ from kvcompose.evaluator import (
     max_ratio_under_tolerance,
     reward,
     sweep,
+    _forced_steps,
+    _run_steps,
 )
 from kvcompose.model import construct_induction_model, decode_step, greedy_decode, prefill
 from kvcompose.numerics import SeededRng
-from kvcompose.scoring import AggregationChoice, TaskSet
+from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import random_context
+from conftest import count_calls, random_context
 
 
 def point(r, eps=0.0, reward_mean=1.0):
@@ -283,19 +285,23 @@ class TestSweep:
         assert abs(points[1].r_achieved - 0.5) < 1e-9
 
     def test_one_reference_decode_per_task(self, tiny_model, monkeypatch):
-        from kvcompose import evaluator
+        # one teacher-forced pass per task for the reference run and one
+        # per (task, ratio) point, each a single forward call
+        from kvcompose import evaluator, model
 
         steps, grid = 4, (0.0, 0.5, 0.9)
         tasks = make_agreement_tasks(tiny_model, 3, 16, steps, seed=16)
-        calls = []
+        forwards = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return decode_step(*args, **kwargs)
+            forwards.append(len(args[2]))
+            return model._forward(*args, **kwargs)
 
-        monkeypatch.setattr(evaluator, "decode_step", counting)
+        monkeypatch.setattr(evaluator, "_forward", counting)
+        decodes = count_calls(monkeypatch, model, "decode_step")
         sweep(tiny_model, tasks, Policy(name="kvcompose"), AggregationChoice(), grid=grid)
-        assert len(calls) == len(tasks) * steps * (1 + len(grid))
+        assert forwards == [steps] * (len(tasks) * (1 + len(grid)))
+        assert decodes == []
 
     def test_agreement_kl_is_nonnegative(self):
         from kvcompose.cli import build_agg, build_model, build_tasks, load_config
@@ -314,6 +320,64 @@ class TestSweep:
         points = [point(r, eps=e) for r, e in zip(grid, eps)]
         res = max_ratio_under_tolerance(points, 0.10)
         assert res.r_grid == 0.5
+
+
+def stepwise_logits(model, cache, task, head_masks=None):
+    """Oracle for ``_run_steps``: one decode_step per teacher-forced input."""
+    work = cache.clone()
+    position = work.next_position
+    inputs, targets = _forced_steps(task)
+    logits = [
+        decode_step(model, work, tok, position + i, head_masks=head_masks)
+        for i, tok in enumerate(inputs)
+    ]
+    return logits[-len(targets) :]
+
+
+class TestOnePassTeacherForcing:
+    """``_run_steps`` appends every forced input in one forward pass; it must
+    give the logits of feeding them one decode step at a time."""
+
+    @staticmethod
+    def assert_matches_stepwise(model, cache, task, head_masks=None):
+        rows_before = [cache.rows(l) for l in range(model.config.layers)]
+        got = _run_steps(model, cache, task, head_masks)
+        want = stepwise_logits(model, cache, task, head_masks)
+        assert len(got) == len(want) == len(_forced_steps(task)[1])
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() < 1e-10
+        assert [cache.rows(l) for l in range(model.config.layers)] == rows_before
+
+    def test_full_cache(self, gqa_model):
+        task = make_agreement_tasks(gqa_model, 1, 64, 8, seed=30)[0]
+        self.assert_matches_stepwise(gqa_model, prefill(gqa_model, list(task.prompt)).cache, task)
+
+    def test_ragged_kvcompose_cache(self, gqa_model):
+        task = make_agreement_tasks(gqa_model, 1, 64, 8, seed=31)[0]
+        ts = TaskSet(mode="task-agnostic", observation_window=16)
+        cache, _ = compress(
+            gqa_model, list(task.prompt), ts, AggregationChoice(), 0.7, Policy(name="kvcompose")
+        )
+        assert len({cache.rows(l) for l in range(gqa_model.config.layers)}) > 1
+        self.assert_matches_stepwise(gqa_model, cache, task)
+
+    def test_unstructured_head_masks(self, gqa_model):
+        task = make_agreement_tasks(gqa_model, 1, 64, 8, seed=32)[0]
+        cap = collect_attention(
+            gqa_model, list(task.prompt), TaskSet(mode="task-agnostic", observation_window=16)
+        )
+        masks = unstructured_compress(score_pipeline(cap, 2, AggregationChoice()), 0.7)
+        assert not masks.masks.all()
+        self.assert_matches_stepwise(gqa_model, cap.prefill.cache, task, head_masks=masks)
+
+    def test_recall_task(self):
+        model = construct_induction_model(8, 32)
+        task = make_recall_tasks(8, 32, 1, seed=33)[0]
+        ts = TaskSet(mode="task-aware", tasks=(task.query,))
+        cache, _ = compress(
+            model, list(task.prompt), ts, AggregationChoice(), 0.5, Policy(name="kvcompose")
+        )
+        self.assert_matches_stepwise(model, cache, task)
 
 
 class TestStructuredConstraint:

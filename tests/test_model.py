@@ -3,7 +3,11 @@ import pytest
 
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
+    HeadMaskSet,
     ModelConfig,
+    _embed,
+    _forward,
+    _rotate,
     construct_induction_model,
     decode_step,
     empty_cache,
@@ -13,7 +17,7 @@ from kvcompose.model import (
     init_model,
     prefill,
 )
-from kvcompose.numerics import SeededRng
+from kvcompose.numerics import SeededRng, softmax_rows
 
 from conftest import random_context
 
@@ -104,8 +108,6 @@ class TestPrefill:
 
 class TestForward:
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
-        from kvcompose.model import _forward  # white-box: no public caller extends by M > 1 yet
-
         tokens = random_context(5, 12)
         full = prefill(tiny_model, tokens)
         cache = prefill(tiny_model, tokens[:7]).cache
@@ -117,6 +119,83 @@ class TestForward:
         assert cache.next_positions == [12, 12]
         for layer in range(2):
             assert np.abs(cache.keys[layer] - full.cache.keys[layer]).max() < 1e-8
+
+
+def reference_forward(model, cache, tokens, positions, head_masks=None):
+    """The per-query-head layer body: K/V copied once per query head by
+    np.repeat and every product an einsum. Kept as the oracle for the
+    grouped matmul kernel of ``_forward``."""
+    cfg = model.config
+    m = len(tokens)
+    x = _embed(model, tokens, positions)
+    group = cfg.group_size
+    attention = []
+    for layer in range(cfg.layers):
+        q = np.einsum("nd,hde->hne", x, model.wq[layer])
+        k_new = np.einsum("nd,hde->hne", x, model.wk[layer])
+        v_new = np.einsum("nd,hde->hne", x, model.wv[layer])
+        qk = _rotate(np.concatenate([q, k_new]), positions, model.inv_freq)
+        q, k_new = qk[: cfg.query_heads], qk[cfg.query_heads :]
+        held = cache.rows(layer)
+        k = np.concatenate([cache.keys[layer], k_new], axis=1)
+        v = np.concatenate([cache.values[layer], v_new], axis=1)
+        k_rep = np.repeat(k, group, axis=0)
+        v_rep = np.repeat(v, group, axis=0)
+        scores = np.einsum("hme,hce->hmc", q, k_rep)
+        if m > 1:
+            scores = scores + np.triu(np.full((m, held + m), -np.inf), k=held + 1)
+        if head_masks is not None:
+            width = head_masks.masks.shape[2]
+            mask_rep = np.repeat(head_masks.masks[layer], group, axis=0)[:, None, :]
+            scores[:, :, :width] = np.where(mask_rep, scores[:, :, :width], -np.inf)
+        attn = softmax_rows(scores.reshape(-1, held + m), scale=1.0 / np.sqrt(cfg.head_dim))
+        attn = attn.reshape(scores.shape)
+        out = np.einsum("hmc,hce->hme", attn, v_rep)
+        x = x + np.einsum("hme,hed->md", out, model.wo[layer])
+        attention.append(attn)
+        cache.keys[layer], cache.values[layer] = k, v
+        cache.next_positions[layer] = int(positions[-1]) + 1
+    return x @ model.embedding.T, attention
+
+
+def assert_matches_reference(model, cache, tokens, positions, head_masks=None):
+    want_cache = cache.clone()
+    want_logits, want_attn = reference_forward(model, want_cache, tokens, positions, head_masks)
+    logits, attention = _forward(model, cache, tokens, positions, head_masks)
+    assert np.abs(logits - want_logits).max() < 1e-12
+    for got, want in zip(attention, want_attn, strict=True):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-12
+    assert cache.next_positions == want_cache.next_positions
+    for layer in range(model.config.layers):
+        assert np.abs(cache.keys[layer] - want_cache.keys[layer]).max() < 1e-12
+        assert np.abs(cache.values[layer] - want_cache.values[layer]).max() < 1e-12
+
+
+class TestGroupedKernelOracle:
+    @pytest.mark.parametrize("n", [128, 504])
+    def test_prefill_matches_repeat_einsum(self, gqa_model, n):
+        tokens = np.asarray(random_context(20, n))
+        assert_matches_reference(gqa_model, empty_cache(gqa_model), tokens, np.arange(n))
+
+    def test_rows_onto_held_cache_match_repeat_einsum(self, gqa_model):
+        tokens = random_context(21, 45)
+        cache = prefill(gqa_model, tokens[:40]).cache
+        assert_matches_reference(gqa_model, cache, np.asarray(tokens[40:]), np.arange(40, 45))
+
+    @pytest.mark.parametrize("kind", ["induction", "gqa"])
+    def test_masked_decode_matches_repeat_einsum(self, gqa_model, kind):
+        # the GQA shape has two kv heads, so a mask applied to the wrong
+        # query group shows
+        model = construct_induction_model(8, 32) if kind == "induction" else gqa_model
+        prompt = [0, 20, 3, 25, 5, 17, 7, 30]
+        cache = prefill(model, prompt).cache
+        cfg = model.config
+        rng = SeededRng(22)
+        n_masked = cfg.layers * cfg.kv_heads * 8
+        keep = np.asarray([rng.randint(2) for _ in range(n_masked)], dtype=bool)
+        masks = HeadMaskSet(keep.reshape(cfg.layers, cfg.kv_heads, 8))
+        assert_matches_reference(model, cache, np.asarray([3]), np.asarray([8]), head_masks=masks)
 
 
 class TestDecodeStep:
