@@ -1,18 +1,19 @@
 """Command-line surface: compress, sweep, ablate, dump-scores, gen-model.
 
-Configs are strict JSON (unknown keys are rejected) so ablation grids stay
-scriptable and diffable. stdout carries machine-readable summary lines;
-diagnostics go to stderr. Exit codes: 0 success, 2 configuration error,
-3 I/O error.
+Configs are strict JSON (unknown keys and values of the wrong type are
+rejected) so ablation grids stay scriptable and diffable. stdout carries
+machine-readable summary lines; diagnostics go to stderr. Exit codes:
+0 success, 2 configuration error, 3 I/O error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -31,36 +32,106 @@ from .evaluator import (
     sweep_prepared,
 )
 from .model import Model, construct_induction_model, init_model, ModelConfig
-from .scoring import AGG_OPS, NORM_VARIANTS, AggregationChoice, TaskSet, score_stages
+from .scoring import (
+    AGG_OPS,
+    DEFAULT_MODE,
+    NORM_VARIANTS,
+    OBSERVATION_WINDOW,
+    TASK_MODES,
+    AggregationChoice,
+    TaskSet,
+    score_stages,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+_AGG_DEFAULTS = {f.name: f.default for f in fields(AggregationChoice)}
+_SCORING_DEFAULTS = {
+    "mode": DEFAULT_MODE,
+    "observation_window": OBSERVATION_WINDOW,
+    **_AGG_DEFAULTS,
+}
+_SCORING_TYPES = {
+    **{k: t for k, t in get_type_hints(TaskSet).items() if k != "tasks"},
+    **get_type_hints(AggregationChoice),
+    "task_tokens": list[list[int]],
+}
+# random-model config key -> ModelConfig field
+_RANDOM_MODEL = {
+    ("vocab" if f.name == "vocab_size" else f.name): f.name for f in fields(ModelConfig)
+}
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    dict: "a JSON object",
+}
+
 
 @dataclass
 class RunConfig:
+    """A checked run config: each section as written, with scoring and
+    ``teacher_steps`` filled in, which is what ``resolved`` echoes.
+
+    The policy and aggregation choice are built on construction, so every
+    RunConfig, the copies ``replace`` makes included, is checked when made."""
+
     model: dict
     tasks: dict
-    scoring: dict
     policy: dict
-    grid: list[float]
-    tolerances: list[float]
-    r_target: float
-    out_dir: str
+    scoring: dict
+    grid: list[float] = field(default_factory=lambda: list(RATIO_GRID))
+    tolerances: list[float] = field(default_factory=lambda: list(DEFAULT_TOLERANCES))
+    r_target: float = 0.5
+    out_dir: str = "runs/out"
+
+    def __post_init__(self):
+        in_range = all(0.0 <= g <= 1.0 for g in self.grid)
+        if not self.grid or self.grid != sorted(self.grid) or not in_range:
+            raise ConfigError(f"grid must be ascending ratios in [0, 1], got {self.grid}")
+        mode = self.scoring["mode"]
+        if mode not in TASK_MODES:
+            raise ConfigError(f"scoring.mode must be one of {TASK_MODES}, got {mode!r}")
+        self.r_target = float(self.r_target)
+        self.eviction = Policy(**self.policy)
+        self.agg = build_agg(self)
 
     @property
     def resolved(self) -> dict:
         return asdict(self)
 
 
-def _require_keys(section: dict, name: str, required: set[str], optional: set[str]) -> None:
-    unknown = set(section) - required - optional
+def _check_type(value, kind, where: str) -> None:
+    """Reject a JSON value that is not of type ``kind``; for a list type,
+    check every item. Numbers and true/false are never taken for each other."""
+    if get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(item, get_args(kind)[0], f"{where}[{i}]")
+        return
+    allowed = (int, float) if kind is float else kind
+    if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
+def _section(
+    data: dict, name: str, types: dict, required: set[str], fill: dict | None = None
+) -> dict:
+    """One config section checked against ``types`` (key -> type), with
+    ``fill``'s defaults added for the keys it leaves out."""
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    missing = required - set(section)
+    missing = required - set(data)
     if missing:
         raise ConfigError(f"missing keys in {name!r}: {sorted(missing)}")
+    for key, value in data.items():
+        _check_type(value, types[key], key if name == "config" else f"{name}.{key}")
+    return {**(fill or {}), **data}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -75,111 +146,52 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(data)
 
 
-def parse_config(data: dict) -> RunConfig:
-    _require_keys(
-        data,
-        "config",
-        required={"model", "tasks", "policy"},
-        optional={"scoring", "grid", "tolerances", "r_target", "out_dir"},
-    )
-    model = dict(data["model"])
-    kind = model.get("kind")
-    if kind == "random":
-        _require_keys(
-            model,
-            "model",
-            required={"kind", "layers", "query_heads", "kv_heads", "model_dim", "head_dim", "vocab", "seed"},
-            optional={"max_context"},
-        )
-    elif kind == "induction":
-        _require_keys(model, "model", required={"kind", "num_pairs", "vocab"}, optional=set())
+def parse_config(data) -> RunConfig:
+    """Check a config's JSON value (unknown or missing keys, wrong types)
+    and fill in each left-out default from the place that defines it."""
+    _check_type(data, dict, "config")
+    top = _section(data, "config", get_type_hints(RunConfig), {"model", "tasks", "policy"})
+
+    model = top["model"]
+    if model.get("kind") == "random":
+        hints = get_type_hints(ModelConfig)
+        types = {"kind": str, **{key: hints[name] for key, name in _RANDOM_MODEL.items()}}
+        model = _section(model, "model", types, set(types) - {"max_context"})
+    elif model.get("kind") == "induction":
+        types = {"kind": str, "num_pairs": int, "vocab": int}
+        model = _section(model, "model", types, set(types))
     else:
-        raise ConfigError(f"model.kind must be 'random' or 'induction', got {kind!r}")
+        raise ConfigError(f"model.kind must be 'random' or 'induction', got {model.get('kind')!r}")
 
-    tasks = dict(data["tasks"])
-    tkind = tasks.get("kind")
-    if tkind == "recall":
-        _require_keys(tasks, "tasks", required={"kind", "count", "seed"}, optional=set())
-    elif tkind == "agreement":
-        _require_keys(
-            tasks,
-            "tasks",
-            required={"kind", "count", "seed", "context_len"},
-            optional={"teacher_steps"},
-        )
-        tasks.setdefault("teacher_steps", DEFAULT_AGREEMENT_STEPS)
+    tasks = top["tasks"]
+    types = {"kind": str, "count": int, "seed": int}
+    if tasks.get("kind") == "recall":
+        tasks = _section(tasks, "tasks", types, set(types))
+    elif tasks.get("kind") == "agreement":
+        types = {**types, "context_len": int, "teacher_steps": int}
+        fill = {"teacher_steps": DEFAULT_AGREEMENT_STEPS}
+        tasks = _section(tasks, "tasks", types, set(types) - set(fill), fill)
     else:
-        raise ConfigError(f"tasks.kind must be 'recall' or 'agreement', got {tkind!r}")
-
-    scoring = dict(data.get("scoring", {}))
-    _require_keys(
-        scoring,
-        "scoring",
-        required=set(),
-        optional={
-            "mode",
-            "observation_window",
-            "agg_task",
-            "agg_group",
-            "agg_head",
-            "norm_variant",
-            "mean_augment",
-            "task_tokens",
-        },
-    )
-    scoring.setdefault("mode", "task-agnostic")
-    scoring.setdefault("observation_window", 32)
-    scoring.setdefault("agg_task", "max")
-    scoring.setdefault("agg_group", "avg")
-    scoring.setdefault("agg_head", "avg")
-    scoring.setdefault("norm_variant", "none")
-    scoring.setdefault("mean_augment", True)
-    if scoring["mode"] not in ("task-aware", "task-agnostic"):
-        raise ConfigError(f"scoring.mode invalid: {scoring['mode']!r}")
-
-    policy = dict(data["policy"])
-    _require_keys(
-        policy,
-        "policy",
-        required={"name"},
-        optional={"sinks", "window", "shape", "seed"},
-    )
+        raise ConfigError(f"tasks.kind must be 'recall' or 'agreement', got {tasks.get('kind')!r}")
 
     return RunConfig(
-        model=model,
-        tasks=tasks,
-        scoring=scoring,
-        policy=policy,
-        grid=_check_grid(list(data.get("grid", RATIO_GRID)), "grid"),
-        tolerances=list(data.get("tolerances", DEFAULT_TOLERANCES)),
-        r_target=float(data.get("r_target", 0.5)),
-        out_dir=str(data.get("out_dir", "runs/out")),
+        **{
+            **top,
+            "model": model,
+            "tasks": tasks,
+            "policy": _section(top["policy"], "policy", get_type_hints(Policy), {"name"}),
+            "scoring": _section(
+                top.get("scoring", {}), "scoring", _SCORING_TYPES, set(), _SCORING_DEFAULTS
+            ),
+        }
     )
-
-
-def _check_grid(grid: list[float], name: str) -> list[float]:
-    if grid != sorted(grid) or any(not 0.0 <= g <= 1.0 for g in grid):
-        raise ConfigError(f"{name} must be ascending ratios in [0, 1]")
-    return grid
 
 
 def build_model(cfg: RunConfig) -> Model:
     m = cfg.model
     if m["kind"] == "induction":
         return construct_induction_model(m["num_pairs"], m["vocab"])
-    extra = {"max_context": m["max_context"]} if "max_context" in m else {}
-    return init_model(
-        ModelConfig(
-            layers=m["layers"],
-            query_heads=m["query_heads"],
-            kv_heads=m["kv_heads"],
-            model_dim=m["model_dim"],
-            head_dim=m["head_dim"],
-            vocab_size=m["vocab"],
-            seed=m["seed"],
-            **extra,
-        )
-    )
+    return init_model(ModelConfig(**{_RANDOM_MODEL[k]: v for k, v in m.items() if k != "kind"}))
 
 
 def build_tasks(cfg: RunConfig, model: Model):
@@ -195,29 +207,12 @@ def build_tasks(cfg: RunConfig, model: Model):
     )
 
 
-def build_policy(cfg: RunConfig) -> Policy:
-    p = cfg.policy
-    return Policy(
-        name=p["name"],
-        sinks=p.get("sinks", 2),
-        window=p.get("window", 4),
-        shape=p.get("shape", 1.0),
-        seed=p.get("seed", 0),
-    )
-
-
 def build_agg(cfg: RunConfig) -> AggregationChoice:
-    s = cfg.scoring
-    return AggregationChoice(
-        agg_task=s["agg_task"],
-        agg_group=s["agg_group"],
-        agg_head=s["agg_head"],
-        norm_variant=s["norm_variant"],
-        mean_augment=bool(s["mean_augment"]),
-    )
+    return AggregationChoice(**{k: cfg.scoring[k] for k in _AGG_DEFAULTS})
 
 
-def _read_context(path: str | Path, vocab: int) -> list[int]:
+def _read_context(path: str | Path) -> list[int]:
+    """The context's token ids; the model rejects ids outside its vocabulary."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -228,51 +223,33 @@ def _read_context(path: str | Path, vocab: int) -> list[int]:
         raise ConfigError(f"context file {path} must hold whitespace-separated ints") from exc
     if not tokens:
         raise ConfigError(f"context file {path} is empty")
-    bad = [t for t in tokens if not 0 <= t < vocab]
-    if bad:
-        raise ConfigError(f"context tokens outside vocab [0, {vocab}): {bad[:5]}")
     return tokens
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "seed_override", None) is not None:
+    if args.seed_override is not None:
         seed = args.seed_override
-        if cfg.model["kind"] == "random":
-            cfg.model["seed"] = seed
-        cfg.tasks["seed"] = seed
-        if "seed" in cfg.policy:
-            cfg.policy["seed"] = seed
-    if getattr(args, "grid", None):
+        model = {**cfg.model, "seed": seed} if cfg.model["kind"] == "random" else cfg.model
+        policy = {**cfg.policy, "seed": seed} if "seed" in cfg.policy else cfg.policy
+        cfg = replace(cfg, model=model, tasks={**cfg.tasks, "seed": seed}, policy=policy)
+    if args.grid:
         try:
             grid = [float(g) for g in args.grid.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--grid must be comma-separated floats: {args.grid!r}") from exc
-        cfg.grid = _check_grid(grid, "--grid")
+        cfg = replace(cfg, grid=grid)
     return cfg
-
-
-def _scoring_task_set(cfg: RunConfig, context_len: int) -> TaskSet:
-    if cfg.scoring["mode"] == "task-aware":
-        raw = cfg.scoring.get("task_tokens")
-        if not raw:
-            raise ConfigError(
-                "task-aware compression needs scoring.task_tokens (lists of token ids)"
-            )
-        return TaskSet(mode="task-aware", tasks=tuple(tuple(t) for t in raw))
-    return TaskSet(
-        mode="task-agnostic",
-        observation_window=min(cfg.scoring["observation_window"], context_len),
-    )
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     model = build_model(cfg)
-    context = _read_context(args.context, model.config.vocab_size)
-    task_set = _scoring_task_set(cfg, len(context))
-    cache, report = compress(
-        model, context, task_set, build_agg(cfg), cfg.r_target, build_policy(cfg)
-    )
+    context = _read_context(args.context)
+    mode, tokens = cfg.scoring["mode"], cfg.scoring.get("task_tokens", [])
+    if mode == "task-aware" and not tokens:
+        raise ConfigError("task-aware compression needs scoring.task_tokens (lists of token ids)")
+    task_set = TaskSet.for_context(mode, len(context), tokens, cfg.scoring["observation_window"])
+    cache, report = compress(model, context, task_set, cfg.agg, cfg.r_target, cfg.eviction)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "cache.kvcf"
@@ -288,13 +265,11 @@ def _prepare_tasks(cfg: RunConfig, model: Model):
 
 
 def _sweep_report(cfg: RunConfig, model: Model, states):
-    policy = build_policy(cfg)
-    points = sweep_prepared(model, states, policy, build_agg(cfg), tuple(cfg.grid))
-    seeds = [cfg.model.get("seed", 0), cfg.tasks["seed"]]
+    points = sweep_prepared(model, states, cfg.eviction, cfg.agg, tuple(cfg.grid))
     return build_report(
-        policy,
+        cfg.eviction,
         points,
-        seeds=seeds,
+        seeds=[model.config.seed, cfg.tasks["seed"]],
         config=cfg.resolved,
         tolerances=tuple(cfg.tolerances),
     )
@@ -399,15 +374,14 @@ def cmd_dump_scores(args: argparse.Namespace) -> int:
     model = build_model(cfg)
     task = build_tasks(cfg, model)[0]
     state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
-    agg = build_agg(cfg)
-    s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, agg)
+    s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
     ci = composite_indices(s_final)
     tensors = {
         "scores_task.kvct": s_task.values,
         "scores_group.kvct": s_group.values,
         "scores_final.kvct": s_final.values,
         "composite_idx.kvct": ci.idx.astype(np.uint32),
-        "layer_importance.kvct": layer_importance(ci, agg.agg_head).values,
+        "layer_importance.kvct": layer_importance(ci, cfg.agg.agg_head).values,
     }
     _write_tensors("dump-scores", Path(args.out or cfg.out_dir), tensors)
     return EXIT_OK

@@ -27,6 +27,7 @@ from .scoring import (
     ScoreTensor,
     TaskSet,
     collect_attention,
+    reduce_axis,
     score_pipeline,
 )
 
@@ -91,13 +92,7 @@ def composite_indices(s: ScoreTensor) -> CompositeIndex:
 
 def layer_importance(ci: CompositeIndex, op: str) -> LayerImportance:
     """Marginalize slot scores over heads; rows stay non-increasing."""
-    if op == "max":
-        values = ci.s_prime.max(axis=1)
-    elif op == "avg":
-        values = ci.s_prime.mean(axis=1)
-    else:
-        raise UsageError(f"unknown aggregation op {op!r}")
-    return LayerImportance(values=values)
+    return LayerImportance(values=reduce_axis(ci.s_prime, op, axis=1))
 
 
 def allocate_budgets(importance: LayerImportance, r_target: float) -> BudgetAllocation:

@@ -29,6 +29,8 @@ from .model import (
 )
 from .numerics import SeededRng
 from .scoring import (
+    DEFAULT_MODE,
+    OBSERVATION_WINDOW,
     AggregationChoice,
     AttentionCapture,
     TaskSet,
@@ -172,19 +174,6 @@ def make_agreement_tasks(
             )
         )
     return tasks
-
-
-def task_set_for(task: TaskInstance, mode: str, observation_window: int) -> TaskSet:
-    """The scoring task set matching one evaluation task."""
-    if mode == "task-agnostic":
-        return TaskSet(
-            mode="task-agnostic",
-            observation_window=min(observation_window, len(task.prompt)),
-        )
-    if task.kind == "recall":
-        return TaskSet(mode="task-aware", tasks=(tuple(task.query),))
-    # agreement: the known downstream tokens are the reference continuation
-    return TaskSet(mode="task-aware", tasks=(tuple(task.answer),))
 
 
 # --- rewards ------------------------------------------------------------------
@@ -340,7 +329,9 @@ class TaskState:
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int
 ) -> TaskState:
-    tset = task_set_for(task, mode, observation_window)
+    # task-aware scoring reads the recall query, or an agreement task's reference continuation
+    rows = task.query if task.kind == "recall" else task.answer
+    tset = TaskSet.for_context(mode, len(task.prompt), (rows,), observation_window)
     capture = collect_attention(model, list(task.prompt), tset)
     reference = _run_steps(model, capture.prefill.cache, task, head_masks=None)
     return TaskState(
@@ -409,8 +400,8 @@ def sweep(
     policy: Policy,
     agg_choice: AggregationChoice,
     grid: tuple[float, ...] = RATIO_GRID,
-    mode: str = "task-agnostic",
-    observation_window: int = 32,
+    mode: str = DEFAULT_MODE,
+    observation_window: int = OBSERVATION_WINDOW,
 ) -> list[CurvePoint]:
     """Prepare every task, then evaluate one curve point per grid ratio."""
     states = [prepare_task(model, t, mode, observation_window) for t in tasks]

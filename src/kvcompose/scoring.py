@@ -20,6 +20,9 @@ from .model import Model, PrefillResult, _forward, prefill
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
+TASK_MODES = ("task-aware", "task-agnostic")
+DEFAULT_MODE = "task-agnostic"
+OBSERVATION_WINDOW = 32  # trailing context rows scored when no task is known
 
 STAGE_TASK = "agg_task"
 STAGE_GROUP = "agg_group"
@@ -35,12 +38,12 @@ class TaskSet:
     ``observation_window`` context tokens play that role.
     """
 
-    mode: str  # "task-aware" | "task-agnostic"
+    mode: str  # one of TASK_MODES
     tasks: tuple[tuple[int, ...], ...] = ()
-    observation_window: int = 32
+    observation_window: int = OBSERVATION_WINDOW
 
     def __post_init__(self):
-        if self.mode not in ("task-aware", "task-agnostic"):
+        if self.mode not in TASK_MODES:
             raise UsageError(f"unknown task set mode {self.mode!r}")
         if self.mode == "task-aware":
             if not self.tasks or any(len(t) == 0 for t in self.tasks):
@@ -48,6 +51,16 @@ class TaskSet:
         else:
             if self.observation_window < 1:
                 raise UsageError("observation_window must be >= 1")
+
+    @classmethod
+    def for_context(
+        cls, mode: str, context_len: int, tasks, observation_window: int
+    ) -> "TaskSet":
+        """The task set scoring one context: ``tasks`` when task-aware, else
+        the trailing ``observation_window`` rows, at most the whole context."""
+        if mode == "task-agnostic":
+            return cls(mode, observation_window=min(observation_window, context_len))
+        return cls(mode, tasks=tuple(tuple(t) for t in tasks))
 
 
 @dataclass(frozen=True)
@@ -98,10 +111,13 @@ class ScoreTensor:
     values: np.ndarray  # (L, H, N); H = H_q at STAGE_TASK, H_kv afterwards
 
 
-def _reduce(values: np.ndarray, op: str, axis: int) -> np.ndarray:
+def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
+    """Max or mean over one axis, as ``op`` (one of AGG_OPS) names."""
     if op == "max":
         return values.max(axis=axis)
-    return values.mean(axis=axis)
+    if op == "avg":
+        return values.mean(axis=axis)
+    raise UsageError(f"unknown aggregation op {op!r}")
 
 
 def _task_rows(model: Model, run: PrefillResult, task: tuple[int, ...]) -> np.ndarray:
@@ -145,12 +161,8 @@ def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> At
     raw = np.stack(
         [np.linalg.norm(v, axis=2) for v in base.cache.values], axis=0
     )  # (L, H_kv, N)
-    proj = np.empty((cfg.layers, cfg.query_heads, n))
-    group = cfg.group_size
-    for layer in range(cfg.layers):
-        for i in range(cfg.query_heads):
-            projected = base.cache.values[layer][i // group] @ model.wo[layer][i]
-            proj[layer, i] = np.linalg.norm(projected, axis=1)
+    per_query = np.repeat(np.stack(base.cache.values), cfg.group_size, axis=1)  # (L, H_q, N, d_h)
+    proj = np.linalg.norm(per_query @ model.wo, axis=3)  # (L, H_q, N)
 
     return AttentionCapture(
         A=a,
@@ -169,8 +181,6 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
     token's kv head; vo-norm uses the norm after the query head's output
     projection. Weighting happens entrywise, before the reduction.
     """
-    if op not in AGG_OPS:
-        raise UsageError(f"unknown aggregation op {op!r}")
     if norm_variant not in NORM_VARIANTS:
         raise UsageError(f"unknown norm variant {norm_variant!r}")
     if cap.task_len < 1:
@@ -182,21 +192,19 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
         a = a * per_query[:, :, :, None]
     elif norm_variant == "vo-norm":
         a = a * cap.value_norms_proj[:, :, :, None]
-    return ScoreTensor(stage=STAGE_TASK, values=_reduce(a, op, axis=3))
+    return ScoreTensor(stage=STAGE_TASK, values=reduce_axis(a, op, axis=3))
 
 
 def aggregate_group(s: ScoreTensor, kv_heads: int, op: str) -> ScoreTensor:
     """Reduce query-head scores onto their kv heads."""
     if s.stage != STAGE_TASK:
         raise UsageError(f"aggregate_group expects stage {STAGE_TASK!r}, got {s.stage!r}")
-    if op not in AGG_OPS:
-        raise UsageError(f"unknown aggregation op {op!r}")
     layers, query_heads, n = s.values.shape
     if query_heads % kv_heads != 0:
         raise ShapeError(f"{query_heads} query heads do not split into {kv_heads} kv heads")
     group = query_heads // kv_heads
     grouped = s.values.reshape(layers, kv_heads, group, n)
-    return ScoreTensor(stage=STAGE_GROUP, values=_reduce(grouped, op, axis=2))
+    return ScoreTensor(stage=STAGE_GROUP, values=reduce_axis(grouped, op, axis=2))
 
 
 def augment_mean(s: ScoreTensor, enabled: bool = True) -> ScoreTensor:

@@ -1,13 +1,21 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
-from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main
-from kvcompose.evaluator import make_recall_tasks, prepare_task
+from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main, parse_config
+from kvcompose.evaluator import DEFAULT_TOLERANCES, RATIO_GRID, make_recall_tasks, prepare_task
 from kvcompose.model import construct_induction_model
-from kvcompose.scoring import AggregationChoice, score_pipeline
+from kvcompose.scoring import (
+    DEFAULT_MODE,
+    OBSERVATION_WINDOW,
+    AggregationChoice,
+    score_pipeline,
+)
 
 from conftest import count_calls
 
@@ -24,6 +32,43 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+RANDOM_MODEL = {
+    "kind": "random",
+    "layers": 2,
+    "query_heads": 2,
+    "kv_heads": 1,
+    "model_dim": 16,
+    "head_dim": 8,
+    "vocab": 16,
+    "seed": 0,
+}
+
+# config overrides that each exit 2 naming the bad value
+MALFORMED = [
+    ({"tolerances": ["a"]}, "tolerances[0]"),
+    ({"r_target": "abc"}, "r_target"),
+    ({"grid": ["a", "b"]}, "grid[0]"),
+    ({"grid": []}, "grid must be ascending ratios"),
+    (
+        {
+            "model": {**RANDOM_MODEL, "layers": "4"},
+            "tasks": {"kind": "agreement", "count": 1, "seed": 1, "context_len": 8},
+        },
+        "model.layers",
+    ),
+    ({"tasks": {"kind": "recall", "count": "2", "seed": 3}}, "tasks.count"),
+    ({"policy": {"name": "streaming", "sinks": "2"}}, "policy.sinks"),
+    (
+        {"scoring": {"mode": "task-agnostic", "observation_window": "8"}},
+        "scoring.observation_window",
+    ),
+    ({"model": [1]}, "model must be a JSON object"),
+    ({"scoring": {"mode": "task-aware", "mean_augment": "no"}}, "scoring.mean_augment"),
+    ({"policy": {"name": "snapkv", "window": 2.5}}, "policy.window"),
+    (None, "config must be a JSON object"),  # a top-level list
+]
 
 
 def write_context(tmp_path, tokens) -> Path:
@@ -225,6 +270,27 @@ class TestDumpScoresCommand:
         assert np.array_equal(got, want.values.astype(np.float32))
 
 
+class TestParseConfig:
+    def test_minimal_config_takes_every_default(self, tmp_path):
+        cfg = parse_config(
+            {
+                "model": {"kind": "induction", "num_pairs": 4, "vocab": 16},
+                "tasks": {"kind": "recall", "count": 4, "seed": 3},
+                "policy": {"name": "snapkv"},
+            }
+        )
+        assert cfg.eviction == Policy(name="snapkv")
+        assert cfg.agg == AggregationChoice()
+        # the echo: scoring filled in, policy as written
+        assert cfg.resolved["scoring"] == {
+            "mode": DEFAULT_MODE,
+            "observation_window": OBSERVATION_WINDOW,
+            **asdict(AggregationChoice()),
+        }
+        assert cfg.resolved["policy"] == {"name": "snapkv"}
+        assert cfg.grid == list(RATIO_GRID) and cfg.tolerances == list(DEFAULT_TOLERANCES)
+
+
 class TestGenModelCommand:
     def test_writes_weight_tensors(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -266,6 +332,21 @@ class TestExitCodes:
             },
         )
         assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "overrides, named", MALFORMED, ids=[named for _, named in MALFORMED]
+    )
+    def test_malformed_value(self, tmp_path, capsys, overrides, named):
+        if overrides is None:
+            path = tmp_path / "list.json"
+            path.write_text(json.dumps([1, 2]))
+        else:
+            path = write_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(path), "--grid", "0,0.5"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_grid_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
