@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 from .numerics import SeededRng, argsort_desc, stable_floor
-from .scoring import AttentionCapture
+from .scoring import AttentionCapture, reduce_axis
 
 POLICY_NAMES = (
     "kvcompose",
@@ -108,13 +108,9 @@ def snapkv_select(
     Returns one (H_kv, budget) index array per layer; counts are uniform
     across heads, the sets need not be.
     """
-    n = cap.context_len
-    layers, query_heads = cap.A.shape[0], cap.A.shape[1]
+    n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
-    group = query_heads // kv_heads
-    budgets = [budget_per_head] * layers if isinstance(budget_per_head, int) else list(
-        budget_per_head
-    )
+    budgets = np.broadcast_to(budget_per_head, (layers,))
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
     for b in budgets:
@@ -124,20 +120,15 @@ def snapkv_select(
             raise ConfigError(f"budget {b} exceeds context length {n}")
 
     rows = min(window, cap.task_len)
-    out = []
-    for layer in range(layers):
-        per_head = []
-        for h in range(kv_heads):
-            block = cap.A[layer, h * group : (h + 1) * group]  # (G, N, M)
-            scores = block.mean(axis=0)[:, -rows:].max(axis=1)  # (N,)
-            budget = budgets[layer]
-            window_start = n - window
-            order = argsort_desc(scores[:window_start])
-            picked = order[: budget - window]
-            kept = np.sort(np.concatenate([picked, np.arange(window_start, n)]))
-            per_head.append(kept)
-        out.append(np.stack(per_head).astype(np.int64))
-    return out
+    grouped = cap.A[..., -rows:].reshape(layers, kv_heads, -1, n, rows)  # query heads by group
+    scores = reduce_axis(grouped, "avg", axis=2).max(axis=3)  # (L, H_kv, N)
+    window_start = n - window
+    order = argsort_desc(scores[:, :, :window_start])  # (L, H_kv, N - window)
+    tail = np.broadcast_to(np.arange(window_start, n), (kv_heads, window))
+    return [
+        np.sort(np.concatenate([order[layer, :, : b - window], tail], axis=1), axis=1)
+        for layer, b in enumerate(budgets)
+    ]
 
 
 def pyramid_budgets(layers: int, context_len: int, r_target: float, shape: float) -> np.ndarray:
@@ -192,8 +183,8 @@ def _schedule_budgets(layers: int, context_len: int, total: int, shape: float) -
     if active:
         base = {l: int(np.floor(raw[l])) for l in active}
         leftover = remaining - sum(base.values())
-        order = sorted(active, key=lambda l: (-(raw[l] - base[l]), l))
-        for l in order:
+        order = argsort_desc([raw[l] - base[l] for l in active])  # ties -> lower layer
+        for l in (active[i] for i in order):
             if leftover == 0:
                 break
             if base[l] < context_len:

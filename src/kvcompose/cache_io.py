@@ -3,22 +3,20 @@
 KVCF cache files (all integers little-endian):
 
     magic   b"KVCF"
-    version u16 (2; version 1 files are still read)
+    version u16 (2)
     layers  u32
     kv_heads u32
     head_dim u32
     rows    u32 * layers          per-layer slot count
-    next    u32 * layers          per-layer next token position, past every kept index (v2)
+    next    u32 * layers          per-layer next token position, past every kept index
     payload per layer: K then V, float32, row-major (kv_heads, rows, head_dim)
     provenance per layer: u32 * (kv_heads * rows)   original context index
     crc32   u32 over every preceding byte
 
-Version 1 has no ``next`` table; its reader takes one past the newest
-kept original index, which undercounts when the last context tokens
-were evicted. Tensor files ("KVCT", version 1) hold one named array:
-dtype byte (0=f32, 1=u32), ndim byte, dims, payload, crc32. Both formats
-share one frame: magic, u16 version, body, crc32. Reports are JSON plus
-a fixed-column CSV; identical inputs always produce identical bytes.
+Tensor files ("KVCT", version 1) hold one named array: dtype byte
+(0=f32, 1=u32), ndim byte, dims, payload, crc32. Both formats share one
+frame: magic, u16 version, body, crc32. Reports are JSON plus a
+fixed-column CSV; identical inputs always produce identical bytes.
 """
 from __future__ import annotations
 
@@ -26,21 +24,21 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from .composer import CompressedCache
 from .errors import KvcError
-from .evaluator import EvalReport
+from .evaluator import CurvePoint, EvalReport
 
 MAGIC_CACHE = b"KVCF"
 MAGIC_TENSOR = b"KVCT"
 CACHE_VERSION = 2
 TENSOR_VERSION = 1
 
-CSV_COLUMNS = ("r_target", "r_achieved", "reward_mean", "reward_std", "epsilon", "kl_mean")
+CSV_COLUMNS = tuple(f.name for f in fields(CurvePoint))
 
 
 class CacheFormatError(KvcError):
@@ -105,18 +103,17 @@ def write_cache(cache: CompressedCache, path: str | Path) -> int:
     return len(data)
 
 
-def _check_frame(data: bytes, magic: bytes, versions: tuple[int, ...], fixed: int) -> int:
-    """Check magic, version and the ``fixed``-byte header; return the version."""
+def _check_frame(data: bytes, magic: bytes, version: int, fixed: int) -> None:
+    """Check magic, version and the ``fixed``-byte header."""
     if len(data) < 4 or data[:4] != magic:
         raise BadMagicError(f"bad magic at byte 0: {data[:4]!r}")
     if len(data) < 6:
         raise TruncatedError(f"file ends at byte {len(data)} inside the version field")
-    (version,) = struct.unpack_from("<H", data, 4)
-    if version not in versions:
-        raise UnsupportedVersionError(f"unsupported format version {version} at byte 4")
+    (found,) = struct.unpack_from("<H", data, 4)
+    if found != version:
+        raise UnsupportedVersionError(f"unsupported format version {found} at byte 4")
     if len(data) < fixed:
         raise TruncatedError(f"file ends at byte {len(data)} inside the fixed header")
-    return version
 
 
 def _check_length_and_crc(data: bytes, expected: int) -> None:
@@ -135,7 +132,7 @@ def _check_length_and_crc(data: bytes, expected: int) -> None:
 
 
 def cache_from_bytes(data: bytes) -> CompressedCache:
-    version = _check_frame(data, MAGIC_CACHE, (1, CACHE_VERSION), 18)
+    _check_frame(data, MAGIC_CACHE, CACHE_VERSION, 18)
     layers, kv_heads, head_dim = struct.unpack_from("<III", data, 6)
     if layers < 1 or kv_heads < 1 or head_dim < 1:
         raise MalformedHeaderError(
@@ -143,7 +140,7 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
             f"layers={layers} kv_heads={kv_heads} head_dim={head_dim}"
         )
     rows_end = 18 + 4 * layers
-    tables_end = rows_end + (4 * layers if version == 2 else 0)  # v2: next table
+    tables_end = cache_header_size(layers)
     if len(data) < tables_end:
         raise TruncatedError(f"file ends at byte {len(data)}, header tables need {tables_end}")
     rows = list(struct.unpack_from(f"<{layers}I", data, 18))
@@ -167,16 +164,13 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
         p = np.frombuffer(data, dtype="<u4", count=count, offset=offset)
         offset += count * 4
         prov.append(p.reshape(kv_heads, n_l).astype(np.int64))
-    if version == 1:  # guess: one past the newest original token kept anywhere
-        next_positions = [1 + max((int(p.max()) for p in prov if p.size), default=-1)] * layers
-    else:
-        next_positions = list(struct.unpack_from(f"<{layers}I", data, rows_end))
-        for l, p in enumerate(prov):
-            if p.size and next_positions[l] <= p.max():
-                raise MalformedHeaderError(
-                    f"next position {next_positions[l]} at byte {rows_end + 4 * l} "
-                    f"does not follow kept index {int(p.max())} of layer {l}"
-                )
+    next_positions = list(struct.unpack_from(f"<{layers}I", data, rows_end))
+    for l, p in enumerate(prov):
+        if p.size and next_positions[l] <= p.max():
+            raise MalformedHeaderError(
+                f"next position {next_positions[l]} at byte {rows_end + 4 * l} "
+                f"does not follow kept index {int(p.max())} of layer {l}"
+            )
     return CompressedCache(keys, values, next_positions, provenance=prov)
 
 
@@ -189,7 +183,7 @@ def read_cache(path: str | Path) -> CompressedCache:
 
 
 def cache_header_size(layers: int) -> int:
-    """Bytes before the payload of a version-2 cache file."""
+    """Bytes before the payload of a cache file."""
     return 18 + 8 * layers
 
 
@@ -228,7 +222,7 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 def tensor_from_bytes(data: bytes) -> np.ndarray:
-    _check_frame(data, MAGIC_TENSOR, (TENSOR_VERSION,), 8)
+    _check_frame(data, MAGIC_TENSOR, TENSOR_VERSION, 8)
     code, ndim = struct.unpack_from("<BB", data, 6)
     if code not in _DTYPES:
         raise MalformedHeaderError(f"unknown dtype code {code} at byte 6")
@@ -258,23 +252,16 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def report_to_csv(report: EvalReport) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for p in report.points:
-        lines.append(
-            ",".join(
-                repr(v)
-                for v in (
-                    p.r_target,
-                    p.r_achieved,
-                    p.reward_mean,
-                    p.reward_std,
-                    p.epsilon,
-                    p.kl_mean,
-                )
-            )
-        )
+def csv_text(columns, rows) -> str:
+    """A header line, then one line per row: strings double-quoted, numbers
+    as ``repr`` (which round-trips a float exactly)."""
+    lines = [",".join(columns)]
+    lines += [",".join(f'"{v}"' if isinstance(v, str) else repr(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def report_to_csv(report: EvalReport) -> str:
+    return csv_text(CSV_COLUMNS, (astuple(p) for p in report.points))
 
 
 def write_report(report: EvalReport, out_dir: str | Path, stem: str = "report") -> dict[str, Path]:

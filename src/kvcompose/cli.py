@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -40,6 +40,7 @@ from .scoring import (
     TASK_MODES,
     AggregationChoice,
     TaskSet,
+    check_observation_window,
     score_stages,
 )
 
@@ -92,9 +93,12 @@ class RunConfig:
         in_range = all(0.0 <= g <= 1.0 for g in self.grid)
         if not self.grid or self.grid != sorted(self.grid) or not in_range:
             raise ConfigError(f"grid must be ascending ratios in [0, 1], got {self.grid}")
+        if self.tolerances and self.grid[0] != 0.0:
+            raise ConfigError(f"grid must start at 0 when tolerances are set, got {self.grid}")
         mode = self.scoring["mode"]
         if mode not in TASK_MODES:
             raise ConfigError(f"scoring.mode must be one of {TASK_MODES}, got {mode!r}")
+        check_observation_window(self.scoring["observation_window"])
         self.r_target = float(self.r_target)
         self.eviction = Policy(**self.policy)
         self.agg = build_agg(self)
@@ -332,9 +336,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     states = _prepare_tasks(cfg, model)  # scoring mode and window are the same in every arm
-    combined = ["label,r_target,r_achieved,reward_mean,reward_std,epsilon,kl_mean,auc"]
-    count = 0
-    for choice in ablation_grid():
+    combined = []
+    for count, choice in enumerate(ablation_grid(), 1):
         arm_cfg = replace(cfg, scoring={**cfg.scoring, **asdict(choice)})
         arm_dir = out / _slug(choice)
         arm_dir.mkdir(parents=True, exist_ok=True)
@@ -343,17 +346,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         )
         report = _sweep_report(arm_cfg, model, states)
         paths = cache_io.write_report(report, arm_dir)
-        for p in report.points:
-            combined.append(
-                f'"{choice.label()}",{p.r_target!r},{p.r_achieved!r},'
-                f"{p.reward_mean!r},{p.reward_std!r},{p.epsilon!r},{p.kl_mean!r},"
-                f"{report.auc!r}"
-            )
+        combined += [(choice.label(), *astuple(p), report.auc) for p in report.points]
         print(f"ablate arm={_slug(choice)} auc={report.auc!r} report={paths['json']}")
-        count += 1
 
     combined_path = out / "combined.csv"
-    combined_path.write_text("\n".join(combined) + "\n")
+    combined_path.write_text(
+        cache_io.csv_text(("label", *cache_io.CSV_COLUMNS, "auc"), combined)
+    )
     print(f"ablate configs={count} combined={combined_path}")
     return EXIT_OK
 

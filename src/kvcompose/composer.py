@@ -20,6 +20,7 @@ import numpy as np
 from .baselines import Policy, retention_budget, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
 from .model import HeadMaskSet, KVCache, Model
+from .numerics import argsort_desc
 from .scoring import (
     STAGE_FINAL,
     AggregationChoice,
@@ -83,11 +84,8 @@ def composite_indices(s: ScoreTensor) -> CompositeIndex:
     """Per-head descending sort of the final scores (ties keep lower index)."""
     if s.stage != STAGE_FINAL:
         raise UsageError(f"composite_indices expects stage {STAGE_FINAL!r}, got {s.stage!r}")
-    values = np.asarray(s.values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise UsageError("composite_indices requires finite scores")
-    idx = np.argsort(-values, axis=2, kind="stable")
-    return CompositeIndex(idx=idx, s_prime=np.take_along_axis(values, idx, axis=2))
+    idx = argsort_desc(s.values, axis=2)
+    return CompositeIndex(idx=idx, s_prime=np.take_along_axis(s.values, idx, axis=2))
 
 
 def layer_importance(ci: CompositeIndex, op: str) -> LayerImportance:
@@ -98,18 +96,15 @@ def layer_importance(ci: CompositeIndex, op: str) -> LayerImportance:
 def allocate_budgets(importance: LayerImportance, r_target: float) -> BudgetAllocation:
     """Pool slot scores across layers and keep the global top-B.
 
-    Ties break by score descending, then lower layer, then lower slot, so
-    the allocation is a deterministic function of the scores. Kept slots
-    at each layer form a prefix because importance rows are non-increasing
-    and the tie rule prefers lower slots.
+    Ties break by score descending, then lower layer, then lower slot (the
+    lower flat index), so the allocation is a deterministic function of
+    the scores. Kept slots at each layer form a prefix because importance
+    rows are non-increasing and the tie rule prefers lower slots.
     """
     layers, n = importance.values.shape
     budget = retention_budget(r_target, layers, n)
-    flat = importance.values.reshape(-1)
-    layer_ids, slot_ids = np.divmod(np.arange(flat.size), n)
-    order = np.lexsort((slot_ids, layer_ids, -flat))  # primary key last
-    keep = order[:budget]
-    layer_budgets = np.bincount(layer_ids[keep], minlength=layers).astype(np.int64)
+    keep = argsort_desc(importance.values.reshape(-1))[:budget]
+    layer_budgets = np.bincount(keep // n, minlength=layers).astype(np.int64)
     return BudgetAllocation(
         r_target=r_target, budget_total=budget, layer_budgets=layer_budgets
     )
@@ -169,10 +164,8 @@ def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
         raise UsageError(f"unstructured_compress expects stage {STAGE_FINAL!r}")
     layers, heads, n = s.values.shape
     budget = retention_budget(r_target, layers, heads, n)
-    flat = s.values.reshape(-1)
-    order = np.lexsort((np.arange(flat.size), -flat))  # ties -> lower (l, h, c)
-    masks = np.zeros(flat.size, dtype=bool)
-    masks[order[:budget]] = True
+    masks = np.zeros(layers * heads * n, dtype=bool)
+    masks[argsort_desc(s.values.reshape(-1))[:budget]] = True  # ties -> lower (l, h, c)
     return HeadMaskSet(masks=masks.reshape(layers, heads, n), budget=budget)
 
 

@@ -114,16 +114,14 @@ def softmax_rows(m: Matrix, scale: float) -> Matrix:
     return e / denom
 
 
-def argsort_desc(v: np.ndarray) -> np.ndarray:
-    """Indices sorting ``v`` into non-increasing order.
+def argsort_desc(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Indices sorting ``v`` into non-increasing order along ``axis``.
 
-    Stable: equal values keep their original relative order, so ties
-    resolve to the lower index first. Empty input gives an empty
-    permutation.
+    The one ranking sort of the package. Stable: equal values keep their
+    original relative order, so ties resolve to the lower index first.
+    Every entry must be finite. Empty input gives an empty permutation.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"argsort_desc expects a vector, got {v.ndim}-D")
-    if v.size and not np.all(np.isfinite(v)):
+    if not np.all(np.isfinite(v)):
         raise UsageError("argsort_desc requires finite entries")
-    return np.argsort(-v, kind="stable")
+    return np.argsort(-v, axis=axis, kind="stable")

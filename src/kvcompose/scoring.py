@@ -29,6 +29,11 @@ STAGE_GROUP = "agg_group"
 STAGE_FINAL = "final"
 
 
+def check_observation_window(window: int) -> None:
+    if window < 1:
+        raise UsageError(f"observation_window must be >= 1, got {window}")
+
+
 @dataclass(frozen=True)
 class TaskSet:
     """What the scoring queries are.
@@ -49,8 +54,7 @@ class TaskSet:
             if not self.tasks or any(len(t) == 0 for t in self.tasks):
                 raise UsageError("task-aware mode needs at least one non-empty task")
         else:
-            if self.observation_window < 1:
-                raise UsageError("observation_window must be >= 1")
+            check_observation_window(self.observation_window)
 
     @classmethod
     def for_context(

@@ -164,8 +164,9 @@ class TestReadCache:
         assert data[46:50] == zlib.crc32(data[:46]).to_bytes(4, "little")
         assert len(data) == 50
 
-    def test_reads_version_1_golden(self):
-        # a version-1 file has no next-position table; the reader guesses
+    def test_version_1_rejected(self):
+        # a version-1 file has no next-position table, so the position the
+        # next decoded token takes is unknown; the reader refuses to guess
         body = (
             b"KVCF"
             + struct.pack("<HIII", 1, 1, 1, 2)  # version, layers, kv heads, head dim
@@ -173,11 +174,8 @@ class TestReadCache:
             + np.asarray([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()  # K then V
             + struct.pack("<I", 7)  # provenance
         )
-        back = cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        assert back.keys[0].tolist() == [[[1.0, 2.0]]]
-        assert back.values[0].tolist() == [[[3.0, 4.0]]]
-        assert back.provenance[0].tolist() == [[7]]
-        assert back.next_positions == [8]  # one past the newest original index
+        with pytest.raises(UnsupportedVersionError, match="version 1 at byte 4"):
+            cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_next_position_before_kept_index_rejected(self):
         # a valid CRC over a next position that does not follow the kept tokens

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvcompose import evaluator
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main, parse_config
@@ -69,6 +70,23 @@ MALFORMED = [
     ({"policy": {"name": "snapkv", "window": 2.5}}, "policy.window"),
     (None, "config must be a JSON object"),  # a top-level list
 ]
+
+# (config overrides, extra flags, text of the error): rules whose breach
+# the library would only meet after tasks are prepared
+LOAD_RULES = {
+    "grid-from-nonzero": ({"grid": [0.5]}, [], "grid must start at 0"),
+    "grid-flag-from-nonzero": ({}, ["--grid", "0.5,0.9"], "grid must start at 0"),
+    "window-zero-task-agnostic": (
+        {"scoring": {"mode": "task-agnostic", "observation_window": 0}},
+        [],
+        "observation_window must be >= 1",
+    ),
+    "window-zero-task-aware": (
+        {"scoring": {"mode": "task-aware", "observation_window": 0}},
+        [],
+        "observation_window must be >= 1",
+    ),
+}
 
 
 def write_context(tmp_path, tokens) -> Path:
@@ -347,6 +365,22 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", LOAD_RULES)
+    def test_rule_checked_before_any_task_is_prepared(self, tmp_path, capsys, monkeypatch, case):
+        overrides, flags, named = LOAD_RULES[case]
+        prepared = count_calls(monkeypatch, evaluator, "prepare_task")
+        path = write_config(tmp_path, **overrides)
+        assert main(["sweep", "--config", str(path), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err
+        assert prepared == []
+
+    def test_grid_from_nonzero_without_tolerances_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, grid=[0.5], tolerances=[])
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["tolerances"] == []
 
     def test_bad_grid_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

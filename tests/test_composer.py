@@ -166,6 +166,10 @@ class TestAllocateBudgets:
         with pytest.raises(UsageError):
             allocate_budgets(LayerImportance(np.ones((1, 2))), 1.5)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(UsageError, match="finite"):
+            allocate_budgets(LayerImportance(np.array([[1.0, np.nan], [2.0, 0.5]])), 0.5)
+
 
 class TestCompactCache:
     def test_r0_is_permutation_with_provenance(self, tiny_model):
@@ -420,3 +424,9 @@ class TestUnstructured:
         s = final_scores(16, layers=2, heads=2, n=10)
         masks = unstructured_compress(s, 0.5)
         assert masks.budget == 20  # floor(0.5 * 2 * 2 * 10)
+
+    def test_rejects_non_finite(self):
+        s = final_scores(17)
+        s.values[1, 0, 3] = np.nan
+        with pytest.raises(UsageError, match="finite"):
+            unstructured_compress(s, 0.5)

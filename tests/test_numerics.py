@@ -100,6 +100,18 @@ class TestArgsortDesc:
         with pytest.raises(UsageError):
             argsort_desc(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((5, 9), 1), ((5, 9), 0), ((5, 9), -1), ((3, 4, 7), 2), ((3, 4, 7), 1), ((3, 4, 7), 0)],
+    )
+    def test_every_slice_matches_vector_call(self, shape, axis):
+        rng = SeededRng(43)
+        v = np.floor(rng.uniform_block(int(np.prod(shape))) * 4).reshape(shape)  # many ties
+        rows = np.moveaxis(v, axis, -1).reshape(-1, shape[axis])
+        perms = np.moveaxis(argsort_desc(v, axis=axis), axis, -1).reshape(-1, shape[axis])
+        for row, perm in zip(rows, perms):
+            assert perm.tolist() == argsort_desc(row).tolist()
+
 
 class TestSeededRng:
     def test_identical_seed_identical_stream(self):

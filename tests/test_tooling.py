@@ -1,12 +1,16 @@
-"""The benchmark's tracer wraps kvcompose functions by name; a renamed or
-deleted function would break ``perfbench/run.py --trace 1`` unseen."""
+"""Source-level guards: the benchmark's tracer wraps kvcompose functions
+by name, so a renamed or deleted function would break
+``perfbench/run.py --trace 1`` unseen; and every ranking goes through
+``numerics.argsort_desc``, the one home of the tie rule."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
@@ -21,3 +25,26 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"kvcompose.{module}"), name, None))
     ]
     assert missing == []
+
+
+def ranking_sorts(source: str) -> list[int]:
+    """Lines that call ``argsort``/``lexsort``, or ``sorted``/``.sort`` with a ``key=``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        keyed = any(k.arg == "key" for k in node.keywords)
+        if name in ("argsort", "lexsort") or (name in ("sorted", "sort") and keyed):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_ranking_sorts_only_in_numerics():
+    found = {
+        f"{path.name}:{line}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        if path.name != "numerics.py"
+        for line in ranking_sorts(path.read_text())
+    }
+    assert found == set()
