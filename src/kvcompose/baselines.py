@@ -99,7 +99,7 @@ def tova_select(attention: list[np.ndarray], budget: int | list[int]) -> list[li
 
 def snapkv_select(
     cap: AttentionCapture,
-    budget_per_head: int | list[int],
+    budget_per_head: int | np.ndarray,
     window: int,
 ) -> list[np.ndarray]:
     """Window top-k per kv head: keep the trailing window plus the tokens it
@@ -120,7 +120,8 @@ def snapkv_select(
             raise ConfigError(f"budget {b} exceeds context length {n}")
 
     rows = min(window, cap.task_len)
-    grouped = cap.A[..., -rows:].reshape(layers, kv_heads, -1, n, rows)  # query heads by group
+    # query heads by group; rows == 0 (a zero layer budget) scores on every task row
+    grouped = cap.A.reshape(layers, kv_heads, -1, n, cap.A.shape[3])[..., -rows:]
     scores = reduce_axis(grouped, "avg", axis=2).max(axis=3)  # (L, H_kv, N)
     window_start = n - window
     order = argsort_desc(scores[:, :, :window_start])  # (L, H_kv, N - window)
@@ -232,5 +233,5 @@ def select_baseline_indices(
         else:
             budgets = np.asarray(uniform, dtype=np.int64)
         window = int(min(policy.window, budgets.min(), n))
-        return snapkv_select(cap, [int(b) for b in budgets], window)
+        return snapkv_select(cap, budgets, window)
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

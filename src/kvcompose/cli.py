@@ -98,7 +98,7 @@ class RunConfig:
         mode = self.scoring["mode"]
         if mode not in TASK_MODES:
             raise ConfigError(f"scoring.mode must be one of {TASK_MODES}, got {mode!r}")
-        check_observation_window(self.scoring["observation_window"])
+        check_observation_window(self.scoring["observation_window"], ConfigError)
         self.r_target = float(self.r_target)
         self.eviction = Policy(**self.policy)
         self.agg = build_agg(self)

@@ -29,9 +29,9 @@ STAGE_GROUP = "agg_group"
 STAGE_FINAL = "final"
 
 
-def check_observation_window(window: int) -> None:
+def check_observation_window(window: int, error: type[Exception] = UsageError) -> None:
     if window < 1:
-        raise UsageError(f"observation_window must be >= 1, got {window}")
+        raise error(f"observation_window must be >= 1, got {window}")
 
 
 @dataclass(frozen=True)

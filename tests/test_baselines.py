@@ -140,6 +140,21 @@ class TestSnapkvSelect:
         with pytest.raises(ConfigError):
             snapkv_select(cap, budget_per_head=3, window=4)
 
+    def test_full_compression_keeps_nothing(self, tiny_model):
+        cap = self.capture(tiny_model, random_context(49, 12), 4)
+        budget = retention_budget(1.0, 2, 12)
+        kept = select_baseline_indices(cap, Policy(name="snapkv"), budget)
+        assert [k.shape for k in kept] == [(2, 0), (2, 0)]
+
+    def test_zero_layer_budget_clamps_window(self, tiny_model):
+        # uniform split of 1 over 2 layers is [1, 0]: the window clamps to 0
+        # and layer 0 keeps its top token scored over every task row
+        cap = self.capture(tiny_model, random_context(50, 12), 4)
+        kept = select_baseline_indices(cap, Policy(name="snapkv"), 1)
+        assert kept[1].shape == (2, 0)
+        for head in range(2):
+            assert kept[0][head].tolist() == snapkv_oracle(cap, 0, head, 1, 0)
+
     def test_counts_uniform_sets_may_differ(self, tiny_model):
         context = random_context(47, 12)
         cap = self.capture(tiny_model, context, 4)

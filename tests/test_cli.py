@@ -9,6 +9,7 @@ from kvcompose import evaluator
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main, parse_config
+from kvcompose.errors import ConfigError
 from kvcompose.evaluator import DEFAULT_TOLERANCES, RATIO_GRID, make_recall_tasks, prepare_task
 from kvcompose.model import construct_induction_model
 from kvcompose.scoring import (
@@ -307,6 +308,23 @@ class TestParseConfig:
         }
         assert cfg.resolved["policy"] == {"name": "snapkv"}
         assert cfg.grid == list(RATIO_GRID) and cfg.tolerances == list(DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"scoring": {"mode": "task-agnostic", "observation_window": 0}},
+            {"grid": [0.5]},
+        ],
+    )
+    def test_load_rules_raise_config_error(self, override):
+        data = {
+            "model": {"kind": "induction", "num_pairs": 4, "vocab": 16},
+            "tasks": {"kind": "recall", "count": 4, "seed": 3},
+            "policy": {"name": "snapkv"},
+            **override,
+        }
+        with pytest.raises(ConfigError):
+            parse_config(data)
 
 
 class TestGenModelCommand:
