@@ -84,16 +84,16 @@ def _tova_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
     return kept
 
 
-def tova_select(attention: list[np.ndarray], budget: int | list[int]) -> list[list[int]]:
+def tova_select(attention: list[np.ndarray], budget: int | np.ndarray) -> list[list[int]]:
     """Per-layer survivors of online least-attended eviction, replayed on a
     prefill's per-layer (H_q, N, N) attention.
 
     The current step's attention is the newest token's row, averaged over
     the layer's query heads; the newest token itself is evictable.
     """
-    budgets = [budget] * len(attention) if isinstance(budget, int) else list(budget)
-    if any(b < 1 for b in budgets):
-        raise ConfigError(f"tova budget must be >= 1 per layer, got {budgets}")
+    budgets = np.broadcast_to(budget, (len(attention),))
+    if (budgets < 1).any():
+        raise ConfigError(f"tova budget must be >= 1 per layer, got {budgets.tolist()}")
     return [_tova_replay(attn.mean(axis=0), b) for attn, b in zip(attention, budgets)]
 
 
@@ -154,45 +154,34 @@ def _schedule_budgets(layers: int, context_len: int, total: int, shape: float) -
     denom = max(layers - 1, 1)
     weights = np.asarray([1.0 + shape * (layers - 1 - l) / denom for l in range(layers)])
 
-    fixed: dict[int, int] = {}
-    active = list(range(layers))
-    remaining = total
-    while active:
-        wsum = sum(weights[l] for l in active)
-        raw = {l: remaining * weights[l] / wsum for l in active}
-        over = [l for l in active if raw[l] > context_len]
-        if over:
-            for l in over:
-                fixed[l] = context_len
-                remaining -= context_len
-            active = [l for l in active if l not in over]
-            continue
-        under = [l for l in active if raw[l] < 1.0]
-        if under:
-            for l in under:
-                fixed[l] = 1
-                remaining -= 1
-            active = [l for l in active if l not in under]
-            continue
-        break
-    if not active and remaining != 0:
-        raise ConfigError(f"cannot schedule budget {total} over {layers} layers")
-
+    active = np.ones(layers, dtype=bool)
     budgets = np.zeros(layers, dtype=np.int64)
-    for l, b in fixed.items():
-        budgets[l] = b
-    if active:
-        base = {l: int(np.floor(raw[l])) for l in active}
-        leftover = remaining - sum(base.values())
-        order = argsort_desc([raw[l] - base[l] for l in active])  # ties -> lower layer
-        for l in (active[i] for i in order):
+    remaining = total
+    while active.any():
+        # Python's sum, in layer order: np.sum would add in another order
+        raw = remaining * weights / sum(weights[active])
+        for bound, hit in ((context_len, raw > context_len), (1, raw < 1.0)):
+            hit &= active
+            if hit.any():
+                break
+        else:
+            break  # every active share lies in [1, context_len]
+        budgets[hit] = bound
+        remaining -= bound * int(hit.sum())
+        active &= ~hit
+
+    if active.any():
+        base = np.floor(raw[active]).astype(np.int64)
+        leftover = remaining - int(base.sum())
+        for i in argsort_desc(raw[active] - base):  # ties -> lower layer
             if leftover == 0:
                 break
-            if base[l] < context_len:
-                base[l] += 1
+            if base[i] < context_len:
+                base[i] += 1
                 leftover -= 1
-        for l, b in base.items():
-            budgets[l] = b
+        budgets[active] = base
+    elif remaining != 0:
+        raise ConfigError(f"cannot schedule budget {total} over {layers} layers")
     return budgets
 
 
@@ -209,7 +198,8 @@ def select_baseline_indices(
     """
     layers, n = cap.A.shape[0], cap.context_len
     base_split, extra = divmod(budget_total, layers)
-    uniform = [base_split + (1 if l < extra else 0) for l in range(layers)]
+    uniform = np.full(layers, base_split, dtype=np.int64)
+    uniform[:extra] += 1
 
     if policy.name == "streaming":
         return [
@@ -228,10 +218,9 @@ def select_baseline_indices(
     if policy.name == "tova":
         return [np.asarray(k, dtype=np.int64) for k in tova_select(cap.prefill.attention, uniform)]
     if policy.name in ("snapkv", "pyramid"):
+        budgets = uniform
         if policy.name == "pyramid":
             budgets = _schedule_budgets(layers, n, budget_total, policy.shape)
-        else:
-            budgets = np.asarray(uniform, dtype=np.int64)
         window = int(min(policy.window, budgets.min(), n))
         return snapkv_select(cap, budgets, window)
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

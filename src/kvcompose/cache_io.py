@@ -264,13 +264,13 @@ def report_to_csv(report: EvalReport) -> str:
     return csv_text(CSV_COLUMNS, (astuple(p) for p in report.points))
 
 
-def write_report(report: EvalReport, out_dir: str | Path, stem: str = "report") -> dict[str, Path]:
-    """Emit <stem>.json and <stem>.csv; identical reports give identical bytes."""
+def write_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
+    """Emit report.json and report.csv; identical reports give identical bytes."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        json_path = out / f"{stem}.json"
-        csv_path = out / f"{stem}.csv"
+        json_path = out / "report.json"
+        csv_path = out / "report.csv"
         json_path.write_text(report_to_json(report))
         csv_path.write_text(report_to_csv(report))
     except OSError as exc:

@@ -100,6 +100,8 @@ class RunConfig:
             raise ConfigError(f"scoring.mode must be one of {TASK_MODES}, got {mode!r}")
         check_observation_window(self.scoring["observation_window"], ConfigError)
         self.r_target = float(self.r_target)
+        if not 0.0 <= self.r_target <= 1.0:
+            raise ConfigError(f"r_target must be in [0, 1], got {self.r_target}")
         self.eviction = Policy(**self.policy)
         self.agg = build_agg(self)
 
@@ -245,9 +247,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def cmd_compress(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    model = build_model(cfg)
+def cmd_compress(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     context = _read_context(args.context)
     mode, tokens = cfg.scoring["mode"], cfg.scoring.get("task_tokens", [])
     if mode == "task-aware" and not tokens:
@@ -297,9 +297,7 @@ def _print_sweep_line(report, paths) -> None:
     )
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    model = build_model(cfg)
+def cmd_sweep(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     report = _sweep_report(cfg, model, _prepare_tasks(cfg, model))
     paths = cache_io.write_report(report, Path(args.out or cfg.out_dir))
     _print_sweep_line(report, paths)
@@ -329,9 +327,7 @@ def _slug(choice: AggregationChoice) -> str:
     return f"agg_{choice.agg_task}_{choice.agg_group}_{choice.agg_head}_mean_{mean}_norm_{norm}"
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    model = build_model(cfg)
+def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -366,11 +362,9 @@ def _write_tensors(command: str, out: Path, tensors: dict[str, np.ndarray]) -> N
         print(f"{command} tensor={name} shape={shape} out={out / name}")
 
 
-def cmd_dump_scores(args: argparse.Namespace) -> int:
+def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     """Write the score stages, slot order and layer importance that ``sweep``
     computes for the first task."""
-    cfg = _apply_overrides(load_config(args.config), args)
-    model = build_model(cfg)
     task = build_tasks(cfg, model)[0]
     state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
     s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
@@ -386,9 +380,7 @@ def cmd_dump_scores(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gen_model(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    model = build_model(cfg)
+def cmd_gen_model(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     tensors = {
         "embedding.kvct": model.embedding,
         "wq.kvct": model.wq,
@@ -443,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _apply_overrides(load_config(args.config), args)
+        return args.func(args, cfg, build_model(cfg))
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

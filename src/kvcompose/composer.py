@@ -166,7 +166,7 @@ def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
     budget = retention_budget(r_target, layers, heads, n)
     masks = np.zeros(layers * heads * n, dtype=bool)
     masks[argsort_desc(s.values.reshape(-1))[:budget]] = True  # ties -> lower (l, h, c)
-    return HeadMaskSet(masks=masks.reshape(layers, heads, n), budget=budget)
+    return HeadMaskSet(masks=masks.reshape(layers, heads, n))
 
 
 def compress(
@@ -178,6 +178,8 @@ def compress(
     policy: Policy,
 ) -> tuple[CompressedCache, CompressReport]:
     """Capture ``task_set`` on ``context``, then compress at one ratio."""
+    if policy.name == "unstructured":
+        raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cap = collect_attention(model, context, task_set)
     return compress_capture(model, cap, agg_choice, r_target, policy)
 
@@ -191,8 +193,6 @@ def compress_capture(
 ) -> tuple[CompressedCache, CompressReport]:
     """One ratio of the structured path on a capture and its prefill: score,
     compose, allocate, compact (or a baseline)."""
-    if policy.name == "unstructured":
-        raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cfg = model.config
     n = cap.context_len
     budget = retention_budget(r_target, cfg.layers, n)

@@ -195,8 +195,8 @@ def _run_steps(
     cache: KVCache,
     task: TaskInstance,
     head_masks: HeadMaskSet | None,
-) -> list[np.ndarray]:
-    """Teacher-forced logits for each scored step, on a cloned cache.
+) -> np.ndarray:
+    """Teacher-forced (steps, vocab) logits of the scored steps, on a cloned cache.
 
     Every input is known up front, so all of them are appended in one
     forward pass; the scored steps are the last ``len(targets)``.
@@ -205,13 +205,13 @@ def _run_steps(
     inputs, targets = _forced_steps(task)
     positions = work.next_position + np.arange(len(inputs))
     logits, _ = _forward(model, work, np.asarray(inputs), positions, head_masks)
-    return list(logits[-len(targets) :])
+    return logits[-len(targets) :]
 
 
-def _hit_rate(logits: list[np.ndarray], task: TaskInstance) -> float:
+def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float:
     """Fraction of scored steps whose argmax is the target token."""
     _, targets = _forced_steps(task)
-    return sum(int(np.argmax(lg)) == t for lg, t in zip(logits, targets)) / len(targets)
+    return np.count_nonzero(logits.argmax(axis=1) == targets) / len(targets)
 
 
 def reward(
@@ -225,15 +225,15 @@ def reward(
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
 def _reward_and_kl(
     model: Model,
     cache: KVCache,
     task: TaskInstance,
-    reference_logits: list[np.ndarray],
+    reference_logits: np.ndarray,
     head_masks: HeadMaskSet | None = None,
 ) -> tuple[float, float]:
     """Reward plus mean KL(full || compressed) of next-token distributions.
@@ -241,13 +241,9 @@ def _reward_and_kl(
     Each step's KL is clamped at 0: a negative value is rounding noise.
     """
     logits = _run_steps(model, cache, task, head_masks)
-    kls = []
-    for lg, ref in zip(logits, reference_logits):
-        ref_logp = _log_softmax(ref)
-        comp_logp = _log_softmax(lg)
-        p = np.exp(ref_logp)
-        kls.append(max(float(np.sum(p * (ref_logp - comp_logp))), 0.0))
-    return _hit_rate(logits, task), float(np.mean(kls))
+    ref_logp = _log_softmax(reference_logits)
+    kls = (np.exp(ref_logp) * (ref_logp - _log_softmax(logits))).sum(axis=1)
+    return _hit_rate(logits, task), float(np.mean(np.maximum(kls, 0.0)))
 
 
 def epsilon(full_rewards: list[float], comp_rewards: list[float]) -> float:
@@ -303,12 +299,9 @@ def max_ratio_under_tolerance(points: list[CurvePoint], tolerance: float) -> Tol
     if best + 1 >= len(points):
         return ToleranceResult(tolerance=tolerance, r_grid=r_grid, r_interpolated=r_grid)
     nxt = points[best + 1]
-    de = nxt.epsilon - points[best].epsilon
-    if de <= 0:
-        r_interp = nxt.r_target
-    else:
-        frac = (tolerance - points[best].epsilon) / de
-        r_interp = r_grid + frac * (nxt.r_target - r_grid)
+    # nxt fails the tolerance that points[best] passes, so its epsilon is larger
+    frac = (tolerance - points[best].epsilon) / (nxt.epsilon - points[best].epsilon)
+    r_interp = r_grid + frac * (nxt.r_target - r_grid)
     return ToleranceResult(tolerance=tolerance, r_grid=r_grid, r_interpolated=r_interp)
 
 
@@ -323,7 +316,7 @@ class TaskState:
     task: TaskInstance
     capture: AttentionCapture
     full_reward: float
-    reference_logits: list[np.ndarray]
+    reference_logits: np.ndarray  # (steps, vocab)
 
 
 def prepare_task(

@@ -13,7 +13,7 @@ attention invariant to row order within a head.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,11 +126,10 @@ class HeadMaskSet:
     """
 
     masks: np.ndarray  # (L, H_kv, N) bool
-    budget: int = field(default=0)
 
-    def __post_init__(self):
-        if self.budget == 0:
-            self.budget = int(self.masks.sum())
+    @property
+    def budget(self) -> int:  # kept (layer, head, token) entries
+        return int(np.count_nonzero(self.masks))
 
 
 def _rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from kvcompose.baselines import (
 from kvcompose.composer import retention_budget
 from kvcompose.errors import ConfigError
 from kvcompose.model import prefill
+from kvcompose.numerics import argsort_desc
 from kvcompose.scoring import AttentionCapture, TaskSet, collect_attention
 
 from conftest import random_context
@@ -190,6 +193,88 @@ class TestPyramidBudgets:
     def test_infeasible_total_rejected(self):
         with pytest.raises(ConfigError):
             pyramid_budgets(8, 4, 0.95, 1.0)  # floor(0.05*32)=1 < 8 layers
+
+
+def reference_schedule(layers, context_len, total, shape):
+    """Oracle for ``pyramid_budgets``: the dict-based schedule it replaced.
+    Shares above ``context_len`` are clamped first, then shares below 1,
+    and the largest remainders go to the lower layer on ties."""
+    if shape < 0:
+        raise ConfigError(f"shape must be >= 0, got {shape}")
+    if total < layers:
+        raise ConfigError(
+            f"budget {total} cannot give every one of {layers} layers its floor of 1"
+        )
+    if total > layers * context_len:
+        raise ConfigError(f"budget {total} exceeds cache capacity {layers * context_len}")
+    denom = max(layers - 1, 1)
+    weights = np.asarray([1.0 + shape * (layers - 1 - l) / denom for l in range(layers)])
+
+    fixed = {}
+    active = list(range(layers))
+    remaining = total
+    while active:
+        wsum = sum(weights[l] for l in active)
+        raw = {l: remaining * weights[l] / wsum for l in active}
+        over = [l for l in active if raw[l] > context_len]
+        if over:
+            for l in over:
+                fixed[l] = context_len
+                remaining -= context_len
+            active = [l for l in active if l not in over]
+            continue
+        under = [l for l in active if raw[l] < 1.0]
+        if under:
+            for l in under:
+                fixed[l] = 1
+                remaining -= 1
+            active = [l for l in active if l not in under]
+            continue
+        break
+    if not active and remaining != 0:
+        raise ConfigError(f"cannot schedule budget {total} over {layers} layers")
+
+    budgets = np.zeros(layers, dtype=np.int64)
+    for l, b in fixed.items():
+        budgets[l] = b
+    if active:
+        base = {l: int(np.floor(raw[l])) for l in active}
+        leftover = remaining - sum(base.values())
+        order = argsort_desc([raw[l] - base[l] for l in active])  # ties -> lower layer
+        for l in (active[i] for i in order):
+            if leftover == 0:
+                break
+            if base[l] < context_len:
+                base[l] += 1
+                leftover -= 1
+        for l, b in base.items():
+            budgets[l] = b
+    return budgets
+
+
+class TestScheduleOracle:
+    def test_matches_reference_schedule(self):
+        """Budgets, or the ConfigError message, equal the oracle's on a grid
+        that reaches both clamps. Four cases with 10 layers (context 6, 12,
+        18 and 33) change if the weight sum is taken with np.sum."""
+        seen = {"budgets": 0, "errors": 0}
+        for layers in range(1, 13):
+            for context_len in (1, 2, 3, 5, 6, 8, 12, 13, 18, 21, 33, 39):
+                for r in np.linspace(0.0, 1.0, 14):
+                    total = retention_budget(r, layers, context_len)
+                    for shape in (0.0, 0.3, 1.0, 2.5, 5.0, 12.0, 17.3):
+                        try:
+                            want = reference_schedule(layers, context_len, total, shape)
+                        except ConfigError as exc:
+                            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                                pyramid_budgets(layers, context_len, r, shape)
+                            seen["errors"] += 1
+                            continue
+                        got = pyramid_budgets(layers, context_len, r, shape)
+                        assert got.dtype == np.int64
+                        assert got.tolist() == want.tolist(), (layers, context_len, r, shape)
+                        seen["budgets"] += 1
+        assert seen["budgets"] > 5000 and seen["errors"] > 1000
 
 
 class TestBudgetParity:

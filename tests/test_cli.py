@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompose import evaluator
+from kvcompose import evaluator, model as kvmodel
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main, parse_config
@@ -87,6 +87,7 @@ LOAD_RULES = {
         [],
         "observation_window must be >= 1",
     ),
+    "r-target-above-one": ({"r_target": 1.5}, [], "r_target must be in [0, 1]"),
 }
 
 
@@ -111,7 +112,8 @@ class TestCompressCommand:
         cache = read_cache(tmp_path / "out" / "cache.kvcf")
         assert [cache.rows(l) for l in range(2)] == [6, 6]
 
-    def test_unstructured_policy_rejected(self, tmp_path, capsys):
+    def test_unstructured_policy_rejected(self, tmp_path, capsys, monkeypatch):
+        prefills = count_calls(monkeypatch, kvmodel, "prefill")
         cfg = write_config(
             tmp_path,
             scoring={"mode": "task-agnostic", "observation_window": 4},
@@ -121,6 +123,7 @@ class TestCompressCommand:
         assert main(["compress", "--config", str(cfg), "--context", str(ctx)]) == EXIT_CONFIG
         assert "unstructured" in capsys.readouterr().err
         assert not (tmp_path / "out" / "cache.kvcf").exists()
+        assert prefills == []
 
     def test_budget_arithmetic(self, tmp_path, capsys):
         cfg = write_config(
