@@ -89,11 +89,12 @@ def tova_select(attention: list[np.ndarray], budget: int | np.ndarray) -> list[l
     prefill's per-layer (H_q, N, N) attention.
 
     The current step's attention is the newest token's row, averaged over
-    the layer's query heads; the newest token itself is evictable.
+    the layer's query heads; the newest token itself is evictable, so a
+    layer budget of 0 keeps nothing.
     """
     budgets = np.broadcast_to(budget, (len(attention),))
-    if (budgets < 1).any():
-        raise ConfigError(f"tova budget must be >= 1 per layer, got {budgets.tolist()}")
+    if (budgets < 0).any():
+        raise ConfigError(f"tova budget must be >= 0 per layer, got {budgets.tolist()}")
     return [_tova_replay(attn.mean(axis=0), b) for attn, b in zip(attention, budgets)]
 
 

@@ -364,8 +364,8 @@ def _write_tensors(command: str, out: Path, tensors: dict[str, np.ndarray]) -> N
 
 def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     """Write the score stages, slot order and layer importance that ``sweep``
-    computes for the first task."""
-    task = build_tasks(cfg, model)[0]
+    computes for the first task, which is the only one built."""
+    task = build_tasks(replace(cfg, tasks={**cfg.tasks, "count": 1}), model)[0]
     state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
     s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
     ci = composite_indices(s_final)

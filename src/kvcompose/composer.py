@@ -9,7 +9,9 @@ always a prefix, so the compressed cache stays a dense tensor per layer.
 
 Slot order in the compressed cache is score order, not original position;
 attention does not care (keys are cached post-rotation), and prefix
-budgets make nestedness across compression ratios immediate.
+budgets make nestedness across compression ratios immediate. The grid
+form, ``compress_capture``, uses that nesting: it scores and sorts once,
+and every ratio compacts a prefix of the same slot order.
 """
 from __future__ import annotations
 
@@ -110,46 +112,37 @@ def allocate_budgets(importance: LayerImportance, r_target: float) -> BudgetAllo
     )
 
 
-def _gather(cache: KVCache, takes: list[np.ndarray], n: int) -> CompressedCache:
-    """Take rows ``takes[l]`` (H_kv, n_l) of each layer of an n-row cache."""
-    return CompressedCache(
-        keys=[np.take_along_axis(k, t[:, :, None], axis=1) for k, t in zip(cache.keys, takes)],
-        values=[np.take_along_axis(v, t[:, :, None], axis=1) for v, t in zip(cache.values, takes)],
-        next_positions=[n] * len(takes),
-        provenance=[t.copy() for t in takes],
-    )
-
-
 def compact_cache(
     cache: KVCache, ci: CompositeIndex, alloc: BudgetAllocation
 ) -> CompressedCache:
     """Gather each head's top rows into the slot-ordered compressed cache."""
-    layers, heads, n = ci.idx.shape
-    if cache.layer_count != layers:
-        raise ShapeError(f"cache has {cache.layer_count} layers, index {layers}")
-    takes = []
-    for layer in range(layers):
-        n_l = int(alloc.layer_budgets[layer])
-        if n_l > n:
-            raise UsageError(f"layer {layer} budget {n_l} exceeds context length {n}")
-        if cache.rows(layer) != n:
-            raise UsageError(
-                f"compact_cache needs the uncompressed cache; layer {layer} has "
-                f"{cache.rows(layer)} rows for context length {n}"
-            )
-        takes.append(ci.idx[layer, :, :n_l])  # (H_kv, n_l)
-    return _gather(cache, takes, n)
+    n = ci.idx.shape[2]
+    if (alloc.layer_budgets > n).any():
+        raise UsageError(f"layer budgets {alloc.layer_budgets.tolist()} exceed context length {n}")
+    return gather_cache(cache, [ci.idx[l, :, :b] for l, b in enumerate(alloc.layer_budgets)])
 
 
 def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
-    """Build a compressed cache from explicit per-layer (H_kv, n_l) index arrays."""
-    takes = []
-    for layer, take in enumerate(kept):
+    """Take rows ``kept[l]`` of each layer of an uncompressed cache: one
+    (H_kv, n_l) index array per layer, or (n_l,) for the same rows in every head."""
+    if len(kept) != cache.layer_count:
+        raise ShapeError(f"cache has {cache.layer_count} layers, index {len(kept)}")
+    keys, values, provenance = [], [], []
+    for layer, (k, v, take) in enumerate(zip(cache.keys, cache.values, kept)):
+        rows = cache.rows(layer)
+        if rows != cache.next_positions[layer]:
+            raise UsageError(f"gather needs the uncompressed cache; layer {layer} has {rows} rows")
         take = np.asarray(take, dtype=np.int64)
-        if take.ndim == 1:  # same indices for every head
-            take = np.broadcast_to(take, (cache.keys[layer].shape[0], take.size))
-        takes.append(take)
-    return _gather(cache, takes, cache.rows(0))
+        take = np.broadcast_to(take, (k.shape[0], take.shape[-1]))
+        if take.size and (take.min() < 0 or take.max() >= rows):
+            raise UsageError(f"layer {layer} takes rows outside [0, {rows})")
+        heads = np.arange(k.shape[0])[:, None]
+        keys.append(k[heads, take])
+        values.append(v[heads, take])
+        provenance.append(take.copy())
+    return CompressedCache(
+        keys=keys, values=values, next_positions=list(cache.next_positions), provenance=provenance
+    )
 
 
 def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
@@ -181,39 +174,42 @@ def compress(
     if policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cap = collect_attention(model, context, task_set)
-    return compress_capture(model, cap, agg_choice, r_target, policy)
+    return compress_capture(model, cap, agg_choice, (r_target,), policy)[0]
 
 
 def compress_capture(
     model: Model,
     cap: AttentionCapture,
     agg_choice: AggregationChoice,
-    r_target: float,
+    grid: tuple[float, ...],
     policy: Policy,
-) -> tuple[CompressedCache, CompressReport]:
-    """One ratio of the structured path on a capture and its prefill: score,
-    compose, allocate, compact (or a baseline)."""
+) -> list[tuple[CompressedCache, CompressReport]]:
+    """The structured path on a capture and its prefill, at every ratio of
+    ``grid``. kvcompose scores and sorts once and compacts a prefix of that
+    order per ratio; a baseline selects once per ratio."""
     cfg = model.config
     n = cap.context_len
-    budget = retention_budget(r_target, cfg.layers, n)
     full = cap.prefill.cache
-
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
-        alloc = allocate_budgets(layer_importance(ci, agg_choice.agg_head), r_target)
-        compressed = compact_cache(full, ci, alloc)
-    else:
-        compressed = gather_cache(full, select_baseline_indices(cap, policy, budget))
+        importance = layer_importance(ci, agg_choice.agg_head)
 
-    layer_budgets = [compressed.rows(l) for l in range(cfg.layers)]
-    total = sum(layer_budgets)
-    if total != budget:
-        raise UsageError(f"policy {policy.name} kept {total} slots, budget is {budget}")
-    report = CompressReport(
-        policy=policy.name,
-        r_target=r_target,
-        r_achieved=1.0 - total / (cfg.layers * n),
-        budget_total=budget,
-        layer_budgets=layer_budgets,
-    )
-    return compressed, report
+    out = []
+    for r_target in grid:
+        budget = retention_budget(r_target, cfg.layers, n)
+        if policy.name == "kvcompose":
+            compressed = compact_cache(full, ci, allocate_budgets(importance, r_target))
+        else:
+            compressed = gather_cache(full, select_baseline_indices(cap, policy, budget))
+        layer_budgets = [compressed.rows(l) for l in range(cfg.layers)]
+        if sum(layer_budgets) != budget:
+            raise UsageError(f"policy {policy.name} kept {layer_budgets} slots, budget is {budget}")
+        report = CompressReport(
+            policy=policy.name,
+            r_target=r_target,
+            r_achieved=1.0 - budget / (cfg.layers * n),
+            budget_total=budget,
+            layer_budgets=layer_budgets,
+        )
+        out.append((compressed, report))
+    return out

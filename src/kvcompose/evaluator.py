@@ -335,26 +335,28 @@ def prepare_task(
     )
 
 
-def _evaluate_point(
+def _evaluate_task(
     model: Model,
     state: TaskState,
     policy: Policy,
     agg_choice: AggregationChoice,
-    r_target: float,
-) -> tuple[float, float, float]:
-    """(r_achieved, reward, kl) for one task at one ratio."""
+    grid: tuple[float, ...],
+) -> list[tuple[float, float, float]]:
+    """(r_achieved, reward, kl) for one task at every grid ratio."""
     cfg = model.config
     cap = state.capture
     if policy.name == "unstructured":
-        masks = unstructured_compress(score_pipeline(cap, cfg.kv_heads, agg_choice), r_target)
-        r_achieved = 1.0 - masks.budget / (cfg.layers * cfg.kv_heads * cap.context_len)
-        r, kl = _reward_and_kl(
-            model, cap.prefill.cache, state.task, state.reference_logits, head_masks=masks
-        )
-        return r_achieved, r, kl
-    cache, report = compress_capture(model, cap, agg_choice, r_target, policy)
-    r, kl = _reward_and_kl(model, cache, state.task, state.reference_logits)
-    return report.r_achieved, r, kl
+        scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
+        entries = cfg.layers * cfg.kv_heads * cap.context_len
+        masks = [unstructured_compress(scores, r_target) for r_target in grid]
+        runs = [(1.0 - m.budget / entries, cap.prefill.cache, m) for m in masks]
+    else:
+        compressed = compress_capture(model, cap, agg_choice, grid, policy)
+        runs = [(report.r_achieved, cache, None) for cache, report in compressed]
+    return [
+        (r_achieved, *_reward_and_kl(model, cache, state.task, state.reference_logits, masks))
+        for r_achieved, cache, masks in runs
+    ]
 
 
 def sweep_prepared(
@@ -370,9 +372,9 @@ def sweep_prepared(
     if list(grid) != sorted(grid):
         raise UsageError("ratio grid must be sorted ascending")
     full_rewards = [s.full_reward for s in states]
+    per_task = [_evaluate_task(model, s, policy, agg_choice, grid) for s in states]
     points = []
-    for r_target in grid:
-        results = [_evaluate_point(model, s, policy, agg_choice, r_target) for s in states]
+    for r_target, results in zip(grid, zip(*per_task)):
         achieved, rewards, kls = zip(*results)
         points.append(
             CurvePoint(

@@ -78,6 +78,12 @@ class TestTovaSelect:
         kept = tova_select(attention, budget=1)
         assert all(len(k) == 1 for k in kept)
 
+    def test_budget_zero_keeps_nothing(self, tiny_model):
+        attention = prefill(tiny_model, random_context(44, 8)).attention
+        assert tova_select(attention, budget=0) == [[], []]
+        with pytest.raises(ConfigError):
+            tova_select(attention, budget=-1)
+
     def test_matches_replay_oracle(self, tiny_model):
         base = prefill(tiny_model, random_context(42, 12))
         kept = tova_select(base.attention, budget=6)

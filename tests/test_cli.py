@@ -214,6 +214,17 @@ class TestSweepCommand:
         assert "reward_trend=" in out
 
 
+    def test_tova_sweeps_to_full_compression(self, tmp_path, capsys):
+        demo = Path(__file__).parent.parent / "configs" / "demo_agreement.json"
+        config = json.loads(demo.read_text())
+        config.update(policy={"name": "tova"}, grid=[0, 0.5, 1.0], out_dir=str(tmp_path / "out"))
+        path = tmp_path / "tova.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["points"][-1]["r_achieved"] == 1.0
+
+
 class TestAblateCommand:
     def test_enumerates_48_configs(self, tmp_path, capsys):
         assert len(ablation_grid()) == 48
@@ -279,6 +290,16 @@ class TestDumpScoresCommand:
             row = imp[layer]
             assert all(row[i] >= row[i + 1] - 1e-6 for i in range(7))
         assert "shape=2x1x8" in out
+
+    def test_builds_only_the_first_task(self, tmp_path, capsys, monkeypatch):
+        prefills = count_calls(monkeypatch, kvmodel, "prefill")
+        cfg = write_config(
+            tmp_path,
+            model=RANDOM_MODEL,
+            tasks={"kind": "agreement", "count": 16, "seed": 2, "context_len": 8},
+        )
+        assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
+        assert len(prefills) == 2  # the task's greedy reference run, then its capture
 
     def test_task_aware_dump_matches_sweep_scores(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # task-aware recall

@@ -13,11 +13,13 @@ from kvcompose.composer import (
     composite_indices,
     compress,
     compress_capture,
+    gather_cache,
     layer_importance,
     retention_budget,
     unstructured_compress,
 )
 from kvcompose.errors import UsageError
+from kvcompose.evaluator import RATIO_GRID
 from kvcompose.model import decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import (
@@ -266,6 +268,20 @@ class TestCompactCache:
         with pytest.raises(UsageError):
             compact_cache(once, ci, alloc)
 
+    def test_gather_rejects_compressed_input(self, tiny_model):
+        base = prefill(tiny_model, random_context(24, 10))
+        once = gather_cache(base.cache, [np.arange(5)] * 2)
+        assert once.next_positions == [10, 10]
+        with pytest.raises(UsageError, match="uncompressed"):
+            gather_cache(once, [np.arange(3)] * 2)
+
+    def test_gather_rejects_rows_past_the_cache(self, tiny_model):
+        base = prefill(tiny_model, random_context(25, 10))
+        with pytest.raises(UsageError, match="outside"):
+            gather_cache(base.cache, [np.arange(5), np.array([0, 10])])
+        with pytest.raises(UsageError, match="outside"):
+            gather_cache(base.cache, [np.arange(5), np.array([-1, 2])])
+
 
 class TestCompressPipeline:
     @pytest.mark.parametrize(
@@ -273,17 +289,18 @@ class TestCompressPipeline:
     )
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_reuse_gives_identical_cache(self, tiny_model, name, mode):
-        # compress equals the per-ratio path that sweep runs on one capture
+        # one grid call on one capture equals a fresh compress at each ratio
         context = random_context(28, 16)
         if mode == "task-aware":
             ts = TaskSet(mode=mode, tasks=((5, 9, 2), (17,)))
         else:
             ts = TaskSet(mode=mode, observation_window=6)
         cap = collect_attention(tiny_model, context, ts)
-        for r in (0.5, 0.8):
-            policy = Policy(name=name)
+        policy = Policy(name=name)
+        grid = compress_capture(tiny_model, cap, AggregationChoice(), RATIO_GRID, policy)
+        assert len(grid) == len(RATIO_GRID)
+        for r, (reused, reused_report) in zip(RATIO_GRID, grid):
             fresh, fresh_report = compress(tiny_model, context, ts, AggregationChoice(), r, policy)
-            reused, reused_report = compress_capture(tiny_model, cap, AggregationChoice(), r, policy)
             for got, want in [
                 (fresh.keys, reused.keys),
                 (fresh.values, reused.values),

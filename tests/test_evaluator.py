@@ -3,8 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompose.baselines import Policy
-from kvcompose.composer import compress, unstructured_compress
+from kvcompose.baselines import POLICY_NAMES, Policy, select_baseline_indices
+from kvcompose.composer import (
+    allocate_budgets,
+    compact_cache,
+    composite_indices,
+    compress,
+    gather_cache,
+    layer_importance,
+    retention_budget,
+    unstructured_compress,
+)
 from kvcompose.errors import UsageError
 from kvcompose.evaluator import (
     RATIO_GRID,
@@ -19,12 +28,22 @@ from kvcompose.evaluator import (
     make_agreement_tasks,
     make_recall_tasks,
     max_ratio_under_tolerance,
+    prepare_task,
     reward,
     sweep,
+    sweep_prepared,
     _forced_steps,
+    _reward_and_kl,
     _run_steps,
 )
-from kvcompose.model import construct_induction_model, decode_step, greedy_decode, prefill
+from kvcompose.model import (
+    ModelConfig,
+    construct_induction_model,
+    decode_step,
+    greedy_decode,
+    init_model,
+    prefill,
+)
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
@@ -400,3 +419,88 @@ class TestStructuredConstraint:
                 assert k.shape == v.shape
                 assert k.shape[0] == tiny_model.config.kv_heads
                 assert cache.provenance[layer].shape == k.shape[:2]
+
+
+def reference_point(model, state, policy, agg_choice, r_target):
+    """(r_achieved, reward, kl) of one task at one ratio, scoring afresh at
+    every ratio: the per-ratio evaluation the grid form replaced."""
+    cfg = model.config
+    cap = state.capture
+    if policy.name == "unstructured":
+        masks = unstructured_compress(score_pipeline(cap, cfg.kv_heads, agg_choice), r_target)
+        r_achieved = 1.0 - masks.budget / (cfg.layers * cfg.kv_heads * cap.context_len)
+        r, kl = _reward_and_kl(
+            model, cap.prefill.cache, state.task, state.reference_logits, head_masks=masks
+        )
+        return r_achieved, r, kl
+    if policy.name == "kvcompose":
+        ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
+        alloc = allocate_budgets(layer_importance(ci, agg_choice.agg_head), r_target)
+        cache = compact_cache(cap.prefill.cache, ci, alloc)
+    else:
+        budget = retention_budget(r_target, cfg.layers, cap.context_len)
+        cache = gather_cache(cap.prefill.cache, select_baseline_indices(cap, policy, budget))
+    total = sum(cache.rows(l) for l in range(cfg.layers))
+    r, kl = _reward_and_kl(model, cache, state.task, state.reference_logits)
+    return 1.0 - total / (cfg.layers * cap.context_len), r, kl
+
+
+def reference_sweep(model, states, policy, agg_choice, grid):
+    full_rewards = [s.full_reward for s in states]
+    points = []
+    for r_target in grid:
+        results = [reference_point(model, s, policy, agg_choice, r_target) for s in states]
+        achieved, rewards, kls = zip(*results)
+        points.append(
+            CurvePoint(
+                r_target=float(r_target),
+                r_achieved=float(np.mean(achieved)),
+                reward_mean=float(np.mean(rewards)),
+                reward_std=float(np.std(rewards)),
+                epsilon=epsilon(full_rewards, list(rewards)),
+                kl_mean=float(np.mean(kls)),
+            )
+        )
+    return points
+
+
+class TestGridOnce:
+    @pytest.fixture(scope="class")
+    def task_sets(self):
+        agreement_model = init_model(
+            ModelConfig(
+                layers=4, query_heads=4, kv_heads=2, model_dim=32, head_dim=8, vocab_size=64, seed=7
+            )
+        )
+        tasks = make_agreement_tasks(agreement_model, 3, 24, 4, seed=17)
+        recall_model = construct_induction_model(8, 32)
+        recall = make_recall_tasks(8, 32, 4, seed=18)
+        return {
+            "agreement": (
+                agreement_model,
+                [prepare_task(agreement_model, t, "task-agnostic", 8) for t in tasks],
+            ),
+            "recall": (
+                recall_model,
+                [prepare_task(recall_model, t, "task-aware", 32) for t in recall],
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_equals_per_ratio_reference(self, task_sets, kind, name):
+        model, states = task_sets[kind]
+        policy, agg = Policy(name=name), AggregationChoice()
+        got = sweep_prepared(model, states, policy, agg, RATIO_GRID)
+        assert got == reference_sweep(model, states, policy, agg, RATIO_GRID)
+
+    @pytest.mark.parametrize("name", ["kvcompose", "unstructured"])
+    def test_scores_once_per_task(self, tiny_model, name, monkeypatch):
+        from kvcompose import scoring
+
+        tasks = make_agreement_tasks(tiny_model, 3, 16, 4, seed=19)
+        states = [prepare_task(tiny_model, t, "task-agnostic", 8) for t in tasks]
+        calls = count_calls(monkeypatch, scoring, "score_pipeline")
+        sweep_prepared(tiny_model, states, Policy(name=name), AggregationChoice(), RATIO_GRID)
+        assert len(RATIO_GRID) == 9
+        assert len(calls) == len(states)
