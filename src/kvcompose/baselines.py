@@ -73,29 +73,27 @@ def streaming_select(n: int, budget: int, sinks: int) -> list[int]:
     return sorted(kept)
 
 
-def _tova_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
-    """Replay one layer's recorded attention, evicting the least-attended token."""
-    kept: list[int] = []
-    for m in range(layer_rows.shape[0]):
-        kept.append(m)
-        if len(kept) > budget:
-            scores = layer_rows[m, kept]
-            kept.pop(int(np.argmin(scores)))  # ties: first = lowest index
-    return kept
-
-
-def tova_select(attention: list[np.ndarray], budget: int | np.ndarray) -> list[list[int]]:
+def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list[np.ndarray]:
     """Per-layer survivors of online least-attended eviction, replayed on a
-    prefill's per-layer (H_q, N, N) attention.
+    prefill's (L, N, N) attention averaged over query heads.
 
-    The current step's attention is the newest token's row, averaged over
-    the layer's query heads; the newest token itself is evictable, so a
-    layer budget of 0 keeps nothing.
+    Step m appends token m to every layer; each layer then holding
+    budget+1 tokens evicts the one that row m attends to least, the lowest
+    index on ties. The newest token is evictable, so a budget of 0 keeps
+    nothing. Returns ascending int64 indices per layer.
     """
-    budgets = np.broadcast_to(budget, (len(attention),))
+    layers, n = rows.shape[:2]
+    budgets = np.broadcast_to(budget, (layers,))
     if (budgets < 0).any():
         raise ConfigError(f"tova budget must be >= 0 per layer, got {budgets.tolist()}")
-    return [_tova_replay(attn.mean(axis=0), b) for attn, b in zip(attention, budgets)]
+    first = int(min(budgets.min(), n))  # no layer evicts before step ``first``
+    keep = np.tile(np.arange(n) < first, (layers, 1))
+    for m in range(first, n):
+        keep[:, m] = True
+        over = np.flatnonzero(budgets <= m)  # layers now holding budget + 1 tokens
+        worst = np.where(keep[over], rows[over, m], np.inf).argmin(axis=1)
+        keep[over, worst] = False
+    return [np.flatnonzero(k) for k in keep]
 
 
 def snapkv_select(
@@ -194,7 +192,7 @@ def select_baseline_indices(
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule); sink and
     window parameters are clamped to each layer's budget so every grid
-    ratio stays feasible. tova replays the capture's prefill attention;
+    ratio stays feasible. tova replays the capture's head-mean attention;
     snapkv/pyramid score on the capture's task rows.
     """
     layers, n = cap.A.shape[0], cap.context_len
@@ -217,7 +215,7 @@ def select_baseline_indices(
             for b in uniform
         ]
     if policy.name == "tova":
-        return [np.asarray(k, dtype=np.int64) for k in tova_select(cap.prefill.attention, uniform)]
+        return tova_select(cap.attention_mean, uniform)
     if policy.name in ("snapkv", "pyramid"):
         budgets = uniform
         if policy.name == "pyramid":

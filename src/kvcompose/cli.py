@@ -26,6 +26,7 @@ from .evaluator import (
     DEFAULT_TOLERANCES,
     RATIO_GRID,
     build_report,
+    check_grid,
     make_agreement_tasks,
     make_recall_tasks,
     prepare_task,
@@ -90,9 +91,7 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     def __post_init__(self):
-        in_range = all(0.0 <= g <= 1.0 for g in self.grid)
-        if not self.grid or self.grid != sorted(self.grid) or not in_range:
-            raise ConfigError(f"grid must be ascending ratios in [0, 1], got {self.grid}")
+        check_grid(self.grid, ConfigError)
         if self.tolerances and self.grid[0] != 0.0:
             raise ConfigError(f"grid must start at 0 when tolerances are set, got {self.grid}")
         mode = self.scoring["mode"]
@@ -263,7 +262,7 @@ def cmd_compress(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
 
 
 def _prepare_tasks(cfg: RunConfig, model: Model):
-    """Every task's capture (with its prefill) and reference run."""
+    """Every task's capture (with its full prefill cache) and reference run."""
     mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
     return [prepare_task(model, t, mode, window) for t in build_tasks(cfg, model)]
 

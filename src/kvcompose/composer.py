@@ -184,12 +184,12 @@ def compress_capture(
     grid: tuple[float, ...],
     policy: Policy,
 ) -> list[tuple[CompressedCache, CompressReport]]:
-    """The structured path on a capture and its prefill, at every ratio of
+    """The structured path on a capture and its full cache, at every ratio of
     ``grid``. kvcompose scores and sorts once and compacts a prefix of that
     order per ratio; a baseline selects once per ratio."""
     cfg = model.config
     n = cap.context_len
-    full = cap.prefill.cache
+    full = cap.cache
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
         importance = layer_importance(ci, agg_choice.agg_head)

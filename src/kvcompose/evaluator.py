@@ -308,10 +308,17 @@ def max_ratio_under_tolerance(points: list[CurvePoint], tolerance: float) -> Tol
 # --- sweeps -------------------------------------------------------------------
 
 
+def check_grid(grid, error: type[Exception] = UsageError) -> None:
+    """A ratio grid is non-empty and strictly ascending (each ratio once) in [0, 1]."""
+    ascending = all(a < b for a, b in zip(grid, grid[1:]))
+    if not grid or not ascending or not 0.0 <= grid[0] <= grid[-1] <= 1.0:
+        raise error(f"grid must be ascending ratios in [0, 1], each once, got {list(grid)}")
+
+
 @dataclass
 class TaskState:
     """One task prepared for every policy, ratio and aggregation choice:
-    its capture (which holds the full-cache prefill) and its reference run."""
+    its capture (which holds the full prefill cache) and its reference run."""
 
     task: TaskInstance
     capture: AttentionCapture
@@ -326,7 +333,7 @@ def prepare_task(
     rows = task.query if task.kind == "recall" else task.answer
     tset = TaskSet.for_context(mode, len(task.prompt), (rows,), observation_window)
     capture = collect_attention(model, list(task.prompt), tset)
-    reference = _run_steps(model, capture.prefill.cache, task, head_masks=None)
+    reference = _run_steps(model, capture.cache, task, head_masks=None)
     return TaskState(
         task=task,
         capture=capture,
@@ -349,7 +356,7 @@ def _evaluate_task(
         scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
         entries = cfg.layers * cfg.kv_heads * cap.context_len
         masks = [unstructured_compress(scores, r_target) for r_target in grid]
-        runs = [(1.0 - m.budget / entries, cap.prefill.cache, m) for m in masks]
+        runs = [(1.0 - m.budget / entries, cap.cache, m) for m in masks]
     else:
         compressed = compress_capture(model, cap, agg_choice, grid, policy)
         runs = [(report.r_achieved, cache, None) for cache, report in compressed]
@@ -369,8 +376,7 @@ def sweep_prepared(
     """One curve point per grid ratio, averaged over the prepared tasks."""
     if not states:
         raise UsageError("sweep needs at least one task")
-    if list(grid) != sorted(grid):
-        raise UsageError("ratio grid must be sorted ascending")
+    check_grid(grid)
     full_rewards = [s.full_reward for s in states]
     per_task = [_evaluate_task(model, s, policy, agg_choice, grid) for s in states]
     points = []

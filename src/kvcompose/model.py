@@ -76,7 +76,7 @@ class Model:
     wv: np.ndarray  # (L, H_kv, d, d_h)
     wo: np.ndarray  # (L, H_q, d_h, d)
     inv_freq: np.ndarray  # (d_h/2,) rotary inverse frequencies
-    pos_embedding: np.ndarray | None = None  # (max_positions, d) absolute table
+    pos_embedding: np.ndarray | None = None  # (max_context, d) absolute table
 
 
 @dataclass
@@ -148,12 +148,7 @@ def _embed(model: Model, tokens: np.ndarray, positions: np.ndarray) -> np.ndarra
             f"got range [{int(tokens.min())}, {int(tokens.max())}]"
         )
     x = model.embedding[tokens]
-    if model.pos_embedding is not None:
-        if positions.size and positions.max() >= model.pos_embedding.shape[0]:
-            raise UsageError(
-                f"position {int(positions.max())} outside the positional table "
-                f"({model.pos_embedding.shape[0]} slots)"
-            )
+    if model.pos_embedding is not None:  # _forward has checked positions against its rows
         x = x + model.pos_embedding[positions]
     return x
 
@@ -217,7 +212,8 @@ def _forward(
     causally to each other and freely to the R held rows, so prefill is
     M=N on an empty cache and a decode step is M=1. ``head_masks``, when
     given, hides masked rows of the original context from every new query.
-    Attention comes back per layer as (H_q, M, R+M).
+    Attention comes back per layer as (H_q, M, R+M). This is the one check
+    that every position lies below ``max_context``.
 
     Query head h reads kv head h // group. Stacking a kv head's group of
     query rows as one (group*M, d_h) block lets one batched matmul per kv
@@ -225,9 +221,12 @@ def _forward(
     """
     cfg = model.config
     m = len(tokens)
+    if positions.size and positions.max() >= cfg.max_context:
+        raise UsageError(f"position {int(positions.max())} is past max_context {cfg.max_context}")
     x = _embed(model, tokens, positions)  # (M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(d_h)
+    causal = np.triu(np.full((m, m), -np.inf), k=1) if m > 1 else None
     attention: list[np.ndarray] = []
 
     for layer in range(cfg.layers):
@@ -242,8 +241,8 @@ def _forward(
         v = np.concatenate([cache.values[layer], v_new], axis=1)
 
         scores = (q.reshape(h_kv, -1, d_h) @ k.transpose(0, 2, 1)).reshape(h_q, m, held + m)
-        if m > 1:  # hide later new rows; a single new row sees every row
-            scores = scores + np.triu(np.full((m, held + m), -np.inf), k=held + 1)
+        if causal is not None:
+            scores[:, :, held:] += causal
         if head_masks is not None:
             width = head_masks.masks.shape[2]
             if width > held:
@@ -273,8 +272,6 @@ def prefill(model: Model, tokens: list[int]) -> PrefillResult:
     n = len(tokens)
     if n == 0:
         raise UsageError("prefill needs at least one token")
-    if n > model.config.max_context:
-        raise UsageError(f"context of {n} tokens exceeds max_context {model.config.max_context}")
     cache = empty_cache(model)
     logits, attention = _forward(model, cache, np.asarray(tokens), np.arange(n))
     return PrefillResult(cache=cache, logits=logits, attention=attention)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import Model, PrefillResult, _forward, prefill
+from .model import KVCache, Model, _forward, prefill
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -98,7 +98,8 @@ class AttentionCapture:
     row is a probability distribution over its full (causal) key range, of
     which only the context columns are kept here. Value norms are recorded
     per kv head (raw) and per query head (projected through that head's
-    output matrix).
+    output matrix). Of the context's prefill it keeps only what the
+    selectors read: the full cache and the head-mean attention tova replays.
     """
 
     A: np.ndarray  # (L, H_q, N, M)
@@ -106,7 +107,8 @@ class AttentionCapture:
     value_norms_proj: np.ndarray  # (L, H_q, N)
     context_len: int
     task_len: int
-    prefill: PrefillResult | None = None  # the context's own run; None when built by hand
+    cache: KVCache | None = None  # the context's full prefill cache; None when built by hand
+    attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
 
 
 @dataclass
@@ -124,18 +126,14 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
     raise UsageError(f"unknown aggregation op {op!r}")
 
 
-def _task_rows(model: Model, run: PrefillResult, task: tuple[int, ...]) -> np.ndarray:
+def _task_rows(model: Model, cache: KVCache, task: tuple[int, ...]) -> np.ndarray:
     """(L, H_q, N, M) attention of one task's rows onto the context.
 
     The task is appended to a clone of the context cache at positions
     N..N+M-1, so only its M rows are computed.
     """
-    n, m = run.cache.rows(0), len(task)
-    if n + m > model.config.max_context:
-        raise UsageError(
-            f"context plus task of {n + m} tokens exceeds max_context {model.config.max_context}"
-        )
-    _, attention = _forward(model, run.cache.clone(), np.asarray(task), np.arange(n, n + m))
+    n, m = cache.rows(0), len(task)
+    _, attention = _forward(model, cache.clone(), np.asarray(task), np.arange(n, n + m))
     return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
 
 
@@ -144,8 +142,8 @@ def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> At
 
     task-aware appends each task to the prefilled cache and keeps its
     rows; task-agnostic keeps the trailing observation-window rows of the
-    prefill itself. The prefill travels with the capture, so every
-    policy and ratio compresses the same full cache.
+    prefill itself. The prefill's cache travels with the capture, so
+    every policy and ratio compresses the same full cache.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -160,7 +158,7 @@ def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> At
         blocks = [np.transpose(attn[:, n - w : n, :n], (0, 2, 1)) for attn in base.attention]
         a = np.stack(blocks, axis=0)  # (L, H_q, N, w)
     else:
-        a = np.concatenate([_task_rows(model, base, t) for t in task_set.tasks], axis=3)
+        a = np.concatenate([_task_rows(model, base.cache, t) for t in task_set.tasks], axis=3)
 
     raw = np.stack(
         [np.linalg.norm(v, axis=2) for v in base.cache.values], axis=0
@@ -174,7 +172,8 @@ def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> At
         value_norms_proj=proj,
         context_len=n,
         task_len=a.shape[3],
-        prefill=base,
+        cache=base.cache,
+        attention_mean=np.stack([attn.mean(axis=0) for attn in base.attention]),
     )
 
 

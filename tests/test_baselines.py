@@ -67,34 +67,55 @@ def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
     return alive
 
 
+def head_mean(model, context) -> np.ndarray:
+    """(L, N, N) prefill attention averaged over query heads: tova's input."""
+    return np.stack([a.mean(axis=0) for a in prefill(model, context).attention])
+
+
 class TestTovaSelect:
     def test_budget_at_least_context_keeps_all(self, tiny_model):
-        attention = prefill(tiny_model, random_context(40, 8)).attention
-        kept = tova_select(attention, budget=8)
-        assert all(k == list(range(8)) for k in kept)
+        kept = tova_select(head_mean(tiny_model, random_context(40, 8)), budget=8)
+        assert all(k.tolist() == list(range(8)) for k in kept)
 
     def test_budget_one_leaves_one_survivor(self, tiny_model):
-        attention = prefill(tiny_model, random_context(41, 8)).attention
-        kept = tova_select(attention, budget=1)
+        kept = tova_select(head_mean(tiny_model, random_context(41, 8)), budget=1)
         assert all(len(k) == 1 for k in kept)
 
     def test_budget_zero_keeps_nothing(self, tiny_model):
-        attention = prefill(tiny_model, random_context(44, 8)).attention
-        assert tova_select(attention, budget=0) == [[], []]
+        rows = head_mean(tiny_model, random_context(44, 8))
+        assert [k.tolist() for k in tova_select(rows, budget=0)] == [[], []]
         with pytest.raises(ConfigError):
-            tova_select(attention, budget=-1)
+            tova_select(rows, budget=-1)
 
     def test_matches_replay_oracle(self, tiny_model):
-        base = prefill(tiny_model, random_context(42, 12))
-        kept = tova_select(base.attention, budget=6)
+        rows = head_mean(tiny_model, random_context(42, 12))
+        kept = tova_select(rows, budget=6)
         for layer in range(2):
-            rows = base.attention[layer].mean(axis=0)
-            assert kept[layer] == tova_oracle(rows, 6)
+            assert kept[layer].dtype == np.int64
+            assert kept[layer].tolist() == tova_oracle(rows[layer], 6)
+
+    def test_mixed_layer_budgets_match_replay_oracle(self, gqa_model):
+        # one replay serves every layer, each at its own budget: none, one,
+        # a middle value and at least the whole context
+        n = 24
+        rows = head_mean(gqa_model, random_context(45, n))
+        budgets = np.asarray([0, 1, 9, n + 3])
+        kept = tova_select(rows, budgets)
+        for layer, b in enumerate(budgets):
+            assert kept[layer].tolist() == tova_oracle(rows[layer], b)
+        assert [len(k) for k in kept] == [0, 1, 9, n]
+
+    def test_ties_evict_lowest_index(self):
+        # equal attention everywhere: each step evicts the oldest token
+        rows = np.tril(np.ones((2, 6, 6)))
+        kept = tova_select(rows, np.asarray([3, 0]))
+        assert [k.tolist() for k in kept] == [[3, 4, 5], []] == [tova_oracle(rows[0], 3), []]
 
     def test_deterministic(self, tiny_model):
         context = random_context(43, 10)
-        first = tova_select(prefill(tiny_model, context).attention, 5)
-        assert first == tova_select(prefill(tiny_model, context).attention, 5)
+        first = tova_select(head_mean(tiny_model, context), 5)
+        second = tova_select(head_mean(tiny_model, context), 5)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
 
 
 def snapkv_oracle(cap: AttentionCapture, layer: int, head: int, budget: int, window: int):

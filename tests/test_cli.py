@@ -77,6 +77,8 @@ MALFORMED = [
 LOAD_RULES = {
     "grid-from-nonzero": ({"grid": [0.5]}, [], "grid must start at 0"),
     "grid-flag-from-nonzero": ({}, ["--grid", "0.5,0.9"], "grid must start at 0"),
+    "grid-duplicate": ({"grid": [0, 0, 0.5]}, [], "each once"),
+    "grid-flag-duplicate": ({}, ["--grid", "0,0.5,0.5"], "each once"),
     "window-zero-task-agnostic": (
         {"scoring": {"mode": "task-agnostic", "observation_window": 0}},
         [],
@@ -418,6 +420,18 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
         assert prepared == []
+
+    def test_agreement_steps_beyond_max_context(self, tmp_path, capsys):
+        # the reference run would decode at positions 510-517, past max_context 512
+        tasks = {"kind": "agreement", "count": 1, "seed": 2, "context_len": 510, "teacher_steps": 8}
+        path = write_config(
+            tmp_path, model=RANDOM_MODEL, tasks=tasks, scoring={"mode": "task-agnostic"}
+        )
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "max_context" in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_grid_from_nonzero_without_tolerances_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, grid=[0.5], tolerances=[])

@@ -387,7 +387,7 @@ class TestOnePassTeacherForcing:
         )
         masks = unstructured_compress(score_pipeline(cap, 2, AggregationChoice()), 0.7)
         assert not masks.masks.all()
-        self.assert_matches_stepwise(gqa_model, cap.prefill.cache, task, head_masks=masks)
+        self.assert_matches_stepwise(gqa_model, cap.cache, task, head_masks=masks)
 
     def test_recall_task(self):
         model = construct_induction_model(8, 32)
@@ -421,25 +421,45 @@ class TestStructuredConstraint:
                 assert cache.provenance[layer].shape == k.shape[:2]
 
 
+def list_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
+    """One layer's TOVA replay as a Python list, evicting the least-attended
+    token at each step (ties: the first, lowest index): the per-layer form
+    that the all-layer replay replaced."""
+    kept: list[int] = []
+    for m in range(layer_rows.shape[0]):
+        kept.append(m)
+        if len(kept) > budget:
+            scores = layer_rows[m, kept]
+            kept.pop(int(np.argmin(scores)))
+    return kept
+
+
 def reference_point(model, state, policy, agg_choice, r_target):
     """(r_achieved, reward, kl) of one task at one ratio, scoring afresh at
-    every ratio: the per-ratio evaluation the grid form replaced."""
+    every ratio: the per-ratio evaluation the grid form replaced. tova
+    selects by ``list_replay``, so the library's replay is not its own
+    reference."""
     cfg = model.config
     cap = state.capture
     if policy.name == "unstructured":
         masks = unstructured_compress(score_pipeline(cap, cfg.kv_heads, agg_choice), r_target)
         r_achieved = 1.0 - masks.budget / (cfg.layers * cfg.kv_heads * cap.context_len)
         r, kl = _reward_and_kl(
-            model, cap.prefill.cache, state.task, state.reference_logits, head_masks=masks
+            model, cap.cache, state.task, state.reference_logits, head_masks=masks
         )
         return r_achieved, r, kl
+    budget = retention_budget(r_target, cfg.layers, cap.context_len)
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
         alloc = allocate_budgets(layer_importance(ci, agg_choice.agg_head), r_target)
-        cache = compact_cache(cap.prefill.cache, ci, alloc)
+        cache = compact_cache(cap.cache, ci, alloc)
+    elif policy.name == "tova":
+        base, extra = divmod(budget, cfg.layers)  # the remainder goes to the earliest layers
+        uniform = [base + (layer < extra) for layer in range(cfg.layers)]
+        kept = [list_replay(rows, b) for rows, b in zip(cap.attention_mean, uniform)]
+        cache = gather_cache(cap.cache, kept)
     else:
-        budget = retention_budget(r_target, cfg.layers, cap.context_len)
-        cache = gather_cache(cap.prefill.cache, select_baseline_indices(cap, policy, budget))
+        cache = gather_cache(cap.cache, select_baseline_indices(cap, policy, budget))
     total = sum(cache.rows(l) for l in range(cfg.layers))
     r, kl = _reward_and_kl(model, cache, state.task, state.reference_logits)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kvcompose.baselines import Policy
+from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
     HeadMaskSet,
@@ -18,6 +20,7 @@ from kvcompose.model import (
     prefill,
 )
 from kvcompose.numerics import SeededRng, softmax_rows
+from kvcompose.scoring import AggregationChoice, TaskSet
 
 from conftest import random_context
 
@@ -183,6 +186,18 @@ class TestGroupedKernelOracle:
         cache = prefill(gqa_model, tokens[:40]).cache
         assert_matches_reference(gqa_model, cache, np.asarray(tokens[40:]), np.arange(40, 45))
 
+    def test_rows_onto_ragged_kvcompose_cache_match_repeat_einsum(self, gqa_model):
+        # several causal rows onto layers of unequal length: the one (M, M)
+        # mask must land on each layer's own new-row columns
+        context = random_context(23, 48)
+        ts = TaskSet(mode="task-agnostic", observation_window=16)
+        cache, _ = compress(
+            gqa_model, context, ts, AggregationChoice(), 0.6, Policy(name="kvcompose")
+        )
+        assert len({cache.rows(l) for l in range(gqa_model.config.layers)}) > 1
+        tokens = np.asarray(random_context(24, 6))
+        assert_matches_reference(gqa_model, cache, tokens, np.arange(48, 54))
+
     @pytest.mark.parametrize("kind", ["induction", "gqa"])
     def test_masked_decode_matches_repeat_einsum(self, gqa_model, kind):
         # the GQA shape has two kv heads, so a mask applied to the wrong
@@ -321,6 +336,15 @@ class TestInductionModel:
             logits = decode_step(m, run.cache, keys[j], len(prompt))
             hits += int(np.argmax(logits)) == lookup_oracle(prompt, keys[j])
         assert hits == 100
+
+    def test_positions_past_the_table_rejected(self):
+        # the positional table has max_context rows, so _forward's one
+        # position check also guards the table
+        model = construct_induction_model(4, 16)
+        assert model.pos_embedding.shape[0] == model.config.max_context
+        cache = prefill(model, [0, 8]).cache
+        with pytest.raises(UsageError, match="max_context"):
+            decode_step(model, cache, 1, model.config.max_context)
 
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from kvcompose.scoring import (
     STAGE_FINAL,
     STAGE_GROUP,
     STAGE_TASK,
+    TASK_MODES,
     AggregationChoice,
     AttentionCapture,
     ScoreTensor,
@@ -128,6 +131,18 @@ class TestCollectAttention:
             collect_attention(
                 tiny_model, [1, 2], TaskSet(mode="task-agnostic", observation_window=5)
             )
+
+    @pytest.mark.parametrize("mode", TASK_MODES)
+    def test_keeps_head_mean_not_per_head_attention(self, tiny_model, mode):
+        context = random_context(14, 10)
+        tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
+        cap = collect_attention(tiny_model, context, tset)
+        run = prefill(tiny_model, context)
+        assert np.array_equal(cap.attention_mean, np.stack([a.mean(axis=0) for a in run.attention]))
+        h_q, n = tiny_model.config.query_heads, len(context)
+        arrays = [getattr(cap, f.name) for f in fields(cap)] + cap.cache.keys + cap.cache.values
+        per_head = [a.shape for a in arrays if np.shape(a)[-3:] == (h_q, n, n)]
+        assert per_head == []
 
     def test_value_norm_shapes(self, tiny_model):
         cap = collect_attention(

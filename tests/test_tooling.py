@@ -1,7 +1,8 @@
 """Source-level guards: the benchmark's tracer wraps kvcompose functions
 by name, so a renamed or deleted function would break
-``perfbench/run.py --trace 1`` unseen; and every ranking goes through
-``numerics.argsort_desc``, the one home of the tie rule."""
+``perfbench/run.py --trace 1`` unseen; every ranking goes through
+``numerics.argsort_desc``, the one home of the tie rule; and only
+``model.py`` reads ``max_context``, whose one check is in ``_forward``."""
 import ast
 import importlib
 import importlib.util
@@ -46,5 +47,16 @@ def test_ranking_sorts_only_in_numerics():
         for path in (ROOT / "src" / "kvcompose").glob("*.py")
         if path.name != "numerics.py"
         for line in ranking_sorts(path.read_text())
+    }
+    assert found == set()
+
+
+def test_max_context_read_only_in_model():
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "max_context"
     }
     assert found == set()
