@@ -131,17 +131,12 @@ def snapkv_select(
     ]
 
 
-def pyramid_budgets(layers: int, context_len: int, r_target: float, shape: float) -> np.ndarray:
-    """Linearly decreasing per-layer budgets summing to floor((1-r)*L*N).
+def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> np.ndarray:
+    """Linearly decreasing per-layer budgets summing to ``total``.
 
     Budgets are clamped to [1, context_len]; shape=0 gives the uniform
     split with the remainder placed on the earliest layers.
     """
-    total = retention_budget(r_target, layers, context_len)
-    return _schedule_budgets(layers, context_len, total, shape)
-
-
-def _schedule_budgets(layers: int, context_len: int, total: int, shape: float) -> np.ndarray:
     if shape < 0:
         raise ConfigError(f"shape must be >= 0, got {shape}")
     if total < layers:
@@ -219,7 +214,7 @@ def select_baseline_indices(
     if policy.name in ("snapkv", "pyramid"):
         budgets = uniform
         if policy.name == "pyramid":
-            budgets = _schedule_budgets(layers, n, budget_total, policy.shape)
+            budgets = pyramid_budgets(layers, n, budget_total, policy.shape)
         window = int(min(policy.window, budgets.min(), n))
         return snapkv_select(cap, budgets, window)
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

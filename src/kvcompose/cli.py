@@ -1,4 +1,4 @@
-"""Command-line surface: compress, sweep, ablate, dump-scores, gen-model.
+"""Command-line surface: compress, sweep, ablate, dump-scores.
 
 Configs are strict JSON (unknown keys and values of the wrong type are
 rejected) so ablation grids stay scriptable and diffable. stdout carries
@@ -110,8 +110,9 @@ class RunConfig:
 
 
 def _check_type(value, kind, where: str) -> None:
-    """Reject a JSON value that is not of type ``kind``; for a list type,
-    check every item. Numbers and true/false are never taken for each other."""
+    """Reject a JSON value that is not of type ``kind``, or a number that is
+    not finite; for a list type, check every item. Numbers and true/false
+    are never taken for each other."""
     if get_origin(kind) is list:
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
@@ -121,6 +122,8 @@ def _check_type(value, kind, where: str) -> None:
     allowed = (int, float) if kind is float else kind
     if not isinstance(value, allowed) or isinstance(value, bool) != (kind is bool):
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):  # json.loads reads NaN, Infinity
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _section(
@@ -352,15 +355,6 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     return EXIT_OK
 
 
-def _write_tensors(command: str, out: Path, tensors: dict[str, np.ndarray]) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    for name, array in tensors.items():
-        array = np.asarray(array)
-        cache_io.write_tensor(array, out / name)
-        shape = "x".join(str(s) for s in array.shape)
-        print(f"{command} tensor={name} shape={shape} out={out / name}")
-
-
 def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     """Write the score stages, slot order and layer importance that ``sweep``
     computes for the first task, which is the only one built."""
@@ -373,24 +367,14 @@ def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> i
         "scores_group.kvct": s_group.values,
         "scores_final.kvct": s_final.values,
         "composite_idx.kvct": ci.idx.astype(np.uint32),
-        "layer_importance.kvct": layer_importance(ci, cfg.agg.agg_head).values,
+        "layer_importance.kvct": layer_importance(ci, cfg.agg.agg_head),
     }
-    _write_tensors("dump-scores", Path(args.out or cfg.out_dir), tensors)
-    return EXIT_OK
-
-
-def cmd_gen_model(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
-    tensors = {
-        "embedding.kvct": model.embedding,
-        "wq.kvct": model.wq,
-        "wk.kvct": model.wk,
-        "wv.kvct": model.wv,
-        "wo.kvct": model.wo,
-        "inv_freq.kvct": model.inv_freq,
-    }
-    if model.pos_embedding is not None:
-        tensors["pos_embedding.kvct"] = model.pos_embedding
-    _write_tensors("gen-model", Path(args.out or cfg.out_dir), tensors)
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, array in tensors.items():
+        cache_io.write_tensor(array, out / name)
+        shape = "x".join(str(s) for s in array.shape)
+        print(f"dump-scores tensor={name} shape={shape} out={out / name}")
     return EXIT_OK
 
 
@@ -423,10 +407,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-scores", help="write score tensors for inspection")
     common(p_dump)
     p_dump.set_defaults(func=cmd_dump_scores)
-
-    p_gen = sub.add_parser("gen-model", help="write model weight tensors")
-    common(p_gen)
-    p_gen.set_defaults(func=cmd_gen_model)
     return parser
 
 

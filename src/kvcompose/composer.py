@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import Policy, retention_budget, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
-from .model import HeadMaskSet, KVCache, Model
+from .model import KVCache, Model
 from .numerics import argsort_desc
 from .scoring import (
     STAGE_FINAL,
@@ -39,18 +39,6 @@ from .scoring import (
 class CompositeIndex:
     idx: np.ndarray  # (L, H_kv, N) int64; per-head descending-importance permutation
     s_prime: np.ndarray  # (L, H_kv, N); scores gathered into slot order
-
-
-@dataclass
-class LayerImportance:
-    values: np.ndarray  # (L, N), rows non-increasing
-
-
-@dataclass
-class BudgetAllocation:
-    r_target: float
-    budget_total: int
-    layer_budgets: np.ndarray  # (L,) int64, sums to budget_total
 
 
 @dataclass
@@ -90,36 +78,35 @@ def composite_indices(s: ScoreTensor) -> CompositeIndex:
     return CompositeIndex(idx=idx, s_prime=np.take_along_axis(s.values, idx, axis=2))
 
 
-def layer_importance(ci: CompositeIndex, op: str) -> LayerImportance:
-    """Marginalize slot scores over heads; rows stay non-increasing."""
-    return LayerImportance(values=reduce_axis(ci.s_prime, op, axis=1))
+def layer_importance(ci: CompositeIndex, op: str) -> np.ndarray:
+    """(L, N) slot scores marginalized over heads; rows stay non-increasing."""
+    return reduce_axis(ci.s_prime, op, axis=1)
 
 
-def allocate_budgets(importance: LayerImportance, r_target: float) -> BudgetAllocation:
-    """Pool slot scores across layers and keep the global top-B.
+def allocate_budgets(importance: np.ndarray, r_target: float) -> np.ndarray:
+    """Pool (L, N) slot scores across layers and keep the global top-B;
+    return the (L,) int64 layer budgets, which sum to B.
 
     Ties break by score descending, then lower layer, then lower slot (the
     lower flat index), so the allocation is a deterministic function of
     the scores. Kept slots at each layer form a prefix because importance
     rows are non-increasing and the tie rule prefers lower slots.
     """
-    layers, n = importance.values.shape
+    layers, n = importance.shape
     budget = retention_budget(r_target, layers, n)
-    keep = argsort_desc(importance.values.reshape(-1))[:budget]
-    layer_budgets = np.bincount(keep // n, minlength=layers).astype(np.int64)
-    return BudgetAllocation(
-        r_target=r_target, budget_total=budget, layer_budgets=layer_budgets
-    )
+    keep = argsort_desc(importance.reshape(-1))[:budget]
+    return np.bincount(keep // n, minlength=layers).astype(np.int64)
 
 
 def compact_cache(
-    cache: KVCache, ci: CompositeIndex, alloc: BudgetAllocation
+    cache: KVCache, ci: CompositeIndex, layer_budgets: np.ndarray
 ) -> CompressedCache:
-    """Gather each head's top rows into the slot-ordered compressed cache."""
+    """Gather each head's top ``layer_budgets[l]`` rows into the slot-ordered
+    compressed cache."""
     n = ci.idx.shape[2]
-    if (alloc.layer_budgets > n).any():
-        raise UsageError(f"layer budgets {alloc.layer_budgets.tolist()} exceed context length {n}")
-    return gather_cache(cache, [ci.idx[l, :, :b] for l, b in enumerate(alloc.layer_budgets)])
+    if (layer_budgets > n).any():
+        raise UsageError(f"layer budgets {layer_budgets.tolist()} exceed context length {n}")
+    return gather_cache(cache, [ci.idx[l, :, :b] for l, b in enumerate(layer_budgets)])
 
 
 def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
@@ -145,21 +132,22 @@ def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
     )
 
 
-def unstructured_compress(s: ScoreTensor, r_target: float) -> HeadMaskSet:
-    """Keep the globally best (layer, head, token) entries, as boolean masks.
+def unstructured_compress(s: ScoreTensor, r_target: float) -> np.ndarray:
+    """Keep the globally best (layer, head, token) entries, as an
+    (L, H_kv, N) bool keep-mask.
 
     The budget counts per-head entries, floor((1-r) * L * H_kv * N), so a
     given ratio removes the same fraction of cache entries as the
-    structured path. Evaluation applies the masks pre-softmax; no memory
+    structured path. Evaluation applies the mask pre-softmax; no memory
     is actually freed.
     """
     if s.stage != STAGE_FINAL:
         raise UsageError(f"unstructured_compress expects stage {STAGE_FINAL!r}")
     layers, heads, n = s.values.shape
     budget = retention_budget(r_target, layers, heads, n)
-    masks = np.zeros(layers * heads * n, dtype=bool)
-    masks[argsort_desc(s.values.reshape(-1))[:budget]] = True  # ties -> lower (l, h, c)
-    return HeadMaskSet(masks=masks.reshape(layers, heads, n))
+    keep = np.zeros(layers * heads * n, dtype=bool)
+    keep[argsort_desc(s.values.reshape(-1))[:budget]] = True  # ties -> lower (l, h, c)
+    return keep.reshape(layers, heads, n)
 
 
 def compress(

@@ -18,7 +18,6 @@ from .baselines import Policy
 from .composer import compress_capture, unstructured_compress
 from .errors import ConfigError, UsageError
 from .model import (
-    HeadMaskSet,
     KVCache,
     Model,
     _forward,
@@ -194,7 +193,7 @@ def _run_steps(
     model: Model,
     cache: KVCache,
     task: TaskInstance,
-    head_masks: HeadMaskSet | None,
+    head_masks: np.ndarray | None,
 ) -> np.ndarray:
     """Teacher-forced (steps, vocab) logits of the scored steps, on a cloned cache.
 
@@ -218,7 +217,7 @@ def reward(
     model: Model,
     cache: KVCache,
     task: TaskInstance,
-    head_masks: HeadMaskSet | None = None,
+    head_masks: np.ndarray | None = None,
 ) -> float:
     """Score in [0, 1]: exact recall, or per-step argmax agreement."""
     return _hit_rate(_run_steps(model, cache, task, head_masks), task)
@@ -234,7 +233,7 @@ def _reward_and_kl(
     cache: KVCache,
     task: TaskInstance,
     reference_logits: np.ndarray,
-    head_masks: HeadMaskSet | None = None,
+    head_masks: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Reward plus mean KL(full || compressed) of next-token distributions.
 
@@ -356,7 +355,7 @@ def _evaluate_task(
         scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
         entries = cfg.layers * cfg.kv_heads * cap.context_len
         masks = [unstructured_compress(scores, r_target) for r_target in grid]
-        runs = [(1.0 - m.budget / entries, cap.cache, m) for m in masks]
+        runs = [(1.0 - np.count_nonzero(m) / entries, cap.cache, m) for m in masks]
     else:
         compressed = compress_capture(model, cap, agg_choice, grid, policy)
         runs = [(report.r_achieved, cache, None) for cache, report in compressed]

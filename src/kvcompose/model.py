@@ -114,24 +114,6 @@ class PrefillResult:
     attention: list[np.ndarray]  # per layer (H_q, N, N), rows are query positions
 
 
-@dataclass
-class HeadMaskSet:
-    """Boolean keep-masks for attention patching of a full cache.
-
-    masks[l, h, c] False means key/value row c of kv head h in layer l is
-    hidden from every query (score forced to -inf). Rows appended after
-    the masked context are always visible. No memory is saved; this exists
-    to evaluate per-head independent eviction without breaking the uniform
-    cache layout.
-    """
-
-    masks: np.ndarray  # (L, H_kv, N) bool
-
-    @property
-    def budget(self) -> int:  # kept (layer, head, token) entries
-        return int(np.count_nonzero(self.masks))
-
-
 def _rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.ndarray:
     """Rotary rotation of (..., n, d_h) vectors at the given absolute positions."""
     angles = positions[:, None].astype(np.float64) * inv_freq[None, :]  # (n, d_h/2)
@@ -204,16 +186,20 @@ def _forward(
     cache: KVCache,
     tokens: np.ndarray,
     positions: np.ndarray,
-    head_masks: HeadMaskSet | None = None,
+    head_masks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Append M tokens to every layer of ``cache``; return their logits and attention.
 
     Each layer may already hold any number of rows R. The new rows attend
     causally to each other and freely to the R held rows, so prefill is
     M=N on an empty cache and a decode step is M=1. ``head_masks``, when
-    given, hides masked rows of the original context from every new query.
-    Attention comes back per layer as (H_q, M, R+M). This is the one check
-    that every position lies below ``max_context``.
+    given, is an (L, H_kv, N) bool keep-mask over the original context:
+    False at [l, h, c] hides context row c of kv head h in layer l from
+    every new query (score forced to -inf). Rows appended after the
+    context stay visible, and no memory is saved; the mask evaluates
+    per-head eviction on the full cache. Attention comes back per layer
+    as (H_q, M, R+M). This is the one check that every position lies
+    below ``max_context``.
 
     Query head h reads kv head h // group. Stacking a kv head's group of
     query rows as one (group*M, d_h) block lets one batched matmul per kv
@@ -244,14 +230,14 @@ def _forward(
         if causal is not None:
             scores[:, :, held:] += causal
         if head_masks is not None:
-            width = head_masks.masks.shape[2]
+            width = head_masks.shape[2]
             if width > held:
                 raise UsageError(
                     f"mask covers {width} context rows but layer {layer} holds only "
                     f"{held}; attention patching needs the uncompacted cache"
                 )
             grouped = scores.reshape(h_kv, -1, held + m)  # a view: each kv head's query rows
-            keep = head_masks.masks[layer][:, None, :]
+            keep = head_masks[layer][:, None, :]
             grouped[:, :, :width] = np.where(keep, grouped[:, :, :width], -np.inf)
         attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
         out = (attn.reshape(h_kv, -1, held + m) @ v).reshape(h_q, m, d_h).transpose(1, 0, 2)
@@ -282,7 +268,7 @@ def decode_step(
     cache: KVCache,
     token: int,
     position: int,
-    head_masks: HeadMaskSet | None = None,
+    head_masks: np.ndarray | None = None,
 ) -> np.ndarray:
     """Append ``token`` at ``position`` to every layer cache and return its logits.
 

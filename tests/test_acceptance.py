@@ -19,12 +19,12 @@ from kvcompose.cache_io import (
 )
 from kvcompose.cli import main
 from kvcompose.composer import (
-    LayerImportance,
     allocate_budgets,
     compact_cache,
     composite_indices,
     compress,
     layer_importance,
+    retention_budget,
     unstructured_compress,
 )
 from kvcompose.evaluator import (
@@ -128,11 +128,10 @@ def test_criterion_3_allocation_oracle():
                 rng.uniform_block(layers * n).reshape(layers, n), axis=1
             )[:, ::-1].copy()
             for r in RATIO_GRID:
-                alloc = allocate_budgets(LayerImportance(rows), r)
-                assert alloc.layer_budgets.tolist() == allocation_oracle(
-                    rows, alloc.budget_total
-                )
-                assert int(alloc.layer_budgets.sum()) == alloc.budget_total
+                budgets = allocate_budgets(rows, r)
+                budget = retention_budget(r, layers, n)
+                assert budgets.tolist() == allocation_oracle(rows, budget)
+                assert int(budgets.sum()) == budget
 
 
 def test_criterion_4_nestedness():
@@ -177,10 +176,10 @@ def test_criterion_5_gather_oracle():
                 ),
             )
             ci = composite_indices(scores)
-            alloc = allocate_budgets(
+            budgets = allocate_budgets(
                 layer_importance(ci, "avg"), RATIO_GRID[rng.randint(len(RATIO_GRID))]
             )
-            compressed = compact_cache(base.cache, ci, alloc)
+            compressed = compact_cache(base.cache, ci, budgets)
             for l in range(cfg.layers):
                 for h in range(cfg.kv_heads):
                     for slot, src in enumerate(compressed.provenance[l][h]):
@@ -238,7 +237,7 @@ def test_criterion_7_unstructured_patching():
         all_true = unstructured_compress(
             ScoreTensor(STAGE_FINAL, np.ones((cfg.layers, cfg.kv_heads, n))), 0.0
         )
-        assert all_true.masks.all()
+        assert all_true.all()
         a = decode_step(model, base.cache.clone(), 1, n)
         b = decode_step(model, base.cache.clone(), 1, n, head_masks=all_true)
         assert np.array_equal(a, b)
@@ -253,8 +252,8 @@ def test_criterion_7_unstructured_patching():
             flat = values.reshape(-1)
             order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
             expected = np.zeros(flat.size, dtype=bool)
-            expected[order[: masks.budget]] = True
-            assert np.array_equal(masks.masks.reshape(-1), expected)
+            expected[order[: retention_budget(r, layers, heads, width)]] = True
+            assert np.array_equal(masks.reshape(-1), expected)
 
 
 def test_criterion_8_evaluator_identities():

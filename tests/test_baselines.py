@@ -195,31 +195,31 @@ class TestSnapkvSelect:
 
 class TestPyramidBudgets:
     def test_shape_zero_uniform_with_remainder(self):
-        budgets = pyramid_budgets(4, 10, 0.47, 0.0)
+        budgets = pyramid_budgets(4, 10, retention_budget(0.47, 4, 10), 0.0)
         # floor(0.53 * 40) = 21 -> 6,5,5,5
         assert budgets.tolist() == [6, 5, 5, 5]
 
     def test_monotone_for_positive_shape(self):
         for shape in (0.5, 1.0, 2.0):
-            budgets = pyramid_budgets(5, 20, 0.5, shape)
+            budgets = pyramid_budgets(5, 20, retention_budget(0.5, 5, 20), shape)
             assert all(budgets[i] >= budgets[i + 1] for i in range(4))
 
     def test_rescaled_total(self):
-        budgets = pyramid_budgets(4, 10, 0.5, 1.0)
+        budgets = pyramid_budgets(4, 10, retention_budget(0.5, 4, 10), 1.0)
         assert budgets.sum() == 20
 
     def test_floor_of_one_token(self):
-        budgets = pyramid_budgets(4, 32, 0.9, 5.0)
+        budgets = pyramid_budgets(4, 32, retention_budget(0.9, 4, 32), 5.0)
         assert budgets.min() >= 1
         assert budgets.sum() == retention_budget(0.9, 4, 32)
 
     def test_cap_at_context_length(self):
-        budgets = pyramid_budgets(3, 8, 0.0, 4.0)
+        budgets = pyramid_budgets(3, 8, retention_budget(0.0, 3, 8), 4.0)
         assert budgets.tolist() == [8, 8, 8]
 
     def test_infeasible_total_rejected(self):
         with pytest.raises(ConfigError):
-            pyramid_budgets(8, 4, 0.95, 1.0)  # floor(0.05*32)=1 < 8 layers
+            pyramid_budgets(8, 4, retention_budget(0.95, 8, 4), 1.0)  # floor(0.05*32)=1 < 8 layers
 
 
 def reference_schedule(layers, context_len, total, shape):
@@ -294,10 +294,10 @@ class TestScheduleOracle:
                             want = reference_schedule(layers, context_len, total, shape)
                         except ConfigError as exc:
                             with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
-                                pyramid_budgets(layers, context_len, r, shape)
+                                pyramid_budgets(layers, context_len, total, shape)
                             seen["errors"] += 1
                             continue
-                        got = pyramid_budgets(layers, context_len, r, shape)
+                        got = pyramid_budgets(layers, context_len, total, shape)
                         assert got.dtype == np.int64
                         assert got.tolist() == want.tolist(), (layers, context_len, r, shape)
                         seen["budgets"] += 1

@@ -73,7 +73,7 @@ MALFORMED = [
 ]
 
 # (config overrides, extra flags, text of the error): rules whose breach
-# the library would only meet after tasks are prepared
+# the library would meet only after tasks are prepared, or never
 LOAD_RULES = {
     "grid-from-nonzero": ({"grid": [0.5]}, [], "grid must start at 0"),
     "grid-flag-from-nonzero": ({}, ["--grid", "0.5,0.9"], "grid must start at 0"),
@@ -90,6 +90,16 @@ LOAD_RULES = {
         "observation_window must be >= 1",
     ),
     "r-target-above-one": ({"r_target": 1.5}, [], "r_target must be in [0, 1]"),
+    "tolerance-nan": (
+        {"tolerances": [float("nan"), -1, float("inf")]},
+        [],
+        "tolerances[0] must be a finite number, got nan",
+    ),
+    "pyramid-shape-infinite": (
+        {"policy": {"name": "pyramid", "shape": float("inf")}},
+        [],
+        "policy.shape must be a finite number, got inf",
+    ),
 }
 
 
@@ -340,6 +350,7 @@ class TestParseConfig:
         [
             {"scoring": {"mode": "task-agnostic", "observation_window": 0}},
             {"grid": [0.5]},
+            {"policy": {"name": "pyramid", "shape": float("nan")}},
         ],
     )
     def test_load_rules_raise_config_error(self, override):
@@ -351,17 +362,6 @@ class TestParseConfig:
         }
         with pytest.raises(ConfigError):
             parse_config(data)
-
-
-class TestGenModelCommand:
-    def test_writes_weight_tensors(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        rc = main(["gen-model", "--config", str(cfg)])
-        assert rc == EXIT_OK
-        outdir = tmp_path / "out"
-        wq = read_tensor(outdir / "wq.kvct")
-        assert wq.shape == (2, 2, 36, 18)  # induction model for vocab 16
-        assert (outdir / "pos_embedding.kvct").exists()
 
 
 class TestExitCodes:

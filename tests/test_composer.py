@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from kvcompose.baselines import Policy
 from kvcompose.composer import (
-    BudgetAllocation,
     CompressedCache,
-    LayerImportance,
     allocate_budgets,
     compact_cache,
     composite_indices,
@@ -97,45 +95,43 @@ class TestLayerImportance:
     def test_single_head_identity(self):
         ci = composite_indices(final_scores(4, heads=1))
         imp = layer_importance(ci, "avg")
-        assert np.array_equal(imp.values, ci.s_prime[:, 0, :])
+        assert np.array_equal(imp, ci.s_prime[:, 0, :])
 
     def test_two_head_average(self):
         s = ScoreTensor(STAGE_FINAL, np.array([[[0.4], [0.8]]]))
         imp = layer_importance(composite_indices(s), "avg")
-        assert abs(imp.values[0, 0] - 0.6) < 1e-12
+        assert abs(imp[0, 0] - 0.6) < 1e-12
 
     def test_rows_non_increasing_and_match_loop(self):
         ci = composite_indices(final_scores(5, layers=3, heads=4, n=6))
         for op in ("max", "avg"):
             imp = layer_importance(ci, op)
             for layer in range(3):
-                row = imp.values[layer]
+                row = imp[layer]
                 assert all(row[i] >= row[i + 1] - 1e-15 for i in range(5))
                 for k in range(6):
                     slot = ci.s_prime[layer, :, k]
                     expected = slot.max() if op == "max" else slot.mean()
-                    assert imp.values[layer, k] == expected
+                    assert imp[layer, k] == expected
 
 
 class TestAllocateBudgets:
     def test_hand_pool_example(self):
-        imp = LayerImportance(np.array([[5.0, 4.0, 1.0], [3.0, 2.0, 0.0]]))
-        alloc = allocate_budgets(imp, 0.5)
-        assert alloc.budget_total == 3
-        assert alloc.layer_budgets.tolist() == [2, 1]
+        budgets = allocate_budgets(np.array([[5.0, 4.0, 1.0], [3.0, 2.0, 0.0]]), 0.5)
+        assert budgets.sum() == 3
+        assert budgets.tolist() == [2, 1]
 
     def test_no_compression(self):
-        imp = LayerImportance(np.array([[3.0, 2.0], [1.0, 0.5]]))
-        alloc = allocate_budgets(imp, 0.0)
-        assert alloc.budget_total == 4
-        assert alloc.layer_budgets.tolist() == [2, 2]
+        budgets = allocate_budgets(np.array([[3.0, 2.0], [1.0, 0.5]]), 0.0)
+        assert budgets.sum() == 4
+        assert budgets.tolist() == [2, 2]
 
     def test_budget_formula(self):
         rng = SeededRng(6)
         values = np.sort(rng.uniform_block(4 * 10).reshape(4, 10), axis=1)[:, ::-1]
-        alloc = allocate_budgets(LayerImportance(values.copy()), 0.9)
-        assert alloc.budget_total == 4  # floor(0.1 * 40)
-        assert alloc.layer_budgets.sum() == 4
+        budgets = allocate_budgets(values.copy(), 0.9)
+        assert budgets.sum() == 4  # floor(0.1 * 40)
+        assert budgets.dtype == np.int64
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -147,30 +143,29 @@ class TestAllocateBudgets:
     def test_matches_bruteforce_oracle(self, seed, layers, n, r):
         rng = SeededRng(seed)
         rows = np.sort(rng.uniform_block(layers * n).reshape(layers, n), axis=1)[:, ::-1]
-        imp = LayerImportance(rows.copy())
-        alloc = allocate_budgets(imp, r)
-        assert alloc.layer_budgets.tolist() == allocation_oracle(rows, alloc.budget_total)
-        assert alloc.layer_budgets.sum() == alloc.budget_total
+        budgets = allocate_budgets(rows.copy(), r)
+        assert budgets.tolist() == allocation_oracle(rows, retention_budget(r, layers, n))
+        assert budgets.sum() == retention_budget(r, layers, n)
 
     def test_kept_slots_form_prefix(self):
         # non-increasing rows + tie rule imply the kept set is slots [0, N_l)
         rng = SeededRng(7)
         rows = np.sort(rng.uniform_block(3 * 12).reshape(3, 12), axis=1)[:, ::-1]
-        alloc = allocate_budgets(LayerImportance(rows.copy()), 0.6)
+        budgets = allocate_budgets(rows.copy(), 0.6)
         pool = [(-rows[l, k], l, k) for l in range(3) for k in range(12)]
         pool.sort()
-        kept = {(l, k) for _, l, k in pool[: alloc.budget_total]}
+        kept = {(l, k) for _, l, k in pool[: retention_budget(0.6, 3, 12)]}
         for l in range(3):
-            expected = {(l, k) for k in range(alloc.layer_budgets[l])}
+            expected = {(l, k) for k in range(budgets[l])}
             assert {(a, b) for a, b in kept if a == l} == expected
 
     def test_invalid_ratio(self):
         with pytest.raises(UsageError):
-            allocate_budgets(LayerImportance(np.ones((1, 2))), 1.5)
+            allocate_budgets(np.ones((1, 2)), 1.5)
 
     def test_rejects_non_finite(self):
         with pytest.raises(UsageError, match="finite"):
-            allocate_budgets(LayerImportance(np.array([[1.0, np.nan], [2.0, 0.5]])), 0.5)
+            allocate_budgets(np.array([[1.0, np.nan], [2.0, 0.5]]), 0.5)
 
 
 class TestCompactCache:
@@ -179,8 +174,8 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(8, layers=2, heads=2, n=8)
         ci = composite_indices(s)
-        alloc = allocate_budgets(layer_importance(ci, "avg"), 0.0)
-        compressed = compact_cache(base.cache, ci, alloc)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.0)
+        compressed = compact_cache(base.cache, ci, budgets)
         for layer in range(2):
             assert np.array_equal(compressed.provenance[layer], ci.idx[layer])
             for h in range(2):
@@ -194,10 +189,7 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(9, layers=2, heads=2, n=6)
         ci = composite_indices(s)
-        alloc = BudgetAllocation(
-            r_target=0.0, budget_total=2, layer_budgets=np.array([1, 1])
-        )
-        compressed = compact_cache(base.cache, ci, alloc)
+        compressed = compact_cache(base.cache, ci, np.array([1, 1]))
         for layer in range(2):
             assert compressed.rows(layer) == 1
             for h in range(2):
@@ -211,8 +203,8 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(10, layers=2, heads=2, n=10)
         ci = composite_indices(s)
-        alloc = allocate_budgets(layer_importance(ci, "avg"), 0.4)
-        compressed = compact_cache(base.cache, ci, alloc)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.4)
+        compressed = compact_cache(base.cache, ci, budgets)
         for layer in range(2):
             for h in range(2):
                 for slot, original in enumerate(compressed.provenance[layer][h]):
@@ -247,8 +239,8 @@ class TestCompactCache:
     def test_clone_keeps_type_and_provenance(self, tiny_model):
         base = prefill(tiny_model, random_context(27, 8))
         ci = composite_indices(final_scores(9, layers=2, heads=2, n=8))
-        alloc = allocate_budgets(layer_importance(ci, "avg"), 0.5)
-        compressed = compact_cache(base.cache, ci, alloc)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        compressed = compact_cache(base.cache, ci, budgets)
         twice = compressed.clone().clone()
         assert type(compressed.clone()) is CompressedCache
         assert type(twice) is CompressedCache
@@ -263,10 +255,10 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(11, layers=2, heads=2, n=6)
         ci = composite_indices(s)
-        alloc = allocate_budgets(layer_importance(ci, "avg"), 0.5)
-        once = compact_cache(base.cache, ci, alloc)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        once = compact_cache(base.cache, ci, budgets)
         with pytest.raises(UsageError):
-            compact_cache(once, ci, alloc)
+            compact_cache(once, ci, budgets)
 
     def test_gather_rejects_compressed_input(self, tiny_model):
         base = prefill(tiny_model, random_context(24, 10))
@@ -401,8 +393,8 @@ class TestCompressPipeline:
         row = SeededRng(12).uniform_block(10)
         values = np.stack([np.stack([row, row]), np.stack([row, row])])
         ci = composite_indices(ScoreTensor(STAGE_FINAL, values))
-        alloc = allocate_budgets(layer_importance(ci, "avg"), 0.5)
-        compressed = compact_cache(base.cache, ci, alloc)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        compressed = compact_cache(base.cache, ci, budgets)
         for layer in range(2):
             assert np.array_equal(
                 compressed.provenance[layer][0], compressed.provenance[layer][1]
@@ -413,7 +405,7 @@ class TestUnstructured:
     def test_r0_all_true_and_exact_logits(self, tiny_model):
         context = random_context(30, 8)
         masks = unstructured_compress(final_scores(13, n=8), 0.0)
-        assert masks.masks.all()
+        assert masks.all()
         full = prefill(tiny_model, context)
         a = decode_step(tiny_model, full.cache.clone(), 2, 8)
         b = decode_step(tiny_model, full.cache.clone(), 2, 8, head_masks=masks)
@@ -423,10 +415,10 @@ class TestUnstructured:
         s = final_scores(14, layers=2, heads=2, n=8)
         total = 2 * 2 * 8
         masks = unstructured_compress(s, 1.0 - 1.0 / total)
-        assert masks.budget == 1
-        assert masks.masks.sum() == 1
+        assert masks.dtype == bool and masks.shape == (2, 2, 8)
+        assert np.count_nonzero(masks) == 1
         winner = np.unravel_index(np.argmax(s.values), s.values.shape)
-        assert masks.masks[winner]
+        assert masks[winner]
 
     def test_kept_set_matches_global_sort_oracle(self):
         s = final_scores(15, layers=3, heads=2, n=10)
@@ -434,13 +426,13 @@ class TestUnstructured:
         flat = s.values.reshape(-1)
         order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
         expected = np.zeros(flat.size, dtype=bool)
-        expected[order[: masks.budget]] = True
-        assert np.array_equal(masks.masks.reshape(-1), expected)
+        expected[order[: retention_budget(0.6, 3, 2, 10)]] = True
+        assert np.array_equal(masks.reshape(-1), expected)
 
     def test_budget_counts_per_head_entries(self):
         s = final_scores(16, layers=2, heads=2, n=10)
         masks = unstructured_compress(s, 0.5)
-        assert masks.budget == 20  # floor(0.5 * 2 * 2 * 10)
+        assert np.count_nonzero(masks) == 20  # floor(0.5 * 2 * 2 * 10)
 
     def test_rejects_non_finite(self):
         s = final_scores(17)

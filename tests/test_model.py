@@ -5,7 +5,6 @@ from kvcompose.baselines import Policy
 from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
-    HeadMaskSet,
     ModelConfig,
     _embed,
     _forward,
@@ -148,8 +147,8 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
         if m > 1:
             scores = scores + np.triu(np.full((m, held + m), -np.inf), k=held + 1)
         if head_masks is not None:
-            width = head_masks.masks.shape[2]
-            mask_rep = np.repeat(head_masks.masks[layer], group, axis=0)[:, None, :]
+            width = head_masks.shape[2]
+            mask_rep = np.repeat(head_masks[layer], group, axis=0)[:, None, :]
             scores[:, :, :width] = np.where(mask_rep, scores[:, :, :width], -np.inf)
         attn = softmax_rows(scores.reshape(-1, held + m), scale=1.0 / np.sqrt(cfg.head_dim))
         attn = attn.reshape(scores.shape)
@@ -209,7 +208,7 @@ class TestGroupedKernelOracle:
         rng = SeededRng(22)
         n_masked = cfg.layers * cfg.kv_heads * 8
         keep = np.asarray([rng.randint(2) for _ in range(n_masked)], dtype=bool)
-        masks = HeadMaskSet(keep.reshape(cfg.layers, cfg.kv_heads, 8))
+        masks = keep.reshape(cfg.layers, cfg.kv_heads, 8)
         assert_matches_reference(model, cache, np.asarray([3]), np.asarray([8]), head_masks=masks)
 
 
@@ -239,6 +238,18 @@ class TestDecodeStep:
         logits = decode_step(tiny_model, cache, 2, 6)
         assert np.isfinite(logits).all()
         assert cache.rows(0) == 1  # only the appended token
+
+    def test_full_width_mask_on_compacted_cache_rejected(self, tiny_model):
+        # the keep-mask indexes rows of the full context, which compaction reorders and drops
+        context = random_context(25, 16)
+        ts = TaskSet(mode="task-agnostic", observation_window=4)
+        cache, _ = compress(
+            tiny_model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose")
+        )
+        assert cache.rows(0) == 8
+        keep = np.ones((2, 2, 16), dtype=bool)
+        with pytest.raises(UsageError, match="uncompacted"):
+            decode_step(tiny_model, cache, 3, 16, head_masks=keep)
 
     def test_key_row_permutation_invariance(self, tiny_model):
         # each head reordered independently, like composite slots are

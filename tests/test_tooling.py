@@ -1,8 +1,9 @@
 """Source-level guards: the benchmark's tracer wraps kvcompose functions
 by name, so a renamed or deleted function would break
 ``perfbench/run.py --trace 1`` unseen; every ranking goes through
-``numerics.argsort_desc``, the one home of the tie rule; and only
-``model.py`` reads ``max_context``, whose one check is in ``_forward``."""
+``numerics.argsort_desc``, the one home of the tie rule; only
+``model.py`` reads ``max_context``, whose one check is in ``_forward``;
+and no dataclass merely wraps one array."""
 import ast
 import importlib
 import importlib.util
@@ -58,5 +59,29 @@ def test_max_context_read_only_in_model():
         if path.name != "model.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute) and node.attr == "max_context"
+    }
+    assert found == set()
+
+
+def single_array_dataclasses(source: str) -> list[str]:
+    """Dataclasses whose one field is annotated ``np.ndarray``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [ast.unparse(d).split("(")[0] for d in node.decorator_list]
+        if not any(d.endswith("dataclass") for d in decorators):
+            continue
+        fields = [stmt.annotation for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+        if len(fields) == 1 and ast.unparse(fields[0]) == "np.ndarray":
+            names.append(node.name)
+    return names
+
+
+def test_no_dataclass_wraps_a_single_array():
+    found = {
+        f"{path.name}:{name}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        for name in single_array_dataclasses(path.read_text())
     }
     assert found == set()
