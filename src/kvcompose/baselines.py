@@ -49,8 +49,8 @@ class Policy:
             raise ConfigError(f"sinks must be >= 1, got {self.sinks}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.shape < 0:
-            raise ConfigError(f"shape must be >= 0, got {self.shape}")
+        if not (np.isfinite(self.shape) and self.shape >= 0):
+            raise ConfigError(f"shape must be a finite number >= 0, got {self.shape}")
 
 
 def retention_budget(r_target: float, *dims: int) -> int:
@@ -137,8 +137,8 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
     Budgets are clamped to [1, context_len]; shape=0 gives the uniform
     split with the remainder placed on the earliest layers.
     """
-    if shape < 0:
-        raise ConfigError(f"shape must be >= 0, got {shape}")
+    if not (np.isfinite(shape) and shape >= 0):
+        raise ConfigError(f"shape must be a finite number >= 0, got {shape}")
     if total < layers:
         raise ConfigError(
             f"budget {total} cannot give every one of {layers} layers its floor of 1"

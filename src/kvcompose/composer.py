@@ -9,9 +9,9 @@ always a prefix, so the compressed cache stays a dense tensor per layer.
 
 Slot order in the compressed cache is score order, not original position;
 attention does not care (keys are cached post-rotation), and prefix
-budgets make nestedness across compression ratios immediate. The grid
-form, ``compress_capture``, uses that nesting: it scores and sorts once,
-and every ratio compacts a prefix of the same slot order.
+budgets make nestedness across compression ratios immediate. So
+``kept_rows`` scores and sorts once for a whole grid; ``compress``
+gathers one ratio's rows, and ``keep_masks`` marks every ratio's rows.
 """
 from __future__ import annotations
 
@@ -150,6 +150,47 @@ def unstructured_compress(s: ScoreTensor, r_target: float) -> np.ndarray:
     return keep.reshape(layers, heads, n)
 
 
+def kept_rows(
+    cap: AttentionCapture, agg_choice: AggregationChoice, grid: tuple[float, ...], policy: Policy
+) -> list[list[np.ndarray]]:
+    """Each grid ratio's kept rows per layer, (H_kv, n_l) or (n_l,) for every
+    head: prefixes of one score order for kvcompose, else a baseline's rows."""
+    layers, kv_heads, n = cap.value_norms_raw.shape
+    if policy.name == "kvcompose":
+        ci = composite_indices(score_pipeline(cap, kv_heads, agg_choice))
+        importance = layer_importance(ci, agg_choice.agg_head)
+
+    out = []
+    for r_target in grid:
+        budget = retention_budget(r_target, layers, n)
+        if policy.name == "kvcompose":
+            rows = [ci.idx[l, :, :b] for l, b in enumerate(allocate_budgets(importance, r_target))]
+        else:
+            rows = select_baseline_indices(cap, policy, budget)
+        layer_budgets = [r.shape[-1] for r in rows]
+        if sum(layer_budgets) != budget:
+            raise UsageError(f"policy {policy.name} kept {layer_budgets} slots, budget is {budget}")
+        out.append(rows)
+    return out
+
+
+def keep_masks(
+    cap: AttentionCapture, agg_choice: AggregationChoice, grid: tuple[float, ...], policy: Policy
+) -> np.ndarray:
+    """The (G, L, H_kv, N) bool keep-masks of ``policy`` at every ratio of
+    ``grid``: ``unstructured_compress``'s masks, or each ratio's kept rows."""
+    layers, kv_heads, n = cap.value_norms_raw.shape
+    if policy.name == "unstructured":
+        scores = score_pipeline(cap, kv_heads, agg_choice)
+        return np.stack([unstructured_compress(scores, r_target) for r_target in grid])
+    masks = np.zeros((len(grid), layers, kv_heads, n), dtype=bool)
+    heads = np.arange(kv_heads)[:, None]
+    for mask, rows in zip(masks, kept_rows(cap, agg_choice, grid, policy)):
+        for layer, take in enumerate(rows):
+            mask[layer, heads, take] = True
+    return masks
+
+
 def compress(
     model: Model,
     context: list[int],
@@ -158,46 +199,12 @@ def compress(
     r_target: float,
     policy: Policy,
 ) -> tuple[CompressedCache, CompressReport]:
-    """Capture ``task_set`` on ``context``, then compress at one ratio."""
+    """Capture ``task_set`` on ``context``, then compact its cache at one ratio."""
     if policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cap = collect_attention(model, context, task_set)
-    return compress_capture(model, cap, agg_choice, (r_target,), policy)[0]
-
-
-def compress_capture(
-    model: Model,
-    cap: AttentionCapture,
-    agg_choice: AggregationChoice,
-    grid: tuple[float, ...],
-    policy: Policy,
-) -> list[tuple[CompressedCache, CompressReport]]:
-    """The structured path on a capture and its full cache, at every ratio of
-    ``grid``. kvcompose scores and sorts once and compacts a prefix of that
-    order per ratio; a baseline selects once per ratio."""
-    cfg = model.config
-    n = cap.context_len
-    full = cap.cache
-    if policy.name == "kvcompose":
-        ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
-        importance = layer_importance(ci, agg_choice.agg_head)
-
-    out = []
-    for r_target in grid:
-        budget = retention_budget(r_target, cfg.layers, n)
-        if policy.name == "kvcompose":
-            compressed = compact_cache(full, ci, allocate_budgets(importance, r_target))
-        else:
-            compressed = gather_cache(full, select_baseline_indices(cap, policy, budget))
-        layer_budgets = [compressed.rows(l) for l in range(cfg.layers)]
-        if sum(layer_budgets) != budget:
-            raise UsageError(f"policy {policy.name} kept {layer_budgets} slots, budget is {budget}")
-        report = CompressReport(
-            policy=policy.name,
-            r_target=r_target,
-            r_achieved=1.0 - budget / (cfg.layers * n),
-            budget_total=budget,
-            layer_budgets=layer_budgets,
-        )
-        out.append((compressed, report))
-    return out
+    compressed = gather_cache(cap.cache, kept_rows(cap, agg_choice, (r_target,), policy)[0])
+    layer_budgets = [compressed.rows(l) for l in range(compressed.layer_count)]
+    budget = sum(layer_budgets)
+    r_achieved = 1.0 - budget / (len(layer_budgets) * cap.context_len)
+    return compressed, CompressReport(policy.name, r_target, r_achieved, budget, layer_budgets)

@@ -5,7 +5,9 @@ the constructed lookup model, and teacher-forced top-1 agreement with the
 full-cache run for arbitrary models. Degradation epsilon is the mean
 relative reward drop versus the full cache; curves sweep the ratio grid
 and are summarized by span-normalized AUC and the largest ratio whose
-epsilon stays under a tolerance.
+epsilon stays under a tolerance. Every policy is scored the same way:
+as ``composer.keep_masks``' keep-mask per grid ratio on the task's one
+full cache, with one forward call for the whole grid.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import Policy
-from .composer import compress_capture, unstructured_compress
+from .composer import keep_masks
 from .errors import ConfigError, UsageError
 from .model import (
     KVCache,
@@ -34,7 +36,6 @@ from .scoring import (
     AttentionCapture,
     TaskSet,
     collect_attention,
-    score_pipeline,
 )
 
 RATIO_GRID = (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -195,22 +196,24 @@ def _run_steps(
     task: TaskInstance,
     head_masks: np.ndarray | None,
 ) -> np.ndarray:
-    """Teacher-forced (steps, vocab) logits of the scored steps, on a cloned cache.
+    """Teacher-forced (steps, vocab) logits of the scored steps, or
+    (G, steps, vocab) for a (G, L, H_kv, N) mask stack; ``cache`` is left as it was.
 
     Every input is known up front, so all of them are appended in one
     forward pass; the scored steps are the last ``len(targets)``.
     """
-    work = cache.clone()
     inputs, targets = _forced_steps(task)
-    positions = work.next_position + np.arange(len(inputs))
-    logits, _ = _forward(model, work, np.asarray(inputs), positions, head_masks)
-    return logits[-len(targets) :]
+    positions = cache.next_position + np.arange(len(inputs))
+    if head_masks is None or head_masks.ndim == 3:  # a mask stack appends nothing
+        cache = cache.clone()
+    logits, _ = _forward(model, cache, np.asarray(inputs), positions, head_masks)
+    return logits[..., -len(targets) :, :]
 
 
 def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float:
-    """Fraction of scored steps whose argmax is the target token."""
+    """Fraction of scored steps whose argmax is the target token, per leading index."""
     _, targets = _forced_steps(task)
-    return np.count_nonzero(logits.argmax(axis=1) == targets) / len(targets)
+    return np.count_nonzero(logits.argmax(axis=-1) == targets, axis=-1) / len(targets)
 
 
 def reward(
@@ -224,8 +227,8 @@ def reward(
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def _reward_and_kl(
@@ -235,14 +238,14 @@ def _reward_and_kl(
     reference_logits: np.ndarray,
     head_masks: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """Reward plus mean KL(full || compressed) of next-token distributions.
+    """Reward and mean KL(full || compressed) of next-token distributions, per mask.
 
     Each step's KL is clamped at 0: a negative value is rounding noise.
     """
     logits = _run_steps(model, cache, task, head_masks)
     ref_logp = _log_softmax(reference_logits)
-    kls = (np.exp(ref_logp) * (ref_logp - _log_softmax(logits))).sum(axis=1)
-    return _hit_rate(logits, task), float(np.mean(np.maximum(kls, 0.0)))
+    kls = (np.exp(ref_logp) * (ref_logp - _log_softmax(logits))).sum(axis=-1)
+    return _hit_rate(logits, task), np.maximum(kls, 0.0).mean(axis=-1)
 
 
 def epsilon(full_rewards: list[float], comp_rewards: list[float]) -> float:
@@ -348,21 +351,14 @@ def _evaluate_task(
     agg_choice: AggregationChoice,
     grid: tuple[float, ...],
 ) -> list[tuple[float, float, float]]:
-    """(r_achieved, reward, kl) for one task at every grid ratio."""
-    cfg = model.config
-    cap = state.capture
-    if policy.name == "unstructured":
-        scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
-        entries = cfg.layers * cfg.kv_heads * cap.context_len
-        masks = [unstructured_compress(scores, r_target) for r_target in grid]
-        runs = [(1.0 - np.count_nonzero(m) / entries, cap.cache, m) for m in masks]
-    else:
-        compressed = compress_capture(model, cap, agg_choice, grid, policy)
-        runs = [(report.r_achieved, cache, None) for cache, report in compressed]
-    return [
-        (r_achieved, *_reward_and_kl(model, cache, state.task, state.reference_logits, masks))
-        for r_achieved, cache, masks in runs
-    ]
+    """(r_achieved, reward, kl) for one task at every grid ratio, from the
+    policy's keep-masks on the full cache in one forward call."""
+    masks = keep_masks(state.capture, agg_choice, grid, policy)
+    r_achieved = 1.0 - np.count_nonzero(masks, axis=(1, 2, 3)) / masks[0].size
+    rewards, kls = _reward_and_kl(
+        model, state.capture.cache, state.task, state.reference_logits, masks
+    )
+    return list(zip(r_achieved, rewards, kls))
 
 
 def sweep_prepared(

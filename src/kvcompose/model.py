@@ -114,10 +114,8 @@ class PrefillResult:
     attention: list[np.ndarray]  # per layer (H_q, N, N), rows are query positions
 
 
-def _rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.ndarray:
-    """Rotary rotation of (..., n, d_h) vectors at the given absolute positions."""
-    angles = positions[:, None].astype(np.float64) * inv_freq[None, :]  # (n, d_h/2)
-    cos, sin = np.cos(angles), np.sin(angles)
+def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary rotation of (..., n, d_h) vectors by their positions' (n, d_h/2) cos and sin."""
     half = vecs.shape[-1] // 2
     a, b = vecs[..., :half], vecs[..., half:]
     return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
@@ -193,13 +191,14 @@ def _forward(
     Each layer may already hold any number of rows R. The new rows attend
     causally to each other and freely to the R held rows, so prefill is
     M=N on an empty cache and a decode step is M=1. ``head_masks``, when
-    given, is an (L, H_kv, N) bool keep-mask over the original context:
-    False at [l, h, c] hides context row c of kv head h in layer l from
-    every new query (score forced to -inf). Rows appended after the
-    context stay visible, and no memory is saved; the mask evaluates
-    per-head eviction on the full cache. Attention comes back per layer
-    as (H_q, M, R+M). This is the one check that every position lies
-    below ``max_context``.
+    given, is an (L, H_kv, W) bool keep-mask over the first W held rows:
+    False at [l, h, c] hides row c of kv head h in layer l from every new
+    query (score forced to -inf). Later rows stay visible, and no memory
+    is saved; the mask evaluates per-head eviction on the full cache. A
+    (G, L, H_kv, W) stack runs the tokens once per mask against the shared
+    held rows: outputs gain a leading G axis, and ``cache`` is left as it
+    was. Attention comes back per layer as (H_q, M, R+M). This is the one
+    check that every position lies below ``max_context``.
 
     Query head h reads kv head h // group. Stacking a kv head's group of
     query rows as one (group*M, d_h) block lets one batched matmul per kv
@@ -211,40 +210,56 @@ def _forward(
         raise UsageError(f"position {int(positions.max())} is past max_context {cfg.max_context}")
     x = _embed(model, tokens, positions)  # (M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
+    if head_masks is not None:
+        shape, fewest = head_masks.shape, min(cache.rows(l) for l in range(cfg.layers))
+        if head_masks.dtype != bool or len(shape) > 4 or shape[-3:-1] != (cfg.layers, h_kv):
+            raise UsageError(
+                f"head_masks must be bool (L={cfg.layers}, H_kv={h_kv}, W) or (G, L, H_kv, W), "
+                f"got {head_masks.dtype} {shape}"
+            )
+        if shape[-1] > fewest:
+            raise UsageError(
+                f"mask covers {shape[-1]} context rows but a layer holds only {fewest}; "
+                "attention patching needs the uncompacted cache"
+            )
+        x = np.broadcast_to(x, shape[:-3] + x.shape)
+    grid = x.shape[:-2]  # () or (G,)
+    angles = positions[:, None].astype(np.float64) * model.inv_freq[None, :]  # (M, d_h/2)
+    cos, sin = np.cos(angles), np.sin(angles)  # every layer rotates at the same positions
     scale = 1.0 / np.sqrt(d_h)
     causal = np.triu(np.full((m, m), -np.inf), k=1) if m > 1 else None
     attention: list[np.ndarray] = []
 
     for layer in range(cfg.layers):
-        q = x @ model.wq[layer]  # (H_q, M, d_h)
-        k_new = x @ model.wk[layer]  # (H_kv, M, d_h)
-        v_new = x @ model.wv[layer]
-        qk = _rotate(np.concatenate([q, k_new]), positions, model.inv_freq)
-        q, k_new = qk[:h_q], qk[h_q:]
+        rows = x[:, None] if grid else x  # a grid row's (M, d) block meets every head
+        q, k_new, v_new = rows @ model.wq[layer], rows @ model.wk[layer], rows @ model.wv[layer]
+        qk = _rotate(np.concatenate([q, k_new], axis=-3), cos, sin)
+        q, k_new = qk[..., :h_q, :, :], qk[..., h_q:, :, :]
 
         held = cache.rows(layer)
-        k = np.concatenate([cache.keys[layer], k_new], axis=1)  # (H_kv, R+M, d_h)
-        v = np.concatenate([cache.values[layer], v_new], axis=1)
+        k_held, v_held = cache.keys[layer], cache.values[layer]
+        if grid:  # every grid row reads the same held rows
+            k_held, v_held = (np.broadcast_to(a, grid + a.shape) for a in (k_held, v_held))
+        k = np.concatenate([k_held, k_new], axis=-2)  # (..., H_kv, R+M, d_h)
+        v = np.concatenate([v_held, v_new], axis=-2)
 
-        scores = (q.reshape(h_kv, -1, d_h) @ k.transpose(0, 2, 1)).reshape(h_q, m, held + m)
+        scores = q.reshape(*grid, h_kv, -1, d_h) @ k.swapaxes(-1, -2)
+        scores = scores.reshape(*grid, h_q, m, held + m)
         if causal is not None:
-            scores[:, :, held:] += causal
+            scores[..., held:] += causal
         if head_masks is not None:
-            width = head_masks.shape[2]
-            if width > held:
-                raise UsageError(
-                    f"mask covers {width} context rows but layer {layer} holds only "
-                    f"{held}; attention patching needs the uncompacted cache"
-                )
-            grouped = scores.reshape(h_kv, -1, held + m)  # a view: each kv head's query rows
-            keep = head_masks[layer][:, None, :]
-            grouped[:, :, :width] = np.where(keep, grouped[:, :, :width], -np.inf)
+            width = head_masks.shape[-1]
+            grouped = scores.reshape(*grid, h_kv, -1, held + m)  # each kv head's query rows
+            keep = head_masks[..., layer, :, None, :]
+            grouped[..., :width] = np.where(keep, grouped[..., :width], -np.inf)
         attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
-        out = (attn.reshape(h_kv, -1, held + m) @ v).reshape(h_q, m, d_h).transpose(1, 0, 2)
-        x = x + out.reshape(m, h_q * d_h) @ model.wo[layer].reshape(h_q * d_h, -1)
+        out = attn.reshape(*grid, h_kv, -1, held + m) @ v  # (..., H_kv, group*M, d_h)
+        out = out.reshape(*grid, h_q, m, d_h).swapaxes(-3, -2).reshape(*grid, m, h_q * d_h)
+        x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
         attention.append(attn)
-        cache.keys[layer], cache.values[layer] = k, v
-        cache.next_positions[layer] = int(positions[-1]) + 1
+        if not grid:
+            cache.keys[layer], cache.values[layer] = k, v
+            cache.next_positions[layer] = int(positions[-1]) + 1
 
     return x @ model.embedding.T, attention
 
@@ -275,8 +290,10 @@ def decode_step(
     Layers may hold unequal row counts; each attends over whatever keys it
     has (plus the row just appended). ``head_masks``, when given, hides
     masked rows of the original context from attention; appended rows stay
-    visible.
+    visible. It must be one (L, H_kv, W) mask, since a stack appends nothing.
     """
+    if head_masks is not None and head_masks.ndim != 3:
+        raise UsageError(f"decode_step takes one (L, H_kv, W) mask, got shape {head_masks.shape}")
     logits, _ = _forward(
         model, cache, np.asarray([token]), np.asarray([position]), head_masks
     )

@@ -31,6 +31,14 @@ class TestPolicy:
         with pytest.raises(ConfigError):
             Policy(name="pyramid", shape=-1.0)
 
+    @pytest.mark.parametrize("shape", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_shape_rejected(self, shape):
+        # NaN passes a plain ``shape < 0`` check, so the schedule would cast NaN
+        with pytest.raises(ConfigError, match="shape"):
+            Policy(name="pyramid", shape=shape)
+        with pytest.raises(ConfigError, match="shape"):
+            pyramid_budgets(4, 10, 20, shape)
+
 
 class TestStreamingSelect:
     def test_hand_example(self):

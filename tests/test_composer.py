@@ -10,8 +10,9 @@ from kvcompose.composer import (
     compact_cache,
     composite_indices,
     compress,
-    compress_capture,
     gather_cache,
+    keep_masks,
+    kept_rows,
     layer_importance,
     retention_budget,
     unstructured_compress,
@@ -281,7 +282,8 @@ class TestCompressPipeline:
     )
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_reuse_gives_identical_cache(self, tiny_model, name, mode):
-        # one grid call on one capture equals a fresh compress at each ratio
+        # one grid call on one capture gathers, at each ratio, the cache a
+        # fresh compress builds, and its keep-mask marks exactly those rows
         context = random_context(28, 16)
         if mode == "task-aware":
             ts = TaskSet(mode=mode, tasks=((5, 9, 2), (17,)))
@@ -289,9 +291,11 @@ class TestCompressPipeline:
             ts = TaskSet(mode=mode, observation_window=6)
         cap = collect_attention(tiny_model, context, ts)
         policy = Policy(name=name)
-        grid = compress_capture(tiny_model, cap, AggregationChoice(), RATIO_GRID, policy)
-        assert len(grid) == len(RATIO_GRID)
-        for r, (reused, reused_report) in zip(RATIO_GRID, grid):
+        grid = kept_rows(cap, AggregationChoice(), RATIO_GRID, policy)
+        masks = keep_masks(cap, AggregationChoice(), RATIO_GRID, policy)
+        assert len(grid) == len(RATIO_GRID) == len(masks)
+        for r, rows, mask in zip(RATIO_GRID, grid, masks):
+            reused = gather_cache(cap.cache, rows)
             fresh, fresh_report = compress(tiny_model, context, ts, AggregationChoice(), r, policy)
             for got, want in [
                 (fresh.keys, reused.keys),
@@ -300,7 +304,11 @@ class TestCompressPipeline:
             ]:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert fresh.next_positions == reused.next_positions
-            assert fresh_report == reused_report
+            assert fresh_report.layer_budgets == [reused.rows(l) for l in range(2)]
+            marked = np.zeros_like(mask)
+            for layer, kept in enumerate(fresh.provenance):
+                np.put_along_axis(marked[layer], kept, True, axis=1)
+            assert np.array_equal(mask, marked)
 
     def test_task_aware_compress_prefills_context_once(self, tiny_model, monkeypatch):
         from kvcompose import model

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -305,7 +306,7 @@ class TestSweep:
 
     def test_one_reference_decode_per_task(self, tiny_model, monkeypatch):
         # one teacher-forced pass per task for the reference run and one
-        # per (task, ratio) point, each a single forward call
+        # for the whole grid, each a single forward call
         from kvcompose import evaluator, model
 
         steps, grid = 4, (0.0, 0.5, 0.9)
@@ -319,8 +320,24 @@ class TestSweep:
         monkeypatch.setattr(evaluator, "_forward", counting)
         decodes = count_calls(monkeypatch, model, "decode_step")
         sweep(tiny_model, tasks, Policy(name="kvcompose"), AggregationChoice(), grid=grid)
-        assert forwards == [steps] * (len(tasks) * (1 + len(grid)))
+        assert forwards == [steps] * (len(tasks) * 2)
         assert decodes == []
+
+    @pytest.mark.parametrize("config", ["demo_agreement.json", "demo_recall.json"])
+    def test_r0_reproduces_the_reference_run(self, config):
+        # at r=0 every policy keeps every row, and an all-true mask in the
+        # grid call must give the reference run's logits bit for bit
+        from kvcompose.cli import _prepare_tasks, build_model, load_config
+
+        cfg = load_config(Path(__file__).parent.parent / "configs" / config)
+        model = build_model(cfg)
+        states = _prepare_tasks(cfg, model)
+        full_mean = float(np.mean([s.full_reward for s in states]))
+        agg = AggregationChoice()
+        for name in POLICY_NAMES:
+            p0 = sweep_prepared(model, states, Policy(name=name), agg, RATIO_GRID)[0]
+            assert (p0.r_target, p0.r_achieved) == (0.0, 0.0)
+            assert (p0.reward_mean, p0.kl_mean) == (full_mean, 0.0), name
 
     def test_agreement_kl_is_nonnegative(self):
         from kvcompose.cli import build_agg, build_model, build_tasks, load_config
@@ -436,7 +453,8 @@ def list_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
 
 def reference_point(model, state, policy, agg_choice, r_target):
     """(r_achieved, reward, kl) of one task at one ratio, scoring afresh at
-    every ratio: the per-ratio evaluation the grid form replaced. tova
+    every ratio and, for a cache policy, decoding on the compacted cache:
+    the per-ratio evaluation that the grid of keep-masks replaced. tova
     selects by ``list_replay``, so the library's replay is not its own
     reference."""
     cfg = model.config
@@ -484,6 +502,19 @@ def reference_sweep(model, states, policy, agg_choice, grid):
     return points
 
 
+def assert_same_sweep(kind, got, want):
+    """Recall points are equal exactly; agreement points too, except that a
+    masked run sums in another order than a compacted one, so ``kl_mean``
+    may move by at most 1e-12."""
+    if kind == "recall":
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a.kl_mean - b.kl_mean) <= 1e-12
+        assert replace(a, kl_mean=0.0) == replace(b, kl_mean=0.0)
+
+
 class TestGridOnce:
     @pytest.fixture(scope="class")
     def task_sets(self):
@@ -512,7 +543,7 @@ class TestGridOnce:
         model, states = task_sets[kind]
         policy, agg = Policy(name=name), AggregationChoice()
         got = sweep_prepared(model, states, policy, agg, RATIO_GRID)
-        assert got == reference_sweep(model, states, policy, agg, RATIO_GRID)
+        assert_same_sweep(kind, got, reference_sweep(model, states, policy, agg, RATIO_GRID))
 
     @pytest.mark.parametrize("name", ["kvcompose", "unstructured"])
     def test_scores_once_per_task(self, tiny_model, name, monkeypatch):

@@ -136,7 +136,8 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
         q = np.einsum("nd,hde->hne", x, model.wq[layer])
         k_new = np.einsum("nd,hde->hne", x, model.wk[layer])
         v_new = np.einsum("nd,hde->hne", x, model.wv[layer])
-        qk = _rotate(np.concatenate([q, k_new]), positions, model.inv_freq)
+        angles = positions[:, None] * model.inv_freq[None, :]
+        qk = _rotate(np.concatenate([q, k_new]), np.cos(angles), np.sin(angles))
         q, k_new = qk[: cfg.query_heads], qk[cfg.query_heads :]
         held = cache.rows(layer)
         k = np.concatenate([cache.keys[layer], k_new], axis=1)
@@ -174,6 +175,12 @@ def assert_matches_reference(model, cache, tokens, positions, head_masks=None):
         assert np.abs(cache.values[layer] - want_cache.values[layer]).max() < 1e-12
 
 
+def random_masks(seed: int, *shape: int) -> np.ndarray:
+    rng = SeededRng(seed)
+    bits = [rng.randint(2) for _ in range(int(np.prod(shape)))]
+    return np.asarray(bits, dtype=bool).reshape(shape)
+
+
 class TestGroupedKernelOracle:
     @pytest.mark.parametrize("n", [128, 504])
     def test_prefill_matches_repeat_einsum(self, gqa_model, n):
@@ -205,11 +212,56 @@ class TestGroupedKernelOracle:
         prompt = [0, 20, 3, 25, 5, 17, 7, 30]
         cache = prefill(model, prompt).cache
         cfg = model.config
-        rng = SeededRng(22)
-        n_masked = cfg.layers * cfg.kv_heads * 8
-        keep = np.asarray([rng.randint(2) for _ in range(n_masked)], dtype=bool)
-        masks = keep.reshape(cfg.layers, cfg.kv_heads, 8)
+        masks = random_masks(22, cfg.layers, cfg.kv_heads, 8)
         assert_matches_reference(model, cache, np.asarray([3]), np.asarray([8]), head_masks=masks)
+
+
+class TestMaskStack:
+    def test_stack_equals_one_call_per_mask(self, gqa_model):
+        # the grid rows share the held cache: each gives, bit for bit, the
+        # logits of its own call, and the cache is left as it was
+        cfg = gqa_model.config
+        tokens = random_context(40, 36)
+        cache = prefill(gqa_model, tokens[:32]).cache
+        before = cache.clone()
+        stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, 32)
+        stack[0] = True
+        new, positions = np.asarray(tokens[32:]), np.arange(32, 36)
+        logits, attention = _forward(gqa_model, cache, new, positions, stack)
+        assert logits.shape == (3, 4, cfg.vocab_size)
+        assert attention[0].shape == (3, cfg.query_heads, 4, 36)
+        for g in range(3):
+            want, want_attn = _forward(gqa_model, before.clone(), new, positions, stack[g])
+            assert np.array_equal(logits[g], want)
+            assert all(np.array_equal(a[g], b) for a, b in zip(attention, want_attn))
+        unmasked, _ = _forward(gqa_model, before.clone(), new, positions)
+        assert np.array_equal(logits[0], unmasked)
+        assert cache.next_positions == before.next_positions
+        for layer in range(cfg.layers):
+            assert np.array_equal(cache.keys[layer], before.keys[layer])
+            assert np.array_equal(cache.values[layer], before.values[layer])
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [
+            ((2, 1, 8), bool),  # one head's mask would broadcast to both kv heads
+            ((3, 2, 8), bool),  # one layer too many
+            ((1, 2, 8), bool),  # one layer too few
+            ((2, 2, 8), np.int64),
+            ((2, 8), bool),
+        ],
+        ids=["one-head", "extra-layer", "one-layer", "int", "no-head-axis"],
+    )
+    def test_mask_of_wrong_shape_or_type_rejected(self, tiny_model, shape, dtype):
+        cache = prefill(tiny_model, random_context(42, 8)).cache
+        with pytest.raises(UsageError, match="head_masks"):
+            _forward(tiny_model, cache, np.asarray([3]), np.asarray([8]), np.ones(shape, dtype))
+
+    def test_decode_step_rejects_a_stack(self, tiny_model):
+        cache = prefill(tiny_model, random_context(43, 8)).cache
+        with pytest.raises(UsageError, match="decode_step takes one"):
+            decode_step(tiny_model, cache, 3, 8, head_masks=np.ones((2, 2, 2, 8), bool))
+        assert cache.rows(0) == 8
 
 
 class TestDecodeStep:

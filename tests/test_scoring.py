@@ -119,7 +119,8 @@ class TestCollectAttention:
         tokens = np.asarray(context + list(task))
         x = _embed(tiny_model, tokens, np.arange(n + 1))
         q = np.einsum("nd,hde->hne", x, tiny_model.wq[0])
-        q = _rotate(q, np.arange(n + 1), tiny_model.inv_freq)[:, -1, :]  # (H_q, d_h)
+        angles = np.arange(n + 1)[:, None] * tiny_model.inv_freq[None, :]
+        q = _rotate(q, np.cos(angles), np.sin(angles))[:, -1, :]  # (H_q, d_h)
         k = run.cache.keys[0]  # (H_kv, n+1, d_h) post-rotation
         k_rep = np.repeat(k, cfg.group_size, axis=0)
         scores = np.einsum("he,hce->hc", q, k_rep)

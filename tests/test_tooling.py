@@ -3,7 +3,8 @@ by name, so a renamed or deleted function would break
 ``perfbench/run.py --trace 1`` unseen; every ranking goes through
 ``numerics.argsort_desc``, the one home of the tie rule; only
 ``model.py`` reads ``max_context``, whose one check is in ``_forward``;
-and no dataclass merely wraps one array."""
+no dataclass merely wraps one array; and the evaluator scores every
+policy through ``composer.keep_masks`` alone."""
 import ast
 import importlib
 import importlib.util
@@ -85,3 +86,21 @@ def test_no_dataclass_wraps_a_single_array():
         for name in single_array_dataclasses(path.read_text())
     }
     assert found == set()
+
+
+def test_evaluator_has_one_path_for_every_policy():
+    tree = ast.parse((ROOT / "src" / "kvcompose" / "evaluator.py").read_text())
+    names_compared = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(ast.unparse(side).endswith(".name") for side in [node.left, *node.comparators])
+    ]
+    from_composer = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("composer", "kvcompose.composer")
+        for alias in node.names
+    ]
+    assert names_compared == []
+    assert from_composer == ["keep_masks"]
