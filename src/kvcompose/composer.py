@@ -83,19 +83,16 @@ def layer_importance(ci: CompositeIndex, op: str) -> np.ndarray:
     return reduce_axis(ci.s_prime, op, axis=1)
 
 
-def allocate_budgets(importance: np.ndarray, r_target: float) -> np.ndarray:
-    """Pool (L, N) slot scores across layers and keep the global top-B;
-    return the (L,) int64 layer budgets, which sum to B.
+def allocate_budgets(importance: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
+    """Pool (L, N) slot scores across layers and keep each ratio's global
+    top-B; return the (G, L) int64 layer budgets, row g summing to B_g.
 
     Ties break by score descending, then lower layer, then lower slot (the
     lower flat index), so the allocation is a deterministic function of
     the scores. Kept slots at each layer form a prefix because importance
     rows are non-increasing and the tie rule prefers lower slots.
     """
-    layers, n = importance.shape
-    budget = retention_budget(r_target, layers, n)
-    keep = argsort_desc(importance.reshape(-1))[:budget]
-    return np.bincount(keep // n, minlength=layers).astype(np.int64)
+    return _top_entries(importance, grid).sum(axis=-1, dtype=np.int64)
 
 
 def compact_cache(
@@ -132,9 +129,9 @@ def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
     )
 
 
-def unstructured_compress(s: ScoreTensor, r_target: float) -> np.ndarray:
-    """Keep the globally best (layer, head, token) entries, as an
-    (L, H_kv, N) bool keep-mask.
+def unstructured_compress(s: ScoreTensor, grid: tuple[float, ...]) -> np.ndarray:
+    """Keep each ratio's globally best (layer, head, token) entries, as a
+    (G, L, H_kv, N) bool keep-mask stack.
 
     The budget counts per-head entries, floor((1-r) * L * H_kv * N), so a
     given ratio removes the same fraction of cache entries as the
@@ -143,11 +140,15 @@ def unstructured_compress(s: ScoreTensor, r_target: float) -> np.ndarray:
     """
     if s.stage != STAGE_FINAL:
         raise UsageError(f"unstructured_compress expects stage {STAGE_FINAL!r}")
-    layers, heads, n = s.values.shape
-    budget = retention_budget(r_target, layers, heads, n)
-    keep = np.zeros(layers * heads * n, dtype=bool)
-    keep[argsort_desc(s.values.reshape(-1))[:budget]] = True  # ties -> lower (l, h, c)
-    return keep.reshape(layers, heads, n)
+    return _top_entries(s.values, grid)
+
+
+def _top_entries(values: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
+    """(G, *values.shape) bool: each ratio's best entries, a prefix of one ranking."""
+    budgets = np.array([retention_budget(r, *values.shape) for r in grid], dtype=np.int64)
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[argsort_desc(values.reshape(-1))] = np.arange(values.size)
+    return (rank < budgets[:, None]).reshape(len(grid), *values.shape)
 
 
 def kept_rows(
@@ -158,13 +159,13 @@ def kept_rows(
     layers, kv_heads, n = cap.value_norms_raw.shape
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, kv_heads, agg_choice))
-        importance = layer_importance(ci, agg_choice.agg_head)
+        grid_budgets = allocate_budgets(layer_importance(ci, agg_choice.agg_head), grid)
 
     out = []
-    for r_target in grid:
+    for g, r_target in enumerate(grid):
         budget = retention_budget(r_target, layers, n)
         if policy.name == "kvcompose":
-            rows = [ci.idx[l, :, :b] for l, b in enumerate(allocate_budgets(importance, r_target))]
+            rows = [ci.idx[l, :, :b] for l, b in enumerate(grid_budgets[g])]
         else:
             rows = select_baseline_indices(cap, policy, budget)
         layer_budgets = [r.shape[-1] for r in rows]
@@ -181,8 +182,7 @@ def keep_masks(
     ``grid``: ``unstructured_compress``'s masks, or each ratio's kept rows."""
     layers, kv_heads, n = cap.value_norms_raw.shape
     if policy.name == "unstructured":
-        scores = score_pipeline(cap, kv_heads, agg_choice)
-        return np.stack([unstructured_compress(scores, r_target) for r_target in grid])
+        return unstructured_compress(score_pipeline(cap, kv_heads, agg_choice), grid)
     masks = np.zeros((len(grid), layers, kv_heads, n), dtype=bool)
     heads = np.arange(kv_heads)[:, None]
     for mask, rows in zip(masks, kept_rows(cap, agg_choice, grid, policy)):

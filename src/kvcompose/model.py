@@ -227,7 +227,7 @@ def _forward(
     angles = positions[:, None].astype(np.float64) * model.inv_freq[None, :]  # (M, d_h/2)
     cos, sin = np.cos(angles), np.sin(angles)  # every layer rotates at the same positions
     scale = 1.0 / np.sqrt(d_h)
-    causal = np.triu(np.full((m, m), -np.inf), k=1) if m > 1 else None
+    upper = np.arange(m)[:, None] < np.arange(m)  # (M, M) causal mask: True above the diagonal
     attention: list[np.ndarray] = []
 
     for layer in range(cfg.layers):
@@ -245,13 +245,12 @@ def _forward(
 
         scores = q.reshape(*grid, h_kv, -1, d_h) @ k.swapaxes(-1, -2)
         scores = scores.reshape(*grid, h_q, m, held + m)
-        if causal is not None:
-            scores[..., held:] += causal
+        np.copyto(scores[..., held:], -np.inf, where=upper)
         if head_masks is not None:
             width = head_masks.shape[-1]
             grouped = scores.reshape(*grid, h_kv, -1, held + m)  # each kv head's query rows
             keep = head_masks[..., layer, :, None, :]
-            grouped[..., :width] = np.where(keep, grouped[..., :width], -np.inf)
+            np.copyto(grouped[..., :width], -np.inf, where=~keep)
         attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
         out = attn.reshape(*grid, h_kv, -1, held + m) @ v  # (..., H_kv, group*M, d_h)
         out = out.reshape(*grid, h_q, m, d_h).swapaxes(-3, -2).reshape(*grid, m, h_q * d_h)
@@ -294,9 +293,7 @@ def decode_step(
     """
     if head_masks is not None and head_masks.ndim != 3:
         raise UsageError(f"decode_step takes one (L, H_kv, W) mask, got shape {head_masks.shape}")
-    logits, _ = _forward(
-        model, cache, np.asarray([token]), np.asarray([position]), head_masks
-    )
+    logits, _ = _forward(model, cache, np.asarray([token]), np.asarray([position]), head_masks)
     return logits[0]
 
 

@@ -2,7 +2,7 @@
 
 Everything here is pure and deterministic: identical inputs give
 bit-identical outputs on every platform. Matrices are plain 2-D float64
-numpy arrays in row-major order.
+arrays; ``softmax_rows``, the one attention normalizer, never writes one.
 """
 from __future__ import annotations
 
@@ -96,22 +96,25 @@ def softmax_rows(m: Matrix, scale: float) -> Matrix:
     """Row-wise softmax of ``m * scale`` with max-subtraction for stability.
 
     Entries equal to -inf act as masks and map to exactly 0.0. A fully
-    masked row comes back as all zeros rather than NaN.
+    masked row comes back as all zeros rather than NaN; a row holding NaN
+    or +inf, also after scaling, raises ``UsageError``. ``m`` is not written.
     """
     if scale <= 0:
         raise UsageError(f"softmax scale must be positive, got {scale}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D matrix, got {m.ndim}-D")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore"):  # an overflowing row is rejected below
         z = m * scale
-        mx = np.max(z, axis=1, keepdims=True)
-        mx = np.where(np.isfinite(mx), mx, 0.0)  # fully masked row -> no shift
-        e = np.exp(z - mx)
-    e[~np.isfinite(z)] = 0.0
-    denom = e.sum(axis=1, keepdims=True)
+    mx = np.max(z, axis=1, keepdims=True)
+    if not np.all(mx < np.inf):
+        raise UsageError("softmax_rows needs every row free of NaN and +inf after scaling")
+    mx[mx == -np.inf] = 0.0  # fully masked row: no shift, so it stays -inf
+    z -= mx  # finite or -inf entries only, and exp(-inf) is exactly 0
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
     denom[denom == 0.0] = 1.0
-    return e / denom
+    return np.divide(z, denom, out=z)
 
 
 def argsort_desc(v: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -127,8 +127,7 @@ def test_criterion_3_allocation_oracle():
             rows = np.sort(
                 rng.uniform_block(layers * n).reshape(layers, n), axis=1
             )[:, ::-1].copy()
-            for r in RATIO_GRID:
-                budgets = allocate_budgets(rows, r)
+            for r, budgets in zip(RATIO_GRID, allocate_budgets(rows, RATIO_GRID)):
                 budget = retention_budget(r, layers, n)
                 assert budgets.tolist() == allocation_oracle(rows, budget)
                 assert int(budgets.sum()) == budget
@@ -176,9 +175,8 @@ def test_criterion_5_gather_oracle():
                 ),
             )
             ci = composite_indices(scores)
-            budgets = allocate_budgets(
-                layer_importance(ci, "avg"), RATIO_GRID[rng.randint(len(RATIO_GRID))]
-            )
+            r = RATIO_GRID[rng.randint(len(RATIO_GRID))]
+            budgets = allocate_budgets(layer_importance(ci, "avg"), (r,))[0]
             compressed = compact_cache(base.cache, ci, budgets)
             for l in range(cfg.layers):
                 for h in range(cfg.kv_heads):
@@ -235,8 +233,8 @@ def test_criterion_7_unstructured_patching():
         context = [rng.randint(cfg.vocab_size) for _ in range(n)]
         base = prefill(model, context)
         all_true = unstructured_compress(
-            ScoreTensor(STAGE_FINAL, np.ones((cfg.layers, cfg.kv_heads, n))), 0.0
-        )
+            ScoreTensor(STAGE_FINAL, np.ones((cfg.layers, cfg.kv_heads, n))), (0.0,)
+        )[0]
         assert all_true.all()
         a = decode_step(model, base.cache.clone(), 1, n)
         b = decode_step(model, base.cache.clone(), 1, n, head_masks=all_true)
@@ -248,7 +246,7 @@ def test_criterion_7_unstructured_patching():
             layers, heads, width = 1 + rng.randint(4), 1 + rng.randint(3), 1 + rng.randint(16)
             values = rng.uniform_block(layers * heads * width).reshape(layers, heads, width)
             r = RATIO_GRID[rng.randint(len(RATIO_GRID))]
-            masks = unstructured_compress(ScoreTensor(STAGE_FINAL, values), r)
+            masks = unstructured_compress(ScoreTensor(STAGE_FINAL, values), (r,))[0]
             flat = values.reshape(-1)
             order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
             expected = np.zeros(flat.size, dtype=bool)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvcompose import composer
 from kvcompose.baselines import Policy
 from kvcompose.composer import (
     CompressedCache,
@@ -118,41 +119,46 @@ class TestLayerImportance:
 
 class TestAllocateBudgets:
     def test_hand_pool_example(self):
-        budgets = allocate_budgets(np.array([[5.0, 4.0, 1.0], [3.0, 2.0, 0.0]]), 0.5)
+        budgets = allocate_budgets(np.array([[5.0, 4.0, 1.0], [3.0, 2.0, 0.0]]), (0.5,))[0]
         assert budgets.sum() == 3
         assert budgets.tolist() == [2, 1]
 
     def test_no_compression(self):
-        budgets = allocate_budgets(np.array([[3.0, 2.0], [1.0, 0.5]]), 0.0)
+        budgets = allocate_budgets(np.array([[3.0, 2.0], [1.0, 0.5]]), (0.0,))[0]
         assert budgets.sum() == 4
         assert budgets.tolist() == [2, 2]
 
     def test_budget_formula(self):
         rng = SeededRng(6)
         values = np.sort(rng.uniform_block(4 * 10).reshape(4, 10), axis=1)[:, ::-1]
-        budgets = allocate_budgets(values.copy(), 0.9)
+        budgets = allocate_budgets(values.copy(), (0.9,))[0]
         assert budgets.sum() == 4  # floor(0.1 * 40)
         assert budgets.dtype == np.int64
 
     @settings(deadline=None, max_examples=40)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 8),
-        st.integers(1, 64),
-        st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
-    )
-    def test_matches_bruteforce_oracle(self, seed, layers, n, r):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 64))
+    def test_matches_bruteforce_oracle(self, seed, layers, n):
         rng = SeededRng(seed)
         rows = np.sort(rng.uniform_block(layers * n).reshape(layers, n), axis=1)[:, ::-1]
-        budgets = allocate_budgets(rows.copy(), r)
-        assert budgets.tolist() == allocation_oracle(rows, retention_budget(r, layers, n))
-        assert budgets.sum() == retention_budget(r, layers, n)
+        grid_budgets = allocate_budgets(rows.copy(), RATIO_GRID)
+        assert grid_budgets.shape == (len(RATIO_GRID), layers)
+        for r, budgets in zip(RATIO_GRID, grid_budgets):
+            assert budgets.tolist() == allocation_oracle(rows, retention_budget(r, layers, n))
+            assert budgets.sum() == retention_budget(r, layers, n)
+
+    def test_one_ranking_serves_the_grid(self, monkeypatch):
+        calls = count_calls(monkeypatch, composer, "argsort_desc")
+        rows = np.sort(SeededRng(8).uniform_block(3 * 12).reshape(3, 12), axis=1)[:, ::-1]
+        grid_budgets = allocate_budgets(rows.copy(), RATIO_GRID)
+        assert len(calls) == 1
+        for r, budgets in zip(RATIO_GRID, grid_budgets):
+            assert np.array_equal(budgets, allocate_budgets(rows.copy(), (r,))[0])
 
     def test_kept_slots_form_prefix(self):
         # non-increasing rows + tie rule imply the kept set is slots [0, N_l)
         rng = SeededRng(7)
         rows = np.sort(rng.uniform_block(3 * 12).reshape(3, 12), axis=1)[:, ::-1]
-        budgets = allocate_budgets(rows.copy(), 0.6)
+        budgets = allocate_budgets(rows.copy(), (0.6,))[0]
         pool = [(-rows[l, k], l, k) for l in range(3) for k in range(12)]
         pool.sort()
         kept = {(l, k) for _, l, k in pool[: retention_budget(0.6, 3, 12)]}
@@ -162,11 +168,11 @@ class TestAllocateBudgets:
 
     def test_invalid_ratio(self):
         with pytest.raises(UsageError):
-            allocate_budgets(np.ones((1, 2)), 1.5)
+            allocate_budgets(np.ones((1, 2)), (1.5,))
 
     def test_rejects_non_finite(self):
         with pytest.raises(UsageError, match="finite"):
-            allocate_budgets(np.array([[1.0, np.nan], [2.0, 0.5]]), 0.5)
+            allocate_budgets(np.array([[1.0, np.nan], [2.0, 0.5]]), (0.5,))
 
 
 class TestCompactCache:
@@ -175,7 +181,7 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(8, layers=2, heads=2, n=8)
         ci = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.0)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.0,))[0]
         compressed = compact_cache(base.cache, ci, budgets)
         for layer in range(2):
             assert np.array_equal(compressed.provenance[layer], ci.idx[layer])
@@ -204,7 +210,7 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(10, layers=2, heads=2, n=10)
         ci = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.4)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.4,))[0]
         compressed = compact_cache(base.cache, ci, budgets)
         for layer in range(2):
             for h in range(2):
@@ -240,7 +246,7 @@ class TestCompactCache:
     def test_clone_keeps_type_and_provenance(self, tiny_model):
         base = prefill(tiny_model, random_context(27, 8))
         ci = composite_indices(final_scores(9, layers=2, heads=2, n=8))
-        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.5,))[0]
         compressed = compact_cache(base.cache, ci, budgets)
         twice = compressed.clone().clone()
         assert type(compressed.clone()) is CompressedCache
@@ -256,7 +262,7 @@ class TestCompactCache:
         base = prefill(tiny_model, context)
         s = final_scores(11, layers=2, heads=2, n=6)
         ci = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.5,))[0]
         once = compact_cache(base.cache, ci, budgets)
         with pytest.raises(UsageError):
             compact_cache(once, ci, budgets)
@@ -401,7 +407,7 @@ class TestCompressPipeline:
         row = SeededRng(12).uniform_block(10)
         values = np.stack([np.stack([row, row]), np.stack([row, row])])
         ci = composite_indices(ScoreTensor(STAGE_FINAL, values))
-        budgets = allocate_budgets(layer_importance(ci, "avg"), 0.5)
+        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.5,))[0]
         compressed = compact_cache(base.cache, ci, budgets)
         for layer in range(2):
             assert np.array_equal(
@@ -412,7 +418,7 @@ class TestCompressPipeline:
 class TestUnstructured:
     def test_r0_all_true_and_exact_logits(self, tiny_model):
         context = random_context(30, 8)
-        masks = unstructured_compress(final_scores(13, n=8), 0.0)
+        masks = unstructured_compress(final_scores(13, n=8), (0.0,))[0]
         assert masks.all()
         full = prefill(tiny_model, context)
         a = decode_step(tiny_model, full.cache.clone(), 2, 8)
@@ -422,7 +428,7 @@ class TestUnstructured:
     def test_boundary_single_entry(self):
         s = final_scores(14, layers=2, heads=2, n=8)
         total = 2 * 2 * 8
-        masks = unstructured_compress(s, 1.0 - 1.0 / total)
+        masks = unstructured_compress(s, (1.0 - 1.0 / total,))[0]
         assert masks.dtype == bool and masks.shape == (2, 2, 8)
         assert np.count_nonzero(masks) == 1
         winner = np.unravel_index(np.argmax(s.values), s.values.shape)
@@ -430,7 +436,7 @@ class TestUnstructured:
 
     def test_kept_set_matches_global_sort_oracle(self):
         s = final_scores(15, layers=3, heads=2, n=10)
-        masks = unstructured_compress(s, 0.6)
+        masks = unstructured_compress(s, (0.6,))[0]
         flat = s.values.reshape(-1)
         order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
         expected = np.zeros(flat.size, dtype=bool)
@@ -439,11 +445,25 @@ class TestUnstructured:
 
     def test_budget_counts_per_head_entries(self):
         s = final_scores(16, layers=2, heads=2, n=10)
-        masks = unstructured_compress(s, 0.5)
+        masks = unstructured_compress(s, (0.5,))[0]
         assert np.count_nonzero(masks) == 20  # floor(0.5 * 2 * 2 * 10)
+
+    def test_grid_masks_match_oracle_and_nest(self, monkeypatch):
+        calls = count_calls(monkeypatch, composer, "argsort_desc")
+        s = final_scores(18, layers=3, heads=2, n=10)
+        masks = unstructured_compress(s, RATIO_GRID)
+        assert len(calls) == 1
+        assert masks.dtype == bool and masks.shape == (len(RATIO_GRID), 3, 2, 10)
+        flat = s.values.reshape(-1)
+        order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
+        for r, mask in zip(RATIO_GRID, masks):
+            expected = np.zeros(flat.size, dtype=bool)
+            expected[order[: retention_budget(r, 3, 2, 10)]] = True
+            assert np.array_equal(mask.reshape(-1), expected)
+        assert not (masks[1:] & ~masks[:-1]).any()  # a higher ratio keeps a subset
 
     def test_rejects_non_finite(self):
         s = final_scores(17)
         s.values[1, 0, 3] = np.nan
         with pytest.raises(UsageError, match="finite"):
-            unstructured_compress(s, 0.5)
+            unstructured_compress(s, (0.5,))

@@ -402,7 +402,7 @@ class TestOnePassTeacherForcing:
         cap = collect_attention(
             gqa_model, list(task.prompt), TaskSet(mode="task-agnostic", observation_window=16)
         )
-        masks = unstructured_compress(score_pipeline(cap, 2, AggregationChoice()), 0.7)
+        masks = unstructured_compress(score_pipeline(cap, 2, AggregationChoice()), (0.7,))[0]
         assert not masks.all()
         self.assert_matches_stepwise(gqa_model, cap.cache, task, head_masks=masks)
 
@@ -460,7 +460,8 @@ def reference_point(model, state, policy, agg_choice, r_target):
     cfg = model.config
     cap = state.capture
     if policy.name == "unstructured":
-        masks = unstructured_compress(score_pipeline(cap, cfg.kv_heads, agg_choice), r_target)
+        scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
+        masks = unstructured_compress(scores, (r_target,))[0]
         r_achieved = 1.0 - np.count_nonzero(masks) / (cfg.layers * cfg.kv_heads * cap.context_len)
         r, kl = _reward_and_kl(
             model, cap.cache, state.task, state.reference_logits, head_masks=masks
@@ -469,7 +470,7 @@ def reference_point(model, state, policy, agg_choice, r_target):
     budget = retention_budget(r_target, cfg.layers, cap.context_len)
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
-        budgets = allocate_budgets(layer_importance(ci, agg_choice.agg_head), r_target)
+        budgets = allocate_budgets(layer_importance(ci, agg_choice.agg_head), (r_target,))[0]
         cache = compact_cache(cap.cache, ci, budgets)
     elif policy.name == "tova":
         base, extra = divmod(budget, cfg.layers)  # the remainder goes to the earliest layers

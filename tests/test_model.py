@@ -89,6 +89,14 @@ class TestPrefill:
             assert np.abs(sums - 1.0).max() < 1e-6
             assert (attn >= 0).all()
 
+    def test_attention_above_the_diagonal_is_exactly_zero(self, gqa_model):
+        n = 40
+        res = prefill(gqa_model, random_context(4, n))
+        future = np.triu(np.ones((n, n), dtype=bool), k=1)
+        for attn in res.attention:
+            assert (attn[:, future] == 0.0).all()
+            assert (attn[:, ~future] > 0.0).all()
+
     def test_matches_incremental_decode_oracle(self, tiny_model):
         tokens = random_context(3, 9)
         full = prefill(tiny_model, tokens)

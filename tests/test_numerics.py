@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompose.errors import UsageError
@@ -11,7 +11,63 @@ from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from conftest import random_matrix
 
 
+def softmax_oracle(m, scale):
+    """The out-of-place softmax with a non-finite fix-up that ``softmax_rows``
+    replaced; it must agree with the in-place kernel bit for bit."""
+    m = np.asarray(m, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        z = m * scale
+        mx = np.max(z, axis=1, keepdims=True)
+        mx = np.where(np.isfinite(mx), mx, 0.0)
+        e = np.exp(z - mx)
+    e[~np.isfinite(z)] = 0.0
+    denom = e.sum(axis=1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    return e / denom
+
+
+@st.composite
+def masked_matrices(draw):
+    """Finite matrices with -inf masks, some rows fully masked."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols))
+    masked = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    m = np.array(values).reshape(rows, cols)
+    m[np.array(masked).reshape(rows, cols)] = -np.inf
+    m[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = -np.inf
+    return m
+
+
 class TestSoftmaxRows:
+    @settings(deadline=None, max_examples=200)
+    @given(masked_matrices(), st.floats(0.01, 4.0))
+    def test_bits_match_out_of_place_oracle(self, m, scale):
+        before = m.copy()
+        out = softmax_rows(m, scale)
+        want = softmax_oracle(m, scale)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(m.view(np.uint64), before.view(np.uint64))  # input untouched
+
+    def test_bits_match_oracle_on_causal_attention_scores(self):
+        m = random_matrix(5, 48, 48) * 30.0
+        m[np.triu(np.ones((48, 48), dtype=bool), k=1)] = -np.inf
+        m[7] = -np.inf
+        out = softmax_rows(m, scale=0.35)
+        assert np.array_equal(out.view(np.uint64), softmax_oracle(m, 0.35).view(np.uint64))
+        assert not out[7].any()
+
+    @pytest.mark.parametrize(
+        "row, scale",
+        [([np.inf, 0.0, 1.0], 1.0), ([1.0, np.nan, 0.0], 1.0), ([1e308, 1e308, 0.0], 2.0)],
+        ids=["plus-inf", "nan", "overflow"],
+    )
+    def test_rejects_nan_and_plus_inf_rows(self, row, scale):
+        m = np.array([[0.0, 1.0, 2.0], row])
+        with pytest.raises(UsageError, match="NaN"):
+            softmax_rows(m, scale)
+
     def test_symmetric_row(self):
         out = softmax_rows(np.array([[0.0, 0.0]]), scale=1.0)
         assert np.array_equal(out, np.array([[0.5, 0.5]]))

@@ -3,8 +3,10 @@ by name, so a renamed or deleted function would break
 ``perfbench/run.py --trace 1`` unseen; every ranking goes through
 ``numerics.argsort_desc``, the one home of the tie rule; only
 ``model.py`` reads ``max_context``, whose one check is in ``_forward``;
-no dataclass merely wraps one array; and the evaluator scores every
-policy through ``composer.keep_masks`` alone."""
+no dataclass merely wraps one array; the evaluator scores every
+policy through ``composer.keep_masks`` alone; and ``model.py`` and
+``scoring.py`` call no ``np.exp``, so ``numerics.softmax_rows`` stays the
+one place attention is normalized."""
 import ast
 import importlib
 import importlib.util
@@ -51,6 +53,26 @@ def test_ranking_sorts_only_in_numerics():
         for line in ranking_sorts(path.read_text())
     }
     assert found == set()
+
+
+def called_names(path: Path) -> list[str]:
+    return [
+        ast.unparse(node.func)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_attention_normalized_only_by_softmax_rows():
+    src = ROOT / "src" / "kvcompose"
+    found = {
+        name
+        for name in ("model.py", "scoring.py")
+        if {"np.exp", "numpy.exp"} & set(called_names(src / name))
+    }
+    assert found == set()
+    # the tracer wraps the name model.py imports, so _forward calls it bare
+    assert called_names(src / "model.py").count("softmax_rows") == 1
 
 
 def test_max_context_read_only_in_model():
