@@ -52,6 +52,12 @@ class Policy:
         if not (np.isfinite(self.shape) and self.shape >= 0):
             raise ConfigError(f"shape must be a finite number >= 0, got {self.shape}")
 
+    @property
+    def reads_head_mean(self) -> bool:
+        """Whether the policy replays the prefill's head-mean attention, so its
+        capture must keep it (``collect_attention(..., head_mean=True)``)."""
+        return self.name == "tova"
+
 
 def retention_budget(r_target: float, *dims: int) -> int:
     """Entries kept at the target ratio: floor((1-r) * d1 * d2 * ...), left to right."""
@@ -73,27 +79,35 @@ def streaming_select(n: int, budget: int, sinks: int) -> list[int]:
     return sorted(kept)
 
 
-def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list[np.ndarray]:
+def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list:
     """Per-layer survivors of online least-attended eviction, replayed on a
     prefill's (L, N, N) attention averaged over query heads.
 
     Step m appends token m to every layer; each layer then holding
     budget+1 tokens evicts the one that row m attends to least, the lowest
     index on ties. The newest token is evictable, so a budget of 0 keeps
-    nothing. Returns ascending int64 indices per layer.
+    nothing. A scalar or (L,) budget returns ascending int64 indices per
+    layer; (G, L) budgets, one row per grid ratio, return one such list per
+    row, from one replay over positions with a (G*L, N) keep-mask.
     """
     layers, n = rows.shape[:2]
-    budgets = np.broadcast_to(budget, (layers,))
-    if (budgets < 0).any():
+    budgets = np.asarray(budget)
+    lead = budgets.shape[:-1]  # () or (G,)
+    flat = np.broadcast_to(budgets, lead + (layers,)).reshape(-1)
+    if (flat < 0).any():
         raise ConfigError(f"tova budget must be >= 0 per layer, got {budgets.tolist()}")
-    first = int(min(budgets.min(), n))  # no layer evicts before step ``first``
-    keep = np.tile(np.arange(n) < first, (layers, 1))
+    layer = np.tile(np.arange(layers), flat.size // layers)  # the attention each mask row reads
+    first = int(min(flat.min(), n))  # no layer evicts before step ``first``
+    # the keep-mask as an added cost: 0 where a token is held, inf where it
+    # is evicted or not yet appended, so the least-attended held token wins
+    cost = np.tile(np.where(np.arange(n) < first, 0.0, np.inf), (flat.size, 1))
     for m in range(first, n):
-        keep[:, m] = True
-        over = np.flatnonzero(budgets <= m)  # layers now holding budget + 1 tokens
-        worst = np.where(keep[over], rows[over, m], np.inf).argmin(axis=1)
-        keep[over, worst] = False
-    return [np.flatnonzero(k) for k in keep]
+        cost[:, m] = 0.0
+        over = np.flatnonzero(flat <= m)  # mask rows now holding budget + 1 tokens
+        worst = (rows[layer[over], m] + cost[over]).argmin(axis=1)
+        cost[over, worst] = np.inf
+    kept = [np.flatnonzero(c == 0.0) for c in cost]
+    return [kept[g : g + layers] for g in range(0, len(kept), layers)] if lead else kept
 
 
 def snapkv_select(
@@ -180,21 +194,32 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
 
 
 def select_baseline_indices(
-    cap: AttentionCapture, policy: Policy, budget_total: int
-) -> list[np.ndarray]:
-    """Dispatch a baseline policy into per-layer kept-index arrays.
+    cap: AttentionCapture, policy: Policy, budget_totals: tuple[int, ...]
+) -> list[list[np.ndarray]]:
+    """Dispatch a baseline policy into per-layer kept-index arrays, one list
+    per total in ``budget_totals`` (one per grid ratio).
 
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule); sink and
     window parameters are clamped to each layer's budget so every grid
-    ratio stays feasible. tova replays the capture's head-mean attention;
-    snapkv/pyramid score on the capture's task rows.
+    ratio stays feasible. tova replays the capture's head-mean attention
+    once for every total; snapkv/pyramid score on the capture's task rows.
     """
-    layers, n = cap.A.shape[0], cap.context_len
-    base_split, extra = divmod(budget_total, layers)
-    uniform = np.full(layers, base_split, dtype=np.int64)
-    uniform[:extra] += 1
+    layers = cap.A.shape[0]
+    totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
+    uniform = totals // layers + (np.arange(layers) < totals % layers)  # (G, L)
+    if policy.name == "tova":
+        if cap.attention_mean is None:
+            raise UsageError("tova replays the head-mean attention; capture it with head_mean=True")
+        return tova_select(cap.attention_mean, uniform)
+    return [_select(cap, policy, total, split) for total, split in zip(budget_totals, uniform)]
 
+
+def _select(
+    cap: AttentionCapture, policy: Policy, budget_total: int, uniform: np.ndarray
+) -> list[np.ndarray]:
+    """One total's kept rows for a policy that selects one ratio at a time."""
+    layers, n = cap.A.shape[0], cap.context_len
     if policy.name == "streaming":
         return [
             np.asarray(
@@ -209,8 +234,6 @@ def select_baseline_indices(
             np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
             for b in uniform
         ]
-    if policy.name == "tova":
-        return tova_select(cap.attention_mean, uniform)
     if policy.name in ("snapkv", "pyramid"):
         budgets = uniform
         if policy.name == "pyramid":

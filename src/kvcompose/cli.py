@@ -267,7 +267,8 @@ def cmd_compress(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
 def _prepare_tasks(cfg: RunConfig, model: Model):
     """Every task's capture (with its full prefill cache) and reference run."""
     mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-    return [prepare_task(model, t, mode, window) for t in build_tasks(cfg, model)]
+    head_mean = cfg.eviction.reads_head_mean
+    return [prepare_task(model, t, mode, window, head_mean) for t in build_tasks(cfg, model)]
 
 
 def _sweep_report(cfg: RunConfig, model: Model, states):

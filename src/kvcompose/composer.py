@@ -157,21 +157,17 @@ def kept_rows(
     """Each grid ratio's kept rows per layer, (H_kv, n_l) or (n_l,) for every
     head: prefixes of one score order for kvcompose, else a baseline's rows."""
     layers, kv_heads, n = cap.value_norms_raw.shape
+    budgets = [retention_budget(r_target, layers, n) for r_target in grid]
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, kv_heads, agg_choice))
         grid_budgets = allocate_budgets(layer_importance(ci, agg_choice.agg_head), grid)
-
-    out = []
-    for g, r_target in enumerate(grid):
-        budget = retention_budget(r_target, layers, n)
-        if policy.name == "kvcompose":
-            rows = [ci.idx[l, :, :b] for l, b in enumerate(grid_budgets[g])]
-        else:
-            rows = select_baseline_indices(cap, policy, budget)
+        out = [[ci.idx[l, :, :b] for l, b in enumerate(row)] for row in grid_budgets]
+    else:
+        out = select_baseline_indices(cap, policy, budgets)
+    for rows, budget in zip(out, budgets, strict=True):
         layer_budgets = [r.shape[-1] for r in rows]
         if sum(layer_budgets) != budget:
             raise UsageError(f"policy {policy.name} kept {layer_budgets} slots, budget is {budget}")
-        out.append(rows)
     return out
 
 
@@ -202,7 +198,7 @@ def compress(
     """Capture ``task_set`` on ``context``, then compact its cache at one ratio."""
     if policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
-    cap = collect_attention(model, context, task_set)
+    cap = collect_attention(model, context, task_set, policy.reads_head_mean)
     compressed = gather_cache(cap.cache, kept_rows(cap, agg_choice, (r_target,), policy)[0])
     layer_budgets = [compressed.rows(l) for l in range(compressed.layer_count)]
     budget = sum(layer_budgets)

@@ -206,7 +206,7 @@ def _run_steps(
     positions = cache.next_position + np.arange(len(inputs))
     if head_masks is None or head_masks.ndim == 3:  # a mask stack appends nothing
         cache = cache.clone()
-    logits, _ = _forward(model, cache, np.asarray(inputs), positions, head_masks)
+    logits, _, _ = _forward(model, cache, np.asarray(inputs), positions, head_masks)
     return logits[..., -len(targets) :, :]
 
 
@@ -329,12 +329,14 @@ class TaskState:
 
 
 def prepare_task(
-    model: Model, task: TaskInstance, mode: str, observation_window: int
+    model: Model, task: TaskInstance, mode: str, observation_window: int, head_mean: bool = False
 ) -> TaskState:
+    """The task's capture, keeping the head mean only if ``head_mean``
+    (``Policy.reads_head_mean``), and its full-cache reference run."""
     # task-aware scoring reads the recall query, or an agreement task's reference continuation
     rows = task.query if task.kind == "recall" else task.answer
     tset = TaskSet.for_context(mode, len(task.prompt), (rows,), observation_window)
-    capture = collect_attention(model, list(task.prompt), tset)
+    capture = collect_attention(model, list(task.prompt), tset, head_mean)
     reference = _run_steps(model, capture.cache, task, head_masks=None)
     return TaskState(
         task=task,
@@ -400,7 +402,8 @@ def sweep(
     observation_window: int = OBSERVATION_WINDOW,
 ) -> list[CurvePoint]:
     """Prepare every task, then evaluate one curve point per grid ratio."""
-    states = [prepare_task(model, t, mode, observation_window) for t in tasks]
+    head_mean = policy.reads_head_mean
+    states = [prepare_task(model, t, mode, observation_window, head_mean) for t in tasks]
     return sweep_prepared(model, states, policy, agg_choice, grid)
 
 

@@ -107,11 +107,26 @@ class KVCache:
         )
 
 
+@dataclass(frozen=True)
+class AttentionKeep:
+    """What a forward pass keeps of each layer's attention once the next
+    layer runs: the last ``rows`` query rows (every row when None, none
+    when 0), and the mean over query heads of every row when ``head_mean``."""
+
+    rows: int | None = None
+    head_mean: bool = False
+
+    def __post_init__(self):
+        if self.rows is not None and self.rows < 0:
+            raise UsageError(f"kept attention rows must be >= 0, got {self.rows}")
+
+
 @dataclass
 class PrefillResult:
     cache: KVCache
     logits: np.ndarray  # (N, vocab)
-    attention: list[np.ndarray]  # per layer (H_q, N, N), rows are query positions
+    attention: list[np.ndarray]  # per layer (H_q, kept rows, N), the last query positions
+    attention_mean: list[np.ndarray] | None = None  # per layer (N, N), mean over H_q
 
 
 def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -185,7 +200,8 @@ def _forward(
     tokens: np.ndarray,
     positions: np.ndarray,
     head_masks: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+    keep: AttentionKeep = AttentionKeep(),
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
     """Append M tokens to every layer of ``cache``; return their logits and attention.
 
     Each layer may already hold any number of rows R. The new rows attend
@@ -197,8 +213,10 @@ def _forward(
     is saved; the mask evaluates per-head eviction on the full cache. A
     (G, L, H_kv, W) stack runs the tokens once per mask against the shared
     held rows: outputs gain a leading G axis, and ``cache`` is left as it
-    was. Attention comes back per layer as (H_q, M, R+M). This is the one
-    check that every position lies below ``max_context``.
+    was. Attention comes back per layer as (H_q, M, R+M), cut to the rows
+    ``keep`` asks for before the next layer runs, followed by the per-layer
+    (M, R+M) means over query heads when ``keep.head_mean`` (else None).
+    This is the one check that every position lies below ``max_context``.
 
     Query head h reads kv head h // group. Stacking a kv head's group of
     query rows as one (group*M, d_h) block lets one batched matmul per kv
@@ -208,6 +226,8 @@ def _forward(
     m = len(tokens)
     if positions.size and positions.max() >= cfg.max_context:
         raise UsageError(f"position {int(positions.max())} is past max_context {cfg.max_context}")
+    if keep.rows is not None and keep.rows > m:
+        raise UsageError(f"cannot keep {keep.rows} attention rows of {m}")
     x = _embed(model, tokens, positions)  # (M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     if head_masks is not None:
@@ -229,6 +249,7 @@ def _forward(
     scale = 1.0 / np.sqrt(d_h)
     upper = np.arange(m)[:, None] < np.arange(m)  # (M, M) causal mask: True above the diagonal
     attention: list[np.ndarray] = []
+    means: list[np.ndarray] | None = [] if keep.head_mean else None
 
     for layer in range(cfg.layers):
         rows = x[:, None] if grid else x  # a grid row's (M, d) block meets every head
@@ -249,32 +270,38 @@ def _forward(
         if head_masks is not None:
             width = head_masks.shape[-1]
             grouped = scores.reshape(*grid, h_kv, -1, held + m)  # each kv head's query rows
-            keep = head_masks[..., layer, :, None, :]
-            np.copyto(grouped[..., :width], -np.inf, where=~keep)
+            visible = head_masks[..., layer, :, None, :]
+            np.copyto(grouped[..., :width], -np.inf, where=~visible)
         attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
         out = attn.reshape(*grid, h_kv, -1, held + m) @ v  # (..., H_kv, group*M, d_h)
         out = out.reshape(*grid, h_q, m, d_h).swapaxes(-3, -2).reshape(*grid, m, h_q * d_h)
         x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
-        attention.append(attn)
+        if keep.head_mean:
+            means.append(attn.mean(axis=-3))
+        attention.append(attn if keep.rows is None else attn[..., m - keep.rows :, :].copy())
         if not grid:
             cache.keys[layer], cache.values[layer] = k, v
             cache.next_positions[layer] = int(positions[-1]) + 1
 
-    return x @ model.embedding.T, attention
+    return x @ model.embedding.T, attention, means
 
 
-def prefill(model: Model, tokens: list[int]) -> PrefillResult:
+def prefill(
+    model: Model, tokens: list[int], keep: AttentionKeep = AttentionKeep()
+) -> PrefillResult:
     """Causal forward pass over ``tokens`` from position 0.
 
-    Fills one K,V row per token per kv head per layer and keeps every
-    attention row for later capture.
+    Fills one K,V row per token per kv head per layer. Of each layer's
+    attention it keeps what ``keep`` asks for: by default every row; a
+    capture keeps only the rows (and the head mean) its selectors read, so
+    no layer's full (H_q, N, N) attention outlives that layer.
     """
     n = len(tokens)
     if n == 0:
         raise UsageError("prefill needs at least one token")
     cache = empty_cache(model)
-    logits, attention = _forward(model, cache, np.asarray(tokens), np.arange(n))
-    return PrefillResult(cache=cache, logits=logits, attention=attention)
+    logits, attention, means = _forward(model, cache, np.asarray(tokens), np.arange(n), keep=keep)
+    return PrefillResult(cache=cache, logits=logits, attention=attention, attention_mean=means)
 
 
 def decode_step(
@@ -293,7 +320,7 @@ def decode_step(
     """
     if head_masks is not None and head_masks.ndim != 3:
         raise UsageError(f"decode_step takes one (L, H_kv, W) mask, got shape {head_masks.shape}")
-    logits, _ = _forward(model, cache, np.asarray([token]), np.asarray([position]), head_masks)
+    logits, _, _ = _forward(model, cache, np.asarray([token]), np.asarray([position]), head_masks)
     return logits[0]
 
 

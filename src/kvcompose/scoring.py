@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import KVCache, Model, _forward, prefill
+from .model import AttentionKeep, KVCache, Model, _forward, prefill
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -99,7 +99,10 @@ class AttentionCapture:
     which only the context columns are kept here. Value norms are recorded
     per kv head (raw) and per query head (projected through that head's
     output matrix). Of the context's prefill it keeps only what the
-    selectors read: the full cache and the head-mean attention tova replays.
+    selectors read: the full cache, and the attention averaged over query
+    heads only when asked for (tova replays it). The prefill itself keeps
+    no more attention than that, so no (H_q, N, N) array outlives the
+    layer that made it.
     """
 
     A: np.ndarray  # (L, H_q, N, M)
@@ -133,30 +136,34 @@ def _task_rows(model: Model, cache: KVCache, task: tuple[int, ...]) -> np.ndarra
     N..N+M-1, so only its M rows are computed.
     """
     n, m = cache.rows(0), len(task)
-    _, attention = _forward(model, cache.clone(), np.asarray(task), np.arange(n, n + m))
+    _, attention, _ = _forward(model, cache.clone(), np.asarray(task), np.arange(n, n + m))
     return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
 
 
-def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> AttentionCapture:
+def collect_attention(
+    model: Model, context: list[int], task_set: TaskSet, head_mean: bool = False
+) -> AttentionCapture:
     """Prefill the context once; record how the task tokens attend to it, plus value norms.
 
     task-aware appends each task to the prefilled cache and keeps its
     rows; task-agnostic keeps the trailing observation-window rows of the
     prefill itself. The prefill's cache travels with the capture, so
-    every policy and ratio compresses the same full cache.
+    every policy and ratio compresses the same full cache. ``head_mean``
+    also keeps the prefill's attention averaged over query heads, which
+    only a policy that replays it needs (``Policy.reads_head_mean``).
     """
     if not context:
         raise UsageError("context must be non-empty")
     cfg = model.config
     n = len(context)
-    base = prefill(model, context)
+    agnostic = task_set.mode == "task-agnostic"
+    w = task_set.observation_window if agnostic else 0  # prefill rows the capture reads
+    if w > n:
+        raise UsageError(f"observation_window {w} exceeds context length {n}")
+    base = prefill(model, context, keep=AttentionKeep(rows=w, head_mean=head_mean))
 
-    if task_set.mode == "task-agnostic":
-        w = task_set.observation_window
-        if w > n:
-            raise UsageError(f"observation_window {w} exceeds context length {n}")
-        blocks = [np.transpose(attn[:, n - w : n, :n], (0, 2, 1)) for attn in base.attention]
-        a = np.stack(blocks, axis=0)  # (L, H_q, N, w)
+    if agnostic:
+        a = np.stack([np.transpose(attn, (0, 2, 1)) for attn in base.attention])  # (L, H_q, N, w)
     else:
         a = np.concatenate([_task_rows(model, base.cache, t) for t in task_set.tasks], axis=3)
 
@@ -173,7 +180,7 @@ def collect_attention(model: Model, context: list[int], task_set: TaskSet) -> At
         context_len=n,
         task_len=a.shape[3],
         cache=base.cache,
-        attention_mean=np.stack([attn.mean(axis=0) for attn in base.attention]),
+        attention_mean=np.stack(base.attention_mean) if head_mean else None,
     )
 
 

@@ -11,13 +11,14 @@ from kvcompose.baselines import (
     streaming_select,
     tova_select,
 )
-from kvcompose.composer import retention_budget
-from kvcompose.errors import ConfigError
+from kvcompose.composer import kept_rows, retention_budget
+from kvcompose.errors import ConfigError, UsageError
+from kvcompose.evaluator import RATIO_GRID
 from kvcompose.model import prefill
-from kvcompose.numerics import argsort_desc
-from kvcompose.scoring import AttentionCapture, TaskSet, collect_attention
+from kvcompose.numerics import SeededRng, argsort_desc
+from kvcompose.scoring import AggregationChoice, AttentionCapture, TaskSet, collect_attention
 
-from conftest import random_context
+from conftest import count_calls, random_context
 
 
 class TestPolicy:
@@ -75,6 +76,29 @@ def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
     return alive
 
 
+def per_ratio_replay(rows: np.ndarray, budgets: np.ndarray) -> list[np.ndarray]:
+    """One ratio's all-layer replay with an (L, N) keep-mask: the form that
+    the grid replay replaced."""
+    layers, n = rows.shape[:2]
+    first = int(min(budgets.min(), n))
+    keep = np.tile(np.arange(n) < first, (layers, 1))
+    for m in range(first, n):
+        keep[:, m] = True
+        over = np.flatnonzero(budgets <= m)
+        worst = np.where(keep[over], rows[over, m], np.inf).argmin(axis=1)
+        keep[over, worst] = False
+    return [np.flatnonzero(k) for k in keep]
+
+
+def uniform_grid_budgets(layers: int, n: int) -> np.ndarray:
+    """(G, L) uniform splits of every RATIO_GRID budget, remainder to the earliest layers."""
+    out = []
+    for r in RATIO_GRID:
+        base, extra = divmod(retention_budget(r, layers, n), layers)
+        out.append([base + (layer < extra) for layer in range(layers)])
+    return np.asarray(out, dtype=np.int64)
+
+
 def head_mean(model, context) -> np.ndarray:
     """(L, N, N) prefill attention averaged over query heads: tova's input."""
     return np.stack([a.mean(axis=0) for a in prefill(model, context).attention])
@@ -118,6 +142,40 @@ class TestTovaSelect:
         rows = np.tril(np.ones((2, 6, 6)))
         kept = tova_select(rows, np.asarray([3, 0]))
         assert [k.tolist() for k in kept] == [[3, 4, 5], []] == [tova_oracle(rows[0], 3), []]
+
+    def test_grid_replay_matches_per_ratio_replay(self, gqa_model):
+        # random attention, where ties are rare, and a real prefill's head mean
+        random_rows = SeededRng(46).uniform_block(4 * 128 * 128).reshape(4, 128, 128)
+        for rows in (random_rows, head_mean(gqa_model, random_context(47, 64))):
+            budgets = uniform_grid_budgets(*rows.shape[:2])
+            grid = tova_select(rows, budgets)
+            assert len(grid) == len(RATIO_GRID)
+            for row, kept in zip(budgets, grid):
+                want = per_ratio_replay(rows, row)
+                assert [k.tolist() for k in kept] == [w.tolist() for w in want]
+                assert all(k.dtype == np.int64 for k in kept)
+            for layer, b in enumerate(budgets[-1]):  # the tightest ratio, by the set oracle
+                assert grid[-1][layer].tolist() == tova_oracle(rows[layer], b)
+
+    def test_kept_rows_replays_once_for_the_grid(self, tiny_model, monkeypatch):
+        from kvcompose import baselines
+
+        context = random_context(48, 20)
+        ts = TaskSet(mode="task-agnostic", observation_window=4)
+        cap = collect_attention(tiny_model, context, ts, head_mean=True)
+        calls = count_calls(monkeypatch, baselines, "tova_select")
+        grid = kept_rows(cap, AggregationChoice(), RATIO_GRID, Policy(name="tova"))
+        assert len(calls) == 1 and calls[0][1].shape == (len(RATIO_GRID), 2)
+        assert [sum(len(k) for k in rows) for rows in grid] == [
+            retention_budget(r, 2, 20) for r in RATIO_GRID
+        ]
+
+    def test_capture_without_head_mean_rejected(self, tiny_model):
+        ts = TaskSet(mode="task-agnostic", observation_window=4)
+        cap = collect_attention(tiny_model, random_context(49, 12), ts)
+        assert cap.attention_mean is None
+        with pytest.raises(UsageError, match="head_mean=True"):
+            select_baseline_indices(cap, Policy(name="tova"), (12,))
 
     def test_deterministic(self, tiny_model):
         context = random_context(43, 10)
@@ -181,14 +239,14 @@ class TestSnapkvSelect:
     def test_full_compression_keeps_nothing(self, tiny_model):
         cap = self.capture(tiny_model, random_context(49, 12), 4)
         budget = retention_budget(1.0, 2, 12)
-        kept = select_baseline_indices(cap, Policy(name="snapkv"), budget)
+        kept = select_baseline_indices(cap, Policy(name="snapkv"), (budget,))[0]
         assert [k.shape for k in kept] == [(2, 0), (2, 0)]
 
     def test_zero_layer_budget_clamps_window(self, tiny_model):
         # uniform split of 1 over 2 layers is [1, 0]: the window clamps to 0
         # and layer 0 keeps its top token scored over every task row
         cap = self.capture(tiny_model, random_context(50, 12), 4)
-        kept = select_baseline_indices(cap, Policy(name="snapkv"), 1)
+        kept = select_baseline_indices(cap, Policy(name="snapkv"), (1,))[0]
         assert kept[1].shape == (2, 0)
         for head in range(2):
             assert kept[0][head].tolist() == snapkv_oracle(cap, 0, head, 1, 0)
@@ -316,12 +374,15 @@ class TestBudgetParity:
     @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid"])
     def test_totals_match_structured_budget(self, tiny_model, name):
         context = random_context(48, 16)
+        policy = Policy(name=name)
         cap = collect_attention(
-            tiny_model, context, TaskSet(mode="task-agnostic", observation_window=4)
+            tiny_model, context, TaskSet(mode="task-agnostic", observation_window=4),
+            head_mean=policy.reads_head_mean,
         )
-        for r in (0.0, 0.25, 0.5, 0.75):
-            budget = retention_budget(r, 2, 16)
-            kept = select_baseline_indices(cap, Policy(name=name), budget)
+        budgets = [retention_budget(r, 2, 16) for r in (0.0, 0.25, 0.5, 0.75)]
+        grid = select_baseline_indices(cap, policy, budgets)
+        assert len(grid) == len(budgets)
+        for budget, kept in zip(budgets, grid):
             total = sum(k.shape[-1] for k in kept)
             assert total == budget
             for layer_kept in kept:  # structured: uniform count across heads

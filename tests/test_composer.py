@@ -295,8 +295,8 @@ class TestCompressPipeline:
             ts = TaskSet(mode=mode, tasks=((5, 9, 2), (17,)))
         else:
             ts = TaskSet(mode=mode, observation_window=6)
-        cap = collect_attention(tiny_model, context, ts)
         policy = Policy(name=name)
+        cap = collect_attention(tiny_model, context, ts, head_mean=policy.reads_head_mean)
         grid = kept_rows(cap, AggregationChoice(), RATIO_GRID, policy)
         masks = keep_masks(cap, AggregationChoice(), RATIO_GRID, policy)
         assert len(grid) == len(RATIO_GRID) == len(masks)
@@ -324,6 +324,30 @@ class TestCompressPipeline:
         ts = TaskSet(mode="task-aware", tasks=((5, 9, 2), (17,)))
         compress(tiny_model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose"))
         assert [tokens for _, tokens in calls] == [context]
+
+    def test_task_aware_compress_peak_memory_below_one_attention_set(self):
+        # the capture's prefill keeps no attention rows, so its traced peak
+        # stays below what one full set of per-layer attention would take
+        import tracemalloc
+
+        from kvcompose.model import ModelConfig, init_model
+
+        model = init_model(
+            ModelConfig(
+                layers=8, query_heads=4, kv_heads=2, model_dim=32, head_dim=8,
+                vocab_size=64, seed=5,
+            )
+        )
+        cfg, n = model.config, 256
+        context = random_context(31, n)
+        ts = TaskSet(mode="task-aware", tasks=((5, 9, 2, 7), (17, 3)))
+        tracemalloc.start()
+        try:
+            compress(model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.layers * cfg.query_heads * n * n * 8, peak
 
     def test_r0_logit_fidelity(self, tiny_model):
         context = random_context(24, 12)

@@ -327,11 +327,13 @@ class TestSweep:
     def test_r0_reproduces_the_reference_run(self, config):
         # at r=0 every policy keeps every row, and an all-true mask in the
         # grid call must give the reference run's logits bit for bit
-        from kvcompose.cli import _prepare_tasks, build_model, load_config
+        from kvcompose.cli import build_model, build_tasks, load_config
 
         cfg = load_config(Path(__file__).parent.parent / "configs" / config)
         model = build_model(cfg)
-        states = _prepare_tasks(cfg, model)
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        # every policy sweeps these states, so they keep the head mean tova reads
+        states = [prepare_task(model, t, mode, window, True) for t in build_tasks(cfg, model)]
         full_mean = float(np.mean([s.full_reward for s in states]))
         agg = AggregationChoice()
         for name in POLICY_NAMES:
@@ -478,7 +480,7 @@ def reference_point(model, state, policy, agg_choice, r_target):
         kept = [list_replay(rows, b) for rows, b in zip(cap.attention_mean, uniform)]
         cache = gather_cache(cap.cache, kept)
     else:
-        cache = gather_cache(cap.cache, select_baseline_indices(cap, policy, budget))
+        cache = gather_cache(cap.cache, select_baseline_indices(cap, policy, (budget,))[0])
     total = sum(cache.rows(l) for l in range(cfg.layers))
     r, kl = _reward_and_kl(model, cache, state.task, state.reference_logits)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl
@@ -530,11 +532,11 @@ class TestGridOnce:
         return {
             "agreement": (
                 agreement_model,
-                [prepare_task(agreement_model, t, "task-agnostic", 8) for t in tasks],
+                [prepare_task(agreement_model, t, "task-agnostic", 8, True) for t in tasks],
             ),
             "recall": (
                 recall_model,
-                [prepare_task(recall_model, t, "task-aware", 32) for t in recall],
+                [prepare_task(recall_model, t, "task-aware", 32, True) for t in recall],
             ),
         }
 

@@ -5,6 +5,7 @@ from kvcompose.baselines import Policy
 from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
+    AttentionKeep,
     ModelConfig,
     _embed,
     _forward,
@@ -115,13 +116,40 @@ class TestPrefill:
         with pytest.raises(UsageError):
             prefill(tiny_model, [0] * (tiny_model.config.max_context + 1))
 
+    @pytest.mark.parametrize("rows", [0, 1, 5, 12])
+    @pytest.mark.parametrize("head_mean", [False, True])
+    def test_keep_cuts_each_layer_to_the_rows_asked_for(self, gqa_model, rows, head_mean):
+        # the kept rows and the head mean equal those of the full attention
+        # bit for bit, and nothing else of a layer's attention is returned
+        tokens = random_context(6, 12)
+        full = prefill(gqa_model, tokens)
+        cut = prefill(gqa_model, tokens, keep=AttentionKeep(rows=rows, head_mean=head_mean))
+        assert np.array_equal(cut.logits, full.logits)
+        assert all(np.array_equal(a, b) for a, b in zip(cut.cache.keys, full.cache.keys))
+        assert len(cut.attention) == gqa_model.config.layers
+        for got, want in zip(cut.attention, full.attention):
+            assert got.shape == (4, rows, 12) and got.base is None
+            assert np.array_equal(got, want[:, 12 - rows :])
+        assert full.attention_mean is None
+        if head_mean:
+            want = [a.mean(axis=0) for a in full.attention]
+            assert all(np.array_equal(a, b) for a, b in zip(cut.attention_mean, want, strict=True))
+        else:
+            assert cut.attention_mean is None
+
+    def test_keep_rejects_bad_row_counts(self, tiny_model):
+        with pytest.raises(UsageError, match="-1"):
+            AttentionKeep(rows=-1)
+        with pytest.raises(UsageError, match="cannot keep 6 attention rows of 5"):
+            prefill(tiny_model, random_context(7, 5), keep=AttentionKeep(rows=6))
+
 
 class TestForward:
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
         tokens = random_context(5, 12)
         full = prefill(tiny_model, tokens)
         cache = prefill(tiny_model, tokens[:7]).cache
-        logits, attention = _forward(tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12))
+        logits, attention, _ = _forward(tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12))
         assert np.abs(logits - full.logits[7:]).max() < 1e-8
         for got, want in zip(attention, full.attention):
             assert got.shape == (4, 5, 12)
@@ -172,7 +200,7 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None):
     want_cache = cache.clone()
     want_logits, want_attn = reference_forward(model, want_cache, tokens, positions, head_masks)
-    logits, attention = _forward(model, cache, tokens, positions, head_masks)
+    logits, attention, _ = _forward(model, cache, tokens, positions, head_masks)
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
         assert got.shape == want.shape
@@ -235,14 +263,14 @@ class TestMaskStack:
         stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, 32)
         stack[0] = True
         new, positions = np.asarray(tokens[32:]), np.arange(32, 36)
-        logits, attention = _forward(gqa_model, cache, new, positions, stack)
+        logits, attention, _ = _forward(gqa_model, cache, new, positions, stack)
         assert logits.shape == (3, 4, cfg.vocab_size)
         assert attention[0].shape == (3, cfg.query_heads, 4, 36)
         for g in range(3):
-            want, want_attn = _forward(gqa_model, before.clone(), new, positions, stack[g])
+            want, want_attn, _ = _forward(gqa_model, before.clone(), new, positions, stack[g])
             assert np.array_equal(logits[g], want)
             assert all(np.array_equal(a[g], b) for a, b in zip(attention, want_attn))
-        unmasked, _ = _forward(gqa_model, before.clone(), new, positions)
+        unmasked, _, _ = _forward(gqa_model, before.clone(), new, positions)
         assert np.array_equal(logits[0], unmasked)
         assert cache.next_positions == before.next_positions
         for layer in range(cfg.layers):

@@ -23,7 +23,7 @@ from kvcompose.scoring import (
     collect_attention,
 )
 
-from conftest import random_context
+from conftest import count_calls, random_context
 
 
 def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
@@ -133,17 +133,57 @@ class TestCollectAttention:
                 tiny_model, [1, 2], TaskSet(mode="task-agnostic", observation_window=5)
             )
 
+    def test_window_rejected_before_prefill(self, tiny_model, monkeypatch):
+        from kvcompose import model
+
+        calls = count_calls(monkeypatch, model, "prefill")
+        with pytest.raises(UsageError, match="observation_window 5 exceeds context length 2"):
+            collect_attention(
+                tiny_model, [1, 2], TaskSet(mode="task-agnostic", observation_window=5)
+            )
+        assert calls == []
+
+    def test_window_rows_equal_the_prefill_rows(self, gqa_model):
+        context, w = random_context(13, 24), 5
+        tset = TaskSet(mode="task-agnostic", observation_window=w)
+        cap = collect_attention(gqa_model, context, tset)
+        run = prefill(gqa_model, context)
+        for layer, attn in enumerate(run.attention):
+            assert np.array_equal(cap.A[layer], np.transpose(attn[:, -w:, :], (0, 2, 1)))
+
     @pytest.mark.parametrize("mode", TASK_MODES)
-    def test_keeps_head_mean_not_per_head_attention(self, tiny_model, mode):
+    def test_head_mean_only_when_asked(self, tiny_model, mode):
         context = random_context(14, 10)
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
-        cap = collect_attention(tiny_model, context, tset)
+        assert collect_attention(tiny_model, context, tset).attention_mean is None
+        cap = collect_attention(tiny_model, context, tset, head_mean=True)
         run = prefill(tiny_model, context)
         assert np.array_equal(cap.attention_mean, np.stack([a.mean(axis=0) for a in run.attention]))
-        h_q, n = tiny_model.config.query_heads, len(context)
+
+    @pytest.mark.parametrize("head_mean", [False, True])
+    @pytest.mark.parametrize("mode", TASK_MODES)
+    def test_no_per_head_attention_outlives_the_prefill(
+        self, tiny_model, monkeypatch, mode, head_mean
+    ):
+        # neither the capture nor the prefill it runs holds an (H_q, N, N)
+        # array: the prefill keeps the window rows, or none when task-aware
+        from kvcompose import scoring
+
+        runs = []
+
+        def recording(*args, **kwargs):
+            runs.append(prefill(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(scoring, "prefill", recording)
+        context, h_q = random_context(16, 20), tiny_model.config.query_heads
+        tset = TaskSet.for_context(mode, len(context), (tuple(random_context(17, 3)),), 4)
+        cap = collect_attention(tiny_model, context, tset, head_mean=head_mean)
         arrays = [getattr(cap, f.name) for f in fields(cap)] + cap.cache.keys + cap.cache.values
-        per_head = [a.shape for a in arrays if np.shape(a)[-3:] == (h_q, n, n)]
-        assert per_head == []
+        arrays += runs[0].attention + (runs[0].attention_mean or [])
+        assert [np.shape(a) for a in arrays if np.shape(a)[-3:] == (h_q, 20, 20)] == []
+        kept = 4 if mode == "task-agnostic" else 0
+        assert [a.shape for a in runs[0].attention] == [(h_q, kept, 20)] * tiny_model.config.layers
 
     def test_value_norm_shapes(self, tiny_model):
         cap = collect_attention(

@@ -4,7 +4,9 @@ by name, so a renamed or deleted function would break
 ``numerics.argsort_desc``, the one home of the tie rule; only
 ``model.py`` reads ``max_context``, whose one check is in ``_forward``;
 no dataclass merely wraps one array; the evaluator scores every
-policy through ``composer.keep_masks`` alone; and ``model.py`` and
+policy through ``composer.keep_masks`` alone; only ``baselines.py`` names
+the one policy that reads the head-mean attention, so whether a capture
+keeps it is decided in one place; and ``model.py`` and
 ``scoring.py`` call no ``np.exp``, so ``numerics.softmax_rows`` stays the
 one place attention is normalized."""
 import ast
@@ -126,3 +128,14 @@ def test_evaluator_has_one_path_for_every_policy():
     ]
     assert names_compared == []
     assert from_composer == ["keep_masks"]
+
+
+def test_only_baselines_names_tova():
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        if path.name != "baselines.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value == "tova"
+    }
+    assert found == set()
