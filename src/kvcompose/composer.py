@@ -99,7 +99,13 @@ def compact_cache(
     cache: KVCache, ci: CompositeIndex, layer_budgets: np.ndarray
 ) -> CompressedCache:
     """Gather each head's top ``layer_budgets[l]`` rows into the slot-ordered
-    compressed cache."""
+    compressed cache.
+
+    No program path calls it: ``compress`` gathers the rows ``kept_rows``
+    picks. It stays because tests build ragged caches with it, and the
+    benchmark's tracer wraps it by name (a Tier-1 test pins that), so
+    deleting it would break a traced benchmark run.
+    """
     n = ci.idx.shape[2]
     if (layer_budgets > n).any():
         raise UsageError(f"layer budgets {layer_budgets.tolist()} exceed context length {n}")

@@ -216,14 +216,9 @@ def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float:
     return np.count_nonzero(logits.argmax(axis=-1) == targets, axis=-1) / len(targets)
 
 
-def reward(
-    model: Model,
-    cache: KVCache,
-    task: TaskInstance,
-    head_masks: np.ndarray | None = None,
-) -> float:
+def reward(model: Model, cache: KVCache, task: TaskInstance) -> float:
     """Score in [0, 1]: exact recall, or per-step argmax agreement."""
-    return _hit_rate(_run_steps(model, cache, task, head_masks), task)
+    return _hit_rate(_run_steps(model, cache, task, None), task)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

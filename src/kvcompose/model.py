@@ -107,25 +107,11 @@ class KVCache:
         )
 
 
-@dataclass(frozen=True)
-class AttentionKeep:
-    """What a forward pass keeps of each layer's attention once the next
-    layer runs: the last ``rows`` query rows (every row when None, none
-    when 0), and the mean over query heads of every row when ``head_mean``."""
-
-    rows: int | None = None
-    head_mean: bool = False
-
-    def __post_init__(self):
-        if self.rows is not None and self.rows < 0:
-            raise UsageError(f"kept attention rows must be >= 0, got {self.rows}")
-
-
 @dataclass
 class PrefillResult:
     cache: KVCache
     logits: np.ndarray  # (N, vocab)
-    attention: list[np.ndarray]  # per layer (H_q, kept rows, N), the last query positions
+    attention: list[np.ndarray]  # per layer (H_q, attention_rows, N), the last query positions
     attention_mean: list[np.ndarray] | None = None  # per layer (N, N), mean over H_q
 
 
@@ -200,7 +186,8 @@ def _forward(
     tokens: np.ndarray,
     positions: np.ndarray,
     head_masks: np.ndarray | None = None,
-    keep: AttentionKeep = AttentionKeep(),
+    attention_rows: int = 0,
+    head_mean: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
     """Append M tokens to every layer of ``cache``; return their logits and attention.
 
@@ -213,10 +200,11 @@ def _forward(
     is saved; the mask evaluates per-head eviction on the full cache. A
     (G, L, H_kv, W) stack runs the tokens once per mask against the shared
     held rows: outputs gain a leading G axis, and ``cache`` is left as it
-    was. Attention comes back per layer as (H_q, M, R+M), cut to the rows
-    ``keep`` asks for before the next layer runs, followed by the per-layer
-    (M, R+M) means over query heads when ``keep.head_mean`` (else None).
-    This is the one check that every position lies below ``max_context``.
+    was. Of each layer's (H_q, M, R+M) attention only the last
+    ``attention_rows`` query rows (0 to M, none by default) are kept, cut
+    before the next layer runs, followed by the per-layer (M, R+M) means
+    over query heads when ``head_mean`` (else None). This is the one check
+    that every position lies below ``max_context``.
 
     Query head h reads kv head h // group. Stacking a kv head's group of
     query rows as one (group*M, d_h) block lets one batched matmul per kv
@@ -226,8 +214,8 @@ def _forward(
     m = len(tokens)
     if positions.size and positions.max() >= cfg.max_context:
         raise UsageError(f"position {int(positions.max())} is past max_context {cfg.max_context}")
-    if keep.rows is not None and keep.rows > m:
-        raise UsageError(f"cannot keep {keep.rows} attention rows of {m}")
+    if not 0 <= attention_rows <= m:
+        raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
     x = _embed(model, tokens, positions)  # (M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     if head_masks is not None:
@@ -249,7 +237,7 @@ def _forward(
     scale = 1.0 / np.sqrt(d_h)
     upper = np.arange(m)[:, None] < np.arange(m)  # (M, M) causal mask: True above the diagonal
     attention: list[np.ndarray] = []
-    means: list[np.ndarray] | None = [] if keep.head_mean else None
+    means: list[np.ndarray] | None = [] if head_mean else None
 
     for layer in range(cfg.layers):
         rows = x[:, None] if grid else x  # a grid row's (M, d) block meets every head
@@ -276,9 +264,9 @@ def _forward(
         out = attn.reshape(*grid, h_kv, -1, held + m) @ v  # (..., H_kv, group*M, d_h)
         out = out.reshape(*grid, h_q, m, d_h).swapaxes(-3, -2).reshape(*grid, m, h_q * d_h)
         x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
-        if keep.head_mean:
+        if head_mean:
             means.append(attn.mean(axis=-3))
-        attention.append(attn if keep.rows is None else attn[..., m - keep.rows :, :].copy())
+        attention.append(attn[..., m - attention_rows :, :].copy())
         if not grid:
             cache.keys[layer], cache.values[layer] = k, v
             cache.next_positions[layer] = int(positions[-1]) + 1
@@ -287,20 +275,23 @@ def _forward(
 
 
 def prefill(
-    model: Model, tokens: list[int], keep: AttentionKeep = AttentionKeep()
+    model: Model, tokens: list[int], attention_rows: int = 0, head_mean: bool = False
 ) -> PrefillResult:
     """Causal forward pass over ``tokens`` from position 0.
 
     Fills one K,V row per token per kv head per layer. Of each layer's
-    attention it keeps what ``keep`` asks for: by default every row; a
-    capture keeps only the rows (and the head mean) its selectors read, so
-    no layer's full (H_q, N, N) attention outlives that layer.
+    attention it keeps the last ``attention_rows`` query rows (none by
+    default) and the head mean when ``head_mean``, as ``_forward`` does, so
+    no layer's full (H_q, N, N) attention outlives that layer unless asked for.
     """
     n = len(tokens)
     if n == 0:
         raise UsageError("prefill needs at least one token")
     cache = empty_cache(model)
-    logits, attention, means = _forward(model, cache, np.asarray(tokens), np.arange(n), keep=keep)
+    logits, attention, means = _forward(
+        model, cache, np.asarray(tokens), np.arange(n),
+        attention_rows=attention_rows, head_mean=head_mean,
+    )
     return PrefillResult(cache=cache, logits=logits, attention=attention, attention_mean=means)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import AttentionKeep, KVCache, Model, _forward, prefill
+from .model import KVCache, Model, _forward, prefill
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -136,7 +136,9 @@ def _task_rows(model: Model, cache: KVCache, task: tuple[int, ...]) -> np.ndarra
     N..N+M-1, so only its M rows are computed.
     """
     n, m = cache.rows(0), len(task)
-    _, attention, _ = _forward(model, cache.clone(), np.asarray(task), np.arange(n, n + m))
+    _, attention, _ = _forward(
+        model, cache.clone(), np.asarray(task), np.arange(n, n + m), attention_rows=m
+    )
     return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
 
 
@@ -160,7 +162,7 @@ def collect_attention(
     w = task_set.observation_window if agnostic else 0  # prefill rows the capture reads
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
-    base = prefill(model, context, keep=AttentionKeep(rows=w, head_mean=head_mean))
+    base = prefill(model, context, attention_rows=w, head_mean=head_mean)
 
     if agnostic:
         a = np.stack([np.transpose(attn, (0, 2, 1)) for attn in base.attention])  # (L, H_q, N, w)

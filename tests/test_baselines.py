@@ -101,7 +101,9 @@ def uniform_grid_budgets(layers: int, n: int) -> np.ndarray:
 
 def head_mean(model, context) -> np.ndarray:
     """(L, N, N) prefill attention averaged over query heads: tova's input."""
-    return np.stack([a.mean(axis=0) for a in prefill(model, context).attention])
+    return np.stack(
+        [a.mean(axis=0) for a in prefill(model, context, attention_rows=len(context)).attention]
+    )
 
 
 class TestTovaSelect:

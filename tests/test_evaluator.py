@@ -247,6 +247,27 @@ class TestTasks:
             continuation = greedy_decode(tiny_model, run.cache, start, 5)
             assert task.answer == (start, *continuation)
 
+    def test_agreement_tasks_peak_memory_below_one_attention_set(self):
+        # building a task reads logits and the cache, not attention, so its
+        # prefill keeps none and the traced peak stays below what one full
+        # set of per-layer attention would take
+        import tracemalloc
+
+        model = init_model(
+            ModelConfig(
+                layers=8, query_heads=4, kv_heads=2, model_dim=32, head_dim=8,
+                vocab_size=64, seed=5,
+            )
+        )
+        cfg, n = model.config, 256
+        tracemalloc.start()
+        try:
+            make_agreement_tasks(model, 1, n, 4, seed=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.layers * cfg.query_heads * n * n * 8, peak
+
 
 class TestSweep:
     def test_single_point_grid(self):

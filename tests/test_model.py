@@ -5,7 +5,6 @@ from kvcompose.baselines import Policy
 from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
-    AttentionKeep,
     ModelConfig,
     _embed,
     _forward,
@@ -72,7 +71,7 @@ class TestInitModel:
 
 class TestPrefill:
     def test_single_token_attention(self, tiny_model):
-        res = prefill(tiny_model, [3])
+        res = prefill(tiny_model, [3], attention_rows=1)
         for attn in res.attention:
             assert attn.shape == (4, 1, 1)
             assert np.array_equal(attn, np.ones((4, 1, 1)))
@@ -84,7 +83,7 @@ class TestPrefill:
             assert res.cache.values[layer].shape == (2, 10, 8)
 
     def test_attention_rows_are_distributions(self, tiny_model):
-        res = prefill(tiny_model, random_context(2, 12))
+        res = prefill(tiny_model, random_context(2, 12), attention_rows=12)
         for attn in res.attention:
             sums = attn.sum(axis=2)
             assert np.abs(sums - 1.0).max() < 1e-6
@@ -92,7 +91,7 @@ class TestPrefill:
 
     def test_attention_above_the_diagonal_is_exactly_zero(self, gqa_model):
         n = 40
-        res = prefill(gqa_model, random_context(4, n))
+        res = prefill(gqa_model, random_context(4, n), attention_rows=n)
         future = np.triu(np.ones((n, n), dtype=bool), k=1)
         for attn in res.attention:
             assert (attn[:, future] == 0.0).all()
@@ -122,8 +121,8 @@ class TestPrefill:
         # the kept rows and the head mean equal those of the full attention
         # bit for bit, and nothing else of a layer's attention is returned
         tokens = random_context(6, 12)
-        full = prefill(gqa_model, tokens)
-        cut = prefill(gqa_model, tokens, keep=AttentionKeep(rows=rows, head_mean=head_mean))
+        full = prefill(gqa_model, tokens, attention_rows=len(tokens))
+        cut = prefill(gqa_model, tokens, attention_rows=rows, head_mean=head_mean)
         assert np.array_equal(cut.logits, full.logits)
         assert all(np.array_equal(a, b) for a, b in zip(cut.cache.keys, full.cache.keys))
         assert len(cut.attention) == gqa_model.config.layers
@@ -139,17 +138,40 @@ class TestPrefill:
 
     def test_keep_rejects_bad_row_counts(self, tiny_model):
         with pytest.raises(UsageError, match="-1"):
-            AttentionKeep(rows=-1)
+            prefill(tiny_model, random_context(7, 5), attention_rows=-1)
         with pytest.raises(UsageError, match="cannot keep 6 attention rows of 5"):
-            prefill(tiny_model, random_context(7, 5), keep=AttentionKeep(rows=6))
+            prefill(tiny_model, random_context(7, 5), attention_rows=6)
+
+    def test_default_keeps_no_attention(self, gqa_model):
+        res = prefill(gqa_model, random_context(8, 12))
+        assert [a.shape for a in res.attention] == [(4, 0, 12)] * gqa_model.config.layers
+        assert res.attention_mean is None
+
+    @pytest.mark.parametrize("rows", [-1, 4])
+    def test_bad_row_counts_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, rows):
+        # three new rows onto a held cache of five: the bound is M, not R+M
+        from kvcompose import model
+
+        def no_layer(*args, **kwargs):
+            raise AssertionError("a layer ran")
+
+        cache = prefill(tiny_model, random_context(9, 5)).cache
+        before = cache.clone()
+        monkeypatch.setattr(model, "softmax_rows", no_layer)
+        with pytest.raises(UsageError, match=f"cannot keep {rows} attention rows of 3"):
+            _forward(tiny_model, cache, np.asarray([1, 2, 3]), np.arange(5, 8), attention_rows=rows)
+        assert cache.next_positions == before.next_positions
+        assert all(np.array_equal(a, b) for a, b in zip(cache.keys, before.keys, strict=True))
 
 
 class TestForward:
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
         tokens = random_context(5, 12)
-        full = prefill(tiny_model, tokens)
+        full = prefill(tiny_model, tokens, attention_rows=len(tokens))
         cache = prefill(tiny_model, tokens[:7]).cache
-        logits, attention, _ = _forward(tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12))
+        logits, attention, _ = _forward(
+            tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12), attention_rows=5
+        )
         assert np.abs(logits - full.logits[7:]).max() < 1e-8
         for got, want in zip(attention, full.attention):
             assert got.shape == (4, 5, 12)
@@ -200,7 +222,9 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None):
     want_cache = cache.clone()
     want_logits, want_attn = reference_forward(model, want_cache, tokens, positions, head_masks)
-    logits, attention, _ = _forward(model, cache, tokens, positions, head_masks)
+    logits, attention, _ = _forward(
+        model, cache, tokens, positions, head_masks, attention_rows=len(tokens)
+    )
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
         assert got.shape == want.shape
@@ -263,11 +287,13 @@ class TestMaskStack:
         stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, 32)
         stack[0] = True
         new, positions = np.asarray(tokens[32:]), np.arange(32, 36)
-        logits, attention, _ = _forward(gqa_model, cache, new, positions, stack)
+        logits, attention, _ = _forward(gqa_model, cache, new, positions, stack, attention_rows=4)
         assert logits.shape == (3, 4, cfg.vocab_size)
         assert attention[0].shape == (3, cfg.query_heads, 4, 36)
         for g in range(3):
-            want, want_attn, _ = _forward(gqa_model, before.clone(), new, positions, stack[g])
+            want, want_attn, _ = _forward(
+                gqa_model, before.clone(), new, positions, stack[g], attention_rows=4
+            )
             assert np.array_equal(logits[g], want)
             assert all(np.array_equal(a[g], b) for a, b in zip(attention, want_attn))
         unmasked, _, _ = _forward(gqa_model, before.clone(), new, positions)

@@ -82,7 +82,7 @@ class TestCollectAttention:
             context = random_context(4, n)
             task = tuple(random_context(5, m))
             cap = collect_attention(model, context, TaskSet(mode="task-aware", tasks=(task,)))
-            run = prefill(model, context + list(task))
+            run = prefill(model, context + list(task), attention_rows=n + m)
             for layer in range(model.config.layers):
                 full_attn = run.attention[layer]  # (H_q, N+M, N+M)
                 recomputed = np.transpose(full_attn[:, n:, :n], (0, 2, 1))
@@ -147,7 +147,7 @@ class TestCollectAttention:
         context, w = random_context(13, 24), 5
         tset = TaskSet(mode="task-agnostic", observation_window=w)
         cap = collect_attention(gqa_model, context, tset)
-        run = prefill(gqa_model, context)
+        run = prefill(gqa_model, context, attention_rows=len(context))
         for layer, attn in enumerate(run.attention):
             assert np.array_equal(cap.A[layer], np.transpose(attn[:, -w:, :], (0, 2, 1)))
 
@@ -157,7 +157,7 @@ class TestCollectAttention:
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
         assert collect_attention(tiny_model, context, tset).attention_mean is None
         cap = collect_attention(tiny_model, context, tset, head_mean=True)
-        run = prefill(tiny_model, context)
+        run = prefill(tiny_model, context, attention_rows=len(context))
         assert np.array_equal(cap.attention_mean, np.stack([a.mean(axis=0) for a in run.attention]))
 
     @pytest.mark.parametrize("head_mean", [False, True])

@@ -6,9 +6,10 @@ by name, so a renamed or deleted function would break
 no dataclass merely wraps one array; the evaluator scores every
 policy through ``composer.keep_masks`` alone; only ``baselines.py`` names
 the one policy that reads the head-mean attention, so whether a capture
-keeps it is decided in one place; and ``model.py`` and
-``scoring.py`` call no ``np.exp``, so ``numerics.softmax_rows`` stays the
-one place attention is normalized."""
+keeps it is decided in one place; outside ``model.py`` only
+``scoring.py``, the module that reads attention, asks a forward pass to
+keep any; and ``model.py`` and ``scoring.py`` call no ``np.exp``, so
+``numerics.softmax_rows`` stays the one place attention is normalized."""
 import ast
 import importlib
 import importlib.util
@@ -137,5 +138,29 @@ def test_only_baselines_names_tova():
         if path.name != "baselines.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Constant) and node.value == "tova"
+    }
+    assert found == set()
+
+
+def asks_for_attention(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``prefill`` or ``_forward`` with ``attention_rows``
+    or ``head_mean``, by keyword, by position or through ``**kwargs``."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+    plain_args = {"prefill": 2, "_forward": 5}.get(name)  # positions before attention_rows
+    keywords = {k.arg for k in node.keywords}
+    return plain_args is not None and (
+        len(node.args) > plain_args or bool(keywords & {"attention_rows", "head_mean", None})
+    )
+
+
+def test_only_scoring_asks_to_keep_attention():
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        if path.name not in ("model.py", "scoring.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if asks_for_attention(node)
     }
     assert found == set()
