@@ -81,7 +81,8 @@ def streaming_select(n: int, budget: int, sinks: int) -> list[int]:
 
 def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list:
     """Per-layer survivors of online least-attended eviction, replayed on a
-    prefill's (L, N, N) attention averaged over query heads.
+    prefill's (L, N, N) attention averaged over query heads: the one O(N^2)
+    array a capture holds, kept only for tova.
 
     Step m appends token m to every layer; each layer then holding
     budget+1 tokens evicts the one that row m attends to least, the lowest

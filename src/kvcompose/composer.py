@@ -47,11 +47,6 @@ class CompressedCache(KVCache):
 
     provenance: list[np.ndarray] | None = None  # per layer (H_kv, N_l) int64
 
-    def clone(self) -> "CompressedCache":
-        copy = super().clone()
-        copy.provenance = [p.copy() for p in self.provenance]
-        return copy
-
 
 @dataclass
 class CompressReport:

@@ -93,22 +93,6 @@ def kv_entry_count(layers: int, kv_heads: int, rows: int, head_dim: int) -> int:
     return layers * kv_heads * rows * head_dim * 2
 
 
-def cache_entry_count(cache: KVCache) -> int:
-    total = 0
-    for k in cache.keys:
-        h, rows, dh = k.shape
-        total += h * rows * dh * 2
-    return total
-
-
-def compression_ratio(compressed: KVCache, full: KVCache) -> float:
-    """r = 1 - |compressed entries| / |full entries|."""
-    full_entries = cache_entry_count(full)
-    if full_entries == 0:
-        raise UsageError("full cache is empty")
-    return 1.0 - cache_entry_count(compressed) / full_entries
-
-
 # --- task construction --------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from .errors import ConfigError, UsageError
 from .numerics import SeededRng, softmax_rows
 
 ROTARY_BASE = 10000.0
+ROW_BLOCK = 64  # new query rows each layer scores at a time in _forward
 
 
 @dataclass(frozen=True)
@@ -148,13 +149,8 @@ def init_model(config: ModelConfig) -> Model:
         n = int(np.prod(shape))
         return ((rng.uniform_block(n) * 2.0 - 1.0) * scale).reshape(shape)
 
-    L, Hq, Hkv, d, dh = (
-        config.layers,
-        config.query_heads,
-        config.kv_heads,
-        config.model_dim,
-        config.head_dim,
-    )
+    L, Hq, Hkv = config.layers, config.query_heads, config.kv_heads
+    d, dh = config.model_dim, config.head_dim
     embedding = draw(config.vocab_size, d)
     wq = np.empty((L, Hq, d, dh))
     wk = np.empty((L, Hkv, d, dh))
@@ -180,6 +176,17 @@ def empty_cache(model: Model) -> KVCache:
     )
 
 
+def _join_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
+    """Row blocks (..., r_i, c_i) stacked into (..., sum r_i, width), zero past each c_i.
+    A single part already ``width`` wide is returned uncopied."""
+    if len(parts) == 1 and parts[0].shape[-1] == width:
+        return parts[0]
+    out = np.zeros(parts[0].shape[:-2] + (sum(p.shape[-2] for p in parts), width))
+    for part, end in zip(parts, np.cumsum([p.shape[-2] for p in parts])):
+        out[..., end - part.shape[-2] : end, : part.shape[-1]] = part
+    return out
+
+
 def _forward(
     model: Model,
     cache: KVCache,
@@ -189,30 +196,35 @@ def _forward(
     attention_rows: int = 0,
     head_mean: bool = False,
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
-    """Append M tokens to every layer of ``cache``; return their logits and attention.
+    """Append M >= 1 tokens to every layer of ``cache``; return their logits and attention.
 
     Each layer may already hold any number of rows R. The new rows attend
     causally to each other and freely to the R held rows, so prefill is
     M=N on an empty cache and a decode step is M=1. ``head_masks``, when
     given, is an (L, H_kv, W) bool keep-mask over the first W held rows:
     False at [l, h, c] hides row c of kv head h in layer l from every new
-    query (score forced to -inf). Later rows stay visible, and no memory
-    is saved; the mask evaluates per-head eviction on the full cache. A
-    (G, L, H_kv, W) stack runs the tokens once per mask against the shared
-    held rows: outputs gain a leading G axis, and ``cache`` is left as it
-    was. Of each layer's (H_q, M, R+M) attention only the last
-    ``attention_rows`` query rows (0 to M, none by default) are kept, cut
-    before the next layer runs, followed by the per-layer (M, R+M) means
-    over query heads when ``head_mean`` (else None). This is the one check
-    that every position lies below ``max_context``.
+    query (score forced to -inf); later rows stay visible and no memory is
+    saved. A (G, L, H_kv, W) stack runs the tokens once per mask against
+    the shared held rows: outputs gain a leading G axis, and ``cache`` is
+    left as it was. Of each layer's (H_q, M, R+M) attention only the last
+    ``attention_rows`` query rows (0 to M, none by default) are kept, then
+    the per-layer (M, R+M) means over query heads when ``head_mean`` (else
+    None). This is the one check that every position is below ``max_context``.
 
-    Query head h reads kv head h // group. Stacking a kv head's group of
-    query rows as one (group*M, d_h) block lets one batched matmul per kv
-    head serve the whole group, without copying K or V per query head.
+    Each layer runs its new rows in blocks of ``ROW_BLOCK``. Block [s, e)
+    scores only the held rows and new rows [0, e), so the causal upper
+    triangle past e is never computed and a layer's peak is
+    O(H_q * ROW_BLOCK * (R+M)); kept rows and means are zero past e, as the
+    causal mask makes them. One block (M <= ROW_BLOCK) joins and copies
+    nothing. Query head h reads kv head h // group: a kv head's group of
+    query rows is one (group*rows, d_h) block, so one batched matmul per kv
+    head serves the whole group without copying K or V per query head.
     """
     cfg = model.config
     m = len(tokens)
-    if positions.size and positions.max() >= cfg.max_context:
+    if m == 0:
+        raise UsageError("a forward pass needs at least one new token")
+    if positions.max() >= cfg.max_context:
         raise UsageError(f"position {int(positions.max())} is past max_context {cfg.max_context}")
     if not 0 <= attention_rows <= m:
         raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
@@ -235,7 +247,8 @@ def _forward(
     angles = positions[:, None].astype(np.float64) * model.inv_freq[None, :]  # (M, d_h/2)
     cos, sin = np.cos(angles), np.sin(angles)  # every layer rotates at the same positions
     scale = 1.0 / np.sqrt(d_h)
-    upper = np.arange(m)[:, None] < np.arange(m)  # (M, M) causal mask: True above the diagonal
+    block = min(m, ROW_BLOCK)
+    upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
     attention: list[np.ndarray] = []
     means: list[np.ndarray] | None = [] if head_mean else None
 
@@ -252,21 +265,28 @@ def _forward(
         k = np.concatenate([k_held, k_new], axis=-2)  # (..., H_kv, R+M, d_h)
         v = np.concatenate([v_held, v_new], axis=-2)
 
-        scores = q.reshape(*grid, h_kv, -1, d_h) @ k.swapaxes(-1, -2)
-        scores = scores.reshape(*grid, h_q, m, held + m)
-        np.copyto(scores[..., held:], -np.inf, where=upper)
-        if head_masks is not None:
-            width = head_masks.shape[-1]
-            grouped = scores.reshape(*grid, h_kv, -1, held + m)  # each kv head's query rows
-            visible = head_masks[..., layer, :, None, :]
-            np.copyto(grouped[..., :width], -np.inf, where=~visible)
-        attn = softmax_rows(scores.reshape(-1, held + m), scale=scale).reshape(scores.shape)
-        out = attn.reshape(*grid, h_kv, -1, held + m) @ v  # (..., H_kv, group*M, d_h)
-        out = out.reshape(*grid, h_q, m, d_h).swapaxes(-3, -2).reshape(*grid, m, h_q * d_h)
-        x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
+        outs, kept, block_means = [], [], []
+        for s in range(0, m, block):
+            e = min(s + block, m)
+            width = held + e  # held rows and new rows [0, e): every later one is masked
+            q_rows = q[..., s:e, :].reshape(*grid, h_kv, -1, d_h)  # each kv head's query rows
+            scores = (q_rows @ k[..., :width, :].swapaxes(-1, -2)).reshape(*grid, h_q, e - s, width)
+            np.copyto(scores[..., held + s :], -np.inf, where=upper[: e - s, : e - s])
+            if head_masks is not None:
+                grouped = scores.reshape(*grid, h_kv, -1, width)
+                visible = head_masks[..., layer, :, None, :]
+                np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
+            attn = softmax_rows(scores.reshape(-1, width), scale=scale).reshape(scores.shape)
+            out = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s) rows
+            out = out.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2).reshape(*grid, e - s, -1)
+            outs.append(out)
+            kept.append(attn[..., max(m - attention_rows - s, 0) :, :].copy())
+            if head_mean:
+                block_means.append(attn.mean(axis=-3))
+        x = x + _join_rows(outs, h_q * d_h) @ model.wo[layer].reshape(h_q * d_h, -1)
+        attention.append(_join_rows(kept, held + m))
         if head_mean:
-            means.append(attn.mean(axis=-3))
-        attention.append(attn[..., m - attention_rows :, :].copy())
+            means.append(_join_rows(block_means, held + m))
         if not grid:
             cache.keys[layer], cache.values[layer] = k, v
             cache.next_positions[layer] = int(positions[-1]) + 1
@@ -277,19 +297,18 @@ def _forward(
 def prefill(
     model: Model, tokens: list[int], attention_rows: int = 0, head_mean: bool = False
 ) -> PrefillResult:
-    """Causal forward pass over ``tokens`` from position 0.
+    """Causal forward pass over ``tokens`` (at least one) from position 0.
 
     Fills one K,V row per token per kv head per layer. Of each layer's
     attention it keeps the last ``attention_rows`` query rows (none by
-    default) and the head mean when ``head_mean``, as ``_forward`` does, so
-    no layer's full (H_q, N, N) attention outlives that layer unless asked for.
+    default) and the head mean when ``head_mean``, as ``_forward`` does.
+    Rows run in ``ROW_BLOCK`` blocks, so a layer never holds its full
+    (H_q, N, N) scores: its peak is O(H_q * ROW_BLOCK * N) and its time
+    O(N^2), without computing the masked upper triangle.
     """
-    n = len(tokens)
-    if n == 0:
-        raise UsageError("prefill needs at least one token")
     cache = empty_cache(model)
     logits, attention, means = _forward(
-        model, cache, np.asarray(tokens), np.arange(n),
+        model, cache, np.asarray(tokens), np.arange(len(tokens)),
         attention_rows=attention_rows, head_mean=head_mean,
     )
     return PrefillResult(cache=cache, logits=logits, attention=attention, attention_mean=means)

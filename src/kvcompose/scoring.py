@@ -99,10 +99,10 @@ class AttentionCapture:
     which only the context columns are kept here. Value norms are recorded
     per kv head (raw) and per query head (projected through that head's
     output matrix). Of the context's prefill it keeps only what the
-    selectors read: the full cache, and the attention averaged over query
-    heads only when asked for (tova replays it). The prefill itself keeps
-    no more attention than that, so no (H_q, N, N) array outlives the
-    layer that made it.
+    selectors read: the full cache, and the (L, N, N) attention averaged
+    over query heads only when asked for. Only tova asks (it replays it),
+    and that mean is then the capture's one O(N^2) array: the prefill
+    scores rows in blocks and never holds a full (H_q, N, N) one.
     """
 
     A: np.ndarray  # (L, H_q, N, M)

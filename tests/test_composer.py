@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kvcompose import composer
 from kvcompose.baselines import Policy
 from kvcompose.composer import (
-    CompressedCache,
     allocate_budgets,
     compact_cache,
     composite_indices,
@@ -242,20 +241,6 @@ class TestCompactCache:
                     assert np.array_equal(
                         compressed.values[layer][h], base.cache.values[layer][h, rows]
                     )
-
-    def test_clone_keeps_type_and_provenance(self, tiny_model):
-        base = prefill(tiny_model, random_context(27, 8))
-        ci = composite_indices(final_scores(9, layers=2, heads=2, n=8))
-        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.5,))[0]
-        compressed = compact_cache(base.cache, ci, budgets)
-        twice = compressed.clone().clone()
-        assert type(compressed.clone()) is CompressedCache
-        assert type(twice) is CompressedCache
-        for layer in range(2):
-            assert np.array_equal(twice.provenance[layer], compressed.provenance[layer])
-            assert twice.provenance[layer] is not compressed.provenance[layer]
-            assert np.array_equal(twice.keys[layer], compressed.keys[layer])
-        assert twice.next_positions == compressed.next_positions
 
     def test_rejects_compressed_input(self, tiny_model):
         context = random_context(23, 6)

@@ -22,8 +22,6 @@ from kvcompose.evaluator import (
     TaskInstance,
     auc,
     build_report,
-    cache_entry_count,
-    compression_ratio,
     epsilon,
     kv_entry_count,
     make_agreement_tasks,
@@ -48,7 +46,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import count_calls, random_context
+from conftest import count_calls
 
 
 def point(r, eps=0.0, reward_mean=1.0):
@@ -63,31 +61,8 @@ def point(r, eps=0.0, reward_mean=1.0):
 
 
 class TestCompressionRatio:
-    def test_identical_caches(self, tiny_model):
-        base = prefill(tiny_model, random_context(50, 8))
-        assert compression_ratio(base.cache, base.cache) == 0.0
-
-    def test_half_rows(self, tiny_model):
-        base = prefill(tiny_model, random_context(51, 8))
-        half = base.cache.clone()
-        for layer in range(2):
-            half.keys[layer] = half.keys[layer][:, :4, :]
-            half.values[layer] = half.values[layer][:, :4, :]
-        assert compression_ratio(half, base.cache) == 0.5
-
     def test_paper_scale_entry_count(self):
         assert kv_entry_count(32, 8, 32000, 128) == 2_097_152_000
-
-    def test_empty_full_cache_rejected(self, tiny_model):
-        from kvcompose.model import empty_cache
-
-        cache = empty_cache(tiny_model)
-        with pytest.raises(UsageError):
-            compression_ratio(cache, cache)
-
-    def test_entry_count_counts_keys_and_values(self, tiny_model):
-        base = prefill(tiny_model, random_context(52, 6))
-        assert cache_entry_count(base.cache) == 2 * 2 * 6 * 8 * 2
 
 
 class TestReward:

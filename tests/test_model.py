@@ -5,6 +5,7 @@ from kvcompose.baselines import Policy
 from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
+    ROW_BLOCK,
     ModelConfig,
     _embed,
     _forward,
@@ -165,6 +166,23 @@ class TestPrefill:
 
 
 class TestForward:
+    @pytest.mark.parametrize("held", [0, 5])
+    def test_zero_new_tokens_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, held):
+        from kvcompose import model
+
+        def no_layer(*args, **kwargs):
+            raise AssertionError("a layer ran")
+
+        cache = empty_cache(tiny_model)
+        if held:
+            cache = prefill(tiny_model, random_context(11, held)).cache
+        before = cache.clone()
+        monkeypatch.setattr(model, "softmax_rows", no_layer)
+        with pytest.raises(UsageError, match="at least one new token"):
+            _forward(tiny_model, cache, np.asarray([], dtype=np.int64), np.arange(held, held))
+        assert cache.next_positions == before.next_positions
+        assert all(np.array_equal(a, b) for a, b in zip(cache.keys, before.keys, strict=True))
+
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
         tokens = random_context(5, 12)
         full = prefill(tiny_model, tokens, attention_rows=len(tokens))
@@ -219,16 +237,23 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
     return x @ model.embedding.T, attention
 
 
-def assert_matches_reference(model, cache, tokens, positions, head_masks=None):
+def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
+    # the last ``rows`` attention rows (all by default) and the head mean,
+    # zero above the diagonal as the reference computes them
+    rows = len(tokens) if rows is None else rows
     want_cache = cache.clone()
     want_logits, want_attn = reference_forward(model, want_cache, tokens, positions, head_masks)
-    logits, attention, _ = _forward(
-        model, cache, tokens, positions, head_masks, attention_rows=len(tokens)
+    logits, attention, means = _forward(
+        model, cache, tokens, positions, head_masks, attention_rows=rows, head_mean=True
     )
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
+        want = want[:, len(tokens) - rows :]
         assert got.shape == want.shape
-        assert np.abs(got - want).max() < 1e-12
+        assert (np.abs(got - want) < 1e-12).all()
+    for got, want in zip(means, want_attn, strict=True):
+        assert got.shape == want.shape[1:]
+        assert np.abs(got - want.mean(axis=0)).max() < 1e-12
     assert cache.next_positions == want_cache.next_positions
     for layer in range(model.config.layers):
         assert np.abs(cache.keys[layer] - want_cache.keys[layer]).max() < 1e-12
@@ -264,6 +289,31 @@ class TestGroupedKernelOracle:
         tokens = np.asarray(random_context(24, 6))
         assert_matches_reference(gqa_model, cache, tokens, np.arange(48, 54))
 
+    @pytest.mark.parametrize("m", [ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
+    @pytest.mark.parametrize("held", [0, 37])
+    def test_row_block_edges_match_repeat_einsum(self, gqa_model, m, held):
+        tokens = random_context(25, held + m)
+        cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
+        new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
+        assert_matches_reference(gqa_model, cache, new, positions)
+
+    def test_kept_rows_spanning_two_blocks_match_repeat_einsum(self, gqa_model):
+        # rows ROW_BLOCK-11 .. ROW_BLOCK+8 of M=ROW_BLOCK+9: the end of the
+        # first block and all of the second, onto a held cache
+        tokens = random_context(26, 30 + ROW_BLOCK + 9)
+        cache = prefill(gqa_model, tokens[:30]).cache
+        new, positions = np.asarray(tokens[30:]), np.arange(30, len(tokens))
+        assert_matches_reference(gqa_model, cache, new, positions, rows=20)
+
+    def test_masked_rows_over_several_blocks_match_repeat_einsum(self, gqa_model):
+        # every block, not only the first, hides the masked held rows
+        cfg = gqa_model.config
+        tokens = random_context(27, 40 + 2 * ROW_BLOCK + 3)
+        cache = prefill(gqa_model, tokens[:40]).cache
+        masks = random_masks(28, cfg.layers, cfg.kv_heads, 40)
+        new, positions = np.asarray(tokens[40:]), np.arange(40, len(tokens))
+        assert_matches_reference(gqa_model, cache, new, positions, head_masks=masks)
+
     @pytest.mark.parametrize("kind", ["induction", "gqa"])
     def test_masked_decode_matches_repeat_einsum(self, gqa_model, kind):
         # the GQA shape has two kv heads, so a mask applied to the wrong
@@ -276,33 +326,43 @@ class TestGroupedKernelOracle:
         assert_matches_reference(model, cache, np.asarray([3]), np.asarray([8]), head_masks=masks)
 
 
+def assert_stack_equals_one_call_per_mask(model, held, m):
+    # the grid rows share the held cache: each gives, bit for bit, the
+    # logits, attention and head mean of its own call, and the cache is
+    # left as it was
+    cfg = model.config
+    tokens = random_context(40, held + m)
+    cache = prefill(model, tokens[:held]).cache
+    before = cache.clone()
+    stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, held)
+    stack[0] = True
+    new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
+    logits, attention, means = _forward(
+        model, cache, new, positions, stack, attention_rows=m, head_mean=True
+    )
+    assert logits.shape == (3, m, cfg.vocab_size)
+    assert attention[0].shape == (3, cfg.query_heads, m, held + m)
+    for g in range(3):
+        want, want_attn, want_means = _forward(
+            model, before.clone(), new, positions, stack[g], attention_rows=m, head_mean=True
+        )
+        assert np.array_equal(logits[g], want)
+        assert all(np.array_equal(a[g], b) for a, b in zip(attention, want_attn, strict=True))
+        assert all(np.array_equal(a[g], b) for a, b in zip(means, want_means, strict=True))
+    unmasked, _, _ = _forward(model, before.clone(), new, positions)
+    assert np.array_equal(logits[0], unmasked)
+    assert cache.next_positions == before.next_positions
+    for layer in range(cfg.layers):
+        assert np.array_equal(cache.keys[layer], before.keys[layer])
+        assert np.array_equal(cache.values[layer], before.values[layer])
+
+
 class TestMaskStack:
     def test_stack_equals_one_call_per_mask(self, gqa_model):
-        # the grid rows share the held cache: each gives, bit for bit, the
-        # logits of its own call, and the cache is left as it was
-        cfg = gqa_model.config
-        tokens = random_context(40, 36)
-        cache = prefill(gqa_model, tokens[:32]).cache
-        before = cache.clone()
-        stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, 32)
-        stack[0] = True
-        new, positions = np.asarray(tokens[32:]), np.arange(32, 36)
-        logits, attention, _ = _forward(gqa_model, cache, new, positions, stack, attention_rows=4)
-        assert logits.shape == (3, 4, cfg.vocab_size)
-        assert attention[0].shape == (3, cfg.query_heads, 4, 36)
-        for g in range(3):
-            want, want_attn, _ = _forward(
-                gqa_model, before.clone(), new, positions, stack[g], attention_rows=4
-            )
-            assert np.array_equal(logits[g], want)
-            assert all(np.array_equal(a[g], b) for a, b in zip(attention, want_attn))
-        unmasked, _, _ = _forward(gqa_model, before.clone(), new, positions)
-        assert np.array_equal(logits[0], unmasked)
-        assert cache.next_positions == before.next_positions
-        for layer in range(cfg.layers):
-            assert np.array_equal(cache.keys[layer], before.keys[layer])
-            assert np.array_equal(cache.values[layer], before.values[layer])
+        assert_stack_equals_one_call_per_mask(gqa_model, held=32, m=4)
 
+    def test_stack_over_several_row_blocks_equals_one_call_per_mask(self, gqa_model):
+        assert_stack_equals_one_call_per_mask(gqa_model, held=32, m=2 * ROW_BLOCK + 3)
     @pytest.mark.parametrize(
         "shape, dtype",
         [
@@ -324,6 +384,51 @@ class TestMaskStack:
         with pytest.raises(UsageError, match="decode_step takes one"):
             decode_step(tiny_model, cache, 3, 8, head_masks=np.ones((2, 2, 2, 8), bool))
         assert cache.rows(0) == 8
+
+
+class TestRowBlocks:
+    def test_long_prefill_peak_is_a_few_row_blocks(self):
+        # N=2,048: the unblocked pass held each layer's (H_q, N, N) scores
+        # and softmax's copy of them, 398 MiB in all. Blocked, at most three
+        # score-sized (H_q, ROW_BLOCK, <=N) arrays live at once (the last
+        # block's attention, the new scores, softmax's work array), and the
+        # cache, logits and residual fit in the rest of the bound.
+        import tracemalloc
+
+        cfg = ModelConfig(
+            layers=4, query_heads=4, kv_heads=2, model_dim=32, head_dim=8,
+            vocab_size=64, seed=7, max_context=2048,
+        )
+        model = init_model(cfg)
+        tokens = random_context(60, 2048)
+        tracemalloc.start()
+        try:
+            prefill(model, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * cfg.query_heads * ROW_BLOCK * len(tokens) * 8
+
+    @pytest.mark.parametrize("n", [65, 128])
+    def test_one_block_equals_row_blocks_bit_for_bit_up_to_128_rows(
+        self, gqa_model, monkeypatch, n
+    ):
+        # numpy sums rows of up to 128 entries in fixed lanes, so the zero
+        # columns past a block's end change no bit: the demo configs'
+        # N=128 reports are the same as with one block
+        from kvcompose import model
+
+        tokens = random_context(61, n)
+        blocked = prefill(gqa_model, tokens, attention_rows=n, head_mean=True)
+        monkeypatch.setattr(model, "ROW_BLOCK", n)
+        whole = prefill(gqa_model, tokens, attention_rows=n, head_mean=True)
+        assert np.array_equal(blocked.logits, whole.logits)
+        for name in ("attention", "attention_mean"):
+            pairs = zip(getattr(blocked, name), getattr(whole, name), strict=True)
+            assert all(np.array_equal(a, b) for a, b in pairs)
+        for name in ("keys", "values"):
+            pairs = zip(getattr(blocked.cache, name), getattr(whole.cache, name), strict=True)
+            assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 class TestDecodeStep:

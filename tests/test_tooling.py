@@ -8,8 +8,10 @@ policy through ``composer.keep_masks`` alone; only ``baselines.py`` names
 the one policy that reads the head-mean attention, so whether a capture
 keeps it is decided in one place; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
-keep any; and ``model.py`` and ``scoring.py`` call no ``np.exp``, so
-``numerics.softmax_rows`` stays the one place attention is normalized."""
+keep any; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
+``numerics.softmax_rows`` stays the one place attention is normalized;
+and no module reads the environment, so a setting such as the forward
+pass's row block size cannot become a hidden knob."""
 import ast
 import importlib
 import importlib.util
@@ -162,5 +164,33 @@ def test_only_scoring_asks_to_keep_attention():
         if path.name not in ("model.py", "scoring.py")
         for node in ast.walk(ast.parse(path.read_text()))
         if asks_for_attention(node)
+    }
+    assert found == set()
+
+
+def environment_reads(source: str) -> list[int]:
+    """Lines that read ``os.environ`` or call ``os.getenv``, also as bare
+    names imported from ``os``."""
+    tree = ast.parse(source)
+    from_os = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "os"
+        for alias in node.names
+        if alias.name in ("environ", "getenv")
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in from_os)
+    ]
+
+
+def test_no_module_reads_the_environment():
+    found = {
+        f"{path.name}:{line}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        for line in environment_reads(path.read_text())
     }
     assert found == set()
