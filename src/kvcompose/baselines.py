@@ -79,7 +79,7 @@ def streaming_select(n: int, budget: int, sinks: int) -> list[int]:
     return sorted(kept)
 
 
-def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list:
+def tova_select(rows: np.ndarray, budgets: np.ndarray) -> list[list[np.ndarray]]:
     """Per-layer survivors of online least-attended eviction, replayed on a
     prefill's (L, N, N) attention averaged over query heads: the one O(N^2)
     array a capture holds, kept only for tova.
@@ -87,17 +87,16 @@ def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list:
     Step m appends token m to every layer; each layer then holding
     budget+1 tokens evicts the one that row m attends to least, the lowest
     index on ties. The newest token is evictable, so a budget of 0 keeps
-    nothing. A scalar or (L,) budget returns ascending int64 indices per
-    layer; (G, L) budgets, one row per grid ratio, return one such list per
-    row, from one replay over positions with a (G*L, N) keep-mask.
+    nothing. ``budgets`` is (G, L), one row per grid ratio; each row gets
+    one list of ascending int64 indices per layer, all from one replay over
+    positions with a (G*L, N) keep-mask.
     """
     layers, n = rows.shape[:2]
-    budgets = np.asarray(budget)
-    lead = budgets.shape[:-1]  # () or (G,)
-    flat = np.broadcast_to(budgets, lead + (layers,)).reshape(-1)
-    if (flat < 0).any():
-        raise ConfigError(f"tova budget must be >= 0 per layer, got {budgets.tolist()}")
-    layer = np.tile(np.arange(layers), flat.size // layers)  # the attention each mask row reads
+    budgets = np.asarray(budgets)
+    if budgets.ndim != 2 or budgets.shape[1] != layers or (budgets < 0).any():
+        raise ConfigError(f"tova budgets must be (G, L={layers}) and >= 0, got {budgets.tolist()}")
+    flat = budgets.reshape(-1)
+    layer = np.tile(np.arange(layers), len(budgets))  # the attention each mask row reads
     first = int(min(flat.min(), n))  # no layer evicts before step ``first``
     # the keep-mask as an added cost: 0 where a token is held, inf where it
     # is evicted or not yet appended, so the least-attended held token wins
@@ -108,7 +107,7 @@ def tova_select(rows: np.ndarray, budget: int | np.ndarray) -> list:
         worst = (rows[layer[over], m] + cost[over]).argmin(axis=1)
         cost[over, worst] = np.inf
     kept = [np.flatnonzero(c == 0.0) for c in cost]
-    return [kept[g : g + layers] for g in range(0, len(kept), layers)] if lead else kept
+    return [kept[g : g + layers] for g in range(0, len(kept), layers)]
 
 
 def snapkv_select(

@@ -181,16 +181,15 @@ def _run_steps(
     head_masks: np.ndarray | None,
 ) -> np.ndarray:
     """Teacher-forced (steps, vocab) logits of the scored steps, or
-    (G, steps, vocab) for a (G, L, H_kv, N) mask stack; ``cache`` is left as it was.
+    (G, steps, vocab) for a (G, L, H_kv, N) mask stack.
 
-    Every input is known up front, so all of them are appended in one
-    forward pass; the scored steps are the last ``len(targets)``.
+    Every input is known up front, so all of them run after ``cache`` in
+    one forward pass, which reads the cache and never writes it; the
+    scored steps are the last ``len(targets)``.
     """
     inputs, targets = _forced_steps(task)
     positions = cache.next_position + np.arange(len(inputs))
-    if head_masks is None or head_masks.ndim == 3:  # a mask stack appends nothing
-        cache = cache.clone()
-    logits, _, _ = _forward(model, cache, np.asarray(inputs), positions, head_masks)
+    logits = _forward(model, cache, np.asarray(inputs), positions, head_masks).logits
     return logits[..., -len(targets) :, :]
 
 

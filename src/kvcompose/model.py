@@ -109,11 +109,11 @@ class KVCache:
 
 
 @dataclass
-class PrefillResult:
-    cache: KVCache
-    logits: np.ndarray  # (N, vocab)
-    attention: list[np.ndarray]  # per layer (H_q, attention_rows, N), the last query positions
-    attention_mean: list[np.ndarray] | None = None  # per layer (N, N), mean over H_q
+class ForwardResult:
+    cache: KVCache | None  # the held rows plus the new ones; None under a mask stack
+    logits: np.ndarray  # (M, vocab), or (G, M, vocab) under a stack
+    attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
+    attention_mean: list[np.ndarray] | None = None  # per layer (..., M, R+M), mean over H_q
 
 
 def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -195,18 +195,17 @@ def _forward(
     head_masks: np.ndarray | None = None,
     attention_rows: int = 0,
     head_mean: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
-    """Append M >= 1 tokens to every layer of ``cache``; return their logits and attention.
+) -> ForwardResult:
+    """Run M >= 1 tokens after the rows held in ``cache``, which it reads and never writes.
 
     Each layer may already hold any number of rows R. The new rows attend
     causally to each other and freely to the R held rows, so prefill is
-    M=N on an empty cache and a decode step is M=1. ``head_masks``, when
-    given, is an (L, H_kv, W) bool keep-mask over the first W held rows:
-    False at [l, h, c] hides row c of kv head h in layer l from every new
-    query (score forced to -inf); later rows stay visible and no memory is
-    saved. A (G, L, H_kv, W) stack runs the tokens once per mask against
-    the shared held rows: outputs gain a leading G axis, and ``cache`` is
-    left as it was. Of each layer's (H_q, M, R+M) attention only the last
+    M=N on an empty cache and a decode step is M=1. The result's cache is
+    new: the held rows plus the new ones. ``head_masks``, when given, is a
+    (G, L, H_kv, W) bool stack: False at [g, l, h, c] hides held row c < W
+    of kv head h in layer l from grid row g (score forced to -inf). Outputs
+    then gain a leading G axis and the cache is None, so no layer's grid
+    K/V outlives it. Of each layer's (H_q, M, R+M) attention only the last
     ``attention_rows`` query rows (0 to M, none by default) are kept, then
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
     None). This is the one check that every position is below ``max_context``.
@@ -232,9 +231,9 @@ def _forward(
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     if head_masks is not None:
         shape, fewest = head_masks.shape, min(cache.rows(l) for l in range(cfg.layers))
-        if head_masks.dtype != bool or len(shape) > 4 or shape[-3:-1] != (cfg.layers, h_kv):
+        if head_masks.dtype != bool or len(shape) != 4 or shape[1:3] != (cfg.layers, h_kv):
             raise UsageError(
-                f"head_masks must be bool (L={cfg.layers}, H_kv={h_kv}, W) or (G, L, H_kv, W), "
+                f"head_masks must be a bool (G, L={cfg.layers}, H_kv={h_kv}, W) stack, "
                 f"got {head_masks.dtype} {shape}"
             )
         if shape[-1] > fewest:
@@ -242,28 +241,26 @@ def _forward(
                 f"mask covers {shape[-1]} context rows but a layer holds only {fewest}; "
                 "attention patching needs the uncompacted cache"
             )
-        x = np.broadcast_to(x, shape[:-3] + x.shape)
+        x = np.broadcast_to(x, shape[:1] + x.shape)
     grid = x.shape[:-2]  # () or (G,)
     angles = positions[:, None].astype(np.float64) * model.inv_freq[None, :]  # (M, d_h/2)
     cos, sin = np.cos(angles), np.sin(angles)  # every layer rotates at the same positions
     scale = 1.0 / np.sqrt(d_h)
     block = min(m, ROW_BLOCK)
     upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
-    attention: list[np.ndarray] = []
+    keys, values, attention = [], [], []
     means: list[np.ndarray] | None = [] if head_mean else None
 
     for layer in range(cfg.layers):
-        rows = x[:, None] if grid else x  # a grid row's (M, d) block meets every head
+        rows = x[..., None, :, :]  # each row's (M, d) block meets every head
         q, k_new, v_new = rows @ model.wq[layer], rows @ model.wk[layer], rows @ model.wv[layer]
         qk = _rotate(np.concatenate([q, k_new], axis=-3), cos, sin)
         q, k_new = qk[..., :h_q, :, :], qk[..., h_q:, :, :]
 
         held = cache.rows(layer)
-        k_held, v_held = cache.keys[layer], cache.values[layer]
-        if grid:  # every grid row reads the same held rows
-            k_held, v_held = (np.broadcast_to(a, grid + a.shape) for a in (k_held, v_held))
-        k = np.concatenate([k_held, k_new], axis=-2)  # (..., H_kv, R+M, d_h)
-        v = np.concatenate([v_held, v_new], axis=-2)
+        k_held, v_held = cache.keys[layer], cache.values[layer]  # every grid row reads them
+        k = np.concatenate([np.broadcast_to(k_held, grid + k_held.shape), k_new], axis=-2)
+        v = np.concatenate([np.broadcast_to(v_held, grid + v_held.shape), v_new], axis=-2)
 
         outs, kept, block_means = [], [], []
         for s in range(0, m, block):
@@ -274,7 +271,7 @@ def _forward(
             np.copyto(scores[..., held + s :], -np.inf, where=upper[: e - s, : e - s])
             if head_masks is not None:
                 grouped = scores.reshape(*grid, h_kv, -1, width)
-                visible = head_masks[..., layer, :, None, :]
+                visible = head_masks[:, layer, :, None, :]
                 np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
             attn = softmax_rows(scores.reshape(-1, width), scale=scale).reshape(scores.shape)
             out = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s) rows
@@ -287,51 +284,45 @@ def _forward(
         attention.append(_join_rows(kept, held + m))
         if head_mean:
             means.append(_join_rows(block_means, held + m))
-        if not grid:
-            cache.keys[layer], cache.values[layer] = k, v
-            cache.next_positions[layer] = int(positions[-1]) + 1
+        if not grid:  # a stack's K/V die with their layer
+            keys.append(k)
+            values.append(v)
 
-    return x @ model.embedding.T, attention, means
+    grown = None if grid else KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers)
+    return ForwardResult(grown, x @ model.embedding.T, attention, means)
 
 
 def prefill(
     model: Model, tokens: list[int], attention_rows: int = 0, head_mean: bool = False
-) -> PrefillResult:
+) -> ForwardResult:
     """Causal forward pass over ``tokens`` (at least one) from position 0.
 
-    Fills one K,V row per token per kv head per layer. Of each layer's
-    attention it keeps the last ``attention_rows`` query rows (none by
-    default) and the head mean when ``head_mean``, as ``_forward`` does.
+    Its cache holds one K,V row per token per kv head per layer. Of each
+    layer's attention it keeps the last ``attention_rows`` query rows (none
+    by default) and the head mean when ``head_mean``, as ``_forward`` does.
     Rows run in ``ROW_BLOCK`` blocks, so a layer never holds its full
     (H_q, N, N) scores: its peak is O(H_q * ROW_BLOCK * N) and its time
     O(N^2), without computing the masked upper triangle.
     """
-    cache = empty_cache(model)
-    logits, attention, means = _forward(
-        model, cache, np.asarray(tokens), np.arange(len(tokens)),
+    return _forward(
+        model, empty_cache(model), np.asarray(tokens), np.arange(len(tokens)),
         attention_rows=attention_rows, head_mean=head_mean,
     )
-    return PrefillResult(cache=cache, logits=logits, attention=attention, attention_mean=means)
 
 
-def decode_step(
-    model: Model,
-    cache: KVCache,
-    token: int,
-    position: int,
-    head_masks: np.ndarray | None = None,
-) -> np.ndarray:
-    """Append ``token`` at ``position`` to every layer cache and return its logits.
+def decode_step(model: Model, cache: KVCache, token: int, position: int) -> np.ndarray:
+    """Append ``token`` at ``position`` to every layer of ``cache`` and return its logits.
 
-    Layers may hold unequal row counts; each attends over whatever keys it
-    has (plus the row just appended). ``head_masks``, when given, hides
-    masked rows of the original context from attention; appended rows stay
-    visible. It must be one (L, H_kv, W) mask, since a stack appends nothing.
+    The one function that writes a cache: it rebinds the cache's keys,
+    values and next positions to those of ``_forward``'s grown cache, so a
+    CompressedCache keeps its type and provenance. Layers may hold unequal
+    row counts; each attends over whatever keys it has (plus the new row).
     """
-    if head_masks is not None and head_masks.ndim != 3:
-        raise UsageError(f"decode_step takes one (L, H_kv, W) mask, got shape {head_masks.shape}")
-    logits, _, _ = _forward(model, cache, np.asarray([token]), np.asarray([position]), head_masks)
-    return logits[0]
+    grown = _forward(model, cache, np.asarray([token]), np.asarray([position]))
+    cache.keys, cache.values, cache.next_positions = (
+        grown.cache.keys, grown.cache.values, grown.cache.next_positions
+    )
+    return grown.logits[0]
 
 
 def greedy_decode(

@@ -132,13 +132,13 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 def _task_rows(model: Model, cache: KVCache, task: tuple[int, ...]) -> np.ndarray:
     """(L, H_q, N, M) attention of one task's rows onto the context.
 
-    The task is appended to a clone of the context cache at positions
-    N..N+M-1, so only its M rows are computed.
+    The task runs after the context cache at positions N..N+M-1, so only
+    its M rows are computed; the cache is read, not written.
     """
     n, m = cache.rows(0), len(task)
-    _, attention, _ = _forward(
-        model, cache.clone(), np.asarray(task), np.arange(n, n + m), attention_rows=m
-    )
+    attention = _forward(
+        model, cache, np.asarray(task), np.arange(n, n + m), attention_rows=m
+    ).attention
     return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
 
 
@@ -147,12 +147,12 @@ def collect_attention(
 ) -> AttentionCapture:
     """Prefill the context once; record how the task tokens attend to it, plus value norms.
 
-    task-aware appends each task to the prefilled cache and keeps its
+    task-aware runs each task after the prefilled cache and keeps its
     rows; task-agnostic keeps the trailing observation-window rows of the
-    prefill itself. The prefill's cache travels with the capture, so
-    every policy and ratio compresses the same full cache. ``head_mean``
-    also keeps the prefill's attention averaged over query heads, which
-    only a policy that replays it needs (``Policy.reads_head_mean``).
+    prefill itself. No task writes the prefill's cache, which travels with
+    the capture, so every policy and ratio compresses the same full cache.
+    ``head_mean`` also keeps the prefill's attention averaged over query
+    heads, which only a policy that replays it needs (``Policy.reads_head_mean``).
     """
     if not context:
         raise UsageError("context must be non-empty")

@@ -39,6 +39,7 @@ from kvcompose.evaluator import (
 )
 from kvcompose.model import (
     ModelConfig,
+    _forward,
     construct_induction_model,
     decode_step,
     init_model,
@@ -234,10 +235,10 @@ def test_criterion_7_unstructured_patching():
         base = prefill(model, context)
         all_true = unstructured_compress(
             ScoreTensor(STAGE_FINAL, np.ones((cfg.layers, cfg.kv_heads, n))), (0.0,)
-        )[0]
-        assert all_true.all()
+        )
+        assert all_true.shape == (1, cfg.layers, cfg.kv_heads, n) and all_true.all()
         a = decode_step(model, base.cache.clone(), 1, n)
-        b = decode_step(model, base.cache.clone(), 1, n, head_masks=all_true)
+        b = _forward(model, base.cache, np.asarray([1]), np.asarray([n]), all_true).logits[0, 0]
         assert np.array_equal(a, b)
 
         # kept set equals the brute-force global sort for 50 random tensors

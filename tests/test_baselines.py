@@ -108,22 +108,31 @@ def head_mean(model, context) -> np.ndarray:
 
 class TestTovaSelect:
     def test_budget_at_least_context_keeps_all(self, tiny_model):
-        kept = tova_select(head_mean(tiny_model, random_context(40, 8)), budget=8)
+        kept = tova_select(head_mean(tiny_model, random_context(40, 8)), np.asarray([[8, 8]]))[0]
         assert all(k.tolist() == list(range(8)) for k in kept)
 
     def test_budget_one_leaves_one_survivor(self, tiny_model):
-        kept = tova_select(head_mean(tiny_model, random_context(41, 8)), budget=1)
+        kept = tova_select(head_mean(tiny_model, random_context(41, 8)), np.asarray([[1, 1]]))[0]
         assert all(len(k) == 1 for k in kept)
 
     def test_budget_zero_keeps_nothing(self, tiny_model):
         rows = head_mean(tiny_model, random_context(44, 8))
-        assert [k.tolist() for k in tova_select(rows, budget=0)] == [[], []]
+        assert [k.tolist() for k in tova_select(rows, np.asarray([[0, 0]]))[0]] == [[], []]
         with pytest.raises(ConfigError):
-            tova_select(rows, budget=-1)
+            tova_select(rows, np.asarray([[-1, -1]]))
+
+    @pytest.mark.parametrize(
+        "budgets", [6, [6, 6], [[6, 6, 6]]], ids=["scalar", "per-layer", "3-layers"]
+    )
+    def test_budgets_other_than_grid_by_layer_rejected(self, tiny_model, budgets):
+        # (G, L) is the one form, so every call returns one list per grid row
+        rows = head_mean(tiny_model, random_context(44, 8))
+        with pytest.raises(ConfigError, match="G, L=2"):
+            tova_select(rows, np.asarray(budgets))
 
     def test_matches_replay_oracle(self, tiny_model):
         rows = head_mean(tiny_model, random_context(42, 12))
-        kept = tova_select(rows, budget=6)
+        kept = tova_select(rows, np.asarray([[6, 6]]))[0]
         for layer in range(2):
             assert kept[layer].dtype == np.int64
             assert kept[layer].tolist() == tova_oracle(rows[layer], 6)
@@ -134,7 +143,7 @@ class TestTovaSelect:
         n = 24
         rows = head_mean(gqa_model, random_context(45, n))
         budgets = np.asarray([0, 1, 9, n + 3])
-        kept = tova_select(rows, budgets)
+        kept = tova_select(rows, budgets[None])[0]
         for layer, b in enumerate(budgets):
             assert kept[layer].tolist() == tova_oracle(rows[layer], b)
         assert [len(k) for k in kept] == [0, 1, 9, n]
@@ -142,7 +151,7 @@ class TestTovaSelect:
     def test_ties_evict_lowest_index(self):
         # equal attention everywhere: each step evicts the oldest token
         rows = np.tril(np.ones((2, 6, 6)))
-        kept = tova_select(rows, np.asarray([3, 0]))
+        kept = tova_select(rows, np.asarray([[3, 0]]))[0]
         assert [k.tolist() for k in kept] == [[3, 4, 5], []] == [tova_oracle(rows[0], 3), []]
 
     def test_grid_replay_matches_per_ratio_replay(self, gqa_model):
@@ -181,8 +190,8 @@ class TestTovaSelect:
 
     def test_deterministic(self, tiny_model):
         context = random_context(43, 10)
-        first = tova_select(head_mean(tiny_model, context), 5)
-        second = tova_select(head_mean(tiny_model, context), 5)
+        first = tova_select(head_mean(tiny_model, context), np.asarray([[5, 5]]))[0]
+        second = tova_select(head_mean(tiny_model, context), np.asarray([[5, 5]]))[0]
         assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
 
 

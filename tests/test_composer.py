@@ -19,7 +19,7 @@ from kvcompose.composer import (
 )
 from kvcompose.errors import UsageError
 from kvcompose.evaluator import RATIO_GRID
-from kvcompose.model import decode_step, prefill
+from kvcompose.model import _forward, decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import (
     STAGE_FINAL,
@@ -427,11 +427,11 @@ class TestCompressPipeline:
 class TestUnstructured:
     def test_r0_all_true_and_exact_logits(self, tiny_model):
         context = random_context(30, 8)
-        masks = unstructured_compress(final_scores(13, n=8), (0.0,))[0]
-        assert masks.all()
+        masks = unstructured_compress(final_scores(13, n=8), (0.0,))
+        assert masks.shape[0] == 1 and masks.all()
         full = prefill(tiny_model, context)
         a = decode_step(tiny_model, full.cache.clone(), 2, 8)
-        b = decode_step(tiny_model, full.cache.clone(), 2, 8, head_masks=masks)
+        b = _forward(tiny_model, full.cache, np.asarray([2]), np.asarray([8]), masks).logits[0, 0]
         assert np.array_equal(a, b)
 
     def test_boundary_single_entry(self):

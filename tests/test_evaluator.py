@@ -47,6 +47,7 @@ from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
 from conftest import count_calls
+from test_model import reference_forward
 
 
 def point(r, eps=0.0, reward_mean=1.0):
@@ -319,6 +320,21 @@ class TestSweep:
         assert forwards == [steps] * (len(tasks) * 2)
         assert decodes == []
 
+    @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
+    def test_prepare_task_copies_no_cache(self, tiny_model, monkeypatch, mode):
+        # the capture and the reference run both read the one prefill cache
+        from kvcompose.model import KVCache
+
+        def no_clone(self):
+            raise AssertionError("a cache was cloned")
+
+        task = make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
+        monkeypatch.setattr(KVCache, "clone", no_clone)
+        state = prepare_task(tiny_model, task, mode, 8)
+        assert state.capture.cache.next_positions == [16, 16]
+        assert [state.capture.cache.rows(l) for l in range(2)] == [16, 16]
+        assert state.full_reward == 1.0
+
     @pytest.mark.parametrize("config", ["demo_agreement.json", "demo_recall.json"])
     def test_r0_reproduces_the_reference_run(self, config):
         # at r=0 every policy keeps every row, and an all-true mask in the
@@ -357,25 +373,33 @@ class TestSweep:
 
 
 def stepwise_logits(model, cache, task, head_masks=None):
-    """Oracle for ``_run_steps``: one decode_step per teacher-forced input."""
+    """Oracle for ``_run_steps``: one step per teacher-forced input, by
+    ``decode_step``, or under a single (L, H_kv, N) mask by the reference
+    forward pass of ``test_model`` with M=1."""
     work = cache.clone()
     position = work.next_position
     inputs, targets = _forced_steps(task)
-    logits = [
-        decode_step(model, work, tok, position + i, head_masks=head_masks)
-        for i, tok in enumerate(inputs)
-    ]
+    logits = []
+    for i, tok in enumerate(inputs):
+        if head_masks is None:
+            logits.append(decode_step(model, work, tok, position + i))
+        else:
+            step = np.asarray([position + i])
+            logits.append(reference_forward(model, work, np.asarray([tok]), step, head_masks)[0][0])
     return logits[-len(targets) :]
 
 
 class TestOnePassTeacherForcing:
-    """``_run_steps`` appends every forced input in one forward pass; it must
-    give the logits of feeding them one decode step at a time."""
+    """``_run_steps`` runs every forced input in one forward pass; it must
+    give the logits of feeding them one step at a time."""
 
     @staticmethod
     def assert_matches_stepwise(model, cache, task, head_masks=None):
         rows_before = [cache.rows(l) for l in range(model.config.layers)]
-        got = _run_steps(model, cache, task, head_masks)
+        if head_masks is None:
+            got = _run_steps(model, cache, task, None)
+        else:  # the mask runs as a G=1 stack
+            got = _run_steps(model, cache, task, head_masks[None])[0]
         want = stepwise_logits(model, cache, task, head_masks)
         assert len(got) == len(want) == len(_forced_steps(task)[1])
         for a, b in zip(got, want):
@@ -459,12 +483,12 @@ def reference_point(model, state, policy, agg_choice, r_target):
     cap = state.capture
     if policy.name == "unstructured":
         scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
-        masks = unstructured_compress(scores, (r_target,))[0]
+        masks = unstructured_compress(scores, (r_target,))  # a G=1 stack
         r_achieved = 1.0 - np.count_nonzero(masks) / (cfg.layers * cfg.kv_heads * cap.context_len)
         r, kl = _reward_and_kl(
             model, cap.cache, state.task, state.reference_logits, head_masks=masks
         )
-        return r_achieved, r, kl
+        return r_achieved, r[0], kl[0]
     budget = retention_budget(r_target, cfg.layers, cap.context_len)
     if policy.name == "kvcompose":
         ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))

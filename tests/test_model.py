@@ -187,16 +187,50 @@ class TestForward:
         tokens = random_context(5, 12)
         full = prefill(tiny_model, tokens, attention_rows=len(tokens))
         cache = prefill(tiny_model, tokens[:7]).cache
-        logits, attention, _ = _forward(
+        res = _forward(
             tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12), attention_rows=5
         )
-        assert np.abs(logits - full.logits[7:]).max() < 1e-8
-        for got, want in zip(attention, full.attention):
+        assert np.abs(res.logits - full.logits[7:]).max() < 1e-8
+        for got, want in zip(res.attention, full.attention):
             assert got.shape == (4, 5, 12)
             assert np.abs(got - want[:, 7:, :]).max() < 1e-8
-        assert cache.next_positions == [12, 12]
+        assert res.cache.next_positions == [12, 12] and cache.next_positions == [7, 7]
         for layer in range(2):
-            assert np.abs(cache.keys[layer] - full.cache.keys[layer]).max() < 1e-8
+            assert np.abs(res.cache.keys[layer] - full.cache.keys[layer]).max() < 1e-8
+            assert np.abs(res.cache.values[layer] - full.cache.values[layer]).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "form", ["plain", "attention_rows", "head_mean", "stack", "row_blocks"]
+    )
+    def test_leaves_the_cache_it_reads_as_it_was(self, gqa_model, form):
+        # bit for bit, down to the identity of the cache's lists and arrays;
+        # the grown cache is new and shares no memory with the held one
+        cfg, held = gqa_model.config, 20
+        m = ROW_BLOCK + 5 if form == "row_blocks" else 3
+        tokens = random_context(12, held + m)
+        cache = prefill(gqa_model, tokens[:held]).cache
+        lists = (cache.keys, cache.values, cache.next_positions)
+        arrays = [id(a) for a in cache.keys + cache.values]
+        before = cache.clone()
+        kwargs = {
+            "attention_rows": {"attention_rows": m},
+            "head_mean": {"head_mean": True},
+            "stack": {"head_masks": random_masks(13, 2, cfg.layers, cfg.kv_heads, held)},
+        }.get(form, {})
+        new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
+        res = _forward(gqa_model, cache, new, positions, **kwargs)
+        assert all(a is b for a, b in zip((cache.keys, cache.values, cache.next_positions), lists))
+        assert [id(a) for a in cache.keys + cache.values] == arrays
+        assert cache.next_positions == before.next_positions == [held] * cfg.layers
+        for got, want in zip(cache.keys + cache.values, before.keys + before.values, strict=True):
+            assert got.tobytes() == want.tobytes()
+        if form == "stack":
+            assert res.cache is None
+            return
+        assert res.cache.next_positions == [held + m] * cfg.layers
+        for grown, kept in zip(res.cache.keys + res.cache.values, cache.keys + cache.values):
+            assert grown.shape[1] == held + m and not np.shares_memory(grown, kept)
+            assert grown[:, :held].tobytes() == kept.tobytes()
 
 
 def reference_forward(model, cache, tokens, positions, head_masks=None):
@@ -239,13 +273,17 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
 
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
     # the last ``rows`` attention rows (all by default) and the head mean,
-    # zero above the diagonal as the reference computes them
+    # zero above the diagonal as the reference computes them; a single
+    # (L, H_kv, W) mask runs as a G=1 stack, which grows no cache
     rows = len(tokens) if rows is None else rows
     want_cache = cache.clone()
     want_logits, want_attn = reference_forward(model, want_cache, tokens, positions, head_masks)
-    logits, attention, means = _forward(
-        model, cache, tokens, positions, head_masks, attention_rows=rows, head_mean=True
-    )
+    stack = None if head_masks is None else head_masks[None]
+    res = _forward(model, cache, tokens, positions, stack, attention_rows=rows, head_mean=True)
+    logits, attention, means = res.logits, res.attention, res.attention_mean
+    if stack is not None:
+        assert res.cache is None
+        logits, attention, means = logits[0], [a[0] for a in attention], [a[0] for a in means]
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
         want = want[:, len(tokens) - rows :]
@@ -254,10 +292,11 @@ def assert_matches_reference(model, cache, tokens, positions, head_masks=None, r
     for got, want in zip(means, want_attn, strict=True):
         assert got.shape == want.shape[1:]
         assert np.abs(got - want.mean(axis=0)).max() < 1e-12
-    assert cache.next_positions == want_cache.next_positions
-    for layer in range(model.config.layers):
-        assert np.abs(cache.keys[layer] - want_cache.keys[layer]).max() < 1e-12
-        assert np.abs(cache.values[layer] - want_cache.values[layer]).max() < 1e-12
+    if stack is None:
+        assert res.cache.next_positions == want_cache.next_positions
+        for layer in range(model.config.layers):
+            assert np.abs(res.cache.keys[layer] - want_cache.keys[layer]).max() < 1e-12
+            assert np.abs(res.cache.values[layer] - want_cache.values[layer]).max() < 1e-12
 
 
 def random_masks(seed: int, *shape: int) -> np.ndarray:
@@ -328,8 +367,8 @@ class TestGroupedKernelOracle:
 
 def assert_stack_equals_one_call_per_mask(model, held, m):
     # the grid rows share the held cache: each gives, bit for bit, the
-    # logits, attention and head mean of its own call, and the cache is
-    # left as it was
+    # logits, attention and head mean of its own G=1 call, and the cache
+    # is left as it was
     cfg = model.config
     tokens = random_context(40, held + m)
     cache = prefill(model, tokens[:held]).cache
@@ -337,19 +376,18 @@ def assert_stack_equals_one_call_per_mask(model, held, m):
     stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, held)
     stack[0] = True
     new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
-    logits, attention, means = _forward(
-        model, cache, new, positions, stack, attention_rows=m, head_mean=True
-    )
+    res = _forward(model, cache, new, positions, stack, attention_rows=m, head_mean=True)
+    logits, attention, means = res.logits, res.attention, res.attention_mean
     assert logits.shape == (3, m, cfg.vocab_size)
     assert attention[0].shape == (3, cfg.query_heads, m, held + m)
     for g in range(3):
-        want, want_attn, want_means = _forward(
-            model, before.clone(), new, positions, stack[g], attention_rows=m, head_mean=True
+        want = _forward(
+            model, before, new, positions, stack[g : g + 1], attention_rows=m, head_mean=True
         )
-        assert np.array_equal(logits[g], want)
-        assert all(np.array_equal(a[g], b) for a, b in zip(attention, want_attn, strict=True))
-        assert all(np.array_equal(a[g], b) for a, b in zip(means, want_means, strict=True))
-    unmasked, _, _ = _forward(model, before.clone(), new, positions)
+        assert np.array_equal(logits[g], want.logits[0])
+        for got, wanted in ((attention, want.attention), (means, want.attention_mean)):
+            assert all(np.array_equal(a[g], b[0]) for a, b in zip(got, wanted, strict=True))
+    unmasked = _forward(model, before, new, positions).logits
     assert np.array_equal(logits[0], unmasked)
     assert cache.next_positions == before.next_positions
     for layer in range(cfg.layers):
@@ -363,27 +401,46 @@ class TestMaskStack:
 
     def test_stack_over_several_row_blocks_equals_one_call_per_mask(self, gqa_model):
         assert_stack_equals_one_call_per_mask(gqa_model, held=32, m=2 * ROW_BLOCK + 3)
+
+    def test_grid_kv_dies_with_its_layer(self):
+        # a stack's (G, H_kv, R+M, d_h) K and V serve one layer and no
+        # result: the pass holds at most the last layer's pair while it
+        # builds the next, where keeping all 8 layers' would peak near 8x
+        import tracemalloc
+
+        cfg = ModelConfig(
+            layers=8, query_heads=4, kv_heads=2, model_dim=128, head_dim=32,
+            vocab_size=64, seed=7,
+        )
+        model = init_model(cfg)
+        held, g = 256, 8
+        cache = prefill(model, random_context(62, held)).cache
+        stack = np.ones((g, cfg.layers, cfg.kv_heads, held), dtype=bool)
+        layer_kv = 2 * g * cfg.kv_heads * (held + 1) * cfg.head_dim * 8
+        tracemalloc.start()
+        try:
+            res = _forward(model, cache, np.asarray([5]), np.asarray([held]), stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.cache is None
+        assert peak < 3 * layer_kv, (peak, layer_kv)
     @pytest.mark.parametrize(
         "shape, dtype",
         [
-            ((2, 1, 8), bool),  # one head's mask would broadcast to both kv heads
-            ((3, 2, 8), bool),  # one layer too many
-            ((1, 2, 8), bool),  # one layer too few
-            ((2, 2, 8), np.int64),
-            ((2, 8), bool),
+            ((1, 2, 1, 8), bool),  # one head's mask would broadcast to both kv heads
+            ((1, 3, 2, 8), bool),  # one layer too many
+            ((1, 1, 2, 8), bool),  # one layer too few
+            ((1, 2, 2, 8), np.int64),
+            ((1, 2, 8), bool),
+            ((2, 2, 8), bool),  # a single (L, H_kv, W) mask: a stack is the one form
         ],
-        ids=["one-head", "extra-layer", "one-layer", "int", "no-head-axis"],
+        ids=["one-head", "extra-layer", "one-layer", "int", "no-head-axis", "single-mask"],
     )
     def test_mask_of_wrong_shape_or_type_rejected(self, tiny_model, shape, dtype):
         cache = prefill(tiny_model, random_context(42, 8)).cache
         with pytest.raises(UsageError, match="head_masks"):
             _forward(tiny_model, cache, np.asarray([3]), np.asarray([8]), np.ones(shape, dtype))
-
-    def test_decode_step_rejects_a_stack(self, tiny_model):
-        cache = prefill(tiny_model, random_context(43, 8)).cache
-        with pytest.raises(UsageError, match="decode_step takes one"):
-            decode_step(tiny_model, cache, 3, 8, head_masks=np.ones((2, 2, 2, 8), bool))
-        assert cache.rows(0) == 8
 
 
 class TestRowBlocks:
@@ -466,9 +523,9 @@ class TestDecodeStep:
             tiny_model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose")
         )
         assert cache.rows(0) == 8
-        keep = np.ones((2, 2, 16), dtype=bool)
+        keep = np.ones((1, 2, 2, 16), dtype=bool)
         with pytest.raises(UsageError, match="uncompacted"):
-            decode_step(tiny_model, cache, 3, 16, head_masks=keep)
+            _forward(tiny_model, cache, np.asarray([3]), np.asarray([16]), keep)
 
     def test_key_row_permutation_invariance(self, tiny_model):
         # each head reordered independently, like composite slots are

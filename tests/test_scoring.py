@@ -185,6 +185,26 @@ class TestCollectAttention:
         kept = 4 if mode == "task-agnostic" else 0
         assert [a.shape for a in runs[0].attention] == [(h_q, kept, 20)] * tiny_model.config.layers
 
+    def test_tasks_read_the_context_cache_without_a_copy(self, tiny_model, monkeypatch):
+        # every task runs after the one prefill cache and none writes it, so
+        # each task's rows equal those of a capture of that task alone
+        from kvcompose.model import KVCache
+
+        def no_clone(self):
+            raise AssertionError("a cache was cloned")
+
+        monkeypatch.setattr(KVCache, "clone", no_clone)
+        context = random_context(16, 10)
+        tasks = (tuple(random_context(14, 3)), tuple(random_context(15, 5)))
+        cap = collect_attention(tiny_model, context, TaskSet(mode="task-aware", tasks=tasks))
+        alone = [
+            collect_attention(tiny_model, context, TaskSet(mode="task-aware", tasks=(t,))).A
+            for t in tasks
+        ]
+        assert cap.cache.next_positions == [10, 10]
+        assert [cap.cache.rows(l) for l in range(2)] == [10, 10]
+        assert np.array_equal(cap.A, np.concatenate(alone, axis=3))
+
     def test_value_norm_shapes(self, tiny_model):
         cap = collect_attention(
             tiny_model, random_context(7, 6), TaskSet(mode="task-agnostic", observation_window=3)

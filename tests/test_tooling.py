@@ -10,8 +10,11 @@ keeps it is decided in one place; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
 keep any; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
 ``numerics.softmax_rows`` stays the one place attention is normalized;
-and no module reads the environment, so a setting such as the forward
-pass's row block size cannot become a hidden knob."""
+no module reads the environment, so a setting such as the forward
+pass's row block size cannot become a hidden knob; and only
+``model.decode_step`` writes a cache's ``keys``, ``values`` or
+``next_positions``, while no module calls ``.clone()``, so cache growth
+has one home and the forward pass only reads the cache it is given."""
 import ast
 import importlib
 import importlib.util
@@ -194,3 +197,79 @@ def test_no_module_reads_the_environment():
         for line in environment_reads(path.read_text())
     }
     assert found == set()
+
+
+CACHE_FIELDS = ("keys", "values", "next_positions")
+LIST_WRITES = ("append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse")
+
+
+def written_fields(node: ast.AST) -> list[str]:
+    """The cache fields that ``node`` writes: an assignment (``=``,
+    ``+=`` or annotated) to a ``keys``, ``values`` or ``next_positions``
+    attribute or to an item of one, also inside a tuple target, or a call
+    of a list method that changes such an attribute in place."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in LIST_WRITES:
+        targets = [node.func.value]
+    else:
+        return []
+    fields = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+            continue
+        while isinstance(target, (ast.Subscript, ast.Starred)):
+            target = target.value
+        if isinstance(target, ast.Attribute) and target.attr in CACHE_FIELDS:
+            fields.append(target.attr)
+    return fields
+
+
+def cache_writers(source: str) -> set[str]:
+    """Names of the top-level functions and classes of ``source`` that write a cache field."""
+    return {
+        getattr(top, "name", f"line {top.lineno}")
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if written_fields(node)
+    }
+
+
+def test_only_decode_step_writes_a_cache_and_nothing_clones_one():
+    src = ROOT / "src" / "kvcompose"
+    writers = {
+        f"{path.name}:{name}"
+        for path in src.glob("*.py")
+        for name in cache_writers(path.read_text())
+    }
+    clones = {
+        f"{path.name}:{node.lineno}"
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "clone"
+    }
+    assert writers == {"model.py:decode_step"}
+    assert clones == set()
+
+
+@pytest.mark.parametrize(
+    "line, fields",
+    [
+        ("cache.keys[layer], cache.values[layer] = k, v", ["values", "keys"]),
+        ("cache.next_positions[layer] += 1", ["next_positions"]),
+        ("c.keys = c.values = []", ["keys", "values"]),
+        ("a, (b.keys, *rest) = x", ["keys"]),
+        ("cache.keys[0][:, 1] = 0.0", ["keys"]),
+        ("cache.next_positions.append(3)", ["next_positions"]),
+        ("keys, values = [], []", []),
+        ("out[self.values > 0] = 1", []),
+        ("n = cache.keys[0].shape[1]", []),
+    ],
+)
+def test_cache_write_finder(line, fields):
+    found = [f for node in ast.walk(ast.parse(line)) for f in written_fields(node)]
+    assert sorted(found) == sorted(fields)
