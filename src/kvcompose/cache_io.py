@@ -74,8 +74,8 @@ class IoError(KvcError):
 
 
 def cache_to_bytes(cache: CompressedCache) -> bytes:
-    if cache.provenance is None:
-        raise IoError("cache has no provenance; only compressed caches serialize")
+    if not isinstance(cache, CompressedCache):  # a prefill or decoded cache has no provenance
+        raise IoError(f"only compressed caches serialize, got {type(cache).__name__}")
     layers = cache.layer_count
     kv_heads, _, head_dim = cache.keys[0].shape
     parts = [

@@ -394,7 +394,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_compress = sub.add_parser("compress", help="compress one context to a KVCF file")
     common(p_compress)
-    p_compress.add_argument("--context", required=True, help="whitespace-separated token ids")
+    p_compress.add_argument("--context", required=True, help="file of whitespace-separated ids")
     p_compress.set_defaults(func=cmd_compress)
 
     p_sweep = sub.add_parser("sweep", help="ratio-grid evaluation of one policy")

@@ -41,11 +41,11 @@ class CompositeIndex:
     s_prime: np.ndarray  # (L, H_kv, N); scores gathered into slot order
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressedCache(KVCache):
     """KVCache plus, for every slot, the original context index it came from."""
 
-    provenance: list[np.ndarray] | None = None  # per layer (H_kv, N_l) int64
+    provenance: list[np.ndarray]  # per layer (H_kv, N_l) int64
 
 
 @dataclass

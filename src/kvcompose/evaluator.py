@@ -1,4 +1,4 @@
-"""Evaluation protocol: compression ratio, rewards, degradation, sweeps.
+"""Evaluation protocol: rewards, degradation, sweeps.
 
 Rewards are deterministic proxies in [0, 1]: exact key->value recall on
 the constructed lookup model, and teacher-forced top-1 agreement with the

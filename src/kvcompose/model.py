@@ -80,9 +80,9 @@ class Model:
     pos_embedding: np.ndarray | None = None  # (max_context, d) absolute table
 
 
-@dataclass
+@dataclass(frozen=True)
 class KVCache:
-    """Per-layer key/value rows, uniform across heads within a layer."""
+    """Per-layer key/value rows, uniform across heads within a layer; nothing writes one."""
 
     keys: list[np.ndarray]  # per layer (H_kv, n_l, d_h)
     values: list[np.ndarray]  # per layer (H_kv, n_l, d_h)
@@ -100,6 +100,7 @@ class KVCache:
         return self.keys[layer].shape[1]
 
     def clone(self) -> "KVCache":
+        """A copy owning its arrays; its one caller is perfbench's compress-long set-up."""
         return replace(
             self,
             keys=[k.copy() for k in self.keys],
@@ -310,19 +311,14 @@ def prefill(
     )
 
 
-def decode_step(model: Model, cache: KVCache, token: int, position: int) -> np.ndarray:
-    """Append ``token`` at ``position`` to every layer of ``cache`` and return its logits.
+def decode_step(model: Model, cache: KVCache, token: int, position: int) -> ForwardResult:
+    """Run ``token`` at ``position`` after ``cache``, which it reads and never writes.
 
-    The one function that writes a cache: it rebinds the cache's keys,
-    values and next positions to those of ``_forward``'s grown cache, so a
-    CompressedCache keeps its type and provenance. Layers may hold unequal
+    Returns ``_forward``'s result: logits (1, vocab) and the grown cache, a
+    plain KVCache, as its new row is no context row. Layers may hold unequal
     row counts; each attends over whatever keys it has (plus the new row).
     """
-    grown = _forward(model, cache, np.asarray([token]), np.asarray([position]))
-    cache.keys, cache.values, cache.next_positions = (
-        grown.cache.keys, grown.cache.values, grown.cache.next_positions
-    )
-    return grown.logits[0]
+    return _forward(model, cache, np.asarray([token]), np.asarray([position]))
 
 
 def greedy_decode(
@@ -331,17 +327,17 @@ def greedy_decode(
     start: int,
     steps: int,
 ) -> list[int]:
-    """Repeated decode_step with argmax selection (ties take the lowest id)."""
+    """Repeated decode_step with argmax selection (ties take the lowest id),
+    each step after the previous one's grown cache; ``cache`` is left as it was."""
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
     out: list[int] = []
     current = start
-    position = cache.next_position
     for _ in range(steps):
-        logits = decode_step(model, cache, current, position)
-        current = int(np.argmax(logits))
+        run = decode_step(model, cache, current, cache.next_position)
+        current = int(np.argmax(run.logits[0]))
         out.append(current)
-        position += 1
+        cache = run.cache
     return out
 
 

@@ -108,10 +108,16 @@ class AttentionCapture:
     A: np.ndarray  # (L, H_q, N, M)
     value_norms_raw: np.ndarray  # (L, H_kv, N)
     value_norms_proj: np.ndarray  # (L, H_q, N)
-    context_len: int
-    task_len: int
     cache: KVCache | None = None  # the context's full prefill cache; None when built by hand
     attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
+
+    @property
+    def context_len(self) -> int:
+        return self.A.shape[2]
+
+    @property
+    def task_len(self) -> int:
+        return self.A.shape[3]
 
 
 @dataclass
@@ -179,8 +185,6 @@ def collect_attention(
         A=a,
         value_norms_raw=raw,
         value_norms_proj=proj,
-        context_len=n,
-        task_len=a.shape[3],
         cache=base.cache,
         attention_mean=np.stack(base.attention_mean) if head_mean else None,
     )

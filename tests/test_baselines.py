@@ -228,8 +228,6 @@ class TestSnapkvSelect:
             A=a,
             value_norms_raw=np.ones((1, 1, 8)),
             value_norms_proj=np.ones((1, 2, 8)),
-            context_len=8,
-            task_len=3,
         )
         kept = snapkv_select(cap, budget_per_head=5, window=2)
         assert kept[0][0].tolist() == [0, 1, 2, 6, 7]

@@ -1,6 +1,7 @@
 import json
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from kvcompose.cache_io import (
 )
 from kvcompose.composer import CompressedCache, compress
 from kvcompose.evaluator import build_report, make_agreement_tasks, sweep
+from kvcompose.model import decode_step, prefill
 from kvcompose.baselines import Policy
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
@@ -99,6 +101,30 @@ class TestWriteCache:
         with pytest.raises(IoError, match="no/such"):
             write_cache(cache, tmp_path / "no" / "such" / "dir.kvcf")
 
+    @pytest.mark.parametrize("kind", ["prefill", "decoded"])
+    def test_only_compressed_caches_serialize(self, tiny_model, tmp_path, kind):
+        # a prefill cache, or a compressed one after a decode step, holds rows
+        # with no provenance: writing it raises IoError and creates no file,
+        # while the compressed cache decoded from still round-trips exactly
+        context = random_context(30, 12)
+        ts = TaskSet(mode="task-agnostic", observation_window=4)
+        policy = Policy(name="kvcompose")
+        compressed, _ = compress(tiny_model, context, ts, AggregationChoice(), 0.5, policy)
+        if kind == "prefill":
+            cache = prefill(tiny_model, context).cache
+        else:
+            cache = decode_step(tiny_model, compressed, 3, 12).cache
+        path = tmp_path / "c.kvcf"
+        with pytest.raises(IoError, match="only compressed caches serialize"):
+            write_cache(cache, path)
+        assert not path.exists()
+        write_cache(compressed, path)
+        back = read_cache(path)
+        assert back.next_positions == compressed.next_positions == [12, 12]
+        for got, want in zip(back.keys + back.values, compressed.keys + compressed.values):
+            assert np.array_equal(got, want.astype(np.float32).astype(np.float64))
+        assert all(np.array_equal(a, b) for a, b in zip(back.provenance, compressed.provenance))
+
 
 class TestReadCache:
     def test_corrupted_crc_rejected(self, tmp_path):
@@ -135,7 +161,7 @@ class TestReadCache:
         cache.keys[0][:] = [[[0.5, -1.25], [2.0, 3.5]]]
         cache.values[0][:] = [[[1.0, 0.0], [-0.5, 8.0]]]
         cache.provenance[0][:] = [[4, 1]]
-        cache.next_positions = [9]  # the context's tail was evicted
+        cache = replace(cache, next_positions=[9])  # the context's tail was evicted
         path = tmp_path / "golden.kvcf"
         write_cache(cache, path)
         back = read_cache(path)
@@ -149,7 +175,7 @@ class TestReadCache:
         cache.keys[0][:] = [[[1.0, 2.0]]]
         cache.values[0][:] = [[[3.0, 4.0]]]
         cache.provenance[0][:] = [[7]]
-        cache.next_positions = [10]
+        cache = replace(cache, next_positions=[10])
         data = cache_to_bytes(cache)
         assert data[:4] == b"KVCF"
         assert data[4:6] == (2).to_bytes(2, "little")  # version

@@ -96,7 +96,7 @@ class TestReward:
             )
             from kvcompose.model import decode_step
 
-            logits = decode_step(model, cache.clone(), task.query[0], len(task.prompt))
+            logits = decode_step(model, cache, task.query[0], len(task.prompt)).logits[0]
             predicted = int(np.argmax(logits))
             expected = 1.0 if predicted == lookup[task.query[0]] else 0.0
             assert reward(model, cache, task) == expected
@@ -376,16 +376,17 @@ def stepwise_logits(model, cache, task, head_masks=None):
     """Oracle for ``_run_steps``: one step per teacher-forced input, by
     ``decode_step``, or under a single (L, H_kv, N) mask by the reference
     forward pass of ``test_model`` with M=1."""
-    work = cache.clone()
-    position = work.next_position
+    position = cache.next_position
     inputs, targets = _forced_steps(task)
     logits = []
     for i, tok in enumerate(inputs):
         if head_masks is None:
-            logits.append(decode_step(model, work, tok, position + i))
+            run = decode_step(model, cache, tok, position + i)
+            out, cache = run.logits, run.cache
         else:
             step = np.asarray([position + i])
-            logits.append(reference_forward(model, work, np.asarray([tok]), step, head_masks)[0][0])
+            out, _, cache = reference_forward(model, cache, np.asarray([tok]), step, head_masks)
+        logits.append(out[0])
     return logits[-len(targets) :]
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
     ROW_BLOCK,
+    KVCache,
     ModelConfig,
     _embed,
     _forward,
@@ -105,7 +108,8 @@ class TestPrefill:
         cache = empty_cache(tiny_model)
         logits = None
         for pos, tok in enumerate(tokens):
-            logits = decode_step(tiny_model, cache, tok, pos)
+            run = decode_step(tiny_model, cache, tok, pos)
+            logits, cache = run.logits[0], run.cache
         assert np.abs(logits - full.logits[-1]).max() < 1e-8
 
     def test_empty_input_rejected(self, tiny_model):
@@ -200,13 +204,14 @@ class TestForward:
             assert np.abs(res.cache.values[layer] - full.cache.values[layer]).max() < 1e-8
 
     @pytest.mark.parametrize(
-        "form", ["plain", "attention_rows", "head_mean", "stack", "row_blocks"]
+        "form",
+        ["plain", "attention_rows", "head_mean", "stack", "row_blocks", "decode_step", "greedy"],
     )
     def test_leaves_the_cache_it_reads_as_it_was(self, gqa_model, form):
         # bit for bit, down to the identity of the cache's lists and arrays;
         # the grown cache is new and shares no memory with the held one
         cfg, held = gqa_model.config, 20
-        m = ROW_BLOCK + 5 if form == "row_blocks" else 3
+        m = {"row_blocks": ROW_BLOCK + 5, "decode_step": 1}.get(form, 3)
         tokens = random_context(12, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache
         lists = (cache.keys, cache.values, cache.next_positions)
@@ -218,12 +223,20 @@ class TestForward:
             "stack": {"head_masks": random_masks(13, 2, cfg.layers, cfg.kv_heads, held)},
         }.get(form, {})
         new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
-        res = _forward(gqa_model, cache, new, positions, **kwargs)
+        if form == "decode_step":
+            res = decode_step(gqa_model, cache, tokens[held], held)
+        elif form == "greedy":
+            res = greedy_decode(gqa_model, cache, tokens[held], m)
+        else:
+            res = _forward(gqa_model, cache, new, positions, **kwargs)
         assert all(a is b for a, b in zip((cache.keys, cache.values, cache.next_positions), lists))
         assert [id(a) for a in cache.keys + cache.values] == arrays
         assert cache.next_positions == before.next_positions == [held] * cfg.layers
         for got, want in zip(cache.keys + cache.values, before.keys + before.values, strict=True):
             assert got.tobytes() == want.tobytes()
+        if form == "greedy":
+            assert len(res) == m
+            return
         if form == "stack":
             assert res.cache is None
             return
@@ -236,12 +249,13 @@ class TestForward:
 def reference_forward(model, cache, tokens, positions, head_masks=None):
     """The per-query-head layer body: K/V copied once per query head by
     np.repeat and every product an einsum. Kept as the oracle for the
-    grouped matmul kernel of ``_forward``."""
+    grouped matmul kernel of ``_forward``; returns the logits, every
+    layer's full attention and the grown cache."""
     cfg = model.config
     m = len(tokens)
     x = _embed(model, tokens, positions)
     group = cfg.group_size
-    attention = []
+    attention, keys, values = [], [], []
     for layer in range(cfg.layers):
         q = np.einsum("nd,hde->hne", x, model.wq[layer])
         k_new = np.einsum("nd,hde->hne", x, model.wk[layer])
@@ -266,9 +280,10 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
         out = np.einsum("hmc,hce->hme", attn, v_rep)
         x = x + np.einsum("hme,hed->md", out, model.wo[layer])
         attention.append(attn)
-        cache.keys[layer], cache.values[layer] = k, v
-        cache.next_positions[layer] = int(positions[-1]) + 1
-    return x @ model.embedding.T, attention
+        keys.append(k)
+        values.append(v)
+    grown = KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers)
+    return x @ model.embedding.T, attention, grown
 
 
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
@@ -276,8 +291,9 @@ def assert_matches_reference(model, cache, tokens, positions, head_masks=None, r
     # zero above the diagonal as the reference computes them; a single
     # (L, H_kv, W) mask runs as a G=1 stack, which grows no cache
     rows = len(tokens) if rows is None else rows
-    want_cache = cache.clone()
-    want_logits, want_attn = reference_forward(model, want_cache, tokens, positions, head_masks)
+    want_logits, want_attn, want_cache = reference_forward(
+        model, cache, tokens, positions, head_masks
+    )
     stack = None if head_masks is None else head_masks[None]
     res = _forward(model, cache, tokens, positions, stack, attention_rows=rows, head_mean=True)
     logits, attention, means = res.logits, res.attention, res.attention_mean
@@ -493,27 +509,25 @@ class TestDecodeStep:
         tokens = random_context(4, 8)
         full = prefill(tiny_model, tokens)
         partial = prefill(tiny_model, tokens[:-1])
-        logits = decode_step(tiny_model, partial.cache, tokens[-1], len(tokens) - 1)
+        logits = decode_step(tiny_model, partial.cache, tokens[-1], len(tokens) - 1).logits[0]
         assert np.abs(logits - full.logits[-1]).max() < 1e-8
 
     def test_empty_layer_attends_only_to_new_token(self, tiny_model):
         # with every layer empty, the appended token is the whole key set,
         # so decoding at any position reproduces the single-token prefill
         single = prefill(tiny_model, [5])
-        cache = empty_cache(tiny_model)
-        logits = decode_step(tiny_model, cache, 5, 17)
-        assert np.abs(logits - single.logits[0]).max() < 1e-8
-        assert all(cache.rows(l) == 1 for l in range(2))
+        run = decode_step(tiny_model, empty_cache(tiny_model), 5, 17)
+        assert np.abs(run.logits[0] - single.logits[0]).max() < 1e-8
+        assert all(run.cache.rows(l) == 1 for l in range(2))
 
     def test_one_empty_layer_is_usable(self, tiny_model):
         tokens = random_context(5, 6)
         res = prefill(tiny_model, tokens)
-        cache = res.cache.clone()
-        cache.keys[0] = cache.keys[0][:, :0, :]
-        cache.values[0] = cache.values[0][:, :0, :]
-        logits = decode_step(tiny_model, cache, 2, 6)
-        assert np.isfinite(logits).all()
-        assert cache.rows(0) == 1  # only the appended token
+        keys, values = list(res.cache.keys), list(res.cache.values)
+        keys[0], values[0] = keys[0][:, :0, :], values[0][:, :0, :]
+        run = decode_step(tiny_model, replace(res.cache, keys=keys, values=values), 2, 6)
+        assert np.isfinite(run.logits).all()
+        assert run.cache.rows(0) == 1  # only the appended token
 
     def test_full_width_mask_on_compacted_cache_rejected(self, tiny_model):
         # the keep-mask indexes rows of the full context, which compaction reorders and drops
@@ -531,7 +545,7 @@ class TestDecodeStep:
         # each head reordered independently, like composite slots are
         tokens = random_context(6, 10)
         res = prefill(tiny_model, tokens)
-        baseline = decode_step(tiny_model, res.cache.clone(), 1, 10)
+        baseline = decode_step(tiny_model, res.cache, 1, 10).logits[0]
         rng = SeededRng(99)
         shuffled = res.cache.clone()
         for layer in range(2):
@@ -539,15 +553,15 @@ class TestDecodeStep:
                 perm = rng.sample(10, 10)
                 shuffled.keys[layer][head] = shuffled.keys[layer][head][perm]
                 shuffled.values[layer][head] = shuffled.values[layer][head][perm]
-        permuted = decode_step(tiny_model, shuffled, 1, 10)
+        permuted = decode_step(tiny_model, shuffled, 1, 10).logits[0]
         assert np.abs(permuted - baseline).max() <= 1e-6
 
     def test_structured_rows_preserved(self, tiny_model):
         tokens = random_context(7, 5)
         res = prefill(tiny_model, tokens)
-        decode_step(tiny_model, res.cache, 0, 5)
+        grown = decode_step(tiny_model, res.cache, 0, 5).cache
         for layer in range(2):
-            k, v = res.cache.keys[layer], res.cache.values[layer]
+            k, v = grown.keys[layer], grown.values[layer]
             assert k.shape[1] == v.shape[1] == 6
             assert k.shape[0] == 2  # one row count shared by every head
 
@@ -556,21 +570,21 @@ class TestGreedyDecode:
     def test_single_step_is_argmax(self, tiny_model):
         tokens = random_context(8, 6)
         res = prefill(tiny_model, tokens)
-        expected = int(np.argmax(decode_step(tiny_model, res.cache.clone(), tokens[-1], 6)))
-        got = greedy_decode(tiny_model, res.cache.clone(), tokens[-1], steps=1)
+        expected = int(np.argmax(decode_step(tiny_model, res.cache, tokens[-1], 6).logits[0]))
+        got = greedy_decode(tiny_model, res.cache, tokens[-1], steps=1)
         assert got == [expected]
 
     def test_deterministic(self, tiny_model):
         tokens = random_context(9, 6)
         res = prefill(tiny_model, tokens)
-        a = greedy_decode(tiny_model, res.cache.clone(), 3, steps=5)
-        b = greedy_decode(tiny_model, res.cache.clone(), 3, steps=5)
+        a = greedy_decode(tiny_model, res.cache, 3, steps=5)
+        b = greedy_decode(tiny_model, res.cache, 3, steps=5)
         assert a == b
 
     def test_matches_full_recompute_oracle(self, tiny_model):
         tokens = random_context(10, 6)
         res = prefill(tiny_model, tokens)
-        generated = greedy_decode(tiny_model, res.cache.clone(), tokens[-1], steps=10)
+        generated = greedy_decode(tiny_model, res.cache, tokens[-1], steps=10)
         # oracle: re-run prefill over the whole growing sequence each step
         sequence = list(tokens) + [tokens[-1]]
         expected = []
@@ -596,7 +610,7 @@ class TestInductionModel:
     def test_single_pair(self):
         m = construct_induction_model(1, 8)
         run = prefill(m, [0, 5])
-        logits = decode_step(m, run.cache, 0, 2)
+        logits = decode_step(m, run.cache, 0, 2).logits[0]
         assert int(np.argmax(logits)) == 5
 
     def test_lookup_matches_dictionary_oracle(self):
@@ -607,7 +621,7 @@ class TestInductionModel:
         prompt = [tok for pair in zip(keys, values) for tok in pair]
         query = keys[2]
         run = prefill(m, prompt)
-        logits = decode_step(m, run.cache, query, len(prompt))
+        logits = decode_step(m, run.cache, query, len(prompt)).logits[0]
         assert int(np.argmax(logits)) == lookup_oracle(prompt, query)
 
     def test_hundred_prompts_full_recall(self):
@@ -620,7 +634,7 @@ class TestInductionModel:
             prompt = [tok for pair in zip(keys, values) for tok in pair]
             j = rng.randint(8)
             run = prefill(m, prompt)
-            logits = decode_step(m, run.cache, keys[j], len(prompt))
+            logits = decode_step(m, run.cache, keys[j], len(prompt)).logits[0]
             hits += int(np.argmax(logits)) == lookup_oracle(prompt, keys[j])
         assert hits == 100
 

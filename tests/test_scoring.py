@@ -31,9 +31,7 @@ def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
     a = rng.uniform_block(layers * query_heads * n * m).reshape(layers, query_heads, n, m)
     raw = rng.uniform_block(layers * kv_heads * n).reshape(layers, kv_heads, n) + 0.5
     proj = rng.uniform_block(layers * query_heads * n).reshape(layers, query_heads, n) + 0.5
-    return AttentionCapture(
-        A=a, value_norms_raw=raw, value_norms_proj=proj, context_len=n, task_len=m
-    )
+    return AttentionCapture(A=a, value_norms_raw=raw, value_norms_proj=proj)
 
 
 class TestTaskSet:

@@ -11,16 +11,20 @@ keeps it is decided in one place; outside ``model.py`` only
 keep any; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
 ``numerics.softmax_rows`` stays the one place attention is normalized;
 no module reads the environment, so a setting such as the forward
-pass's row block size cannot become a hidden knob; and only
-``model.decode_step`` writes a cache's ``keys``, ``values`` or
-``next_positions``, while no module calls ``.clone()``, so cache growth
-has one home and the forward pass only reads the cache it is given."""
+pass's row block size cannot become a hidden knob; and no function
+writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
+calls ``.clone()``, so a cache is a value: a forward pass only reads the
+cache it is given and returns a new one, and rebinding a field raises."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from kvcompose.composer import CompressedCache
+from kvcompose.model import KVCache
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -239,7 +243,7 @@ def cache_writers(source: str) -> set[str]:
     }
 
 
-def test_only_decode_step_writes_a_cache_and_nothing_clones_one():
+def test_nothing_writes_a_cache_and_nothing_clones_one():
     src = ROOT / "src" / "kvcompose"
     writers = {
         f"{path.name}:{name}"
@@ -252,8 +256,11 @@ def test_only_decode_step_writes_a_cache_and_nothing_clones_one():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "clone"
     }
-    assert writers == {"model.py:decode_step"}
+    assert writers == set()
     assert clones == set()
+    for cache in (KVCache([], [], []), CompressedCache([], [], [], [])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cache.next_positions = [1]
 
 
 @pytest.mark.parametrize(
