@@ -190,7 +190,6 @@ def cache_header_size(layers: int) -> int:
 # --- generic tensors ----------------------------------------------------------
 
 _DTYPES = {0: "<f4", 1: "<u4"}
-_DTYPE_CODES = {"float32": 0, "uint32": 1}
 
 
 def write_tensor(array: np.ndarray, path: str | Path) -> int:

@@ -362,13 +362,13 @@ def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> i
     task = build_tasks(replace(cfg, tasks={**cfg.tasks, "count": 1}), model)[0]
     state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
     s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
-    ci = composite_indices(s_final)
+    idx = composite_indices(s_final)
     tensors = {
-        "scores_task.kvct": s_task.values,
-        "scores_group.kvct": s_group.values,
-        "scores_final.kvct": s_final.values,
-        "composite_idx.kvct": ci.idx.astype(np.uint32),
-        "layer_importance.kvct": layer_importance(ci, cfg.agg.agg_head),
+        "scores_task.kvct": s_task,
+        "scores_group.kvct": s_group,
+        "scores_final.kvct": s_final,
+        "composite_idx.kvct": idx.astype(np.uint32),
+        "layer_importance.kvct": layer_importance(s_final, idx, cfg.agg.agg_head),
     }
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,11 +1,11 @@
 """Composite-token construction and layer-adaptive budget allocation.
 
-Each kv head sorts its context tokens by importance; slot k of a layer
-then holds, for every head, that head's k-th most important token. Slots
-are scored by aggregating the sorted per-head scores, pooled globally
-across layers, and the retention budget goes to the best slots wherever
-they live. Because per-head rows are sorted, a layer's kept slots are
-always a prefix, so the compressed cache stays a dense tensor per layer.
+Each kv head sorts its context tokens by their (L, H_kv, N) final scores
+into an int64 slot order of that shape: slot k of a layer holds, for every
+head, that head's k-th most important token. Slots are scored by
+aggregating the sorted per-head scores, pooled globally across layers, and
+the retention budget goes to the best slots wherever they live. Since rows
+are sorted, kept slots are a prefix, and the cache stays dense per layer.
 
 Slot order in the compressed cache is score order, not original position;
 attention does not care (keys are cached post-rotation), and prefix
@@ -24,21 +24,13 @@ from .errors import ConfigError, ShapeError, UsageError
 from .model import KVCache, Model
 from .numerics import argsort_desc
 from .scoring import (
-    STAGE_FINAL,
     AggregationChoice,
     AttentionCapture,
-    ScoreTensor,
     TaskSet,
     collect_attention,
     reduce_axis,
     score_pipeline,
 )
-
-
-@dataclass
-class CompositeIndex:
-    idx: np.ndarray  # (L, H_kv, N) int64; per-head descending-importance permutation
-    s_prime: np.ndarray  # (L, H_kv, N); scores gathered into slot order
 
 
 @dataclass(frozen=True)
@@ -65,17 +57,16 @@ class CompressReport:
         )
 
 
-def composite_indices(s: ScoreTensor) -> CompositeIndex:
-    """Per-head descending sort of the final scores (ties keep lower index)."""
-    if s.stage != STAGE_FINAL:
-        raise UsageError(f"composite_indices expects stage {STAGE_FINAL!r}, got {s.stage!r}")
-    idx = argsort_desc(s.values, axis=2)
-    return CompositeIndex(idx=idx, s_prime=np.take_along_axis(s.values, idx, axis=2))
+def composite_indices(s: np.ndarray) -> np.ndarray:
+    """The (L, H_kv, N) int64 slot order: each head's descending sort of the
+    final scores ``s`` (ties keep lower index)."""
+    return argsort_desc(s, axis=2)
 
 
-def layer_importance(ci: CompositeIndex, op: str) -> np.ndarray:
-    """(L, N) slot scores marginalized over heads; rows stay non-increasing."""
-    return reduce_axis(ci.s_prime, op, axis=1)
+def layer_importance(s: np.ndarray, idx: np.ndarray, op: str) -> np.ndarray:
+    """(L, N) slot scores: ``s`` in slot order ``idx``, marginalized over
+    heads; rows stay non-increasing."""
+    return reduce_axis(np.take_along_axis(s, idx, axis=2), op, axis=1)
 
 
 def allocate_budgets(importance: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
@@ -91,20 +82,20 @@ def allocate_budgets(importance: np.ndarray, grid: tuple[float, ...]) -> np.ndar
 
 
 def compact_cache(
-    cache: KVCache, ci: CompositeIndex, layer_budgets: np.ndarray
+    cache: KVCache, idx: np.ndarray, layer_budgets: np.ndarray
 ) -> CompressedCache:
-    """Gather each head's top ``layer_budgets[l]`` rows into the slot-ordered
-    compressed cache.
+    """Gather each head's first ``layer_budgets[l]`` slots of the slot order
+    ``idx`` (from ``composite_indices``) into the compressed cache.
 
     No program path calls it: ``compress`` gathers the rows ``kept_rows``
     picks. It stays because tests build ragged caches with it, and the
     benchmark's tracer wraps it by name (a Tier-1 test pins that), so
     deleting it would break a traced benchmark run.
     """
-    n = ci.idx.shape[2]
+    n = idx.shape[2]
     if (layer_budgets > n).any():
         raise UsageError(f"layer budgets {layer_budgets.tolist()} exceed context length {n}")
-    return gather_cache(cache, [ci.idx[l, :, :b] for l, b in enumerate(layer_budgets)])
+    return gather_cache(cache, [idx[l, :, :b] for l, b in enumerate(layer_budgets)])
 
 
 def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
@@ -130,7 +121,7 @@ def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
     )
 
 
-def unstructured_compress(s: ScoreTensor, grid: tuple[float, ...]) -> np.ndarray:
+def unstructured_compress(s: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
     """Keep each ratio's globally best (layer, head, token) entries, as a
     (G, L, H_kv, N) bool keep-mask stack.
 
@@ -139,9 +130,7 @@ def unstructured_compress(s: ScoreTensor, grid: tuple[float, ...]) -> np.ndarray
     structured path. Evaluation applies the mask pre-softmax; no memory
     is actually freed.
     """
-    if s.stage != STAGE_FINAL:
-        raise UsageError(f"unstructured_compress expects stage {STAGE_FINAL!r}")
-    return _top_entries(s.values, grid)
+    return _top_entries(s, grid)
 
 
 def _top_entries(values: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
@@ -160,9 +149,10 @@ def kept_rows(
     layers, kv_heads, n = cap.value_norms_raw.shape
     budgets = [retention_budget(r_target, layers, n) for r_target in grid]
     if policy.name == "kvcompose":
-        ci = composite_indices(score_pipeline(cap, kv_heads, agg_choice))
-        grid_budgets = allocate_budgets(layer_importance(ci, agg_choice.agg_head), grid)
-        out = [[ci.idx[l, :, :b] for l, b in enumerate(row)] for row in grid_budgets]
+        s = score_pipeline(cap, kv_heads, agg_choice)
+        idx = composite_indices(s)
+        grid_budgets = allocate_budgets(layer_importance(s, idx, agg_choice.agg_head), grid)
+        out = [[idx[l, :, :b] for l, b in enumerate(row)] for row in grid_budgets]
     else:
         out = select_baseline_indices(cap, policy, budgets)
     for rows, budget in zip(out, budgets, strict=True):

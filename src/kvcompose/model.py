@@ -66,7 +66,7 @@ class ModelConfig:
         return self.query_heads // self.kv_heads
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
     """Immutable after construction; safe to share across threads."""
 

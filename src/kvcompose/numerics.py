@@ -10,10 +10,6 @@ import numpy as np
 
 from .errors import ShapeError, UsageError
 
-# A Matrix is a 2-D float64 ndarray; helpers below validate shape only
-# where a contract can actually be violated by the caller.
-Matrix = np.ndarray
-
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -92,7 +88,7 @@ def stable_floor(x: float) -> int:
     return int(np.floor(x + 1e-9))
 
 
-def softmax_rows(m: Matrix, scale: float) -> Matrix:
+def softmax_rows(m: np.ndarray, scale: float) -> np.ndarray:
     """Row-wise softmax of ``m * scale`` with max-subtraction for stability.
 
     Entries equal to -inf act as masks and map to exactly 0.0. A fully

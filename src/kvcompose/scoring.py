@@ -24,10 +24,6 @@ TASK_MODES = ("task-aware", "task-agnostic")
 DEFAULT_MODE = "task-agnostic"
 OBSERVATION_WINDOW = 32  # trailing context rows scored when no task is known
 
-STAGE_TASK = "agg_task"
-STAGE_GROUP = "agg_group"
-STAGE_FINAL = "final"
-
 
 def check_observation_window(window: int, error: type[Exception] = UsageError) -> None:
     if window < 1:
@@ -120,12 +116,6 @@ class AttentionCapture:
         return self.A.shape[3]
 
 
-@dataclass
-class ScoreTensor:
-    stage: str
-    values: np.ndarray  # (L, H, N); H = H_q at STAGE_TASK, H_kv afterwards
-
-
 def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
     """Max or mean over one axis, as ``op`` (one of AGG_OPS) names."""
     if op == "max":
@@ -190,8 +180,8 @@ def collect_attention(
     )
 
 
-def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -> ScoreTensor:
-    """Reduce the task axis, optionally weighting entries by value norms first.
+def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -> np.ndarray:
+    """Reduce the task axis to (L, H_q, N), optionally weighting entries by value norms first.
 
     v-norm multiplies each attention entry by the raw value norm of the
     token's kv head; vo-norm uses the norm after the query head's output
@@ -208,35 +198,30 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
         a = a * per_query[:, :, :, None]
     elif norm_variant == "vo-norm":
         a = a * cap.value_norms_proj[:, :, :, None]
-    return ScoreTensor(stage=STAGE_TASK, values=reduce_axis(a, op, axis=3))
+    return reduce_axis(a, op, axis=3)
 
 
-def aggregate_group(s: ScoreTensor, kv_heads: int, op: str) -> ScoreTensor:
-    """Reduce query-head scores onto their kv heads."""
-    if s.stage != STAGE_TASK:
-        raise UsageError(f"aggregate_group expects stage {STAGE_TASK!r}, got {s.stage!r}")
-    layers, query_heads, n = s.values.shape
+def aggregate_group(s: np.ndarray, kv_heads: int, op: str) -> np.ndarray:
+    """Reduce (L, H_q, N) query-head scores onto their kv heads: (L, H_kv, N)."""
+    layers, query_heads, n = s.shape
     if query_heads % kv_heads != 0:
         raise ShapeError(f"{query_heads} query heads do not split into {kv_heads} kv heads")
     group = query_heads // kv_heads
-    grouped = s.values.reshape(layers, kv_heads, group, n)
-    return ScoreTensor(stage=STAGE_GROUP, values=reduce_axis(grouped, op, axis=2))
+    grouped = s.reshape(layers, kv_heads, group, n)
+    return reduce_axis(grouped, op, axis=2)
 
 
-def augment_mean(s: ScoreTensor, enabled: bool = True) -> ScoreTensor:
-    """Add the cross-head mean score to every head (mild consensus prior)."""
-    if s.stage != STAGE_GROUP:
-        raise UsageError(f"augment_mean expects stage {STAGE_GROUP!r}, got {s.stage!r}")
+def augment_mean(s: np.ndarray, enabled: bool = True) -> np.ndarray:
+    """Add the cross-head mean score to every head; off, ``s`` itself (nothing writes it)."""
     if not enabled:
-        return ScoreTensor(stage=STAGE_FINAL, values=s.values.copy())
-    mean = s.values.mean(axis=1, keepdims=True)
-    return ScoreTensor(stage=STAGE_FINAL, values=s.values + mean)
+        return s
+    return s + s.mean(axis=1, keepdims=True)
 
 
 def score_stages(
     cap: AttentionCapture, kv_heads: int, choice: AggregationChoice
-) -> list[ScoreTensor]:
-    """Task agg -> group agg -> mean augmentation, keeping every stage."""
+) -> list[np.ndarray]:
+    """Every stage of task agg -> group agg -> mean augmentation, the one home of that order."""
     s_task = aggregate_task(cap, choice.agg_task, choice.norm_variant)
     s_group = aggregate_group(s_task, kv_heads, choice.agg_group)
     return [s_task, s_group, augment_mean(s_group, choice.mean_augment)]
@@ -244,6 +229,6 @@ def score_stages(
 
 def score_pipeline(
     cap: AttentionCapture, kv_heads: int, choice: AggregationChoice
-) -> ScoreTensor:
-    """The final-stage scores of ``score_stages``."""
+) -> np.ndarray:
+    """The final (L, H_kv, N) scores of ``score_stages``."""
     return score_stages(cap, kv_heads, choice)[-1]

@@ -46,7 +46,7 @@ from kvcompose.model import (
     prefill,
 )
 from kvcompose.numerics import SeededRng
-from kvcompose.scoring import STAGE_FINAL, AggregationChoice, ScoreTensor, TaskSet
+from kvcompose.scoring import AggregationChoice, TaskSet
 
 from test_cache_io import make_cache
 
@@ -169,16 +169,13 @@ def test_criterion_5_gather_oracle():
             n = 4 + rng.randint(29)
             context = [rng.randint(cfg.vocab_size) for _ in range(n)]
             base = prefill(model, context)
-            scores = ScoreTensor(
-                STAGE_FINAL,
-                rng.uniform_block(cfg.layers * cfg.kv_heads * n).reshape(
-                    cfg.layers, cfg.kv_heads, n
-                ),
+            scores = rng.uniform_block(cfg.layers * cfg.kv_heads * n).reshape(
+                cfg.layers, cfg.kv_heads, n
             )
-            ci = composite_indices(scores)
+            idx = composite_indices(scores)
             r = RATIO_GRID[rng.randint(len(RATIO_GRID))]
-            budgets = allocate_budgets(layer_importance(ci, "avg"), (r,))[0]
-            compressed = compact_cache(base.cache, ci, budgets)
+            budgets = allocate_budgets(layer_importance(scores, idx, "avg"), (r,))[0]
+            compressed = compact_cache(base.cache, idx, budgets)
             for l in range(cfg.layers):
                 for h in range(cfg.kv_heads):
                     for slot, src in enumerate(compressed.provenance[l][h]):
@@ -233,9 +230,7 @@ def test_criterion_7_unstructured_patching():
         n = 16
         context = [rng.randint(cfg.vocab_size) for _ in range(n)]
         base = prefill(model, context)
-        all_true = unstructured_compress(
-            ScoreTensor(STAGE_FINAL, np.ones((cfg.layers, cfg.kv_heads, n))), (0.0,)
-        )
+        all_true = unstructured_compress(np.ones((cfg.layers, cfg.kv_heads, n)), (0.0,))
         assert all_true.shape == (1, cfg.layers, cfg.kv_heads, n) and all_true.all()
         a = decode_step(model, base.cache, 1, n).logits[0]
         b = _forward(model, base.cache, np.asarray([1]), np.asarray([n]), all_true).logits[0, 0]
@@ -247,7 +242,7 @@ def test_criterion_7_unstructured_patching():
             layers, heads, width = 1 + rng.randint(4), 1 + rng.randint(3), 1 + rng.randint(16)
             values = rng.uniform_block(layers * heads * width).reshape(layers, heads, width)
             r = RATIO_GRID[rng.randint(len(RATIO_GRID))]
-            masks = unstructured_compress(ScoreTensor(STAGE_FINAL, values), (r,))[0]
+            masks = unstructured_compress(values, (r,))[0]
             flat = values.reshape(-1)
             order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
             expected = np.zeros(flat.size, dtype=bool)

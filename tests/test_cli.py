@@ -8,15 +8,25 @@ import pytest
 from kvcompose import evaluator, model as kvmodel
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
-from kvcompose.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, ablation_grid, main, parse_config
+from kvcompose.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    ablation_grid,
+    build_model,
+    build_tasks,
+    load_config,
+    main,
+    parse_config,
+)
+from kvcompose.composer import composite_indices, layer_importance
 from kvcompose.errors import ConfigError
-from kvcompose.evaluator import DEFAULT_TOLERANCES, RATIO_GRID, make_recall_tasks, prepare_task
-from kvcompose.model import construct_induction_model
+from kvcompose.evaluator import DEFAULT_TOLERANCES, RATIO_GRID, prepare_task
 from kvcompose.scoring import (
     DEFAULT_MODE,
     OBSERVATION_WINDOW,
     AggregationChoice,
-    score_pipeline,
+    score_stages,
 )
 
 from conftest import count_calls
@@ -313,16 +323,50 @@ class TestDumpScoresCommand:
         assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
         assert len(prefills) == 2  # the task's greedy reference run, then its capture
 
+    @staticmethod
+    def assert_dump_matches_library(config: Path):
+        """Every dumped tensor equals what the library computes on the first
+        task's prepared state, which sweep scores on, as float32/uint32."""
+        cfg = load_config(config)
+        model = build_model(cfg)
+        task = build_tasks(cfg, model)[0]
+        state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
+        s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
+        idx = composite_indices(s_final)
+        want = {
+            "scores_task.kvct": s_task.astype(np.float32),
+            "scores_group.kvct": s_group.astype(np.float32),
+            "scores_final.kvct": s_final.astype(np.float32),
+            "composite_idx.kvct": idx.astype(np.uint32),
+            "layer_importance.kvct": layer_importance(s_final, idx, cfg.agg.agg_head).astype(
+                np.float32
+            ),
+        }
+        outdir = Path(cfg.out_dir)
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(want)
+        for name, array in want.items():
+            got = read_tensor(outdir / name)
+            assert got.dtype == array.dtype and np.array_equal(got, array), name
+
     def test_task_aware_dump_matches_sweep_scores(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # task-aware recall
         assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
-        model = construct_induction_model(4, 16)
-        task = make_recall_tasks(4, 16, 4, 3)[0]
-        # the prepared task state that sweep scores on
-        state = prepare_task(model, task, "task-aware", 32)
-        want = score_pipeline(state.capture, model.config.kv_heads, AggregationChoice())
-        got = read_tensor(tmp_path / "out" / "scores_final.kvct")
-        assert np.array_equal(got, want.values.astype(np.float32))
+        self.assert_dump_matches_library(cfg)
+
+    def test_task_agnostic_dump_matches_sweep_scores(self, tmp_path, capsys):
+        # two kv heads of two query heads each, so every reduction has work to do
+        cfg = write_config(
+            tmp_path,
+            model={**RANDOM_MODEL, "query_heads": 4, "kv_heads": 2, "head_dim": 4},
+            tasks={"kind": "agreement", "count": 2, "seed": 2, "context_len": 12},
+            scoring={
+                "mode": "task-agnostic",
+                "observation_window": 4,
+                **asdict(AggregationChoice(agg_head="max", norm_variant="vo-norm")),
+            },
+        )
+        assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
+        self.assert_dump_matches_library(cfg)
 
 
 class TestParseConfig:

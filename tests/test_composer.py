@@ -21,21 +21,14 @@ from kvcompose.errors import UsageError
 from kvcompose.evaluator import RATIO_GRID
 from kvcompose.model import _forward, decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
-from kvcompose.scoring import (
-    STAGE_FINAL,
-    STAGE_GROUP,
-    AggregationChoice,
-    ScoreTensor,
-    TaskSet,
-    collect_attention,
-)
+from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention
 
 from conftest import count_calls, random_context
 
 
-def final_scores(seed, layers=2, heads=2, n=8) -> ScoreTensor:
+def final_scores(seed, layers=2, heads=2, n=8) -> np.ndarray:
     rng = SeededRng(seed)
-    return ScoreTensor(STAGE_FINAL, rng.uniform_block(layers * heads * n).reshape(layers, heads, n))
+    return rng.uniform_block(layers * heads * n).reshape(layers, heads, n)
 
 
 def allocation_oracle(importance: np.ndarray, budget: int):
@@ -51,67 +44,61 @@ def allocation_oracle(importance: np.ndarray, budget: int):
 
 class TestCompositeIndices:
     def test_hand_example(self):
-        s = ScoreTensor(STAGE_FINAL, np.array([[[0.1, 0.9, 0.5]]]))
-        ci = composite_indices(s)
-        assert ci.idx[0, 0].tolist() == [1, 2, 0]
-        assert ci.s_prime[0, 0].tolist() == [0.9, 0.5, 0.1]
+        s = np.array([[[0.1, 0.9, 0.5]]])
+        idx = composite_indices(s)
+        assert idx.dtype == np.int64 and idx.shape == s.shape
+        assert idx[0, 0].tolist() == [1, 2, 0]
+        assert s[0, 0, idx[0, 0]].tolist() == [0.9, 0.5, 0.1]
 
     def test_constant_row_uses_tie_rule(self):
-        s = ScoreTensor(STAGE_FINAL, np.ones((1, 1, 5)))
-        ci = composite_indices(s)
-        assert ci.idx[0, 0].tolist() == [0, 1, 2, 3, 4]
+        idx = composite_indices(np.ones((1, 1, 5)))
+        assert idx[0, 0].tolist() == [0, 1, 2, 3, 4]
 
     def test_random_rows_sorted_and_permutations(self):
         s = final_scores(3, layers=2, heads=2, n=8)
-        ci = composite_indices(s)
+        idx = composite_indices(s)
         for layer in range(2):
             for h in range(2):
-                row = ci.s_prime[layer, h]
+                row = s[layer, h, idx[layer, h]]
                 assert all(row[i] >= row[i + 1] for i in range(7))
-                assert sorted(ci.idx[layer, h].tolist()) == list(range(8))
-                assert np.array_equal(row, s.values[layer, h, ci.idx[layer, h]])
-
-    def test_stage_enforced(self):
-        with pytest.raises(UsageError):
-            composite_indices(ScoreTensor(STAGE_GROUP, np.zeros((1, 1, 2))))
+                assert sorted(idx[layer, h].tolist()) == list(range(8))
 
     def test_matches_per_head_argsort_oracle(self):
         # coarse values force ties, which must keep the lower index first
-        values = np.round(final_scores(6, layers=3, heads=4, n=12).values * 4) / 4
-        ci = composite_indices(ScoreTensor(STAGE_FINAL, values))
+        values = np.round(final_scores(6, layers=3, heads=4, n=12) * 4) / 4
+        idx = composite_indices(values)
         for layer in range(3):
             for h in range(4):
-                order = argsort_desc(values[layer, h])
-                assert np.array_equal(ci.idx[layer, h], order)
-                assert np.array_equal(ci.s_prime[layer, h], values[layer, h, order])
+                assert np.array_equal(idx[layer, h], argsort_desc(values[layer, h]))
 
     def test_rejects_non_finite(self):
         values = np.zeros((1, 2, 3))
         values[0, 1, 2] = np.nan
         with pytest.raises(UsageError):
-            composite_indices(ScoreTensor(STAGE_FINAL, values))
+            composite_indices(values)
 
 
 class TestLayerImportance:
     def test_single_head_identity(self):
-        ci = composite_indices(final_scores(4, heads=1))
-        imp = layer_importance(ci, "avg")
-        assert np.array_equal(imp, ci.s_prime[:, 0, :])
+        s = final_scores(4, heads=1)
+        imp = layer_importance(s, composite_indices(s), "avg")
+        assert np.array_equal(imp, -np.sort(-s[:, 0, :], axis=1))
 
     def test_two_head_average(self):
-        s = ScoreTensor(STAGE_FINAL, np.array([[[0.4], [0.8]]]))
-        imp = layer_importance(composite_indices(s), "avg")
+        s = np.array([[[0.4], [0.8]]])
+        imp = layer_importance(s, composite_indices(s), "avg")
         assert abs(imp[0, 0] - 0.6) < 1e-12
 
     def test_rows_non_increasing_and_match_loop(self):
-        ci = composite_indices(final_scores(5, layers=3, heads=4, n=6))
+        s = final_scores(5, layers=3, heads=4, n=6)
+        idx = composite_indices(s)
         for op in ("max", "avg"):
-            imp = layer_importance(ci, op)
+            imp = layer_importance(s, idx, op)
             for layer in range(3):
                 row = imp[layer]
                 assert all(row[i] >= row[i + 1] - 1e-15 for i in range(5))
                 for k in range(6):
-                    slot = ci.s_prime[layer, :, k]
+                    slot = np.array([s[layer, h, idx[layer, h, k]] for h in range(4)])
                     expected = slot.max() if op == "max" else slot.mean()
                     assert imp[layer, k] == expected
 
@@ -179,13 +166,13 @@ class TestCompactCache:
         context = random_context(20, 8)
         base = prefill(tiny_model, context)
         s = final_scores(8, layers=2, heads=2, n=8)
-        ci = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.0,))[0]
-        compressed = compact_cache(base.cache, ci, budgets)
+        idx = composite_indices(s)
+        budgets = allocate_budgets(layer_importance(s, idx, "avg"), (0.0,))[0]
+        compressed = compact_cache(base.cache, idx, budgets)
         for layer in range(2):
-            assert np.array_equal(compressed.provenance[layer], ci.idx[layer])
+            assert np.array_equal(compressed.provenance[layer], idx[layer])
             for h in range(2):
-                perm = ci.idx[layer, h]
+                perm = idx[layer, h]
                 assert np.array_equal(
                     compressed.keys[layer][h], base.cache.keys[layer][h][perm]
                 )
@@ -194,12 +181,12 @@ class TestCompactCache:
         context = random_context(21, 6)
         base = prefill(tiny_model, context)
         s = final_scores(9, layers=2, heads=2, n=6)
-        ci = composite_indices(s)
-        compressed = compact_cache(base.cache, ci, np.array([1, 1]))
+        idx = composite_indices(s)
+        compressed = compact_cache(base.cache, idx, np.array([1, 1]))
         for layer in range(2):
             assert compressed.rows(layer) == 1
             for h in range(2):
-                top = ci.idx[layer, h, 0]
+                top = idx[layer, h, 0]
                 assert np.array_equal(
                     compressed.keys[layer][h, 0], base.cache.keys[layer][h, top]
                 )
@@ -208,9 +195,9 @@ class TestCompactCache:
         context = random_context(22, 10)
         base = prefill(tiny_model, context)
         s = final_scores(10, layers=2, heads=2, n=10)
-        ci = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.4,))[0]
-        compressed = compact_cache(base.cache, ci, budgets)
+        idx = composite_indices(s)
+        budgets = allocate_budgets(layer_importance(s, idx, "avg"), (0.4,))[0]
+        compressed = compact_cache(base.cache, idx, budgets)
         for layer in range(2):
             for h in range(2):
                 for slot, original in enumerate(compressed.provenance[layer][h]):
@@ -246,11 +233,11 @@ class TestCompactCache:
         context = random_context(23, 6)
         base = prefill(tiny_model, context)
         s = final_scores(11, layers=2, heads=2, n=6)
-        ci = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.5,))[0]
-        once = compact_cache(base.cache, ci, budgets)
+        idx = composite_indices(s)
+        budgets = allocate_budgets(layer_importance(s, idx, "avg"), (0.5,))[0]
+        once = compact_cache(base.cache, idx, budgets)
         with pytest.raises(UsageError):
-            compact_cache(once, ci, budgets)
+            compact_cache(once, idx, budgets)
 
     def test_gather_rejects_compressed_input(self, tiny_model):
         base = prefill(tiny_model, random_context(24, 10))
@@ -407,7 +394,7 @@ class TestCompressPipeline:
         )
         for layer in range(2):
             n_l = report.layer_budgets[layer]
-            expected = set(np.argsort(-scores.values[layer, 0], kind="stable")[:n_l].tolist())
+            expected = set(np.argsort(-scores[layer, 0], kind="stable")[:n_l].tolist())
             assert {int(i) for i in cache.provenance[layer][0]} == expected
 
     def test_head_consensus_collapse(self, tiny_model):
@@ -416,9 +403,9 @@ class TestCompressPipeline:
         base = prefill(tiny_model, context)
         row = SeededRng(12).uniform_block(10)
         values = np.stack([np.stack([row, row]), np.stack([row, row])])
-        ci = composite_indices(ScoreTensor(STAGE_FINAL, values))
-        budgets = allocate_budgets(layer_importance(ci, "avg"), (0.5,))[0]
-        compressed = compact_cache(base.cache, ci, budgets)
+        idx = composite_indices(values)
+        budgets = allocate_budgets(layer_importance(values, idx, "avg"), (0.5,))[0]
+        compressed = compact_cache(base.cache, idx, budgets)
         for layer in range(2):
             assert np.array_equal(
                 compressed.provenance[layer][0], compressed.provenance[layer][1]
@@ -441,13 +428,13 @@ class TestUnstructured:
         masks = unstructured_compress(s, (1.0 - 1.0 / total,))[0]
         assert masks.dtype == bool and masks.shape == (2, 2, 8)
         assert np.count_nonzero(masks) == 1
-        winner = np.unravel_index(np.argmax(s.values), s.values.shape)
+        winner = np.unravel_index(np.argmax(s), s.shape)
         assert masks[winner]
 
     def test_kept_set_matches_global_sort_oracle(self):
         s = final_scores(15, layers=3, heads=2, n=10)
         masks = unstructured_compress(s, (0.6,))[0]
-        flat = s.values.reshape(-1)
+        flat = s.reshape(-1)
         order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
         expected = np.zeros(flat.size, dtype=bool)
         expected[order[: retention_budget(0.6, 3, 2, 10)]] = True
@@ -464,7 +451,7 @@ class TestUnstructured:
         masks = unstructured_compress(s, RATIO_GRID)
         assert len(calls) == 1
         assert masks.dtype == bool and masks.shape == (len(RATIO_GRID), 3, 2, 10)
-        flat = s.values.reshape(-1)
+        flat = s.reshape(-1)
         order = sorted(range(flat.size), key=lambda i: (-flat[i], i))
         for r, mask in zip(RATIO_GRID, masks):
             expected = np.zeros(flat.size, dtype=bool)
@@ -474,6 +461,6 @@ class TestUnstructured:
 
     def test_rejects_non_finite(self):
         s = final_scores(17)
-        s.values[1, 0, 3] = np.nan
+        s[1, 0, 3] = np.nan
         with pytest.raises(UsageError, match="finite"):
             unstructured_compress(s, (0.5,))

@@ -492,9 +492,11 @@ def reference_point(model, state, policy, agg_choice, r_target):
         return r_achieved, r[0], kl[0]
     budget = retention_budget(r_target, cfg.layers, cap.context_len)
     if policy.name == "kvcompose":
-        ci = composite_indices(score_pipeline(cap, cfg.kv_heads, agg_choice))
-        budgets = allocate_budgets(layer_importance(ci, agg_choice.agg_head), (r_target,))[0]
-        cache = compact_cache(cap.cache, ci, budgets)
+        scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
+        idx = composite_indices(scores)
+        importance = layer_importance(scores, idx, agg_choice.agg_head)
+        budgets = allocate_budgets(importance, (r_target,))[0]
+        cache = compact_cache(cap.cache, idx, budgets)
     elif policy.name == "tova":
         base, extra = divmod(budget, cfg.layers)  # the remainder goes to the earliest layers
         uniform = [base + (layer < extra) for layer in range(cfg.layers)]

@@ -1,0 +1,34 @@
+"""The README's figures are the program's output."""
+import re
+from pathlib import Path
+
+from kvcompose.baselines import Policy
+from kvcompose.cli import build_model, build_tasks, load_config
+from kvcompose.evaluator import auc, prepare_task, sweep_prepared
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def worked_example_table() -> tuple[list[str], dict[str, list[str]]]:
+    """The README's worked-example table: its policy columns, and each row's
+    label (a ratio, or ``AUC``) mapped to its figures as written."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Worked example", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    header, *rows = [line.split() for line in block.splitlines() if line.strip()]
+    return header[1:], {row[0]: row[1:] for row in rows}
+
+
+def test_worked_example_matches_a_recall_sweep_of_every_policy():
+    policies, table = worked_example_table()
+    cfg = load_config(ROOT / "configs" / "demo_recall.json")
+    model = build_model(cfg)
+    tasks = build_tasks(cfg, model)
+    mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+    for column, name in enumerate(policies):
+        policy = Policy(name=name)
+        states = [prepare_task(model, t, mode, window, policy.reads_head_mean) for t in tasks]
+        points = sweep_prepared(model, states, policy, cfg.agg, tuple(cfg.grid))
+        got = {str(p.r_target): f"{p.reward_mean:.3f}" for p in points}
+        got["AUC"] = f"{auc(points):.3f}"
+        assert {label: figures[column] for label, figures in table.items()} == got, name

@@ -9,13 +9,9 @@ from kvcompose.errors import ShapeError, UsageError
 from kvcompose.model import ModelConfig, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import (
-    STAGE_FINAL,
-    STAGE_GROUP,
-    STAGE_TASK,
     TASK_MODES,
     AggregationChoice,
     AttentionCapture,
-    ScoreTensor,
     TaskSet,
     aggregate_group,
     aggregate_task,
@@ -216,33 +212,33 @@ class TestAggregateTask:
     def test_single_column_identity(self):
         cap = make_capture(1, m=1)
         out = aggregate_task(cap, "avg")
-        assert out.stage == STAGE_TASK
-        assert np.array_equal(out.values, cap.A[:, :, :, 0])
+        assert out.shape == cap.A.shape[:3]
+        assert np.array_equal(out, cap.A[:, :, :, 0])
 
     def test_avg_hand_example(self):
         cap = make_capture(2, layers=1, query_heads=1, kv_heads=1, n=1, m=2)
         cap.A[0, 0, 0] = [0.1, 0.3]
         out = aggregate_task(cap, "avg")
-        assert abs(out.values[0, 0, 0] - 0.2) < 1e-12
+        assert abs(out[0, 0, 0] - 0.2) < 1e-12
 
     def test_max_vs_avg(self):
         cap = make_capture(3)
-        mx = aggregate_task(cap, "max").values
-        av = aggregate_task(cap, "avg").values
+        mx = aggregate_task(cap, "max")
+        av = aggregate_task(cap, "avg")
         assert (mx >= av - 1e-15).all()
 
     def test_constant_vnorm_scales_scores(self):
         cap = make_capture(4)
         cap.value_norms_raw[:] = 2.5
-        plain = aggregate_task(cap, "avg", "none").values
-        weighted = aggregate_task(cap, "avg", "v-norm").values
+        plain = aggregate_task(cap, "avg", "none")
+        weighted = aggregate_task(cap, "avg", "v-norm")
         assert np.abs(weighted - 2.5 * plain).max() < 1e-12
 
     def test_constant_vnorm_preserves_argsort(self):
         cap = make_capture(5)
         cap.value_norms_raw[:] = 0.7
-        plain = aggregate_task(cap, "max", "none").values
-        weighted = aggregate_task(cap, "max", "v-norm").values
+        plain = aggregate_task(cap, "max", "none")
+        weighted = aggregate_task(cap, "max", "v-norm")
         for layer in range(plain.shape[0]):
             for h in range(plain.shape[1]):
                 assert np.array_equal(
@@ -251,72 +247,66 @@ class TestAggregateTask:
 
     def test_vo_norm_uses_projected_norms(self):
         cap = make_capture(6)
-        out = aggregate_task(cap, "avg", "vo-norm").values
+        out = aggregate_task(cap, "avg", "vo-norm")
         expected = (cap.A * cap.value_norms_proj[:, :, :, None]).mean(axis=3)
         assert np.abs(out - expected).max() < 1e-12
 
 
 class TestAggregateGroup:
     def test_single_group_identity(self):
-        s = ScoreTensor(STAGE_TASK, SeededRng(7).uniform_block(2 * 2 * 5).reshape(2, 2, 5))
+        s = SeededRng(7).uniform_block(2 * 2 * 5).reshape(2, 2, 5)
         out = aggregate_group(s, kv_heads=2, op="avg")
-        assert out.stage == STAGE_GROUP
-        assert np.array_equal(out.values, s.values)
+        assert out.shape == s.shape
+        assert np.array_equal(out, s)
 
     def test_two_head_average(self):
         values = np.zeros((1, 2, 1))
         values[0, 0, 0], values[0, 1, 0] = 0.4, 0.8
-        out = aggregate_group(ScoreTensor(STAGE_TASK, values), kv_heads=1, op="avg")
-        assert abs(out.values[0, 0, 0] - 0.6) < 1e-12
+        out = aggregate_group(values, kv_heads=1, op="avg")
+        assert abs(out[0, 0, 0] - 0.6) < 1e-12
 
     def test_matches_loop_oracle(self):
         rng = SeededRng(8)
         values = rng.uniform_block(2 * 8 * 6).reshape(2, 8, 6)
-        out = aggregate_group(ScoreTensor(STAGE_TASK, values), kv_heads=2, op="max")
+        out = aggregate_group(values, kv_heads=2, op="max")
         for layer in range(2):
             for h in range(2):
                 for c in range(6):
                     member = max(values[layer, h * 4 + g, c] for g in range(4))
-                    assert out.values[layer, h, c] == member
+                    assert out[layer, h, c] == member
 
     def test_shape_mismatch(self):
-        s = ScoreTensor(STAGE_TASK, np.zeros((1, 3, 4)))
+        s = np.zeros((1, 3, 4))
         with pytest.raises(ShapeError):
-            aggregate_group(s, kv_heads=2, op="avg")
-
-    def test_stage_enforced(self):
-        s = ScoreTensor(STAGE_GROUP, np.zeros((1, 2, 4)))
-        with pytest.raises(UsageError):
             aggregate_group(s, kv_heads=2, op="avg")
 
 
 class TestAugmentMean:
     def test_single_head_doubles(self):
         values = SeededRng(9).uniform_block(2 * 1 * 4).reshape(2, 1, 4)
-        out = augment_mean(ScoreTensor(STAGE_GROUP, values))
-        assert out.stage == STAGE_FINAL
-        assert np.abs(out.values - 2 * values).max() < 1e-12
+        out = augment_mean(values)
+        assert out.shape == values.shape
+        assert np.abs(out - 2 * values).max() < 1e-12
 
     def test_identical_heads_double_and_keep_ranking(self):
         row = SeededRng(10).uniform_block(5)
         values = np.stack([row, row])[None, :, :]  # (1, 2, 5)
-        out = augment_mean(ScoreTensor(STAGE_GROUP, values))
-        assert np.abs(out.values - 2 * values).max() < 1e-12
+        out = augment_mean(values)
+        assert np.abs(out - 2 * values).max() < 1e-12
         for h in range(2):
-            assert np.array_equal(argsort_desc(out.values[0, h]), argsort_desc(values[0, h]))
+            assert np.array_equal(argsort_desc(out[0, h]), argsort_desc(values[0, h]))
 
     def test_hand_example(self):
         values = np.zeros((1, 2, 1))
         values[0, 0, 0], values[0, 1, 0] = 0.2, 0.6
-        out = augment_mean(ScoreTensor(STAGE_GROUP, values))
-        assert abs(out.values[0, 0, 0] - 0.6) < 1e-12
-        assert abs(out.values[0, 1, 0] - 1.0) < 1e-12
+        out = augment_mean(values)
+        assert abs(out[0, 0, 0] - 0.6) < 1e-12
+        assert abs(out[0, 1, 0] - 1.0) < 1e-12
 
     def test_disabled_passthrough(self):
         values = SeededRng(11).uniform_block(2 * 2 * 3).reshape(2, 2, 3)
-        out = augment_mean(ScoreTensor(STAGE_GROUP, values), enabled=False)
-        assert out.stage == STAGE_FINAL
-        assert np.array_equal(out.values, values)
+        out = augment_mean(values, enabled=False)
+        assert out is values
 
 
 class TestInvariants:
@@ -327,11 +317,11 @@ class TestInvariants:
             TaskSet(mode="task-agnostic", observation_window=4),
         )
         s = aggregate_task(cap, "max", "v-norm")
-        assert (s.values >= 0).all()
+        assert (s >= 0).all()
         s = aggregate_group(s, 2, "avg")
-        assert (s.values >= 0).all()
+        assert (s >= 0).all()
         s = augment_mean(s)
-        assert (s.values >= 0).all() and np.isfinite(s.values).all()
+        assert (s >= 0).all() and np.isfinite(s).all()
 
     def test_avg_mass_is_subdistribution(self, tiny_model):
         # with avg everywhere and no norm weighting, per-(layer, head) mass <= 1
@@ -341,15 +331,15 @@ class TestInvariants:
             TaskSet(mode="task-agnostic", observation_window=4),
         )
         s = aggregate_task(cap, "avg", "none")
-        mass = s.values.sum(axis=2)
+        mass = s.sum(axis=2)
         assert (mass <= 1.0 + 1e-9).all()
 
     @given(st.integers(0, 2**32 - 1))
     def test_group_max_dominates_avg(self, seed):
         cap = make_capture(seed)
         s = aggregate_task(cap, "avg")
-        mx = aggregate_group(s, 2, "max").values
-        av = aggregate_group(s, 2, "avg").values
+        mx = aggregate_group(s, 2, "max")
+        av = aggregate_group(s, 2, "avg")
         assert (mx >= av - 1e-15).all()
 
     def test_aggregation_choice_validation(self):

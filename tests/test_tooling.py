@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from kvcompose.composer import CompressedCache
-from kvcompose.model import KVCache
+from kvcompose.model import KVCache, construct_induction_model
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -261,6 +261,9 @@ def test_nothing_writes_a_cache_and_nothing_clones_one():
     for cache in (KVCache([], [], []), CompressedCache([], [], [], [])):
         with pytest.raises(dataclasses.FrozenInstanceError):
             cache.next_positions = [1]
+    model = construct_induction_model(num_pairs=2, vocab=8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.wo = model.wo * 2
 
 
 @pytest.mark.parametrize(
