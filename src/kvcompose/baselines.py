@@ -58,6 +58,11 @@ class Policy:
         capture must keep it (``collect_attention(..., head_mean=True)``)."""
         return self.name == "tova"
 
+    @property
+    def reads_aggregation(self) -> bool:
+        """Whether an ``AggregationChoice`` (what ``ablate`` varies) can change what it keeps."""
+        return self.name in ("kvcompose", "unstructured")
+
 
 def retention_budget(r_target: float, *dims: int) -> int:
     """Entries kept at the target ratio: floor((1-r) * d1 * d2 * ...), left to right."""
@@ -112,18 +117,17 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> list[list[np.ndarray]]
 
 def snapkv_select(
     cap: AttentionCapture,
-    budget_per_head: int | np.ndarray,
+    budgets: np.ndarray,
     window: int,
 ) -> list[np.ndarray]:
     """Window top-k per kv head: keep the trailing window plus the tokens it
     attends to hardest (max-pool over the last ``window`` capture rows).
 
-    Returns one (H_kv, budget) index array per layer; counts are uniform
-    across heads, the sets need not be.
+    Returns one (H_kv, budget) index array per layer of the (L,) ``budgets``;
+    counts are uniform across heads, the sets need not be.
     """
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
-    budgets = np.broadcast_to(budget_per_head, (layers,))
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
     for b in budgets:

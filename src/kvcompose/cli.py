@@ -240,7 +240,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         model = {**cfg.model, "seed": seed} if cfg.model["kind"] == "random" else cfg.model
         policy = {**cfg.policy, "seed": seed} if "seed" in cfg.policy else cfg.policy
         cfg = replace(cfg, model=model, tasks={**cfg.tasks, "seed": seed}, policy=policy)
-    if args.grid:
+    if args.grid is not None:
         try:
             grid = [float(g) for g in args.grid.split(",")]
         except ValueError as exc:
@@ -331,6 +331,8 @@ def _slug(choice: AggregationChoice) -> str:
 
 
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
+    if not cfg.eviction.reads_aggregation:
+        raise ConfigError(f"ablate: policy {cfg.eviction.name} reads no aggregation choice")
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -60,7 +60,7 @@ class CompressReport:
 def composite_indices(s: np.ndarray) -> np.ndarray:
     """The (L, H_kv, N) int64 slot order: each head's descending sort of the
     final scores ``s`` (ties keep lower index)."""
-    return argsort_desc(s, axis=2)
+    return argsort_desc(s)
 
 
 def layer_importance(s: np.ndarray, idx: np.ndarray, op: str) -> np.ndarray:

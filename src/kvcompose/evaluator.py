@@ -183,13 +183,12 @@ def _run_steps(
     """Teacher-forced (steps, vocab) logits of the scored steps, or
     (G, steps, vocab) for a (G, L, H_kv, N) mask stack.
 
-    Every input is known up front, so all of them run after ``cache`` in
-    one forward pass, which reads the cache and never writes it; the
-    scored steps are the last ``len(targets)``.
+    Every input is known up front, so all of them run after ``cache``, from
+    its next position, in one forward pass, which reads the cache and never
+    writes it; the scored steps are the last ``len(targets)``.
     """
     inputs, targets = _forced_steps(task)
-    positions = cache.next_position + np.arange(len(inputs))
-    logits = _forward(model, cache, np.asarray(inputs), positions, head_masks).logits
+    logits = _forward(model, cache, np.asarray(inputs), head_masks).logits
     return logits[..., -len(targets) :, :]
 
 

@@ -192,7 +192,6 @@ def _forward(
     model: Model,
     cache: KVCache,
     tokens: np.ndarray,
-    positions: np.ndarray,
     head_masks: np.ndarray | None = None,
     attention_rows: int = 0,
     head_mean: bool = False,
@@ -209,7 +208,8 @@ def _forward(
     K/V outlives it. Of each layer's (H_q, M, R+M) attention only the last
     ``attention_rows`` query rows (0 to M, none by default) are kept, then
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
-    None). This is the one check that every position is below ``max_context``.
+    None). New rows take positions ``cache.next_position`` onward, whatever R
+    is; only here is a position set, or checked against [0, ``max_context``).
 
     Each layer runs its new rows in blocks of ``ROW_BLOCK``. Block [s, e)
     scores only the held rows and new rows [0, e), so the causal upper
@@ -224,8 +224,9 @@ def _forward(
     m = len(tokens)
     if m == 0:
         raise UsageError("a forward pass needs at least one new token")
-    if positions.max() >= cfg.max_context:
-        raise UsageError(f"position {int(positions.max())} is past max_context {cfg.max_context}")
+    positions = cache.next_position + np.arange(m)  # not a row count, which compaction lowers
+    if positions[0] < 0 or positions[-1] >= cfg.max_context:
+        raise UsageError(f"positions from {positions[0]} leave [0, max_context {cfg.max_context})")
     if not 0 <= attention_rows <= m:
         raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
     x = _embed(model, tokens, positions)  # (M, d)
@@ -306,19 +307,19 @@ def prefill(
     O(N^2), without computing the masked upper triangle.
     """
     return _forward(
-        model, empty_cache(model), np.asarray(tokens), np.arange(len(tokens)),
+        model, empty_cache(model), np.asarray(tokens),
         attention_rows=attention_rows, head_mean=head_mean,
     )
 
 
-def decode_step(model: Model, cache: KVCache, token: int, position: int) -> ForwardResult:
-    """Run ``token`` at ``position`` after ``cache``, which it reads and never writes.
+def decode_step(model: Model, cache: KVCache, token: int) -> ForwardResult:
+    """Run ``token`` after ``cache``, at its next position; ``cache`` is read, never written.
 
     Returns ``_forward``'s result: logits (1, vocab) and the grown cache, a
     plain KVCache, as its new row is no context row. Layers may hold unequal
     row counts; each attends over whatever keys it has (plus the new row).
     """
-    return _forward(model, cache, np.asarray([token]), np.asarray([position]))
+    return _forward(model, cache, np.asarray([token]))
 
 
 def greedy_decode(
@@ -331,14 +332,12 @@ def greedy_decode(
     each step after the previous one's grown cache; ``cache`` is left as it was."""
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    out: list[int] = []
-    current = start
+    out = [start]
     for _ in range(steps):
-        run = decode_step(model, cache, current, cache.next_position)
-        current = int(np.argmax(run.logits[0]))
-        out.append(current)
+        run = decode_step(model, cache, out[-1])
+        out.append(int(np.argmax(run.logits[0])))
         cache = run.cache
-    return out
+    return out[1:]
 
 
 # --- hand-constructed exact-recall model -------------------------------------

@@ -113,8 +113,8 @@ def softmax_rows(m: np.ndarray, scale: float) -> np.ndarray:
     return np.divide(z, denom, out=z)
 
 
-def argsort_desc(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Indices sorting ``v`` into non-increasing order along ``axis``.
+def argsort_desc(v: np.ndarray) -> np.ndarray:
+    """Indices sorting ``v`` into non-increasing order along its last axis.
 
     The one ranking sort of the package. Stable: equal values keep their
     original relative order, so ties resolve to the lower index first.
@@ -123,4 +123,4 @@ def argsort_desc(v: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise UsageError("argsort_desc requires finite entries")
-    return np.argsort(-v, axis=axis, kind="stable")
+    return np.argsort(-v, kind="stable")

@@ -128,13 +128,11 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 def _task_rows(model: Model, cache: KVCache, task: tuple[int, ...]) -> np.ndarray:
     """(L, H_q, N, M) attention of one task's rows onto the context.
 
-    The task runs after the context cache at positions N..N+M-1, so only
-    its M rows are computed; the cache is read, not written.
+    The task runs after the context cache, from its next position N, so
+    only its M rows are computed; the cache is read, not written.
     """
     n, m = cache.rows(0), len(task)
-    attention = _forward(
-        model, cache, np.asarray(task), np.arange(n, n + m), attention_rows=m
-    ).attention
+    attention = _forward(model, cache, np.asarray(task), attention_rows=m).attention
     return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
 
 

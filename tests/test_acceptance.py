@@ -102,8 +102,8 @@ def test_criterion_2_r0_fidelity():
             full = prefill(model, context).cache
             token = context[-1]
             for step in range(16):
-                a = decode_step(model, full, token, n + step)
-                b = decode_step(model, compressed, token, n + step)
+                a = decode_step(model, full, token)
+                b = decode_step(model, compressed, token)
                 assert np.abs(a.logits[0] - b.logits[0]).max() < 1e-5
                 token = int(np.argmax(a.logits[0]))
                 full, compressed = a.cache, b.cache
@@ -232,8 +232,8 @@ def test_criterion_7_unstructured_patching():
         base = prefill(model, context)
         all_true = unstructured_compress(np.ones((cfg.layers, cfg.kv_heads, n)), (0.0,))
         assert all_true.shape == (1, cfg.layers, cfg.kv_heads, n) and all_true.all()
-        a = decode_step(model, base.cache, 1, n).logits[0]
-        b = _forward(model, base.cache, np.asarray([1]), np.asarray([n]), all_true).logits[0, 0]
+        a = decode_step(model, base.cache, 1).logits[0]
+        b = _forward(model, base.cache, np.asarray([1]), all_true).logits[0, 0]
         assert np.array_equal(a, b)
 
         # kept set equals the brute-force global sort for 50 random tensors

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kvcompose.baselines import (
+    POLICY_NAMES,
     Policy,
     pyramid_budgets,
     select_baseline_indices,
@@ -11,7 +12,8 @@ from kvcompose.baselines import (
     streaming_select,
     tova_select,
 )
-from kvcompose.composer import kept_rows, retention_budget
+from kvcompose.cli import ablation_grid
+from kvcompose.composer import keep_masks, kept_rows, retention_budget
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.evaluator import RATIO_GRID
 from kvcompose.model import prefill
@@ -39,6 +41,17 @@ class TestPolicy:
             Policy(name="pyramid", shape=shape)
         with pytest.raises(ConfigError, match="shape"):
             pyramid_budgets(4, 10, 20, shape)
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_reads_aggregation_iff_some_choice_moves_the_masks(self, gqa_model, name):
+        # over all 48 ablation arms, on a model with two kv heads
+        policy = Policy(name=name)
+        cap = collect_attention(
+            gqa_model, random_context(51, 24), TaskSet(mode="task-agnostic", observation_window=8),
+            head_mean=policy.reads_head_mean,
+        )
+        masks = {keep_masks(cap, c, (0.0, 0.5, 0.75), policy).tobytes() for c in ablation_grid()}
+        assert (len(masks) > 1) == policy.reads_aggregation
 
 
 class TestStreamingSelect:
@@ -216,7 +229,7 @@ class TestSnapkvSelect:
     def test_full_budget_is_identity(self, tiny_model):
         context = random_context(44, 10)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, budget_per_head=10, window=4)
+        kept = snapkv_select(cap, np.full(2, 10), window=4)
         for layer in kept:
             for head_kept in layer:
                 assert head_kept.tolist() == list(range(10))
@@ -229,13 +242,13 @@ class TestSnapkvSelect:
             value_norms_raw=np.ones((1, 1, 8)),
             value_norms_proj=np.ones((1, 2, 8)),
         )
-        kept = snapkv_select(cap, budget_per_head=5, window=2)
+        kept = snapkv_select(cap, np.asarray([5]), window=2)
         assert kept[0][0].tolist() == [0, 1, 2, 6, 7]
 
     def test_matches_topk_oracle(self, tiny_model):
         context = random_context(45, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, budget_per_head=7, window=4)
+        kept = snapkv_select(cap, np.full(2, 7), window=4)
         for layer in range(2):
             for head in range(2):
                 assert kept[layer][head].tolist() == snapkv_oracle(cap, layer, head, 7, 4)
@@ -243,7 +256,7 @@ class TestSnapkvSelect:
     def test_budget_below_window_rejected(self, tiny_model):
         cap = self.capture(tiny_model, random_context(46, 8), 4)
         with pytest.raises(ConfigError):
-            snapkv_select(cap, budget_per_head=3, window=4)
+            snapkv_select(cap, np.full(2, 3), window=4)
 
     def test_full_compression_keeps_nothing(self, tiny_model):
         cap = self.capture(tiny_model, random_context(49, 12), 4)
@@ -263,7 +276,7 @@ class TestSnapkvSelect:
     def test_counts_uniform_sets_may_differ(self, tiny_model):
         context = random_context(47, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, budget_per_head=6, window=4)
+        kept = snapkv_select(cap, np.full(2, 6), window=4)
         for layer in kept:
             assert {len(h) for h in layer} == {6}
 

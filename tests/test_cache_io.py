@@ -113,7 +113,7 @@ class TestWriteCache:
         if kind == "prefill":
             cache = prefill(tiny_model, context).cache
         else:
-            cache = decode_step(tiny_model, compressed, 3, 12).cache
+            cache = decode_step(tiny_model, compressed, 3).cache
         path = tmp_path / "c.kvcf"
         with pytest.raises(IoError, match="only compressed caches serialize"):
             write_cache(cache, path)

@@ -276,6 +276,20 @@ class TestAblateCommand:
         ).read_bytes()
 
 
+    def test_policy_that_reads_no_aggregation_choice_rejected(self, tmp_path, capsys):
+        # demo_agreement.json's streaming policy would give 48 identical arms
+        demo = Path(__file__).parent.parent / "configs" / "demo_agreement.json"
+        config = json.loads(demo.read_text())
+        assert not Policy(**config["policy"]).reads_aggregation
+        config.update(out_dir=str(tmp_path / "out"))
+        path = tmp_path / "agreement.json"
+        path.write_text(json.dumps(config))
+        assert main(["ablate", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ablate: policy streaming reads no")
+        assert not (tmp_path / "out").exists()
+
     def test_tasks_prepared_once_for_all_arms(self, tmp_path, capsys, monkeypatch):
         from kvcompose import scoring
 
@@ -485,6 +499,13 @@ class TestExitCodes:
     def test_bad_grid_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--grid", "0.5,0.1"]) == EXIT_CONFIG
+
+    def test_empty_grid_flag_rejected(self, tmp_path, capsys):
+        # an empty value is a grid with no ratio, not the default grid
+        cfg = write_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--grid", ""]) == EXIT_CONFIG
+        assert "--grid must be comma-separated floats: ''" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_diagnostics_go_to_stderr(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

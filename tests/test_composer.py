@@ -330,8 +330,8 @@ class TestCompressPipeline:
         assert report.r_achieved == 0.0
         full = prefill(tiny_model, context).cache
         for step, token in enumerate([3, 1, 4]):
-            a = decode_step(tiny_model, full, token, 12 + step)
-            b = decode_step(tiny_model, cache, token, 12 + step)
+            a = decode_step(tiny_model, full, token)
+            b = decode_step(tiny_model, cache, token)
             assert np.abs(a.logits[0] - b.logits[0]).max() < 1e-5
             full, cache = a.cache, b.cache
 
@@ -418,8 +418,8 @@ class TestUnstructured:
         masks = unstructured_compress(final_scores(13, n=8), (0.0,))
         assert masks.shape[0] == 1 and masks.all()
         full = prefill(tiny_model, context)
-        a = decode_step(tiny_model, full.cache, 2, 8).logits[0]
-        b = _forward(tiny_model, full.cache, np.asarray([2]), np.asarray([8]), masks).logits[0, 0]
+        a = decode_step(tiny_model, full.cache, 2).logits[0]
+        b = _forward(tiny_model, full.cache, np.asarray([2]), masks).logits[0, 0]
         assert np.array_equal(a, b)
 
     def test_boundary_single_entry(self):

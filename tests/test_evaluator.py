@@ -96,7 +96,7 @@ class TestReward:
             )
             from kvcompose.model import decode_step
 
-            logits = decode_step(model, cache, task.query[0], len(task.prompt)).logits[0]
+            logits = decode_step(model, cache, task.query[0]).logits[0]
             predicted = int(np.argmax(logits))
             expected = 1.0 if predicted == lookup[task.query[0]] else 0.0
             assert reward(model, cache, task) == expected
@@ -375,13 +375,13 @@ class TestSweep:
 def stepwise_logits(model, cache, task, head_masks=None):
     """Oracle for ``_run_steps``: one step per teacher-forced input, by
     ``decode_step``, or under a single (L, H_kv, N) mask by the reference
-    forward pass of ``test_model`` with M=1."""
+    forward pass of ``test_model`` with M=1 at each step's position."""
     position = cache.next_position
     inputs, targets = _forced_steps(task)
     logits = []
     for i, tok in enumerate(inputs):
         if head_masks is None:
-            run = decode_step(model, cache, tok, position + i)
+            run = decode_step(model, cache, tok)
             out, cache = run.logits, run.cache
         else:
             step = np.asarray([position + i])

@@ -107,8 +107,8 @@ class TestPrefill:
         # oracle: grow the sequence one token at a time through decode_step
         cache = empty_cache(tiny_model)
         logits = None
-        for pos, tok in enumerate(tokens):
-            run = decode_step(tiny_model, cache, tok, pos)
+        for tok in tokens:
+            run = decode_step(tiny_model, cache, tok)
             logits, cache = run.logits[0], run.cache
         assert np.abs(logits - full.logits[-1]).max() < 1e-8
 
@@ -164,7 +164,7 @@ class TestPrefill:
         before = cache.clone()
         monkeypatch.setattr(model, "softmax_rows", no_layer)
         with pytest.raises(UsageError, match=f"cannot keep {rows} attention rows of 3"):
-            _forward(tiny_model, cache, np.asarray([1, 2, 3]), np.arange(5, 8), attention_rows=rows)
+            _forward(tiny_model, cache, np.asarray([1, 2, 3]), attention_rows=rows)
         assert cache.next_positions == before.next_positions
         assert all(np.array_equal(a, b) for a, b in zip(cache.keys, before.keys, strict=True))
 
@@ -183,17 +183,39 @@ class TestForward:
         before = cache.clone()
         monkeypatch.setattr(model, "softmax_rows", no_layer)
         with pytest.raises(UsageError, match="at least one new token"):
-            _forward(tiny_model, cache, np.asarray([], dtype=np.int64), np.arange(held, held))
+            _forward(tiny_model, cache, np.asarray([], dtype=np.int64))
         assert cache.next_positions == before.next_positions
         assert all(np.array_equal(a, b) for a, b in zip(cache.keys, before.keys, strict=True))
+
+    @pytest.mark.parametrize(
+        "start, m", [(-3, 1), (-1, 2), (510, 3)], ids=["negative", "straddles-zero", "past-the-end"]
+    )
+    def test_positions_outside_the_context_rejected(self, tiny_model, monkeypatch, start, m):
+        # the new rows sit at the cache's next position onward, a hand-built
+        # one's included; every one must lie in [0, max_context) before any
+        # layer runs
+        from kvcompose import model
+
+        def no_layer(*args, **kwargs):
+            raise AssertionError("a layer ran")
+
+        held = prefill(tiny_model, random_context(14, 5)).cache
+        cache = replace(held, next_positions=[start] * 2)
+        monkeypatch.setattr(model, "softmax_rows", no_layer)
+        with pytest.raises(UsageError, match=r"leave \[0, max_context 512\)"):
+            _forward(tiny_model, cache, np.asarray(random_context(15, m)))
+
+    def test_rows_up_to_max_context_run(self, tiny_model):
+        held = prefill(tiny_model, random_context(14, 5)).cache
+        cache = replace(held, next_positions=[509, 509])
+        res = _forward(tiny_model, cache, np.asarray(random_context(15, 3)))
+        assert res.cache.next_positions == [512, 512]
 
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
         tokens = random_context(5, 12)
         full = prefill(tiny_model, tokens, attention_rows=len(tokens))
         cache = prefill(tiny_model, tokens[:7]).cache
-        res = _forward(
-            tiny_model, cache, np.asarray(tokens[7:]), np.arange(7, 12), attention_rows=5
-        )
+        res = _forward(tiny_model, cache, np.asarray(tokens[7:]), attention_rows=5)
         assert np.abs(res.logits - full.logits[7:]).max() < 1e-8
         for got, want in zip(res.attention, full.attention):
             assert got.shape == (4, 5, 12)
@@ -222,13 +244,12 @@ class TestForward:
             "head_mean": {"head_mean": True},
             "stack": {"head_masks": random_masks(13, 2, cfg.layers, cfg.kv_heads, held)},
         }.get(form, {})
-        new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
         if form == "decode_step":
-            res = decode_step(gqa_model, cache, tokens[held], held)
+            res = decode_step(gqa_model, cache, tokens[held])
         elif form == "greedy":
             res = greedy_decode(gqa_model, cache, tokens[held], m)
         else:
-            res = _forward(gqa_model, cache, new, positions, **kwargs)
+            res = _forward(gqa_model, cache, np.asarray(tokens[held:]), **kwargs)
         assert all(a is b for a, b in zip((cache.keys, cache.values, cache.next_positions), lists))
         assert [id(a) for a in cache.keys + cache.values] == arrays
         assert cache.next_positions == before.next_positions == [held] * cfg.layers
@@ -289,13 +310,14 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
     # the last ``rows`` attention rows (all by default) and the head mean,
     # zero above the diagonal as the reference computes them; a single
-    # (L, H_kv, W) mask runs as a G=1 stack, which grows no cache
+    # (L, H_kv, W) mask runs as a G=1 stack, which grows no cache; the
+    # reference runs at ``positions``, which _forward works out from the cache
     rows = len(tokens) if rows is None else rows
     want_logits, want_attn, want_cache = reference_forward(
         model, cache, tokens, positions, head_masks
     )
     stack = None if head_masks is None else head_masks[None]
-    res = _forward(model, cache, tokens, positions, stack, attention_rows=rows, head_mean=True)
+    res = _forward(model, cache, tokens, stack, attention_rows=rows, head_mean=True)
     logits, attention, means = res.logits, res.attention, res.attention_mean
     if stack is not None:
         assert res.cache is None
@@ -391,19 +413,17 @@ def assert_stack_equals_one_call_per_mask(model, held, m):
     before = cache.clone()
     stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, held)
     stack[0] = True
-    new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
-    res = _forward(model, cache, new, positions, stack, attention_rows=m, head_mean=True)
+    new = np.asarray(tokens[held:])
+    res = _forward(model, cache, new, stack, attention_rows=m, head_mean=True)
     logits, attention, means = res.logits, res.attention, res.attention_mean
     assert logits.shape == (3, m, cfg.vocab_size)
     assert attention[0].shape == (3, cfg.query_heads, m, held + m)
     for g in range(3):
-        want = _forward(
-            model, before, new, positions, stack[g : g + 1], attention_rows=m, head_mean=True
-        )
+        want = _forward(model, before, new, stack[g : g + 1], attention_rows=m, head_mean=True)
         assert np.array_equal(logits[g], want.logits[0])
         for got, wanted in ((attention, want.attention), (means, want.attention_mean)):
             assert all(np.array_equal(a[g], b[0]) for a, b in zip(got, wanted, strict=True))
-    unmasked = _forward(model, before, new, positions).logits
+    unmasked = _forward(model, before, new).logits
     assert np.array_equal(logits[0], unmasked)
     assert cache.next_positions == before.next_positions
     for layer in range(cfg.layers):
@@ -435,7 +455,7 @@ class TestMaskStack:
         layer_kv = 2 * g * cfg.kv_heads * (held + 1) * cfg.head_dim * 8
         tracemalloc.start()
         try:
-            res = _forward(model, cache, np.asarray([5]), np.asarray([held]), stack)
+            res = _forward(model, cache, np.asarray([5]), stack)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,7 +476,7 @@ class TestMaskStack:
     def test_mask_of_wrong_shape_or_type_rejected(self, tiny_model, shape, dtype):
         cache = prefill(tiny_model, random_context(42, 8)).cache
         with pytest.raises(UsageError, match="head_masks"):
-            _forward(tiny_model, cache, np.asarray([3]), np.asarray([8]), np.ones(shape, dtype))
+            _forward(tiny_model, cache, np.asarray([3]), np.ones(shape, dtype))
 
 
 class TestRowBlocks:
@@ -509,23 +529,45 @@ class TestDecodeStep:
         tokens = random_context(4, 8)
         full = prefill(tiny_model, tokens)
         partial = prefill(tiny_model, tokens[:-1])
-        logits = decode_step(tiny_model, partial.cache, tokens[-1], len(tokens) - 1).logits[0]
+        logits = decode_step(tiny_model, partial.cache, tokens[-1]).logits[0]
         assert np.abs(logits - full.logits[-1]).max() < 1e-8
 
     def test_empty_layer_attends_only_to_new_token(self, tiny_model):
         # with every layer empty, the appended token is the whole key set,
-        # so decoding at any position reproduces the single-token prefill
+        # so decoding at any position (here 17, all rows evicted) reproduces
+        # the single-token prefill
         single = prefill(tiny_model, [5])
-        run = decode_step(tiny_model, empty_cache(tiny_model), 5, 17)
+        evicted = replace(empty_cache(tiny_model), next_positions=[17, 17])
+        run = decode_step(tiny_model, evicted, 5)
         assert np.abs(run.logits[0] - single.logits[0]).max() < 1e-8
         assert all(run.cache.rows(l) == 1 for l in range(2))
+        assert run.cache.next_positions == [18, 18]
+
+    def test_compressed_cache_decodes_at_its_next_position(self, gqa_model):
+        # at r=0.5 every layer holds fewer rows than the context had, so the
+        # next position (the context length) is no layer's row count; the
+        # token runs there, as the reference does, and not at the row count
+        n, layers = 128, gqa_model.config.layers
+        ts = TaskSet(mode="task-agnostic", observation_window=32)
+        cache, _ = compress(
+            gqa_model, random_context(29, n), ts, AggregationChoice(), 0.5, Policy(name="kvcompose")
+        )
+        assert cache.next_position == n
+        assert all(cache.rows(l) < n for l in range(layers))
+        run = decode_step(gqa_model, cache, 5)
+        token = np.asarray([5])
+        want_logits, _, want_cache = reference_forward(gqa_model, cache, token, np.asarray([n]))
+        assert np.abs(run.logits - want_logits).max() < 1e-12
+        assert run.cache.next_positions == want_cache.next_positions == [n + 1] * layers
+        at_rows = reference_forward(gqa_model, cache, token, np.asarray([cache.rows(0)]))[0]
+        assert np.abs(at_rows - want_logits).max() > 1e-9
 
     def test_one_empty_layer_is_usable(self, tiny_model):
         tokens = random_context(5, 6)
         res = prefill(tiny_model, tokens)
         keys, values = list(res.cache.keys), list(res.cache.values)
         keys[0], values[0] = keys[0][:, :0, :], values[0][:, :0, :]
-        run = decode_step(tiny_model, replace(res.cache, keys=keys, values=values), 2, 6)
+        run = decode_step(tiny_model, replace(res.cache, keys=keys, values=values), 2)
         assert np.isfinite(run.logits).all()
         assert run.cache.rows(0) == 1  # only the appended token
 
@@ -539,13 +581,13 @@ class TestDecodeStep:
         assert cache.rows(0) == 8
         keep = np.ones((1, 2, 2, 16), dtype=bool)
         with pytest.raises(UsageError, match="uncompacted"):
-            _forward(tiny_model, cache, np.asarray([3]), np.asarray([16]), keep)
+            _forward(tiny_model, cache, np.asarray([3]), keep)
 
     def test_key_row_permutation_invariance(self, tiny_model):
         # each head reordered independently, like composite slots are
         tokens = random_context(6, 10)
         res = prefill(tiny_model, tokens)
-        baseline = decode_step(tiny_model, res.cache, 1, 10).logits[0]
+        baseline = decode_step(tiny_model, res.cache, 1).logits[0]
         rng = SeededRng(99)
         shuffled = res.cache.clone()
         for layer in range(2):
@@ -553,13 +595,13 @@ class TestDecodeStep:
                 perm = rng.sample(10, 10)
                 shuffled.keys[layer][head] = shuffled.keys[layer][head][perm]
                 shuffled.values[layer][head] = shuffled.values[layer][head][perm]
-        permuted = decode_step(tiny_model, shuffled, 1, 10).logits[0]
+        permuted = decode_step(tiny_model, shuffled, 1).logits[0]
         assert np.abs(permuted - baseline).max() <= 1e-6
 
     def test_structured_rows_preserved(self, tiny_model):
         tokens = random_context(7, 5)
         res = prefill(tiny_model, tokens)
-        grown = decode_step(tiny_model, res.cache, 0, 5).cache
+        grown = decode_step(tiny_model, res.cache, 0).cache
         for layer in range(2):
             k, v = grown.keys[layer], grown.values[layer]
             assert k.shape[1] == v.shape[1] == 6
@@ -570,7 +612,7 @@ class TestGreedyDecode:
     def test_single_step_is_argmax(self, tiny_model):
         tokens = random_context(8, 6)
         res = prefill(tiny_model, tokens)
-        expected = int(np.argmax(decode_step(tiny_model, res.cache, tokens[-1], 6).logits[0]))
+        expected = int(np.argmax(decode_step(tiny_model, res.cache, tokens[-1]).logits[0]))
         got = greedy_decode(tiny_model, res.cache, tokens[-1], steps=1)
         assert got == [expected]
 
@@ -610,7 +652,7 @@ class TestInductionModel:
     def test_single_pair(self):
         m = construct_induction_model(1, 8)
         run = prefill(m, [0, 5])
-        logits = decode_step(m, run.cache, 0, 2).logits[0]
+        logits = decode_step(m, run.cache, 0).logits[0]
         assert int(np.argmax(logits)) == 5
 
     def test_lookup_matches_dictionary_oracle(self):
@@ -621,7 +663,7 @@ class TestInductionModel:
         prompt = [tok for pair in zip(keys, values) for tok in pair]
         query = keys[2]
         run = prefill(m, prompt)
-        logits = decode_step(m, run.cache, query, len(prompt)).logits[0]
+        logits = decode_step(m, run.cache, query).logits[0]
         assert int(np.argmax(logits)) == lookup_oracle(prompt, query)
 
     def test_hundred_prompts_full_recall(self):
@@ -634,18 +676,21 @@ class TestInductionModel:
             prompt = [tok for pair in zip(keys, values) for tok in pair]
             j = rng.randint(8)
             run = prefill(m, prompt)
-            logits = decode_step(m, run.cache, keys[j], len(prompt)).logits[0]
+            logits = decode_step(m, run.cache, keys[j]).logits[0]
             hits += int(np.argmax(logits)) == lookup_oracle(prompt, keys[j])
         assert hits == 100
 
     def test_positions_past_the_table_rejected(self):
         # the positional table has max_context rows, so _forward's one
-        # position check also guards the table
+        # position check also guards the table: a cache that ends at
+        # max_context takes no further token
         model = construct_induction_model(4, 16)
-        assert model.pos_embedding.shape[0] == model.config.max_context
-        cache = prefill(model, [0, 8]).cache
+        limit = model.config.max_context
+        assert model.pos_embedding.shape[0] == limit
+        cache = prefill(model, [0, 8] * (limit // 2)).cache
+        assert cache.next_position == limit
         with pytest.raises(UsageError, match="max_context"):
-            decode_step(model, cache, 1, model.config.max_context)
+            decode_step(model, cache, 1)
 
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ConfigError):

@@ -157,11 +157,28 @@ def asks_for_attention(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
     name = getattr(node.func, "attr", getattr(node.func, "id", None))
-    plain_args = {"prefill": 2, "_forward": 5}.get(name)  # positions before attention_rows
+    plain_args = {"prefill": 2, "_forward": 4}.get(name)  # arguments before attention_rows
     keywords = {k.arg for k in node.keywords}
     return plain_args is not None and (
         len(node.args) > plain_args or bool(keywords & {"attention_rows", "head_mean", None})
     )
+
+
+@pytest.mark.parametrize(
+    "line, asks",
+    [
+        ("_forward(m, c, t, None, 3)", True),
+        ("model._forward(m, c, t, masks, attention_rows=2)", True),
+        ("_forward(m, c, t, head_mean=True)", True),
+        ("_forward(m, c, t, **kwargs)", True),
+        ("prefill(m, tokens, 4)", True),
+        ("_forward(m, c, t, masks)", False),
+        ("_forward(m, c, t)", False),
+        ("prefill(m, tokens)", False),
+    ],
+)
+def test_attention_request_finder(line, asks):
+    assert any(asks_for_attention(node) for node in ast.walk(ast.parse(line))) == asks
 
 
 def test_only_scoring_asks_to_keep_attention():
