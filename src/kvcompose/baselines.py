@@ -205,43 +205,35 @@ def select_baseline_indices(
 
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule); sink and
-    window parameters are clamped to each layer's budget so every grid
-    ratio stays feasible. tova replays the capture's head-mean attention
-    once for every total; snapkv/pyramid score on the capture's task rows.
+    window parameters are clamped to each layer's budget, so every grid
+    ratio stays feasible except for pyramid, whose floor of one row per
+    layer rejects a total below the layer count (a ratio near 1). tova
+    replays the capture's head-mean attention once for every total;
+    snapkv/pyramid score on the capture's task rows.
     """
-    layers = cap.A.shape[0]
+    layers, heads, n = cap.value_norms_raw.shape
     totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
     uniform = totals // layers + (np.arange(layers) < totals % layers)  # (G, L)
     if policy.name == "tova":
         if cap.attention_mean is None:
             raise UsageError("tova replays the head-mean attention; capture it with head_mean=True")
         return tova_select(cap.attention_mean, uniform)
-    return [_select(cap, policy, total, split) for total, split in zip(budget_totals, uniform)]
-
-
-def _select(
-    cap: AttentionCapture, policy: Policy, budget_total: int, uniform: np.ndarray
-) -> list[np.ndarray]:
-    """One total's kept rows for a policy that selects one ratio at a time."""
-    layers, n = cap.A.shape[0], cap.context_len
     if policy.name == "streaming":
         return [
-            np.asarray(
-                streaming_select(n, b, min(policy.sinks, b)), dtype=np.int64
-            )
-            for b in uniform
+            [np.asarray(streaming_select(n, b, min(policy.sinks, b)), dtype=np.int64) for b in row]
+            for row in uniform
         ]
-    if policy.name == "random":  # per head, a uniform-random kept subset
-        rng = SeededRng(policy.seed)
-        heads = cap.value_norms_raw.shape[1]
+    if policy.name == "random":  # per head, a uniform-random kept subset; each total reseeds
+        rngs = [SeededRng(policy.seed) for _ in budget_totals]
         return [
-            np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
-            for b in uniform
+            [
+                np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
+                for b in row
+            ]
+            for rng, row in zip(rngs, uniform)
         ]
     if policy.name in ("snapkv", "pyramid"):
-        budgets = uniform
         if policy.name == "pyramid":
-            budgets = pyramid_budgets(layers, n, budget_total, policy.shape)
-        window = int(min(policy.window, budgets.min(), n))
-        return snapkv_select(cap, budgets, window)
+            uniform = [pyramid_budgets(layers, n, total, policy.shape) for total in budget_totals]
+        return [snapkv_select(cap, b, int(min(policy.window, b.min(), n))) for b in uniform]
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

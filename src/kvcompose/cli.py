@@ -102,7 +102,7 @@ class RunConfig:
         if not 0.0 <= self.r_target <= 1.0:
             raise ConfigError(f"r_target must be in [0, 1], got {self.r_target}")
         self.eviction = Policy(**self.policy)
-        self.agg = build_agg(self)
+        self.agg = AggregationChoice(**{k: self.scoring[k] for k in _AGG_DEFAULTS})
 
     @property
     def resolved(self) -> dict:
@@ -213,10 +213,6 @@ def build_tasks(cfg: RunConfig, model: Model):
     return make_agreement_tasks(
         model, t["count"], t["context_len"], t["teacher_steps"], t["seed"]
     )
-
-
-def build_agg(cfg: RunConfig) -> AggregationChoice:
-    return AggregationChoice(**{k: cfg.scoring[k] for k in _AGG_DEFAULTS})
 
 
 def _read_context(path: str | Path) -> list[int]:

@@ -177,17 +177,6 @@ def empty_cache(model: Model) -> KVCache:
     )
 
 
-def _join_rows(parts: list[np.ndarray], width: int) -> np.ndarray:
-    """Row blocks (..., r_i, c_i) stacked into (..., sum r_i, width), zero past each c_i.
-    A single part already ``width`` wide is returned uncopied."""
-    if len(parts) == 1 and parts[0].shape[-1] == width:
-        return parts[0]
-    out = np.zeros(parts[0].shape[:-2] + (sum(p.shape[-2] for p in parts), width))
-    for part, end in zip(parts, np.cumsum([p.shape[-2] for p in parts])):
-        out[..., end - part.shape[-2] : end, : part.shape[-1]] = part
-    return out
-
-
 def _forward(
     model: Model,
     cache: KVCache,
@@ -215,10 +204,11 @@ def _forward(
     scores only the held rows and new rows [0, e), so the causal upper
     triangle past e is never computed and a layer's peak is
     O(H_q * ROW_BLOCK * (R+M)); kept rows and means are zero past e, as the
-    causal mask makes them. One block (M <= ROW_BLOCK) joins and copies
-    nothing. Query head h reads kv head h // group: a kv head's group of
-    query rows is one (group*rows, d_h) block, so one batched matmul per kv
-    head serves the whole group without copying K or V per query head.
+    causal mask makes them. Each block writes its slice of the layer's
+    output, kept rows and means, so a one-block call (M <= ROW_BLOCK) copies
+    its output rows once. Query head h reads kv head h // group: a kv head's
+    group of query rows is one (group*rows, d_h) block, so one batched matmul
+    per kv head serves the whole group without copying K or V per query head.
     """
     cfg = model.config
     m = len(tokens)
@@ -250,6 +240,7 @@ def _forward(
     scale = 1.0 / np.sqrt(d_h)
     block = min(m, ROW_BLOCK)
     upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
+    first = m - attention_rows  # the first kept query row
     keys, values, attention = [], [], []
     means: list[np.ndarray] | None = [] if head_mean else None
 
@@ -264,7 +255,10 @@ def _forward(
         k = np.concatenate([np.broadcast_to(k_held, grid + k_held.shape), k_new], axis=-2)
         v = np.concatenate([np.broadcast_to(v_held, grid + v_held.shape), v_new], axis=-2)
 
-        outs, kept, block_means = [], [], []
+        out = np.empty(grid + (m, h_q * d_h))
+        heads_out = out.reshape(*grid, m, h_q, d_h)  # a view: each block's rows copy once
+        kept = np.zeros(grid + (h_q, attention_rows, held + m))
+        mean = np.zeros(grid + (m, held + m)) if head_mean else None
         for s in range(0, m, block):
             e = min(s + block, m)
             width = held + e  # held rows and new rows [0, e): every later one is masked
@@ -276,16 +270,16 @@ def _forward(
                 visible = head_masks[:, layer, :, None, :]
                 np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
             attn = softmax_rows(scores.reshape(-1, width), scale=scale).reshape(scores.shape)
-            out = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s) rows
-            out = out.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2).reshape(*grid, e - s, -1)
-            outs.append(out)
-            kept.append(attn[..., max(m - attention_rows - s, 0) :, :].copy())
+            by_kv = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s) rows
+            heads_out[..., s:e, :, :] = by_kv.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2)
+            if e > first:  # a block wholly before the kept rows writes none of them
+                kept[..., max(s - first, 0) : e - first, :width] = attn[..., max(first - s, 0) :, :]
             if head_mean:
-                block_means.append(attn.mean(axis=-3))
-        x = x + _join_rows(outs, h_q * d_h) @ model.wo[layer].reshape(h_q * d_h, -1)
-        attention.append(_join_rows(kept, held + m))
+                mean[..., s:e, :width] = attn.mean(axis=-3)
+        x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
+        attention.append(kept)
         if head_mean:
-            means.append(_join_rows(block_means, held + m))
+            means.append(mean)
         if not grid:  # a stack's K/V die with their layer
             keys.append(k)
             values.append(v)

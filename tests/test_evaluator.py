@@ -354,12 +354,12 @@ class TestSweep:
             assert (p0.reward_mean, p0.kl_mean) == (full_mean, 0.0), name
 
     def test_agreement_kl_is_nonnegative(self):
-        from kvcompose.cli import build_agg, build_model, build_tasks, load_config
+        from kvcompose.cli import build_model, build_tasks, load_config
 
         cfg = load_config(Path(__file__).parent.parent / "configs" / "demo_agreement.json")
         model = build_model(cfg)
         points = sweep(
-            model, build_tasks(cfg, model), Policy(name="kvcompose"), build_agg(cfg),
+            model, build_tasks(cfg, model), Policy(name="kvcompose"), cfg.agg,
             mode=cfg.scoring["mode"], observation_window=cfg.scoring["observation_window"],
         )
         assert all(p.kl_mean >= 0.0 for p in points)

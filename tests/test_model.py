@@ -374,13 +374,19 @@ class TestGroupedKernelOracle:
         new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
         assert_matches_reference(gqa_model, cache, new, positions)
 
-    def test_kept_rows_spanning_two_blocks_match_repeat_einsum(self, gqa_model):
-        # rows ROW_BLOCK-11 .. ROW_BLOCK+8 of M=ROW_BLOCK+9: the end of the
-        # first block and all of the second, onto a held cache
-        tokens = random_context(26, 30 + ROW_BLOCK + 9)
+    @pytest.mark.parametrize(
+        "m, rows",
+        [(ROW_BLOCK + 9, 20), (3 * ROW_BLOCK + 5, ROW_BLOCK + 6), (3 * ROW_BLOCK + 5, 1)],
+    )
+    def test_kept_rows_spanning_two_blocks_match_repeat_einsum(self, gqa_model, m, rows):
+        # the last ``rows`` of M new rows onto a held cache: the end of the
+        # first block and all of the second; the end of the second block and
+        # the two after it, past a block that keeps none; the last row alone,
+        # past three such blocks
+        tokens = random_context(26, 30 + m)
         cache = prefill(gqa_model, tokens[:30]).cache
         new, positions = np.asarray(tokens[30:]), np.arange(30, len(tokens))
-        assert_matches_reference(gqa_model, cache, new, positions, rows=20)
+        assert_matches_reference(gqa_model, cache, new, positions, rows=rows)
 
     def test_masked_rows_over_several_blocks_match_repeat_einsum(self, gqa_model):
         # every block, not only the first, hides the masked held rows

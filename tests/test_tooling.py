@@ -14,7 +14,9 @@ no module reads the environment, so a setting such as the forward
 pass's row block size cannot become a hidden knob; and no function
 writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
 calls ``.clone()``, so a cache is a value: a forward pass only reads the
-cache it is given and returns a new one, and rebinding a field raises."""
+cache it is given and returns a new one, and rebinding a field raises;
+and only the functions that must dispatch on a policy compare its name,
+so each one covers the whole ratio grid in one branch per policy."""
 import ast
 import dataclasses
 import importlib
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from kvcompose.baselines import POLICY_NAMES
 from kvcompose.composer import CompressedCache
 from kvcompose.model import KVCache, construct_induction_model
 
@@ -300,3 +303,67 @@ def test_nothing_writes_a_cache_and_nothing_clones_one():
 def test_cache_write_finder(line, fields):
     found = [f for node in ast.walk(ast.parse(line)) for f in written_fields(node)]
     assert sorted(found) == sorted(fields)
+
+
+def compares_policy_name(node: ast.AST) -> bool:
+    """Whether ``node`` compares a ``.name`` attribute to a policy name, or to
+    a tuple, list or set of policy names, on either side."""
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+
+    def names_policies(side: ast.AST) -> bool:
+        items = side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side]
+        return bool(items) and all(
+            isinstance(item, ast.Constant) and item.value in POLICY_NAMES for item in items
+        )
+
+    return any(isinstance(side, ast.Attribute) and side.attr == "name" for side in sides) and any(
+        names_policies(side) for side in sides
+    )
+
+
+def policy_name_comparers(source: str) -> set[str]:
+    """The top-level functions and methods (``Class.method``) of ``source``
+    that compare a policy's name."""
+    tree = ast.parse(source)
+    functions = [
+        (f"{top.name}.{fn.name}" if isinstance(top, ast.ClassDef) else fn.name, fn)
+        for top in tree.body
+        for fn in (top.body if isinstance(top, ast.ClassDef) else [top])
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return {name for name, fn in functions if any(map(compares_policy_name, ast.walk(fn)))}
+
+
+def test_only_policy_dispatchers_compare_policy_names():
+    found = {
+        name
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        for name in policy_name_comparers(path.read_text())
+    }
+    assert found == {
+        "Policy.reads_head_mean",
+        "Policy.reads_aggregation",
+        "select_baseline_indices",
+        "kept_rows",
+        "keep_masks",
+        "compress",
+    }
+
+
+@pytest.mark.parametrize(
+    "line, compares",
+    [
+        ("policy.name == 'tova'", True),
+        ("self.name in ('kvcompose', 'unstructured')", True),
+        ("'random' != cfg.eviction.name", True),
+        ("p.name not in ['snapkv', 'pyramid']", True),
+        ("self.name not in POLICY_NAMES", False),
+        ("f.name == 'vocab_size'", False),
+        ("policy.window == 4", False),
+        ("label = f'policy {policy.name}'", False),
+    ],
+)
+def test_policy_name_comparison_finder(line, compares):
+    assert any(compares_policy_name(node) for node in ast.walk(ast.parse(line))) == compares
