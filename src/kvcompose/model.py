@@ -112,7 +112,7 @@ class KVCache:
 @dataclass
 class ForwardResult:
     cache: KVCache | None  # the held rows plus the new ones; None under a mask stack
-    logits: np.ndarray  # (M, vocab), or (G, M, vocab) under a stack
+    logits: np.ndarray  # (M, vocab), or (G, M, vocab) under a stack; 0 rows if not asked for
     attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
     attention_mean: list[np.ndarray] | None = None  # per layer (..., M, R+M), mean over H_q
 
@@ -184,6 +184,7 @@ def _forward(
     head_masks: np.ndarray | None = None,
     attention_rows: int = 0,
     head_mean: bool = False,
+    logits: bool = True,
 ) -> ForwardResult:
     """Run M >= 1 tokens after the rows held in ``cache``, which it reads and never writes.
 
@@ -199,6 +200,9 @@ def _forward(
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
     None). New rows take positions ``cache.next_position`` onward, whatever R
     is; only here is a position set, or checked against [0, ``max_context``).
+    With ``logits`` off the last layer still adds its K/V rows, but runs only
+    the blocks that hold a kept row (all under ``head_mean``) and skips its
+    output projection; the logits come back as an empty (..., 0, vocab) array.
 
     Each layer runs its new rows in blocks of ``ROW_BLOCK``. Block [s, e)
     scores only the held rows and new rows [0, e), so the causal upper
@@ -245,6 +249,7 @@ def _forward(
     means: list[np.ndarray] | None = [] if head_mean else None
 
     for layer in range(cfg.layers):
+        needs_out = logits or layer < cfg.layers - 1  # else only kept rows and means are read
         rows = x[..., None, :, :]  # each row's (M, d) block meets every head
         q, k_new, v_new = rows @ model.wq[layer], rows @ model.wk[layer], rows @ model.wv[layer]
         qk = _rotate(np.concatenate([q, k_new], axis=-3), cos, sin)
@@ -261,6 +266,8 @@ def _forward(
         mean = np.zeros(grid + (m, held + m)) if head_mean else None
         for s in range(0, m, block):
             e = min(s + block, m)
+            if not (needs_out or head_mean or e > first):
+                continue  # blocks start on the same grid either way, so no bit moves
             width = held + e  # held rows and new rows [0, e): every later one is masked
             q_rows = q[..., s:e, :].reshape(*grid, h_kv, -1, d_h)  # each kv head's query rows
             scores = (q_rows @ k[..., :width, :].swapaxes(-1, -2)).reshape(*grid, h_q, e - s, width)
@@ -270,13 +277,15 @@ def _forward(
                 visible = head_masks[:, layer, :, None, :]
                 np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
             attn = softmax_rows(scores.reshape(-1, width), scale=scale).reshape(scores.shape)
-            by_kv = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s) rows
-            heads_out[..., s:e, :, :] = by_kv.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2)
+            if needs_out:
+                by_kv = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s)
+                heads_out[..., s:e, :, :] = by_kv.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2)
             if e > first:  # a block wholly before the kept rows writes none of them
                 kept[..., max(s - first, 0) : e - first, :width] = attn[..., max(first - s, 0) :, :]
             if head_mean:
                 mean[..., s:e, :width] = attn.mean(axis=-3)
-        x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
+        if needs_out:
+            x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
         attention.append(kept)
         if head_mean:
             means.append(mean)
@@ -285,24 +294,30 @@ def _forward(
             values.append(v)
 
     grown = None if grid else KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers)
-    return ForwardResult(grown, x @ model.embedding.T, attention, means)
+    final = x if logits else x[..., :0, :]  # no rows: the last layer added nothing to x
+    return ForwardResult(grown, final @ model.embedding.T, attention, means)
 
 
 def prefill(
-    model: Model, tokens: list[int], attention_rows: int = 0, head_mean: bool = False
+    model: Model,
+    tokens: list[int],
+    attention_rows: int = 0,
+    head_mean: bool = False,
+    logits: bool = True,
 ) -> ForwardResult:
     """Causal forward pass over ``tokens`` (at least one) from position 0.
 
     Its cache holds one K,V row per token per kv head per layer. Of each
     layer's attention it keeps the last ``attention_rows`` query rows (none
-    by default) and the head mean when ``head_mean``, as ``_forward`` does.
+    by default) and the head mean when ``head_mean``, and with ``logits`` off
+    skips what only the logits read, as ``_forward`` does.
     Rows run in ``ROW_BLOCK`` blocks, so a layer never holds its full
     (H_q, N, N) scores: its peak is O(H_q * ROW_BLOCK * N) and its time
     O(N^2), without computing the masked upper triangle.
     """
     return _forward(
         model, empty_cache(model), np.asarray(tokens),
-        attention_rows=attention_rows, head_mean=head_mean,
+        attention_rows=attention_rows, head_mean=head_mean, logits=logits,
     )
 
 

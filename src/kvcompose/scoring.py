@@ -125,17 +125,6 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
     raise UsageError(f"unknown aggregation op {op!r}")
 
 
-def _task_rows(model: Model, cache: KVCache, task: tuple[int, ...]) -> np.ndarray:
-    """(L, H_q, N, M) attention of one task's rows onto the context.
-
-    The task runs after the context cache, from its next position N, so
-    only its M rows are computed; the cache is read, not written.
-    """
-    n, m = cache.rows(0), len(task)
-    attention = _forward(model, cache, np.asarray(task), attention_rows=m).attention
-    return np.stack([np.transpose(attn[:, :, :n], (0, 2, 1)) for attn in attention])
-
-
 def collect_attention(
     model: Model, context: list[int], task_set: TaskSet, head_mean: bool = False
 ) -> AttentionCapture:
@@ -147,6 +136,7 @@ def collect_attention(
     the capture, so every policy and ratio compresses the same full cache.
     ``head_mean`` also keeps the prefill's attention averaged over query
     heads, which only a policy that replays it needs (``Policy.reads_head_mean``).
+    Nothing reads the logits, so every pass runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -156,18 +146,27 @@ def collect_attention(
     w = task_set.observation_window if agnostic else 0  # prefill rows the capture reads
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
-    base = prefill(model, context, attention_rows=w, head_mean=head_mean)
+    base = prefill(model, context, attention_rows=w, head_mean=head_mean, logits=False)
 
-    if agnostic:
-        a = np.stack([np.transpose(attn, (0, 2, 1)) for attn in base.attention])  # (L, H_q, N, w)
-    else:
-        a = np.concatenate([_task_rows(model, base.cache, t) for t in task_set.tasks], axis=3)
+    # before the tasks run: after them, these temporaries grew compress-long's peak RSS 4 MB
+    values = np.stack(base.cache.values)  # (L, H_kv, N, d_h)
+    raw = np.linalg.norm(values, axis=3)  # (L, H_kv, N)
+    # query head h reads kv head h // group: no copy of the values per query head
+    wo = model.wo.reshape(cfg.layers, cfg.kv_heads, cfg.group_size, cfg.head_dim, -1)
+    proj = np.linalg.norm(values[:, :, None] @ wo, axis=4).reshape(cfg.layers, cfg.query_heads, n)
 
-    raw = np.stack(
-        [np.linalg.norm(v, axis=2) for v in base.cache.values], axis=0
-    )  # (L, H_kv, N)
-    per_query = np.repeat(np.stack(base.cache.values), cfg.group_size, axis=1)  # (L, H_q, N, d_h)
-    proj = np.linalg.norm(per_query @ model.wo, axis=3)  # (L, H_q, N)
+    # a task runs after the context cache, which it reads and does not write
+    runs = [base] if agnostic else (
+        _forward(model, base.cache, np.asarray(t), attention_rows=len(t), logits=False)
+        for t in task_set.tasks
+    )
+    a = np.empty((cfg.layers, cfg.query_heads, n, w or sum(map(len, task_set.tasks))))
+    col = 0
+    for run in runs:
+        m = run.attention[0].shape[1]
+        for layer, attn in enumerate(run.attention):  # (H_q, M, N+M) -> context columns
+            a[layer, :, :, col : col + m] = attn[:, :, :n].swapaxes(1, 2)
+        col += m
 
     return AttentionCapture(
         A=a,

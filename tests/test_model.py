@@ -530,6 +530,106 @@ class TestRowBlocks:
             assert all(np.array_equal(a, b) for a, b in pairs)
 
 
+def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0, head_mean=False):
+    # everything but the logits matches the default call bit for bit; the
+    # logits keep their shape's other axes and have no rows
+    kwargs = dict(attention_rows=rows, head_mean=head_mean)
+    full = _forward(model, cache, tokens, stack, **kwargs)
+    cut = _forward(model, cache, tokens, stack, logits=False, **kwargs)
+    assert cut.logits.shape == full.logits.shape[:-2] + (0, model.config.vocab_size)
+    assert [a.shape for a in cut.attention] == [a.shape for a in full.attention]
+    assert all(np.array_equal(a, b) for a, b in zip(cut.attention, full.attention, strict=True))
+    if head_mean:
+        pairs = zip(cut.attention_mean, full.attention_mean, strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+    else:
+        assert cut.attention_mean is None
+    if stack is not None:
+        assert cut.cache is None
+        return
+    assert cut.cache.next_positions == full.cache.next_positions
+    for name in ("keys", "values"):
+        pairs = zip(getattr(cut.cache, name), getattr(full.cache, name), strict=True)
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+def softmax_widths_per_layer(monkeypatch, *args, **kwargs):
+    """The score width (held rows plus the block's end) of every
+    ``softmax_rows`` call of ``_forward(*args, **kwargs)``, split by layer:
+    a new layer starts where the width stops growing."""
+    from kvcompose import model
+
+    widths = []
+
+    def recording(scores, *a, **kw):
+        widths.append(scores.shape[-1])
+        return softmax_rows(scores, *a, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "softmax_rows", recording)
+        _forward(*args, **kwargs)
+    layers = [[]]
+    for w in widths:
+        if layers[-1] and w <= layers[-1][-1]:
+            layers.append([])
+        layers[-1].append(w)
+    return layers
+
+
+class TestLogitsOff:
+    @pytest.mark.parametrize(
+        "m, rows",
+        [
+            (m, rows)
+            for m in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2)
+            for rows in sorted({0, 1, ROW_BLOCK, ROW_BLOCK + 1, m})
+            if rows <= m
+        ],
+    )
+    @pytest.mark.parametrize("held", [0, 5])
+    def test_changes_no_bit_but_the_logits(self, gqa_model, m, rows, held):
+        tokens = random_context(70, held + m)
+        cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
+        for head_mean in (False, True):
+            assert_logits_off_changes_no_bit(
+                gqa_model, cache, np.asarray(tokens[held:]), rows=rows, head_mean=head_mean
+            )
+
+    @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK + 6])
+    def test_mask_stack_changes_no_bit_but_the_logits(self, gqa_model, rows):
+        cfg = gqa_model.config
+        tokens = random_context(71, 40 + ROW_BLOCK + 6)
+        cache = prefill(gqa_model, tokens[:40]).cache
+        stack = random_masks(72, 3, cfg.layers, cfg.kv_heads, 40)
+        for head_mean in (False, True):
+            assert_logits_off_changes_no_bit(
+                gqa_model, cache, np.asarray(tokens[40:]), stack, rows, head_mean
+            )
+
+    @pytest.mark.parametrize("held", [0, 5])
+    def test_last_layer_runs_only_the_blocks_holding_kept_rows(
+        self, gqa_model, monkeypatch, held
+    ):
+        # M=130 runs blocks [0, 64), [64, 128), [128, 130) in every layer;
+        # without logits the last one starts at the block of its first kept
+        # row, runs none when it keeps none, and all of them for the mean
+        m, layers = 2 * ROW_BLOCK + 2, gqa_model.config.layers
+        tokens = random_context(73, held + m)
+        cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
+        new = np.asarray(tokens[held:])
+
+        def widths(**kwargs):
+            return softmax_widths_per_layer(monkeypatch, gqa_model, cache, new, **kwargs)
+
+        every_block = [held + e for e in (ROW_BLOCK, 2 * ROW_BLOCK, m)]
+        assert widths() == [every_block] * layers
+        assert widths(logits=False) == [every_block] * (layers - 1)
+        for k in (1, 2, 3, ROW_BLOCK + 2, ROW_BLOCK + 3, m):
+            got = widths(attention_rows=k, logits=False)
+            assert got == [every_block] * (layers - 1) + [every_block[(m - k) // ROW_BLOCK :]]
+        assert widths(head_mean=True, logits=False) == [every_block] * layers
+
+
 class TestDecodeStep:
     def test_matches_prefill_continuation(self, tiny_model):
         tokens = random_context(4, 8)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kvcompose.errors import ShapeError, UsageError
-from kvcompose.model import ModelConfig, init_model, prefill
+from kvcompose.model import ROW_BLOCK, ModelConfig, _forward, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import (
     TASK_MODES,
@@ -44,6 +44,30 @@ class TestTaskSet:
     def test_unknown_mode(self):
         with pytest.raises(UsageError):
             TaskSet(mode="oracle")
+
+
+def reference_capture(model, context, task_set, head_mean):
+    """The capture from passes that keep their logits: a default prefill,
+    one default ``_forward`` per task after its cache with the task's rows
+    transposed and stacked per layer, the tasks joined on the last axis,
+    and value norms projected through values repeated per query head."""
+    n = len(context)
+    w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
+    base = prefill(model, context, attention_rows=w, head_mean=head_mean)
+    if w:
+        a = np.stack([np.transpose(attn, (0, 2, 1)) for attn in base.attention])
+    else:
+        parts = []
+        for task in task_set.tasks:
+            run = _forward(model, base.cache, np.asarray(task), attention_rows=len(task))
+            parts.append(np.stack([np.transpose(x[:, :, :n], (0, 2, 1)) for x in run.attention]))
+        a = np.concatenate(parts, axis=3)
+    values = base.cache.values
+    raw = np.stack([np.linalg.norm(v, axis=2) for v in values], axis=0)
+    per_query = np.repeat(np.stack(values), model.config.group_size, axis=1)
+    proj = np.linalg.norm(per_query @ model.wo, axis=3)
+    mean = np.stack(base.attention_mean) if head_mean else None
+    return a, raw, proj, base.cache, mean
 
 
 class TestCollectAttention:
@@ -198,6 +222,38 @@ class TestCollectAttention:
         assert cap.cache.next_positions == [10, 10]
         assert [cap.cache.rows(l) for l in range(2)] == [10, 10]
         assert np.array_equal(cap.A, np.concatenate(alone, axis=3))
+
+    @pytest.mark.parametrize("head_mean", [False, True])
+    @pytest.mark.parametrize(
+        "tasks", [(1,), (3,), (8,), (1, 3, 8), ()], ids=["1", "3", "8", "1-3-8", "agnostic"]
+    )
+    @pytest.mark.parametrize("group", [2, 3])
+    def test_matches_passes_that_keep_their_logits(self, group, tasks, head_mean):
+        # passes without logits, the task rows written into one array and
+        # the value norms projected per kv head change no bit of the capture;
+        # N=130 spans three row blocks and the observation window two
+        model = init_model(
+            ModelConfig(
+                layers=3, query_heads=2 * group, kv_heads=2, model_dim=16 * group,
+                head_dim=8, vocab_size=64, seed=9,
+            )
+        )
+        context = random_context(80, 130)
+        task_set = TaskSet.for_context(
+            "task-aware" if tasks else "task-agnostic", len(context),
+            [tuple(random_context(81 + m, m)) for m in tasks], ROW_BLOCK + 2,
+        )
+        cap = collect_attention(model, context, task_set, head_mean=head_mean)
+        a, raw, proj, cache, mean = reference_capture(model, context, task_set, head_mean)
+        for got, want in [(cap.A, a), (cap.value_norms_raw, raw), (cap.value_norms_proj, proj)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert cap.cache.next_positions == cache.next_positions
+        for got, want in zip(cap.cache.keys + cap.cache.values, cache.keys + cache.values):
+            assert got.tobytes() == want.tobytes()
+        if head_mean:
+            assert cap.attention_mean.tobytes() == mean.tobytes()
+        else:
+            assert cap.attention_mean is None
 
     def test_value_norm_shapes(self, tiny_model):
         cap = collect_attention(
