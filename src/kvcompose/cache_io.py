@@ -152,12 +152,14 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
     keys, values = [], []
     for n_l in rows:
         count = kv_heads * n_l * head_dim
-        k = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        v = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        offset += count * 4
-        keys.append(k.reshape(kv_heads, n_l, head_dim).astype(np.float64))
-        values.append(v.reshape(kv_heads, n_l, head_dim).astype(np.float64))
+        kv = np.frombuffer(data, dtype="<f4", count=2 * count, offset=offset)  # K then V
+        # checked before the cast, which warns on a NaN; isfinite does not
+        finite = np.isfinite(kv)
+        if not finite.all():
+            raise CacheFormatError(f"non-finite K/V value at byte {offset + 4 * finite.argmin()}")
+        offset += count * 8
+        keys.append(kv[:count].reshape(kv_heads, n_l, head_dim).astype(np.float64))
+        values.append(kv[count:].reshape(kv_heads, n_l, head_dim).astype(np.float64))
     prov = []
     for n_l in rows:
         count = kv_heads * n_l
@@ -240,15 +242,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "policy": report.policy,
-        "auc": report.auc,
-        "points": [asdict(p) for p in report.points],
-        "tolerances": [asdict(t) for t in report.tolerance_results],
-        "seeds": report.seeds,
-        "config": report.config,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 def csv_text(columns, rows) -> str:

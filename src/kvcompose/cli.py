@@ -98,6 +98,9 @@ class RunConfig:
         if mode not in TASK_MODES:
             raise ConfigError(f"scoring.mode must be one of {TASK_MODES}, got {mode!r}")
         check_observation_window(self.scoring["observation_window"], ConfigError)
+        for key in ("count", "context_len", "teacher_steps"):
+            if self.tasks.get(key, 1) < 1:
+                raise ConfigError(f"tasks.{key} must be >= 1, got {self.tasks[key]}")
         self.r_target = float(self.r_target)
         if not 0.0 <= self.r_target <= 1.0:
             raise ConfigError(f"r_target must be in [0, 1], got {self.r_target}")
@@ -279,10 +282,9 @@ def _sweep_report(cfg: RunConfig, model: Model, states):
 
 
 def _print_sweep_line(report, paths) -> None:
-    tol = " ".join(
-        f"max_r@{t.tolerance:g}={t.r_grid:g}/{t.r_interpolated:g}"
-        for t in report.tolerance_results
-    )
+    tols = [
+        f"max_r@{t.tolerance:g}={t.r_grid:g}/{t.r_interpolated:g}" for t in report.tolerances
+    ]
     rewards = [p.reward_mean for p in report.points]
     # reported for the reader, never asserted: noise can bend the curve
     trend = (
@@ -290,10 +292,9 @@ def _print_sweep_line(report, paths) -> None:
         if all(b <= a + 1e-12 for a, b in zip(rewards, rewards[1:]))
         else "non-monotone"
     )
-    print(
-        f"sweep policy={report.policy} auc={report.auc!r} {tol} "
-        f"reward_trend={trend} report={paths['json']} csv={paths['csv']}"
-    )
+    head = f"sweep policy={report.policy} auc={report.auc!r}"
+    tail = f"reward_trend={trend} report={paths['json']} csv={paths['csv']}"
+    print(" ".join([head, *tols, tail]))
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
@@ -337,12 +338,11 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     for count, choice in enumerate(ablation_grid(), 1):
         arm_cfg = replace(cfg, scoring={**cfg.scoring, **asdict(choice)})
         arm_dir = out / _slug(choice)
-        arm_dir.mkdir(parents=True, exist_ok=True)
-        (arm_dir / "config.json").write_text(
-            json.dumps(arm_cfg.resolved, sort_keys=True, indent=2) + "\n"
-        )
         report = _sweep_report(arm_cfg, model, states)
         paths = cache_io.write_report(report, arm_dir)
+        (arm_dir / "config.json").write_text(
+            json.dumps(report.config, sort_keys=True, indent=2) + "\n"
+        )
         combined += [(choice.label(), *astuple(p), report.auc) for p in report.points]
         print(f"ablate arm={_slug(choice)} auc={report.auc!r} report={paths['json']}")
 

@@ -80,7 +80,7 @@ class EvalReport:
     policy: str
     points: list[CurvePoint]
     auc: float
-    tolerance_results: list[ToleranceResult]
+    tolerances: list[ToleranceResult]
     seeds: list[int]
     config: dict = field(default_factory=dict)
 
@@ -212,7 +212,7 @@ def _reward_and_kl(
     model: Model,
     cache: KVCache,
     task: TaskInstance,
-    reference_logits: np.ndarray,
+    reference_logp: np.ndarray,
     head_masks: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Reward and mean KL(full || compressed) of next-token distributions, per mask.
@@ -220,8 +220,7 @@ def _reward_and_kl(
     Each step's KL is clamped at 0: a negative value is rounding noise.
     """
     logits = _run_steps(model, cache, task, head_masks)
-    ref_logp = _log_softmax(reference_logits)
-    kls = (np.exp(ref_logp) * (ref_logp - _log_softmax(logits))).sum(axis=-1)
+    kls = (np.exp(reference_logp) * (reference_logp - _log_softmax(logits))).sum(axis=-1)
     return _hit_rate(logits, task), np.maximum(kls, 0.0).mean(axis=-1)
 
 
@@ -302,7 +301,7 @@ class TaskState:
     task: TaskInstance
     capture: AttentionCapture
     full_reward: float
-    reference_logits: np.ndarray  # (steps, vocab)
+    reference_logp: np.ndarray  # (steps, vocab) log-probabilities
 
 
 def prepare_task(
@@ -315,11 +314,12 @@ def prepare_task(
     tset = TaskSet.for_context(mode, len(task.prompt), (rows,), observation_window)
     capture = collect_attention(model, list(task.prompt), tset, head_mean)
     reference = _run_steps(model, capture.cache, task, head_masks=None)
+    # the reward reads the logits: a log-softmax can merge close logits and so change a tie
     return TaskState(
         task=task,
         capture=capture,
         full_reward=_hit_rate(reference, task),
-        reference_logits=reference,
+        reference_logp=_log_softmax(reference),
     )
 
 
@@ -329,15 +329,15 @@ def _evaluate_task(
     policy: Policy,
     agg_choice: AggregationChoice,
     grid: tuple[float, ...],
-) -> list[tuple[float, float, float]]:
-    """(r_achieved, reward, kl) for one task at every grid ratio, from the
-    policy's keep-masks on the full cache in one forward call."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_achieved, reward, kl), each (G,), for one task at every grid ratio,
+    from the policy's keep-masks on the full cache in one forward call."""
     masks = keep_masks(state.capture, agg_choice, grid, policy)
     r_achieved = 1.0 - np.count_nonzero(masks, axis=(1, 2, 3)) / masks[0].size
     rewards, kls = _reward_and_kl(
-        model, state.capture.cache, state.task, state.reference_logits, masks
+        model, state.capture.cache, state.task, state.reference_logp, masks
     )
-    return list(zip(r_achieved, rewards, kls))
+    return r_achieved, rewards, kls
 
 
 def sweep_prepared(
@@ -352,21 +352,19 @@ def sweep_prepared(
         raise UsageError("sweep needs at least one task")
     check_grid(grid)
     full_rewards = [s.full_reward for s in states]
-    per_task = [_evaluate_task(model, s, policy, agg_choice, grid) for s in states]
-    points = []
-    for r_target, results in zip(grid, zip(*per_task)):
-        achieved, rewards, kls = zip(*results)
-        points.append(
-            CurvePoint(
-                r_target=float(r_target),
-                r_achieved=float(np.mean(achieved)),
-                reward_mean=float(np.mean(rewards)),
-                reward_std=float(np.std(rewards)),
-                epsilon=epsilon(full_rewards, list(rewards)),
-                kl_mean=float(np.mean(kls)),
-            )
+    # (T, 3, G) stacked, then read as (3, G, T): each point averages over tasks
+    per_task = np.stack([_evaluate_task(model, s, policy, agg_choice, grid) for s in states])
+    return [
+        CurvePoint(
+            r_target=float(r_target),
+            r_achieved=float(np.mean(achieved)),
+            reward_mean=float(np.mean(rewards)),
+            reward_std=float(np.std(rewards)),
+            epsilon=epsilon(full_rewards, list(rewards)),
+            kl_mean=float(np.mean(kls)),
         )
-    return points
+        for r_target, achieved, rewards, kls in zip(grid, *per_task.transpose(1, 2, 0))
+    ]
 
 
 def sweep(
@@ -397,7 +395,7 @@ def build_report(
         policy=policy.name,
         points=points,
         auc=area,
-        tolerance_results=[max_ratio_under_tolerance(points, t) for t in tolerances],
+        tolerances=[max_ratio_under_tolerance(points, t) for t in tolerances],
         seeds=list(seeds),
         config=dict(config or {}),
     )

@@ -220,7 +220,9 @@ def _forward(
         raise UsageError("a forward pass needs at least one new token")
     positions = cache.next_position + np.arange(m)  # not a row count, which compaction lowers
     if positions[0] < 0 or positions[-1] >= cfg.max_context:
-        raise UsageError(f"positions from {positions[0]} leave [0, max_context {cfg.max_context})")
+        raise UsageError(
+            f"positions {positions[0]} to {positions[-1]} leave [0, max_context {cfg.max_context})"
+        )
     if not 0 <= attention_rows <= m:
         raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
     x = _embed(model, tokens, positions)  # (M, d)

@@ -28,7 +28,7 @@ from kvcompose.cache_io import (
     write_tensor,
 )
 from kvcompose.composer import CompressedCache, compress
-from kvcompose.evaluator import build_report, make_agreement_tasks, sweep
+from kvcompose.evaluator import DEFAULT_TOLERANCES, build_report, make_agreement_tasks, sweep
 from kvcompose.model import decode_step, prefill
 from kvcompose.baselines import Policy
 from kvcompose.numerics import SeededRng
@@ -215,6 +215,15 @@ class TestReadCache:
         with pytest.raises(MalformedHeaderError, match="at byte 22"):
             cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
+    def test_non_finite_payload_rejected(self):
+        # a signalling NaN in the first key, under a valid CRC: the float64
+        # cast would only warn, and decoding the cache would fail later
+        start = cache_io.cache_header_size(2)
+        body = bytearray(cache_to_bytes(make_cache(14))[:-4])
+        body[start : start + 4] = struct.pack("<I", 0x7FA00000)
+        with pytest.raises(CacheFormatError, match=f"non-finite K/V value at byte {start}$"):
+            cache_from_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
     def test_compressed_next_positions_roundtrip_at_high_ratio(self, tiny_model):
         # at r >= 0.9 the context's last token is often evicted everywhere,
         # which a reader guessing from provenance gets wrong
@@ -361,6 +370,12 @@ class TestReports:
         assert parsed["auc"] == report.auc
         assert parsed["config"] == {"note": "t"}
         assert parsed["points"][0]["r_target"] == 0.0
+        # the JSON is the report dataclass itself, so a new field shows here
+        assert sorted(parsed) == ["auc", "config", "points", "policy", "seeds", "tolerances"]
+        assert all(sorted(p) == sorted(cache_io.CSV_COLUMNS) for p in parsed["points"])
+        assert [sorted(t) for t in parsed["tolerances"]] == [
+            ["r_grid", "r_interpolated", "tolerance"]
+        ] * len(DEFAULT_TOLERANCES)
 
     def test_identical_reports_byte_identical(self, tiny_model, tmp_path):
         report = self.make_report(tiny_model)

@@ -82,6 +82,8 @@ MALFORMED = [
     (None, "config must be a JSON object"),  # a top-level list
 ]
 
+AGREEMENT_TASKS = {"kind": "agreement", "count": 1, "seed": 2, "context_len": 8}
+
 # (config overrides, extra flags, text of the error): rules whose breach
 # the library would meet only after tasks are prepared, or never
 LOAD_RULES = {
@@ -109,6 +111,21 @@ LOAD_RULES = {
         {"policy": {"name": "pyramid", "shape": float("inf")}},
         [],
         "policy.shape must be a finite number, got inf",
+    ),
+    "task-count-zero": (
+        {"tasks": {"kind": "recall", "count": 0, "seed": 3}},
+        [],
+        "tasks.count must be >= 1, got 0",
+    ),
+    "context-len-zero": (
+        {"model": RANDOM_MODEL, "tasks": {**AGREEMENT_TASKS, "context_len": 0}},
+        [],
+        "tasks.context_len must be >= 1, got 0",
+    ),
+    "teacher-steps-zero": (
+        {"model": RANDOM_MODEL, "tasks": {**AGREEMENT_TASKS, "teacher_steps": 0}},
+        [],
+        "tasks.teacher_steps must be >= 1, got 0",
     ),
 }
 
@@ -495,6 +512,9 @@ class TestExitCodes:
         path = write_config(tmp_path, grid=[0.5], tolerances=[])
         assert main(["sweep", "--config", str(path)]) == EXIT_OK
         assert json.loads((tmp_path / "out" / "report.json").read_text())["tolerances"] == []
+        # no tolerance field, so one space between the AUC and the trend
+        out = capsys.readouterr().out
+        assert "  " not in out and " reward_trend=" in out
 
     def test_bad_grid_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -487,7 +487,7 @@ def reference_point(model, state, policy, agg_choice, r_target):
         masks = unstructured_compress(scores, (r_target,))  # a G=1 stack
         r_achieved = 1.0 - np.count_nonzero(masks) / (cfg.layers * cfg.kv_heads * cap.context_len)
         r, kl = _reward_and_kl(
-            model, cap.cache, state.task, state.reference_logits, head_masks=masks
+            model, cap.cache, state.task, state.reference_logp, head_masks=masks
         )
         return r_achieved, r[0], kl[0]
     budget = retention_budget(r_target, cfg.layers, cap.context_len)
@@ -505,7 +505,7 @@ def reference_point(model, state, policy, agg_choice, r_target):
     else:
         cache = gather_cache(cap.cache, select_baseline_indices(cap, policy, (budget,))[0])
     total = sum(cache.rows(l) for l in range(cfg.layers))
-    r, kl = _reward_and_kl(model, cache, state.task, state.reference_logits)
+    r, kl = _reward_and_kl(model, cache, state.task, state.reference_logp)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl
 
 

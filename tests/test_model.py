@@ -205,6 +205,14 @@ class TestForward:
         with pytest.raises(UsageError, match=r"leave \[0, max_context 512\)"):
             _forward(tiny_model, cache, np.asarray(random_context(15, m)))
 
+    def test_rejection_names_the_first_and_last_position(self):
+        cfg = ModelConfig(
+            layers=1, query_heads=2, kv_heads=1, model_dim=16, head_dim=8, vocab_size=64,
+            max_context=64,
+        )
+        with pytest.raises(UsageError, match=r"^positions 0 to 69 leave \[0, max_context 64\)$"):
+            prefill(init_model(cfg), random_context(15, 70))
+
     def test_rows_up_to_max_context_run(self, tiny_model):
         held = prefill(tiny_model, random_context(14, 5)).cache
         cache = replace(held, next_positions=[509, 509])
