@@ -30,6 +30,7 @@ from .evaluator import (
     make_agreement_tasks,
     make_recall_tasks,
     prepare_task,
+    sweep_arms,
     sweep_prepared,
 )
 from .model import Model, construct_induction_model, init_model, ModelConfig
@@ -270,8 +271,7 @@ def _prepare_tasks(cfg: RunConfig, model: Model):
     return [prepare_task(model, t, mode, window, head_mean) for t in build_tasks(cfg, model)]
 
 
-def _sweep_report(cfg: RunConfig, model: Model, states):
-    points = sweep_prepared(model, states, cfg.eviction, cfg.agg, tuple(cfg.grid))
+def _sweep_report(cfg: RunConfig, model: Model, points):
     return build_report(
         cfg.eviction,
         points,
@@ -298,7 +298,9 @@ def _print_sweep_line(report, paths) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
-    report = _sweep_report(cfg, model, _prepare_tasks(cfg, model))
+    states = _prepare_tasks(cfg, model)
+    points = sweep_prepared(model, states, cfg.eviction, cfg.agg, tuple(cfg.grid))
+    report = _sweep_report(cfg, model, points)
     paths = cache_io.write_report(report, Path(args.out or cfg.out_dir))
     _print_sweep_line(report, paths)
     return EXIT_OK
@@ -334,11 +336,13 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     states = _prepare_tasks(cfg, model)  # scoring mode and window are the same in every arm
+    choices = ablation_grid()
+    curves = sweep_arms(model, states, cfg.eviction, choices, tuple(cfg.grid))
     combined = []
-    for count, choice in enumerate(ablation_grid(), 1):
+    for count, (choice, points) in enumerate(zip(choices, curves), 1):
         arm_cfg = replace(cfg, scoring={**cfg.scoring, **asdict(choice)})
         arm_dir = out / _slug(choice)
-        report = _sweep_report(arm_cfg, model, states)
+        report = _sweep_report(arm_cfg, model, points)
         paths = cache_io.write_report(report, arm_dir)
         (arm_dir / "config.json").write_text(
             json.dumps(report.config, sort_keys=True, indent=2) + "\n"

@@ -6,8 +6,8 @@ full-cache run for arbitrary models. Degradation epsilon is the mean
 relative reward drop versus the full cache; curves sweep the ratio grid
 and are summarized by span-normalized AUC and the largest ratio whose
 epsilon stays under a tolerance. Every policy is scored the same way:
-as ``composer.keep_masks``' keep-mask per grid ratio on the task's one
-full cache, with one forward call for the whole grid.
+as ``composer.keep_masks``' keep-masks on the task's one full cache; a task's
+distinct masks each run once, in forward calls of at most one grid's masks.
 """
 from __future__ import annotations
 
@@ -192,7 +192,7 @@ def _run_steps(
     return logits[..., -len(targets) :, :]
 
 
-def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float:
+def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float | np.ndarray:
     """Fraction of scored steps whose argmax is the target token, per leading index."""
     _, targets = _forced_steps(task)
     return np.count_nonzero(logits.argmax(axis=-1) == targets, axis=-1) / len(targets)
@@ -214,7 +214,7 @@ def _reward_and_kl(
     task: TaskInstance,
     reference_logp: np.ndarray,
     head_masks: np.ndarray | None = None,
-) -> tuple[float, float]:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Reward and mean KL(full || compressed) of next-token distributions, per mask.
 
     Each step's KL is clamped at 0: a negative value is rounding noise.
@@ -327,17 +327,49 @@ def _evaluate_task(
     model: Model,
     state: TaskState,
     policy: Policy,
-    agg_choice: AggregationChoice,
+    agg_choices: list[AggregationChoice],
     grid: tuple[float, ...],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r_achieved, reward, kl), each (G,), for one task at every grid ratio,
-    from the policy's keep-masks on the full cache in one forward call."""
-    masks = keep_masks(state.capture, agg_choice, grid, policy)
+) -> np.ndarray:
+    """(3, A, G): r_achieved, reward and kl of one task per choice and ratio. Each
+    distinct keep-mask runs once, in forward calls of at most G masks."""
+    masks = np.concatenate([keep_masks(state.capture, c, grid, policy) for c in agg_choices])
     r_achieved = 1.0 - np.count_nonzero(masks, axis=(1, 2, 3)) / masks[0].size
-    rewards, kls = _reward_and_kl(
-        model, state.capture.cache, state.task, state.reference_logp, masks
-    )
-    return r_achieved, rewards, kls
+    rows = masks.reshape(len(masks), -1).view(np.dtype((np.void, masks[0].size)))[:, 0]
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)  # bytewise
+    chunks = [masks[first[i : i + len(grid)]] for i in range(0, len(first), len(grid))]
+    args = model, state.capture.cache, state.task, state.reference_logp
+    results = np.hstack([_reward_and_kl(*args, chunk) for chunk in chunks])  # (2, distinct)
+    return np.stack([r_achieved, *results[:, inverse]]).reshape(3, len(agg_choices), -1)
+
+
+def sweep_arms(
+    model: Model,
+    states: list[TaskState],
+    policy: Policy,
+    agg_choices: list[AggregationChoice],
+    grid: tuple[float, ...],
+) -> list[list[CurvePoint]]:
+    """One curve per aggregation choice, each point averaged over the prepared tasks."""
+    if not states:
+        raise UsageError("sweep needs at least one task")
+    check_grid(grid)
+    full_rewards = [s.full_reward for s in states]
+    # (T, 3, A, G) stacked, then read as (A, 3, G, T): each point averages over tasks
+    per_task = np.stack([_evaluate_task(model, s, policy, agg_choices, grid) for s in states])
+    return [
+        [
+            CurvePoint(
+                r_target=float(r_target),
+                r_achieved=float(np.mean(achieved)),
+                reward_mean=float(np.mean(rewards)),
+                reward_std=float(np.std(rewards)),
+                epsilon=epsilon(full_rewards, list(rewards)),
+                kl_mean=float(np.mean(kls)),
+            )
+            for r_target, achieved, rewards, kls in zip(grid, *arm)
+        ]
+        for arm in per_task.transpose(2, 1, 3, 0)
+    ]
 
 
 def sweep_prepared(
@@ -348,23 +380,7 @@ def sweep_prepared(
     grid: tuple[float, ...],
 ) -> list[CurvePoint]:
     """One curve point per grid ratio, averaged over the prepared tasks."""
-    if not states:
-        raise UsageError("sweep needs at least one task")
-    check_grid(grid)
-    full_rewards = [s.full_reward for s in states]
-    # (T, 3, G) stacked, then read as (3, G, T): each point averages over tasks
-    per_task = np.stack([_evaluate_task(model, s, policy, agg_choice, grid) for s in states])
-    return [
-        CurvePoint(
-            r_target=float(r_target),
-            r_achieved=float(np.mean(achieved)),
-            reward_mean=float(np.mean(rewards)),
-            reward_std=float(np.std(rewards)),
-            epsilon=epsilon(full_rewards, list(rewards)),
-            kl_mean=float(np.mean(kls)),
-        )
-        for r_target, achieved, rewards, kls in zip(grid, *per_task.transpose(1, 2, 0))
-    ]
+    return sweep_arms(model, states, policy, [agg_choice], grid)[0]
 
 
 def sweep(

@@ -12,6 +12,7 @@ from kvcompose.cli import (
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_OK,
+    _slug,
     ablation_grid,
     build_model,
     build_tasks,
@@ -19,7 +20,7 @@ from kvcompose.cli import (
     main,
     parse_config,
 )
-from kvcompose.composer import composite_indices, layer_importance
+from kvcompose.composer import composite_indices, keep_masks, layer_importance
 from kvcompose.errors import ConfigError
 from kvcompose.evaluator import DEFAULT_TOLERANCES, RATIO_GRID, prepare_task
 from kvcompose.scoring import (
@@ -271,7 +272,12 @@ class TestAblateCommand:
         rc = main(["ablate", "--config", str(cfg), "--grid", "0,0.5"])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
-        assert "ablate configs=48" in out
+        # perfbench times ablate in segments cut at these progress lines
+        *arm_lines, last = out.splitlines()
+        assert [line.split(" auc=")[0] for line in arm_lines] == [
+            f"ablate arm={_slug(c)}" for c in ablation_grid()
+        ]
+        assert last.startswith("ablate configs=48 ")
         combined = (tmp_path / "out" / "combined.csv").read_text()
         assert '"Agg(max,avg,avg), mean=on, norm=none"' in combined
         # one row per (config, grid point) plus header
@@ -306,6 +312,37 @@ class TestAblateCommand:
         assert captured.out == ""
         assert captured.err.startswith("config error: ablate: policy streaming reads no")
         assert not (tmp_path / "out").exists()
+
+    def test_each_distinct_mask_of_a_task_runs_once(self, tmp_path, capsys, monkeypatch):
+        demo = Path(__file__).parent.parent / "configs" / "demo_recall.json"
+        config = json.loads(demo.read_text())
+        config.update(out_dir=str(tmp_path / "out"))
+        path = tmp_path / "recall.json"
+        path.write_text(json.dumps(config))
+        calls = count_calls(monkeypatch, evaluator, "_forward")
+        assert main(["ablate", "--config", str(path)]) == EXIT_OK
+        stacks = [(args[1], args[3]) for args in calls if len(args) > 3 and args[3] is not None]
+        assert stacks and max(len(masks) for _, masks in stacks) <= len(RATIO_GRID)
+        by_task = {}  # every cache in ``calls`` stays alive, so no id is reused
+        for cache, masks in stacks:
+            by_task.setdefault(id(cache), []).extend(m.tobytes() for m in masks)
+        assert all(len(rows) == len(set(rows)) for rows in by_task.values())
+
+        cfg = load_config(path)
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        model = build_model(cfg)
+        distinct = 0
+        for task in build_tasks(cfg, model):
+            capture = prepare_task(model, task, mode, window).capture
+            distinct += len(
+                {
+                    m.tobytes()
+                    for choice in ablation_grid()
+                    for m in keep_masks(capture, choice, RATIO_GRID, cfg.eviction)
+                }
+            )
+        assert len(by_task) == cfg.tasks["count"]
+        assert sum(len(rows) for rows in by_task.values()) == distinct
 
     def test_tasks_prepared_once_for_all_arms(self, tmp_path, capsys, monkeypatch):
         from kvcompose import scoring

@@ -30,6 +30,7 @@ from kvcompose.evaluator import (
     prepare_task,
     reward,
     sweep,
+    sweep_arms,
     sweep_prepared,
     _forced_steps,
     _reward_and_kl,
@@ -570,6 +571,21 @@ class TestGridOnce:
         policy, agg = Policy(name=name), AggregationChoice()
         got = sweep_prepared(model, states, policy, agg, RATIO_GRID)
         assert_same_sweep(kind, got, reference_sweep(model, states, policy, agg, RATIO_GRID))
+
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_arms_equal_one_sweep_per_choice(self, task_sets, kind, name):
+        model, states = task_sets[kind]
+        policy = Policy(name=name)
+        choices = [
+            AggregationChoice(),
+            AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
+            AggregationChoice(),  # a repeated choice repeats every mask
+            AggregationChoice(agg_group="max", agg_head="max", mean_augment=False),
+            AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
+        ]
+        got = sweep_arms(model, states, policy, choices, RATIO_GRID)
+        assert got == [sweep_prepared(model, states, policy, c, RATIO_GRID) for c in choices]
 
     @pytest.mark.parametrize("name", ["kvcompose", "unstructured"])
     def test_scores_once_per_task(self, tiny_model, name, monkeypatch):
