@@ -119,18 +119,18 @@ def snapkv_select(
     cap: AttentionCapture,
     budgets: np.ndarray,
     window: int,
-) -> list[np.ndarray]:
+) -> list[list[np.ndarray]]:
     """Window top-k per kv head: keep the trailing window plus the tokens it
     attends to hardest (max-pool over the last ``window`` capture rows).
 
-    Returns one (H_kv, budget) index array per layer of the (L,) ``budgets``;
-    counts are uniform across heads, the sets need not be.
+    ``budgets`` is (G, L), rows sharing ``window``, which alone sets the ranking;
+    each row gets one (H_kv, budget) array per layer, uniform counts across heads.
     """
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
-    for b in budgets:
+    for b in np.ravel(budgets):
         if b < window:
             raise ConfigError(f"budget {b} smaller than window {window}")
         if b > n:
@@ -144,8 +144,11 @@ def snapkv_select(
     order = argsort_desc(scores[:, :, :window_start])  # (L, H_kv, N - window)
     tail = np.broadcast_to(np.arange(window_start, n), (kv_heads, window))
     return [
-        np.sort(np.concatenate([order[layer, :, : b - window], tail], axis=1), axis=1)
-        for layer, b in enumerate(budgets)
+        [
+            np.sort(np.concatenate([order[layer, :, : b - window], tail], axis=1), axis=1)
+            for layer, b in enumerate(row)
+        ]
+        for row in budgets
     ]
 
 
@@ -209,7 +212,7 @@ def select_baseline_indices(
     ratio stays feasible except for pyramid, whose floor of one row per
     layer rejects a total below the layer count (a ratio near 1). tova
     replays the capture's head-mean attention once for every total;
-    snapkv/pyramid score on the capture's task rows.
+    snapkv/pyramid score on the capture's task rows, once per distinct window.
     """
     layers, heads, n = cap.value_norms_raw.shape
     totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
@@ -235,5 +238,8 @@ def select_baseline_indices(
     if policy.name in ("snapkv", "pyramid"):
         if policy.name == "pyramid":
             uniform = [pyramid_budgets(layers, n, total, policy.shape) for total in budget_totals]
-        return [snapkv_select(cap, b, int(min(policy.window, b.min(), n))) for b in uniform]
+        windows = [int(min(policy.window, b.min(), n)) for b in uniform]
+        shared = {w: [b for b, v in zip(uniform, windows) if v == w] for w in windows}
+        ranked = {w: iter(snapkv_select(cap, rows, w)) for w, rows in shared.items()}
+        return [next(ranked[w]) for w in windows]  # each window's rows in grid order
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .numerics import SeededRng, softmax_rows
+from .numerics import SeededRng, exp_rows
 
 ROTARY_BASE = 10000.0
 ROW_BLOCK = 64  # new query rows each layer scores at a time in _forward
@@ -118,10 +118,12 @@ class ForwardResult:
 
 
 def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary rotation of (..., n, d_h) vectors by their positions' (n, d_h/2) cos and sin."""
+    """Rotary rotation of (..., n, d_h) vectors by their positions' [cos, cos], [-sin, sin]."""
     half = vecs.shape[-1] // 2
-    a, b = vecs[..., :half], vecs[..., half:]
-    return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
+    out = np.concatenate([vecs[..., half:], vecs[..., :half]], axis=-1)  # halves swapped
+    out *= sin
+    out += vecs * cos
+    return out
 
 
 def _embed(model: Model, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -205,14 +207,14 @@ def _forward(
     output projection; the logits come back as an empty (..., 0, vocab) array.
 
     Each layer runs its new rows in blocks of ``ROW_BLOCK``. Block [s, e)
-    scores only the held rows and new rows [0, e), so the causal upper
-    triangle past e is never computed and a layer's peak is
-    O(H_q * ROW_BLOCK * (R+M)); kept rows and means are zero past e, as the
-    causal mask makes them. Each block writes its slice of the layer's
-    output, kept rows and means, so a one-block call (M <= ROW_BLOCK) copies
-    its output rows once. Query head h reads kv head h // group: a kv head's
-    group of query rows is one (group*rows, d_h) block, so one batched matmul
-    per kv head serves the whole group without copying K or V per query head.
+    scores only the held rows and new rows [0, e), so the causal upper triangle
+    past e is never computed and a layer's peak is O(H_q * ROW_BLOCK * (R+M));
+    kept rows and means are zero past e, as the causal mask makes them. The
+    queries carry 1/sqrt(d_h), ``exp_rows`` turns a block's scores into weights
+    and row sums in place, and the block's output is (weights @ v) / sums: only
+    kept or averaged rows divide every weight. Query head h reads kv head
+    h // group: a kv head's group of query rows is one (group*rows, d_h) block,
+    so one batched matmul per kv head serves the group without copying K or V.
     """
     cfg = model.config
     m = len(tokens)
@@ -241,9 +243,8 @@ def _forward(
             )
         x = np.broadcast_to(x, shape[:1] + x.shape)
     grid = x.shape[:-2]  # () or (G,)
-    angles = positions[:, None].astype(np.float64) * model.inv_freq[None, :]  # (M, d_h/2)
-    cos, sin = np.cos(angles), np.sin(angles)  # every layer rotates at the same positions
-    scale = 1.0 / np.sqrt(d_h)
+    angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
+    cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]
     block = min(m, ROW_BLOCK)
     upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
     first = m - attention_rows  # the first kept query row
@@ -255,7 +256,7 @@ def _forward(
         rows = x[..., None, :, :]  # each row's (M, d) block meets every head
         q, k_new, v_new = rows @ model.wq[layer], rows @ model.wk[layer], rows @ model.wv[layer]
         qk = _rotate(np.concatenate([q, k_new], axis=-3), cos, sin)
-        q, k_new = qk[..., :h_q, :, :], qk[..., h_q:, :, :]
+        q, k_new = qk[..., :h_q, :, :] * (1.0 / np.sqrt(d_h)), qk[..., h_q:, :, :]  # pre-scaled
 
         held = cache.rows(layer)
         k_held, v_held = cache.keys[layer], cache.values[layer]  # every grid row reads them
@@ -278,14 +279,17 @@ def _forward(
                 grouped = scores.reshape(*grid, h_kv, -1, width)
                 visible = head_masks[:, layer, :, None, :]
                 np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
-            attn = softmax_rows(scores.reshape(-1, width), scale=scale).reshape(scores.shape)
+            ex, sums = exp_rows(scores.reshape(-1, width))  # weights before their division
+            ex, sums = ex.reshape(scores.shape), sums.reshape(*scores.shape[:-1], 1)
             if needs_out:
-                by_kv = attn.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s)
+                by_kv = ex.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s)
+                by_kv /= sums.reshape(by_kv.shape[:-1] + (1,))  # d_h divisions a row, not R+e
                 heads_out[..., s:e, :, :] = by_kv.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2)
             if e > first:  # a block wholly before the kept rows writes none of them
-                kept[..., max(s - first, 0) : e - first, :width] = attn[..., max(first - s, 0) :, :]
+                r = max(first - s, 0)  # the block's first kept row
+                kept[..., s + r - first : e - first, :width] = ex[..., r:, :] / sums[..., r:, :]
             if head_mean:
-                mean[..., s:e, :width] = attn.mean(axis=-3)
+                mean[..., s:e, :width] = (ex / sums).mean(axis=-3)
         if needs_out:
             x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
         attention.append(kept)

@@ -1,8 +1,9 @@
 """Row softmax, deterministic randomness, and selection primitives.
 
-Everything here is pure and deterministic: identical inputs give
-bit-identical outputs on every platform. Matrices are plain 2-D float64
-arrays; ``softmax_rows``, the one attention normalizer, never writes one.
+Everything here is deterministic: identical inputs give bit-identical
+outputs on every platform. Matrices are plain 2-D float64 arrays, and no
+function writes one but ``exp_rows``, the one home of ``np.exp``: it works
+in the matrix it is given and leaves a softmax's division to its caller.
 """
 from __future__ import annotations
 
@@ -88,29 +89,32 @@ def stable_floor(x: float) -> int:
     return int(np.floor(x + 1e-9))
 
 
-def softmax_rows(m: np.ndarray, scale: float) -> np.ndarray:
-    """Row-wise softmax of ``m * scale`` with max-subtraction for stability.
+def exp_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``exp(m - row max)`` and its (rows, 1) sums, computed in ``m``, which
+    the caller owns and gets back: a softmax before its division. -inf is a mask
+    and maps to exactly 0.0; a fully masked row gives zeros and a sum of 1, so
+    dividing gives no NaN; a row holding NaN or +inf raises ``UsageError``."""
+    if m.dtype != np.float64 or m.ndim != 2:
+        raise ShapeError(f"exp_rows expects a 2-D float64 matrix, got {m.ndim}-D {m.dtype}")
+    mx = np.max(m, axis=1, keepdims=True)
+    if not np.all(mx < np.inf):
+        raise UsageError("exp_rows needs every row free of NaN and +inf")
+    mx[mx == -np.inf] = 0.0  # fully masked row: no shift, so it stays -inf
+    m -= mx  # finite or -inf entries only, and exp(-inf) is exactly 0
+    np.exp(m, out=m)
+    sums = m.sum(axis=1, keepdims=True)
+    sums[sums == 0.0] = 1.0
+    return m, sums
 
-    Entries equal to -inf act as masks and map to exactly 0.0. A fully
-    masked row comes back as all zeros rather than NaN; a row holding NaN
-    or +inf, also after scaling, raises ``UsageError``. ``m`` is not written.
-    """
+
+def softmax_rows(m: np.ndarray, scale: float) -> np.ndarray:
+    """Row-wise softmax of ``m * scale``: ``exp_rows`` of a scaled copy, which reads masks
+    and rejects NaN or +inf rows (also where scaling overflows), over its row sums."""
     if scale <= 0:
         raise UsageError(f"softmax scale must be positive, got {scale}")
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D matrix, got {m.ndim}-D")
-    with np.errstate(over="ignore"):  # an overflowing row is rejected below
-        z = m * scale
-    mx = np.max(z, axis=1, keepdims=True)
-    if not np.all(mx < np.inf):
-        raise UsageError("softmax_rows needs every row free of NaN and +inf after scaling")
-    mx[mx == -np.inf] = 0.0  # fully masked row: no shift, so it stays -inf
-    z -= mx  # finite or -inf entries only, and exp(-inf) is exactly 0
-    np.exp(z, out=z)
-    denom = z.sum(axis=1, keepdims=True)
-    denom[denom == 0.0] = 1.0
-    return np.divide(z, denom, out=z)
+    with np.errstate(over="ignore"):  # an overflowing row is rejected by exp_rows
+        e, sums = exp_rows(np.asarray(m, dtype=np.float64) * scale)
+    return np.divide(e, sums, out=e)
 
 
 def argsort_desc(v: np.ndarray) -> np.ndarray:

@@ -49,6 +49,15 @@ def random_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     return (rng.uniform_block(rows * cols) * 2.0 - 1.0).reshape(rows, cols)
 
 
+def rotate_two_halves(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary rotation of (..., n, d_h) vectors by their positions' (n, d_h/2)
+    cos and sin, one half at a time: the formula ``model._rotate`` computes
+    at full width, kept as its oracle."""
+    half = vecs.shape[-1] // 2
+    a, b = vecs[..., :half], vecs[..., half:]
+    return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Record the arguments of every call to ``module.name``, through each
     kvcompose module that binds it."""

@@ -229,7 +229,7 @@ class TestSnapkvSelect:
     def test_full_budget_is_identity(self, tiny_model):
         context = random_context(44, 10)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, np.full(2, 10), window=4)
+        kept = snapkv_select(cap, np.full((1, 2), 10), window=4)[0]
         for layer in kept:
             for head_kept in layer:
                 assert head_kept.tolist() == list(range(10))
@@ -242,13 +242,13 @@ class TestSnapkvSelect:
             value_norms_raw=np.ones((1, 1, 8)),
             value_norms_proj=np.ones((1, 2, 8)),
         )
-        kept = snapkv_select(cap, np.asarray([5]), window=2)
+        kept = snapkv_select(cap, np.asarray([[5]]), window=2)[0]
         assert kept[0][0].tolist() == [0, 1, 2, 6, 7]
 
     def test_matches_topk_oracle(self, tiny_model):
         context = random_context(45, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, np.full(2, 7), window=4)
+        kept = snapkv_select(cap, np.full((1, 2), 7), window=4)[0]
         for layer in range(2):
             for head in range(2):
                 assert kept[layer][head].tolist() == snapkv_oracle(cap, layer, head, 7, 4)
@@ -256,7 +256,7 @@ class TestSnapkvSelect:
     def test_budget_below_window_rejected(self, tiny_model):
         cap = self.capture(tiny_model, random_context(46, 8), 4)
         with pytest.raises(ConfigError):
-            snapkv_select(cap, np.full(2, 3), window=4)
+            snapkv_select(cap, np.full((1, 2), 3), window=4)
 
     def test_full_compression_keeps_nothing(self, tiny_model):
         cap = self.capture(tiny_model, random_context(49, 12), 4)
@@ -273,10 +273,31 @@ class TestSnapkvSelect:
         for head in range(2):
             assert kept[0][head].tolist() == snapkv_oracle(cap, 0, head, 1, 0)
 
+    @pytest.mark.parametrize("name", ["snapkv", "pyramid"])
+    def test_grid_ranks_once_per_distinct_window(self, tiny_model, monkeypatch, name):
+        # the window clamps to each ratio's smallest layer budget, so the
+        # tight ratios rank on narrower windows; one call ranks each window
+        # for every ratio sharing it and keeps what one call per ratio keeps
+        from kvcompose import baselines
+
+        cap = self.capture(tiny_model, random_context(51, 20), 4)
+        policy = Policy(name=name, shape=0.5)
+        totals = tuple(retention_budget(r, 2, 20) for r in RATIO_GRID)
+        calls = count_calls(monkeypatch, baselines, "snapkv_select")
+        want = [select_baseline_indices(cap, policy, (t,))[0] for t in totals]
+        windows = [call[2] for call in calls]
+        calls.clear()
+        got = select_baseline_indices(cap, policy, totals)
+        assert len(set(windows)) > 1
+        assert sorted(call[2] for call in calls) == sorted(set(windows))
+        assert [len(call[1]) for call in calls] == [windows.count(call[2]) for call in calls]
+        for kept, wanted in zip(got, want, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(kept, wanted, strict=True))
+
     def test_counts_uniform_sets_may_differ(self, tiny_model):
         context = random_context(47, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, np.full(2, 6), window=4)
+        kept = snapkv_select(cap, np.full((1, 2), 6), window=4)[0]
         for layer in kept:
             assert {len(h) for h in layer} == {6}
 

@@ -22,10 +22,25 @@ from kvcompose.model import (
     init_model,
     prefill,
 )
-from kvcompose.numerics import SeededRng, softmax_rows
+from kvcompose.numerics import SeededRng, exp_rows, softmax_rows
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import random_context
+from conftest import random_context, rotate_two_halves
+
+
+def forbid_layers(monkeypatch, model_):
+    """Make any layer that runs raise: ``_forward``'s one per-block kernel,
+    ``exp_rows``, becomes a sentinel. A positive control first shows that the
+    sentinel bites on a valid call, so a patch on a name ``_forward`` no
+    longer calls fails here rather than letting a rejection test pass unseen."""
+    from kvcompose import model
+
+    def no_layer(*args, **kwargs):
+        raise AssertionError("a layer ran")
+
+    monkeypatch.setattr(model, "exp_rows", no_layer)
+    with pytest.raises(AssertionError, match="a layer ran"):
+        prefill(model_, [1, 2, 3])
 
 
 class TestConfig:
@@ -71,6 +86,20 @@ class TestInitModel:
         assert m.wo.shape == (2, 4, 8, 32)
         assert m.embedding.shape == (16, 32)
         assert np.isfinite(m.wq).all()
+
+
+class TestRotate:
+    @pytest.mark.parametrize("shape", [(6, 128, 8), (9, 6, 8, 8), (6, 504, 8)])
+    def test_full_width_equals_two_halves_bit_for_bit(self, shape):
+        # [cos, cos] and [-sin, sin] at full width: a*cos + b*(-sin) is
+        # a*cos - b*sin exactly, and b*cos + a*sin is a*sin + b*cos
+        n, half = shape[-2], shape[-1] // 2
+        vecs = SeededRng(80).uniform_block(int(np.prod(shape))).reshape(shape) * 8.0 - 4.0
+        inv_freq = 10000.0 ** (-np.arange(half) / half)
+        angles = (np.arange(n) + 3)[:, None] * inv_freq
+        cos, sin = np.cos(angles), np.sin(angles)
+        got = _rotate(vecs, np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1))
+        assert got.tobytes() == rotate_two_halves(vecs, cos, sin).tobytes()
 
 
 class TestPrefill:
@@ -155,14 +184,9 @@ class TestPrefill:
     @pytest.mark.parametrize("rows", [-1, 4])
     def test_bad_row_counts_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, rows):
         # three new rows onto a held cache of five: the bound is M, not R+M
-        from kvcompose import model
-
-        def no_layer(*args, **kwargs):
-            raise AssertionError("a layer ran")
-
         cache = prefill(tiny_model, random_context(9, 5)).cache
         before = cache.clone()
-        monkeypatch.setattr(model, "softmax_rows", no_layer)
+        forbid_layers(monkeypatch, tiny_model)
         with pytest.raises(UsageError, match=f"cannot keep {rows} attention rows of 3"):
             _forward(tiny_model, cache, np.asarray([1, 2, 3]), attention_rows=rows)
         assert cache.next_positions == before.next_positions
@@ -172,16 +196,11 @@ class TestPrefill:
 class TestForward:
     @pytest.mark.parametrize("held", [0, 5])
     def test_zero_new_tokens_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, held):
-        from kvcompose import model
-
-        def no_layer(*args, **kwargs):
-            raise AssertionError("a layer ran")
-
         cache = empty_cache(tiny_model)
         if held:
             cache = prefill(tiny_model, random_context(11, held)).cache
         before = cache.clone()
-        monkeypatch.setattr(model, "softmax_rows", no_layer)
+        forbid_layers(monkeypatch, tiny_model)
         with pytest.raises(UsageError, match="at least one new token"):
             _forward(tiny_model, cache, np.asarray([], dtype=np.int64))
         assert cache.next_positions == before.next_positions
@@ -194,14 +213,9 @@ class TestForward:
         # the new rows sit at the cache's next position onward, a hand-built
         # one's included; every one must lie in [0, max_context) before any
         # layer runs
-        from kvcompose import model
-
-        def no_layer(*args, **kwargs):
-            raise AssertionError("a layer ran")
-
         held = prefill(tiny_model, random_context(14, 5)).cache
         cache = replace(held, next_positions=[start] * 2)
-        monkeypatch.setattr(model, "softmax_rows", no_layer)
+        forbid_layers(monkeypatch, tiny_model)
         with pytest.raises(UsageError, match=r"leave \[0, max_context 512\)"):
             _forward(tiny_model, cache, np.asarray(random_context(15, m)))
 
@@ -277,9 +291,10 @@ class TestForward:
 
 def reference_forward(model, cache, tokens, positions, head_masks=None):
     """The per-query-head layer body: K/V copied once per query head by
-    np.repeat and every product an einsum. Kept as the oracle for the
-    grouped matmul kernel of ``_forward``; returns the logits, every
-    layer's full attention and the grown cache."""
+    np.repeat, every product an einsum, rotary one half at a time, and the
+    scale and the softmax division applied to the weights. Kept as the
+    oracle for the grouped matmul kernel of ``_forward``; returns the
+    logits, every layer's full attention and the grown cache."""
     cfg = model.config
     m = len(tokens)
     x = _embed(model, tokens, positions)
@@ -290,7 +305,7 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
         k_new = np.einsum("nd,hde->hne", x, model.wk[layer])
         v_new = np.einsum("nd,hde->hne", x, model.wv[layer])
         angles = positions[:, None] * model.inv_freq[None, :]
-        qk = _rotate(np.concatenate([q, k_new]), np.cos(angles), np.sin(angles))
+        qk = rotate_two_halves(np.concatenate([q, k_new]), np.cos(angles), np.sin(angles))
         q, k_new = qk[: cfg.query_heads], qk[cfg.query_heads :]
         held = cache.rows(layer)
         k = np.concatenate([cache.keys[layer], k_new], axis=1)
@@ -538,6 +553,51 @@ class TestRowBlocks:
             assert all(np.array_equal(a, b) for a, b in pairs)
 
 
+class TestDeferredDivision:
+    def test_peaked_model_matches_repeat_einsum(self, gqa_model):
+        # wq and wk scaled x64 after the draw put most of each row on one
+        # entry; dividing each block's (rows, d_h) output, not its weights,
+        # by the row sums still holds to 1e-12, and every kept row sums to 1
+        peaked = replace(gqa_model, wq=gqa_model.wq * 64.0, wk=gqa_model.wk * 64.0)
+        tokens = np.asarray(random_context(29, ROW_BLOCK + 20))
+        assert_matches_reference(peaked, empty_cache(peaked), tokens, np.arange(len(tokens)))
+        res = _forward(peaked, empty_cache(peaked), tokens, attention_rows=len(tokens))
+        for attn in res.attention:
+            assert attn.max(axis=-1).mean() > 0.5
+            assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("held, m", [(0, 12), (5, ROW_BLOCK + 5)])
+    def test_kept_rows_and_means_are_softmax_of_the_prescaled_scores(
+        self, gqa_model, monkeypatch, held, m
+    ):
+        # the queries carry 1/sqrt(d_h), so softmax_rows(scores, 1.0) of each
+        # block's scores is, bit for bit, its kept rows and, averaged over
+        # query heads, its rows of the head mean
+        from kvcompose import model
+
+        cfg = gqa_model.config
+        tokens = random_context(74, held + m)
+        cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
+        blocks = []
+
+        def recording(scores):
+            blocks.append(scores.copy())
+            return exp_rows(scores)
+
+        monkeypatch.setattr(model, "exp_rows", recording)
+        new = np.asarray(tokens[held:])
+        res = _forward(gqa_model, cache, new, attention_rows=m, head_mean=True)
+        starts = range(0, m, ROW_BLOCK)
+        assert len(blocks) == cfg.layers * len(starts)
+        for i, scores in enumerate(blocks):
+            layer, s = i // len(starts), starts[i % len(starts)]
+            e = min(s + ROW_BLOCK, m)
+            want = softmax_rows(scores, 1.0).reshape(cfg.query_heads, e - s, held + e)
+            kept, mean = res.attention[layer][:, s:e, : held + e], res.attention_mean[layer][s:e]
+            assert kept.tobytes() == want.tobytes()
+            assert mean[:, : held + e].tobytes() == want.mean(axis=0).tobytes()
+
+
 def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0, head_mean=False):
     # everything but the logits matches the default call bit for bit; the
     # logits keep their shape's other axes and have no rows
@@ -561,20 +621,20 @@ def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0, h
         assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
 
-def softmax_widths_per_layer(monkeypatch, *args, **kwargs):
+def block_widths_per_layer(monkeypatch, *args, **kwargs):
     """The score width (held rows plus the block's end) of every
-    ``softmax_rows`` call of ``_forward(*args, **kwargs)``, split by layer:
-    a new layer starts where the width stops growing."""
+    ``exp_rows`` call, one per row block, of ``_forward(*args, **kwargs)``,
+    split by layer: a new layer starts where the width stops growing."""
     from kvcompose import model
 
     widths = []
 
-    def recording(scores, *a, **kw):
+    def recording(scores):
         widths.append(scores.shape[-1])
-        return softmax_rows(scores, *a, **kw)
+        return exp_rows(scores)
 
     with monkeypatch.context() as patch:
-        patch.setattr(model, "softmax_rows", recording)
+        patch.setattr(model, "exp_rows", recording)
         _forward(*args, **kwargs)
     layers = [[]]
     for w in widths:
@@ -627,7 +687,7 @@ class TestLogitsOff:
         new = np.asarray(tokens[held:])
 
         def widths(**kwargs):
-            return softmax_widths_per_layer(monkeypatch, gqa_model, cache, new, **kwargs)
+            return block_widths_per_layer(monkeypatch, gqa_model, cache, new, **kwargs)
 
         every_block = [held + e for e in (ROW_BLOCK, 2 * ROW_BLOCK, m)]
         assert widths() == [every_block] * layers

@@ -19,7 +19,7 @@ from kvcompose.scoring import (
     collect_attention,
 )
 
-from conftest import count_calls, random_context
+from conftest import count_calls, random_context, rotate_two_halves
 
 
 def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
@@ -123,7 +123,7 @@ class TestCollectAttention:
 
     def test_task_rows_recompute_from_serialized_qk(self, tiny_model):
         # full oracle: rebuild scores q.K^T for the last row and softmax them
-        from kvcompose.model import _embed, _rotate  # white-box on purpose
+        from kvcompose.model import _embed  # white-box on purpose
 
         context = random_context(6, 7)
         task = (3,)
@@ -138,7 +138,7 @@ class TestCollectAttention:
         x = _embed(tiny_model, tokens, np.arange(n + 1))
         q = np.einsum("nd,hde->hne", x, tiny_model.wq[0])
         angles = np.arange(n + 1)[:, None] * tiny_model.inv_freq[None, :]
-        q = _rotate(q, np.cos(angles), np.sin(angles))[:, -1, :]  # (H_q, d_h)
+        q = rotate_two_halves(q, np.cos(angles), np.sin(angles))[:, -1, :]  # (H_q, d_h)
         k = run.cache.keys[0]  # (H_kv, n+1, d_h) post-rotation
         k_rep = np.repeat(k, cfg.group_size, axis=0)
         scores = np.einsum("he,hce->hc", q, k_rep)

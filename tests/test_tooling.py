@@ -9,7 +9,7 @@ the one policy that reads the head-mean attention, so whether a capture
 keeps it is decided in one place; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
 keep any; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
-``numerics.softmax_rows`` stays the one place attention is normalized;
+``numerics.exp_rows`` stays the one home of attention's exponentials;
 no module reads the environment, so a setting such as the forward
 pass's row block size cannot become a hidden knob; and no function
 writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
@@ -86,8 +86,9 @@ def test_attention_normalized_only_by_softmax_rows():
         if {"np.exp", "numpy.exp"} & set(called_names(src / name))
     }
     assert found == set()
-    # the tracer wraps the name model.py imports, so _forward calls it bare
-    assert called_names(src / "model.py").count("softmax_rows") == 1
+    # _forward calls its one per-block kernel bare, so a tracer wrapping the
+    # name model.py imports sees every row block
+    assert called_names(src / "model.py").count("exp_rows") == 1
 
 
 def test_max_context_read_only_in_model():
