@@ -10,8 +10,11 @@ are sorted, kept slots are a prefix, and the cache stays dense per layer.
 Slot order in the compressed cache is score order, not original position;
 attention does not care (keys are cached post-rotation), and prefix
 budgets make nestedness across compression ratios immediate. So
-``kept_rows`` scores and sorts once for a whole grid; ``compress``
-gathers one ratio's rows, and ``keep_masks`` marks every ratio's rows.
+``kept_rows`` scores and sorts once for a whole grid, and ``compress``
+gathers one ratio's rows. ``keep_masks`` marks the rows of every ratio
+and every aggregation choice at once: each choice's scores stack on a
+leading arm axis, which sorting, allocation and masking keep apart, so a
+token is kept where its slot rank is below its layer's budget.
 """
 from __future__ import annotations
 
@@ -58,27 +61,28 @@ class CompressReport:
 
 
 def composite_indices(s: np.ndarray) -> np.ndarray:
-    """The (L, H_kv, N) int64 slot order: each head's descending sort of the
+    """The (…, L, H_kv, N) int64 slot order: each head's descending sort of the
     final scores ``s`` (ties keep lower index)."""
     return argsort_desc(s)
 
 
 def layer_importance(s: np.ndarray, idx: np.ndarray, op: str) -> np.ndarray:
-    """(L, N) slot scores: ``s`` in slot order ``idx``, marginalized over
+    """(…, L, N) slot scores: ``s`` in slot order ``idx``, marginalized over
     heads; rows stay non-increasing."""
-    return reduce_axis(np.take_along_axis(s, idx, axis=2), op, axis=1)
+    return reduce_axis(np.take_along_axis(s, idx, axis=-1), op, axis=-2)
 
 
 def allocate_budgets(importance: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
-    """Pool (L, N) slot scores across layers and keep each ratio's global
-    top-B; return the (G, L) int64 layer budgets, row g summing to B_g.
+    """Pool (…, L, N) slot scores across layers and keep each ratio's global
+    top-B; return the (…, G, L) int64 layer budgets, row g summing to B_g.
+    Each leading index (an ablation arm) is ranked on its own.
 
     Ties break by score descending, then lower layer, then lower slot (the
     lower flat index), so the allocation is a deterministic function of
     the scores. Kept slots at each layer form a prefix because importance
     rows are non-increasing and the tie rule prefers lower slots.
     """
-    return _top_entries(importance, grid).sum(axis=-1, dtype=np.int64)
+    return _top_entries(importance, grid, 2).sum(axis=-1, dtype=np.int64)
 
 
 def compact_cache(
@@ -123,22 +127,51 @@ def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
 
 def unstructured_compress(s: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
     """Keep each ratio's globally best (layer, head, token) entries, as a
-    (G, L, H_kv, N) bool keep-mask stack.
+    (…, G, L, H_kv, N) bool keep-mask stack, each leading index on its own.
 
     The budget counts per-head entries, floor((1-r) * L * H_kv * N), so a
     given ratio removes the same fraction of cache entries as the
     structured path. Evaluation applies the mask pre-softmax; no memory
     is actually freed.
     """
-    return _top_entries(s, grid)
+    return _top_entries(s, grid, 3)
 
 
-def _top_entries(values: np.ndarray, grid: tuple[float, ...]) -> np.ndarray:
-    """(G, *values.shape) bool: each ratio's best entries, a prefix of one ranking."""
-    budgets = np.array([retention_budget(r, *values.shape) for r in grid], dtype=np.int64)
-    rank = np.empty(values.size, dtype=np.int64)
-    rank[argsort_desc(values.reshape(-1))] = np.arange(values.size)
-    return (rank < budgets[:, None]).reshape(len(grid), *values.shape)
+def _top_entries(values: np.ndarray, grid: tuple[float, ...], dims: int) -> np.ndarray:
+    """(*lead, G, *block) bool, ``block`` the trailing ``dims`` axes: each ratio's
+    best entries of each leading index's block, a prefix of that block's ranking."""
+    lead, block = values.shape[:-dims], values.shape[-dims:]
+    budgets = np.array([retention_budget(r, *block) for r in grid], dtype=np.int64)
+    rank = _positions(argsort_desc(values.reshape(*lead, -1)))
+    return (rank[..., None, :] < budgets[:, None]).reshape(*lead, len(grid), *block)
+
+
+def _positions(order: np.ndarray) -> np.ndarray:
+    """Each entry's position in ``order``, a permutation along the last axis."""
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(order.shape[-1]), axis=-1)
+    return pos
+
+
+def _check_budgets(name: str, kept: np.ndarray | list, totals: list[int]) -> None:
+    """Each ratio's (…, G) kept slot count equals its retention budget."""
+    if np.shape(kept)[-1:] != (len(totals),) or np.not_equal(kept, totals).any():
+        raise UsageError(f"policy {name} kept {kept} slots, budgets are {totals}")
+
+
+def _slot_budgets(
+    cap: AttentionCapture, choices: list[AggregationChoice], grid: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """kvcompose's (A, L, H_kv, N) slot orders for the A ``choices`` and their (A, G, L)
+    layer budgets at every ratio of ``grid``: the choices' scores stack on a leading
+    arm axis, each arm sorted, marginalized by its own ``agg_head`` and allocated alone."""
+    layers, kv_heads, n = cap.value_norms_raw.shape
+    s = np.stack([score_pipeline(cap, kv_heads, c) for c in choices])
+    idx = composite_indices(s)
+    imp = {op: layer_importance(s, idx, op) for op in {c.agg_head for c in choices}}
+    budgets = allocate_budgets(np.stack([imp[c.agg_head][a] for a, c in enumerate(choices)]), grid)
+    _check_budgets("kvcompose", budgets.sum(-1), [retention_budget(r, layers, n) for r in grid])
+    return idx, budgets
 
 
 def kept_rows(
@@ -146,36 +179,35 @@ def kept_rows(
 ) -> list[list[np.ndarray]]:
     """Each grid ratio's kept rows per layer, (H_kv, n_l) or (n_l,) for every
     head: prefixes of one score order for kvcompose, else a baseline's rows."""
-    layers, kv_heads, n = cap.value_norms_raw.shape
-    budgets = [retention_budget(r_target, layers, n) for r_target in grid]
+    layers, _, n = cap.value_norms_raw.shape
     if policy.name == "kvcompose":
-        s = score_pipeline(cap, kv_heads, agg_choice)
-        idx = composite_indices(s)
-        grid_budgets = allocate_budgets(layer_importance(s, idx, agg_choice.agg_head), grid)
-        out = [[idx[l, :, :b] for l, b in enumerate(row)] for row in grid_budgets]
-    else:
-        out = select_baseline_indices(cap, policy, budgets)
-    for rows, budget in zip(out, budgets, strict=True):
-        layer_budgets = [r.shape[-1] for r in rows]
-        if sum(layer_budgets) != budget:
-            raise UsageError(f"policy {policy.name} kept {layer_budgets} slots, budget is {budget}")
+        idx, grid_budgets = _slot_budgets(cap, [agg_choice], grid)
+        return [[idx[0, l, :, :b] for l, b in enumerate(row)] for row in grid_budgets[0]]
+    budgets = [retention_budget(r_target, layers, n) for r_target in grid]
+    out = select_baseline_indices(cap, policy, budgets)
+    _check_budgets(policy.name, [sum(r.shape[-1] for r in rows) for rows in out], budgets)
     return out
 
 
 def keep_masks(
-    cap: AttentionCapture, agg_choice: AggregationChoice, grid: tuple[float, ...], policy: Policy
+    cap: AttentionCapture, choices: list[AggregationChoice], grid: tuple[float, ...], policy: Policy
 ) -> np.ndarray:
-    """The (G, L, H_kv, N) bool keep-masks of ``policy`` at every ratio of
-    ``grid``: ``unstructured_compress``'s masks, or each ratio's kept rows."""
+    """The (A, G, L, H_kv, N) bool keep-masks of ``policy`` for each of the A ``choices``
+    at every ratio of ``grid``: ``unstructured_compress``'s masks, kvcompose's slots
+    ranked below their layer's budget, or a baseline's rows, the same for every choice."""
     layers, kv_heads, n = cap.value_norms_raw.shape
     if policy.name == "unstructured":
-        return unstructured_compress(score_pipeline(cap, kv_heads, agg_choice), grid)
+        s = np.stack([score_pipeline(cap, kv_heads, c) for c in choices])
+        return unstructured_compress(s, grid)
+    if policy.name == "kvcompose":
+        idx, budgets = _slot_budgets(cap, choices, grid)
+        return _positions(idx)[:, None] < budgets[..., None, None]
     masks = np.zeros((len(grid), layers, kv_heads, n), dtype=bool)
     heads = np.arange(kv_heads)[:, None]
-    for mask, rows in zip(masks, kept_rows(cap, agg_choice, grid, policy)):
+    for mask, rows in zip(masks, kept_rows(cap, AggregationChoice(), grid, policy)):
         for layer, take in enumerate(rows):
             mask[layer, heads, take] = True
-    return masks
+    return np.broadcast_to(masks, (len(choices), *masks.shape))
 
 
 def compress(

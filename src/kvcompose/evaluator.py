@@ -224,22 +224,21 @@ def _reward_and_kl(
     return _hit_rate(logits, task), np.maximum(kls, 0.0).mean(axis=-1)
 
 
-def epsilon(full_rewards: list[float], comp_rewards: list[float]) -> float:
-    """Mean relative degradation; tasks with zero full reward are excluded."""
-    if len(full_rewards) != len(comp_rewards):
+def epsilon(full_rewards: list[float], comp_rewards: np.ndarray | list) -> float | np.ndarray:
+    """Mean relative degradation over the T tasks of the (T,) or (…, T)
+    ``comp_rewards``; tasks with zero full reward are excluded, with a
+    warning, and a point with no task left reads 0."""
+    full = np.asarray(full_rewards, dtype=np.float64)
+    comp = np.asarray(comp_rewards, dtype=np.float64)
+    if comp.shape[-1:] != full.shape:
         raise UsageError("reward lists differ in length")
-    terms = []
-    skipped = 0
-    for rf, rc in zip(full_rewards, comp_rewards):
-        if rf == 0.0:
-            skipped += 1
-            continue
-        terms.append((rf - rc) / rf)
+    kept = full != 0.0
+    skipped = full.size - int(kept.sum())
     if skipped:
         warnings.warn(f"epsilon skipped {skipped} task(s) with zero full-cache reward")
-    if not terms:
-        return 0.0
-    return float(np.mean(terms))
+    # a contiguous task row's sum over its count: the bits of np.mean
+    terms = (full[kept] - comp[..., kept]) / full[kept]
+    return terms.sum(axis=-1) / max(full.size - skipped, 1)
 
 
 # --- curve metrics ------------------------------------------------------------
@@ -332,7 +331,8 @@ def _evaluate_task(
 ) -> np.ndarray:
     """(3, A, G): r_achieved, reward and kl of one task per choice and ratio. Each
     distinct keep-mask runs once, in forward calls of at most G masks."""
-    masks = np.concatenate([keep_masks(state.capture, c, grid, policy) for c in agg_choices])
+    masks = keep_masks(state.capture, agg_choices, grid, policy)  # (A, G, L, H_kv, N)
+    masks = masks.reshape(-1, *masks.shape[2:])
     r_achieved = 1.0 - np.count_nonzero(masks, axis=(1, 2, 3)) / masks[0].size
     rows = masks.reshape(len(masks), -1).view(np.dtype((np.void, masks[0].size)))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)  # bytewise
@@ -353,23 +353,15 @@ def sweep_arms(
     if not states:
         raise UsageError("sweep needs at least one task")
     check_grid(grid)
-    full_rewards = [s.full_reward for s in states]
-    # (T, 3, A, G) stacked, then read as (A, 3, G, T): each point averages over tasks
+    # (T, 3, A, G) stacked, then laid out (3, A, G, T) with the task axis contiguous:
+    # each point's pairwise sum over its task row gives the bits of a 1-D np.mean
     per_task = np.stack([_evaluate_task(model, s, policy, agg_choices, grid) for s in states])
-    return [
-        [
-            CurvePoint(
-                r_target=float(r_target),
-                r_achieved=float(np.mean(achieved)),
-                reward_mean=float(np.mean(rewards)),
-                reward_std=float(np.std(rewards)),
-                epsilon=epsilon(full_rewards, list(rewards)),
-                kl_mean=float(np.mean(kls)),
-            )
-            for r_target, achieved, rewards, kls in zip(grid, *arm)
-        ]
-        for arm in per_task.transpose(2, 1, 3, 0)
-    ]
+    achieved, rewards, kls = np.ascontiguousarray(per_task.transpose(1, 2, 3, 0))
+    eps = epsilon([s.full_reward for s in states], rewards)
+    # CurvePoint's fields after r_target, in order, as (A, G, 5) Python floats
+    stats = [achieved.mean(-1), rewards.mean(-1), rewards.std(-1), eps, kls.mean(-1)]
+    points = np.stack(stats, axis=-1).tolist()
+    return [[CurvePoint(float(r), *point) for r, point in zip(grid, arm)] for arm in points]
 
 
 def sweep_prepared(

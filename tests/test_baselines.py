@@ -50,7 +50,8 @@ class TestPolicy:
             gqa_model, random_context(51, 24), TaskSet(mode="task-agnostic", observation_window=8),
             head_mean=policy.reads_head_mean,
         )
-        masks = {keep_masks(cap, c, (0.0, 0.5, 0.75), policy).tobytes() for c in ablation_grid()}
+        stack = keep_masks(cap, ablation_grid(), (0.0, 0.5, 0.75), policy)
+        masks = {arm.tobytes() for arm in stack}
         assert (len(masks) > 1) == policy.reads_aggregation
 
 

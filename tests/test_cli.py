@@ -334,13 +334,8 @@ class TestAblateCommand:
         distinct = 0
         for task in build_tasks(cfg, model):
             capture = prepare_task(model, task, mode, window).capture
-            distinct += len(
-                {
-                    m.tobytes()
-                    for choice in ablation_grid()
-                    for m in keep_masks(capture, choice, RATIO_GRID, cfg.eviction)
-                }
-            )
+            stack = keep_masks(capture, ablation_grid(), RATIO_GRID, cfg.eviction)
+            distinct += len({m.tobytes() for arm in stack for m in arm})
         assert len(by_task) == cfg.tasks["count"]
         assert sum(len(rows) for rows in by_task.values()) == distinct
 

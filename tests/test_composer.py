@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvcompose import composer
-from kvcompose.baselines import Policy
+from kvcompose.baselines import POLICY_NAMES, Policy
+from kvcompose.cli import ablation_grid
 from kvcompose.composer import (
     allocate_budgets,
     compact_cache,
@@ -18,10 +19,10 @@ from kvcompose.composer import (
     unstructured_compress,
 )
 from kvcompose.errors import UsageError
-from kvcompose.evaluator import RATIO_GRID
-from kvcompose.model import _forward, decode_step, prefill
+from kvcompose.evaluator import RATIO_GRID, make_recall_tasks, prepare_task
+from kvcompose.model import _forward, construct_induction_model, decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
-from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention
+from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
 from conftest import count_calls, random_context
 
@@ -152,6 +153,18 @@ class TestAllocateBudgets:
             expected = {(l, k) for k in range(budgets[l])}
             assert {(a, b) for a, b in kept if a == l} == expected
 
+    def test_arms_are_ranked_apart(self):
+        # every slot score of arm 0 beats every one of arm 1, and the arms prefer
+        # different layers: one ranking pooled over both arms would give arm 1 nothing
+        high = np.array([[9.0, 8.5, 8.0, 7.5], [7.0, 6.0, 5.0, 4.0]])
+        low = np.array([[0.1, 0.05, 0.02, 0.01], [0.9, 0.8, 0.7, 0.6]])
+        stacked = allocate_budgets(np.stack([high, low]), RATIO_GRID)
+        assert stacked.shape == (2, len(RATIO_GRID), 2)
+        per_arm = [allocate_budgets(a, RATIO_GRID) for a in (high, low)]
+        assert np.array_equal(stacked, np.stack(per_arm))
+        assert stacked[1].sum(axis=1).tolist() == [retention_budget(r, 2, 4) for r in RATIO_GRID]
+        assert stacked[:, RATIO_GRID.index(0.5)].tolist() == [[4, 0], [0, 4]]
+
     def test_invalid_ratio(self):
         with pytest.raises(UsageError):
             allocate_budgets(np.ones((1, 2)), (1.5,))
@@ -270,7 +283,7 @@ class TestCompressPipeline:
         policy = Policy(name=name)
         cap = collect_attention(tiny_model, context, ts, head_mean=policy.reads_head_mean)
         grid = kept_rows(cap, AggregationChoice(), RATIO_GRID, policy)
-        masks = keep_masks(cap, AggregationChoice(), RATIO_GRID, policy)
+        masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, policy)[0]
         assert len(grid) == len(RATIO_GRID) == len(masks)
         for r, rows, mask in zip(RATIO_GRID, grid, masks):
             reused = gather_cache(cap.cache, rows)
@@ -464,3 +477,97 @@ class TestUnstructured:
         s[1, 0, 3] = np.nan
         with pytest.raises(UsageError, match="finite"):
             unstructured_compress(s, (0.5,))
+
+    def test_arms_are_ranked_apart(self):
+        # every entry of arm 0 beats every entry of arm 1: one ranking pooled
+        # over both arms would keep nothing of arm 1
+        high, low = final_scores(19, layers=3, n=5) + 5.0, final_scores(20, layers=3, n=5)
+        stacked = unstructured_compress(np.stack([high, low]), RATIO_GRID)
+        assert stacked.shape == (2, len(RATIO_GRID), 3, 2, 5)
+        per_arm = [unstructured_compress(s, RATIO_GRID) for s in (high, low)]
+        assert np.array_equal(stacked, np.stack(per_arm))
+        kept = np.count_nonzero(stacked[1], axis=(1, 2, 3))
+        assert kept.tolist() == [retention_budget(r, 3, 2, 5) for r in RATIO_GRID]
+
+
+def per_choice_masks(cap, choice, grid, policy) -> np.ndarray:
+    """One choice's (G, L, H_kv, N) keep-masks as they were built before the
+    arm stack: ``unstructured_compress`` on that choice's scores; for kvcompose,
+    prefixes of that choice's own slot order under its own budgets; else
+    ``kept_rows``' rows; rows marked one (ratio, layer) at a time."""
+    layers, kv_heads, n = cap.value_norms_raw.shape
+    s = score_pipeline(cap, kv_heads, choice)
+    if policy.name == "unstructured":
+        return unstructured_compress(s, grid)
+    if policy.name == "kvcompose":
+        idx = composite_indices(s)
+        budgets = allocate_budgets(layer_importance(s, idx, choice.agg_head), grid)
+        grid_rows = [[idx[l, :, :b] for l, b in enumerate(row)] for row in budgets]
+    else:
+        grid_rows = kept_rows(cap, choice, grid, policy)
+    masks = np.zeros((len(grid), layers, kv_heads, n), dtype=bool)
+    heads = np.arange(kv_heads)[:, None]
+    for mask, rows in zip(masks, grid_rows):
+        for layer, take in enumerate(rows):
+            mask[layer, heads, take] = True
+    return masks
+
+
+def arm_capture(gqa_model, kind: str):
+    """An agreement capture of the random model (two kv heads) or a recall
+    capture of the induction model (one kv head), with the head mean tova reads."""
+    if kind == "agreement":
+        ts = TaskSet(mode="task-agnostic", observation_window=8)
+        return collect_attention(gqa_model, random_context(61, 32), ts, head_mean=True)
+    task = make_recall_tasks(8, 32, 1, seed=21)[0]
+    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, True).capture
+
+
+class TestKeepMaskStack:
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_equals_one_build_per_choice(self, gqa_model, kind, name):
+        cap, policy = arm_capture(gqa_model, kind), Policy(name=name)
+        stack = keep_masks(cap, ablation_grid(), RATIO_GRID, policy)
+        oracle = np.stack([per_choice_masks(cap, c, RATIO_GRID, policy) for c in ablation_grid()])
+        assert stack.dtype == bool and stack.shape == oracle.shape
+        assert np.array_equal(stack, oracle)
+
+    @pytest.mark.parametrize("choice", ablation_grid()[::7])
+    def test_one_arm_marks_the_rows_compress_keeps(self, gqa_model, choice):
+        context, ts = random_context(62, 32), TaskSet(mode="task-agnostic", observation_window=8)
+        policy = Policy(name="kvcompose")
+        masks = keep_masks(collect_attention(gqa_model, context, ts), [choice], RATIO_GRID, policy)
+        assert masks.shape[0] == 1
+        for r, mask in zip(RATIO_GRID, masks[0]):
+            compressed, _ = compress(gqa_model, context, ts, choice, r, policy)
+            marked = np.zeros_like(mask)
+            for layer, kept in enumerate(compressed.provenance):
+                np.put_along_axis(marked[layer], kept, True, axis=1)
+            assert np.array_equal(mask, marked)
+
+    def test_checks_every_arm_budget(self, gqa_model, monkeypatch):
+        allocate = composer.allocate_budgets
+
+        def one_short(importance, grid):
+            budgets = allocate(importance, grid)
+            budgets[-1, 0, 0] -= 1  # the last arm keeps one slot too few at r=0
+            return budgets
+
+        monkeypatch.setattr(composer, "allocate_budgets", one_short)
+        cap = arm_capture(gqa_model, "agreement")
+        with pytest.raises(UsageError, match="budgets are"):
+            keep_masks(cap, ablation_grid(), RATIO_GRID, Policy(name="kvcompose"))
+
+    @pytest.mark.parametrize("returned", [1, 3])
+    def test_baseline_row_sets_must_match_the_grid(self, gqa_model, monkeypatch, returned):
+        select = composer.select_baseline_indices
+
+        def wrong_count(cap, policy, budgets):
+            return (select(cap, policy, budgets) * 2)[:returned]
+
+        monkeypatch.setattr(composer, "select_baseline_indices", wrong_count)
+        cap = arm_capture(gqa_model, "agreement")
+        # two equal ratios: one row set would match both budgets by value
+        with pytest.raises(UsageError, match="budgets are"):
+            kept_rows(cap, AggregationChoice(), (0.5, 0.5), Policy(name="tova"))

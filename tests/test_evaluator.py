@@ -41,6 +41,7 @@ from kvcompose.model import (
     construct_induction_model,
     decode_step,
     greedy_decode,
+    induction_value_range,
     init_model,
     prefill,
 )
@@ -135,6 +136,20 @@ class TestEpsilon:
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
             epsilon([1.0], [1.0, 1.0])
+
+    def test_stack_equals_the_per_point_mean_bit_for_bit(self):
+        # the (…, T) form of the rule: each point's mean of the included tasks' terms
+        rng = SeededRng(6)
+        full = rng.uniform_block(7) + 0.5
+        full[[1, 4]] = 0.0
+        comp = rng.uniform_block(3 * 5 * 7).reshape(3, 5, 7)
+        with pytest.warns(UserWarning, match="skipped 2 task"):
+            got = epsilon(full, comp)
+        want = [
+            [float(np.mean([(f - c) / f for f, c in zip(full, row) if f != 0.0])) for row in rows]
+            for rows in comp
+        ]
+        assert got.shape == (3, 5) and got.tolist() == want
 
     def test_nonnegative_when_dominated(self):
         rng = SeededRng(5)
@@ -597,3 +612,39 @@ class TestGridOnce:
         sweep_prepared(tiny_model, states, Policy(name=name), AggregationChoice(), RATIO_GRID)
         assert len(RATIO_GRID) == 9
         assert len(calls) == len(states)
+
+
+class TestZeroFullReward:
+    """A task whose full cache already misses its answer is left out of every
+    point's epsilon, with a warning; no demo config has one."""
+
+    @pytest.fixture(scope="class")
+    def recall(self):
+        model = construct_induction_model(8, 32)
+        tasks = make_recall_tasks(8, 32, 4, seed=23)
+        value = tasks[0].answer[0]
+        wrong = next(v for v in induction_value_range(32) if v != value)
+        tasks[0] = replace(tasks[0], answer=(wrong,))
+        states = [prepare_task(model, t, "task-aware", 32) for t in tasks]
+        assert [s.full_reward for s in states] == [0.0, 1.0, 1.0, 1.0]
+        return model, states
+
+    @pytest.mark.parametrize("name", ["kvcompose", "streaming"])
+    def test_equals_reference_and_warns(self, recall, name):
+        model, states = recall
+        policy = Policy(name=name)
+        choices = [AggregationChoice(), AggregationChoice(agg_task="avg", mean_augment=False)]
+        with pytest.warns(UserWarning, match="skipped 1 task"):
+            got = sweep_arms(model, states, policy, choices, RATIO_GRID)
+        with pytest.warns(UserWarning, match="skipped 1 task"):
+            want = [reference_sweep(model, states, policy, c, RATIO_GRID) for c in choices]
+        assert got == want
+
+    def test_every_task_excluded_reads_zero(self, recall):
+        model, states = recall
+        with pytest.warns(UserWarning, match="skipped 1 task"):
+            points = sweep_prepared(
+                model, states[:1], Policy(name="kvcompose"), AggregationChoice(), RATIO_GRID
+            )
+        assert [p.epsilon for p in points] == [0.0] * len(RATIO_GRID)
+        assert all(type(p.epsilon) is float for p in points)
