@@ -24,7 +24,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +242,7 @@ def tensor_from_bytes(data: bytes) -> np.ndarray:
 
 
 def report_to_json(report: EvalReport) -> str:
-    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, default=vars, sort_keys=True, indent=2) + "\n"
 
 
 def csv_text(columns, rows) -> str:
@@ -254,7 +254,7 @@ def csv_text(columns, rows) -> str:
 
 
 def report_to_csv(report: EvalReport) -> str:
-    return csv_text(CSV_COLUMNS, (astuple(p) for p in report.points))
+    return csv_text(CSV_COLUMNS, (vars(p).values() for p in report.points))
 
 
 def write_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:

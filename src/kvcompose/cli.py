@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -102,6 +102,8 @@ class RunConfig:
         for key in ("count", "context_len", "teacher_steps"):
             if self.tasks.get(key, 1) < 1:
                 raise ConfigError(f"tasks.{key} must be >= 1, got {self.tasks[key]}")
+        if mode == "task-aware" and self.tasks["kind"] == "agreement":
+            raise ConfigError("task-aware: an agreement task has no query before its answer")
         self.r_target = float(self.r_target)
         if not 0.0 <= self.r_target <= 1.0:
             raise ConfigError(f"r_target must be in [0, 1], got {self.r_target}")
@@ -271,12 +273,12 @@ def _prepare_tasks(cfg: RunConfig, model: Model):
     return [prepare_task(model, t, mode, window, head_mean) for t in build_tasks(cfg, model)]
 
 
-def _sweep_report(cfg: RunConfig, model: Model, points):
+def _sweep_report(cfg: RunConfig, model: Model, points, config: dict):
     return build_report(
         cfg.eviction,
         points,
         seeds=[model.config.seed, cfg.tasks["seed"]],
-        config=cfg.resolved,
+        config=config,
         tolerances=tuple(cfg.tolerances),
     )
 
@@ -300,7 +302,7 @@ def _print_sweep_line(report, paths) -> None:
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     states = _prepare_tasks(cfg, model)
     points = sweep_prepared(model, states, cfg.eviction, cfg.agg, tuple(cfg.grid))
-    report = _sweep_report(cfg, model, points)
+    report = _sweep_report(cfg, model, points, cfg.resolved)
     paths = cache_io.write_report(report, Path(args.out or cfg.out_dir))
     _print_sweep_line(report, paths)
     return EXIT_OK
@@ -338,16 +340,15 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     states = _prepare_tasks(cfg, model)  # scoring mode and window are the same in every arm
     choices = ablation_grid()
     curves = sweep_arms(model, states, cfg.eviction, choices, tuple(cfg.grid))
+    resolved = cfg.resolved  # each arm's echo differs only in its scoring choice
     combined = []
     for count, (choice, points) in enumerate(zip(choices, curves), 1):
-        arm_cfg = replace(cfg, scoring={**cfg.scoring, **asdict(choice)})
+        echo = {**resolved, "scoring": {**resolved["scoring"], **vars(choice)}}
         arm_dir = out / _slug(choice)
-        report = _sweep_report(arm_cfg, model, points)
+        report = _sweep_report(cfg, model, points, echo)
         paths = cache_io.write_report(report, arm_dir)
-        (arm_dir / "config.json").write_text(
-            json.dumps(report.config, sort_keys=True, indent=2) + "\n"
-        )
-        combined += [(choice.label(), *astuple(p), report.auc) for p in report.points]
+        (arm_dir / "config.json").write_text(json.dumps(echo, sort_keys=True, indent=2) + "\n")
+        combined += [(choice.label(), *vars(p).values(), report.auc) for p in points]
         print(f"ablate arm={_slug(choice)} auc={report.auc!r} report={paths['json']}")
 
     combined_path = out / "combined.csv"

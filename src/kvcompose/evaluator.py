@@ -308,9 +308,8 @@ def prepare_task(
 ) -> TaskState:
     """The task's capture, keeping the head mean only if ``head_mean``
     (``Policy.reads_head_mean``), and its full-cache reference run."""
-    # task-aware scoring reads the recall query, or an agreement task's reference continuation
-    rows = task.query if task.kind == "recall" else task.answer
-    tset = TaskSet.for_context(mode, len(task.prompt), (rows,), observation_window)
+    # task-aware scoring reads the query; an agreement task's empty one is refused
+    tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
     capture = collect_attention(model, list(task.prompt), tset, head_mean)
     reference = _run_steps(model, capture.cache, task, head_masks=None)
     # the reward reads the logits: a log-softmax can merge close logits and so change a tie

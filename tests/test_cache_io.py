@@ -1,7 +1,8 @@
 import json
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +377,26 @@ class TestReports:
         assert [sorted(t) for t in parsed["tolerances"]] == [
             ["r_grid", "r_interpolated", "tolerance"]
         ] * len(DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("tolerances", ["default", "none"])
+    def test_writers_match_the_deep_copy_oracle(self, tiny_model, tolerances):
+        # the writers encode the dataclasses as they are; ``asdict`` and
+        # ``astuple``, which deep-copy them first, must give the same bytes
+        from kvcompose.cli import load_config
+
+        demo = Path(__file__).parent.parent / "configs" / "demo_recall.json"
+        report = replace(
+            self.make_report(tiny_model), seeds=[16, 7], config=load_config(demo).resolved
+        )
+        if tolerances == "none":
+            report = replace(report, tolerances=[])
+        assert bool(report.tolerances) == (tolerances == "default")
+        assert cache_io.report_to_json(report) == (
+            json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
+        )
+        assert cache_io.report_to_csv(report) == cache_io.csv_text(
+            cache_io.CSV_COLUMNS, (astuple(p) for p in report.points)
+        )
 
     def test_identical_reports_byte_identical(self, tiny_model, tmp_path):
         report = self.make_report(tiny_model)

@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +298,20 @@ class TestAblateCommand:
             tmp_path / "redo" / "report.csv"
         ).read_bytes()
 
+    def test_every_arm_echoes_its_config(self, tmp_path, capsys):
+        # an arm's echo is the run's resolved config with the arm's choice in
+        # scoring; a RunConfig built for the arm and resolved is the oracle
+        demo = Path(__file__).parent.parent / "configs" / "demo_recall.json"
+        path = tmp_path / "recall.json"
+        path.write_text(json.dumps({**json.loads(demo.read_text()), "out_dir": str(tmp_path)}))
+        assert main(["ablate", "--config", str(path), "--grid", "0,0.5"]) == EXIT_OK
+        cfg = replace(load_config(path), grid=[0.0, 0.5])
+        for choice in ablation_grid():
+            arm = tmp_path / _slug(choice)
+            echo = json.loads((arm / "config.json").read_text())
+            assert echo == json.loads((arm / "report.json").read_text())["config"]
+            assert echo == replace(cfg, scoring={**cfg.scoring, **asdict(choice)}).resolved
+
 
     def test_policy_that_reads_no_aggregation_choice_rejected(self, tmp_path, capsys):
         # demo_agreement.json's streaming policy would give 48 identical arms
@@ -382,6 +396,7 @@ class TestDumpScoresCommand:
             tmp_path,
             model=RANDOM_MODEL,
             tasks={"kind": "agreement", "count": 16, "seed": 2, "context_len": 8},
+            scoring={"mode": "task-agnostic"},
         )
         assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
         assert len(prefills) == 2  # the task's greedy reference run, then its capture
@@ -527,6 +542,18 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
         assert prepared == []
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_task_aware_agreement_rejected(self, tmp_path, capsys, command):
+        # task-aware scoring reads a query, and an agreement task has none
+        path = write_config(tmp_path, model=RANDOM_MODEL, tasks=AGREEMENT_TASKS)  # task-aware
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: task-aware: an agreement task has no query before its answer\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_agreement_steps_beyond_max_context(self, tmp_path, capsys):
         # the reference run would decode at positions 510-517, past max_context 512

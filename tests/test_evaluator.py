@@ -338,18 +338,29 @@ class TestSweep:
 
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_prepare_task_copies_no_cache(self, tiny_model, monkeypatch, mode):
-        # the capture and the reference run both read the one prefill cache
+        # the capture and the reference run both read the one prefill cache;
+        # task-aware scoring reads a query, which only a recall task has
         from kvcompose.model import KVCache
 
         def no_clone(self):
             raise AssertionError("a cache was cloned")
 
-        task = make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
+        if mode == "task-aware":
+            model, task = construct_induction_model(8, 32), make_recall_tasks(8, 32, 1, seed=20)[0]
+        else:
+            model, task = tiny_model, make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
         monkeypatch.setattr(KVCache, "clone", no_clone)
-        state = prepare_task(tiny_model, task, mode, 8)
-        assert state.capture.cache.next_positions == [16, 16]
-        assert [state.capture.cache.rows(l) for l in range(2)] == [16, 16]
+        state = prepare_task(model, task, mode, 8)
+        layers = model.config.layers
+        assert state.capture.cache.next_positions == [16] * layers
+        assert [state.capture.cache.rows(l) for l in range(layers)] == [16] * layers
         assert state.full_reward == 1.0
+
+    def test_task_aware_agreement_refused(self, tiny_model):
+        # an agreement task has no query before its answer, so nothing to score on
+        task = make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
+        with pytest.raises(UsageError, match="task-aware mode needs"):
+            prepare_task(tiny_model, task, "task-aware", 8)
 
     @pytest.mark.parametrize("config", ["demo_agreement.json", "demo_recall.json"])
     def test_r0_reproduces_the_reference_run(self, config):

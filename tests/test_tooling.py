@@ -15,8 +15,11 @@ pass's row block size cannot become a hidden knob; and no function
 writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
 calls ``.clone()``, so a cache is a value: a forward pass only reads the
 cache it is given and returns a new one, and rebinding a field raises;
-and only the functions that must dispatch on a policy compare its name,
-so each one covers the whole ratio grid in one branch per policy."""
+only the functions that must dispatch on a policy compare its name,
+so each one covers the whole ratio grid in one branch per policy; and
+only ``RunConfig.resolved`` calls ``dataclasses.asdict`` and no module
+calls ``astuple`` or ``copy.deepcopy``, so a report is written from its
+dataclasses as they are, with no deep copy."""
 import ast
 import dataclasses
 import importlib
@@ -368,3 +371,48 @@ def test_only_policy_dispatchers_compare_policy_names():
 )
 def test_policy_name_comparison_finder(line, compares):
     assert any(compares_policy_name(node) for node in ast.walk(ast.parse(line))) == compares
+
+
+DEEP_COPIES = ("asdict", "astuple", "deepcopy")
+
+
+def deep_copiers(source: str) -> set[str]:
+    """``scope:callee`` for each call of ``asdict``, ``astuple`` or ``deepcopy``,
+    bare or through its module, in a top-level statement of ``source`` (a
+    class's methods as ``Class.method``)."""
+    scopes = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes += [(f"{top.name}.{getattr(s, 'name', s.lineno)}", s) for s in top.body]
+        else:
+            scopes.append((getattr(top, "name", f"line {top.lineno}"), top))
+    return {
+        f"{name}:{callee}"
+        for name, scope in scopes
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call)
+        and (callee := getattr(node.func, "attr", getattr(node.func, "id", None))) in DEEP_COPIES
+    }
+
+
+def test_only_the_config_echo_deep_copies():
+    found = {
+        f"{path.name}:{name}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        for name in deep_copiers(path.read_text())
+    }
+    assert found == {"cli.py:RunConfig.resolved:asdict"}
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("x = dataclasses.asdict(r)", {"line 1:asdict"}),
+        ("def f(p):\n    return astuple(p)", {"f:astuple"}),
+        ("class C:\n    def g(self):\n        return copy.deepcopy(self)", {"C.g:deepcopy"}),
+        ("json.dumps(report, default=vars)", set()),
+        ("rows = (vars(p).values() for p in points)", set()),
+    ],
+)
+def test_deep_copy_finder(source, found):
+    assert deep_copiers(source) == found
