@@ -1,9 +1,9 @@
 """Structured eviction baselines: sinks+window, online eviction, window top-k,
 a depth-decreasing budget schedule, and a uniform-random control.
 
-All selectors return ascending original-token indices and keep the same
-count in every kv head of a layer, so their outputs drop into the same
-dense cache layout as the composite path.
+All selectors return bool keep-masks over the original tokens and keep
+the same count in every kv head of a layer, so what they keep drops into
+the same dense cache layout as the composite path.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .numerics import SeededRng, argsort_desc, stable_floor
+from .numerics import SeededRng, argsort_desc, ranks, stable_floor
 from .scoring import AttentionCapture, reduce_axis
 
 POLICY_NAMES = (
@@ -74,17 +74,19 @@ def retention_budget(r_target: float, *dims: int) -> int:
     return stable_floor(kept)
 
 
-def streaming_select(n: int, budget: int, sinks: int) -> list[int]:
-    """First ``sinks`` tokens plus the trailing window, ascending."""
-    if budget < sinks:
-        raise ConfigError(f"budget {budget} smaller than sink count {sinks}")
-    if budget > n:
-        raise ConfigError(f"budget {budget} exceeds context length {n}")
-    kept = set(range(sinks)) | set(range(n - (budget - sinks), n))
-    return sorted(kept)
+def streaming_select(n: int, budgets: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+    """The (..., N) keep-masks of the first ``sinks`` tokens plus the trailing
+    window, for budgets and sink counts of any one broadcast shape."""
+    budgets, sinks = np.broadcast_arrays(budgets, sinks)
+    if (budgets < sinks).any():
+        raise ConfigError(f"budgets {budgets.tolist()} smaller than sink counts {sinks.tolist()}")
+    if (budgets > n).any():
+        raise ConfigError(f"budgets {budgets.tolist()} exceed context length {n}")
+    pos = np.arange(n)
+    return (pos < sinks[..., None]) | (pos >= (n - budgets + sinks)[..., None])
 
 
-def tova_select(rows: np.ndarray, budgets: np.ndarray) -> list[list[np.ndarray]]:
+def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Per-layer survivors of online least-attended eviction, replayed on a
     prefill's (L, N, N) attention averaged over query heads: the one O(N^2)
     array a capture holds, kept only for tova.
@@ -92,9 +94,8 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> list[list[np.ndarray]]
     Step m appends token m to every layer; each layer then holding
     budget+1 tokens evicts the one that row m attends to least, the lowest
     index on ties. The newest token is evictable, so a budget of 0 keeps
-    nothing. ``budgets`` is (G, L), one row per grid ratio; each row gets
-    one list of ascending int64 indices per layer, all from one replay over
-    positions with a (G*L, N) keep-mask.
+    nothing. ``budgets`` is (G, L), one row per grid ratio; the (G, L, N)
+    keep-masks all come from one replay over positions.
     """
     layers, n = rows.shape[:2]
     budgets = np.asarray(budgets)
@@ -111,26 +112,26 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> list[list[np.ndarray]]
         over = np.flatnonzero(flat <= m)  # mask rows now holding budget + 1 tokens
         worst = (rows[layer[over], m] + cost[over]).argmin(axis=1)
         cost[over, worst] = np.inf
-    kept = [np.flatnonzero(c == 0.0) for c in cost]
-    return [kept[g : g + layers] for g in range(0, len(kept), layers)]
+    return (cost == 0.0).reshape(*budgets.shape, n)
 
 
 def snapkv_select(
     cap: AttentionCapture,
     budgets: np.ndarray,
     window: int,
-) -> list[list[np.ndarray]]:
+) -> np.ndarray:
     """Window top-k per kv head: keep the trailing window plus the tokens it
     attends to hardest (max-pool over the last ``window`` capture rows).
 
     ``budgets`` is (G, L), rows sharing ``window``, which alone sets the ranking;
-    each row gets one (H_kv, budget) array per layer, uniform counts across heads.
+    the (G, L, H_kv, N) keep-masks keep each layer's budget in every head.
     """
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
-    for b in np.ravel(budgets):
+    budgets = np.asarray(budgets)
+    for b in budgets.ravel():
         if b < window:
             raise ConfigError(f"budget {b} smaller than window {window}")
         if b > n:
@@ -140,16 +141,9 @@ def snapkv_select(
     # query heads by group; rows == 0 (a zero layer budget) scores on every task row
     grouped = cap.A.reshape(layers, kv_heads, -1, n, cap.A.shape[3])[..., -rows:]
     scores = reduce_axis(grouped, "avg", axis=2).max(axis=3)  # (L, H_kv, N)
-    window_start = n - window
-    order = argsort_desc(scores[:, :, :window_start])  # (L, H_kv, N - window)
-    tail = np.broadcast_to(np.arange(window_start, n), (kv_heads, window))
-    return [
-        [
-            np.sort(np.concatenate([order[layer, :, : b - window], tail], axis=1), axis=1)
-            for layer, b in enumerate(row)
-        ]
-        for row in budgets
-    ]
+    rank = ranks(argsort_desc(scores[:, :, : n - window]))  # (L, H_kv, N - window)
+    top = rank < (budgets - window)[..., None, None]  # (G, L, H_kv, N - window)
+    return np.concatenate([top, np.ones((*top.shape[:-1], window), dtype=bool)], axis=-1)
 
 
 def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> np.ndarray:
@@ -202,9 +196,9 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
 
 def select_baseline_indices(
     cap: AttentionCapture, policy: Policy, budget_totals: tuple[int, ...]
-) -> list[list[np.ndarray]]:
-    """Dispatch a baseline policy into per-layer kept-index arrays, one list
-    per total in ``budget_totals`` (one per grid ratio).
+) -> np.ndarray:
+    """Dispatch a baseline policy into its (G, L, H_kv, N) bool keep-masks, one
+    (L, H_kv, N) stack per total in ``budget_totals`` (one per grid ratio).
 
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule); sink and
@@ -217,29 +211,27 @@ def select_baseline_indices(
     layers, heads, n = cap.value_norms_raw.shape
     totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
     uniform = totals // layers + (np.arange(layers) < totals % layers)  # (G, L)
+    every_head = (len(uniform), layers, heads, n)
     if policy.name == "tova":
         if cap.attention_mean is None:
             raise UsageError("tova replays the head-mean attention; capture it with head_mean=True")
-        return tova_select(cap.attention_mean, uniform)
+        return np.broadcast_to(tova_select(cap.attention_mean, uniform)[:, :, None], every_head)
     if policy.name == "streaming":
-        return [
-            [np.asarray(streaming_select(n, b, min(policy.sinks, b)), dtype=np.int64) for b in row]
-            for row in uniform
-        ]
+        kept = streaming_select(n, uniform, np.minimum(policy.sinks, uniform))
+        return np.broadcast_to(kept[:, :, None], every_head)
     if policy.name == "random":  # per head, a uniform-random kept subset; each total reseeds
-        rngs = [SeededRng(policy.seed) for _ in budget_totals]
-        return [
-            [
-                np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
-                for b in row
-            ]
-            for rng, row in zip(rngs, uniform)
-        ]
+        masks = np.zeros(every_head, dtype=bool)
+        for mask, row in zip(masks, uniform):
+            rng = SeededRng(policy.seed)
+            for layer_mask, b in zip(mask, row):
+                for head_mask in layer_mask:
+                    head_mask[rng.sample(n, b)] = True
+        return masks
     if policy.name in ("snapkv", "pyramid"):
         if policy.name == "pyramid":
             uniform = [pyramid_budgets(layers, n, total, policy.shape) for total in budget_totals]
         windows = [int(min(policy.window, b.min(), n)) for b in uniform]
         shared = {w: [b for b, v in zip(uniform, windows) if v == w] for w in windows}
         ranked = {w: iter(snapkv_select(cap, rows, w)) for w, rows in shared.items()}
-        return [next(ranked[w]) for w in windows]  # each window's rows in grid order
+        return np.stack([next(ranked[w]) for w in windows])  # each window's masks in grid order
     raise ConfigError(f"no baseline selector for policy {policy.name!r}")

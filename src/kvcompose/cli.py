@@ -30,8 +30,8 @@ from .evaluator import (
     make_agreement_tasks,
     make_recall_tasks,
     prepare_task,
+    sweep,
     sweep_arms,
-    sweep_prepared,
 )
 from .model import Model, construct_induction_model, init_model, ModelConfig
 from .scoring import (
@@ -300,8 +300,9 @@ def _print_sweep_line(report, paths) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
-    states = _prepare_tasks(cfg, model)
-    points = sweep_prepared(model, states, cfg.eviction, cfg.agg, tuple(cfg.grid))
+    mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+    tasks = build_tasks(cfg, model)
+    points = sweep(model, tasks, cfg.eviction, cfg.agg, tuple(cfg.grid), mode, window)
     report = _sweep_report(cfg, model, points, cfg.resolved)
     paths = cache_io.write_report(report, Path(args.out or cfg.out_dir))
     _print_sweep_line(report, paths)
@@ -334,14 +335,11 @@ def _slug(choice: AggregationChoice) -> str:
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     if not cfg.eviction.reads_aggregation:
         raise ConfigError(f"ablate: policy {cfg.eviction.name} reads no aggregation choice")
-    out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     states = _prepare_tasks(cfg, model)  # scoring mode and window are the same in every arm
     choices = ablation_grid()
     curves = sweep_arms(model, states, cfg.eviction, choices, tuple(cfg.grid))
     resolved = cfg.resolved  # each arm's echo differs only in its scoring choice
-    combined = []
+    out, combined = Path(args.out or cfg.out_dir), []
     for count, (choice, points) in enumerate(zip(choices, curves), 1):
         echo = {**resolved, "scoring": {**resolved["scoring"], **vars(choice)}}
         arm_dir = out / _slug(choice)

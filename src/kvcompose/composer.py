@@ -9,12 +9,14 @@ are sorted, kept slots are a prefix, and the cache stays dense per layer.
 
 Slot order in the compressed cache is score order, not original position;
 attention does not care (keys are cached post-rotation), and prefix
-budgets make nestedness across compression ratios immediate. So
-``kept_rows`` scores and sorts once for a whole grid, and ``compress``
-gathers one ratio's rows. ``keep_masks`` marks the rows of every ratio
-and every aggregation choice at once: each choice's scores stack on a
-leading arm axis, which sorting, allocation and masking keep apart, so a
-token is kept where its slot rank is below its layer's budget.
+budgets make nestedness across compression ratios immediate.
+``keep_masks`` is every policy's selection, one (A, G, L, H_kv, N) bool
+stack for every ratio and every aggregation choice: for kvcompose each
+choice's scores stack on a leading arm axis, which sorting, allocation and
+masking keep apart, so a token is kept where its slot rank is below its
+layer's budget; a baseline's masks are checked once and broadcast over
+the arms. ``compress`` gathers one ratio's rows: kvcompose's slot-order
+prefixes, or the ascending rows of a baseline's one mask.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import numpy as np
 from .baselines import Policy, retention_budget, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
 from .model import KVCache, Model
-from .numerics import argsort_desc
+from .numerics import argsort_desc, ranks
 from .scoring import (
     AggregationChoice,
     AttentionCapture,
@@ -91,8 +93,8 @@ def compact_cache(
     """Gather each head's first ``layer_budgets[l]`` slots of the slot order
     ``idx`` (from ``composite_indices``) into the compressed cache.
 
-    No program path calls it: ``compress`` gathers the rows ``kept_rows``
-    picks. It stays because tests build ragged caches with it, and the
+    No program path calls it: ``compress`` gathers its rows itself. It
+    stays because tests build ragged caches with it, and the
     benchmark's tracer wraps it by name (a Tier-1 test pins that), so
     deleting it would break a traced benchmark run.
     """
@@ -142,18 +144,11 @@ def _top_entries(values: np.ndarray, grid: tuple[float, ...], dims: int) -> np.n
     best entries of each leading index's block, a prefix of that block's ranking."""
     lead, block = values.shape[:-dims], values.shape[-dims:]
     budgets = np.array([retention_budget(r, *block) for r in grid], dtype=np.int64)
-    rank = _positions(argsort_desc(values.reshape(*lead, -1)))
+    rank = ranks(argsort_desc(values.reshape(*lead, -1)))
     return (rank[..., None, :] < budgets[:, None]).reshape(*lead, len(grid), *block)
 
 
-def _positions(order: np.ndarray) -> np.ndarray:
-    """Each entry's position in ``order``, a permutation along the last axis."""
-    pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.arange(order.shape[-1]), axis=-1)
-    return pos
-
-
-def _check_budgets(name: str, kept: np.ndarray | list, totals: list[int]) -> None:
+def _check_budgets(name: str, kept: np.ndarray, totals: list[int]) -> None:
     """Each ratio's (…, G) kept slot count equals its retention budget."""
     if np.shape(kept)[-1:] != (len(totals),) or np.not_equal(kept, totals).any():
         raise UsageError(f"policy {name} kept {kept} slots, budgets are {totals}")
@@ -174,39 +169,25 @@ def _slot_budgets(
     return idx, budgets
 
 
-def kept_rows(
-    cap: AttentionCapture, agg_choice: AggregationChoice, grid: tuple[float, ...], policy: Policy
-) -> list[list[np.ndarray]]:
-    """Each grid ratio's kept rows per layer, (H_kv, n_l) or (n_l,) for every
-    head: prefixes of one score order for kvcompose, else a baseline's rows."""
-    layers, _, n = cap.value_norms_raw.shape
-    if policy.name == "kvcompose":
-        idx, grid_budgets = _slot_budgets(cap, [agg_choice], grid)
-        return [[idx[0, l, :, :b] for l, b in enumerate(row)] for row in grid_budgets[0]]
-    budgets = [retention_budget(r_target, layers, n) for r_target in grid]
-    out = select_baseline_indices(cap, policy, budgets)
-    _check_budgets(policy.name, [sum(r.shape[-1] for r in rows) for rows in out], budgets)
-    return out
-
-
 def keep_masks(
     cap: AttentionCapture, choices: list[AggregationChoice], grid: tuple[float, ...], policy: Policy
 ) -> np.ndarray:
     """The (A, G, L, H_kv, N) bool keep-masks of ``policy`` for each of the A ``choices``
     at every ratio of ``grid``: ``unstructured_compress``'s masks, kvcompose's slots
-    ranked below their layer's budget, or a baseline's rows, the same for every choice."""
+    ranked below their layer's budget, or a baseline's masks, the same for every choice."""
     layers, kv_heads, n = cap.value_norms_raw.shape
     if policy.name == "unstructured":
         s = np.stack([score_pipeline(cap, kv_heads, c) for c in choices])
         return unstructured_compress(s, grid)
     if policy.name == "kvcompose":
         idx, budgets = _slot_budgets(cap, choices, grid)
-        return _positions(idx)[:, None] < budgets[..., None, None]
-    masks = np.zeros((len(grid), layers, kv_heads, n), dtype=bool)
-    heads = np.arange(kv_heads)[:, None]
-    for mask, rows in zip(masks, kept_rows(cap, AggregationChoice(), grid, policy)):
-        for layer, take in enumerate(rows):
-            mask[layer, heads, take] = True
+        return ranks(idx)[:, None] < budgets[..., None, None]
+    totals = [retention_budget(r_target, layers, n) for r_target in grid]
+    masks = select_baseline_indices(cap, policy, totals)
+    counts = np.count_nonzero(masks, axis=-1)  # (G, L, H_kv)
+    if (counts != counts[..., :1]).any():
+        raise UsageError(f"policy {policy.name} keeps unequal counts in the kv heads of a layer")
+    _check_budgets(policy.name, counts[..., 0].sum(axis=-1), totals)
     return np.broadcast_to(masks, (len(choices), *masks.shape))
 
 
@@ -222,7 +203,13 @@ def compress(
     if policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
     cap = collect_attention(model, context, task_set, policy.reads_head_mean)
-    compressed = gather_cache(cap.cache, kept_rows(cap, agg_choice, (r_target,), policy)[0])
+    if policy.name == "kvcompose":
+        idx, budgets = _slot_budgets(cap, [agg_choice], (r_target,))
+        kept = [idx[0, l, :, :b] for l, b in enumerate(budgets[0, 0])]
+    else:  # each head's ascending rows; keep_masks checked that every head keeps as many
+        mask = keep_masks(cap, [agg_choice], (r_target,), policy)[0, 0]
+        kept = [m.nonzero()[1].reshape(len(m), -1) for m in mask]
+    compressed = gather_cache(cap.cache, kept)
     layer_budgets = [compressed.rows(l) for l in range(compressed.layer_count)]
     budget = sum(layer_budgets)
     r_achieved = 1.0 - budget / (len(layer_budgets) * cap.context_len)

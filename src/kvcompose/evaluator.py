@@ -363,17 +363,6 @@ def sweep_arms(
     return [[CurvePoint(float(r), *point) for r, point in zip(grid, arm)] for arm in points]
 
 
-def sweep_prepared(
-    model: Model,
-    states: list[TaskState],
-    policy: Policy,
-    agg_choice: AggregationChoice,
-    grid: tuple[float, ...],
-) -> list[CurvePoint]:
-    """One curve point per grid ratio, averaged over the prepared tasks."""
-    return sweep_arms(model, states, policy, [agg_choice], grid)[0]
-
-
 def sweep(
     model: Model,
     tasks: list[TaskInstance],
@@ -386,7 +375,7 @@ def sweep(
     """Prepare every task, then evaluate one curve point per grid ratio."""
     head_mean = policy.reads_head_mean
     states = [prepare_task(model, t, mode, observation_window, head_mean) for t in tasks]
-    return sweep_prepared(model, states, policy, agg_choice, grid)
+    return sweep_arms(model, states, policy, [agg_choice], grid)[0]
 
 
 def build_report(

@@ -128,3 +128,11 @@ def argsort_desc(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise UsageError("argsort_desc requires finite entries")
     return np.argsort(-v, kind="stable")
+
+
+def ranks(order: np.ndarray) -> np.ndarray:
+    """Each entry's rank: its position in ``order``, a permutation along the last
+    axis, so ``ranks(argsort_desc(v)) < k`` marks the top ``k`` of ``v``."""
+    out = np.empty_like(order)
+    np.put_along_axis(out, order, np.arange(order.shape[-1]), axis=-1)
+    return out

@@ -3,8 +3,11 @@ import sys
 import numpy as np
 import pytest
 
-from kvcompose.model import ModelConfig, init_model
-from kvcompose.numerics import SeededRng
+from kvcompose.baselines import pyramid_budgets
+from kvcompose.evaluator import make_recall_tasks, prepare_task
+from kvcompose.model import ModelConfig, construct_induction_model, init_model
+from kvcompose.numerics import SeededRng, argsort_desc
+from kvcompose.scoring import TaskSet, collect_attention, reduce_axis
 
 
 @pytest.fixture
@@ -56,6 +59,98 @@ def rotate_two_halves(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.
     half = vecs.shape[-1] // 2
     a, b = vecs[..., :half], vecs[..., half:]
     return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
+
+
+def arm_capture(gqa_model, kind: str):
+    """An agreement capture of the random model (two kv heads) or a recall
+    capture of the induction model (one kv head), with the head mean tova reads."""
+    if kind == "agreement":
+        ts = TaskSet(mode="task-agnostic", observation_window=8)
+        return collect_attention(gqa_model, random_context(61, 32), ts, head_mean=True)
+    task = make_recall_tasks(8, 32, 1, seed=21)[0]
+    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, True).capture
+
+
+# The baselines' selectors as they were before they returned keep-masks: each
+# gives, per grid ratio, one ascending int64 row array per layer, (H_kv, n_l)
+# or (n_l,) for every head. The mask selectors must mark exactly these rows.
+
+
+def streaming_rows(n: int, budget: int, sinks: int) -> list[int]:
+    """First ``sinks`` tokens plus the trailing window, as a set union."""
+    return sorted(set(range(sinks)) | set(range(n - (budget - sinks), n)))
+
+
+def tova_rows(rows: np.ndarray, budgets: np.ndarray) -> list[list[np.ndarray]]:
+    """The (G, L) budgets' survivors of one replay with a (G*L, N) keep-cost,
+    regrouped from its ``flatnonzero`` rows into one list per ratio."""
+    layers, n = rows.shape[:2]
+    flat = budgets.reshape(-1)
+    layer = np.tile(np.arange(layers), len(budgets))
+    first = int(min(flat.min(), n))
+    cost = np.tile(np.where(np.arange(n) < first, 0.0, np.inf), (flat.size, 1))
+    for m in range(first, n):
+        cost[:, m] = 0.0
+        over = np.flatnonzero(flat <= m)
+        worst = (rows[layer[over], m] + cost[over]).argmin(axis=1)
+        cost[over, worst] = np.inf
+    kept = [np.flatnonzero(c == 0.0) for c in cost]
+    return [kept[g : g + layers] for g in range(0, len(kept), layers)]
+
+
+def snapkv_rows(cap, budgets, window: int) -> list[list[np.ndarray]]:
+    """Each head's top ``b - window`` tokens before the window, concatenated
+    with the window and sorted."""
+    n, layers = cap.context_len, cap.A.shape[0]
+    kv_heads = cap.value_norms_raw.shape[1]
+    rows = min(window, cap.task_len)
+    grouped = cap.A.reshape(layers, kv_heads, -1, n, cap.A.shape[3])[..., -rows:]
+    scores = reduce_axis(grouped, "avg", axis=2).max(axis=3)
+    order = argsort_desc(scores[:, :, : n - window])
+    tail = np.broadcast_to(np.arange(n - window, n), (kv_heads, window))
+    return [
+        [
+            np.sort(np.concatenate([order[layer, :, : b - window], tail], axis=1), axis=1)
+            for layer, b in enumerate(row)
+        ]
+        for row in budgets
+    ]
+
+
+def baseline_rows(cap, policy, totals) -> list[list[np.ndarray]]:
+    """Each total's kept rows per layer: the row-list dispatch of the baselines."""
+    layers, heads, n = cap.value_norms_raw.shape
+    totals = np.asarray(totals, dtype=np.int64)[:, None]
+    uniform = totals // layers + (np.arange(layers) < totals % layers)
+    if policy.name == "tova":
+        return tova_rows(cap.attention_mean, uniform)
+    if policy.name == "streaming":
+        return [
+            [np.asarray(streaming_rows(n, b, min(policy.sinks, b)), dtype=np.int64) for b in row]
+            for row in uniform
+        ]
+    if policy.name == "random":
+        rngs = [SeededRng(policy.seed) for _ in totals]
+        return [
+            [
+                np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
+                for b in row
+            ]
+            for rng, row in zip(rngs, uniform)
+        ]
+    if policy.name == "pyramid":
+        uniform = [pyramid_budgets(layers, n, int(t), policy.shape) for t in totals[:, 0]]
+    return [snapkv_rows(cap, [b], int(min(policy.window, b.min(), n)))[0] for b in uniform]
+
+
+def mark_rows(grid_rows: list[list[np.ndarray]], kv_heads: int, n: int) -> np.ndarray:
+    """(G, L, H_kv, N) bool masks of per-ratio, per-layer rows, one (ratio, layer) at a time."""
+    masks = np.zeros((len(grid_rows), len(grid_rows[0]), kv_heads, n), dtype=bool)
+    heads = np.arange(kv_heads)[:, None]
+    for mask, rows in zip(masks, grid_rows):
+        for layer, take in enumerate(rows):
+            mask[layer, heads, take] = True
+    return masks
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

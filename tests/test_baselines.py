@@ -13,14 +13,23 @@ from kvcompose.baselines import (
     tova_select,
 )
 from kvcompose.cli import ablation_grid
-from kvcompose.composer import keep_masks, kept_rows, retention_budget
+from kvcompose.composer import keep_masks, retention_budget
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.evaluator import RATIO_GRID
 from kvcompose.model import prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AggregationChoice, AttentionCapture, TaskSet, collect_attention
 
-from conftest import count_calls, random_context
+from conftest import (
+    arm_capture,
+    baseline_rows,
+    count_calls,
+    mark_rows,
+    random_context,
+    snapkv_rows,
+    streaming_rows,
+    tova_rows,
+)
 
 
 class TestPolicy:
@@ -57,22 +66,25 @@ class TestPolicy:
 
 class TestStreamingSelect:
     def test_hand_example(self):
-        assert streaming_select(10, 5, 2) == [0, 1, 7, 8, 9]
+        assert np.flatnonzero(streaming_select(10, 5, 2)).tolist() == [0, 1, 7, 8, 9]
 
     def test_full_budget_is_identity(self):
-        assert streaming_select(6, 6, 2) == list(range(6))
+        kept = streaming_select(6, 6, 2)
+        assert kept.shape == (6,) and kept.all()
 
     def test_matches_set_union_oracle(self):
         got = streaming_select(100, 20, 4)
-        assert got == sorted(set(range(4)) | set(range(84, 100)))
+        assert np.flatnonzero(got).tolist() == sorted(set(range(4)) | set(range(84, 100)))
 
     def test_budget_below_sinks_rejected(self):
         with pytest.raises(ConfigError):
             streaming_select(10, 1, 2)
+        with pytest.raises(ConfigError):  # anywhere in a grid of budgets
+            streaming_select(10, np.asarray([[4, 1]]), 2)
 
     def test_independent_of_model_weights(self):
         # pure index arithmetic: no model argument exists to depend on
-        assert streaming_select(12, 7, 3) == streaming_select(12, 7, 3)
+        assert np.array_equal(streaming_select(12, 7, 3), streaming_select(12, 7, 3))
 
 
 def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
@@ -123,15 +135,16 @@ def head_mean(model, context) -> np.ndarray:
 class TestTovaSelect:
     def test_budget_at_least_context_keeps_all(self, tiny_model):
         kept = tova_select(head_mean(tiny_model, random_context(40, 8)), np.asarray([[8, 8]]))[0]
-        assert all(k.tolist() == list(range(8)) for k in kept)
+        assert kept.shape == (2, 8) and kept.all()
 
     def test_budget_one_leaves_one_survivor(self, tiny_model):
         kept = tova_select(head_mean(tiny_model, random_context(41, 8)), np.asarray([[1, 1]]))[0]
-        assert all(len(k) == 1 for k in kept)
+        assert np.count_nonzero(kept, axis=1).tolist() == [1, 1]
 
     def test_budget_zero_keeps_nothing(self, tiny_model):
         rows = head_mean(tiny_model, random_context(44, 8))
-        assert [k.tolist() for k in tova_select(rows, np.asarray([[0, 0]]))[0]] == [[], []]
+        kept = tova_select(rows, np.asarray([[0, 0]]))
+        assert kept.shape == (1, 2, 8) and not kept.any()
         with pytest.raises(ConfigError):
             tova_select(rows, np.asarray([[-1, -1]]))
 
@@ -139,7 +152,7 @@ class TestTovaSelect:
         "budgets", [6, [6, 6], [[6, 6, 6]]], ids=["scalar", "per-layer", "3-layers"]
     )
     def test_budgets_other_than_grid_by_layer_rejected(self, tiny_model, budgets):
-        # (G, L) is the one form, so every call returns one list per grid row
+        # (G, L) is the one form, so every call returns one mask stack per grid row
         rows = head_mean(tiny_model, random_context(44, 8))
         with pytest.raises(ConfigError, match="G, L=2"):
             tova_select(rows, np.asarray(budgets))
@@ -147,9 +160,9 @@ class TestTovaSelect:
     def test_matches_replay_oracle(self, tiny_model):
         rows = head_mean(tiny_model, random_context(42, 12))
         kept = tova_select(rows, np.asarray([[6, 6]]))[0]
+        assert kept.dtype == bool
         for layer in range(2):
-            assert kept[layer].dtype == np.int64
-            assert kept[layer].tolist() == tova_oracle(rows[layer], 6)
+            assert np.flatnonzero(kept[layer]).tolist() == tova_oracle(rows[layer], 6)
 
     def test_mixed_layer_budgets_match_replay_oracle(self, gqa_model):
         # one replay serves every layer, each at its own budget: none, one,
@@ -159,14 +172,15 @@ class TestTovaSelect:
         budgets = np.asarray([0, 1, 9, n + 3])
         kept = tova_select(rows, budgets[None])[0]
         for layer, b in enumerate(budgets):
-            assert kept[layer].tolist() == tova_oracle(rows[layer], b)
-        assert [len(k) for k in kept] == [0, 1, 9, n]
+            assert np.flatnonzero(kept[layer]).tolist() == tova_oracle(rows[layer], b)
+        assert np.count_nonzero(kept, axis=1).tolist() == [0, 1, 9, n]
 
     def test_ties_evict_lowest_index(self):
         # equal attention everywhere: each step evicts the oldest token
         rows = np.tril(np.ones((2, 6, 6)))
         kept = tova_select(rows, np.asarray([[3, 0]]))[0]
-        assert [k.tolist() for k in kept] == [[3, 4, 5], []] == [tova_oracle(rows[0], 3), []]
+        got = [np.flatnonzero(k).tolist() for k in kept]
+        assert got == [[3, 4, 5], []] == [tova_oracle(rows[0], 3), []]
 
     def test_grid_replay_matches_per_ratio_replay(self, gqa_model):
         # random attention, where ties are rare, and a real prefill's head mean
@@ -174,24 +188,23 @@ class TestTovaSelect:
         for rows in (random_rows, head_mean(gqa_model, random_context(47, 64))):
             budgets = uniform_grid_budgets(*rows.shape[:2])
             grid = tova_select(rows, budgets)
-            assert len(grid) == len(RATIO_GRID)
+            assert grid.shape == (len(RATIO_GRID), *rows.shape[:2]) and grid.dtype == bool
             for row, kept in zip(budgets, grid):
                 want = per_ratio_replay(rows, row)
-                assert [k.tolist() for k in kept] == [w.tolist() for w in want]
-                assert all(k.dtype == np.int64 for k in kept)
+                assert [np.flatnonzero(k).tolist() for k in kept] == [w.tolist() for w in want]
             for layer, b in enumerate(budgets[-1]):  # the tightest ratio, by the set oracle
-                assert grid[-1][layer].tolist() == tova_oracle(rows[layer], b)
+                assert np.flatnonzero(grid[-1][layer]).tolist() == tova_oracle(rows[layer], b)
 
-    def test_kept_rows_replays_once_for_the_grid(self, tiny_model, monkeypatch):
+    def test_keep_masks_replays_once_for_the_grid(self, tiny_model, monkeypatch):
         from kvcompose import baselines
 
         context = random_context(48, 20)
         ts = TaskSet(mode="task-agnostic", observation_window=4)
         cap = collect_attention(tiny_model, context, ts, head_mean=True)
         calls = count_calls(monkeypatch, baselines, "tova_select")
-        grid = kept_rows(cap, AggregationChoice(), RATIO_GRID, Policy(name="tova"))
+        masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, Policy(name="tova"))
         assert len(calls) == 1 and calls[0][1].shape == (len(RATIO_GRID), 2)
-        assert [sum(len(k) for k in rows) for rows in grid] == [
+        assert np.count_nonzero(masks[0, :, :, 0], axis=(1, 2)).tolist() == [
             retention_budget(r, 2, 20) for r in RATIO_GRID
         ]
 
@@ -206,7 +219,7 @@ class TestTovaSelect:
         context = random_context(43, 10)
         first = tova_select(head_mean(tiny_model, context), np.asarray([[5, 5]]))[0]
         second = tova_select(head_mean(tiny_model, context), np.asarray([[5, 5]]))[0]
-        assert all(np.array_equal(a, b) for a, b in zip(first, second, strict=True))
+        assert np.array_equal(first, second)
 
 
 def snapkv_oracle(cap: AttentionCapture, layer: int, head: int, budget: int, window: int):
@@ -231,9 +244,7 @@ class TestSnapkvSelect:
         context = random_context(44, 10)
         cap = self.capture(tiny_model, context, 4)
         kept = snapkv_select(cap, np.full((1, 2), 10), window=4)[0]
-        for layer in kept:
-            for head_kept in layer:
-                assert head_kept.tolist() == list(range(10))
+        assert kept.shape == (2, 2, 10) and kept.all()
 
     def test_uniform_attention_tie_case(self):
         # constant scores: keeps the window plus the lowest-index tokens
@@ -244,7 +255,7 @@ class TestSnapkvSelect:
             value_norms_proj=np.ones((1, 2, 8)),
         )
         kept = snapkv_select(cap, np.asarray([[5]]), window=2)[0]
-        assert kept[0][0].tolist() == [0, 1, 2, 6, 7]
+        assert np.flatnonzero(kept[0][0]).tolist() == [0, 1, 2, 6, 7]
 
     def test_matches_topk_oracle(self, tiny_model):
         context = random_context(45, 12)
@@ -252,7 +263,8 @@ class TestSnapkvSelect:
         kept = snapkv_select(cap, np.full((1, 2), 7), window=4)[0]
         for layer in range(2):
             for head in range(2):
-                assert kept[layer][head].tolist() == snapkv_oracle(cap, layer, head, 7, 4)
+                got = np.flatnonzero(kept[layer][head]).tolist()
+                assert got == snapkv_oracle(cap, layer, head, 7, 4)
 
     def test_budget_below_window_rejected(self, tiny_model):
         cap = self.capture(tiny_model, random_context(46, 8), 4)
@@ -263,16 +275,16 @@ class TestSnapkvSelect:
         cap = self.capture(tiny_model, random_context(49, 12), 4)
         budget = retention_budget(1.0, 2, 12)
         kept = select_baseline_indices(cap, Policy(name="snapkv"), (budget,))[0]
-        assert [k.shape for k in kept] == [(2, 0), (2, 0)]
+        assert kept.shape == (2, 2, 12) and not kept.any()
 
     def test_zero_layer_budget_clamps_window(self, tiny_model):
         # uniform split of 1 over 2 layers is [1, 0]: the window clamps to 0
         # and layer 0 keeps its top token scored over every task row
         cap = self.capture(tiny_model, random_context(50, 12), 4)
         kept = select_baseline_indices(cap, Policy(name="snapkv"), (1,))[0]
-        assert kept[1].shape == (2, 0)
+        assert not kept[1].any()
         for head in range(2):
-            assert kept[0][head].tolist() == snapkv_oracle(cap, 0, head, 1, 0)
+            assert np.flatnonzero(kept[0][head]).tolist() == snapkv_oracle(cap, 0, head, 1, 0)
 
     @pytest.mark.parametrize("name", ["snapkv", "pyramid"])
     def test_grid_ranks_once_per_distinct_window(self, tiny_model, monkeypatch, name):
@@ -292,15 +304,13 @@ class TestSnapkvSelect:
         assert len(set(windows)) > 1
         assert sorted(call[2] for call in calls) == sorted(set(windows))
         assert [len(call[1]) for call in calls] == [windows.count(call[2]) for call in calls]
-        for kept, wanted in zip(got, want, strict=True):
-            assert all(np.array_equal(a, b) for a, b in zip(kept, wanted, strict=True))
+        assert np.array_equal(got, np.stack(want))
 
     def test_counts_uniform_sets_may_differ(self, tiny_model):
         context = random_context(47, 12)
         cap = self.capture(tiny_model, context, 4)
         kept = snapkv_select(cap, np.full((1, 2), 6), window=4)[0]
-        for layer in kept:
-            assert {len(h) for h in layer} == {6}
+        assert (np.count_nonzero(kept, axis=-1) == 6).all()
 
 
 class TestPyramidBudgets:
@@ -425,11 +435,53 @@ class TestBudgetParity:
         )
         budgets = [retention_budget(r, 2, 16) for r in (0.0, 0.25, 0.5, 0.75)]
         grid = select_baseline_indices(cap, policy, budgets)
-        assert len(grid) == len(budgets)
+        assert grid.shape == (len(budgets), 2, 2, 16) and grid.dtype == bool
         for budget, kept in zip(budgets, grid):
-            total = sum(k.shape[-1] for k in kept)
-            assert total == budget
-            for layer_kept in kept:  # structured: uniform count across heads
-                arr = np.asarray(layer_kept)
-                if arr.ndim == 2:
-                    assert len({row.size for row in arr}) == 1
+            counts = np.count_nonzero(kept, axis=-1)  # (L, H_kv)
+            assert counts[:, 0].sum() == budget
+            assert (counts == counts[:, :1]).all()  # structured: uniform count across heads
+
+
+class TestMaskOracles:
+    """Each mask selector marks exactly the rows of its row-returning oracle
+    (``conftest``) at every ratio of RATIO_GRID, on an agreement capture with
+    two kv heads and on a recall capture."""
+
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    def test_streaming(self, gqa_model, kind):
+        layers, _, n = arm_capture(gqa_model, kind).value_norms_raw.shape
+        budgets = uniform_grid_budgets(layers, n)
+        for sinks in (1, 2, 5):
+            clamped = np.minimum(sinks, budgets)
+            masks = streaming_select(n, budgets, clamped)
+            assert masks.shape == (len(RATIO_GRID), layers, n) and masks.dtype == bool
+            for mask, b, s in zip(masks.reshape(-1, n), budgets.ravel(), clamped.ravel()):
+                assert np.flatnonzero(mask).tolist() == streaming_rows(n, b, s)
+
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    def test_tova(self, gqa_model, kind):
+        cap = arm_capture(gqa_model, kind)
+        budgets = uniform_grid_budgets(*cap.attention_mean.shape[:2])
+        masks = tova_select(cap.attention_mean, budgets)
+        want = mark_rows(tova_rows(cap.attention_mean, budgets), 1, cap.context_len)
+        assert np.array_equal(masks[:, :, None], want)
+
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    def test_snapkv(self, gqa_model, kind):
+        cap = arm_capture(gqa_model, kind)
+        layers, kv_heads, n = cap.value_norms_raw.shape
+        budgets = uniform_grid_budgets(layers, n)
+        for window in (0, 1, 4):  # one call per window, on every ratio that fits it
+            rows = budgets[(budgets >= window).all(axis=1)]
+            want = mark_rows(snapkv_rows(cap, rows, window), kv_heads, n)
+            assert np.array_equal(snapkv_select(cap, rows, window), want)
+
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])
+    def test_dispatch(self, gqa_model, kind, name):
+        cap, policy = arm_capture(gqa_model, kind), Policy(name=name)
+        layers, kv_heads, n = cap.value_norms_raw.shape
+        totals = [retention_budget(r, layers, n) for r in RATIO_GRID]
+        masks = select_baseline_indices(cap, policy, totals)
+        assert masks.shape == (len(RATIO_GRID), layers, kv_heads, n) and masks.dtype == bool
+        assert np.array_equal(masks, mark_rows(baseline_rows(cap, policy, totals), kv_heads, n))

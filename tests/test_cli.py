@@ -567,6 +567,17 @@ class TestExitCodes:
         assert "max_context" in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_failed_ablate_leaves_no_directory(self, tmp_path, capsys):
+        # the first task's reference run fails before any arm is written
+        tasks = {"kind": "agreement", "count": 1, "seed": 2, "context_len": 510, "teacher_steps": 8}
+        path = write_config(
+            tmp_path, model=RANDOM_MODEL, tasks=tasks, scoring={"mode": "task-agnostic"}
+        )
+        assert main(["ablate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "max_context" in err
+        assert not (tmp_path / "out").exists()
+
     def test_grid_from_nonzero_without_tolerances_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, grid=[0.5], tolerances=[])
         assert main(["sweep", "--config", str(path)]) == EXIT_OK

@@ -13,18 +13,17 @@ from kvcompose.composer import (
     compress,
     gather_cache,
     keep_masks,
-    kept_rows,
     layer_importance,
     retention_budget,
     unstructured_compress,
 )
 from kvcompose.errors import UsageError
-from kvcompose.evaluator import RATIO_GRID, make_recall_tasks, prepare_task
-from kvcompose.model import _forward, construct_induction_model, decode_step, prefill
+from kvcompose.evaluator import RATIO_GRID
+from kvcompose.model import _forward, decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import count_calls, random_context
+from conftest import arm_capture, baseline_rows, count_calls, mark_rows, random_context
 
 
 def final_scores(seed, layers=2, heads=2, n=8) -> np.ndarray:
@@ -273,8 +272,8 @@ class TestCompressPipeline:
     )
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_reuse_gives_identical_cache(self, tiny_model, name, mode):
-        # one grid call on one capture gathers, at each ratio, the cache a
-        # fresh compress builds, and its keep-mask marks exactly those rows
+        # the oracle's rows for the whole grid gather, at each ratio, the cache a
+        # fresh compress builds, and one keep_masks call marks exactly those rows
         context = random_context(28, 16)
         if mode == "task-aware":
             ts = TaskSet(mode=mode, tasks=((5, 9, 2), (17,)))
@@ -282,7 +281,7 @@ class TestCompressPipeline:
             ts = TaskSet(mode=mode, observation_window=6)
         policy = Policy(name=name)
         cap = collect_attention(tiny_model, context, ts, head_mean=policy.reads_head_mean)
-        grid = kept_rows(cap, AggregationChoice(), RATIO_GRID, policy)
+        grid = oracle_rows(cap, AggregationChoice(), RATIO_GRID, policy)
         masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, policy)[0]
         assert len(grid) == len(RATIO_GRID) == len(masks)
         for r, rows, mask in zip(RATIO_GRID, grid, masks):
@@ -490,37 +489,27 @@ class TestUnstructured:
         assert kept.tolist() == [retention_budget(r, 3, 2, 5) for r in RATIO_GRID]
 
 
+def oracle_rows(cap, choice, grid, policy) -> list[list[np.ndarray]]:
+    """One choice's kept rows per ratio and layer, built apart from the code
+    under test: for kvcompose, prefixes of that choice's own slot order under its
+    own budgets; else the baseline's rows from the row-returning oracles."""
+    layers, kv_heads, n = cap.value_norms_raw.shape
+    if policy.name != "kvcompose":
+        return baseline_rows(cap, policy, [retention_budget(r, layers, n) for r in grid])
+    s = score_pipeline(cap, kv_heads, choice)
+    idx = composite_indices(s)
+    budgets = allocate_budgets(layer_importance(s, idx, choice.agg_head), grid)
+    return [[idx[l, :, :b] for l, b in enumerate(row)] for row in budgets]
+
+
 def per_choice_masks(cap, choice, grid, policy) -> np.ndarray:
     """One choice's (G, L, H_kv, N) keep-masks as they were built before the
-    arm stack: ``unstructured_compress`` on that choice's scores; for kvcompose,
-    prefixes of that choice's own slot order under its own budgets; else
-    ``kept_rows``' rows; rows marked one (ratio, layer) at a time."""
-    layers, kv_heads, n = cap.value_norms_raw.shape
-    s = score_pipeline(cap, kv_heads, choice)
+    arm stack: ``unstructured_compress`` on that choice's scores, else
+    ``oracle_rows`` marked one (ratio, layer) at a time."""
+    _, kv_heads, n = cap.value_norms_raw.shape
     if policy.name == "unstructured":
-        return unstructured_compress(s, grid)
-    if policy.name == "kvcompose":
-        idx = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(s, idx, choice.agg_head), grid)
-        grid_rows = [[idx[l, :, :b] for l, b in enumerate(row)] for row in budgets]
-    else:
-        grid_rows = kept_rows(cap, choice, grid, policy)
-    masks = np.zeros((len(grid), layers, kv_heads, n), dtype=bool)
-    heads = np.arange(kv_heads)[:, None]
-    for mask, rows in zip(masks, grid_rows):
-        for layer, take in enumerate(rows):
-            mask[layer, heads, take] = True
-    return masks
-
-
-def arm_capture(gqa_model, kind: str):
-    """An agreement capture of the random model (two kv heads) or a recall
-    capture of the induction model (one kv head), with the head mean tova reads."""
-    if kind == "agreement":
-        ts = TaskSet(mode="task-agnostic", observation_window=8)
-        return collect_attention(gqa_model, random_context(61, 32), ts, head_mean=True)
-    task = make_recall_tasks(8, 32, 1, seed=21)[0]
-    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, True).capture
+        return unstructured_compress(score_pipeline(cap, kv_heads, choice), grid)
+    return mark_rows(oracle_rows(cap, choice, grid, policy), kv_heads, n)
 
 
 class TestKeepMaskStack:
@@ -564,10 +553,35 @@ class TestKeepMaskStack:
         select = composer.select_baseline_indices
 
         def wrong_count(cap, policy, budgets):
-            return (select(cap, policy, budgets) * 2)[:returned]
+            return np.concatenate([select(cap, policy, budgets)] * 2)[:returned]
 
         monkeypatch.setattr(composer, "select_baseline_indices", wrong_count)
         cap = arm_capture(gqa_model, "agreement")
-        # two equal ratios: one row set would match both budgets by value
+        # two equal ratios: one mask stack would match both budgets by value
         with pytest.raises(UsageError, match="budgets are"):
-            kept_rows(cap, AggregationChoice(), (0.5, 0.5), Policy(name="tova"))
+            keep_masks(cap, [AggregationChoice()], (0.5, 0.5), Policy(name="tova"))
+
+    @pytest.mark.parametrize("entry", ["keep_masks", "compress"])
+    @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])
+    def test_every_head_of_a_layer_keeps_one_count(self, gqa_model, monkeypatch, name, entry):
+        select = composer.select_baseline_indices
+
+        def moved(cap, policy, budgets):
+            # layer 0 moves a kept row from head 1 to head 0 and layer 1 one from
+            # head 0 to head 1, so every layer's and every head's total still holds
+            masks = np.array(select(cap, policy, budgets))
+            for layer, (src, dst) in enumerate([(1, 0), (0, 1)]):
+                for mask in masks[:, layer]:
+                    mask[src, np.flatnonzero(mask[src])[0]] = False
+                    mask[dst, np.flatnonzero(~mask[dst])[0]] = True
+            return masks
+
+        monkeypatch.setattr(composer, "select_baseline_indices", moved)
+        policy = Policy(name=name)
+        context, ts = random_context(61, 32), TaskSet(mode="task-agnostic", observation_window=8)
+        with pytest.raises(UsageError, match="kv heads of a layer"):
+            if entry == "keep_masks":
+                cap = collect_attention(gqa_model, context, ts, head_mean=True)
+                keep_masks(cap, [AggregationChoice()], (0.5,), policy)
+            else:  # without the check, each layer's per-head reshape would misassign rows
+                compress(gqa_model, context, ts, AggregationChoice(), 0.5, policy)

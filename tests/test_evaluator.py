@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompose.baselines import POLICY_NAMES, Policy, select_baseline_indices
+from kvcompose.baselines import POLICY_NAMES, Policy
 from kvcompose.composer import (
     allocate_budgets,
     compact_cache,
@@ -31,7 +31,6 @@ from kvcompose.evaluator import (
     reward,
     sweep,
     sweep_arms,
-    sweep_prepared,
     _forced_steps,
     _reward_and_kl,
     _run_steps,
@@ -48,7 +47,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import count_calls
+from conftest import baseline_rows, count_calls
 from test_model import reference_forward
 
 
@@ -376,7 +375,7 @@ class TestSweep:
         full_mean = float(np.mean([s.full_reward for s in states]))
         agg = AggregationChoice()
         for name in POLICY_NAMES:
-            p0 = sweep_prepared(model, states, Policy(name=name), agg, RATIO_GRID)[0]
+            p0 = sweep_arms(model, states, Policy(name=name), [agg], RATIO_GRID)[0][0]
             assert (p0.r_target, p0.r_achieved) == (0.0, 0.0)
             assert (p0.reward_mean, p0.kl_mean) == (full_mean, 0.0), name
 
@@ -530,7 +529,7 @@ def reference_point(model, state, policy, agg_choice, r_target):
         kept = [list_replay(rows, b) for rows, b in zip(cap.attention_mean, uniform)]
         cache = gather_cache(cap.cache, kept)
     else:
-        cache = gather_cache(cap.cache, select_baseline_indices(cap, policy, (budget,))[0])
+        cache = gather_cache(cap.cache, baseline_rows(cap, policy, (budget,))[0])
     total = sum(cache.rows(l) for l in range(cfg.layers))
     r, kl = _reward_and_kl(model, cache, state.task, state.reference_logp)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl
@@ -595,7 +594,7 @@ class TestGridOnce:
     def test_equals_per_ratio_reference(self, task_sets, kind, name):
         model, states = task_sets[kind]
         policy, agg = Policy(name=name), AggregationChoice()
-        got = sweep_prepared(model, states, policy, agg, RATIO_GRID)
+        got = sweep_arms(model, states, policy, [agg], RATIO_GRID)[0]
         assert_same_sweep(kind, got, reference_sweep(model, states, policy, agg, RATIO_GRID))
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
@@ -611,7 +610,7 @@ class TestGridOnce:
             AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
         ]
         got = sweep_arms(model, states, policy, choices, RATIO_GRID)
-        assert got == [sweep_prepared(model, states, policy, c, RATIO_GRID) for c in choices]
+        assert got == [sweep_arms(model, states, policy, [c], RATIO_GRID)[0] for c in choices]
 
     @pytest.mark.parametrize("name", ["kvcompose", "unstructured"])
     def test_scores_once_per_task(self, tiny_model, name, monkeypatch):
@@ -620,7 +619,7 @@ class TestGridOnce:
         tasks = make_agreement_tasks(tiny_model, 3, 16, 4, seed=19)
         states = [prepare_task(tiny_model, t, "task-agnostic", 8) for t in tasks]
         calls = count_calls(monkeypatch, scoring, "score_pipeline")
-        sweep_prepared(tiny_model, states, Policy(name=name), AggregationChoice(), RATIO_GRID)
+        sweep_arms(tiny_model, states, Policy(name=name), [AggregationChoice()], RATIO_GRID)
         assert len(RATIO_GRID) == 9
         assert len(calls) == len(states)
 
@@ -654,8 +653,8 @@ class TestZeroFullReward:
     def test_every_task_excluded_reads_zero(self, recall):
         model, states = recall
         with pytest.warns(UserWarning, match="skipped 1 task"):
-            points = sweep_prepared(
-                model, states[:1], Policy(name="kvcompose"), AggregationChoice(), RATIO_GRID
-            )
+            points = sweep_arms(
+                model, states[:1], Policy(name="kvcompose"), [AggregationChoice()], RATIO_GRID
+            )[0]
         assert [p.epsilon for p in points] == [0.0] * len(RATIO_GRID)
         assert all(type(p.epsilon) is float for p in points)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 from kvcompose.baselines import Policy
 from kvcompose.cli import build_model, build_tasks, load_config
-from kvcompose.evaluator import auc, prepare_task, sweep_prepared
+from kvcompose.evaluator import auc, sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,9 +26,7 @@ def test_worked_example_matches_a_recall_sweep_of_every_policy():
     tasks = build_tasks(cfg, model)
     mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
     for column, name in enumerate(policies):
-        policy = Policy(name=name)
-        states = [prepare_task(model, t, mode, window, policy.reads_head_mean) for t in tasks]
-        points = sweep_prepared(model, states, policy, cfg.agg, tuple(cfg.grid))
+        points = sweep(model, tasks, Policy(name=name), cfg.agg, tuple(cfg.grid), mode, window)
         got = {str(p.r_target): f"{p.reward_mean:.3f}" for p in points}
         got["AUC"] = f"{auc(points):.3f}"
         assert {label: figures[column] for label, figures in table.items()} == got, name

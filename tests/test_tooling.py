@@ -15,8 +15,12 @@ pass's row block size cannot become a hidden knob; and no function
 writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
 calls ``.clone()``, so a cache is a value: a forward pass only reads the
 cache it is given and returns a new one, and rebinding a field raises;
-only the functions that must dispatch on a policy compare its name,
-so each one covers the whole ratio grid in one branch per policy; and
+only the five functions that must dispatch on a policy compare its
+name (the two ``Policy`` properties, ``select_baseline_indices``,
+``keep_masks`` and ``compress``), so each one covers the whole ratio
+grid in one branch per policy, and a baseline's selection reaches both
+evaluation and ``compress`` as one keep-mask stack from ``keep_masks``;
+and
 only ``RunConfig.resolved`` calls ``dataclasses.asdict`` and no module
 calls ``astuple`` or ``copy.deepcopy``, so a report is written from its
 dataclasses as they are, with no deep copy."""
@@ -350,7 +354,6 @@ def test_only_policy_dispatchers_compare_policy_names():
         "Policy.reads_head_mean",
         "Policy.reads_aggregation",
         "select_baseline_indices",
-        "kept_rows",
         "keep_masks",
         "compress",
     }
