@@ -267,7 +267,7 @@ def cmd_compress(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
 
 
 def _prepare_tasks(cfg: RunConfig, model: Model):
-    """Every task's capture (with its full prefill cache) and reference run."""
+    """Every task and its capture, which holds its full prefill cache."""
     mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
     head_mean = cfg.eviction.reads_head_mean
     return [prepare_task(model, t, mode, window, head_mean) for t in build_tasks(cfg, model)]

@@ -8,6 +8,7 @@ and are summarized by span-normalized AUC and the largest ratio whose
 epsilon stays under a tolerance. Every policy is scored the same way:
 as ``composer.keep_masks``' keep-masks on the task's one full cache; a task's
 distinct masks each run once, in forward calls of at most one grid's masks.
+The full-cache reference is one more mask of that stack: the all-kept row 0.
 """
 from __future__ import annotations
 
@@ -199,7 +200,8 @@ def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float | np.ndarray:
 
 
 def reward(model: Model, cache: KVCache, task: TaskInstance) -> float:
-    """Score in [0, 1]: exact recall, or per-step argmax agreement."""
+    """Score in [0, 1]: exact recall, or per-step argmax agreement, of one
+    plain unmasked run on ``cache``; the evaluator scores mask stacks instead."""
     return _hit_rate(_run_steps(model, cache, task, None), task)
 
 
@@ -209,17 +211,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _reward_and_kl(
-    model: Model,
-    cache: KVCache,
-    task: TaskInstance,
-    reference_logp: np.ndarray,
-    head_masks: np.ndarray | None = None,
+    logits: np.ndarray, reference_logp: np.ndarray, task: TaskInstance
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """Reward and mean KL(full || compressed) of next-token distributions, per mask.
+    """Reward and mean KL(full || compressed) of next-token distributions, per
+    leading index of the (…, steps, vocab) ``logits``.
 
     Each step's KL is clamped at 0: a negative value is rounding noise.
     """
-    logits = _run_steps(model, cache, task, head_masks)
     kls = (np.exp(reference_logp) * (reference_logp - _log_softmax(logits))).sum(axis=-1)
     return _hit_rate(logits, task), np.maximum(kls, 0.0).mean(axis=-1)
 
@@ -294,31 +292,21 @@ def check_grid(grid, error: type[Exception] = UsageError) -> None:
 
 @dataclass
 class TaskState:
-    """One task prepared for every policy, ratio and aggregation choice:
-    its capture (which holds the full prefill cache) and its reference run."""
+    """One task prepared for every policy, ratio and aggregation choice: its
+    capture, which holds the full prefill cache every keep-mask runs on."""
 
     task: TaskInstance
     capture: AttentionCapture
-    full_reward: float
-    reference_logp: np.ndarray  # (steps, vocab) log-probabilities
 
 
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int, head_mean: bool = False
 ) -> TaskState:
     """The task's capture, keeping the head mean only if ``head_mean``
-    (``Policy.reads_head_mean``), and its full-cache reference run."""
+    (``Policy.reads_head_mean``); it runs no reference pass."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
-    capture = collect_attention(model, list(task.prompt), tset, head_mean)
-    reference = _run_steps(model, capture.cache, task, head_masks=None)
-    # the reward reads the logits: a log-softmax can merge close logits and so change a tie
-    return TaskState(
-        task=task,
-        capture=capture,
-        full_reward=_hit_rate(reference, task),
-        reference_logp=_log_softmax(reference),
-    )
+    return TaskState(task, collect_attention(model, list(task.prompt), tset, head_mean))
 
 
 def _evaluate_task(
@@ -327,18 +315,20 @@ def _evaluate_task(
     policy: Policy,
     agg_choices: list[AggregationChoice],
     grid: tuple[float, ...],
-) -> np.ndarray:
-    """(3, A, G): r_achieved, reward and kl of one task per choice and ratio. Each
-    distinct keep-mask runs once, in forward calls of at most G masks."""
+) -> tuple[float, np.ndarray]:
+    """The full-cache reward and (3, A, G): r_achieved, reward and kl of one task per
+    choice and ratio. Row 0 of the stack, all kept, is the full-cache reference run;
+    each distinct keep-mask runs once, in forward calls of at most G masks."""
     masks = keep_masks(state.capture, agg_choices, grid, policy)  # (A, G, L, H_kv, N)
-    masks = masks.reshape(-1, *masks.shape[2:])
-    r_achieved = 1.0 - np.count_nonzero(masks, axis=(1, 2, 3)) / masks[0].size
+    masks = np.concatenate([np.ones((1, *masks.shape[2:]), bool), np.concatenate(masks)])
+    r_achieved = 1.0 - np.count_nonzero(masks[1:], axis=(1, 2, 3)) / masks[0].size
     rows = masks.reshape(len(masks), -1).view(np.dtype((np.void, masks[0].size)))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)  # bytewise
     chunks = [masks[first[i : i + len(grid)]] for i in range(0, len(first), len(grid))]
-    args = model, state.capture.cache, state.task, state.reference_logp
-    results = np.hstack([_reward_and_kl(*args, chunk) for chunk in chunks])  # (2, distinct)
-    return np.stack([r_achieved, *results[:, inverse]]).reshape(3, len(agg_choices), -1)
+    logits = np.concatenate([_run_steps(model, state.capture.cache, state.task, c) for c in chunks])
+    reference_logp = _log_softmax(logits[inverse[0]])  # row 0's: the full cache's
+    results = np.stack(_reward_and_kl(logits, reference_logp, state.task))[:, inverse]
+    return results[0, 0], np.stack([r_achieved, *results[:, 1:]]).reshape(3, len(agg_choices), -1)
 
 
 def sweep_arms(
@@ -349,14 +339,15 @@ def sweep_arms(
     grid: tuple[float, ...],
 ) -> list[list[CurvePoint]]:
     """One curve per aggregation choice, each point averaged over the prepared tasks."""
-    if not states:
-        raise UsageError("sweep needs at least one task")
+    if not states or not agg_choices:
+        raise UsageError("sweep needs at least one task and one aggregation choice")
     check_grid(grid)
+    evaluated = [_evaluate_task(model, s, policy, agg_choices, grid) for s in states]
+    full_rewards, per_task = zip(*evaluated)  # each task's full-cache reward, (3, A, G) block
     # (T, 3, A, G) stacked, then laid out (3, A, G, T) with the task axis contiguous:
     # each point's pairwise sum over its task row gives the bits of a 1-D np.mean
-    per_task = np.stack([_evaluate_task(model, s, policy, agg_choices, grid) for s in states])
-    achieved, rewards, kls = np.ascontiguousarray(per_task.transpose(1, 2, 3, 0))
-    eps = epsilon([s.full_reward for s in states], rewards)
+    achieved, rewards, kls = np.ascontiguousarray(np.stack(per_task).transpose(1, 2, 3, 0))
+    eps = epsilon(full_rewards, rewards)
     # CurvePoint's fields after r_target, in order, as (A, G, 5) Python floats
     stats = [achieved.mean(-1), rewards.mean(-1), rewards.std(-1), eps, kls.mean(-1)]
     points = np.stack(stats, axis=-1).tolist()

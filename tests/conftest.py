@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvcompose.baselines import pyramid_budgets
-from kvcompose.evaluator import make_recall_tasks, prepare_task
+from kvcompose.evaluator import _log_softmax, _run_steps, make_recall_tasks, prepare_task, reward
 from kvcompose.model import ModelConfig, construct_induction_model, init_model
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import TaskSet, collect_attention, reduce_axis
@@ -69,6 +69,13 @@ def arm_capture(gqa_model, kind: str):
         return collect_attention(gqa_model, random_context(61, 32), ts, head_mean=True)
     task = make_recall_tasks(8, 32, 1, seed=21)[0]
     return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, True).capture
+
+
+def full_cache_reference(model, state) -> tuple[float, np.ndarray]:
+    """(full_reward, reference_logp) of a prepared task by the plain unmasked
+    run on its full cache: the oracle for the evaluator's all-kept row 0."""
+    cache, task = state.capture.cache, state.task
+    return reward(model, cache, task), _log_softmax(_run_steps(model, cache, task, None))
 
 
 # The baselines' selectors as they were before they returned keep-masks: each

@@ -47,7 +47,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import baseline_rows, count_calls
+from conftest import baseline_rows, count_calls, full_cache_reference
 from test_model import reference_forward
 
 
@@ -316,13 +316,17 @@ class TestSweep:
         assert points[0].reward_mean == 1.0  # all-true masks reproduce the run
         assert abs(points[1].r_achieved - 0.5) < 1e-9
 
-    def test_one_reference_decode_per_task(self, tiny_model, monkeypatch):
-        # one teacher-forced pass per task for the reference run and one
-        # for the whole grid, each a single forward call
+    def test_one_forward_call_per_task(self, tiny_model, monkeypatch):
+        # preparing a task runs no teacher-forced pass, and the grid's distinct
+        # masks, the all-kept reference row among them, run in one forward call
         from kvcompose import evaluator, model
 
         steps, grid = 4, (0.0, 0.5, 0.9)
         tasks = make_agreement_tasks(tiny_model, 3, 16, steps, seed=16)
+        runs = count_calls(monkeypatch, evaluator, "_run_steps")
+        for task in tasks:
+            prepare_task(tiny_model, task, "task-agnostic", 8)
+        assert runs == []
         forwards = []
 
         def counting(*args, **kwargs):
@@ -332,13 +336,13 @@ class TestSweep:
         monkeypatch.setattr(evaluator, "_forward", counting)
         decodes = count_calls(monkeypatch, model, "decode_step")
         sweep(tiny_model, tasks, Policy(name="kvcompose"), AggregationChoice(), grid=grid)
-        assert forwards == [steps] * (len(tasks) * 2)
+        assert forwards == [steps] * len(tasks)
         assert decodes == []
 
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_prepare_task_copies_no_cache(self, tiny_model, monkeypatch, mode):
-        # the capture and the reference run both read the one prefill cache;
-        # task-aware scoring reads a query, which only a recall task has
+        # the capture reads and keeps the one prefill cache; task-aware
+        # scoring reads a query, which only a recall task has
         from kvcompose.model import KVCache
 
         def no_clone(self):
@@ -353,7 +357,13 @@ class TestSweep:
         layers = model.config.layers
         assert state.capture.cache.next_positions == [16] * layers
         assert [state.capture.cache.rows(l) for l in range(layers)] == [16] * layers
-        assert state.full_reward == 1.0
+
+    @pytest.mark.parametrize("name", ["kvcompose", "streaming"])
+    def test_no_aggregation_choice_rejected(self, tiny_model, name):
+        task = make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
+        states = [prepare_task(tiny_model, task, "task-agnostic", 8)]
+        with pytest.raises(UsageError, match="one aggregation choice"):
+            sweep_arms(tiny_model, states, Policy(name=name), [], RATIO_GRID)
 
     def test_task_aware_agreement_refused(self, tiny_model):
         # an agreement task has no query before its answer, so nothing to score on
@@ -362,9 +372,11 @@ class TestSweep:
             prepare_task(tiny_model, task, "task-aware", 8)
 
     @pytest.mark.parametrize("config", ["demo_agreement.json", "demo_recall.json"])
-    def test_r0_reproduces_the_reference_run(self, config):
-        # at r=0 every policy keeps every row, and an all-true mask in the
-        # grid call must give the reference run's logits bit for bit
+    def test_full_cache_row_equals_the_plain_path(self, config, monkeypatch):
+        # row 0 of each task's stack keeps every row: the full-cache rewards and
+        # reference log-probabilities must be the plain unmasked run's bit for
+        # bit, also on a grid without r=0, where no grid mask dedupes with row 0
+        from kvcompose import evaluator
         from kvcompose.cli import build_model, build_tasks, load_config
 
         cfg = load_config(Path(__file__).parent.parent / "configs" / config)
@@ -372,12 +384,26 @@ class TestSweep:
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
         # every policy sweeps these states, so they keep the head mean tova reads
         states = [prepare_task(model, t, mode, window, True) for t in build_tasks(cfg, model)]
-        full_mean = float(np.mean([s.full_reward for s in states]))
+        full_rewards, reference_logps = zip(*(full_cache_reference(model, s) for s in states))
+        epsilons = count_calls(monkeypatch, evaluator, "epsilon")
+        scored = count_calls(monkeypatch, evaluator, "_reward_and_kl")
         agg = AggregationChoice()
         for name in POLICY_NAMES:
-            p0 = sweep_arms(model, states, Policy(name=name), [agg], RATIO_GRID)[0][0]
-            assert (p0.r_target, p0.r_achieved) == (0.0, 0.0)
-            assert (p0.reward_mean, p0.kl_mean) == (full_mean, 0.0), name
+            curves = {}
+            for grid in (RATIO_GRID, (0.5, 0.9)):
+                epsilons.clear()
+                scored.clear()
+                curves[grid] = sweep_arms(model, states, Policy(name=name), [agg], grid)[0]
+                assert [tuple(args[0]) for args in epsilons] == [full_rewards], (name, grid)
+                assert len(scored) == len(states)
+                for (_, logp, _), want in zip(scored, reference_logps):
+                    assert np.array_equal(logp, want), (name, grid)
+            p0 = curves[RATIO_GRID][0]
+            assert (p0.r_target, p0.r_achieved, p0.epsilon) == (0.0, 0.0, 0.0), name
+            assert (p0.reward_mean, p0.kl_mean) == (float(np.mean(full_rewards)), 0.0), name
+            # a point does not depend on the other ratios of its grid
+            at = [RATIO_GRID.index(r) for r in (0.5, 0.9)]
+            assert curves[(0.5, 0.9)] == [curves[RATIO_GRID][i] for i in at], name
 
     def test_agreement_kl_is_nonnegative(self):
         from kvcompose.cli import build_model, build_tasks, load_config
@@ -500,7 +526,7 @@ def list_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
     return kept
 
 
-def reference_point(model, state, policy, agg_choice, r_target):
+def reference_point(model, state, reference_logp, policy, agg_choice, r_target):
     """(r_achieved, reward, kl) of one task at one ratio, scoring afresh at
     every ratio and, for a cache policy, decoding on the compacted cache:
     the per-ratio evaluation that the grid of keep-masks replaced. tova
@@ -512,9 +538,8 @@ def reference_point(model, state, policy, agg_choice, r_target):
         scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
         masks = unstructured_compress(scores, (r_target,))  # a G=1 stack
         r_achieved = 1.0 - np.count_nonzero(masks) / (cfg.layers * cfg.kv_heads * cap.context_len)
-        r, kl = _reward_and_kl(
-            model, cap.cache, state.task, state.reference_logp, head_masks=masks
-        )
+        logits = _run_steps(model, cap.cache, state.task, masks)
+        r, kl = _reward_and_kl(logits, reference_logp, state.task)
         return r_achieved, r[0], kl[0]
     budget = retention_budget(r_target, cfg.layers, cap.context_len)
     if policy.name == "kvcompose":
@@ -531,15 +556,20 @@ def reference_point(model, state, policy, agg_choice, r_target):
     else:
         cache = gather_cache(cap.cache, baseline_rows(cap, policy, (budget,))[0])
     total = sum(cache.rows(l) for l in range(cfg.layers))
-    r, kl = _reward_and_kl(model, cache, state.task, state.reference_logp)
+    r, kl = _reward_and_kl(_run_steps(model, cache, state.task, None), reference_logp, state.task)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl
 
 
 def reference_sweep(model, states, policy, agg_choice, grid):
-    full_rewards = [s.full_reward for s in states]
+    """The curve of ``reference_point``s, against each task's full-cache
+    reference by the plain unmasked run."""
+    full_rewards, reference_logps = zip(*(full_cache_reference(model, s) for s in states))
     points = []
     for r_target in grid:
-        results = [reference_point(model, s, policy, agg_choice, r_target) for s in states]
+        results = [
+            reference_point(model, s, logp, policy, agg_choice, r_target)
+            for s, logp in zip(states, reference_logps)
+        ]
         achieved, rewards, kls = zip(*results)
         points.append(
             CurvePoint(
@@ -547,7 +577,7 @@ def reference_sweep(model, states, policy, agg_choice, grid):
                 r_achieved=float(np.mean(achieved)),
                 reward_mean=float(np.mean(rewards)),
                 reward_std=float(np.std(rewards)),
-                epsilon=epsilon(full_rewards, list(rewards)),
+                epsilon=epsilon(list(full_rewards), list(rewards)),
                 kl_mean=float(np.mean(kls)),
             )
         )
@@ -636,7 +666,7 @@ class TestZeroFullReward:
         wrong = next(v for v in induction_value_range(32) if v != value)
         tasks[0] = replace(tasks[0], answer=(wrong,))
         states = [prepare_task(model, t, "task-aware", 32) for t in tasks]
-        assert [s.full_reward for s in states] == [0.0, 1.0, 1.0, 1.0]
+        assert [full_cache_reference(model, s)[0] for s in states] == [0.0, 1.0, 1.0, 1.0]
         return model, states
 
     @pytest.mark.parametrize("name", ["kvcompose", "streaming"])
