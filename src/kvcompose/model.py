@@ -111,8 +111,8 @@ class KVCache:
 
 @dataclass
 class ForwardResult:
-    cache: KVCache | None  # the held rows plus the new ones; None under a mask stack
-    logits: np.ndarray  # (M, vocab), or (G, M, vocab) under a stack; 0 rows if not asked for
+    cache: KVCache | None  # the held rows plus the new ones; None under a stack
+    logits: np.ndarray  # (M, vocab), or (T or G, M, vocab) under a stack; 0 rows if not asked for
     attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
     attention_mean: list[np.ndarray] | None = None  # per layer (..., M, R+M), mean over H_q
 
@@ -193,11 +193,13 @@ def _forward(
     Each layer may already hold any number of rows R. The new rows attend
     causally to each other and freely to the R held rows, so prefill is
     M=N on an empty cache and a decode step is M=1. The result's cache is
-    new: the held rows plus the new ones. ``head_masks``, when given, is a
-    (G, L, H_kv, W) bool stack: False at [g, l, h, c] hides held row c < W
-    of kv head h in layer l from grid row g (score forced to -inf). Outputs
-    then gain a leading G axis and the cache is None, so no layer's grid
-    K/V outlives it. Of each layer's (H_q, M, R+M) attention only the last
+    new: the held rows plus the new ones. ``tokens`` is (M,) or a (T, M)
+    stack of T passes after the same held rows; ``head_masks``, when given,
+    is a (G, L, H_kv, W) bool stack: False at [g, l, h, c] hides held row
+    c < W of kv head h in layer l from grid row g (score forced to -inf).
+    The two stacks do not combine. Under either, outputs gain a leading T or
+    G axis and the cache is None, so no layer's grid K/V outlives it. Of
+    each layer's (H_q, M, R+M) attention only the last
     ``attention_rows`` query rows (0 to M, none by default) are kept, then
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
     None). New rows take positions ``cache.next_position`` onward, whatever R
@@ -217,8 +219,10 @@ def _forward(
     so one batched matmul per kv head serves the group without copying K or V.
     """
     cfg = model.config
-    m = len(tokens)
-    if m == 0:
+    if tokens.ndim not in (1, 2) or (tokens.ndim == 2 and head_masks is not None):
+        raise UsageError(f"tokens must be (M,), or (T, M) without head_masks, got {tokens.shape}")
+    m = tokens.shape[-1]
+    if tokens.size == 0:
         raise UsageError("a forward pass needs at least one new token")
     positions = cache.next_position + np.arange(m)  # not a row count, which compaction lowers
     if positions[0] < 0 or positions[-1] >= cfg.max_context:
@@ -227,7 +231,7 @@ def _forward(
         )
     if not 0 <= attention_rows <= m:
         raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
-    x = _embed(model, tokens, positions)  # (M, d)
+    x = _embed(model, tokens, positions)  # (M, d) or (T, M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     if head_masks is not None:
         shape, fewest = head_masks.shape, min(cache.rows(l) for l in range(cfg.layers))
@@ -242,7 +246,7 @@ def _forward(
                 "attention patching needs the uncompacted cache"
             )
         x = np.broadcast_to(x, shape[:1] + x.shape)
-    grid = x.shape[:-2]  # () or (G,)
+    grid = x.shape[:-2]  # (), (T,) or (G,)
     angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
     cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]
     block = min(m, ROW_BLOCK)

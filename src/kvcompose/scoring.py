@@ -12,6 +12,7 @@ yielding S[l, h_kv, c] >= 0, the score every eviction decision is based on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,8 +94,9 @@ class AttentionCapture:
     A has axes [layer, query head, context token, task token]; every task
     row is a probability distribution over its full (causal) key range, of
     which only the context columns are kept here. Value norms are recorded
-    per kv head (raw) and per query head (projected through that head's
-    output matrix). Of the context's prefill it keeps only what the
+    per kv head (raw); per query head (projected through that head's
+    output matrix) they are computed on first read, since only vo-norm
+    reads them. Of the context's prefill it keeps only what the
     selectors read: the full cache, and the (L, N, N) attention averaged
     over query heads only when asked for. Only tova asks (it replays it),
     and that mean is then the capture's one O(N^2) array: the prefill
@@ -103,9 +105,18 @@ class AttentionCapture:
 
     A: np.ndarray  # (L, H_q, N, M)
     value_norms_raw: np.ndarray  # (L, H_kv, N)
-    value_norms_proj: np.ndarray  # (L, H_q, N)
     cache: KVCache | None = None  # the context's full prefill cache; None when built by hand
     attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
+    wo: np.ndarray | None = None  # the model's (L, H_q, d_h, d) output matrices
+
+    @cached_property
+    def value_norms_proj(self) -> np.ndarray:
+        """(L, H_q, N) norms of each value after its query head's output matrix. Query
+        head h reads kv head h // group: no copy of the values per query head."""
+        values = np.stack(self.cache.values)  # (L, H_kv, N, d_h)
+        layers, kv_heads, n, d_h = values.shape
+        wo = self.wo.reshape(layers, kv_heads, -1, d_h, self.wo.shape[-1])
+        return np.linalg.norm(values[:, :, None] @ wo, axis=4).reshape(layers, -1, n)
 
     @property
     def context_len(self) -> int:
@@ -128,15 +139,17 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 def collect_attention(
     model: Model, context: list[int], task_set: TaskSet, head_mean: bool = False
 ) -> AttentionCapture:
-    """Prefill the context once; record how the task tokens attend to it, plus value norms.
+    """Prefill the context once; record how the task tokens attend to it, plus raw value norms.
 
-    task-aware runs each task after the prefilled cache and keeps its
-    rows; task-agnostic keeps the trailing observation-window rows of the
-    prefill itself. No task writes the prefill's cache, which travels with
-    the capture, so every policy and ratio compresses the same full cache.
-    ``head_mean`` also keeps the prefill's attention averaged over query
-    heads, which only a policy that replays it needs (``Policy.reads_head_mean``).
-    Nothing reads the logits, so every pass runs with ``logits=False``.
+    task-aware runs the tasks of each distinct length as one (T, M) stack
+    after the prefilled cache and writes each task's rows into its own
+    columns, in task order; task-agnostic keeps the trailing observation-window
+    rows of the prefill itself. No task writes the prefill's cache, which
+    travels with the capture, so every policy and ratio compresses the same
+    full cache. ``head_mean`` also keeps the prefill's attention averaged over
+    query heads, which only a policy that replays it needs
+    (``Policy.reads_head_mean``). Nothing reads the logits, so every pass
+    runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -147,33 +160,28 @@ def collect_attention(
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
     base = prefill(model, context, attention_rows=w, head_mean=head_mean, logits=False)
+    # before the tasks run: after them, this temporary raised compress-long's peak RSS
+    raw = np.linalg.norm(np.stack(base.cache.values), axis=3)  # (L, H_kv, N)
 
-    # before the tasks run: after them, these temporaries grew compress-long's peak RSS 4 MB
-    values = np.stack(base.cache.values)  # (L, H_kv, N, d_h)
-    raw = np.linalg.norm(values, axis=3)  # (L, H_kv, N)
-    # query head h reads kv head h // group: no copy of the values per query head
-    wo = model.wo.reshape(cfg.layers, cfg.kv_heads, cfg.group_size, cfg.head_dim, -1)
-    proj = np.linalg.norm(values[:, :, None] @ wo, axis=4).reshape(cfg.layers, cfg.query_heads, n)
-
-    # a task runs after the context cache, which it reads and does not write
-    runs = [base] if agnostic else (
-        _forward(model, base.cache, np.asarray(t), attention_rows=len(t), logits=False)
-        for t in task_set.tasks
-    )
-    a = np.empty((cfg.layers, cfg.query_heads, n, w or sum(map(len, task_set.tasks))))
-    col = 0
-    for run in runs:
-        m = run.attention[0].shape[1]
-        for layer, attn in enumerate(run.attention):  # (H_q, M, N+M) -> context columns
-            a[layer, :, :, col : col + m] = attn[:, :, :n].swapaxes(1, 2)
-        col += m
+    lengths = [w] if agnostic else [len(t) for t in task_set.tasks]
+    starts = np.cumsum([0, *lengths])  # task i's columns are [starts[i], starts[i + 1])
+    a = np.empty((cfg.layers, cfg.query_heads, n, starts[-1]))
+    for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
+        group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
+        run = base if agnostic else _forward(
+            model, base.cache, np.array([task_set.tasks[i] for i in group]),
+            attention_rows=m, logits=False,
+        )
+        for layer, attn in enumerate(run.attention):  # (T, H_q, M, N+M) -> context columns
+            for i, rows in zip(group, attn.reshape(-1, *attn.shape[-3:])):
+                a[layer, :, :, starts[i] : starts[i + 1]] = rows[:, :, :n].swapaxes(1, 2)
 
     return AttentionCapture(
         A=a,
         value_norms_raw=raw,
-        value_norms_proj=proj,
         cache=base.cache,
         attention_mean=np.stack(base.attention_mean) if head_mean else None,
+        wo=model.wo,
     )
 
 

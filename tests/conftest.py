@@ -7,7 +7,7 @@ from kvcompose.baselines import pyramid_budgets
 from kvcompose.evaluator import _log_softmax, _run_steps, make_recall_tasks, prepare_task, reward
 from kvcompose.model import ModelConfig, construct_induction_model, init_model
 from kvcompose.numerics import SeededRng, argsort_desc
-from kvcompose.scoring import TaskSet, collect_attention, reduce_axis
+from kvcompose.scoring import AttentionCapture, TaskSet, collect_attention, reduce_axis
 
 
 @pytest.fixture
@@ -174,3 +174,18 @@ def count_calls(monkeypatch, module, name: str) -> list:
         if getattr(mod, "__name__", "").startswith("kvcompose") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+@pytest.fixture
+def proj_computations(monkeypatch) -> list:
+    """Every capture whose projected value norms get computed, once a computation:
+    the lazy attribute's own function is counted, and its caching left as it is."""
+    computed, lazy = [], AttentionCapture.__dict__["value_norms_proj"]
+    compute = lazy.func
+
+    def counting(cap):
+        computed.append(cap)
+        return compute(cap)
+
+    monkeypatch.setattr(lazy, "func", counting)
+    return computed

@@ -249,11 +249,7 @@ class TestSnapkvSelect:
     def test_uniform_attention_tie_case(self):
         # constant scores: keeps the window plus the lowest-index tokens
         a = np.full((1, 2, 8, 3), 0.125)
-        cap = AttentionCapture(
-            A=a,
-            value_norms_raw=np.ones((1, 1, 8)),
-            value_norms_proj=np.ones((1, 2, 8)),
-        )
+        cap = AttentionCapture(A=a, value_norms_raw=np.ones((1, 1, 8)))  # snapkv reads no norms
         kept = snapkv_select(cap, np.asarray([[5]]), window=2)[0]
         assert np.flatnonzero(kept[0][0]).tolist() == [0, 1, 2, 6, 7]
 

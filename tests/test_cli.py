@@ -353,6 +353,12 @@ class TestAblateCommand:
         assert len(by_task) == cfg.tasks["count"]
         assert sum(len(rows) for rows in by_task.values()) == distinct
 
+    def test_projected_norms_computed_once_per_task(self, tmp_path, capsys, proj_computations):
+        # 16 of the 48 arms read vo-norm; each task's capture computes the norms once
+        cfg = write_config(tmp_path)  # 4 recall tasks
+        assert main(["ablate", "--config", str(cfg), "--grid", "0,0.5,0.9"]) == EXIT_OK
+        assert len({id(c) for c in proj_computations}) == len(proj_computations) == 4
+
     def test_tasks_prepared_once_for_all_arms(self, tmp_path, capsys, monkeypatch):
         from kvcompose import scoring
 

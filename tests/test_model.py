@@ -508,6 +508,57 @@ class TestMaskStack:
             _forward(tiny_model, cache, np.asarray([3]), np.ones(shape, dtype))
 
 
+def assert_token_stack_equals_one_call_per_row(model, held, t, m, logits=True):
+    # the stack's T rows share the held cache: each gives, bit for bit, the
+    # logits, attention and head mean of its own 1-D call, and the cache is
+    # left as it was
+    cfg = model.config
+    cache = prefill(model, random_context(43, held)).cache if held else empty_cache(model)
+    before = cache.clone()
+    tokens = np.asarray(random_context(44, t * m)).reshape(t, m)
+    kwargs = {"attention_rows": m, "head_mean": True, "logits": logits}
+    res = _forward(model, cache, tokens, **kwargs)
+    assert res.cache is None
+    assert res.logits.shape == (t, m if logits else 0, cfg.vocab_size)
+    assert res.attention[0].shape == (t, cfg.query_heads, m, held + m)
+    for row in range(t):
+        want = _forward(model, before, tokens[row], **kwargs)
+        assert res.logits[row].tobytes() == want.logits.tobytes()
+        for got, wanted in ((res.attention, want.attention), (res.attention_mean, want.attention_mean)):
+            assert [a[row].tobytes() for a in got] == [b.tobytes() for b in wanted]
+    for got, want in zip(cache.keys + cache.values, before.keys + before.values, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestTokenStack:
+    def test_one_row_stack_equals_the_plain_pass(self, gqa_model):
+        # positions and row blocks come from M, the last axis, not from T
+        assert_token_stack_equals_one_call_per_row(gqa_model, held=20, t=1, m=8)
+
+    @pytest.mark.parametrize("logits", [True, False])
+    def test_stack_equals_one_call_per_row(self, gqa_model, logits):
+        assert_token_stack_equals_one_call_per_row(gqa_model, held=32, t=4, m=8, logits=logits)
+
+    def test_stack_over_several_row_blocks_equals_one_call_per_row(self, gqa_model):
+        assert_token_stack_equals_one_call_per_row(gqa_model, held=0, t=2, m=ROW_BLOCK + 3)
+
+    @pytest.mark.parametrize("shape", [(), (1, 2, 4)], ids=["scalar", "3-d"])
+    def test_other_ranks_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, shape):
+        cache = prefill(tiny_model, random_context(45, 6)).cache
+        forbid_layers(monkeypatch, tiny_model)
+        with pytest.raises(UsageError, match=r"tokens must be \(M,\), or \(T, M\)"):
+            _forward(tiny_model, cache, np.ones(shape, dtype=np.int64))
+
+    def test_token_stack_with_a_mask_stack_rejected(self, tiny_model, monkeypatch):
+        cfg = tiny_model.config
+        cache = prefill(tiny_model, random_context(46, 6)).cache
+        masks = np.ones((1, cfg.layers, cfg.kv_heads, 6), dtype=bool)
+        _forward(tiny_model, cache, np.asarray([3, 4]), masks)  # the same mask on a 1-D pass runs
+        forbid_layers(monkeypatch, tiny_model)
+        with pytest.raises(UsageError, match="without head_masks"):
+            _forward(tiny_model, cache, np.asarray([[3, 4]]), masks)
+
+
 class TestRowBlocks:
     def test_long_prefill_peak_is_a_few_row_blocks(self):
         # N=2,048: the unblocked pass held each layer's (H_q, N, N) scores

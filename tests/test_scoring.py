@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kvcompose.baselines import Policy
+from kvcompose.cli import ablation_grid
+from kvcompose.composer import compress, keep_masks
 from kvcompose.errors import ShapeError, UsageError
+from kvcompose.evaluator import RATIO_GRID, make_agreement_tasks, sweep
 from kvcompose.model import ROW_BLOCK, ModelConfig, _forward, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import (
@@ -27,7 +31,9 @@ def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
     a = rng.uniform_block(layers * query_heads * n * m).reshape(layers, query_heads, n, m)
     raw = rng.uniform_block(layers * kv_heads * n).reshape(layers, kv_heads, n) + 0.5
     proj = rng.uniform_block(layers * query_heads * n).reshape(layers, query_heads, n) + 0.5
-    return AttentionCapture(A=a, value_norms_raw=raw, value_norms_proj=proj)
+    cap = AttentionCapture(A=a, value_norms_raw=raw)
+    cap.value_norms_proj = proj  # a capture with no cache to project: set, not computed
+    return cap
 
 
 class TestTaskSet:
@@ -262,6 +268,70 @@ class TestCollectAttention:
         assert cap.value_norms_raw.shape == (2, 2, 6)
         assert cap.value_norms_proj.shape == (2, 4, 6)
         assert (cap.value_norms_raw >= 0).all()
+
+
+class TestTaskStacks:
+    def test_equals_per_task_passes_in_task_order(self, gqa_model, monkeypatch):
+        # tasks of one length run as one stack, yet each task's rows land
+        # in its own columns: those of its own pass, in task order
+        from kvcompose import model
+
+        context, n = random_context(90, 40), 40
+        tasks = tuple(tuple(random_context(91 + i, m)) for i, m in enumerate((3, 8, 3, 5)))
+        calls = count_calls(monkeypatch, model, "_forward")
+        cap = collect_attention(gqa_model, context, TaskSet(mode="task-aware", tasks=tasks))
+        # the prefill, then one pass per distinct length, in first-seen order
+        assert [np.shape(c[2]) for c in calls] == [(40,), (2, 3), (1, 8), (1, 5)]
+        passes = [
+            _forward(gqa_model, cap.cache, np.asarray(t), attention_rows=len(t), logits=False)
+            for t in tasks
+        ]
+        want = np.concatenate(
+            [np.stack([x[:, :, :n].swapaxes(1, 2) for x in run.attention]) for run in passes],
+            axis=3,
+        )
+        assert cap.A.shape == want.shape and cap.A.tobytes() == want.tobytes()
+
+
+def eager_projected_norms(model, cache) -> np.ndarray:
+    """The projected value norms computed at once: each kv head's values through
+    the output matrices of its query group."""
+    cfg = model.config
+    values = np.stack(cache.values)  # (L, H_kv, N, d_h)
+    wo = model.wo.reshape(cfg.layers, cfg.kv_heads, cfg.group_size, cfg.head_dim, -1)
+    return np.linalg.norm(values[:, :, None] @ wo, axis=4).reshape(cfg.layers, cfg.query_heads, -1)
+
+
+class TestLazyProjectedNorms:
+    @pytest.mark.parametrize("norm", ["none", "v-norm"])
+    def test_compress_and_sweep_without_vo_norm_compute_none(
+        self, gqa_model, proj_computations, norm
+    ):
+        context = random_context(95, 24)
+        ts = TaskSet(mode="task-aware", tasks=((1, 2, 3), (4, 5)))
+        kvcompose = Policy(name="kvcompose")
+        compress(gqa_model, context, ts, AggregationChoice(norm_variant=norm), 0.5, kvcompose)
+        tasks = make_agreement_tasks(gqa_model, 2, 16, 4, seed=3)
+        for name in ("kvcompose", "unstructured", "snapkv"):
+            sweep(gqa_model, tasks, Policy(name=name), AggregationChoice(norm_variant=norm))
+        assert proj_computations == []
+        # the positive control: a vo-norm choice computes them
+        compress(gqa_model, context, ts, AggregationChoice(norm_variant="vo-norm"), 0.5, kvcompose)
+        assert len(proj_computations) == 1
+
+    @pytest.mark.parametrize("policy", ["kvcompose", "unstructured"])
+    def test_ablation_grid_computes_them_once_per_capture(
+        self, gqa_model, proj_computations, policy
+    ):
+        ts = TaskSet(mode="task-aware", tasks=((1, 2, 3), (4, 5)))
+        caps = [collect_attention(gqa_model, random_context(s, 24), ts) for s in (96, 97)]
+        for cap in caps:
+            for _ in range(2):
+                keep_masks(cap, ablation_grid(), RATIO_GRID, Policy(name=policy))
+        assert [id(c) for c in proj_computations] == [id(c) for c in caps]
+        for cap in caps:
+            want = eager_projected_norms(gqa_model, cap.cache)
+            assert cap.value_norms_proj.tobytes() == want.tobytes()
 
 
 class TestAggregateTask:

@@ -35,6 +35,7 @@ import pytest
 from kvcompose.baselines import POLICY_NAMES
 from kvcompose.composer import CompressedCache
 from kvcompose.model import KVCache, construct_induction_model
+from kvcompose.scoring import TaskSet, collect_attention
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -52,6 +53,18 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"kvcompose.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_capture_attributes_keep_their_shapes(gqa_model):
+    # perfbench's tracer reads these three arrays off every capture (its score
+    # key and capture_bytes), so a rename or a lazy attribute that broke
+    # would otherwise surface only under --trace 1
+    cfg = gqa_model.config
+    ts = TaskSet(mode="task-aware", tasks=((1, 2, 3), (4, 5)))
+    cap = collect_attention(gqa_model, list(range(12)), ts)
+    assert cap.A.shape == (cfg.layers, cfg.query_heads, 12, 5)
+    assert cap.value_norms_raw.shape == (cfg.layers, cfg.kv_heads, 12)
+    assert cap.value_norms_proj.shape == (cfg.layers, cfg.query_heads, 12)
 
 
 def ranking_sorts(source: str) -> list[int]:
