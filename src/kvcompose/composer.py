@@ -16,7 +16,8 @@ choice's scores stack on a leading arm axis, which sorting, allocation and
 masking keep apart, so a token is kept where its slot rank is below its
 layer's budget; a baseline's masks are checked once and broadcast over
 the arms. ``compress`` gathers one ratio's rows: kvcompose's slot-order
-prefixes, or the ascending rows of a baseline's one mask.
+prefixes through ``compact_cache``, or the ascending rows of a baseline's
+one mask through ``gather_cache``.
 """
 from __future__ import annotations
 
@@ -91,13 +92,8 @@ def compact_cache(
     cache: KVCache, idx: np.ndarray, layer_budgets: np.ndarray
 ) -> CompressedCache:
     """Gather each head's first ``layer_budgets[l]`` slots of the slot order
-    ``idx`` (from ``composite_indices``) into the compressed cache.
-
-    No program path calls it: ``compress`` gathers its rows itself. It
-    stays because tests build ragged caches with it, and the
-    benchmark's tracer wraps it by name (a Tier-1 test pins that), so
-    deleting it would break a traced benchmark run.
-    """
+    ``idx`` (from ``composite_indices``) into the compressed cache: the
+    compact stage of a kvcompose ``compress``."""
     n = idx.shape[2]
     if (layer_budgets > n).any():
         raise UsageError(f"layer budgets {layer_budgets.tolist()} exceed context length {n}")
@@ -205,11 +201,10 @@ def compress(
     cap = collect_attention(model, context, task_set, policy.reads_head_mean)
     if policy.name == "kvcompose":
         idx, budgets = _slot_budgets(cap, [agg_choice], (r_target,))
-        kept = [idx[0, l, :, :b] for l, b in enumerate(budgets[0, 0])]
+        compressed = compact_cache(cap.cache, idx[0], budgets[0, 0])
     else:  # each head's ascending rows; keep_masks checked that every head keeps as many
         mask = keep_masks(cap, [agg_choice], (r_target,), policy)[0, 0]
-        kept = [m.nonzero()[1].reshape(len(m), -1) for m in mask]
-    compressed = gather_cache(cap.cache, kept)
+        compressed = gather_cache(cap.cache, [m.nonzero()[1].reshape(len(m), -1) for m in mask])
     layer_budgets = [compressed.rows(l) for l in range(compressed.layer_count)]
     budget = sum(layer_budgets)
     r_achieved = 1.0 - budget / (len(layer_budgets) * cap.context_len)

@@ -61,10 +61,6 @@ class ModelConfig:
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be even for rotary pairs, got {self.head_dim}")
 
-    @property
-    def group_size(self) -> int:
-        return self.query_heads // self.kv_heads
-
 
 @dataclass(frozen=True)
 class Model:
@@ -308,27 +304,16 @@ def _forward(
     return ForwardResult(grown, final @ model.embedding.T, attention, means)
 
 
-def prefill(
-    model: Model,
-    tokens: list[int],
-    attention_rows: int = 0,
-    head_mean: bool = False,
-    logits: bool = True,
-) -> ForwardResult:
-    """Causal forward pass over ``tokens`` (at least one) from position 0.
+def prefill(model: Model, tokens: list[int]) -> ForwardResult:
+    """Causal forward pass over ``tokens`` (at least one) from position 0:
+    ``_forward`` on an empty cache, keeping no attention.
 
-    Its cache holds one K,V row per token per kv head per layer. Of each
-    layer's attention it keeps the last ``attention_rows`` query rows (none
-    by default) and the head mean when ``head_mean``, and with ``logits`` off
-    skips what only the logits read, as ``_forward`` does.
-    Rows run in ``ROW_BLOCK`` blocks, so a layer never holds its full
-    (H_q, N, N) scores: its peak is O(H_q * ROW_BLOCK * N) and its time
-    O(N^2), without computing the masked upper triangle.
+    Returns logits (N, vocab) and a cache of one K,V row per token per kv
+    head per layer. Rows run in ``ROW_BLOCK`` blocks, so a layer never holds
+    its full (H_q, N, N) scores: its peak is O(H_q * ROW_BLOCK * N) and its
+    time O(N^2), without computing the masked upper triangle.
     """
-    return _forward(
-        model, empty_cache(model), np.asarray(tokens),
-        attention_rows=attention_rows, head_mean=head_mean, logits=logits,
-    )
+    return _forward(model, empty_cache(model), np.asarray(tokens))
 
 
 def decode_step(model: Model, cache: KVCache, token: int) -> ForwardResult:

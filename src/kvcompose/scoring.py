@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import KVCache, Model, _forward, prefill
+from .model import KVCache, Model, _forward, empty_cache
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -141,15 +141,16 @@ def collect_attention(
 ) -> AttentionCapture:
     """Prefill the context once; record how the task tokens attend to it, plus raw value norms.
 
-    task-aware runs the tasks of each distinct length as one (T, M) stack
-    after the prefilled cache and writes each task's rows into its own
-    columns, in task order; task-agnostic keeps the trailing observation-window
-    rows of the prefill itself. No task writes the prefill's cache, which
-    travels with the capture, so every policy and ratio compresses the same
-    full cache. ``head_mean`` also keeps the prefill's attention averaged over
-    query heads, which only a policy that replays it needs
-    (``Policy.reads_head_mean``). Nothing reads the logits, so every pass
-    runs with ``logits=False``.
+    The prefill is ``_forward`` on an empty cache, as ``model.prefill`` is, but
+    keeping the rows and means the capture reads. task-aware runs the tasks of
+    each distinct length as one (T, M) stack after the prefilled cache and
+    writes each task's rows into its own columns, in task order; task-agnostic
+    keeps the trailing observation-window rows of the prefill itself. No task
+    writes the prefill's cache, which travels with the capture, so every policy
+    and ratio compresses the same full cache. ``head_mean`` also keeps the
+    prefill's attention averaged over query heads, which only a policy that
+    replays it needs (``Policy.reads_head_mean``). Nothing reads the logits, so
+    every pass runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -159,7 +160,10 @@ def collect_attention(
     w = task_set.observation_window if agnostic else 0  # prefill rows the capture reads
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
-    base = prefill(model, context, attention_rows=w, head_mean=head_mean, logits=False)
+    base = _forward(
+        model, empty_cache(model), np.asarray(context),
+        attention_rows=w, head_mean=head_mean, logits=False,
+    )
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
     raw = np.linalg.norm(np.stack(base.cache.values), axis=3)  # (L, H_kv, N)
 

@@ -3,9 +3,16 @@ import sys
 import numpy as np
 import pytest
 
+from kvcompose import model as kvmodel
 from kvcompose.baselines import pyramid_budgets
 from kvcompose.evaluator import _log_softmax, _run_steps, make_recall_tasks, prepare_task, reward
-from kvcompose.model import ModelConfig, construct_induction_model, init_model
+from kvcompose.model import (
+    ModelConfig,
+    _forward,
+    construct_induction_model,
+    empty_cache,
+    init_model,
+)
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AttentionCapture, TaskSet, collect_attention, reduce_axis
 
@@ -160,20 +167,39 @@ def mark_rows(grid_rows: list[list[np.ndarray]], kv_heads: int, n: int) -> np.nd
     return masks
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Record the arguments of every call to ``module.name``, through each
-    kvcompose module that binds it."""
+def prefill_keeping(model, tokens, **options):
+    """A prefill with ``_forward``'s options (``attention_rows``, ``head_mean``,
+    ``logits``): ``_forward`` on an empty cache, as a capture runs it."""
+    return _forward(model, empty_cache(model), np.asarray(tokens), **options)
+
+
+def count_calls(monkeypatch, module, name: str, record=lambda *args: args) -> list:
+    """Record ``record`` of the arguments of every call to ``module.name``,
+    through each kvcompose module that binds it; a None record is skipped."""
     original = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        entry = record(*args)
+        if entry is not None:
+            calls.append(entry)
         return original(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("kvcompose") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def count_prefills(monkeypatch) -> list[list[int]]:
+    """The tokens of every forward pass from position 0, in call order: each
+    prefill, plain or a capture's, as ``_forward`` on an empty cache."""
+    return count_calls(
+        monkeypatch, kvmodel, "_forward",
+        lambda model, cache, tokens, *options: (
+            np.asarray(tokens).tolist() if cache.next_position == 0 else None
+        ),
+    )
 
 
 @pytest.fixture

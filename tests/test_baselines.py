@@ -16,7 +16,6 @@ from kvcompose.cli import ablation_grid
 from kvcompose.composer import keep_masks, retention_budget
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.evaluator import RATIO_GRID
-from kvcompose.model import prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AggregationChoice, AttentionCapture, TaskSet, collect_attention
 
@@ -25,6 +24,7 @@ from conftest import (
     baseline_rows,
     count_calls,
     mark_rows,
+    prefill_keeping,
     random_context,
     snapkv_rows,
     streaming_rows,
@@ -127,9 +127,8 @@ def uniform_grid_budgets(layers: int, n: int) -> np.ndarray:
 
 def head_mean(model, context) -> np.ndarray:
     """(L, N, N) prefill attention averaged over query heads: tova's input."""
-    return np.stack(
-        [a.mean(axis=0) for a in prefill(model, context, attention_rows=len(context)).attention]
-    )
+    run = prefill_keeping(model, context, attention_rows=len(context))
+    return np.stack([a.mean(axis=0) for a in run.attention])
 
 
 class TestTovaSelect:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompose import evaluator, model as kvmodel
+from kvcompose import evaluator
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import (
@@ -30,7 +30,7 @@ from kvcompose.scoring import (
     score_stages,
 )
 
-from conftest import count_calls
+from conftest import count_calls, count_prefills
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -153,7 +153,7 @@ class TestCompressCommand:
         assert [cache.rows(l) for l in range(2)] == [6, 6]
 
     def test_unstructured_policy_rejected(self, tmp_path, capsys, monkeypatch):
-        prefills = count_calls(monkeypatch, kvmodel, "prefill")
+        prefills = count_prefills(monkeypatch)
         cfg = write_config(
             tmp_path,
             scoring={"mode": "task-agnostic", "observation_window": 4},
@@ -397,7 +397,7 @@ class TestDumpScoresCommand:
         assert "shape=2x1x8" in out
 
     def test_builds_only_the_first_task(self, tmp_path, capsys, monkeypatch):
-        prefills = count_calls(monkeypatch, kvmodel, "prefill")
+        prefills = count_prefills(monkeypatch)
         cfg = write_config(
             tmp_path,
             model=RANDOM_MODEL,

@@ -23,7 +23,14 @@ from kvcompose.model import _forward, decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import arm_capture, baseline_rows, count_calls, mark_rows, random_context
+from conftest import (
+    arm_capture,
+    baseline_rows,
+    count_calls,
+    count_prefills,
+    mark_rows,
+    random_context,
+)
 
 
 def final_scores(seed, layers=2, heads=2, n=8) -> np.ndarray:
@@ -301,13 +308,29 @@ class TestCompressPipeline:
             assert np.array_equal(mask, marked)
 
     def test_task_aware_compress_prefills_context_once(self, tiny_model, monkeypatch):
-        from kvcompose import model
-
-        calls = count_calls(monkeypatch, model, "prefill")
+        prefills = count_prefills(monkeypatch)
         context = random_context(30, 16)
         ts = TaskSet(mode="task-aware", tasks=((5, 9, 2), (17,)))
         compress(tiny_model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose"))
-        assert [tokens for _, tokens in calls] == [context]
+        assert prefills == [context]
+
+    @pytest.mark.parametrize("name", [p for p in POLICY_NAMES if p != "unstructured"])
+    def test_only_kvcompose_compacts_through_compact_cache(self, tiny_model, monkeypatch, name):
+        # kvcompose's compressed cache is compact_cache's result, from one call;
+        # a baseline gathers its mask's rows and never calls it
+        compacted, original = [], composer.compact_cache
+
+        def recording(*args):
+            compacted.append(original(*args))
+            return compacted[-1]
+
+        monkeypatch.setattr(composer, "compact_cache", recording)
+        ts = TaskSet(mode="task-agnostic", observation_window=4)
+        cache, _ = compress(
+            tiny_model, random_context(31, 16), ts, AggregationChoice(), 0.5, Policy(name=name)
+        )
+        assert len(compacted) == (name == "kvcompose")
+        assert all(c is cache for c in compacted)
 
     def test_task_aware_compress_peak_memory_below_one_attention_set(self):
         # the capture's prefill keeps no attention rows, so its traced peak

@@ -25,7 +25,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng, exp_rows, softmax_rows
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import random_context, rotate_two_halves
+from conftest import prefill_keeping, random_context, rotate_two_halves
 
 
 def forbid_layers(monkeypatch, model_):
@@ -45,8 +45,11 @@ def forbid_layers(monkeypatch, model_):
 
 class TestConfig:
     def test_group_arithmetic(self):
+        # four query heads share two kv heads: the weights hold two query
+        # heads' projections per kv head
         cfg = ModelConfig(layers=2, query_heads=4, kv_heads=2, model_dim=32, head_dim=8, vocab_size=10)
-        assert cfg.group_size == 2
+        m = init_model(cfg)
+        assert m.wq.shape[1] == 2 * m.wk.shape[1] == 2 * m.wv.shape[1] == m.wo.shape[1]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -79,7 +82,6 @@ class TestInitModel:
     def test_shape_audit(self):
         cfg = ModelConfig(layers=2, query_heads=4, kv_heads=2, model_dim=32, head_dim=8, vocab_size=16)
         m = init_model(cfg)
-        assert cfg.group_size == 2
         assert m.wq.shape == (2, 4, 32, 8)
         assert m.wk.shape == (2, 2, 32, 8)
         assert m.wv.shape == (2, 2, 32, 8)
@@ -104,7 +106,7 @@ class TestRotate:
 
 class TestPrefill:
     def test_single_token_attention(self, tiny_model):
-        res = prefill(tiny_model, [3], attention_rows=1)
+        res = prefill_keeping(tiny_model, [3], attention_rows=1)
         for attn in res.attention:
             assert attn.shape == (4, 1, 1)
             assert np.array_equal(attn, np.ones((4, 1, 1)))
@@ -116,7 +118,7 @@ class TestPrefill:
             assert res.cache.values[layer].shape == (2, 10, 8)
 
     def test_attention_rows_are_distributions(self, tiny_model):
-        res = prefill(tiny_model, random_context(2, 12), attention_rows=12)
+        res = prefill_keeping(tiny_model, random_context(2, 12), attention_rows=12)
         for attn in res.attention:
             sums = attn.sum(axis=2)
             assert np.abs(sums - 1.0).max() < 1e-6
@@ -124,7 +126,7 @@ class TestPrefill:
 
     def test_attention_above_the_diagonal_is_exactly_zero(self, gqa_model):
         n = 40
-        res = prefill(gqa_model, random_context(4, n), attention_rows=n)
+        res = prefill_keeping(gqa_model, random_context(4, n), attention_rows=n)
         future = np.triu(np.ones((n, n), dtype=bool), k=1)
         for attn in res.attention:
             assert (attn[:, future] == 0.0).all()
@@ -155,8 +157,8 @@ class TestPrefill:
         # the kept rows and the head mean equal those of the full attention
         # bit for bit, and nothing else of a layer's attention is returned
         tokens = random_context(6, 12)
-        full = prefill(gqa_model, tokens, attention_rows=len(tokens))
-        cut = prefill(gqa_model, tokens, attention_rows=rows, head_mean=head_mean)
+        full = prefill_keeping(gqa_model, tokens, attention_rows=len(tokens))
+        cut = prefill_keeping(gqa_model, tokens, attention_rows=rows, head_mean=head_mean)
         assert np.array_equal(cut.logits, full.logits)
         assert all(np.array_equal(a, b) for a, b in zip(cut.cache.keys, full.cache.keys))
         assert len(cut.attention) == gqa_model.config.layers
@@ -172,9 +174,9 @@ class TestPrefill:
 
     def test_keep_rejects_bad_row_counts(self, tiny_model):
         with pytest.raises(UsageError, match="-1"):
-            prefill(tiny_model, random_context(7, 5), attention_rows=-1)
+            prefill_keeping(tiny_model, random_context(7, 5), attention_rows=-1)
         with pytest.raises(UsageError, match="cannot keep 6 attention rows of 5"):
-            prefill(tiny_model, random_context(7, 5), attention_rows=6)
+            prefill_keeping(tiny_model, random_context(7, 5), attention_rows=6)
 
     def test_default_keeps_no_attention(self, gqa_model):
         res = prefill(gqa_model, random_context(8, 12))
@@ -235,7 +237,7 @@ class TestForward:
 
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
         tokens = random_context(5, 12)
-        full = prefill(tiny_model, tokens, attention_rows=len(tokens))
+        full = prefill_keeping(tiny_model, tokens, attention_rows=len(tokens))
         cache = prefill(tiny_model, tokens[:7]).cache
         res = _forward(tiny_model, cache, np.asarray(tokens[7:]), attention_rows=5)
         assert np.abs(res.logits - full.logits[7:]).max() < 1e-8
@@ -298,7 +300,7 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
     cfg = model.config
     m = len(tokens)
     x = _embed(model, tokens, positions)
-    group = cfg.group_size
+    group = cfg.query_heads // cfg.kv_heads
     attention, keys, values = [], [], []
     for layer in range(cfg.layers):
         q = np.einsum("nd,hde->hne", x, model.wq[layer])
@@ -592,9 +594,9 @@ class TestRowBlocks:
         from kvcompose import model
 
         tokens = random_context(61, n)
-        blocked = prefill(gqa_model, tokens, attention_rows=n, head_mean=True)
+        blocked = prefill_keeping(gqa_model, tokens, attention_rows=n, head_mean=True)
         monkeypatch.setattr(model, "ROW_BLOCK", n)
-        whole = prefill(gqa_model, tokens, attention_rows=n, head_mean=True)
+        whole = prefill_keeping(gqa_model, tokens, attention_rows=n, head_mean=True)
         assert np.array_equal(blocked.logits, whole.logits)
         for name in ("attention", "attention_mean"):
             pairs = zip(getattr(blocked, name), getattr(whole, name), strict=True)

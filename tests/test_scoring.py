@@ -23,7 +23,13 @@ from kvcompose.scoring import (
     collect_attention,
 )
 
-from conftest import count_calls, random_context, rotate_two_halves
+from conftest import (
+    count_calls,
+    count_prefills,
+    prefill_keeping,
+    random_context,
+    rotate_two_halves,
+)
 
 
 def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
@@ -59,7 +65,7 @@ def reference_capture(model, context, task_set, head_mean):
     and value norms projected through values repeated per query head."""
     n = len(context)
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
-    base = prefill(model, context, attention_rows=w, head_mean=head_mean)
+    base = prefill_keeping(model, context, attention_rows=w, head_mean=head_mean)
     if w:
         a = np.stack([np.transpose(attn, (0, 2, 1)) for attn in base.attention])
     else:
@@ -70,7 +76,8 @@ def reference_capture(model, context, task_set, head_mean):
         a = np.concatenate(parts, axis=3)
     values = base.cache.values
     raw = np.stack([np.linalg.norm(v, axis=2) for v in values], axis=0)
-    per_query = np.repeat(np.stack(values), model.config.group_size, axis=1)
+    group = model.config.query_heads // model.config.kv_heads
+    per_query = np.repeat(np.stack(values), group, axis=1)
     proj = np.linalg.norm(per_query @ model.wo, axis=3)
     mean = np.stack(base.attention_mean) if head_mean else None
     return a, raw, proj, base.cache, mean
@@ -106,7 +113,7 @@ class TestCollectAttention:
             context = random_context(4, n)
             task = tuple(random_context(5, m))
             cap = collect_attention(model, context, TaskSet(mode="task-aware", tasks=(task,)))
-            run = prefill(model, context + list(task), attention_rows=n + m)
+            run = prefill_keeping(model, context + list(task), attention_rows=n + m)
             for layer in range(model.config.layers):
                 full_attn = run.attention[layer]  # (H_q, N+M, N+M)
                 recomputed = np.transpose(full_attn[:, n:, :n], (0, 2, 1))
@@ -146,7 +153,7 @@ class TestCollectAttention:
         angles = np.arange(n + 1)[:, None] * tiny_model.inv_freq[None, :]
         q = rotate_two_halves(q, np.cos(angles), np.sin(angles))[:, -1, :]  # (H_q, d_h)
         k = run.cache.keys[0]  # (H_kv, n+1, d_h) post-rotation
-        k_rep = np.repeat(k, cfg.group_size, axis=0)
+        k_rep = np.repeat(k, cfg.query_heads // cfg.kv_heads, axis=0)
         scores = np.einsum("he,hce->hc", q, k_rep)
         oracle = softmax_rows(scores, scale=1.0 / np.sqrt(cfg.head_dim))
         assert np.abs(oracle[:, :n] - cap.A[0, :, :, 0]).max() < 1e-8
@@ -158,20 +165,18 @@ class TestCollectAttention:
             )
 
     def test_window_rejected_before_prefill(self, tiny_model, monkeypatch):
-        from kvcompose import model
-
-        calls = count_calls(monkeypatch, model, "prefill")
+        prefills = count_prefills(monkeypatch)
         with pytest.raises(UsageError, match="observation_window 5 exceeds context length 2"):
             collect_attention(
                 tiny_model, [1, 2], TaskSet(mode="task-agnostic", observation_window=5)
             )
-        assert calls == []
+        assert prefills == []
 
     def test_window_rows_equal_the_prefill_rows(self, gqa_model):
         context, w = random_context(13, 24), 5
         tset = TaskSet(mode="task-agnostic", observation_window=w)
         cap = collect_attention(gqa_model, context, tset)
-        run = prefill(gqa_model, context, attention_rows=len(context))
+        run = prefill_keeping(gqa_model, context, attention_rows=len(context))
         for layer, attn in enumerate(run.attention):
             assert np.array_equal(cap.A[layer], np.transpose(attn[:, -w:, :], (0, 2, 1)))
 
@@ -181,7 +186,7 @@ class TestCollectAttention:
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
         assert collect_attention(tiny_model, context, tset).attention_mean is None
         cap = collect_attention(tiny_model, context, tset, head_mean=True)
-        run = prefill(tiny_model, context, attention_rows=len(context))
+        run = prefill_keeping(tiny_model, context, attention_rows=len(context))
         assert np.array_equal(cap.attention_mean, np.stack([a.mean(axis=0) for a in run.attention]))
 
     @pytest.mark.parametrize("head_mean", [False, True])
@@ -195,15 +200,18 @@ class TestCollectAttention:
 
         runs = []
 
-        def recording(*args, **kwargs):
-            runs.append(prefill(*args, **kwargs))
-            return runs[-1]
+        def recording(model, cache, *args, **kwargs):
+            run = _forward(model, cache, *args, **kwargs)
+            if cache.next_position == 0:  # the context prefill, not a task pass
+                runs.append(run)
+            return run
 
-        monkeypatch.setattr(scoring, "prefill", recording)
+        monkeypatch.setattr(scoring, "_forward", recording)
         context, h_q = random_context(16, 20), tiny_model.config.query_heads
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(17, 3)),), 4)
         cap = collect_attention(tiny_model, context, tset, head_mean=head_mean)
         arrays = [getattr(cap, f.name) for f in fields(cap)] + cap.cache.keys + cap.cache.values
+        assert len(runs) == 1
         arrays += runs[0].attention + (runs[0].attention_mean or [])
         assert [np.shape(a) for a in arrays if np.shape(a)[-3:] == (h_q, 20, 20)] == []
         kept = 4 if mode == "task-agnostic" else 0
@@ -298,7 +306,8 @@ def eager_projected_norms(model, cache) -> np.ndarray:
     the output matrices of its query group."""
     cfg = model.config
     values = np.stack(cache.values)  # (L, H_kv, N, d_h)
-    wo = model.wo.reshape(cfg.layers, cfg.kv_heads, cfg.group_size, cfg.head_dim, -1)
+    group = cfg.query_heads // cfg.kv_heads
+    wo = model.wo.reshape(cfg.layers, cfg.kv_heads, group, cfg.head_dim, -1)
     return np.linalg.norm(values[:, :, None] @ wo, axis=4).reshape(cfg.layers, cfg.query_heads, -1)
 
 

@@ -1,6 +1,8 @@
 """Source-level guards: the benchmark's tracer wraps kvcompose functions
 by name, so a renamed or deleted function would break
-``perfbench/run.py --trace 1`` unseen; every ranking goes through
+``perfbench/run.py --trace 1`` unseen, and each of them has a caller
+in the program or a stated reason on a short list, so that no traced
+metric reads 0 for want of a caller; every ranking goes through
 ``numerics.argsort_desc``, the one home of the tie rule; only
 ``model.py`` reads ``max_context``, whose one check is in ``_forward``;
 no dataclass merely wraps one array; the evaluator scores every
@@ -41,18 +43,64 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-@pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
-def test_traced_names_resolve():
+def traced_names() -> dict[str, tuple[str, ...]]:
+    """perfbench's ``TRACED``: module name -> the function names its tracer wraps."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.TRACED
+
+
+@pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
+def test_traced_names_resolve():
     missing = [
         f"kvcompose.{module}.{name}"
-        for module, names in tracing.TRACED.items()
+        for module, names in traced_names().items()
         for name in names
         if not callable(getattr(importlib.import_module(f"kvcompose.{module}"), name, None))
     ]
     assert missing == []
+
+
+# traced functions that no program path calls, each with why it stays
+TRACED_WITHOUT_CALLER = {
+    "numerics.softmax_rows": "the oracle that _forward's kept attention rows must match",
+    "cache_io.read_cache": "no program decodes a KVCF file yet",
+}
+
+
+def program_loads() -> list[tuple[str, frozenset[str]]]:
+    """Each load of a name, bare or as an attribute, in ``src/kvcompose/``, with
+    the ``module.function`` definitions it lies in; imports are no loads."""
+    loads = []
+
+    def visit(node, module, inside):
+        if isinstance(node, ast.FunctionDef):
+            inside = inside | {f"{module}.{node.name}"}
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name and isinstance(getattr(node, "ctx", None), ast.Load):
+            loads.append((name, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, inside)
+
+    for path in (ROOT / "src" / "kvcompose").glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, frozenset())
+    return loads
+
+
+@pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
+def test_every_traced_name_has_a_program_caller():
+    # a traced stage that no program path reaches reads 0 in every benchmark
+    # metric named after it, which measures nothing; a load inside the
+    # function's own definition is no caller
+    loads = program_loads()
+    uncalled = {
+        f"{module}.{name}"
+        for module, names in traced_names().items()
+        for name in names
+        if not any(n == name and f"{module}.{name}" not in inside for n, inside in loads)
+    }
+    assert uncalled == set(TRACED_WITHOUT_CALLER)
 
 
 def test_traced_capture_attributes_keep_their_shapes(gqa_model):
