@@ -42,6 +42,7 @@ from kvcompose.model import (
     _forward,
     construct_induction_model,
     decode_step,
+    empty_cache,
     init_model,
     prefill,
 )
@@ -49,6 +50,7 @@ from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
 
 from test_cache_io import make_cache
+from test_model import reference_forward
 
 
 @contextmanager
@@ -85,34 +87,6 @@ def test_criterion_1_paper_arithmetic():
         assert kv_entry_count(32, 8, 32000, 128) == 2_097_152_000
 
 
-def dense_causal_logits(model, tokens: list[int]) -> np.ndarray:
-    """The (N, vocab) logits of the textbook dense pass over ``tokens`` from
-    position 0: every layer's full (H_q, N, N) scores, the future (the upper
-    triangle past the diagonal, ``np.triu(..., k=1)``) set to -inf, a plain
-    softmax, K/V repeated per query head and rotary one half at a time."""
-    cfg = model.config
-    n, half, group = len(tokens), cfg.head_dim // 2, cfg.query_heads // cfg.kv_heads
-    angles = np.arange(n)[:, None] * model.inv_freq[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
-
-    def rotate(vecs):
-        a, b = vecs[..., :half], vecs[..., half:]
-        return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
-
-    future = np.triu(np.ones((n, n), dtype=bool), k=1)
-    x = model.embedding[np.asarray(tokens)]
-    for layer in range(cfg.layers):
-        q = rotate(np.einsum("nd,hde->hne", x, model.wq[layer]))
-        k = np.repeat(rotate(np.einsum("nd,hde->hne", x, model.wk[layer])), group, axis=0)
-        v = np.repeat(np.einsum("nd,hde->hne", x, model.wv[layer]), group, axis=0)
-        scores = q @ k.swapaxes(1, 2) / np.sqrt(cfg.head_dim)
-        scores[:, future] = -np.inf
-        weights = np.exp(scores - scores.max(axis=2, keepdims=True))
-        weights /= weights.sum(axis=2, keepdims=True)
-        x = x + np.einsum("hne,hed->nd", weights @ v, model.wo[layer])
-    return x @ model.embedding.T
-
-
 def test_criterion_2_r0_fidelity():
     desc = (
         "full prefill equals dense causal attention, 1e-9; "
@@ -132,7 +106,10 @@ def test_criterion_2_r0_fidelity():
             )
             assert report.r_achieved == 0.0
             run = prefill(model, context)
-            assert np.abs(run.logits - dense_causal_logits(model, context)).max() < 1e-9
+            # the dense causal pass: full scores, the future masked by np.triu(..., k=1)
+            tokens, positions = np.asarray(context), np.arange(n)
+            dense, _, _ = reference_forward(model, empty_cache(model), tokens, positions)
+            assert np.abs(run.logits - dense).max() < 1e-9
             full = run.cache
             token = context[-1]
             for step in range(16):
