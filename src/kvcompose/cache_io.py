@@ -15,8 +15,10 @@ KVCF cache files (all integers little-endian):
 
 Tensor files ("KVCT", version 1) hold one named array: dtype byte
 (0=f32, 1=u32), ndim byte, dims, payload, crc32. Both formats share one
-frame: magic, u16 version, body, crc32. Reports are JSON plus a
-fixed-column CSV; identical inputs always produce identical bytes.
+frame, written by ``_framed``: magic, u16 version, body, crc32. Reports
+are JSON plus a fixed-column CSV; identical inputs give identical bytes.
+Every file the package reads or writes goes through ``read_file`` or
+``write_file``, the one place an ``OSError`` becomes an ``IoError``.
 """
 from __future__ import annotations
 
@@ -73,34 +75,46 @@ class IoError(KvcError):
     pass
 
 
+def read_file(path: str | Path, what: str) -> bytes:
+    """The bytes of ``path``; an OS error becomes an ``IoError`` naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def write_file(path: str | Path, data: bytes | str, what: str) -> int:
+    """Write ``data`` (text as UTF-8) into ``path``'s existing directory; an
+    OS error becomes an ``IoError`` naming the path. Returns the byte count."""
+    data = data.encode() if isinstance(data, str) else data
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {what} to {path}: {exc}") from exc
+    return len(data)
+
+
+def _framed(magic: bytes, version: int, *parts: bytes) -> bytes:
+    """The shared frame: magic, u16 version, ``parts``, then a crc32 of all of it."""
+    body = b"".join([magic, struct.pack("<H", version), *parts])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def cache_to_bytes(cache: CompressedCache) -> bytes:
     if not isinstance(cache, CompressedCache):  # a prefill or decoded cache has no provenance
         raise IoError(f"only compressed caches serialize, got {type(cache).__name__}")
     layers = cache.layer_count
     kv_heads, _, head_dim = cache.keys[0].shape
-    parts = [
-        MAGIC_CACHE,
-        struct.pack("<HIII", CACHE_VERSION, layers, kv_heads, head_dim),
-        struct.pack(f"<{layers}I", *(cache.rows(l) for l in range(layers))),
-        struct.pack(f"<{layers}I", *cache.next_positions),
-    ]
-    for l in range(layers):
-        parts.append(cache.keys[l].astype("<f4").tobytes(order="C"))
-        parts.append(cache.values[l].astype("<f4").tobytes(order="C"))
-    for l in range(layers):
-        parts.append(cache.provenance[l].astype("<u4").tobytes(order="C"))
-    body = b"".join(parts)
-    return body + struct.pack("<I", zlib.crc32(body))
+    header = (layers, kv_heads, head_dim, *map(cache.rows, range(layers)), *cache.next_positions)
+    parts = [struct.pack(f"<{len(header)}I", *header)]
+    parts += [a.astype("<f4").tobytes() for kv in zip(cache.keys, cache.values) for a in kv]
+    parts += [p.astype("<u4").tobytes() for p in cache.provenance]
+    return _framed(MAGIC_CACHE, CACHE_VERSION, *parts)
 
 
 def write_cache(cache: CompressedCache, path: str | Path) -> int:
     """Serialize; rewriting the same cache is byte-identical. Returns byte count."""
-    data = cache_to_bytes(cache)
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoError(f"cannot write cache to {path}: {exc}") from exc
-    return len(data)
+    return write_file(path, cache_to_bytes(cache), "cache")
 
 
 def _check_frame(data: bytes, magic: bytes, version: int, fixed: int) -> None:
@@ -177,11 +191,7 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
 
 
 def read_cache(path: str | Path) -> CompressedCache:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read cache from {path}: {exc}") from exc
-    return cache_from_bytes(data)
+    return cache_from_bytes(read_file(path, "cache"))
 
 
 def cache_header_size(layers: int) -> int:
@@ -200,26 +210,13 @@ def write_tensor(array: np.ndarray, path: str | Path) -> int:
         code, payload = 1, array.astype("<u4")
     else:
         code, payload = 0, array.astype("<f4")
-    header = (
-        MAGIC_TENSOR
-        + struct.pack("<HBB", TENSOR_VERSION, code, array.ndim)
-        + struct.pack(f"<{array.ndim}I", *array.shape)
-    )
-    body = header + payload.tobytes(order="C")
-    data = body + struct.pack("<I", zlib.crc32(body))
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise IoError(f"cannot write tensor to {path}: {exc}") from exc
-    return len(data)
+    header = struct.pack(f"<BB{array.ndim}I", code, array.ndim, *array.shape)
+    data = _framed(MAGIC_TENSOR, TENSOR_VERSION, header, payload.tobytes())
+    return write_file(path, data, "tensor")
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read tensor from {path}: {exc}") from exc
-    return tensor_from_bytes(data)
+    return tensor_from_bytes(read_file(path, "tensor"))
 
 
 def tensor_from_bytes(data: bytes) -> np.ndarray:
@@ -260,12 +257,8 @@ def report_to_csv(report: EvalReport) -> str:
 def write_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
     """Emit report.json and report.csv; identical reports give identical bytes."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        json_path = out / "report.json"
-        csv_path = out / "report.csv"
-        json_path.write_text(report_to_json(report))
-        csv_path.write_text(report_to_csv(report))
-    except OSError as exc:
-        raise IoError(f"cannot write report to {out_dir}: {exc}") from exc
-    return {"json": json_path, "csv": csv_path}
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"json": out / "report.json", "csv": out / "report.csv"}
+    write_file(paths["json"], report_to_json(report), "report")
+    write_file(paths["csv"], report_to_csv(report), "report")
+    return paths

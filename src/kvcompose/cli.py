@@ -3,7 +3,9 @@
 Configs are strict JSON (unknown keys and values of the wrong type are
 rejected) so ablation grids stay scriptable and diffable. stdout carries
 machine-readable summary lines; diagnostics go to stderr. Exit codes:
-0 success, 2 configuration error, 3 I/O error.
+0 success, 2 configuration error, 3 I/O error. ``cache_io`` reads and
+writes every file; a config or context that does not decode as UTF-8,
+or nests too deep, is a configuration error.
 """
 from __future__ import annotations
 
@@ -149,13 +151,10 @@ def _section(
 
 
 def load_config(path: str | Path) -> RunConfig:
+    raw = cache_io.read_file(path, "config")
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise cache_io.IoError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        data = json.loads(raw)  # UTF-8, or UTF-16/32 by json's own detection
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(data)
 
@@ -223,12 +222,9 @@ def build_tasks(cfg: RunConfig, model: Model):
 
 def _read_context(path: str | Path) -> list[int]:
     """The context's token ids; the model rejects ids outside its vocabulary."""
+    raw = cache_io.read_file(path, "context")
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise cache_io.IoError(f"cannot read context {path}: {exc}") from exc
-    try:
-        tokens = [int(t) for t in text.split()]
+        tokens = [int(t) for t in raw.decode().split()]  # UnicodeDecodeError is a ValueError
     except ValueError as exc:
         raise ConfigError(f"context file {path} must hold whitespace-separated ints") from exc
     if not tokens:
@@ -345,14 +341,14 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
         arm_dir = out / _slug(choice)
         report = _sweep_report(cfg, model, points, echo)
         paths = cache_io.write_report(report, arm_dir)
-        (arm_dir / "config.json").write_text(json.dumps(echo, sort_keys=True, indent=2) + "\n")
+        echo_text = json.dumps(echo, sort_keys=True, indent=2) + "\n"
+        cache_io.write_file(arm_dir / "config.json", echo_text, "config")
         combined += [(choice.label(), *vars(p).values(), report.auc) for p in points]
         print(f"ablate arm={_slug(choice)} auc={report.auc!r} report={paths['json']}")
 
     combined_path = out / "combined.csv"
-    combined_path.write_text(
-        cache_io.csv_text(("label", *cache_io.CSV_COLUMNS, "auc"), combined)
-    )
+    combined_csv = cache_io.csv_text(("label", *cache_io.CSV_COLUMNS, "auc"), combined)
+    cache_io.write_file(combined_path, combined_csv, "report")
     print(f"ablate configs={count} combined={combined_path}")
     return EXIT_OK
 

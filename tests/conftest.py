@@ -85,6 +85,35 @@ def full_cache_reference(model, state) -> tuple[float, np.ndarray]:
     return reward(model, cache, task), _log_softmax(_run_steps(model, cache, task, None))
 
 
+def allocation_oracle(importance: np.ndarray, budget: int) -> list[int]:
+    """Per-layer counts of a brute-force pool sort of every (layer, slot) score,
+    with the (score desc, layer, slot) tie rule."""
+    layers, n = importance.shape
+    pool = [(-importance[l, k], l, k) for l in range(layers) for k in range(n)]
+    pool.sort()
+    counts = [0] * layers
+    for _, l, _ in pool[:budget]:
+        counts[l] += 1
+    return counts
+
+
+def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
+    """One layer's TOVA replay, step by step with explicit set bookkeeping:
+    each step over budget evicts the least-attended kept token (the lowest
+    index on ties). The per-layer form that the all-layer replay replaced."""
+    alive = []
+    for step in range(rows.shape[0]):
+        alive.append(step)
+        if len(alive) > budget:
+            worst, worst_score = None, None
+            for tok in alive:
+                score = rows[step, tok]
+                if worst_score is None or score < worst_score:
+                    worst, worst_score = tok, score
+            alive.remove(worst)
+    return alive
+
+
 # The baselines' selectors as they were before they returned keep-masks: each
 # gives, per grid ratio, one ascending int64 row array per layer, (H_kv, n_l)
 # or (n_l,) for every head. The mask selectors must mark exactly these rows.

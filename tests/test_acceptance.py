@@ -49,6 +49,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
 
+from conftest import allocation_oracle
 from test_cache_io import make_cache
 from test_model import reference_forward
 
@@ -118,16 +119,6 @@ def test_criterion_2_r0_fidelity():
                 assert np.abs(a.logits[0] - b.logits[0]).max() < 1e-5
                 token = int(np.argmax(a.logits[0]))
                 full, compressed = a.cache, b.cache
-
-
-def allocation_oracle(importance: np.ndarray, budget: int) -> list[int]:
-    layers, n = importance.shape
-    pool = [(-importance[l, k], l, k) for l in range(layers) for k in range(n)]
-    pool.sort()
-    counts = [0] * layers
-    for _, l, _ in pool[:budget]:
-        counts[l] += 1
-    return counts
 
 
 def test_criterion_3_allocation_oracle():

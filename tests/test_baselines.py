@@ -28,6 +28,7 @@ from conftest import (
     random_context,
     snapkv_rows,
     streaming_rows,
+    tova_oracle,
     tova_rows,
 )
 
@@ -85,21 +86,6 @@ class TestStreamingSelect:
     def test_independent_of_model_weights(self):
         # pure index arithmetic: no model argument exists to depend on
         assert np.array_equal(streaming_select(12, 7, 3), streaming_select(12, 7, 3))
-
-
-def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
-    """Independent step-by-step replay with explicit set bookkeeping."""
-    alive = []
-    for step in range(rows.shape[0]):
-        alive.append(step)
-        if len(alive) > budget:
-            worst, worst_score = None, None
-            for tok in alive:
-                score = rows[step, tok]
-                if worst_score is None or score < worst_score:
-                    worst, worst_score = tok, score
-            alive.remove(worst)
-    return alive
 
 
 def per_ratio_replay(rows: np.ndarray, budgets: np.ndarray) -> list[np.ndarray]:

@@ -492,6 +492,14 @@ class TestParseConfig:
             parse_config(data)
 
 
+# case -> (command, bytes of the config, or of the context for compress)
+UNREADABLE_INPUT = {
+    "config-not-utf8": ("sweep", b'{"model": "\xff"}'),
+    "context-not-utf8": ("compress", b"1 2 \xff 3"),
+    "config-nested-100000": ("sweep", b"[" * 100_000 + b"]" * 100_000),
+}
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -506,6 +514,25 @@ class TestExitCodes:
         cfg = write_config(tmp_path, scoring={"mode": "task-agnostic"}, r_target=0.0)
         rc = main(["compress", "--config", str(cfg), "--context", str(tmp_path / "no.txt")])
         assert rc == EXIT_IO
+
+    @pytest.mark.parametrize("case", UNREADABLE_INPUT)
+    def test_undecodable_or_over_nested_input(self, tmp_path, capsys, case):
+        # bytes that are not UTF-8, or JSON nested past the parser's recursion
+        # limit, are configuration errors that name the file
+        command, data = UNREADABLE_INPUT[case]
+        bad = tmp_path / "bad"
+        bad.write_bytes(data)
+        if command == "compress":
+            cfg = write_config(tmp_path, scoring={"mode": "task-agnostic"}, r_target=0.0)
+            argv = ["compress", "--config", str(cfg), "--context", str(bad)]
+        else:
+            argv = ["sweep", "--config", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert str(bad) in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_recall_requires_induction_model(self, tmp_path, capsys):
         cfg = write_config(

@@ -24,6 +24,7 @@ from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
 from conftest import (
+    allocation_oracle,
     arm_capture,
     baseline_rows,
     count_calls,
@@ -36,17 +37,6 @@ from conftest import (
 def final_scores(seed, layers=2, heads=2, n=8) -> np.ndarray:
     rng = SeededRng(seed)
     return rng.uniform_block(layers * heads * n).reshape(layers, heads, n)
-
-
-def allocation_oracle(importance: np.ndarray, budget: int):
-    """Brute-force pool sort with the (score desc, layer, slot) tie rule."""
-    layers, n = importance.shape
-    pool = [(-importance[l, k], l, k) for l in range(layers) for k in range(n)]
-    pool.sort()
-    counts = [0] * layers
-    for _, l, _ in pool[:budget]:
-        counts[l] += 1
-    return counts
 
 
 class TestCompositeIndices:

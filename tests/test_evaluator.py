@@ -47,7 +47,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
 
-from conftest import baseline_rows, count_calls, full_cache_reference
+from conftest import baseline_rows, count_calls, full_cache_reference, tova_oracle
 from test_model import reference_forward
 
 
@@ -513,24 +513,11 @@ class TestStructuredConstraint:
                 assert cache.provenance[layer].shape == k.shape[:2]
 
 
-def list_replay(layer_rows: np.ndarray, budget: int) -> list[int]:
-    """One layer's TOVA replay as a Python list, evicting the least-attended
-    token at each step (ties: the first, lowest index): the per-layer form
-    that the all-layer replay replaced."""
-    kept: list[int] = []
-    for m in range(layer_rows.shape[0]):
-        kept.append(m)
-        if len(kept) > budget:
-            scores = layer_rows[m, kept]
-            kept.pop(int(np.argmin(scores)))
-    return kept
-
-
 def reference_point(model, state, reference_logp, policy, agg_choice, r_target):
     """(r_achieved, reward, kl) of one task at one ratio, scoring afresh at
     every ratio and, for a cache policy, decoding on the compacted cache:
     the per-ratio evaluation that the grid of keep-masks replaced. tova
-    selects by ``list_replay``, so the library's replay is not its own
+    selects by ``tova_oracle``, so the library's replay is not its own
     reference."""
     cfg = model.config
     cap = state.capture
@@ -551,7 +538,7 @@ def reference_point(model, state, reference_logp, policy, agg_choice, r_target):
     elif policy.name == "tova":
         base, extra = divmod(budget, cfg.layers)  # the remainder goes to the earliest layers
         uniform = [base + (layer < extra) for layer in range(cfg.layers)]
-        kept = [list_replay(rows, b) for rows, b in zip(cap.attention_mean, uniform)]
+        kept = [tova_oracle(rows, b) for rows, b in zip(cap.attention_mean, uniform)]
         cache = gather_cache(cap.cache, kept)
     else:
         cache = gather_cache(cap.cache, baseline_rows(cap, policy, (budget,))[0])

@@ -13,7 +13,11 @@ keeps it is decided in one place; outside ``model.py`` only
 keep any; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
 ``numerics.exp_rows`` stays the one home of attention's exponentials;
 no module reads the environment, so a setting such as the forward
-pass's row block size cannot become a hidden knob; and no function
+pass's row block size cannot become a hidden knob; only ``cache_io.py``
+reads or writes a file (``read_text``, ``read_bytes``, ``write_text``,
+``write_bytes`` or ``open``), so one reader and one writer map every
+``OSError`` to an ``IoError`` and the CLI parses what it reads inside
+its config-error handlers; no function
 writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
 calls ``.clone()``, so a cache is a value: a forward pass only reads the
 cache it is given and returns a new one, and rebinding a field raises;
@@ -146,7 +150,7 @@ def called_names(path: Path) -> list[str]:
     ]
 
 
-def test_attention_normalized_only_by_softmax_rows():
+def test_attention_exponentials_only_in_exp_rows():
     src = ROOT / "src" / "kvcompose"
     found = {
         name
@@ -288,6 +292,45 @@ def test_no_module_reads_the_environment():
         f"{path.name}:{line}"
         for path in (ROOT / "src" / "kvcompose").glob("*.py")
         for line in environment_reads(path.read_text())
+    }
+    assert found == set()
+
+
+FILE_CALLS = ("read_text", "read_bytes", "write_text", "write_bytes", "open")
+
+
+def file_accesses(source: str) -> list[int]:
+    """Lines that call ``read_text``, ``read_bytes``, ``write_text``,
+    ``write_bytes`` or ``open``, as a method or bare (the builtin ``open``)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in FILE_CALLS
+    ]
+
+
+@pytest.mark.parametrize(
+    "line, accesses",
+    [
+        ("text = Path(path).read_text()", True),
+        ("(out / 'config.json').write_text(echo)", True),
+        ("path.write_bytes(data)", True),
+        ("with open(path, 'rb') as f:\n    pass", True),
+        ("data = cache_io.read_file(path, 'config')", False),
+        ("cache_io.write_file(path, text, 'report')", False),
+    ],
+)
+def test_file_access_finder(line, accesses):
+    assert bool(file_accesses(line)) == accesses
+
+
+def test_only_cache_io_touches_files():
+    found = {
+        f"{path.name}:{line}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        if path.name != "cache_io.py"
+        for line in file_accesses(path.read_text())
     }
     assert found == set()
 
