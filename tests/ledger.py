@@ -1,6 +1,6 @@
 """The output ledger: the SHA-256 of every file the CLI writes on the demo configs.
 
-``generate(root)`` runs 56 CLI commands in process, with ``root`` as the
+``generate(root)`` runs 60 CLI commands in process, with ``root`` as the
 working directory and every path relative to it, so no output embeds
 where it ran. On each of ``configs/demo_agreement.json`` and
 ``configs/demo_recall.json`` it runs:
@@ -11,6 +11,11 @@ where it ran. On each of ``configs/demo_agreement.json`` and
   and 5, so that equal-length tasks share a pass);
 - ``ablate`` with ``kvcompose`` and with ``unstructured``;
 - ``dump-scores``.
+
+On ``configs/demo_agreement.json`` it also runs ``compress`` for
+``kvcompose`` and ``snapkv`` at r = 0.5 and 0.9 on a 504-token context
+(task-agnostic, window 32), where row blocks and numpy's pairwise sums
+split differently than at 128 tokens.
 
 Each command's exit code, stdout and stderr are hashed too. The ledger
 also records the numpy version and the machine it was made on, since
@@ -54,6 +59,10 @@ CONTEXTS = {
     ],
 }
 TASK_TOKENS = {"demo_recall": [[1], [7, 17, 1], [14], [2, 27, 11, 28, 4]]}
+# a long compress input, 8 rows short of demo_agreement.json's model's 512 positions
+LONG_CONTEXT = [(37 * i * i + 11 * i + 5 + i // 64) % 64 for i in range(504)]
+LONG_POLICIES = ("kvcompose", "snapkv")
+LONG_RATIOS = (0.5, 0.9)
 
 
 def environment() -> dict:
@@ -89,6 +98,14 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
             runs.append((run, ["ablate", "--config", config(run, policy={"name": policy})]))
         run = f"{name}/dump-scores"
         runs.append((run, ["dump-scores", "--config", config(run)]))
+        if name == "demo_agreement":
+            long = Path("inputs") / f"{name}_long_context.txt"
+            (root / long).write_text(" ".join(map(str, LONG_CONTEXT)) + "\n")
+            for policy in LONG_POLICIES:
+                for r in LONG_RATIOS:
+                    run = f"{name}/compress-long/{policy}_r{r}"
+                    cfg = config(run, policy={"name": policy}, r_target=r)
+                    runs.append((run, ["compress", "--config", cfg, "--context", str(long)]))
     return [(run, argv + ["--out", f"out/{run}"]) for run, argv in runs]
 
 
