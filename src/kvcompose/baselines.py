@@ -121,7 +121,7 @@ def snapkv_select(
     window: int,
 ) -> np.ndarray:
     """Window top-k per kv head: keep the trailing window plus the tokens it
-    attends to hardest (max-pool over the last ``window`` capture rows).
+    attends to hardest (max-pool over the last ``window`` task rows of the capture).
 
     ``budgets`` is (G, L), rows sharing ``window``, which alone sets the ranking;
     the (G, L, H_kv, N) keep-masks keep each layer's budget in every head.
@@ -139,8 +139,8 @@ def snapkv_select(
 
     rows = min(window, cap.task_len)
     # query heads by group; rows == 0 (a zero layer budget) scores on every task row
-    grouped = cap.A.reshape(layers, kv_heads, -1, n, cap.A.shape[3])[..., -rows:]
-    scores = reduce_axis(grouped, "avg", axis=2).max(axis=3)  # (L, H_kv, N)
+    grouped = cap.A.reshape(layers, kv_heads, -1, cap.task_len, n)[..., -rows:, :]
+    scores = reduce_axis(grouped, "avg", axis=2).max(axis=2)  # (L, H_kv, N)
     rank = ranks(argsort_desc(scores[:, :, : n - window]))  # (L, H_kv, N - window)
     top = rank < (budgets - window)[..., None, None]  # (G, L, H_kv, N - window)
     return np.concatenate([top, np.ones((*top.shape[:-1], window), dtype=bool)], axis=-1)

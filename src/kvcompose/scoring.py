@@ -2,7 +2,7 @@
 
 The pipeline is three reductions over the raw 4-D attention tensor:
 
-    A[l, h_q, c, m]   task tokens m attending to context tokens c
+    A[l, h_q, m, c]   task tokens m attending to context tokens c
       -> aggregate over m            (task aggregation, optionally norm-weighted)
       -> aggregate over query groups (GQA reduction to kv heads)
       -> add the cross-head mean     (mean augmentation)
@@ -91,19 +91,19 @@ class AggregationChoice:
 class AttentionCapture:
     """Raw signal for scoring one context.
 
-    A has axes [layer, query head, context token, task token]; every task
-    row is a probability distribution over its full (causal) key range, of
-    which only the context columns are kept here. Value norms are recorded
-    per kv head (raw); per query head (projected through that head's
-    output matrix) they are computed on first read, since only vo-norm
-    reads them. Of the context's prefill it keeps only what the
+    A is task-major, with axes [layer, query head, task token, context
+    token]: row m is task token m's probability distribution over its full
+    (causal) key range, of which only the context columns are kept here.
+    Value norms are recorded per kv head (raw); per query head (projected
+    through that head's output matrix) they are computed on first read,
+    since only vo-norm reads them. Of the context's prefill it keeps only what the
     selectors read: the full cache, and the (L, N, N) attention averaged
     over query heads only when asked for. Only tova asks (it replays it),
     and that mean is then the capture's one O(N^2) array: the prefill
     scores rows in blocks and never holds a full (H_q, N, N) one.
     """
 
-    A: np.ndarray  # (L, H_q, N, M)
+    A: np.ndarray  # (L, H_q, M, N)
     value_norms_raw: np.ndarray  # (L, H_kv, N)
     cache: KVCache | None = None  # the context's full prefill cache; None when built by hand
     attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
@@ -120,11 +120,11 @@ class AttentionCapture:
 
     @property
     def context_len(self) -> int:
-        return self.A.shape[2]
+        return self.A.shape[3]
 
     @property
     def task_len(self) -> int:
-        return self.A.shape[3]
+        return self.A.shape[2]
 
 
 def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
@@ -144,13 +144,13 @@ def collect_attention(
     The prefill is ``_forward`` on an empty cache, as ``model.prefill`` is, but
     keeping the rows and means the capture reads. task-aware runs the tasks of
     each distinct length as one (T, M) stack after the prefilled cache and
-    writes each task's rows into its own columns, in task order; task-agnostic
-    keeps the trailing observation-window rows of the prefill itself. No task
-    writes the prefill's cache, which travels with the capture, so every policy
-    and ratio compresses the same full cache. ``head_mean`` also keeps the
-    prefill's attention averaged over query heads, which only a policy that
-    replays it needs (``Policy.reads_head_mean``). Nothing reads the logits, so
-    every pass runs with ``logits=False``.
+    copies each task's rows, untransposed, into its own rows of ``A``, in task
+    order; task-agnostic copies the trailing observation-window rows of the
+    prefill itself. No task writes the prefill's cache, which travels with
+    the capture, so every policy and ratio compresses the same full cache.
+    ``head_mean`` also keeps the prefill's attention averaged over query
+    heads, which only a replaying policy needs (``Policy.reads_head_mean``).
+    Nothing reads the logits, so every pass runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -168,17 +168,17 @@ def collect_attention(
     raw = np.linalg.norm(np.stack(base.cache.values), axis=3)  # (L, H_kv, N)
 
     lengths = [w] if agnostic else [len(t) for t in task_set.tasks]
-    starts = np.cumsum([0, *lengths])  # task i's columns are [starts[i], starts[i + 1])
-    a = np.empty((cfg.layers, cfg.query_heads, n, starts[-1]))
+    starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])
+    a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
     for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
         group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
         run = base if agnostic else _forward(
             model, base.cache, np.array([task_set.tasks[i] for i in group]),
             attention_rows=m, logits=False,
         )
-        for layer, attn in enumerate(run.attention):  # (T, H_q, M, N+M) -> context columns
+        for layer, attn in enumerate(run.attention):  # (T, H_q, M, N+M): context columns
             for i, rows in zip(group, attn.reshape(-1, *attn.shape[-3:])):
-                a[layer, :, :, starts[i] : starts[i + 1]] = rows[:, :, :n].swapaxes(1, 2)
+                a[layer, :, starts[i] : starts[i + 1]] = rows[:, :, :n]
 
     return AttentionCapture(
         A=a,
@@ -194,7 +194,7 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
 
     v-norm multiplies each attention entry by the raw value norm of the
     token's kv head; vo-norm uses the norm after the query head's output
-    projection. Weighting happens entrywise, before the reduction.
+    projection. Weighting happens entrywise, before the reduction over A's axis 2.
     """
     if norm_variant not in NORM_VARIANTS:
         raise UsageError(f"unknown norm variant {norm_variant!r}")
@@ -204,10 +204,10 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
     if norm_variant == "v-norm":
         hq, hkv = a.shape[1], cap.value_norms_raw.shape[1]
         per_query = np.repeat(cap.value_norms_raw, hq // hkv, axis=1)  # (L, H_q, N)
-        a = a * per_query[:, :, :, None]
+        a = a * per_query[:, :, None, :]
     elif norm_variant == "vo-norm":
-        a = a * cap.value_norms_proj[:, :, :, None]
-    return reduce_axis(a, op, axis=3)
+        a = a * cap.value_norms_proj[:, :, None, :]
+    return reduce_axis(a, op, axis=2)
 
 
 def aggregate_group(s: np.ndarray, kv_heads: int, op: str) -> np.ndarray:

@@ -147,8 +147,8 @@ def snapkv_rows(cap, budgets, window: int) -> list[list[np.ndarray]]:
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
     rows = min(window, cap.task_len)
-    grouped = cap.A.reshape(layers, kv_heads, -1, n, cap.A.shape[3])[..., -rows:]
-    scores = reduce_axis(grouped, "avg", axis=2).max(axis=3)
+    grouped = cap.A.reshape(layers, kv_heads, -1, cap.task_len, n)[..., -rows:, :]
+    scores = reduce_axis(grouped, "avg", axis=2).max(axis=2)
     order = argsort_desc(scores[:, :, : n - window])
     tail = np.broadcast_to(np.arange(n - window, n), (kv_heads, window))
     return [

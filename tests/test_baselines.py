@@ -210,9 +210,9 @@ class TestTovaSelect:
 def snapkv_oracle(cap: AttentionCapture, layer: int, head: int, budget: int, window: int):
     n = cap.context_len
     group = cap.A.shape[1] // cap.value_norms_raw.shape[1]
-    block = cap.A[layer, head * group : (head + 1) * group].mean(axis=0)
+    block = cap.A[layer, head * group : (head + 1) * group].mean(axis=0)  # (M, N)
     rows = min(window, cap.task_len)
-    scores = block[:, -rows:].max(axis=1)
+    scores = block[-rows:, :].max(axis=0)
     candidates = sorted(
         range(n - window), key=lambda c: (-scores[c], c)
     )[: budget - window]
@@ -233,7 +233,7 @@ class TestSnapkvSelect:
 
     def test_uniform_attention_tie_case(self):
         # constant scores: keeps the window plus the lowest-index tokens
-        a = np.full((1, 2, 8, 3), 0.125)
+        a = np.full((1, 2, 3, 8), 0.125)
         cap = AttentionCapture(A=a, value_norms_raw=np.ones((1, 1, 8)))  # snapkv reads no norms
         kept = snapkv_select(cap, np.asarray([[5]]), window=2)[0]
         assert np.flatnonzero(kept[0][0]).tolist() == [0, 1, 2, 6, 7]

@@ -34,7 +34,9 @@ from conftest import (
 
 def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
     rng = SeededRng(seed)
+    # the values drawn (L, H_q, N, M), laid out task-major as a capture holds them
     a = rng.uniform_block(layers * query_heads * n * m).reshape(layers, query_heads, n, m)
+    a = np.ascontiguousarray(a.swapaxes(2, 3))
     raw = rng.uniform_block(layers * kv_heads * n).reshape(layers, kv_heads, n) + 0.5
     proj = rng.uniform_block(layers * query_heads * n).reshape(layers, query_heads, n) + 0.5
     cap = AttentionCapture(A=a, value_norms_raw=raw)
@@ -61,19 +63,19 @@ class TestTaskSet:
 def reference_capture(model, context, task_set, head_mean):
     """The capture from passes that keep their logits: a default prefill,
     one default ``_forward`` per task after its cache with the task's rows
-    transposed and stacked per layer, the tasks joined on the last axis,
+    stacked per layer as they are, the tasks joined on the task-row axis,
     and value norms projected through values repeated per query head."""
     n = len(context)
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
     base = prefill_keeping(model, context, attention_rows=w, head_mean=head_mean)
     if w:
-        a = np.stack([np.transpose(attn, (0, 2, 1)) for attn in base.attention])
+        a = np.stack(base.attention)
     else:
         parts = []
         for task in task_set.tasks:
             run = _forward(model, base.cache, np.asarray(task), attention_rows=len(task))
-            parts.append(np.stack([np.transpose(x[:, :, :n], (0, 2, 1)) for x in run.attention]))
-        a = np.concatenate(parts, axis=3)
+            parts.append(np.stack([x[:, :, :n] for x in run.attention]))
+        a = np.concatenate(parts, axis=2)
     values = base.cache.values
     raw = np.stack([np.linalg.norm(v, axis=2) for v in values], axis=0)
     group = model.config.query_heads // model.config.kv_heads
@@ -97,7 +99,7 @@ class TestCollectAttention:
             tiny_model, random_context(3, 10), TaskSet(mode="task-aware", tasks=tasks)
         )
         assert cap.task_len == 8
-        assert cap.A.shape == (2, 4, 10, 8)
+        assert cap.A.shape == (2, 4, 8, 10)
 
     def test_capture_matches_qk_recompute(self, tiny_model):
         # task rows appended to the context cache equal the rows of one
@@ -116,10 +118,10 @@ class TestCollectAttention:
             run = prefill_keeping(model, context + list(task), attention_rows=n + m)
             for layer in range(model.config.layers):
                 full_attn = run.attention[layer]  # (H_q, N+M, N+M)
-                recomputed = np.transpose(full_attn[:, n:, :n], (0, 2, 1))
+                recomputed = full_attn[:, n:, :n]
                 assert np.abs(cap.A[layer] - recomputed).max() < 1e-12
             # context columns of a task row form a sub-distribution
-            sums = cap.A.sum(axis=2)
+            sums = cap.A.sum(axis=3)
             assert (sums <= 1.0 + 1e-9).all()
 
     def test_task_beyond_max_context_rejected(self):
@@ -156,7 +158,7 @@ class TestCollectAttention:
         k_rep = np.repeat(k, cfg.query_heads // cfg.kv_heads, axis=0)
         scores = np.einsum("he,hce->hc", q, k_rep)
         oracle = softmax_rows(scores, scale=1.0 / np.sqrt(cfg.head_dim))
-        assert np.abs(oracle[:, :n] - cap.A[0, :, :, 0]).max() < 1e-8
+        assert np.abs(oracle[:, :n] - cap.A[0, :, 0, :]).max() < 1e-8
 
     def test_window_larger_than_context_rejected(self, tiny_model):
         with pytest.raises(UsageError):
@@ -178,7 +180,7 @@ class TestCollectAttention:
         cap = collect_attention(gqa_model, context, tset)
         run = prefill_keeping(gqa_model, context, attention_rows=len(context))
         for layer, attn in enumerate(run.attention):
-            assert np.array_equal(cap.A[layer], np.transpose(attn[:, -w:, :], (0, 2, 1)))
+            assert np.array_equal(cap.A[layer], attn[:, -w:, :])
 
     @pytest.mark.parametrize("mode", TASK_MODES)
     def test_head_mean_only_when_asked(self, tiny_model, mode):
@@ -235,7 +237,7 @@ class TestCollectAttention:
         ]
         assert cap.cache.next_positions == [10, 10]
         assert [cap.cache.rows(l) for l in range(2)] == [10, 10]
-        assert np.array_equal(cap.A, np.concatenate(alone, axis=3))
+        assert np.array_equal(cap.A, np.concatenate(alone, axis=2))
 
     @pytest.mark.parametrize("head_mean", [False, True])
     @pytest.mark.parametrize(
@@ -281,7 +283,7 @@ class TestCollectAttention:
 class TestTaskStacks:
     def test_equals_per_task_passes_in_task_order(self, gqa_model, monkeypatch):
         # tasks of one length run as one stack, yet each task's rows land
-        # in its own columns: those of its own pass, in task order
+        # in its own rows: those of its own pass, in task order
         from kvcompose import model
 
         context, n = random_context(90, 40), 40
@@ -295,8 +297,8 @@ class TestTaskStacks:
             for t in tasks
         ]
         want = np.concatenate(
-            [np.stack([x[:, :, :n].swapaxes(1, 2) for x in run.attention]) for run in passes],
-            axis=3,
+            [np.stack([x[:, :, :n] for x in run.attention]) for run in passes],
+            axis=2,
         )
         assert cap.A.shape == want.shape and cap.A.tobytes() == want.tobytes()
 
@@ -347,12 +349,12 @@ class TestAggregateTask:
     def test_single_column_identity(self):
         cap = make_capture(1, m=1)
         out = aggregate_task(cap, "avg")
-        assert out.shape == cap.A.shape[:3]
-        assert np.array_equal(out, cap.A[:, :, :, 0])
+        assert out.shape == (*cap.A.shape[:2], cap.context_len)
+        assert np.array_equal(out, cap.A[:, :, 0, :])
 
     def test_avg_hand_example(self):
         cap = make_capture(2, layers=1, query_heads=1, kv_heads=1, n=1, m=2)
-        cap.A[0, 0, 0] = [0.1, 0.3]
+        cap.A[0, 0, :, 0] = [0.1, 0.3]
         out = aggregate_task(cap, "avg")
         assert abs(out[0, 0, 0] - 0.2) < 1e-12
 
@@ -383,7 +385,7 @@ class TestAggregateTask:
     def test_vo_norm_uses_projected_norms(self):
         cap = make_capture(6)
         out = aggregate_task(cap, "avg", "vo-norm")
-        expected = (cap.A * cap.value_norms_proj[:, :, :, None]).mean(axis=3)
+        expected = (cap.A * cap.value_norms_proj[:, :, None, :]).mean(axis=2)
         assert np.abs(out - expected).max() < 1e-12
 
 

@@ -114,7 +114,7 @@ def test_traced_capture_attributes_keep_their_shapes(gqa_model):
     cfg = gqa_model.config
     ts = TaskSet(mode="task-aware", tasks=((1, 2, 3), (4, 5)))
     cap = collect_attention(gqa_model, list(range(12)), ts)
-    assert cap.A.shape == (cfg.layers, cfg.query_heads, 12, 5)
+    assert cap.A.shape == (cfg.layers, cfg.query_heads, 5, 12)
     assert cap.value_norms_raw.shape == (cfg.layers, cfg.kv_heads, 12)
     assert cap.value_norms_proj.shape == (cfg.layers, cfg.query_heads, 12)
 
