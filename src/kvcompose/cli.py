@@ -202,9 +202,12 @@ def parse_config(data) -> RunConfig:
 
 def build_model(cfg: RunConfig) -> Model:
     m = cfg.model
-    if m["kind"] == "induction":
-        return construct_induction_model(m["num_pairs"], m["vocab"])
-    return init_model(ModelConfig(**{_RANDOM_MODEL[k]: v for k, v in m.items() if k != "kind"}))
+    try:  # numpy refuses weights too large to hold with ValueError or MemoryError
+        if m["kind"] == "induction":
+            return construct_induction_model(m["num_pairs"], m["vocab"])
+        return init_model(ModelConfig(**{_RANDOM_MODEL[k]: v for k, v in m.items() if k != "kind"}))
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"model too large to build: {exc}") from exc
 
 
 def build_tasks(cfg: RunConfig, model: Model):
@@ -306,20 +309,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
 
 
 def ablation_grid() -> list[AggregationChoice]:
-    combos = []
-    for task_op, group_op, head_op, mean_on, norm in product(
-        AGG_OPS, AGG_OPS, AGG_OPS, (True, False), NORM_VARIANTS
-    ):
-        combos.append(
-            AggregationChoice(
-                agg_task=task_op,
-                agg_group=group_op,
-                agg_head=head_op,
-                norm_variant=norm,
-                mean_augment=mean_on,
-            )
-        )
-    return combos
+    return [
+        AggregationChoice(agg_task=t, agg_group=g, agg_head=h, norm_variant=norm, mean_augment=mean)
+        for t, g, h, mean, norm in product(AGG_OPS, AGG_OPS, AGG_OPS, (True, False), NORM_VARIANTS)
+    ]
 
 
 def _slug(choice: AggregationChoice) -> str:

@@ -499,6 +499,14 @@ UNREADABLE_INPUT = {
     "config-nested-100000": ("sweep", b"[" * 100_000 + b"]" * 100_000),
 }
 
+# models whose weights numpy refuses to allocate before it asks for any memory
+OVERSIZED_MODELS = {
+    "random-layers-1e30": {**RANDOM_MODEL, "layers": 10**30},
+    "random-vocab-1e30": {**RANDOM_MODEL, "vocab": 10**30},
+    "induction-vocab-1e30": {"kind": "induction", "num_pairs": 4, "vocab": 10**30},
+    "induction-vocab-2e9": {"kind": "induction", "num_pairs": 4, "vocab": 2_000_000_000},
+}
+
 
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -532,6 +540,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert str(bad) in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", OVERSIZED_MODELS)
+    def test_oversized_model(self, tmp_path, capsys, case):
+        model = OVERSIZED_MODELS[case]
+        tasks = {"tasks": AGREEMENT_TASKS} if model["kind"] == "random" else {}  # else recall
+        path = write_config(tmp_path, model=model, scoring={"mode": "task-agnostic"}, **tasks)
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: model too large to build: ")
+        assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_recall_requires_induction_model(self, tmp_path, capsys):
