@@ -96,11 +96,11 @@ class AttentionCapture:
     (causal) key range, of which only the context columns are kept here.
     Value norms are recorded per kv head (raw); per query head (projected
     through that head's output matrix) they are computed on first read,
-    since only vo-norm reads them. Of the context's prefill it keeps only what the
-    selectors read: the full cache, and the (L, N, N) attention averaged
-    over query heads only when asked for. Only tova asks (it replays it),
-    and that mean is then the capture's one O(N^2) array: the prefill
-    scores rows in blocks and never holds a full (H_q, N, N) one.
+    since only vo-norm reads them. Of the context's prefill it keeps only
+    what the selectors read: the full cache, and the (L, N, N) attention
+    averaged over query heads only when asked for. Only tova asks (it
+    replays it), and that mean is then the capture's one O(N^2) array: the
+    prefill scores rows in blocks and never holds a full (H_q, N, N) one.
     """
 
     A: np.ndarray  # (L, H_q, M, N)
@@ -176,7 +176,7 @@ def collect_attention(
             model, base.cache, np.array([task_set.tasks[i] for i in group]),
             attention_rows=m, logits=False,
         )
-        for layer, attn in enumerate(run.attention):  # (T, H_q, M, N+M): context columns
+        for layer, attn in enumerate(run.attention):  # (T, H_q, M, N+M); A keeps N columns
             for i, rows in zip(group, attn.reshape(-1, *attn.shape[-3:])):
                 a[layer, :, starts[i] : starts[i + 1]] = rows[:, :, :n]
 

@@ -26,14 +26,18 @@ name (the two ``Policy`` properties, ``select_baseline_indices``,
 ``keep_masks`` and ``compress``), so each one covers the whole ratio
 grid in one branch per policy, and a baseline's selection reaches both
 evaluation and ``compress`` as one keep-mask stack from ``keep_masks``;
-and
 only ``RunConfig.resolved`` calls ``dataclasses.asdict`` and no module
 calls ``astuple`` or ``copy.deepcopy``, so a report is written from its
-dataclasses as they are, with no deep copy."""
+dataclasses as they are, with no deep copy; and every committed
+``BENCH_*.json`` names only workloads and end-to-end metrics that
+``BENCHMARK.json`` defines, in its units, with finite parent and change
+medians."""
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -117,6 +121,26 @@ def test_traced_capture_attributes_keep_their_shapes(gqa_model):
     assert cap.A.shape == (cfg.layers, cfg.query_heads, 5, 12)
     assert cap.value_norms_raw.shape == (cfg.layers, cfg.kv_heads, 12)
     assert cap.value_norms_proj.shape == (cfg.layers, cfg.query_heads, 12)
+
+
+def test_bench_records_name_only_benchmarked_metrics():
+    # a committed BENCH_<n>.json is a before/after record of perfbench runs:
+    # a workload or metric that BENCHMARK.json does not define, another unit,
+    # or a median that is not a finite number would compare nothing
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records, "no BENCH_*.json at the repository root"
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["workloads"] and set(record["workloads"]) <= workloads, path.name
+        for workload, entry in record["workloads"].items():
+            assert entry["metrics"], (path.name, workload)
+            for name, metric in entry["metrics"].items():
+                assert units.get(name) == metric["unit"], (path.name, workload, name)
+                for side in ("parent", "change"):
+                    assert math.isfinite(metric[side]["median"]), (path.name, workload, name, side)
 
 
 def ranking_sorts(source: str) -> list[int]:
