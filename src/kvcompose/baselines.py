@@ -53,10 +53,13 @@ class Policy:
             raise ConfigError(f"shape must be a finite number >= 0, got {self.shape}")
 
     @property
-    def reads_head_mean(self) -> bool:
-        """Whether the policy replays the prefill's head-mean attention, so its
-        capture must keep it (``collect_attention(..., head_mean=True)``)."""
-        return self.name == "tova"
+    def capture_reads(self) -> str:
+        """What the policy's selector reads of a capture, and so all its capture
+        keeps (``collect_attention``'s ``reads``): the task rows, the head-mean
+        attention that tova replays, or nothing beyond the cache."""
+        if self.name in ("streaming", "random"):
+            return "none"
+        return "head-mean" if self.name == "tova" else "rows"
 
     @property
     def reads_aggregation(self) -> bool:
@@ -130,6 +133,8 @@ def snapkv_select(
     kv_heads = cap.value_norms_raw.shape[1]
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
+    if cap.task_len < 1:  # a capture for a policy that reads no rows
+        raise UsageError("capture holds no task tokens")
     budgets = np.asarray(budgets)
     for b in budgets.ravel():
         if b < window:
@@ -214,7 +219,7 @@ def select_baseline_indices(
     every_head = (len(uniform), layers, heads, n)
     if policy.name == "tova":
         if cap.attention_mean is None:
-            raise UsageError("tova replays the head-mean attention; capture it with head_mean=True")
+            raise UsageError("tova replays the head-mean attention: capture with reads='head-mean'")
         return np.broadcast_to(tova_select(cap.attention_mean, uniform)[:, :, None], every_head)
     if policy.name == "streaming":
         kept = streaming_select(n, uniform, np.minimum(policy.sinks, uniform))

@@ -35,7 +35,7 @@ from .evaluator import (
     sweep,
     sweep_arms,
 )
-from .model import Model, construct_induction_model, init_model, ModelConfig
+from .model import Model, check_positions, construct_induction_model, init_model, ModelConfig
 from .scoring import (
     AGG_OPS,
     DEFAULT_MODE,
@@ -215,9 +215,11 @@ def build_tasks(cfg: RunConfig, model: Model):
     if t["kind"] == "recall":
         if cfg.model["kind"] != "induction":
             raise ConfigError("recall tasks need the induction model")
+        check_positions(model, 2 * cfg.model["num_pairs"] + 1, "2 * model.num_pairs + 1")
         return make_recall_tasks(
             cfg.model["num_pairs"], cfg.model["vocab"], t["count"], t["seed"]
         )
+    check_positions(model, t["context_len"] + t["teacher_steps"], "tasks.context_len + teacher_steps")
     return make_agreement_tasks(
         model, t["count"], t["context_len"], t["teacher_steps"], t["seed"]
     )
@@ -268,8 +270,8 @@ def cmd_compress(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
 def _prepare_tasks(cfg: RunConfig, model: Model):
     """Every task and its capture, which holds its full prefill cache."""
     mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-    head_mean = cfg.eviction.reads_head_mean
-    return [prepare_task(model, t, mode, window, head_mean) for t in build_tasks(cfg, model)]
+    reads = cfg.eviction.capture_reads
+    return [prepare_task(model, t, mode, window, reads) for t in build_tasks(cfg, model)]
 
 
 def _sweep_report(cfg: RunConfig, model: Model, points, config: dict):

@@ -198,7 +198,7 @@ def compress(
     """Capture ``task_set`` on ``context``, then compact its cache at one ratio."""
     if policy.name == "unstructured":
         raise ConfigError("unstructured policy produces masks; use unstructured_compress")
-    cap = collect_attention(model, context, task_set, policy.reads_head_mean)
+    cap = collect_attention(model, context, task_set, policy.capture_reads)
     if policy.name == "kvcompose":
         idx, budgets = _slot_budgets(cap, [agg_choice], (r_target,))
         compressed = compact_cache(cap.cache, idx[0], budgets[0, 0])

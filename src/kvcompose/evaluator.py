@@ -300,13 +300,12 @@ class TaskState:
 
 
 def prepare_task(
-    model: Model, task: TaskInstance, mode: str, observation_window: int, head_mean: bool = False
+    model: Model, task: TaskInstance, mode: str, observation_window: int, reads: str = "rows"
 ) -> TaskState:
-    """The task's capture, keeping the head mean only if ``head_mean``
-    (``Policy.reads_head_mean``); it runs no reference pass."""
+    """The task's capture of what ``reads`` names (``Policy.capture_reads``); no reference pass."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
-    return TaskState(task, collect_attention(model, list(task.prompt), tset, head_mean))
+    return TaskState(task, collect_attention(model, list(task.prompt), tset, reads))
 
 
 def _evaluate_task(
@@ -364,8 +363,7 @@ def sweep(
     observation_window: int = OBSERVATION_WINDOW,
 ) -> list[CurvePoint]:
     """Prepare every task, then evaluate one curve point per grid ratio."""
-    head_mean = policy.reads_head_mean
-    states = [prepare_task(model, t, mode, observation_window, head_mean) for t in tasks]
+    states = [prepare_task(model, t, mode, observation_window, policy.capture_reads) for t in tasks]
     return sweep_arms(model, states, policy, [agg_choice], grid)[0]
 
 

@@ -165,6 +165,12 @@ def init_model(config: ModelConfig) -> Model:
     return Model(config, embedding, wq, wk, wv, wo, inv_freq)
 
 
+def check_positions(model: Model, count: int, what: str) -> None:
+    """Refuse ``what``, ``count`` positions from 0, past [0, max_context) before any is run."""
+    if count > model.config.max_context:
+        raise ConfigError(f"{what} = {count} exceeds max_context {model.config.max_context}")
+
+
 def empty_cache(model: Model) -> KVCache:
     cfg = model.config
     shape = (cfg.kv_heads, 0, cfg.head_dim)
@@ -199,7 +205,7 @@ def _forward(
     ``attention_rows`` query rows (0 to M, none by default) are kept, then
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
     None). New rows take positions ``cache.next_position`` onward, whatever R
-    is; only here is a position set, or checked against [0, ``max_context``).
+    is; only here is a position set, and only model.py checks [0, ``max_context``).
     With ``logits`` off the last layer still adds its K/V rows, but runs only
     the blocks that hold a kept row (all under ``head_mean``) and skips its
     output projection; the logits come back as an empty (..., 0, vocab) array.

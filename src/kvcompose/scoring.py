@@ -24,6 +24,7 @@ NORM_VARIANTS = ("none", "v-norm", "vo-norm")
 TASK_MODES = ("task-aware", "task-agnostic")
 DEFAULT_MODE = "task-agnostic"
 OBSERVATION_WINDOW = 32  # trailing context rows scored when no task is known
+CAPTURE_READS = ("rows", "head-mean", "none")  # what a selector reads of a capture
 
 
 def check_observation_window(window: int, error: type[Exception] = UsageError) -> None:
@@ -96,14 +97,14 @@ class AttentionCapture:
     (causal) key range, of which only the context columns are kept here.
     Value norms are recorded per kv head (raw); per query head (projected
     through that head's output matrix) they are computed on first read,
-    since only vo-norm reads them. Of the context's prefill it keeps only
-    what the selectors read: the full cache, and the (L, N, N) attention
-    averaged over query heads only when asked for. Only tova asks (it
-    replays it), and that mean is then the capture's one O(N^2) array: the
+    since only vo-norm reads them. Besides the full cache it holds only
+    what its policy's selector reads (``Policy.capture_reads``): the task
+    rows, or tova's (L, N, N) prefill attention averaged over query heads
+    (its one O(N^2) array), or nothing; the last two with M = 0 rows. The
     prefill scores rows in blocks and never holds a full (H_q, N, N) one.
     """
 
-    A: np.ndarray  # (L, H_q, M, N)
+    A: np.ndarray  # (L, H_q, M, N); M = 0 unless the capture reads "rows"
     value_norms_raw: np.ndarray  # (L, H_kv, N)
     cache: KVCache | None = None  # the context's full prefill cache; None when built by hand
     attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
@@ -137,7 +138,7 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 
 
 def collect_attention(
-    model: Model, context: list[int], task_set: TaskSet, head_mean: bool = False
+    model: Model, context: list[int], task_set: TaskSet, reads: str = "rows"
 ) -> AttentionCapture:
     """Prefill the context once; record how the task tokens attend to it, plus raw value norms.
 
@@ -148,12 +149,15 @@ def collect_attention(
     order; task-agnostic copies the trailing observation-window rows of the
     prefill itself. No task writes the prefill's cache, which travels with
     the capture, so every policy and ratio compresses the same full cache.
-    ``head_mean`` also keeps the prefill's attention averaged over query
-    heads, which only a replaying policy needs (``Policy.reads_head_mean``).
+    ``reads`` (``Policy.capture_reads``) keeps "rows" as above, only the
+    prefill's head-mean attention ("head-mean", which tova replays), or
+    neither ("none"); those two run no task and hold A with M = 0 rows.
     Nothing reads the logits, so every pass runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
+    if reads not in CAPTURE_READS:
+        raise UsageError(f"reads must be one of {CAPTURE_READS}, got {reads!r}")
     cfg = model.config
     n = len(context)
     agnostic = task_set.mode == "task-agnostic"
@@ -162,12 +166,12 @@ def collect_attention(
         raise UsageError(f"observation_window {w} exceeds context length {n}")
     base = _forward(
         model, empty_cache(model), np.asarray(context),
-        attention_rows=w, head_mean=head_mean, logits=False,
+        attention_rows=w if reads == "rows" else 0, head_mean=reads == "head-mean", logits=False,
     )
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
     raw = np.linalg.norm(np.stack(base.cache.values), axis=3)  # (L, H_kv, N)
 
-    lengths = [w] if agnostic else [len(t) for t in task_set.tasks]
+    lengths = ([w] if agnostic else [len(t) for t in task_set.tasks]) if reads == "rows" else []
     starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])
     a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
     for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
@@ -184,7 +188,7 @@ def collect_attention(
         A=a,
         value_norms_raw=raw,
         cache=base.cache,
-        attention_mean=np.stack(base.attention_mean) if head_mean else None,
+        attention_mean=None if base.attention_mean is None else np.stack(base.attention_mean),
         wo=model.wo,
     )
 

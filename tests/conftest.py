@@ -68,14 +68,14 @@ def rotate_two_halves(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.
     return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
 
 
-def arm_capture(gqa_model, kind: str):
+def arm_capture(gqa_model, kind: str, reads: str):
     """An agreement capture of the random model (two kv heads) or a recall
-    capture of the induction model (one kv head), with the head mean tova reads."""
+    capture of the induction model (one kv head), holding what ``reads`` names."""
     if kind == "agreement":
         ts = TaskSet(mode="task-agnostic", observation_window=8)
-        return collect_attention(gqa_model, random_context(61, 32), ts, head_mean=True)
+        return collect_attention(gqa_model, random_context(61, 32), ts, reads)
     task = make_recall_tasks(8, 32, 1, seed=21)[0]
-    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, True).capture
+    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, reads).capture
 
 
 def full_cache_reference(model, state) -> tuple[float, np.ndarray]:

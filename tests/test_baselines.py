@@ -58,7 +58,7 @@ class TestPolicy:
         policy = Policy(name=name)
         cap = collect_attention(
             gqa_model, random_context(51, 24), TaskSet(mode="task-agnostic", observation_window=8),
-            head_mean=policy.reads_head_mean,
+            policy.capture_reads,
         )
         stack = keep_masks(cap, ablation_grid(), (0.0, 0.5, 0.75), policy)
         masks = {arm.tobytes() for arm in stack}
@@ -185,7 +185,7 @@ class TestTovaSelect:
 
         context = random_context(48, 20)
         ts = TaskSet(mode="task-agnostic", observation_window=4)
-        cap = collect_attention(tiny_model, context, ts, head_mean=True)
+        cap = collect_attention(tiny_model, context, ts, "head-mean")
         calls = count_calls(monkeypatch, baselines, "tova_select")
         masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, Policy(name="tova"))
         assert len(calls) == 1 and calls[0][1].shape == (len(RATIO_GRID), 2)
@@ -197,7 +197,7 @@ class TestTovaSelect:
         ts = TaskSet(mode="task-agnostic", observation_window=4)
         cap = collect_attention(tiny_model, random_context(49, 12), ts)
         assert cap.attention_mean is None
-        with pytest.raises(UsageError, match="head_mean=True"):
+        with pytest.raises(UsageError, match="reads='head-mean'"):
             select_baseline_indices(cap, Policy(name="tova"), (12,))
 
     def test_deterministic(self, tiny_model):
@@ -412,7 +412,7 @@ class TestBudgetParity:
         policy = Policy(name=name)
         cap = collect_attention(
             tiny_model, context, TaskSet(mode="task-agnostic", observation_window=4),
-            head_mean=policy.reads_head_mean,
+            policy.capture_reads,
         )
         budgets = [retention_budget(r, 2, 16) for r in (0.0, 0.25, 0.5, 0.75)]
         grid = select_baseline_indices(cap, policy, budgets)
@@ -430,7 +430,7 @@ class TestMaskOracles:
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_streaming(self, gqa_model, kind):
-        layers, _, n = arm_capture(gqa_model, kind).value_norms_raw.shape
+        layers, _, n = arm_capture(gqa_model, kind, "none").value_norms_raw.shape
         budgets = uniform_grid_budgets(layers, n)
         for sinks in (1, 2, 5):
             clamped = np.minimum(sinks, budgets)
@@ -441,7 +441,7 @@ class TestMaskOracles:
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_tova(self, gqa_model, kind):
-        cap = arm_capture(gqa_model, kind)
+        cap = arm_capture(gqa_model, kind, "head-mean")
         budgets = uniform_grid_budgets(*cap.attention_mean.shape[:2])
         masks = tova_select(cap.attention_mean, budgets)
         want = mark_rows(tova_rows(cap.attention_mean, budgets), 1, cap.context_len)
@@ -449,7 +449,7 @@ class TestMaskOracles:
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_snapkv(self, gqa_model, kind):
-        cap = arm_capture(gqa_model, kind)
+        cap = arm_capture(gqa_model, kind, "rows")
         layers, kv_heads, n = cap.value_norms_raw.shape
         budgets = uniform_grid_budgets(layers, n)
         for window in (0, 1, 4):  # one call per window, on every ratio that fits it
@@ -460,7 +460,8 @@ class TestMaskOracles:
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])
     def test_dispatch(self, gqa_model, kind, name):
-        cap, policy = arm_capture(gqa_model, kind), Policy(name=name)
+        policy = Policy(name=name)
+        cap = arm_capture(gqa_model, kind, policy.capture_reads)
         layers, kv_heads, n = cap.value_norms_raw.shape
         totals = [retention_budget(r, layers, n) for r in RATIO_GRID]
         masks = select_baseline_indices(cap, policy, totals)

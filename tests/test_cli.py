@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompose import evaluator
+from kvcompose import cli, evaluator
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import (
@@ -507,6 +507,39 @@ OVERSIZED_MODELS = {
     "induction-vocab-2e9": {"kind": "induction", "num_pairs": 4, "vocab": 2_000_000_000},
 }
 
+# model, tasks and the config key the error names: prompts and scored steps
+# that would take positions past max_context (512 random, 128 induction)
+PAST_MAX_CONTEXT = {
+    "agreement-2000000+8": (
+        RANDOM_MODEL, {**AGREEMENT_TASKS, "context_len": 2_000_000, "teacher_steps": 8},
+        "tasks.context_len + teacher_steps",
+    ),
+    "agreement-505+8": (
+        RANDOM_MODEL, {**AGREEMENT_TASKS, "context_len": 505, "teacher_steps": 8},
+        "tasks.context_len + teacher_steps",
+    ),
+    "recall-64-pairs": (
+        {"kind": "induction", "num_pairs": 64, "vocab": 128},
+        {"kind": "recall", "count": 1, "seed": 3},
+        "model.num_pairs",
+    ),
+}
+AT_MAX_CONTEXT = {
+    "agreement-504+8": (RANDOM_MODEL, {**AGREEMENT_TASKS, "context_len": 504, "teacher_steps": 8}),
+    "recall-63-pairs": (
+        {"kind": "induction", "num_pairs": 63, "vocab": 126},
+        {"kind": "recall", "count": 1, "seed": 3},
+    ),
+}
+
+
+def stub_task_builders(monkeypatch) -> list:
+    """Stand-ins for the task builders that draw no token and record each call."""
+    calls = []
+    for name in ("make_agreement_tasks", "make_recall_tasks"):
+        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or [])
+    return calls
+
 
 class TestExitCodes:
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -553,6 +586,28 @@ class TestExitCodes:
         assert captured.err.startswith("config error: model too large to build: ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate", "dump-scores"])
+    @pytest.mark.parametrize("case", PAST_MAX_CONTEXT)
+    def test_task_length_past_max_context(self, tmp_path, capsys, monkeypatch, case, command):
+        # refused, naming the key, before any token is drawn
+        model, tasks, key = PAST_MAX_CONTEXT[case]
+        drawn = stub_task_builders(monkeypatch)
+        path = write_config(tmp_path, model=model, tasks=tasks, scoring={"mode": "task-agnostic"})
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and drawn == []
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert key in captured.err and "max_context" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", AT_MAX_CONTEXT)
+    def test_task_length_at_max_context_is_drawn(self, tmp_path, monkeypatch, case):
+        model, tasks = AT_MAX_CONTEXT[case]
+        drawn = stub_task_builders(monkeypatch)
+        path = write_config(tmp_path, model=model, tasks=tasks, scoring={"mode": "task-agnostic"})
+        cfg = load_config(path)
+        assert build_tasks(cfg, build_model(cfg)) == [] and len(drawn) == 1
 
     def test_recall_requires_induction_model(self, tmp_path, capsys):
         cfg = write_config(

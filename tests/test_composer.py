@@ -277,7 +277,7 @@ class TestCompressPipeline:
         else:
             ts = TaskSet(mode=mode, observation_window=6)
         policy = Policy(name=name)
-        cap = collect_attention(tiny_model, context, ts, head_mean=policy.reads_head_mean)
+        cap = collect_attention(tiny_model, context, ts, policy.capture_reads)
         grid = oracle_rows(cap, AggregationChoice(), RATIO_GRID, policy)
         masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, policy)[0]
         assert len(grid) == len(RATIO_GRID) == len(masks)
@@ -529,7 +529,8 @@ class TestKeepMaskStack:
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_equals_one_build_per_choice(self, gqa_model, kind, name):
-        cap, policy = arm_capture(gqa_model, kind), Policy(name=name)
+        policy = Policy(name=name)
+        cap = arm_capture(gqa_model, kind, policy.capture_reads)
         stack = keep_masks(cap, ablation_grid(), RATIO_GRID, policy)
         oracle = np.stack([per_choice_masks(cap, c, RATIO_GRID, policy) for c in ablation_grid()])
         assert stack.dtype == bool and stack.shape == oracle.shape
@@ -557,7 +558,7 @@ class TestKeepMaskStack:
             return budgets
 
         monkeypatch.setattr(composer, "allocate_budgets", one_short)
-        cap = arm_capture(gqa_model, "agreement")
+        cap = arm_capture(gqa_model, "agreement", "rows")
         with pytest.raises(UsageError, match="budgets are"):
             keep_masks(cap, ablation_grid(), RATIO_GRID, Policy(name="kvcompose"))
 
@@ -569,7 +570,7 @@ class TestKeepMaskStack:
             return np.concatenate([select(cap, policy, budgets)] * 2)[:returned]
 
         monkeypatch.setattr(composer, "select_baseline_indices", wrong_count)
-        cap = arm_capture(gqa_model, "agreement")
+        cap = arm_capture(gqa_model, "agreement", "head-mean")
         # two equal ratios: one mask stack would match both budgets by value
         with pytest.raises(UsageError, match="budgets are"):
             keep_masks(cap, [AggregationChoice()], (0.5, 0.5), Policy(name="tova"))
@@ -594,7 +595,7 @@ class TestKeepMaskStack:
         context, ts = random_context(61, 32), TaskSet(mode="task-agnostic", observation_window=8)
         with pytest.raises(UsageError, match="kv heads of a layer"):
             if entry == "keep_masks":
-                cap = collect_attention(gqa_model, context, ts, head_mean=True)
+                cap = collect_attention(gqa_model, context, ts, policy.capture_reads)
                 keep_masks(cap, [AggregationChoice()], (0.5,), policy)
             else:  # without the check, each layer's per-head reshape would misassign rows
                 compress(gqa_model, context, ts, AggregationChoice(), 0.5, policy)

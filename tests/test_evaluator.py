@@ -11,6 +11,7 @@ from kvcompose.composer import (
     composite_indices,
     compress,
     gather_cache,
+    keep_masks,
     layer_importance,
     retention_budget,
     unstructured_compress,
@@ -45,7 +46,15 @@ from kvcompose.model import (
     prefill,
 )
 from kvcompose.numerics import SeededRng
-from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
+from kvcompose.scoring import (
+    CAPTURE_READS,
+    AggregationChoice,
+    AttentionCapture,
+    TaskSet,
+    aggregate_task,
+    collect_attention,
+    score_pipeline,
+)
 
 from conftest import baseline_rows, count_calls, full_cache_reference, tova_oracle
 from test_model import reference_forward
@@ -382,14 +391,20 @@ class TestSweep:
         cfg = load_config(Path(__file__).parent.parent / "configs" / config)
         model = build_model(cfg)
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-        # every policy sweeps these states, so they keep the head mean tova reads
-        states = [prepare_task(model, t, mode, window, True) for t in build_tasks(cfg, model)]
-        full_rewards, reference_logps = zip(*(full_cache_reference(model, s) for s in states))
+        # each policy sweeps the states that hold what it reads
+        tasks = build_tasks(cfg, model)
+        prepared = {
+            reads: [prepare_task(model, t, mode, window, reads) for t in tasks]
+            for reads in CAPTURE_READS
+        }
+        full_rewards, reference_logps = zip(
+            *(full_cache_reference(model, s) for s in prepared["rows"])
+        )
         epsilons = count_calls(monkeypatch, evaluator, "epsilon")
         scored = count_calls(monkeypatch, evaluator, "_reward_and_kl")
         agg = AggregationChoice()
         for name in POLICY_NAMES:
-            curves = {}
+            curves, states = {}, prepared[Policy(name=name).capture_reads]
             for grid in (RATIO_GRID, (0.5, 0.9)):
                 epsilons.clear()
                 scored.clear()
@@ -595,30 +610,28 @@ class TestGridOnce:
         tasks = make_agreement_tasks(agreement_model, 3, 24, 4, seed=17)
         recall_model = construct_induction_model(8, 32)
         recall = make_recall_tasks(8, 32, 4, seed=18)
-        return {
-            "agreement": (
-                agreement_model,
-                [prepare_task(agreement_model, t, "task-agnostic", 8, True) for t in tasks],
-            ),
-            "recall": (
-                recall_model,
-                [prepare_task(recall_model, t, "task-aware", 32, True) for t in recall],
-            ),
+        return {  # (kind, what each capture holds) -> (model, states)
+            (kind, reads): (model, [prepare_task(model, t, mode, window, reads) for t in given])
+            for kind, model, given, mode, window in [
+                ("agreement", agreement_model, tasks, "task-agnostic", 8),
+                ("recall", recall_model, recall, "task-aware", 32),
+            ]
+            for reads in CAPTURE_READS
         }
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_equals_per_ratio_reference(self, task_sets, kind, name):
-        model, states = task_sets[kind]
         policy, agg = Policy(name=name), AggregationChoice()
+        model, states = task_sets[kind, policy.capture_reads]
         got = sweep_arms(model, states, policy, [agg], RATIO_GRID)[0]
         assert_same_sweep(kind, got, reference_sweep(model, states, policy, agg, RATIO_GRID))
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_arms_equal_one_sweep_per_choice(self, task_sets, kind, name):
-        model, states = task_sets[kind]
         policy = Policy(name=name)
+        model, states = task_sets[kind, policy.capture_reads]
         choices = [
             AggregationChoice(),
             AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
@@ -675,3 +688,78 @@ class TestZeroFullReward:
             )[0]
         assert [p.epsilon for p in points] == [0.0] * len(RATIO_GRID)
         assert all(type(p.epsilon) is float for p in points)
+
+
+class TestLeanCaptures:
+    """A capture holds only what its policy's selector reads: streaming and
+    random nothing beyond the cache, tova the head mean, so neither runs a
+    task stack nor keeps a row, yet each keeps the masks it would keep on a
+    capture that holds everything."""
+
+    @pytest.fixture(scope="class")
+    def demo(self):
+        from kvcompose.cli import build_model, build_tasks, load_config
+
+        out = {}
+        for kind in ("agreement", "recall"):
+            cfg = load_config(Path(__file__).parent.parent / "configs" / f"demo_{kind}.json")
+            cfg = replace(cfg, tasks={**cfg.tasks, "count": 1})
+            model = build_model(cfg)
+            out[kind] = model, build_tasks(cfg, model)[0], cfg.scoring["observation_window"]
+        return out
+
+    @pytest.mark.parametrize("mode", ["task-agnostic", "task-aware"])
+    @pytest.mark.parametrize("kind", ["agreement", "recall"])
+    @pytest.mark.parametrize("name", ["streaming", "tova", "random"])
+    def test_holds_no_rows_and_keeps_the_same_masks(self, demo, name, kind, mode):
+        model, task, window = demo[kind]
+        policy = Policy(name=name)
+        if kind == "agreement" and mode == "task-aware":  # no query: refused whatever is read
+            for reads in CAPTURE_READS:
+                with pytest.raises(UsageError, match="non-empty task"):
+                    prepare_task(model, task, mode, window, reads)
+            return
+        lean = prepare_task(model, task, mode, window, policy.capture_reads).capture
+        rows = prepare_task(model, task, mode, window, "rows").capture
+        mean = prepare_task(model, task, mode, window, "head-mean").capture.attention_mean
+        full = AttentionCapture(rows.A, rows.value_norms_raw, rows.cache, mean, rows.wo)
+        assert lean.A.shape == (*rows.A.shape[:2], 0, len(task.prompt)) and rows.A.shape[2] > 0
+        assert (lean.attention_mean is None) == (name != "tova")
+        choice = [AggregationChoice()]
+        got, want = (keep_masks(cap, choice, RATIO_GRID, policy) for cap in (lean, full))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        with pytest.raises(UsageError, match="no task tokens"):
+            aggregate_task(lean, "max")
+        with pytest.raises(UsageError, match="no task tokens"):
+            keep_masks(lean, choice, RATIO_GRID, Policy(name="snapkv"))
+
+    @pytest.mark.parametrize("reads", CAPTURE_READS)
+    def test_checks_hold_whatever_is_read(self, tiny_model, reads):
+        too_wide = TaskSet("task-agnostic", observation_window=5)
+        with pytest.raises(UsageError, match="observation_window 5 exceeds context length 2"):
+            collect_attention(tiny_model, [1, 2], too_wide, reads)
+        with pytest.raises(UsageError, match="reads must be one of"):
+            collect_attention(tiny_model, [1, 2], replace(too_wide, observation_window=1), "all")
+
+    def test_tova_sweep_peaks_no_higher_than_kvcompose(self):
+        # tracemalloc peaks above set-up of demo_agreement.json's sweeps (16
+        # tasks, N=128): tova holds its head mean, (L, N, N), and no window
+        # rows, so no more than kvcompose's rows; streaming holds neither
+        import tracemalloc
+
+        from kvcompose.cli import build_model, build_tasks, load_config
+
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "demo_agreement.json")
+        model = build_model(cfg)
+        tasks = build_tasks(cfg, model)
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        peaks = {}
+        for name in ("kvcompose", "tova", "streaming"):
+            tracemalloc.start()
+            try:
+                sweep(model, tasks, Policy(name=name), cfg.agg, tuple(cfg.grid), mode, window)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["tova"] <= peaks["kvcompose"] + 2**20, peaks
+        assert peaks["streaming"] < min(peaks["tova"], peaks["kvcompose"]), peaks

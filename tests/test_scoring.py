@@ -64,11 +64,14 @@ def reference_capture(model, context, task_set, head_mean):
     """The capture from passes that keep their logits: a default prefill,
     one default ``_forward`` per task after its cache with the task's rows
     stacked per layer as they are, the tasks joined on the task-row axis,
-    and value norms projected through values repeated per query head."""
+    and value norms projected through values repeated per query head. A
+    head-mean capture holds the prefill's head mean and no task row."""
     n = len(context)
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
     base = prefill_keeping(model, context, attention_rows=w, head_mean=head_mean)
-    if w:
+    if head_mean:
+        a = np.empty((model.config.layers, model.config.query_heads, 0, n))
+    elif w:
         a = np.stack(base.attention)
     else:
         parts = []
@@ -187,7 +190,7 @@ class TestCollectAttention:
         context = random_context(14, 10)
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
         assert collect_attention(tiny_model, context, tset).attention_mean is None
-        cap = collect_attention(tiny_model, context, tset, head_mean=True)
+        cap = collect_attention(tiny_model, context, tset, "head-mean")
         run = prefill_keeping(tiny_model, context, attention_rows=len(context))
         assert np.array_equal(cap.attention_mean, np.stack([a.mean(axis=0) for a in run.attention]))
 
@@ -211,12 +214,12 @@ class TestCollectAttention:
         monkeypatch.setattr(scoring, "_forward", recording)
         context, h_q = random_context(16, 20), tiny_model.config.query_heads
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(17, 3)),), 4)
-        cap = collect_attention(tiny_model, context, tset, head_mean=head_mean)
+        cap = collect_attention(tiny_model, context, tset, "head-mean" if head_mean else "rows")
         arrays = [getattr(cap, f.name) for f in fields(cap)] + cap.cache.keys + cap.cache.values
         assert len(runs) == 1
         arrays += runs[0].attention + (runs[0].attention_mean or [])
         assert [np.shape(a) for a in arrays if np.shape(a)[-3:] == (h_q, 20, 20)] == []
-        kept = 4 if mode == "task-agnostic" else 0
+        kept = 4 if mode == "task-agnostic" and not head_mean else 0  # rows, or none
         assert [a.shape for a in runs[0].attention] == [(h_q, kept, 20)] * tiny_model.config.layers
 
     def test_tasks_read_the_context_cache_without_a_copy(self, tiny_model, monkeypatch):
@@ -259,7 +262,7 @@ class TestCollectAttention:
             "task-aware" if tasks else "task-agnostic", len(context),
             [tuple(random_context(81 + m, m)) for m in tasks], ROW_BLOCK + 2,
         )
-        cap = collect_attention(model, context, task_set, head_mean=head_mean)
+        cap = collect_attention(model, context, task_set, "head-mean" if head_mean else "rows")
         a, raw, proj, cache, mean = reference_capture(model, context, task_set, head_mean)
         for got, want in [(cap.A, a), (cap.value_norms_raw, raw), (cap.value_norms_proj, proj)]:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

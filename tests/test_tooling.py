@@ -479,7 +479,7 @@ def test_only_policy_dispatchers_compare_policy_names():
         for name in policy_name_comparers(path.read_text())
     }
     assert found == {
-        "Policy.reads_head_mean",
+        "Policy.capture_reads",
         "Policy.reads_aggregation",
         "select_baseline_indices",
         "keep_masks",
