@@ -54,9 +54,8 @@ class Policy:
 
     @property
     def capture_reads(self) -> str:
-        """What the policy's selector reads of a capture, and so all its capture
-        keeps (``collect_attention``'s ``reads``): the task rows, the head-mean
-        attention that tova replays, or nothing beyond the cache."""
+        """What its selector reads of a capture, so all the capture keeps: "rows" (the task
+        rows), "head-mean" (the prefill attention tova replays) or "none" (only the cache)."""
         if self.name in ("streaming", "random"):
             return "none"
         return "head-mean" if self.name == "tova" else "rows"
@@ -133,8 +132,6 @@ def snapkv_select(
     kv_heads = cap.value_norms_raw.shape[1]
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
-    if cap.task_len < 1:  # a capture for a policy that reads no rows
-        raise UsageError("capture holds no task tokens")
     budgets = np.asarray(budgets)
     for b in budgets.ravel():
         if b < window:

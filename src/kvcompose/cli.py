@@ -35,7 +35,7 @@ from .evaluator import (
     sweep,
     sweep_arms,
 )
-from .model import Model, check_positions, construct_induction_model, init_model, ModelConfig
+from .model import Model, construct_induction_model, init_model, ModelConfig
 from .scoring import (
     AGG_OPS,
     DEFAULT_MODE,
@@ -215,11 +215,9 @@ def build_tasks(cfg: RunConfig, model: Model):
     if t["kind"] == "recall":
         if cfg.model["kind"] != "induction":
             raise ConfigError("recall tasks need the induction model")
-        check_positions(model, 2 * cfg.model["num_pairs"] + 1, "2 * model.num_pairs + 1")
         return make_recall_tasks(
             cfg.model["num_pairs"], cfg.model["vocab"], t["count"], t["seed"]
         )
-    check_positions(model, t["context_len"] + t["teacher_steps"], "tasks.context_len + teacher_steps")
     return make_agreement_tasks(
         model, t["count"], t["context_len"], t["teacher_steps"], t["seed"]
     )

@@ -24,6 +24,7 @@ from .model import (
     KVCache,
     Model,
     _forward,
+    check_positions,
     greedy_decode,
     induction_key_range,
     induction_value_range,
@@ -141,6 +142,7 @@ def make_agreement_tasks(
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")
+    check_positions(model, context_len + steps, "context_len + teacher_steps")  # before any draw
     rng = SeededRng(seed)
     vocab = model.config.vocab_size
     tasks = []

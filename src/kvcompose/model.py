@@ -123,15 +123,8 @@ def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def _embed(model: Model, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= model.config.vocab_size):
-        raise UsageError(
-            f"token ids must lie in [0, {model.config.vocab_size}), "
-            f"got range [{int(tokens.min())}, {int(tokens.max())}]"
-        )
-    x = model.embedding[tokens]
-    if model.pos_embedding is not None:  # _forward has checked positions against its rows
-        x = x + model.pos_embedding[positions]
-    return x
+    x = model.embedding[tokens]  # check_tokens has checked the ids and positions
+    return x if model.pos_embedding is None else x + model.pos_embedding[positions]
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -169,6 +162,19 @@ def check_positions(model: Model, count: int, what: str) -> None:
     """Refuse ``what``, ``count`` positions from 0, past [0, max_context) before any is run."""
     if count > model.config.max_context:
         raise ConfigError(f"{what} = {count} exceeds max_context {model.config.max_context}")
+
+
+def check_tokens(model: Model, tokens: np.ndarray, start: int) -> np.ndarray:
+    """Positions ``start`` onward of M >= 1 ``tokens``, refusing any past max_context or vocab."""
+    cfg, positions = model.config, start + np.arange(tokens.shape[-1])
+    if positions[0] < 0 or positions[-1] >= cfg.max_context:
+        raise UsageError(
+            f"positions {positions[0]} to {positions[-1]} leave [0, max_context {cfg.max_context})"
+        )
+    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
+        low, high = int(tokens.min()), int(tokens.max())
+        raise UsageError(f"token ids must lie in [0, {cfg.vocab_size}), got range [{low}, {high}]")
+    return positions
 
 
 def empty_cache(model: Model) -> KVCache:
@@ -226,11 +232,7 @@ def _forward(
     m = tokens.shape[-1]
     if tokens.size == 0:
         raise UsageError("a forward pass needs at least one new token")
-    positions = cache.next_position + np.arange(m)  # not a row count, which compaction lowers
-    if positions[0] < 0 or positions[-1] >= cfg.max_context:
-        raise UsageError(
-            f"positions {positions[0]} to {positions[-1]} leave [0, max_context {cfg.max_context})"
-        )
+    positions = check_tokens(model, tokens, cache.next_position)  # not R, which compaction lowers
     if not 0 <= attention_rows <= m:
         raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
     x = _embed(model, tokens, positions)  # (M, d) or (T, M, d)
@@ -390,9 +392,11 @@ def construct_induction_model(num_pairs: int, vocab: int) -> Model:
     """
     if vocab < 4 or vocab % 2 != 0:
         raise ConfigError(f"vocab must be an even number >= 4, got {vocab}")
-    if num_pairs < 1 or num_pairs > vocab // 2:
+    most = min(vocab // 2, (INDUCTION_MAX_POSITIONS - 1) // 2)  # distinct keys; pairs + query fit
+    if num_pairs < 1 or num_pairs > most:
         raise ConfigError(
-            f"num_pairs must be in [1, {vocab // 2}] for vocab {vocab}, got {num_pairs}"
+            f"num_pairs must be in [1, {most}] for vocab {vocab} "
+            f"and max_context {INDUCTION_MAX_POSITIONS}, got {num_pairs}"
         )
     v = vocab
     d_h = v + 2

@@ -17,14 +17,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import KVCache, Model, _forward, empty_cache
+from .model import KVCache, Model, _forward, check_tokens, empty_cache
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
 TASK_MODES = ("task-aware", "task-agnostic")
 DEFAULT_MODE = "task-agnostic"
 OBSERVATION_WINDOW = 32  # trailing context rows scored when no task is known
-CAPTURE_READS = ("rows", "head-mean", "none")  # what a selector reads of a capture
 
 
 def check_observation_window(window: int, error: type[Exception] = UsageError) -> None:
@@ -149,15 +148,12 @@ def collect_attention(
     order; task-agnostic copies the trailing observation-window rows of the
     prefill itself. No task writes the prefill's cache, which travels with
     the capture, so every policy and ratio compresses the same full cache.
-    ``reads`` (``Policy.capture_reads``) keeps "rows" as above, only the
-    prefill's head-mean attention ("head-mean", which tova replays), or
-    neither ("none"); those two run no task and hold A with M = 0 rows.
+    ``reads`` (``Policy.capture_reads``) keeps "rows" as above, or "head-mean" or
+    "none" in their place: these run no task pass and hold A with M = 0 rows.
     Nothing reads the logits, so every pass runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
-    if reads not in CAPTURE_READS:
-        raise UsageError(f"reads must be one of {CAPTURE_READS}, got {reads!r}")
     cfg = model.config
     n = len(context)
     agnostic = task_set.mode == "task-agnostic"
@@ -170,6 +166,8 @@ def collect_attention(
     )
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
     raw = np.linalg.norm(np.stack(base.cache.values), axis=3)  # (L, H_kv, N)
+    for task in task_set.tasks:  # refused here whatever is read, as a task pass would refuse it
+        check_tokens(model, np.asarray(task), n)
 
     lengths = ([w] if agnostic else [len(t) for t in task_set.tasks]) if reads == "rows" else []
     starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvcompose import cli, evaluator
+from kvcompose import evaluator
 from kvcompose.baselines import Policy
 from kvcompose.cache_io import read_cache, read_tensor
 from kvcompose.cli import (
@@ -512,16 +512,16 @@ OVERSIZED_MODELS = {
 PAST_MAX_CONTEXT = {
     "agreement-2000000+8": (
         RANDOM_MODEL, {**AGREEMENT_TASKS, "context_len": 2_000_000, "teacher_steps": 8},
-        "tasks.context_len + teacher_steps",
+        "context_len + teacher_steps",
     ),
     "agreement-505+8": (
         RANDOM_MODEL, {**AGREEMENT_TASKS, "context_len": 505, "teacher_steps": 8},
-        "tasks.context_len + teacher_steps",
+        "context_len + teacher_steps",
     ),
     "recall-64-pairs": (
         {"kind": "induction", "num_pairs": 64, "vocab": 128},
         {"kind": "recall", "count": 1, "seed": 3},
-        "model.num_pairs",
+        "num_pairs",
     ),
 }
 AT_MAX_CONTEXT = {
@@ -533,12 +533,21 @@ AT_MAX_CONTEXT = {
 }
 
 
-def stub_task_builders(monkeypatch) -> list:
-    """Stand-ins for the task builders that draw no token and record each call."""
-    calls = []
-    for name in ("make_agreement_tasks", "make_recall_tasks"):
-        monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or [])
-    return calls
+class Drawn(Exception):
+    """Raised in place of a task builder's first draw."""
+
+
+def forbid_draws(monkeypatch) -> list:
+    """Make the task builders' generator record its seed and raise ``Drawn``, so
+    no token is ever drawn; the list holds a seed per builder that got that far."""
+    seeds = []
+
+    def refuse(seed):
+        seeds.append(seed)
+        raise Drawn
+
+    monkeypatch.setattr(evaluator, "SeededRng", refuse)
+    return seeds
 
 
 class TestExitCodes:
@@ -592,7 +601,7 @@ class TestExitCodes:
     def test_task_length_past_max_context(self, tmp_path, capsys, monkeypatch, case, command):
         # refused, naming the key, before any token is drawn
         model, tasks, key = PAST_MAX_CONTEXT[case]
-        drawn = stub_task_builders(monkeypatch)
+        drawn = forbid_draws(monkeypatch)
         path = write_config(tmp_path, model=model, tasks=tasks, scoring={"mode": "task-agnostic"})
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -604,10 +613,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", AT_MAX_CONTEXT)
     def test_task_length_at_max_context_is_drawn(self, tmp_path, monkeypatch, case):
         model, tasks = AT_MAX_CONTEXT[case]
-        drawn = stub_task_builders(monkeypatch)
+        drawn = forbid_draws(monkeypatch)
         path = write_config(tmp_path, model=model, tasks=tasks, scoring={"mode": "task-agnostic"})
         cfg = load_config(path)
-        assert build_tasks(cfg, build_model(cfg)) == [] and len(drawn) == 1
+        with pytest.raises(Drawn):
+            build_tasks(cfg, build_model(cfg))
+        assert drawn == [3 if case.startswith("recall") else 2]
+
+    @pytest.mark.parametrize("name", ["tova", "streaming", "kvcompose"])
+    @pytest.mark.parametrize("task", [[999], list(range(1, 16)) * 9], ids=["id-999", "135-long"])
+    def test_compress_refuses_task_tokens_the_model_cannot_run(self, tmp_path, capsys, name, task):
+        # every policy checks its task tokens, whether or not its capture runs them
+        cfg = write_config(
+            tmp_path, scoring={"mode": "task-aware", "task_tokens": [[1], task]}, policy={"name": name}
+        )
+        ctx = write_context(tmp_path, [1, 9, 3, 12, 5, 8])
+        assert main(["compress", "--config", str(cfg), "--context", str(ctx)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        want = "token ids must lie in [0, 16)" if task == [999] else "leave [0, max_context 128)"
+        assert captured.err.startswith("config error: ") and want in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_recall_requires_induction_model(self, tmp_path, capsys):
         cfg = write_config(

@@ -47,7 +47,6 @@ from kvcompose.model import (
 )
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import (
-    CAPTURE_READS,
     AggregationChoice,
     AttentionCapture,
     TaskSet,
@@ -58,6 +57,9 @@ from kvcompose.scoring import (
 
 from conftest import baseline_rows, count_calls, full_cache_reference, tova_oracle
 from test_model import reference_forward
+
+# what each capture may hold, in the order the policies first read it: rows, head-mean, none
+CAPTURE_READS = tuple(dict.fromkeys(Policy(name=name).capture_reads for name in POLICY_NAMES))
 
 
 def point(r, eps=0.0, reward_mean=1.0):
@@ -730,16 +732,22 @@ class TestLeanCaptures:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         with pytest.raises(UsageError, match="no task tokens"):
             aggregate_task(lean, "max")
-        with pytest.raises(UsageError, match="no task tokens"):
-            keep_masks(lean, choice, RATIO_GRID, Policy(name="snapkv"))
 
     @pytest.mark.parametrize("reads", CAPTURE_READS)
     def test_checks_hold_whatever_is_read(self, tiny_model, reads):
+        # a capture that runs no task pass still refuses the tasks one would refuse
         too_wide = TaskSet("task-agnostic", observation_window=5)
         with pytest.raises(UsageError, match="observation_window 5 exceeds context length 2"):
             collect_attention(tiny_model, [1, 2], too_wide, reads)
-        with pytest.raises(UsageError, match="reads must be one of"):
-            collect_attention(tiny_model, [1, 2], replace(too_wide, observation_window=1), "all")
+        vocab, limit = tiny_model.config.vocab_size, tiny_model.config.max_context
+        for tasks, error in [
+            (((1,), (vocab,)), rf"token ids must lie in \[0, {vocab}\), got range \[{vocab}, {vocab}\]"),
+            (((1,), (-1, 2)), r"got range \[-1, 2\]"),
+            (((1,), (1,) * (limit - 1)), rf"positions 2 to {limit} leave \[0, max_context {limit}\)"),
+        ]:
+            with pytest.raises(UsageError, match=error):
+                collect_attention(tiny_model, [1, 2], TaskSet("task-aware", tasks), reads)
+        collect_attention(tiny_model, [1, 2], TaskSet("task-aware", ((1,) * (limit - 2),)), reads)
 
     def test_tova_sweep_peaks_no_higher_than_kvcompose(self):
         # tracemalloc peaks above set-up of demo_agreement.json's sweeps (16
