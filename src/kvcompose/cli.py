@@ -104,6 +104,9 @@ class RunConfig:
         for key in ("count", "context_len", "teacher_steps"):
             if self.tasks.get(key, 1) < 1:
                 raise ConfigError(f"tasks.{key} must be >= 1, got {self.tasks[key]}")
+        for name, section in (("model", self.model), ("tasks", self.tasks), ("policy", self.policy)):
+            if not 0 <= section.get("seed", 0) < 2**64:  # SeededRng would reduce it mod 2**64
+                raise ConfigError(f"{name}.seed must be in [0, 2**64), got {section['seed']}")
         if mode == "task-aware" and self.tasks["kind"] == "agreement":
             raise ConfigError("task-aware: an agreement task has no query before its answer")
         self.r_target = float(self.r_target)
@@ -238,6 +241,8 @@ def _read_context(path: str | Path) -> list[int]:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed_override is not None:
         seed = args.seed_override
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"--seed-override must be in [0, 2**64), got {seed}")
         model = {**cfg.model, "seed": seed} if cfg.model["kind"] == "random" else cfg.model
         policy = {**cfg.policy, "seed": seed} if "seed" in cfg.policy else cfg.policy
         cfg = replace(cfg, model=model, tasks={**cfg.tasks, "seed": seed}, policy=policy)

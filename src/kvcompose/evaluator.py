@@ -43,6 +43,7 @@ from .scoring import (
 RATIO_GRID = (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_TOLERANCES = (0.10, 0.20)
 DEFAULT_AGREEMENT_STEPS = 32
+TASK_BLOCK = 16  # agreement tasks whose reference chains decode in lockstep at a time
 
 
 @dataclass(frozen=True)
@@ -138,29 +139,31 @@ def make_agreement_tasks(
 
     The answer stores the common start token followed by ``steps`` greedy
     tokens; agreement rewards compare argmax per step under teacher
-    forcing with exactly this history.
+    forcing with exactly this history. Every prompt is drawn first; each block
+    of ``TASK_BLOCK`` prompts is prefilled one by one, and their caches, stacked,
+    run one lockstep ``greedy_decode``, which equals each task's own chain.
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")
     check_positions(model, context_len + steps, "context_len + teacher_steps")  # before any draw
     rng = SeededRng(seed)
     vocab = model.config.vocab_size
-    tasks = []
-    for t in range(count):
-        prompt = tuple(rng.randint(vocab) for _ in range(context_len))
-        run = prefill(model, list(prompt))
-        start = int(np.argmax(run.logits[-1]))
-        continuation = greedy_decode(model, run.cache, start, steps)
-        tasks.append(
-            TaskInstance(
-                id=f"agreement-{t}",
-                kind="agreement",
-                prompt=prompt,
-                query=(),
-                answer=(start, *continuation),
-            )
-        )
-    return tasks
+    prompts = [tuple(rng.randint(vocab) for _ in range(context_len)) for _ in range(count)]
+    answers = []
+    for b in range(0, count, TASK_BLOCK):
+        caches, starts = [], []
+        for prompt in prompts[b : b + TASK_BLOCK]:
+            run = prefill(model, list(prompt))
+            caches.append(run.cache)
+            starts.append(int(np.argmax(run.logits[-1])))
+        keys = [np.stack(layer) for layer in zip(*(c.keys for c in caches))]  # (T, H_kv, N, d_h)
+        values = [np.stack(layer) for layer in zip(*(c.values for c in caches))]
+        stacked = KVCache(keys, values, caches[0].next_positions)
+        answers += zip(starts, greedy_decode(model, stacked, np.asarray(starts), steps))
+    return [
+        TaskInstance(f"agreement-{t}", "agreement", prompt, (), (start, *continuation))
+        for t, (prompt, (start, continuation)) in enumerate(zip(prompts, answers))
+    ]
 
 
 # --- rewards ------------------------------------------------------------------

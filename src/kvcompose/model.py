@@ -78,10 +78,10 @@ class Model:
 
 @dataclass(frozen=True)
 class KVCache:
-    """Per-layer key/value rows, uniform across heads within a layer; nothing writes one."""
+    """Per-layer K/V rows, uniform across a layer's heads, or T such stacked; nothing writes one."""
 
-    keys: list[np.ndarray]  # per layer (H_kv, n_l, d_h)
-    values: list[np.ndarray]  # per layer (H_kv, n_l, d_h)
+    keys: list[np.ndarray]  # per layer (H_kv, n_l, d_h), or (T, H_kv, n_l, d_h) stacked
+    values: list[np.ndarray]  # per layer, as keys
     next_positions: list[int]  # per layer, position of the next appended token
 
     @property
@@ -93,7 +93,7 @@ class KVCache:
         return max(self.next_positions)
 
     def rows(self, layer: int) -> int:
-        return self.keys[layer].shape[1]
+        return self.keys[layer].shape[-2]
 
     def clone(self) -> "KVCache":
         """A copy owning its arrays; its one caller is perfbench's compress-long set-up."""
@@ -107,7 +107,7 @@ class KVCache:
 
 @dataclass
 class ForwardResult:
-    cache: KVCache | None  # the held rows plus the new ones; None under a stack
+    cache: KVCache | None  # the held rows plus the new ones, stacked under T; None under G
     logits: np.ndarray  # (M, vocab), or (T or G, M, vocab) under a stack; 0 rows if not asked for
     attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
     attention_mean: list[np.ndarray] | None = None  # per layer (..., M, R+M), mean over H_q
@@ -201,12 +201,14 @@ def _forward(
     Each layer may already hold any number of rows R. The new rows attend
     causally to each other and freely to the R held rows, so prefill is
     M=N on an empty cache and a decode step is M=1. The result's cache is
-    new: the held rows plus the new ones. ``tokens`` is (M,) or a (T, M)
-    stack of T passes after the same held rows; ``head_masks``, when given,
+    new: the held rows plus the new ones. ``tokens`` is (M,) or a (T, M) stack of T
+    passes after the same held rows, or each after its own row of a cache stacked
+    (T,), which takes nothing else; ``head_masks``, when given,
     is a (G, L, H_kv, W) bool stack: False at [g, l, h, c] hides held row
     c < W of kv head h in layer l from grid row g (score forced to -inf).
     The two stacks do not combine. Under either, outputs gain a leading T or
-    G axis and the cache is None, so no layer's grid K/V outlives it. Of
+    G axis; the cache is stacked under T and None under G, so no layer's
+    masked K/V outlives it. Of
     each layer's (H_q, M, R+M) attention only the last
     ``attention_rows`` query rows (0 to M, none by default) are kept, then
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
@@ -229,6 +231,8 @@ def _forward(
     cfg = model.config
     if tokens.ndim not in (1, 2) or (tokens.ndim == 2 and head_masks is not None):
         raise UsageError(f"tokens must be (M,), or (T, M) without head_masks, got {tokens.shape}")
+    if cache.keys[0].shape[:-3] not in ((), tokens.shape[:-1]):  # (T,) if stacked, else ()
+        raise UsageError(f"a stacked cache takes only its (T, M) token stack, got {tokens.shape}")
     m = tokens.shape[-1]
     if tokens.size == 0:
         raise UsageError("a forward pass needs at least one new token")
@@ -268,8 +272,8 @@ def _forward(
 
         held = cache.rows(layer)
         k_held, v_held = cache.keys[layer], cache.values[layer]  # every grid row reads them
-        k = np.concatenate([np.broadcast_to(k_held, grid + k_held.shape), k_new], axis=-2)
-        v = np.concatenate([np.broadcast_to(v_held, grid + v_held.shape), v_new], axis=-2)
+        k = np.concatenate([np.broadcast_to(k_held, grid + k_held.shape[-3:]), k_new], axis=-2)
+        v = np.concatenate([np.broadcast_to(v_held, grid + v_held.shape[-3:]), v_new], axis=-2)
 
         out = np.empty(grid + (m, h_q * d_h))
         heads_out = out.reshape(*grid, m, h_q, d_h)  # a view: each block's rows copy once
@@ -303,11 +307,11 @@ def _forward(
         attention.append(kept)
         if head_mean:
             means.append(mean)
-        if not grid:  # a stack's K/V die with their layer
+        if head_masks is None:  # a mask stack's K/V die with their layer
             keys.append(k)
             values.append(v)
 
-    grown = None if grid else KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers)
+    grown = KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers) if keys else None
     final = x if logits else x[..., :0, :]  # no rows: the last layer added nothing to x
     return ForwardResult(grown, final @ model.embedding.T, attention, means)
 
@@ -324,32 +328,35 @@ def prefill(model: Model, tokens: list[int]) -> ForwardResult:
     return _forward(model, empty_cache(model), np.asarray(tokens))
 
 
-def decode_step(model: Model, cache: KVCache, token: int) -> ForwardResult:
+def decode_step(model: Model, cache: KVCache, token: int | np.ndarray) -> ForwardResult:
     """Run ``token`` after ``cache``, at its next position; ``cache`` is read, never written.
 
     Returns ``_forward``'s result: logits (1, vocab) and the grown cache, a
     plain KVCache, as its new row is no context row. Layers may hold unequal
     row counts; each attends over whatever keys it has (plus the new row).
+    A (T,) ``token`` runs as a (T, 1) stack: logits (T, 1, vocab), cache stacked (T,).
     """
-    return _forward(model, cache, np.asarray([token]))
+    return _forward(model, cache, np.asarray(token)[..., None])
 
 
 def greedy_decode(
     model: Model,
     cache: KVCache,
-    start: int,
+    start: int | np.ndarray,
     steps: int,
-) -> list[int]:
+) -> list[int] | list[list[int]]:
     """Repeated decode_step with argmax selection (ties take the lowest id),
-    each step after the previous one's grown cache; ``cache`` is left as it was."""
+    each step after the previous one's grown cache; ``cache`` is left as it was.
+    A (T,) ``start`` on a cache stacked (T,) steps its T chains in lockstep and
+    returns T lists, each its own chain's tokens bit for bit."""
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    out = [start]
+    out = [np.asarray(start)]
     for _ in range(steps):
         run = decode_step(model, cache, out[-1])
-        out.append(int(np.argmax(run.logits[0])))
+        out.append(run.logits[..., 0, :].argmax(axis=-1))
         cache = run.cache
-    return out[1:]
+    return np.stack(out[1:], axis=-1).tolist()
 
 
 # --- hand-constructed exact-recall model -------------------------------------

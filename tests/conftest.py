@@ -5,13 +5,24 @@ import pytest
 
 from kvcompose import model as kvmodel
 from kvcompose.baselines import pyramid_budgets
-from kvcompose.evaluator import _log_softmax, _run_steps, make_recall_tasks, prepare_task, reward
+from kvcompose.evaluator import (
+    TaskInstance,
+    _log_softmax,
+    _run_steps,
+    make_recall_tasks,
+    prepare_task,
+    reward,
+)
 from kvcompose.model import (
+    KVCache,
     ModelConfig,
     _forward,
+    check_positions,
     construct_induction_model,
     empty_cache,
+    greedy_decode,
     init_model,
+    prefill,
 )
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AttentionCapture, TaskSet, collect_attention, reduce_axis
@@ -47,6 +58,36 @@ def gqa_model():
             seed=7,
         )
     )
+
+
+def stack_caches(caches):
+    """Plain caches of equal row counts as one cache stacked (T,), row i being caches[i]."""
+    keys = [np.stack(layer) for layer in zip(*(c.keys for c in caches))]
+    values = [np.stack(layer) for layer in zip(*(c.values for c in caches))]
+    return KVCache(keys, values, list(caches[0].next_positions))
+
+
+def agreement_tasks_oracle(model, count: int, context_len: int, steps: int, seed: int):
+    """``make_agreement_tasks`` as it was before its chains ran in lockstep: one
+    prefill and one greedy chain per task, in task order."""
+    check_positions(model, context_len + steps, "context_len + teacher_steps")
+    rng = SeededRng(seed)
+    tasks = []
+    for t in range(count):
+        prompt = tuple(rng.randint(model.config.vocab_size) for _ in range(context_len))
+        run = prefill(model, list(prompt))
+        start = int(np.argmax(run.logits[-1]))
+        continuation = greedy_decode(model, run.cache, start, steps)
+        tasks.append(
+            TaskInstance(
+                id=f"agreement-{t}",
+                kind="agreement",
+                prompt=prompt,
+                query=(),
+                answer=(start, *continuation),
+            )
+        )
+    return tasks
 
 
 def random_context(seed: int, length: int, vocab: int = 64) -> list[int]:

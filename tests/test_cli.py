@@ -533,6 +533,22 @@ AT_MAX_CONTEXT = {
 }
 
 
+# (config overrides, extra flags, the key the error names): a seed outside
+# [0, 2**64), which the generator would reduce mod 2**64 into another seed
+BAD_SEEDS = {
+    "model-seed-negative": (
+        {"model": {**RANDOM_MODEL, "seed": -1}, "tasks": AGREEMENT_TASKS}, [], "model.seed"
+    ),
+    "model-seed-2**64": (
+        {"model": {**RANDOM_MODEL, "seed": 2**64}, "tasks": AGREEMENT_TASKS}, [], "model.seed"
+    ),
+    "tasks-seed-negative": ({"tasks": {"kind": "recall", "count": 4, "seed": -1}}, [], "tasks.seed"),
+    "policy-seed-2**64": ({"policy": {"name": "random", "seed": 2**64}}, [], "policy.seed"),
+    "override-negative": ({}, ["--seed-override", "-1"], "--seed-override"),
+    "override-2**64": ({}, ["--seed-override", str(2**64)], "--seed-override"),
+}
+
+
 class Drawn(Exception):
     """Raised in place of a task builder's first draw."""
 
@@ -609,6 +625,28 @@ class TestExitCodes:
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert key in captured.err and "max_context" in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", BAD_SEEDS)
+    def test_seed_outside_the_generator_range(self, tmp_path, capsys, monkeypatch, case):
+        # refused, naming the key, before any token is drawn: -1 and 2**64 - 1
+        # would otherwise give the same report under different echoed seeds
+        overrides, flags, key = BAD_SEEDS[case]
+        drawn = forbid_draws(monkeypatch)
+        path = write_config(tmp_path, scoring={"mode": "task-agnostic"}, **overrides)
+        assert main(["sweep", "--config", str(path), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and drawn == []
+        assert captured.err.startswith(f"config error: {key} must be in [0, 2**64)")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        path = write_config(
+            tmp_path, model={**RANDOM_MODEL, "seed": 2**64 - 1}, tasks=AGREEMENT_TASKS,
+            policy={"name": "random", "seed": 2**64 - 1}, scoring={"mode": "task-agnostic"},
+        )
+        cfg = load_config(path)
+        assert cfg.model["seed"] == cfg.policy["seed"] == 2**64 - 1
 
     @pytest.mark.parametrize("case", AT_MAX_CONTEXT)
     def test_task_length_at_max_context_is_drawn(self, tmp_path, monkeypatch, case):

@@ -19,6 +19,7 @@ from kvcompose.composer import (
 from kvcompose.errors import UsageError
 from kvcompose.evaluator import (
     RATIO_GRID,
+    TASK_BLOCK,
     CurvePoint,
     TaskInstance,
     auc,
@@ -55,7 +56,13 @@ from kvcompose.scoring import (
     score_pipeline,
 )
 
-from conftest import baseline_rows, count_calls, full_cache_reference, tova_oracle
+from conftest import (
+    agreement_tasks_oracle,
+    baseline_rows,
+    count_calls,
+    full_cache_reference,
+    tova_oracle,
+)
 from test_model import reference_forward
 
 # what each capture may hold, in the order the policies first read it: rows, head-mean, none
@@ -248,6 +255,17 @@ class TestTasks:
             start = int(np.argmax(run.logits[-1]))
             continuation = greedy_decode(tiny_model, run.cache, start, 5)
             assert task.answer == (start, *continuation)
+
+    @pytest.mark.parametrize("count, block", [(0, 2), (1, 2), (5, 2), (TASK_BLOCK + 1, TASK_BLOCK)])
+    def test_agreement_tasks_equal_the_per_task_oracle(self, tiny_model, monkeypatch, count, block):
+        # the lockstep blocks (of 2, 2 and 1 tasks at a block of 2) give every
+        # task's prompt, start and continuation of one chain per task
+        from kvcompose import evaluator
+
+        monkeypatch.setattr(evaluator, "TASK_BLOCK", block)
+        got = make_agreement_tasks(tiny_model, count, 6, 4, seed=31)
+        assert got == agreement_tasks_oracle(tiny_model, count, 6, 4, seed=31)
+        assert len(got) == count
 
     def test_agreement_tasks_peak_memory_below_one_attention_set(self):
         # building a task reads logits and the cache, not attention, so its

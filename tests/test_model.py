@@ -25,7 +25,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng, exp_rows, softmax_rows
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import prefill_keeping, random_context, rotate_two_halves
+from conftest import prefill_keeping, random_context, rotate_two_halves, stack_caches
 
 
 def forbid_layers(monkeypatch, model_):
@@ -510,26 +510,38 @@ class TestMaskStack:
             _forward(tiny_model, cache, np.asarray([3]), np.ones(shape, dtype))
 
 
+def assert_stack_row_equals(res, row: int, want) -> None:
+    """Row ``row`` of a token stack's result equals the 1-D result ``want`` bit
+    for bit: logits, attention, head mean, and the grown cache's K/V and positions."""
+    assert res.logits[row].tobytes() == want.logits.tobytes()
+    for got, wanted in ((res.attention, want.attention), (res.attention_mean, want.attention_mean)):
+        assert [a[row].tobytes() for a in got or []] == [b.tobytes() for b in wanted or []]
+    for got, wanted in ((res.cache.keys, want.cache.keys), (res.cache.values, want.cache.values)):
+        assert [a[row].tobytes() for a in got] == [b.tobytes() for b in wanted]
+    assert res.cache.next_positions == want.cache.next_positions
+
+
+def assert_cache_unchanged(cache, before) -> None:
+    for got, want in zip(cache.keys + cache.values, before.keys + before.values, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def assert_token_stack_equals_one_call_per_row(model, held, t, m, logits=True):
     # the stack's T rows share the held cache: each gives, bit for bit, the
-    # logits, attention and head mean of its own 1-D call, and the cache is
-    # left as it was
+    # logits, attention, head mean and grown cache of its own 1-D call, and
+    # the held cache is left as it was
     cfg = model.config
     cache = prefill(model, random_context(43, held)).cache if held else empty_cache(model)
     before = cache.clone()
     tokens = np.asarray(random_context(44, t * m)).reshape(t, m)
     kwargs = {"attention_rows": m, "head_mean": True, "logits": logits}
     res = _forward(model, cache, tokens, **kwargs)
-    assert res.cache is None
     assert res.logits.shape == (t, m if logits else 0, cfg.vocab_size)
     assert res.attention[0].shape == (t, cfg.query_heads, m, held + m)
+    assert res.cache.keys[0].shape == (t, cfg.kv_heads, held + m, cfg.head_dim)
     for row in range(t):
-        want = _forward(model, before, tokens[row], **kwargs)
-        assert res.logits[row].tobytes() == want.logits.tobytes()
-        for got, wanted in ((res.attention, want.attention), (res.attention_mean, want.attention_mean)):
-            assert [a[row].tobytes() for a in got] == [b.tobytes() for b in wanted]
-    for got, want in zip(cache.keys + cache.values, before.keys + before.values, strict=True):
-        assert got.tobytes() == want.tobytes()
+        assert_stack_row_equals(res, row, _forward(model, before, tokens[row], **kwargs))
+    assert_cache_unchanged(cache, before)
 
 
 class TestTokenStack:
@@ -559,6 +571,64 @@ class TestTokenStack:
         forbid_layers(monkeypatch, tiny_model)
         with pytest.raises(UsageError, match="without head_masks"):
             _forward(tiny_model, cache, np.asarray([[3, 4]]), masks)
+
+
+def stacked_prefills(model, t: int, n: int, seed: int):
+    """T plain prefill caches of n random tokens each, and the same caches stacked (T,)."""
+    caches = [prefill(model, random_context(seed + row, n)).cache for row in range(t)]
+    return caches, stack_caches(caches)
+
+
+class TestStackedCache:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_stack_after_a_stacked_cache_equals_one_call_per_row(self, gqa_model, m):
+        # row i of a (T, M) stack runs after row i of the stacked cache alone:
+        # logits, attention, head mean and grown cache, bit for bit
+        caches, stacked = stacked_prefills(gqa_model, 3, 20, seed=90)
+        before = stacked.clone()
+        tokens = np.asarray(random_context(93, 3 * m)).reshape(3, m)
+        kwargs = {"attention_rows": m, "head_mean": True}
+        res = _forward(gqa_model, stacked, tokens, **kwargs)
+        assert res.cache.keys[0].shape == (3, gqa_model.config.kv_heads, 20 + m, 8)
+        for row, cache in enumerate(caches):
+            assert_stack_row_equals(res, row, _forward(gqa_model, cache, tokens[row], **kwargs))
+        assert_cache_unchanged(stacked, before)
+
+    def test_lockstep_greedy_equals_one_chain_per_row(self, gqa_model):
+        caches, stacked = stacked_prefills(gqa_model, 4, 12, seed=94)
+        befores = [c.clone() for c in [stacked, *caches]]
+        starts = np.asarray([3, 0, 63, 3])
+        got = greedy_decode(gqa_model, stacked, starts, steps=6)
+        assert got == [greedy_decode(gqa_model, c, int(s), 6) for c, s in zip(caches, starts)]
+        assert all(isinstance(tok, int) for chain in got for tok in chain)
+        for cache, before in zip([stacked, *caches], befores, strict=True):
+            assert_cache_unchanged(cache, before)
+
+    def test_scalar_start_still_returns_one_chain(self, gqa_model):
+        cache = prefill(gqa_model, random_context(95, 8)).cache
+        got = greedy_decode(gqa_model, cache, 5, steps=3)
+        assert len(got) == 3 and all(type(tok) is int for tok in got)
+
+    @pytest.mark.parametrize(
+        "tokens, masked, match",
+        [
+            ([1, 2], False, "a stacked cache takes only its"),
+            ([[1, 2]] * 3, False, "a stacked cache takes only its"),
+            ([1], True, "a stacked cache takes only its"),
+            ([[1], [2]], True, "without head_masks"),
+        ],
+        ids=["1-d", "wrong-t", "mask-1-d", "mask-2-d"],
+    )
+    def test_stacked_cache_takes_only_its_token_stack(
+        self, gqa_model, monkeypatch, tokens, masked, match
+    ):
+        # refused before any layer runs: a stacked cache's rows each need their own token row
+        cfg = gqa_model.config
+        _, stacked = stacked_prefills(gqa_model, 2, 6, seed=96)
+        masks = np.ones((2, cfg.layers, cfg.kv_heads, 6), bool) if masked else None
+        forbid_layers(monkeypatch, gqa_model)
+        with pytest.raises(UsageError, match=match):
+            _forward(gqa_model, stacked, np.asarray(tokens), masks)
 
 
 class TestRowBlocks:
