@@ -104,9 +104,9 @@ class RunConfig:
         for key in ("count", "context_len", "teacher_steps"):
             if self.tasks.get(key, 1) < 1:
                 raise ConfigError(f"tasks.{key} must be >= 1, got {self.tasks[key]}")
-        for name, section in (("model", self.model), ("tasks", self.tasks), ("policy", self.policy)):
-            if not 0 <= section.get("seed", 0) < 2**64:  # SeededRng would reduce it mod 2**64
-                raise ConfigError(f"{name}.seed must be in [0, 2**64), got {section['seed']}")
+        for name in ("model", "tasks", "policy"):  # SeededRng would reduce a seed mod 2**64
+            if not 0 <= (seed := getattr(self, name).get("seed", 0)) < 2**64:
+                raise ConfigError(f"{name}.seed must be in [0, 2**64), got {seed}")
         if mode == "task-aware" and self.tasks["kind"] == "agreement":
             raise ConfigError("task-aware: an agreement task has no query before its answer")
         self.r_target = float(self.r_target)

@@ -320,10 +320,10 @@ def prefill(model: Model, tokens: list[int]) -> ForwardResult:
     """Causal forward pass over ``tokens`` (at least one) from position 0:
     ``_forward`` on an empty cache, keeping no attention.
 
-    Returns logits (N, vocab) and a cache of one K,V row per token per kv
-    head per layer. Rows run in ``ROW_BLOCK`` blocks, so a layer never holds
-    its full (H_q, N, N) scores: its peak is O(H_q * ROW_BLOCK * N) and its
-    time O(N^2), without computing the masked upper triangle.
+    Returns logits (N, vocab) and a cache of one K,V row per token per kv head
+    per layer, which stacks with other N-row caches for a lockstep decode. Rows
+    run in ``ROW_BLOCK`` blocks: a layer's peak is O(H_q * ROW_BLOCK * N), not its
+    (H_q, N, N) scores, and its time O(N^2), skipping the masked upper triangle.
     """
     return _forward(model, empty_cache(model), np.asarray(tokens))
 
@@ -331,10 +331,9 @@ def prefill(model: Model, tokens: list[int]) -> ForwardResult:
 def decode_step(model: Model, cache: KVCache, token: int | np.ndarray) -> ForwardResult:
     """Run ``token`` after ``cache``, at its next position; ``cache`` is read, never written.
 
-    Returns ``_forward``'s result: logits (1, vocab) and the grown cache, a
-    plain KVCache, as its new row is no context row. Layers may hold unequal
-    row counts; each attends over whatever keys it has (plus the new row).
-    A (T,) ``token`` runs as a (T, 1) stack: logits (T, 1, vocab), cache stacked (T,).
+    Returns ``_forward``'s result: logits (1, vocab) and the grown cache, a plain KVCache,
+    as its new row is no context row; (T,) tokens give (T, 1, vocab) and a cache stacked
+    (T,). Layers may hold unequal row counts; each attends over what it has plus the new row.
     """
     return _forward(model, cache, np.asarray(token)[..., None])
 
@@ -345,10 +344,8 @@ def greedy_decode(
     start: int | np.ndarray,
     steps: int,
 ) -> list[int] | list[list[int]]:
-    """Repeated decode_step with argmax selection (ties take the lowest id),
-    each step after the previous one's grown cache; ``cache`` is left as it was.
-    A (T,) ``start`` on a cache stacked (T,) steps its T chains in lockstep and
-    returns T lists, each its own chain's tokens bit for bit."""
+    """Repeated decode_step with argmax (ties take the lowest id), each after the last one's
+    grown cache, ``cache`` left as it was; a (T,) ``start`` runs T chains in lockstep."""
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
     out = [np.asarray(start)]

@@ -171,14 +171,16 @@ def collect_attention(
 
     lengths = ([w] if agnostic else [len(t) for t in task_set.tasks]) if reads == "rows" else []
     starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])
-    a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
+    a = np.empty((cfg.layers, cfg.query_heads, 0, n))  # sized once the first pass has run
     for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
         group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
-        run = base if agnostic else _forward(
+        attention = base.attention if agnostic else _forward(
             model, base.cache, np.array([task_set.tasks[i] for i in group]),
             attention_rows=m, logits=False,
-        )
-        for layer, attn in enumerate(run.attention):  # (T, H_q, M, N+M); A keeps N columns
+        ).attention  # the stack's grown (T, ...) cache is dropped unread
+        if a.shape[2] < starts[-1]:  # so A never coexists with a first pass's L layers of K/V
+            a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
+        for layer, attn in enumerate(attention):  # (T, H_q, M, N+M); A keeps N columns
             for i, rows in zip(group, attn.reshape(-1, *attn.shape[-3:])):
                 a[layer, :, starts[i] : starts[i + 1]] = rows[:, :, :n]
 

@@ -222,6 +222,29 @@ class TestCollectAttention:
         kept = 4 if mode == "task-agnostic" and not head_mean else 0  # rows, or none
         assert [a.shape for a in runs[0].attention] == [(h_q, kept, 20)] * tiny_model.config.layers
 
+    def test_task_stack_cache_never_meets_a(self):
+        # a task stack returns T grown copies of the context cache, which the
+        # capture drops unread; A is sized only after that pass, so the traced
+        # peak stays below A, the stack's kept rows and its K/V together
+        import tracemalloc
+
+        cfg = ModelConfig(
+            layers=8, query_heads=4, kv_heads=2, model_dim=32, head_dim=8, vocab_size=64, seed=7
+        )
+        model, n, t, m = init_model(cfg), 256, 4, 8
+        tasks = tuple(tuple(random_context(70 + i, m)) for i in range(t))
+        context = random_context(69, n)
+        tracemalloc.start()
+        try:
+            cap = collect_attention(model, context, TaskSet(mode="task-aware", tasks=tasks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = cfg.layers * t * cfg.query_heads * m * (n + m) * 8
+        stacked_kv = 2 * cfg.layers * t * cfg.kv_heads * (n + m) * cfg.head_dim * 8
+        assert cap.A.shape == (cfg.layers, cfg.query_heads, t * m, n)
+        assert peak < cap.A.nbytes + kept + stacked_kv, peak
+
     def test_tasks_read_the_context_cache_without_a_copy(self, tiny_model, monkeypatch):
         # every task runs after the one prefill cache and none writes it, so
         # each task's rows equal those of a capture of that task alone
