@@ -604,11 +604,6 @@ class TestStackedCache:
         for cache, before in zip([stacked, *caches], befores, strict=True):
             assert_cache_unchanged(cache, before)
 
-    def test_scalar_start_still_returns_one_chain(self, gqa_model):
-        cache = prefill(gqa_model, random_context(95, 8)).cache
-        got = greedy_decode(gqa_model, cache, 5, steps=3)
-        assert len(got) == 3 and all(type(tok) is int for tok in got)
-
     @pytest.mark.parametrize(
         "tokens, masked, match",
         [
@@ -924,6 +919,7 @@ class TestGreedyDecode:
         tokens = random_context(10, 6)
         res = prefill(tiny_model, tokens)
         generated = greedy_decode(tiny_model, res.cache, tokens[-1], steps=10)
+        assert all(type(tok) is int for tok in generated)  # a scalar start: one list of ints
         # oracle: re-run prefill over the whole growing sequence each step
         sequence = list(tokens) + [tokens[-1]]
         expected = []
