@@ -48,11 +48,14 @@ TASK_BLOCK = 16  # agreement tasks whose reference chains decode in lockstep at 
 
 @dataclass(frozen=True)
 class TaskInstance:
+    """A prompt to compress, what is scored after it, and the prompt's prefill ``cache``, if run."""
+
     id: str
     kind: str  # "recall" | "agreement"
     prompt: tuple[int, ...]  # context to compress
     query: tuple[int, ...]  # tokens fed after compression (recall only)
     answer: tuple[int, ...]  # paired value, or the reference continuation
+    cache: KVCache | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.prompt:
@@ -137,11 +140,11 @@ def make_agreement_tasks(
 ) -> list[TaskInstance]:
     """Random contexts whose reference continuation is the full-cache greedy run.
 
-    The answer stores the common start token followed by ``steps`` greedy
-    tokens; agreement rewards compare argmax per step under teacher
-    forcing with exactly this history. Every prompt is drawn first; each block
-    of ``TASK_BLOCK`` prompts is prefilled one by one, and their caches, stacked,
-    run one lockstep ``greedy_decode``, which equals each task's own chain.
+    The answer stores the common start token followed by ``steps`` greedy tokens;
+    agreement rewards compare argmax per step under teacher forcing with exactly this
+    history. Every prompt is drawn first; each block of ``TASK_BLOCK`` prompts is
+    prefilled one by one, and their caches, stacked, run one lockstep ``greedy_decode``,
+    which equals each task's own chain. Each task keeps its prefill cache, uncopied.
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")
@@ -149,20 +152,20 @@ def make_agreement_tasks(
     rng = SeededRng(seed)
     vocab = model.config.vocab_size
     prompts = [tuple(rng.randint(vocab) for _ in range(context_len)) for _ in range(count)]
-    answers = []
+    answers, caches = [], []
     for b in range(0, count, TASK_BLOCK):
-        caches, starts = [], []
+        starts = []
         for prompt in prompts[b : b + TASK_BLOCK]:
             run = prefill(model, list(prompt))
             caches.append(run.cache)
             starts.append(int(np.argmax(run.logits[-1])))
-        keys = [np.stack(layer) for layer in zip(*(c.keys for c in caches))]  # (T, H_kv, N, d_h)
-        values = [np.stack(layer) for layer in zip(*(c.values for c in caches))]
-        stacked = KVCache(keys, values, caches[0].next_positions)
+        keys = [np.stack(k) for k in zip(*(c.keys for c in caches[b:]))]  # (T, H_kv, N, d_h)
+        values = [np.stack(v) for v in zip(*(c.values for c in caches[b:]))]
+        stacked = KVCache(keys, values, caches[b].next_positions)
         answers += zip(starts, greedy_decode(model, stacked, np.asarray(starts), steps))
     return [
-        TaskInstance(f"agreement-{t}", "agreement", prompt, (), (start, *continuation))
-        for t, (prompt, (start, continuation)) in enumerate(zip(prompts, answers))
+        TaskInstance(f"agreement-{t}", "agreement", prompt, (), (start, *continuation), cache)
+        for t, (prompt, (start, continuation), cache) in enumerate(zip(prompts, answers, caches))
     ]
 
 
@@ -307,10 +310,10 @@ class TaskState:
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int, reads: str = "rows"
 ) -> TaskState:
-    """The task's capture of what ``reads`` names (``Policy.capture_reads``); no reference pass."""
+    """The capture of what ``reads`` names (``Policy.capture_reads``) on ``task.cache``, if set."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
-    return TaskState(task, collect_attention(model, list(task.prompt), tset, reads))
+    return TaskState(task, collect_attention(model, list(task.prompt), tset, reads, task.cache))
 
 
 def _evaluate_task(

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import KVCache, Model, _forward, check_tokens, empty_cache
+from .model import ROW_BLOCK, KVCache, Model, _forward, check_tokens, empty_cache
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -105,7 +105,7 @@ class AttentionCapture:
 
     A: np.ndarray  # (L, H_q, M, N); M = 0 unless the capture reads "rows"
     value_norms_raw: np.ndarray  # (L, H_kv, N)
-    cache: KVCache | None = None  # the context's full prefill cache; None when built by hand
+    cache: KVCache | None = None  # the context's full prefill cache, maybe its task's; None by hand
     attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
     wo: np.ndarray | None = None  # the model's (L, H_q, d_h, d) output matrices
 
@@ -137,7 +137,8 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 
 
 def collect_attention(
-    model: Model, context: list[int], task_set: TaskSet, reads: str = "rows"
+    model: Model, context: list[int], task_set: TaskSet, reads: str = "rows",
+    cache: KVCache | None = None,
 ) -> AttentionCapture:
     """Prefill the context once; record how the task tokens attend to it, plus raw value norms.
 
@@ -151,6 +152,10 @@ def collect_attention(
     ``reads`` (``Policy.capture_reads``) keeps "rows" as above, or "head-mean" or
     "none" in their place: these run no task pass and hold A with M = 0 rows.
     Nothing reads the logits, so every pass runs with ``logits=False``.
+
+    Given the context's own unstacked N-row prefill ``cache``, the capture holds it and
+    prefills only for "head-mean", which reads every row; window rows rerun the prefill's
+    last row blocks after the cache cut at a ``ROW_BLOCK`` boundary: same rows, same bits.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -160,12 +165,24 @@ def collect_attention(
     w = task_set.observation_window if agnostic else 0  # prefill rows the capture reads
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
-    base = _forward(
-        model, empty_cache(model), np.asarray(context),
-        attention_rows=w if reads == "rows" else 0, head_mean=reads == "head-mean", logits=False,
-    )
+    shape = [(cfg.kv_heads, n, cfg.head_dim)] * cfg.layers  # K of an unstacked N-row cache
+    if cache is not None and ([k.shape for k in cache.keys], cache.next_position) != (shape, n):
+        raise UsageError(f"the given cache is not this {n}-token context's unstacked prefill cache")
+    tokens, mean = np.asarray(context), None
+    if cache is None or reads == "head-mean":
+        base = _forward(
+            model, empty_cache(model), tokens, attention_rows=w if reads == "rows" else 0,
+            head_mean=reads == "head-mean", logits=False,
+        )
+        attention, mean, cache = base.attention, base.attention_mean, cache or base.cache
+    elif reads == "rows" and agnostic:  # rows [h, N) after the first h, as the prefill ran them
+        h = ROW_BLOCK * ((n - w) // ROW_BLOCK)
+        cut = KVCache(
+            [k[:, :h] for k in cache.keys], [v[:, :h] for v in cache.values], [h] * cfg.layers
+        )
+        attention = _forward(model, cut, tokens[h:], attention_rows=w, logits=False).attention
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
-    raw = np.linalg.norm(np.stack(base.cache.values), axis=3)  # (L, H_kv, N)
+    raw = np.linalg.norm(np.stack(cache.values), axis=3)  # (L, H_kv, N)
     for task in task_set.tasks:  # refused here whatever is read, as a task pass would refuse it
         check_tokens(model, np.asarray(task), n)
 
@@ -174,8 +191,8 @@ def collect_attention(
     a = np.empty((cfg.layers, cfg.query_heads, 0, n))  # sized once the first pass has run
     for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
         group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
-        attention = base.attention if agnostic else _forward(
-            model, base.cache, np.array([task_set.tasks[i] for i in group]),
+        attention = attention if agnostic else _forward(
+            model, cache, np.array([task_set.tasks[i] for i in group]),
             attention_rows=m, logits=False,
         ).attention  # the stack's grown (T, ...) cache is dropped unread
         if a.shape[2] < starts[-1]:  # so A never coexists with a first pass's L layers of K/V
@@ -187,8 +204,8 @@ def collect_attention(
     return AttentionCapture(
         A=a,
         value_norms_raw=raw,
-        cache=base.cache,
-        attention_mean=None if base.attention_mean is None else np.stack(base.attention_mean),
+        cache=cache,
+        attention_mean=None if mean is None else np.stack(mean),
         wo=model.wo,
     )
 

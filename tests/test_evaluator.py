@@ -267,6 +267,19 @@ class TestTasks:
         assert got == agreement_tasks_oracle(tiny_model, count, 6, 4, seed=31)
         assert len(got) == count
 
+    def test_agreement_tasks_carry_their_prefill_caches(self, tiny_model, monkeypatch):
+        # each task, across lockstep blocks of 2, 2 and 1, carries its own prompt's
+        # prefill cache bit for bit; a recall task has none
+        from kvcompose import evaluator
+
+        monkeypatch.setattr(evaluator, "TASK_BLOCK", 2)
+        for task in make_agreement_tasks(tiny_model, 5, 6, 4, seed=31):
+            want = prefill(tiny_model, list(task.prompt)).cache
+            assert task.cache.next_positions == want.next_positions
+            for got, exp in zip(task.cache.keys + task.cache.values, want.keys + want.values):
+                assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
+        assert [t.cache for t in make_recall_tasks(4, 16, 2, seed=8)] == [None, None]
+
     def test_agreement_tasks_peak_memory_below_one_attention_set(self):
         # building a task reads logits and the cache, not attention, so its
         # prefill keeps none and the traced peak stays below what one full
@@ -367,6 +380,24 @@ class TestSweep:
         sweep(tiny_model, tasks, Policy(name="kvcompose"), AggregationChoice(), grid=grid)
         assert forwards == [steps] * len(tasks)
         assert decodes == []
+
+    def test_task_caches_move_no_curve_point(self):
+        # a sweep whose captures hold each task's own cache gives every policy
+        # the points of one whose captures prefill again
+        from kvcompose.cli import build_model, build_tasks, load_config
+
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "demo_agreement.json")
+        model = build_model(cfg)
+        tasks = build_tasks(cfg, model)
+        bare = [replace(t, cache=None) for t in tasks]
+        assert all(t.cache is not None for t in tasks) and bare == tasks
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        for name in POLICY_NAMES:
+            got, want = (
+                sweep(model, given, Policy(name=name), cfg.agg, tuple(cfg.grid), mode, window)
+                for given in (tasks, bare)
+            )
+            assert got == want, name
 
     @pytest.mark.parametrize("mode", ["task-aware", "task-agnostic"])
     def test_prepare_task_copies_no_cache(self, tiny_model, monkeypatch, mode):

@@ -10,7 +10,7 @@ from kvcompose.cli import ablation_grid
 from kvcompose.composer import compress, keep_masks
 from kvcompose.errors import ShapeError, UsageError
 from kvcompose.evaluator import RATIO_GRID, make_agreement_tasks, sweep
-from kvcompose.model import ROW_BLOCK, ModelConfig, _forward, init_model, prefill
+from kvcompose.model import ROW_BLOCK, KVCache, ModelConfig, _forward, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import (
     TASK_MODES,
@@ -29,6 +29,7 @@ from conftest import (
     prefill_keeping,
     random_context,
     rotate_two_halves,
+    stack_caches,
 )
 
 
@@ -304,6 +305,71 @@ class TestCollectAttention:
         assert cap.value_norms_raw.shape == (2, 2, 6)
         assert cap.value_norms_proj.shape == (2, 4, 6)
         assert (cap.value_norms_raw >= 0).all()
+
+
+class TestGivenCache:
+    """A capture given its context's own prefill cache holds it instead of prefilling."""
+
+    @pytest.mark.parametrize("reads", ["rows", "head-mean", "none"])
+    @pytest.mark.parametrize(
+        "n, w", [(128, 32), (200, 80), (504, 64), (130, 3), (130, None)],
+        ids=["128-32", "200-80", "504-64", "130-3", "task-aware"],
+    )
+    def test_equals_the_capture_that_prefills(self, gqa_model, monkeypatch, reads, n, w):
+        # bit for bit, so the window's rows must rerun the prefill's own row blocks:
+        # cut at the unaligned h = N - w, the blocks and their widths move and, at
+        # all but (128, 32), so do the kept rows' bits
+        from kvcompose import model as kvmodel
+
+        context = random_context(90 + n, n)
+        tasks = [tuple(random_context(91 + m, m)) for m in (3, 5, 3)]
+        task_set = TaskSet.for_context("task-aware" if w is None else "task-agnostic", n, tasks, w)
+        want = collect_attention(gqa_model, context, task_set, reads)
+        cache = prefill(gqa_model, context).cache
+        passes = count_calls(
+            monkeypatch, kvmodel, "_forward",
+            lambda model, held, tokens, *rest: (held.next_position, np.shape(tokens)),
+        )
+        got = collect_attention(gqa_model, context, task_set, reads, cache)
+        assert got.cache is cache
+        for a, b in [(got.A, want.A), (got.value_norms_raw, want.value_norms_raw)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if reads == "head-mean":
+            assert got.attention_mean.tobytes() == want.attention_mean.tobytes()
+        else:
+            assert got.attention_mean is None and want.attention_mean is None
+        assert cache.next_positions == want.cache.next_positions
+        for a, b in zip(cache.keys + cache.values, want.cache.keys + want.cache.values):
+            assert a.tobytes() == b.tobytes()
+        # "none" runs no pass; tova's head mean reads every row, so it prefills
+        h = ROW_BLOCK * ((n - (w or 0)) // ROW_BLOCK)  # 64 at (128, 32): one block, not two
+        want_passes = {
+            "none": [],
+            "head-mean": [(0, (n,))],
+            "rows": [(h, (n - h,))] if w else [(n, (2, 3)), (n, (1, 5))],
+        }[reads]
+        assert passes == want_passes
+
+    @pytest.mark.parametrize("misfit", ["stacked", "compacted", "next-position"])
+    def test_a_cache_that_does_not_fit_is_refused(self, tiny_model, monkeypatch, misfit):
+        # its rows would be another cache's: refused before any pass, whatever is read
+        from kvcompose import model as kvmodel
+
+        context, layers = random_context(95, 12), tiny_model.config.layers
+        task_set = TaskSet(mode="task-agnostic", observation_window=4)
+        cache = prefill(tiny_model, context).cache
+        cache = {
+            "stacked": lambda: stack_caches([cache, cache]),
+            "compacted": lambda: compress(
+                tiny_model, context, task_set, AggregationChoice(), 0.5, Policy(name="kvcompose")
+            )[0],
+            "next-position": lambda: KVCache(cache.keys, cache.values, [13] * layers),
+        }[misfit]()
+        passes = count_calls(monkeypatch, kvmodel, "_forward")
+        for reads in ("rows", "head-mean", "none"):
+            with pytest.raises(UsageError, match="not this 12-token context's unstacked prefill"):
+                collect_attention(tiny_model, context, task_set, reads, cache)
+        assert passes == []
 
 
 class TestTaskStacks:
