@@ -1,9 +1,11 @@
 """Structured eviction baselines: sinks+window, online eviction, window top-k,
 a depth-decreasing budget schedule, and a uniform-random control.
 
-All selectors return bool keep-masks over the original tokens and keep
-the same count in every kv head of a layer, so what they keep drops into
-the same dense cache layout as the composite path.
+streaming and snapkv rank the tokens into slot orders, which
+``select_baseline_indices`` masks at each layer's budget by the rule the
+composite path uses; tova and random return bool keep-masks. Every
+policy keeps the same count in every kv head of a layer, so what it
+keeps drops into the same dense cache layout as the composite path.
 """
 from __future__ import annotations
 
@@ -76,16 +78,11 @@ def retention_budget(r_target: float, *dims: int) -> int:
     return stable_floor(kept)
 
 
-def streaming_select(n: int, budgets: np.ndarray, sinks: np.ndarray) -> np.ndarray:
-    """The (..., N) keep-masks of the first ``sinks`` tokens plus the trailing
-    window, for budgets and sink counts of any one broadcast shape."""
-    budgets, sinks = np.broadcast_arrays(budgets, sinks)
-    if (budgets < sinks).any():
-        raise ConfigError(f"budgets {budgets.tolist()} smaller than sink counts {sinks.tolist()}")
-    if (budgets > n).any():
-        raise ConfigError(f"budgets {budgets.tolist()} exceed context length {n}")
-    pos = np.arange(n)
-    return (pos < sinks[..., None]) | (pos >= (n - budgets + sinks)[..., None])
+def streaming_order(n: int, sinks: int) -> np.ndarray:
+    """The (N,) slot order of sinks plus window: the first ``sinks`` tokens, then
+    the rest newest first, so any budget below ``sinks`` keeps the first tokens."""
+    sinks = min(sinks, n)
+    return np.concatenate([np.arange(sinks), np.arange(n - 1, sinks - 1, -1)])
 
 
 def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
@@ -117,23 +114,18 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     return (cost == 0.0).reshape(*budgets.shape, n)
 
 
-def snapkv_select(
-    cap: AttentionCapture,
-    budgets: np.ndarray,
-    window: int,
-) -> np.ndarray:
-    """Window top-k per kv head: keep the trailing window plus the tokens it
+def snapkv_select(cap: AttentionCapture, budgets: np.ndarray, window: int) -> np.ndarray:
+    """Window top-k per kv head: the trailing window first, then the tokens it
     attends to hardest (max-pool over the last ``window`` task rows of the capture).
 
     ``budgets`` is (G, L), rows sharing ``window``, which alone sets the ranking;
-    the (G, L, H_kv, N) keep-masks keep each layer's budget in every head.
+    each is checked to hold the window. Returns each head's (L, H_kv, N) slot order.
     """
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
-    budgets = np.asarray(budgets)
-    for b in budgets.ravel():
+    for b in np.ravel(budgets):
         if b < window:
             raise ConfigError(f"budget {b} smaller than window {window}")
         if b > n:
@@ -143,9 +135,9 @@ def snapkv_select(
     # query heads by group; rows == 0 (a zero layer budget) scores on every task row
     grouped = cap.A.reshape(layers, kv_heads, -1, cap.task_len, n)[..., -rows:, :]
     scores = reduce_axis(grouped, "avg", axis=2).max(axis=2)  # (L, H_kv, N)
-    rank = ranks(argsort_desc(scores[:, :, : n - window]))  # (L, H_kv, N - window)
-    top = rank < (budgets - window)[..., None, None]  # (G, L, H_kv, N - window)
-    return np.concatenate([top, np.ones((*top.shape[:-1], window), dtype=bool)], axis=-1)
+    rest = argsort_desc(scores[:, :, : n - window])  # (L, H_kv, N - window)
+    tail = np.broadcast_to(np.arange(n - window, n), (layers, kv_heads, window))
+    return np.concatenate([tail, rest], axis=-1)
 
 
 def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> np.ndarray:
@@ -203,12 +195,14 @@ def select_baseline_indices(
     (L, H_kv, N) stack per total in ``budget_totals`` (one per grid ratio).
 
     Per-layer budgets come from the uniform split, whose remainder goes
-    to the earliest layers (pyramid supplies its own schedule); sink and
-    window parameters are clamped to each layer's budget, so every grid
-    ratio stays feasible except for pyramid, whose floor of one row per
-    layer rejects a total below the layer count (a ratio near 1). tova
-    replays the capture's head-mean attention once for every total;
-    snapkv/pyramid score on the capture's task rows, once per distinct window.
+    to the earliest layers (pyramid supplies its own schedule). streaming
+    and snapkv/pyramid keep the tokens their slot order ranks below a layer's
+    budget, as kvcompose does; the order clamps the sinks to the budget and
+    the window is clamped to the smallest one, so every grid ratio stays
+    feasible except for pyramid, whose floor of one row per layer rejects a
+    total below the layer count (a ratio near 1). tova replays the capture's
+    head-mean attention once for every total; snapkv/pyramid score on the
+    capture's task rows, once per distinct window.
     """
     layers, heads, n = cap.value_norms_raw.shape
     totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
@@ -218,9 +212,6 @@ def select_baseline_indices(
         if cap.attention_mean is None:
             raise UsageError("tova replays the head-mean attention: capture with reads='head-mean'")
         return np.broadcast_to(tova_select(cap.attention_mean, uniform)[:, :, None], every_head)
-    if policy.name == "streaming":
-        kept = streaming_select(n, uniform, np.minimum(policy.sinks, uniform))
-        return np.broadcast_to(kept[:, :, None], every_head)
     if policy.name == "random":  # per head, a uniform-random kept subset; each total reseeds
         masks = np.zeros(every_head, dtype=bool)
         for mask, row in zip(masks, uniform):
@@ -229,11 +220,15 @@ def select_baseline_indices(
                 for head_mask in layer_mask:
                     head_mask[rng.sample(n, b)] = True
         return masks
-    if policy.name in ("snapkv", "pyramid"):
+    if policy.name == "streaming":
+        rank = ranks(streaming_order(n, policy.sinks))
+    elif policy.name in ("snapkv", "pyramid"):
         if policy.name == "pyramid":
-            uniform = [pyramid_budgets(layers, n, total, policy.shape) for total in budget_totals]
+            uniform = np.stack([pyramid_budgets(layers, n, t, policy.shape) for t in budget_totals])
         windows = [int(min(policy.window, b.min(), n)) for b in uniform]
         shared = {w: [b for b, v in zip(uniform, windows) if v == w] for w in windows}
-        ranked = {w: iter(snapkv_select(cap, rows, w)) for w, rows in shared.items()}
-        return np.stack([next(ranked[w]) for w in windows])  # each window's masks in grid order
-    raise ConfigError(f"no baseline selector for policy {policy.name!r}")
+        ranked = {w: ranks(snapkv_select(cap, rows, w)) for w, rows in shared.items()}
+        rank = np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order
+    else:
+        raise ConfigError(f"no baseline selector for policy {policy.name!r}")
+    return np.broadcast_to(rank < uniform[..., None, None], every_head)

@@ -1,4 +1,4 @@
-"""Bit-exact serialization: caches, tensors, and evaluation reports.
+"""Bit-exact serialization: caches and evaluation reports.
 
 KVCF cache files (all integers little-endian):
 
@@ -13,17 +13,17 @@ KVCF cache files (all integers little-endian):
     provenance per layer: u32 * (kv_heads * rows)   original context index
     crc32   u32 over every preceding byte
 
-Tensor files ("KVCT", version 1) hold one named array: dtype byte
-(0=f32, 1=u32), ndim byte, dims, payload, crc32. Both formats share one
-frame, written by ``_framed``: magic, u16 version, body, crc32. Reports
-are JSON plus a fixed-column CSV; identical inputs give identical bytes.
+``_framed`` writes the frame (magic, u16 version, body, crc32) and
+``_check_frame`` checks its head. Reports are JSON plus a fixed-column
+CSV, and score dumps are standard ``.npy`` files; identical inputs give
+identical bytes.
 Every file the package reads or writes goes through ``read_file`` or
 ``write_file``, the one place an ``OSError`` becomes an ``IoError``.
 """
 from __future__ import annotations
 
+import io
 import json
-import math
 import struct
 import zlib
 from dataclasses import fields
@@ -36,15 +36,13 @@ from .errors import KvcError
 from .evaluator import CurvePoint, EvalReport
 
 MAGIC_CACHE = b"KVCF"
-MAGIC_TENSOR = b"KVCT"
 CACHE_VERSION = 2
-TENSOR_VERSION = 1
 
 CSV_COLUMNS = tuple(f.name for f in fields(CurvePoint))
 
 
 class CacheFormatError(KvcError):
-    """Base for malformed cache/tensor files."""
+    """Base for malformed cache files."""
 
 
 class BadMagicError(CacheFormatError):
@@ -94,9 +92,9 @@ def write_file(path: str | Path, data: bytes | str, what: str) -> int:
     return len(data)
 
 
-def _framed(magic: bytes, version: int, *parts: bytes) -> bytes:
-    """The shared frame: magic, u16 version, ``parts``, then a crc32 of all of it."""
-    body = b"".join([magic, struct.pack("<H", version), *parts])
+def _framed(*parts: bytes) -> bytes:
+    """The KVCF frame: magic, u16 version, ``parts``, then a crc32 of all of it."""
+    body = b"".join([MAGIC_CACHE, struct.pack("<H", CACHE_VERSION), *parts])
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -109,7 +107,7 @@ def cache_to_bytes(cache: CompressedCache) -> bytes:
     parts = [struct.pack(f"<{len(header)}I", *header)]
     parts += [a.astype("<f4").tobytes() for kv in zip(cache.keys, cache.values) for a in kv]
     parts += [p.astype("<u4").tobytes() for p in cache.provenance]
-    return _framed(MAGIC_CACHE, CACHE_VERSION, *parts)
+    return _framed(*parts)
 
 
 def write_cache(cache: CompressedCache, path: str | Path) -> int:
@@ -117,14 +115,14 @@ def write_cache(cache: CompressedCache, path: str | Path) -> int:
     return write_file(path, cache_to_bytes(cache), "cache")
 
 
-def _check_frame(data: bytes, magic: bytes, version: int, fixed: int) -> None:
-    """Check magic, version and the ``fixed``-byte header."""
-    if len(data) < 4 or data[:4] != magic:
+def _check_frame(data: bytes, fixed: int) -> None:
+    """Check the KVCF magic, version and the ``fixed``-byte header."""
+    if len(data) < 4 or data[:4] != MAGIC_CACHE:
         raise BadMagicError(f"bad magic at byte 0: {data[:4]!r}")
     if len(data) < 6:
         raise TruncatedError(f"file ends at byte {len(data)} inside the version field")
     (found,) = struct.unpack_from("<H", data, 4)
-    if found != version:
+    if found != CACHE_VERSION:
         raise UnsupportedVersionError(f"unsupported format version {found} at byte 4")
     if len(data) < fixed:
         raise TruncatedError(f"file ends at byte {len(data)} inside the fixed header")
@@ -146,7 +144,7 @@ def _check_length_and_crc(data: bytes, expected: int) -> None:
 
 
 def cache_from_bytes(data: bytes) -> CompressedCache:
-    _check_frame(data, MAGIC_CACHE, CACHE_VERSION, 18)
+    _check_frame(data, 18)
     layers, kv_heads, head_dim = struct.unpack_from("<III", data, 6)
     if layers < 1 or kv_heads < 1 or head_dim < 1:
         raise MalformedHeaderError(
@@ -199,40 +197,12 @@ def cache_header_size(layers: int) -> int:
     return 18 + 8 * layers
 
 
-# --- generic tensors ----------------------------------------------------------
-
-_DTYPES = {0: "<f4", 1: "<u4"}
-
-
-def write_tensor(array: np.ndarray, path: str | Path) -> int:
-    """Store one array as float32 or uint32, shape-tagged and checksummed."""
-    if np.issubdtype(array.dtype, np.integer):
-        code, payload = 1, array.astype("<u4")
-    else:
-        code, payload = 0, array.astype("<f4")
-    header = struct.pack(f"<BB{array.ndim}I", code, array.ndim, *array.shape)
-    data = _framed(MAGIC_TENSOR, TENSOR_VERSION, header, payload.tobytes())
-    return write_file(path, data, "tensor")
-
-
-def read_tensor(path: str | Path) -> np.ndarray:
-    return tensor_from_bytes(read_file(path, "tensor"))
-
-
-def tensor_from_bytes(data: bytes) -> np.ndarray:
-    _check_frame(data, MAGIC_TENSOR, TENSOR_VERSION, 8)
-    code, ndim = struct.unpack_from("<BB", data, 6)
-    if code not in _DTYPES:
-        raise MalformedHeaderError(f"unknown dtype code {code} at byte 6")
-    if ndim > 32:
-        raise MalformedHeaderError(f"{ndim} dims at byte 7; at most 32 are supported")
-    dims_end = 8 + 4 * ndim
-    if len(data) < dims_end:
-        raise TruncatedError(f"file ends at byte {len(data)}, dims need {dims_end}")
-    dims = struct.unpack_from(f"<{ndim}I", data, 8)
-    count = math.prod(dims)  # exact: numpy's product wraps at 2**64
-    _check_length_and_crc(data, dims_end + count * 4 + 4)
-    return np.frombuffer(data, dtype=_DTYPES[code], count=count, offset=dims_end).reshape(dims)
+def write_array(array: np.ndarray, path: str | Path) -> int:
+    """Store ``array`` as a standard ``.npy`` file, dtype and shape as they are,
+    so ``np.load`` gives it back bit for bit. Returns the byte count."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    return write_file(path, buf.getvalue(), "array")
 
 
 # --- reports ------------------------------------------------------------------

@@ -358,17 +358,17 @@ def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> i
     state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
     s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
     idx = composite_indices(s_final)
-    tensors = {
-        "scores_task.kvct": s_task,
-        "scores_group.kvct": s_group,
-        "scores_final.kvct": s_final,
-        "composite_idx.kvct": idx.astype(np.uint32),
-        "layer_importance.kvct": layer_importance(s_final, idx, cfg.agg.agg_head),
+    arrays = {
+        "scores_task.npy": s_task,
+        "scores_group.npy": s_group,
+        "scores_final.npy": s_final,
+        "composite_idx.npy": idx,
+        "layer_importance.npy": layer_importance(s_final, idx, cfg.agg.agg_head),
     }
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, array in tensors.items():
-        cache_io.write_tensor(array, out / name)
+    for name, array in arrays.items():
+        cache_io.write_array(array, out / name)
         shape = "x".join(str(s) for s in array.shape)
         print(f"dump-scores tensor={name} shape={shape} out={out / name}")
     return EXIT_OK

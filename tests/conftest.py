@@ -5,6 +5,7 @@ import pytest
 
 from kvcompose import model as kvmodel
 from kvcompose.baselines import pyramid_budgets
+from kvcompose.composer import CompressedCache
 from kvcompose.evaluator import (
     TaskInstance,
     _log_softmax,
@@ -285,3 +286,30 @@ def proj_computations(monkeypatch) -> list:
 
     monkeypatch.setattr(lazy, "func", counting)
     return computed
+
+
+def make_cache(seed, layers=2, kv_heads=2, head_dim=4, rows=(3, 2)) -> CompressedCache:
+    """A compressed cache of float32-exact K/V and drawn provenance, ``rows[l]``
+    slots per head in layer l, for the KVCF format tests."""
+    rng = SeededRng(seed)
+    keys, values, prov = [], [], []
+    for n_l in rows:
+        count = kv_heads * n_l * head_dim
+        keys.append(
+            np.float32(rng.uniform_block(count)).astype(np.float64).reshape(kv_heads, n_l, head_dim)
+        )
+        values.append(
+            np.float32(rng.uniform_block(count)).astype(np.float64).reshape(kv_heads, n_l, head_dim)
+        )
+        prov.append(
+            np.asarray(
+                [[rng.randint(max(n_l * 2, 1)) for _ in range(n_l)] for _ in range(kv_heads)],
+                dtype=np.int64,
+            )
+        )
+    return CompressedCache(
+        keys=keys,
+        values=values,
+        next_positions=[2 * max(rows)] * layers,  # past every provenance drawn above
+        provenance=prov,
+    )

@@ -49,8 +49,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import allocation_oracle
-from test_cache_io import make_cache
+from conftest import allocation_oracle, make_cache
 from test_model import reference_forward
 
 

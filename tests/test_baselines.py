@@ -9,14 +9,14 @@ from kvcompose.baselines import (
     pyramid_budgets,
     select_baseline_indices,
     snapkv_select,
-    streaming_select,
+    streaming_order,
     tova_select,
 )
 from kvcompose.cli import ablation_grid
 from kvcompose.composer import keep_masks, retention_budget
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.evaluator import RATIO_GRID
-from kvcompose.numerics import SeededRng, argsort_desc
+from kvcompose.numerics import SeededRng, argsort_desc, ranks
 from kvcompose.scoring import AggregationChoice, AttentionCapture, TaskSet, collect_attention
 
 from conftest import (
@@ -65,27 +65,32 @@ class TestPolicy:
         assert (len(masks) > 1) == policy.reads_aggregation
 
 
+def kept_rows(order: np.ndarray, budget: int) -> list[int]:
+    """The tokens an (N,) slot order keeps at ``budget``: those ranked below it."""
+    return np.flatnonzero(ranks(order) < budget).tolist()
+
+
 class TestStreamingSelect:
     def test_hand_example(self):
-        assert np.flatnonzero(streaming_select(10, 5, 2)).tolist() == [0, 1, 7, 8, 9]
+        assert kept_rows(streaming_order(10, 2), 5) == [0, 1, 7, 8, 9]
 
     def test_full_budget_is_identity(self):
-        kept = streaming_select(6, 6, 2)
-        assert kept.shape == (6,) and kept.all()
+        order = streaming_order(6, 2)
+        assert sorted(order.tolist()) == list(range(6)) and kept_rows(order, 6) == list(range(6))
 
     def test_matches_set_union_oracle(self):
-        got = streaming_select(100, 20, 4)
-        assert np.flatnonzero(got).tolist() == sorted(set(range(4)) | set(range(84, 100)))
+        assert kept_rows(streaming_order(100, 4), 20) == streaming_rows(100, 20, 4)
 
-    def test_budget_below_sinks_rejected(self):
-        with pytest.raises(ConfigError):
-            streaming_select(10, 1, 2)
-        with pytest.raises(ConfigError):  # anywhere in a grid of budgets
-            streaming_select(10, np.asarray([[4, 1]]), 2)
+    def test_budget_below_sinks_keeps_the_first_tokens(self):
+        # the sink count clamps to the budget: a budget b < sinks keeps tokens 0 .. b-1
+        order = streaming_order(10, 4)
+        for b in range(5):
+            assert kept_rows(order, b) == list(range(b)) == streaming_rows(10, b, b)
+        assert streaming_order(3, 5).tolist() == [0, 1, 2]  # more sinks than tokens
 
     def test_independent_of_model_weights(self):
         # pure index arithmetic: no model argument exists to depend on
-        assert np.array_equal(streaming_select(12, 7, 3), streaming_select(12, 7, 3))
+        assert np.array_equal(streaming_order(12, 3), streaming_order(12, 3))
 
 
 def per_ratio_replay(rows: np.ndarray, budgets: np.ndarray) -> list[np.ndarray]:
@@ -228,23 +233,24 @@ class TestSnapkvSelect:
     def test_full_budget_is_identity(self, tiny_model):
         context = random_context(44, 10)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, np.full((1, 2), 10), window=4)[0]
-        assert kept.shape == (2, 2, 10) and kept.all()
+        order = snapkv_select(cap, np.full((1, 2), 10), window=4)
+        assert order.shape == (2, 2, 10) and (ranks(order) < 10).all()
 
     def test_uniform_attention_tie_case(self):
         # constant scores: keeps the window plus the lowest-index tokens
         a = np.full((1, 2, 3, 8), 0.125)
         cap = AttentionCapture(A=a, value_norms_raw=np.ones((1, 1, 8)))  # snapkv reads no norms
-        kept = snapkv_select(cap, np.asarray([[5]]), window=2)[0]
-        assert np.flatnonzero(kept[0][0]).tolist() == [0, 1, 2, 6, 7]
+        order = snapkv_select(cap, np.asarray([[5]]), window=2)
+        assert order[0, 0].tolist() == [6, 7, 0, 1, 2, 3, 4, 5]  # window first, then by score
+        assert kept_rows(order[0, 0], 5) == [0, 1, 2, 6, 7]
 
     def test_matches_topk_oracle(self, tiny_model):
         context = random_context(45, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, np.full((1, 2), 7), window=4)[0]
+        order = snapkv_select(cap, np.full((1, 2), 7), window=4)
         for layer in range(2):
             for head in range(2):
-                got = np.flatnonzero(kept[layer][head]).tolist()
+                got = kept_rows(order[layer, head], 7)
                 assert got == snapkv_oracle(cap, layer, head, 7, 4)
 
     def test_budget_below_window_rejected(self, tiny_model):
@@ -290,7 +296,7 @@ class TestSnapkvSelect:
     def test_counts_uniform_sets_may_differ(self, tiny_model):
         context = random_context(47, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = snapkv_select(cap, np.full((1, 2), 6), window=4)[0]
+        kept = ranks(snapkv_select(cap, np.full((1, 2), 6), window=4)) < 6
         assert (np.count_nonzero(kept, axis=-1) == 6).all()
 
 
@@ -424,20 +430,20 @@ class TestBudgetParity:
 
 
 class TestMaskOracles:
-    """Each mask selector marks exactly the rows of its row-returning oracle
+    """Each selector keeps exactly the rows of its row-returning oracle
     (``conftest``) at every ratio of RATIO_GRID, on an agreement capture with
-    two kv heads and on a recall capture."""
+    two kv heads and on a recall capture: tova's masks, and streaming's and
+    snapkv's slot orders ranked below each budget."""
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_streaming(self, gqa_model, kind):
         layers, _, n = arm_capture(gqa_model, kind, "none").value_norms_raw.shape
         budgets = uniform_grid_budgets(layers, n)
         for sinks in (1, 2, 5):
-            clamped = np.minimum(sinks, budgets)
-            masks = streaming_select(n, budgets, clamped)
-            assert masks.shape == (len(RATIO_GRID), layers, n) and masks.dtype == bool
-            for mask, b, s in zip(masks.reshape(-1, n), budgets.ravel(), clamped.ravel()):
-                assert np.flatnonzero(mask).tolist() == streaming_rows(n, b, s)
+            masks = ranks(streaming_order(n, sinks)) < budgets[..., None]
+            assert masks.shape == (len(RATIO_GRID), layers, n)
+            for mask, b in zip(masks.reshape(-1, n), budgets.ravel()):
+                assert np.flatnonzero(mask).tolist() == streaming_rows(n, b, min(sinks, b))
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_tova(self, gqa_model, kind):
@@ -455,7 +461,8 @@ class TestMaskOracles:
         for window in (0, 1, 4):  # one call per window, on every ratio that fits it
             rows = budgets[(budgets >= window).all(axis=1)]
             want = mark_rows(snapkv_rows(cap, rows, window), kv_heads, n)
-            assert np.array_equal(snapkv_select(cap, rows, window), want)
+            got = ranks(snapkv_select(cap, rows, window)) < rows[..., None, None]
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])

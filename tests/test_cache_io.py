@@ -22,45 +22,18 @@ from kvcompose.cache_io import (
     cache_from_bytes,
     cache_to_bytes,
     read_cache,
-    read_tensor,
-    tensor_from_bytes,
+    write_array,
     write_cache,
     write_report,
-    write_tensor,
 )
-from kvcompose.composer import CompressedCache, compress
+from kvcompose.composer import compress
 from kvcompose.evaluator import DEFAULT_TOLERANCES, build_report, make_agreement_tasks, sweep
 from kvcompose.model import decode_step, prefill
 from kvcompose.baselines import Policy
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import random_context
-
-
-def make_cache(seed, layers=2, kv_heads=2, head_dim=4, rows=(3, 2)) -> CompressedCache:
-    rng = SeededRng(seed)
-    keys, values, prov = [], [], []
-    for n_l in rows:
-        count = kv_heads * n_l * head_dim
-        keys.append(
-            np.float32(rng.uniform_block(count)).astype(np.float64).reshape(kv_heads, n_l, head_dim)
-        )
-        values.append(
-            np.float32(rng.uniform_block(count)).astype(np.float64).reshape(kv_heads, n_l, head_dim)
-        )
-        prov.append(
-            np.asarray(
-                [[rng.randint(max(n_l * 2, 1)) for _ in range(n_l)] for _ in range(kv_heads)],
-                dtype=np.int64,
-            )
-        )
-    return CompressedCache(
-        keys=keys,
-        values=values,
-        next_positions=[2 * max(rows)] * layers,  # past every provenance drawn above
-        provenance=prov,
-    )
+from conftest import make_cache, random_context
 
 
 class TestWriteCache:
@@ -256,85 +229,55 @@ class TestReadCache:
 
 
 class TestTensorFiles:
+    """``write_array`` stores an array as a standard ``.npy`` file, which
+    ``np.load`` gives back exactly: dtype, shape and every bit."""
+
+    @staticmethod
+    def assert_roundtrip(array: np.ndarray, path: Path) -> None:
+        assert write_array(array, path) == path.stat().st_size
+        back = np.load(path)
+        assert back.dtype == array.dtype and back.shape == array.shape
+        assert back.tobytes() == array.tobytes()
+
     def test_float_roundtrip(self, tmp_path):
-        rng = SeededRng(14)
-        array = np.float32(rng.uniform_block(24)).astype(np.float64).reshape(2, 3, 4)
-        path = tmp_path / "t.kvct"
-        write_tensor(array, path)
-        back = read_tensor(path)
-        assert back.shape == (2, 3, 4)
-        assert np.array_equal(back.astype(np.float64), array)
+        array = np.asarray(SeededRng(14).uniform_block(24)).reshape(2, 3, 4)
+        assert array.dtype == np.float64  # no float32 rounding on the way
+        self.assert_roundtrip(array, tmp_path / "t.npy")
 
     def test_integer_roundtrip(self, tmp_path):
-        array = np.arange(12, dtype=np.int64).reshape(3, 4)
-        path = tmp_path / "t.kvct"
-        write_tensor(array, path)
-        back = read_tensor(path)
-        assert np.array_equal(back.astype(np.int64), array)
+        # past uint32 and below zero: stored as int64, as computed
+        array = np.arange(12, dtype=np.int64).reshape(3, 4) * 2**40 - 7
+        self.assert_roundtrip(array, tmp_path / "t.npy")
 
     def test_model_weights_roundtrip(self, tiny_model, tmp_path):
-        path = tmp_path / "wq.kvct"
-        write_tensor(tiny_model.wq, path)
-        back = read_tensor(path)
-        assert back.shape == tiny_model.wq.shape
-        assert np.abs(back - tiny_model.wq).max() < 1e-7  # f32 storage precision
-
-    def test_corruption_rejected(self, tmp_path):
-        path = tmp_path / "t.kvct"
-        write_tensor(np.ones(4), path)
-        data = bytearray(path.read_bytes())
-        data[10] ^= 0x01
-        path.write_bytes(bytes(data))
-        with pytest.raises(CacheFormatError):
-            read_tensor(path)
-
-    def test_element_count_is_exact(self, tmp_path):
-        # 65536**4 == 2**64 elements: a wrapping product would read it as 0
-        body = b"KVCT" + struct.pack("<HBB", 1, 0, 4) + struct.pack("<4I", *[65536] * 4)
-        path = tmp_path / "huge.kvct"
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        assert path.stat().st_size == 28
-        with pytest.raises(TruncatedError):
-            read_tensor(path)
-
-    def test_too_many_dims_rejected(self):
-        body = b"KVCT" + struct.pack("<HBB", 1, 0, 65) + struct.pack("<65I", *[1] * 65)
-        body += np.zeros(1, dtype="<f4").tobytes()
-        with pytest.raises(CacheFormatError):
-            tensor_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        self.assert_roundtrip(tiny_model.wq, tmp_path / "wq.npy")
 
 
-def _valid_files() -> list[bytes]:
-    cache = cache_to_bytes(make_cache(30, layers=3, kv_heads=2, head_dim=2, rows=(2, 0, 3)))
-    body = b"KVCT" + struct.pack("<HBB", 1, 0, 2) + struct.pack("<2I", 2, 3)
-    body += np.arange(6, dtype="<f4").tobytes()
-    return [cache, body + struct.pack("<I", zlib.crc32(body))]
+VALID_CACHE = cache_to_bytes(make_cache(30, layers=3, kv_heads=2, head_dim=2, rows=(2, 0, 3)))
 
 
 def _parses_or_format_error(data: bytes) -> None:
-    for parse in (cache_from_bytes, tensor_from_bytes):
-        try:
-            parse(data)
-        except CacheFormatError:
-            pass
+    try:
+        cache_from_bytes(data)
+    except CacheFormatError:
+        pass
 
 
 class TestFormatFuzz:
     """Whatever the bytes, a reader returns a value or raises CacheFormatError."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=96), st.sampled_from([b"", b"KVCF", b"KVCT"]))
+    @given(st.binary(max_size=96), st.sampled_from([b"", b"KVCF"]))
     def test_arbitrary_bytes(self, tail, magic):
         _parses_or_format_error(magic + tail)
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from(_valid_files()),
         st.lists(st.tuples(st.integers(0, 120), st.integers(0, 255)), max_size=4),
         st.integers(-8, 8),
     )
-    def test_crc_fixed_mutations(self, data, edits, resize):
-        body = bytearray(data[:-4])
+    def test_crc_fixed_mutations(self, edits, resize):
+        body = bytearray(VALID_CACHE[:-4])
         for pos, value in edits:
             if pos < len(body):
                 body[pos] = value

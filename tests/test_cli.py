@@ -7,7 +7,7 @@ import pytest
 
 from kvcompose import evaluator
 from kvcompose.baselines import Policy
-from kvcompose.cache_io import read_cache, read_tensor
+from kvcompose.cache_io import read_cache
 from kvcompose.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -374,6 +374,15 @@ class TestAblateCommand:
             assert (arm / "report.json").read_bytes() == (redo / "report.json").read_bytes()
 
 
+DUMP_NAMES = (
+    "scores_task.npy",
+    "scores_group.npy",
+    "scores_final.npy",
+    "composite_idx.npy",
+    "layer_importance.npy",
+)
+
+
 class TestDumpScoresCommand:
     def test_shapes_and_invariants(self, tmp_path, capsys):
         cfg = write_config(
@@ -383,18 +392,31 @@ class TestDumpScoresCommand:
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         outdir = tmp_path / "out"
-        s_task = read_tensor(outdir / "scores_task.kvct")
-        s_final = read_tensor(outdir / "scores_final.kvct")
-        idx = read_tensor(outdir / "composite_idx.kvct")
-        imp = read_tensor(outdir / "layer_importance.kvct")
+        s_task, _, s_final, idx, imp = (np.load(outdir / name) for name in DUMP_NAMES)
         assert s_task.shape == (2, 2, 8)  # L, H_q, N for the 4-pair prompt
         assert s_final.shape == (2, 1, 8)
         assert idx.shape == (2, 1, 8)
+        assert s_final.dtype == imp.dtype == np.float64 and idx.dtype == np.int64
         for layer in range(2):
             assert sorted(idx[layer, 0].tolist()) == list(range(8))
-            row = imp[layer]
-            assert all(row[i] >= row[i + 1] - 1e-6 for i in range(7))
+            assert (np.diff(imp[layer]) <= 0).all()  # slot scores never rise
         assert "shape=2x1x8" in out
+
+    def test_rerun_writes_identical_files(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scoring={"mode": "task-agnostic"})
+        runs = [tmp_path / "first", tmp_path / "second"]
+        for out in runs:
+            assert main(["dump-scores", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        for name in DUMP_NAMES:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    def test_unwritable_target_is_an_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, scoring={"mode": "task-agnostic"})
+        (tmp_path / "out" / "scores_task.npy").mkdir(parents=True)
+        assert main(["dump-scores", "--config", str(cfg)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("io error: cannot write array to ") and err.count("\n") == 1
+        assert "scores_task.npy" in err and "Traceback" not in err
 
     def test_builds_only_the_first_task(self, tmp_path, capsys, monkeypatch):
         prefills = count_prefills(monkeypatch)
@@ -409,27 +431,20 @@ class TestDumpScoresCommand:
 
     @staticmethod
     def assert_dump_matches_library(config: Path):
-        """Every dumped tensor equals what the library computes on the first
-        task's prepared state, which sweep scores on, as float32/uint32."""
+        """Every dumped array equals what the library computes on the first
+        task's prepared state, which sweep scores on, dtype and bits."""
         cfg = load_config(config)
         model = build_model(cfg)
         task = build_tasks(cfg, model)[0]
         state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
         s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
         idx = composite_indices(s_final)
-        want = {
-            "scores_task.kvct": s_task.astype(np.float32),
-            "scores_group.kvct": s_group.astype(np.float32),
-            "scores_final.kvct": s_final.astype(np.float32),
-            "composite_idx.kvct": idx.astype(np.uint32),
-            "layer_importance.kvct": layer_importance(s_final, idx, cfg.agg.agg_head).astype(
-                np.float32
-            ),
-        }
+        importance = layer_importance(s_final, idx, cfg.agg.agg_head)
+        want = dict(zip(DUMP_NAMES, (s_task, s_group, s_final, idx, importance)))
         outdir = Path(cfg.out_dir)
         assert sorted(p.name for p in outdir.iterdir()) == sorted(want)
         for name, array in want.items():
-            got = read_tensor(outdir / name)
+            got = np.load(outdir / name)
             assert got.dtype == array.dtype and np.array_equal(got, array), name
 
     def test_task_aware_dump_matches_sweep_scores(self, tmp_path, capsys):

@@ -320,12 +320,17 @@ def test_no_module_reads_the_environment():
     assert found == set()
 
 
-FILE_CALLS = ("read_text", "read_bytes", "write_text", "write_bytes", "open")
+FILE_CALLS = (
+    "read_text", "read_bytes", "write_text", "write_bytes", "open",
+    # numpy's own file readers and writers
+    "save", "load", "savez", "savez_compressed", "fromfile", "tofile",
+    "loadtxt", "savetxt", "genfromtxt", "memmap",
+)
 
 
 def file_accesses(source: str) -> list[int]:
-    """Lines that call ``read_text``, ``read_bytes``, ``write_text``,
-    ``write_bytes`` or ``open``, as a method or bare (the builtin ``open``)."""
+    """Lines that call a name of ``FILE_CALLS``, as a method or attribute
+    (``path.read_text()``, ``np.save(...)``) or bare (the builtin ``open``)."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
@@ -341,6 +346,15 @@ def file_accesses(source: str) -> list[int]:
         ("(out / 'config.json').write_text(echo)", True),
         ("path.write_bytes(data)", True),
         ("with open(path, 'rb') as f:\n    pass", True),
+        ("np.save(path, a)", True),
+        ("a = np.load(path)", True),
+        ("np.savez_compressed(path, a=a)", True),
+        ("a = np.fromfile(path, dtype='<f4')", True),
+        ("a.tofile(path)", True),
+        ("np.savetxt(path, a)", True),
+        ("a = np.memmap(path, mode='r')", True),
+        ("a = np.frombuffer(data, dtype='<f4')", False),
+        ("data = a.tobytes()", False),
         ("data = cache_io.read_file(path, 'config')", False),
         ("cache_io.write_file(path, text, 'report')", False),
     ],
