@@ -107,6 +107,8 @@ class RunConfig:
         for name in ("model", "tasks", "policy"):  # SeededRng would reduce a seed mod 2**64
             if not 0 <= (seed := getattr(self, name).get("seed", 0)) < 2**64:
                 raise ConfigError(f"{name}.seed must be in [0, 2**64), got {seed}")
+        if mode == "task-agnostic" and "task_tokens" in self.scoring:
+            raise ConfigError("scoring.task_tokens: task-agnostic scoring reads no task tokens")
         if mode == "task-aware" and self.tasks["kind"] == "agreement":
             raise ConfigError("task-aware: an agreement task has no query before its answer")
         self.r_target = float(self.r_target)
@@ -270,13 +272,6 @@ def cmd_compress(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     return EXIT_OK
 
 
-def _prepare_tasks(cfg: RunConfig, model: Model):
-    """Every task and its capture, which holds its full prefill cache."""
-    mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-    reads = cfg.eviction.capture_reads
-    return [prepare_task(model, t, mode, window, reads) for t in build_tasks(cfg, model)]
-
-
 def _sweep_report(cfg: RunConfig, model: Model, points, config: dict):
     return build_report(
         cfg.eviction,
@@ -329,9 +324,11 @@ def _slug(choice: AggregationChoice) -> str:
 def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
     if not cfg.eviction.reads_aggregation:
         raise ConfigError(f"ablate: policy {cfg.eviction.name} reads no aggregation choice")
-    states = _prepare_tasks(cfg, model)  # scoring mode and window are the same in every arm
+    mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]  # one for every arm
+    tasks = build_tasks(cfg, model)
+    captures = [prepare_task(model, t, mode, window, cfg.eviction.capture_reads) for t in tasks]
     choices = ablation_grid()
-    curves = sweep_arms(model, states, cfg.eviction, choices, tuple(cfg.grid))
+    curves = sweep_arms(model, tasks, captures, cfg.eviction, choices, tuple(cfg.grid))
     resolved = cfg.resolved  # each arm's echo differs only in its scoring choice
     out, combined = Path(args.out or cfg.out_dir), []
     for count, (choice, points) in enumerate(zip(choices, curves), 1):
@@ -355,8 +352,8 @@ def cmd_dump_scores(args: argparse.Namespace, cfg: RunConfig, model: Model) -> i
     """Write the score stages, slot order and layer importance that ``sweep``
     computes for the first task, which is the only one built."""
     task = build_tasks(replace(cfg, tasks={**cfg.tasks, "count": 1}), model)[0]
-    state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
-    s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
+    capture = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
+    s_task, s_group, s_final = score_stages(capture, model.config.kv_heads, cfg.agg)
     idx = composite_indices(s_final)
     arrays = {
         "scores_task.npy": s_task,

@@ -298,27 +298,20 @@ def check_grid(grid, error: type[Exception] = UsageError) -> None:
         raise error(f"grid must be ascending ratios in [0, 1], each once, got {list(grid)}")
 
 
-@dataclass
-class TaskState:
-    """One task prepared for every policy, ratio and aggregation choice: its
-    capture, which holds the full prefill cache every keep-mask runs on."""
-
-    task: TaskInstance
-    capture: AttentionCapture
-
-
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int, reads: str = "rows"
-) -> TaskState:
-    """The capture of what ``reads`` names (``Policy.capture_reads``) on ``task.cache``, if set."""
+) -> AttentionCapture:
+    """The capture of what ``reads`` names (``Policy.capture_reads``) on ``task.cache``, if
+    set; it holds the full prefill cache every keep-mask of the task runs on."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
-    return TaskState(task, collect_attention(model, list(task.prompt), tset, reads, task.cache))
+    return collect_attention(model, list(task.prompt), tset, reads, task.cache)
 
 
 def _evaluate_task(
     model: Model,
-    state: TaskState,
+    task: TaskInstance,
+    capture: AttentionCapture,
     policy: Policy,
     agg_choices: list[AggregationChoice],
     grid: tuple[float, ...],
@@ -326,30 +319,33 @@ def _evaluate_task(
     """The full-cache reward and (3, A, G): r_achieved, reward and kl of one task per
     choice and ratio. Row 0 of the stack, all kept, is the full-cache reference run;
     each distinct keep-mask runs once, in forward calls of at most G masks."""
-    masks = keep_masks(state.capture, agg_choices, grid, policy)  # (A, G, L, H_kv, N)
+    masks = keep_masks(capture, agg_choices, grid, policy)  # (A, G, L, H_kv, N)
     masks = np.concatenate([np.ones((1, *masks.shape[2:]), bool), np.concatenate(masks)])
     r_achieved = 1.0 - np.count_nonzero(masks[1:], axis=(1, 2, 3)) / masks[0].size
     rows = masks.reshape(len(masks), -1).view(np.dtype((np.void, masks[0].size)))[:, 0]
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)  # bytewise
     chunks = [masks[first[i : i + len(grid)]] for i in range(0, len(first), len(grid))]
-    logits = np.concatenate([_run_steps(model, state.capture.cache, state.task, c) for c in chunks])
+    logits = np.concatenate([_run_steps(model, capture.cache, task, c) for c in chunks])
     reference_logp = _log_softmax(logits[inverse[0]])  # row 0's: the full cache's
-    results = np.stack(_reward_and_kl(logits, reference_logp, state.task))[:, inverse]
+    results = np.stack(_reward_and_kl(logits, reference_logp, task))[:, inverse]
     return results[0, 0], np.stack([r_achieved, *results[:, 1:]]).reshape(3, len(agg_choices), -1)
 
 
 def sweep_arms(
     model: Model,
-    states: list[TaskState],
+    tasks: list[TaskInstance],
+    captures: list[AttentionCapture],
     policy: Policy,
     agg_choices: list[AggregationChoice],
     grid: tuple[float, ...],
 ) -> list[list[CurvePoint]]:
-    """One curve per aggregation choice, each point averaged over the prepared tasks."""
-    if not states or not agg_choices:
-        raise UsageError("sweep needs at least one task and one aggregation choice")
+    """One curve per aggregation choice, each point averaged over the tasks, each
+    scored on its own capture (``prepare_task``), in the same order."""
+    if not tasks or not agg_choices or len(tasks) != len(captures):
+        raise UsageError("sweep needs tasks, a capture for each and one aggregation choice or more")
     check_grid(grid)
-    evaluated = [_evaluate_task(model, s, policy, agg_choices, grid) for s in states]
+    pairs = zip(tasks, captures)
+    evaluated = [_evaluate_task(model, t, c, policy, agg_choices, grid) for t, c in pairs]
     full_rewards, per_task = zip(*evaluated)  # each task's full-cache reward, (3, A, G) block
     # (T, 3, A, G) stacked, then laid out (3, A, G, T) with the task axis contiguous:
     # each point's pairwise sum over its task row gives the bits of a 1-D np.mean
@@ -371,8 +367,9 @@ def sweep(
     observation_window: int = OBSERVATION_WINDOW,
 ) -> list[CurvePoint]:
     """Prepare every task, then evaluate one curve point per grid ratio."""
-    states = [prepare_task(model, t, mode, observation_window, policy.capture_reads) for t in tasks]
-    return sweep_arms(model, states, policy, [agg_choice], grid)[0]
+    reads = policy.capture_reads
+    captures = [prepare_task(model, t, mode, observation_window, reads) for t in tasks]
+    return sweep_arms(model, tasks, captures, policy, [agg_choice], grid)[0]
 
 
 def build_report(

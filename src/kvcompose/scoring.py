@@ -50,6 +50,8 @@ class TaskSet:
         if self.mode == "task-aware":
             if not self.tasks or any(len(t) == 0 for t in self.tasks):
                 raise UsageError("task-aware mode needs at least one non-empty task")
+        elif self.tasks:
+            raise UsageError("task-agnostic mode takes no tasks: its window rows are the queries")
         else:
             check_observation_window(self.observation_window)
 
@@ -140,65 +142,62 @@ def collect_attention(
     model: Model, context: list[int], task_set: TaskSet, reads: str = "rows",
     cache: KVCache | None = None,
 ) -> AttentionCapture:
-    """Prefill the context once; record how the task tokens attend to it, plus raw value norms.
+    """Record how the task tokens attend to the context, plus raw value norms.
 
-    The prefill is ``_forward`` on an empty cache, as ``model.prefill`` is, but
-    keeping the rows and means the capture reads. task-aware runs the tasks of
-    each distinct length as one (T, M) stack after the prefilled cache and
-    copies each task's rows, untransposed, into its own rows of ``A``, in task
-    order; task-agnostic copies the trailing observation-window rows of the
-    prefill itself. No task writes the prefill's cache, which travels with
-    the capture, so every policy and ratio compresses the same full cache.
-    ``reads`` (``Policy.capture_reads``) keeps "rows" as above, or "head-mean" or
-    "none" in their place: these run no task pass and hold A with M = 0 rows.
-    Nothing reads the logits, so every pass runs with ``logits=False``.
-
-    Given the context's own unstacked N-row prefill ``cache``, the capture holds it and
-    prefills only for "head-mean", which reads every row; window rows rerun the prefill's
-    last row blocks after the cache cut at a ``ROW_BLOCK`` boundary: same rows, same bits.
+    One context pass reruns the rows it reads after the cache cut at
+    ``h = ROW_BLOCK * ((N - read) // ROW_BLOCK)``: ``read`` is the window ``w``
+    for task-agnostic "rows", all N for "head-mean" (tova's means over query heads),
+    else 0. Blocks start at the first new row, so the pass reruns the prefill's own
+    row blocks: same rows, same bits. With no ``cache``, h = 0 and the pass is the
+    prefill, whose cache the capture holds; given the context's own unstacked N-row
+    prefill ``cache``, the capture holds it, and with ``read = 0`` no pass runs.
+    Task-agnostic ``A`` is the pass's kept rows, stacked. With ``reads`` (``Policy.
+    capture_reads``) "rows", task-aware runs the tasks of each distinct length as one
+    (T, M) stack after the cache and copies each task's rows, untransposed, into its
+    own rows of ``A``, in task order; no task writes the cache, so every policy and
+    ratio compresses the same full cache. "head-mean" and "none" hold A with M = 0
+    rows. Nothing reads the logits, so every pass runs with ``logits=False``.
     """
     if not context:
         raise UsageError("context must be non-empty")
     cfg = model.config
     n = len(context)
-    agnostic = task_set.mode == "task-agnostic"
-    w = task_set.observation_window if agnostic else 0  # prefill rows the capture reads
+    w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
     shape = [(cfg.kv_heads, n, cfg.head_dim)] * cfg.layers  # K of an unstacked N-row cache
     if cache is not None and ([k.shape for k in cache.keys], cache.next_position) != (shape, n):
         raise UsageError(f"the given cache is not this {n}-token context's unstacked prefill cache")
-    tokens, mean = np.asarray(context), None
-    if cache is None or reads == "head-mean":
-        base = _forward(
-            model, empty_cache(model), tokens, attention_rows=w if reads == "rows" else 0,
-            head_mean=reads == "head-mean", logits=False,
-        )
-        attention, mean, cache = base.attention, base.attention_mean, cache or base.cache
-    elif reads == "rows" and agnostic:  # rows [h, N) after the first h, as the prefill ran them
-        h = ROW_BLOCK * ((n - w) // ROW_BLOCK)
-        cut = KVCache(
+    kept = w if reads == "rows" else 0  # window rows the pass keeps
+    read = n if reads == "head-mean" else kept  # context rows the pass reads
+    h = 0 if cache is None else n if read == 0 else ROW_BLOCK * ((n - read) // ROW_BLOCK)
+    a, mean = np.empty((cfg.layers, cfg.query_heads, 0, n)), None
+    if h < n:  # rows [h, N) after the first h, as the prefill ran them
+        held = empty_cache(model) if cache is None else KVCache(
             [k[:, :h] for k in cache.keys], [v[:, :h] for v in cache.values], [h] * cfg.layers
         )
-        attention = _forward(model, cut, tokens[h:], attention_rows=w, logits=False).attention
+        run = _forward(
+            model, held, np.asarray(context[h:]), attention_rows=kept,
+            head_mean=reads == "head-mean", logits=False,
+        )
+        a, mean, cache = np.stack(run.attention), run.attention_mean, cache or run.cache
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
     raw = np.linalg.norm(np.stack(cache.values), axis=3)  # (L, H_kv, N)
     for task in task_set.tasks:  # refused here whatever is read, as a task pass would refuse it
         check_tokens(model, np.asarray(task), n)
 
-    lengths = ([w] if agnostic else [len(t) for t in task_set.tasks]) if reads == "rows" else []
+    lengths = [len(t) for t in task_set.tasks] if reads == "rows" else []
     starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])
-    a = np.empty((cfg.layers, cfg.query_heads, 0, n))  # sized once the first pass has run
     for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
         group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
-        attention = attention if agnostic else _forward(
+        attention = _forward(
             model, cache, np.array([task_set.tasks[i] for i in group]),
             attention_rows=m, logits=False,
         ).attention  # the stack's grown (T, ...) cache is dropped unread
         if a.shape[2] < starts[-1]:  # so A never coexists with a first pass's L layers of K/V
             a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
         for layer, attn in enumerate(attention):  # (T, H_q, M, N+M); A keeps N columns
-            for i, rows in zip(group, attn.reshape(-1, *attn.shape[-3:])):
+            for i, rows in zip(group, attn):
                 a[layer, :, starts[i] : starts[i + 1]] = rows[:, :, :n]
 
     return AttentionCapture(

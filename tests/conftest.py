@@ -117,13 +117,13 @@ def arm_capture(gqa_model, kind: str, reads: str):
         ts = TaskSet(mode="task-agnostic", observation_window=8)
         return collect_attention(gqa_model, random_context(61, 32), ts, reads)
     task = make_recall_tasks(8, 32, 1, seed=21)[0]
-    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, reads).capture
+    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, reads)
 
 
-def full_cache_reference(model, state) -> tuple[float, np.ndarray]:
-    """(full_reward, reference_logp) of a prepared task by the plain unmasked
-    run on its full cache: the oracle for the evaluator's all-kept row 0."""
-    cache, task = state.capture.cache, state.task
+def full_cache_reference(model, task, capture) -> tuple[float, np.ndarray]:
+    """(full_reward, reference_logp) of a task by the plain unmasked run on its
+    capture's full cache: the oracle for the evaluator's all-kept row 0."""
+    cache = capture.cache
     return reward(model, cache, task), _log_softmax(_run_steps(model, cache, task, None))
 
 

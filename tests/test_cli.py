@@ -347,7 +347,7 @@ class TestAblateCommand:
         model = build_model(cfg)
         distinct = 0
         for task in build_tasks(cfg, model):
-            capture = prepare_task(model, task, mode, window).capture
+            capture = prepare_task(model, task, mode, window)
             stack = keep_masks(capture, ablation_grid(), RATIO_GRID, cfg.eviction)
             distinct += len({m.tobytes() for arm in stack for m in arm})
         assert len(by_task) == cfg.tasks["count"]
@@ -432,12 +432,12 @@ class TestDumpScoresCommand:
     @staticmethod
     def assert_dump_matches_library(config: Path):
         """Every dumped array equals what the library computes on the first
-        task's prepared state, which sweep scores on, dtype and bits."""
+        task's capture, which sweep scores on, dtype and bits."""
         cfg = load_config(config)
         model = build_model(cfg)
         task = build_tasks(cfg, model)[0]
-        state = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
-        s_task, s_group, s_final = score_stages(state.capture, model.config.kv_heads, cfg.agg)
+        capture = prepare_task(model, task, cfg.scoring["mode"], cfg.scoring["observation_window"])
+        s_task, s_group, s_final = score_stages(capture, model.config.kv_heads, cfg.agg)
         idx = composite_indices(s_final)
         importance = layer_importance(s_final, idx, cfg.agg.agg_head)
         want = dict(zip(DUMP_NAMES, (s_task, s_group, s_final, idx, importance)))
@@ -686,6 +686,19 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         want = "token ids must lie in [0, 16)" if task == [999] else "leave [0, max_context 128)"
         assert captured.err.startswith("config error: ") and want in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["compress", "sweep"])
+    def test_task_tokens_refused_in_task_agnostic_mode(self, tmp_path, capsys, command):
+        # the window's own rows are the queries there: no command would read the tokens
+        scoring = {"mode": "task-agnostic", "observation_window": 4, "task_tokens": [[1, 2]]}
+        cfg = write_config(tmp_path, model=RANDOM_MODEL, tasks=AGREEMENT_TASKS, scoring=scoring)
+        ctx = write_context(tmp_path, [1, 9, 3, 12, 5, 8])
+        flags = ["--context", str(ctx)] if command == "compress" else []
+        assert main([command, "--config", str(cfg), *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: scoring.task_tokens")
         assert not (tmp_path / "out").exists()
 
     def test_recall_requires_induction_model(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from kvcompose import composer
 from kvcompose.baselines import POLICY_NAMES, Policy
-from kvcompose.cli import ablation_grid
+from kvcompose.cli import ablation_grid, build_model, build_tasks, load_config
 from kvcompose.composer import (
     allocate_budgets,
     compact_cache,
@@ -18,7 +21,7 @@ from kvcompose.composer import (
     unstructured_compress,
 )
 from kvcompose.errors import UsageError
-from kvcompose.evaluator import RATIO_GRID
+from kvcompose.evaluator import RATIO_GRID, prepare_task
 from kvcompose.model import _forward, decode_step, prefill
 from kvcompose.numerics import SeededRng, argsort_desc
 from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, score_pipeline
@@ -599,3 +602,38 @@ class TestKeepMaskStack:
                 keep_masks(cap, [AggregationChoice()], (0.5,), policy)
             else:  # without the check, each layer's per-head reshape would misassign rows
                 compress(gqa_model, context, ts, AggregationChoice(), 0.5, policy)
+
+
+class TestKvHeadSymmetry:
+    # random draws its heads in head order, so swapping the heads moves its draws
+    # onto other rows (48,384 of 147,456 entries on the demo's 16 tasks): left out
+    @pytest.mark.parametrize(
+        "name", ["kvcompose", "unstructured", "snapkv", "pyramid", "streaming", "tova"]
+    )
+    def test_swapping_kv_heads_swaps_their_masks(self, name):
+        # kv heads 0 and 1 of the demo model traded together with their query
+        # groups compute the same attention, up to a sum's order, so a policy
+        # that scores each head by its own attention keeps the same rows, each
+        # on the other head
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "demo_agreement.json")
+        cfg = replace(cfg, tasks={**cfg.tasks, "count": 8})
+        model = build_model(cfg)
+        group = model.config.query_heads // model.config.kv_heads
+        assert model.config.kv_heads == 2
+        kv_order, q_order = [1, 0], [*range(group, 2 * group), *range(group)]
+        swapped = replace(
+            model, wq=model.wq[:, q_order], wk=model.wk[:, kv_order], wv=model.wv[:, kv_order],
+            wo=model.wo[:, q_order],
+        )
+        policy, mode = Policy(name=name), cfg.scoring["mode"]
+        window = cfg.scoring["observation_window"]
+        for task in build_tasks(cfg, model):
+            task = replace(task, cache=None)  # each model runs its own prefill
+            want, got = (
+                keep_masks(
+                    prepare_task(m, task, mode, window, policy.capture_reads),
+                    [cfg.agg], RATIO_GRID, policy,
+                )
+                for m in (model, swapped)
+            )
+            assert np.array_equal(got, want[..., kv_order, :]), task.id

@@ -413,17 +413,25 @@ class TestSweep:
         else:
             model, task = tiny_model, make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
         monkeypatch.setattr(KVCache, "clone", no_clone)
-        state = prepare_task(model, task, mode, 8)
+        capture = prepare_task(model, task, mode, 8)
         layers = model.config.layers
-        assert state.capture.cache.next_positions == [16] * layers
-        assert [state.capture.cache.rows(l) for l in range(layers)] == [16] * layers
+        assert capture.cache.next_positions == [16] * layers
+        assert [capture.cache.rows(l) for l in range(layers)] == [16] * layers
 
     @pytest.mark.parametrize("name", ["kvcompose", "streaming"])
     def test_no_aggregation_choice_rejected(self, tiny_model, name):
         task = make_agreement_tasks(tiny_model, 1, 16, 4, seed=20)[0]
-        states = [prepare_task(tiny_model, task, "task-agnostic", 8)]
+        captures = [prepare_task(tiny_model, task, "task-agnostic", 8)]
         with pytest.raises(UsageError, match="one aggregation choice"):
-            sweep_arms(tiny_model, states, Policy(name=name), [], RATIO_GRID)
+            sweep_arms(tiny_model, [task], captures, Policy(name=name), [], RATIO_GRID)
+
+    def test_unequal_task_and_capture_lists_rejected(self, tiny_model):
+        # each task is scored on its own capture: a list one short pairs no task with it
+        tasks = make_agreement_tasks(tiny_model, 2, 16, 4, seed=20)
+        captures = [prepare_task(tiny_model, t, "task-agnostic", 8) for t in tasks]
+        for given in (captures[:1], captures + captures[:1]):
+            with pytest.raises(UsageError, match="a capture for each"):
+                sweep_arms(tiny_model, tasks, given, Policy(name="kvcompose"), [AggregationChoice()], RATIO_GRID)
 
     def test_task_aware_agreement_refused(self, tiny_model):
         # an agreement task has no query before its answer, so nothing to score on
@@ -442,26 +450,26 @@ class TestSweep:
         cfg = load_config(Path(__file__).parent.parent / "configs" / config)
         model = build_model(cfg)
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-        # each policy sweeps the states that hold what it reads
+        # each policy sweeps the captures that hold what it reads
         tasks = build_tasks(cfg, model)
         prepared = {
             reads: [prepare_task(model, t, mode, window, reads) for t in tasks]
             for reads in CAPTURE_READS
         }
         full_rewards, reference_logps = zip(
-            *(full_cache_reference(model, s) for s in prepared["rows"])
+            *(full_cache_reference(model, t, c) for t, c in zip(tasks, prepared["rows"]))
         )
         epsilons = count_calls(monkeypatch, evaluator, "epsilon")
         scored = count_calls(monkeypatch, evaluator, "_reward_and_kl")
         agg = AggregationChoice()
         for name in POLICY_NAMES:
-            curves, states = {}, prepared[Policy(name=name).capture_reads]
+            curves, captures = {}, prepared[Policy(name=name).capture_reads]
             for grid in (RATIO_GRID, (0.5, 0.9)):
                 epsilons.clear()
                 scored.clear()
-                curves[grid] = sweep_arms(model, states, Policy(name=name), [agg], grid)[0]
+                curves[grid] = sweep_arms(model, tasks, captures, Policy(name=name), [agg], grid)[0]
                 assert [tuple(args[0]) for args in epsilons] == [full_rewards], (name, grid)
-                assert len(scored) == len(states)
+                assert len(scored) == len(tasks)
                 for (_, logp, _), want in zip(scored, reference_logps):
                     assert np.array_equal(logp, want), (name, grid)
             p0 = curves[RATIO_GRID][0]
@@ -579,20 +587,19 @@ class TestStructuredConstraint:
                 assert cache.provenance[layer].shape == k.shape[:2]
 
 
-def reference_point(model, state, reference_logp, policy, agg_choice, r_target):
+def reference_point(model, task, cap, reference_logp, policy, agg_choice, r_target):
     """(r_achieved, reward, kl) of one task at one ratio, scoring afresh at
     every ratio and, for a cache policy, decoding on the compacted cache:
     the per-ratio evaluation that the grid of keep-masks replaced. tova
     selects by ``tova_oracle``, so the library's replay is not its own
     reference."""
     cfg = model.config
-    cap = state.capture
     if policy.name == "unstructured":
         scores = score_pipeline(cap, cfg.kv_heads, agg_choice)
         masks = unstructured_compress(scores, (r_target,))  # a G=1 stack
         r_achieved = 1.0 - np.count_nonzero(masks) / (cfg.layers * cfg.kv_heads * cap.context_len)
-        logits = _run_steps(model, cap.cache, state.task, masks)
-        r, kl = _reward_and_kl(logits, reference_logp, state.task)
+        logits = _run_steps(model, cap.cache, task, masks)
+        r, kl = _reward_and_kl(logits, reference_logp, task)
         return r_achieved, r[0], kl[0]
     budget = retention_budget(r_target, cfg.layers, cap.context_len)
     if policy.name == "kvcompose":
@@ -609,19 +616,20 @@ def reference_point(model, state, reference_logp, policy, agg_choice, r_target):
     else:
         cache = gather_cache(cap.cache, baseline_rows(cap, policy, (budget,))[0])
     total = sum(cache.rows(l) for l in range(cfg.layers))
-    r, kl = _reward_and_kl(_run_steps(model, cache, state.task, None), reference_logp, state.task)
+    r, kl = _reward_and_kl(_run_steps(model, cache, task, None), reference_logp, task)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl
 
 
-def reference_sweep(model, states, policy, agg_choice, grid):
+def reference_sweep(model, tasks, captures, policy, agg_choice, grid):
     """The curve of ``reference_point``s, against each task's full-cache
     reference by the plain unmasked run."""
-    full_rewards, reference_logps = zip(*(full_cache_reference(model, s) for s in states))
+    pairs = zip(tasks, captures)
+    full_rewards, reference_logps = zip(*(full_cache_reference(model, *p) for p in pairs))
     points = []
     for r_target in grid:
         results = [
-            reference_point(model, s, logp, policy, agg_choice, r_target)
-            for s, logp in zip(states, reference_logps)
+            reference_point(model, t, c, logp, policy, agg_choice, r_target)
+            for t, c, logp in zip(tasks, captures, reference_logps)
         ]
         achieved, rewards, kls = zip(*results)
         points.append(
@@ -661,8 +669,10 @@ class TestGridOnce:
         tasks = make_agreement_tasks(agreement_model, 3, 24, 4, seed=17)
         recall_model = construct_induction_model(8, 32)
         recall = make_recall_tasks(8, 32, 4, seed=18)
-        return {  # (kind, what each capture holds) -> (model, states)
-            (kind, reads): (model, [prepare_task(model, t, mode, window, reads) for t in given])
+        return {  # (kind, what each capture holds) -> (model, tasks, captures)
+            (kind, reads): (
+                model, given, [prepare_task(model, t, mode, window, reads) for t in given]
+            )
             for kind, model, given, mode, window in [
                 ("agreement", agreement_model, tasks, "task-agnostic", 8),
                 ("recall", recall_model, recall, "task-aware", 32),
@@ -674,15 +684,16 @@ class TestGridOnce:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_equals_per_ratio_reference(self, task_sets, kind, name):
         policy, agg = Policy(name=name), AggregationChoice()
-        model, states = task_sets[kind, policy.capture_reads]
-        got = sweep_arms(model, states, policy, [agg], RATIO_GRID)[0]
-        assert_same_sweep(kind, got, reference_sweep(model, states, policy, agg, RATIO_GRID))
+        model, tasks, captures = task_sets[kind, policy.capture_reads]
+        got = sweep_arms(model, tasks, captures, policy, [agg], RATIO_GRID)[0]
+        want = reference_sweep(model, tasks, captures, policy, agg, RATIO_GRID)
+        assert_same_sweep(kind, got, want)
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_arms_equal_one_sweep_per_choice(self, task_sets, kind, name):
         policy = Policy(name=name)
-        model, states = task_sets[kind, policy.capture_reads]
+        model, tasks, captures = task_sets[kind, policy.capture_reads]
         choices = [
             AggregationChoice(),
             AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
@@ -690,19 +701,21 @@ class TestGridOnce:
             AggregationChoice(agg_group="max", agg_head="max", mean_augment=False),
             AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
         ]
-        got = sweep_arms(model, states, policy, choices, RATIO_GRID)
-        assert got == [sweep_arms(model, states, policy, [c], RATIO_GRID)[0] for c in choices]
+        got = sweep_arms(model, tasks, captures, policy, choices, RATIO_GRID)
+        want = [sweep_arms(model, tasks, captures, policy, [c], RATIO_GRID)[0] for c in choices]
+        assert got == want
 
     @pytest.mark.parametrize("name", ["kvcompose", "unstructured"])
     def test_scores_once_per_task(self, tiny_model, name, monkeypatch):
         from kvcompose import scoring
 
         tasks = make_agreement_tasks(tiny_model, 3, 16, 4, seed=19)
-        states = [prepare_task(tiny_model, t, "task-agnostic", 8) for t in tasks]
+        captures = [prepare_task(tiny_model, t, "task-agnostic", 8) for t in tasks]
         calls = count_calls(monkeypatch, scoring, "score_pipeline")
-        sweep_arms(tiny_model, states, Policy(name=name), [AggregationChoice()], RATIO_GRID)
+        policy = Policy(name=name)
+        sweep_arms(tiny_model, tasks, captures, policy, [AggregationChoice()], RATIO_GRID)
         assert len(RATIO_GRID) == 9
-        assert len(calls) == len(states)
+        assert len(calls) == len(tasks)
 
 
 class TestZeroFullReward:
@@ -716,27 +729,29 @@ class TestZeroFullReward:
         value = tasks[0].answer[0]
         wrong = next(v for v in induction_value_range(32) if v != value)
         tasks[0] = replace(tasks[0], answer=(wrong,))
-        states = [prepare_task(model, t, "task-aware", 32) for t in tasks]
-        assert [full_cache_reference(model, s)[0] for s in states] == [0.0, 1.0, 1.0, 1.0]
-        return model, states
+        captures = [prepare_task(model, t, "task-aware", 32) for t in tasks]
+        full = [full_cache_reference(model, t, c)[0] for t, c in zip(tasks, captures)]
+        assert full == [0.0, 1.0, 1.0, 1.0]
+        return model, tasks, captures
 
     @pytest.mark.parametrize("name", ["kvcompose", "streaming"])
     def test_equals_reference_and_warns(self, recall, name):
-        model, states = recall
+        model, tasks, captures = recall
         policy = Policy(name=name)
         choices = [AggregationChoice(), AggregationChoice(agg_task="avg", mean_augment=False)]
         with pytest.warns(UserWarning, match="skipped 1 task"):
-            got = sweep_arms(model, states, policy, choices, RATIO_GRID)
+            got = sweep_arms(model, tasks, captures, policy, choices, RATIO_GRID)
         with pytest.warns(UserWarning, match="skipped 1 task"):
-            want = [reference_sweep(model, states, policy, c, RATIO_GRID) for c in choices]
+            want = [
+                reference_sweep(model, tasks, captures, policy, c, RATIO_GRID) for c in choices
+            ]
         assert got == want
 
     def test_every_task_excluded_reads_zero(self, recall):
-        model, states = recall
+        model, tasks, captures = recall
+        policy, choices = Policy(name="kvcompose"), [AggregationChoice()]
         with pytest.warns(UserWarning, match="skipped 1 task"):
-            points = sweep_arms(
-                model, states[:1], Policy(name="kvcompose"), [AggregationChoice()], RATIO_GRID
-            )[0]
+            points = sweep_arms(model, tasks[:1], captures[:1], policy, choices, RATIO_GRID)[0]
         assert [p.epsilon for p in points] == [0.0] * len(RATIO_GRID)
         assert all(type(p.epsilon) is float for p in points)
 
@@ -770,9 +785,9 @@ class TestLeanCaptures:
                 with pytest.raises(UsageError, match="non-empty task"):
                     prepare_task(model, task, mode, window, reads)
             return
-        lean = prepare_task(model, task, mode, window, policy.capture_reads).capture
-        rows = prepare_task(model, task, mode, window, "rows").capture
-        mean = prepare_task(model, task, mode, window, "head-mean").capture.attention_mean
+        lean = prepare_task(model, task, mode, window, policy.capture_reads)
+        rows = prepare_task(model, task, mode, window, "rows")
+        mean = prepare_task(model, task, mode, window, "head-mean").attention_mean
         full = AttentionCapture(rows.A, rows.value_norms_raw, rows.cache, mean, rows.wo)
         assert lean.A.shape == (*rows.A.shape[:2], 0, len(task.prompt)) and rows.A.shape[2] > 0
         assert (lean.attention_mean is None) == (name != "tova")

@@ -56,6 +56,11 @@ class TestTaskSet:
         with pytest.raises(UsageError):
             TaskSet(mode="task-agnostic", observation_window=0)
 
+    def test_task_agnostic_takes_no_tasks(self):
+        # its window rows are the queries: a task would be a second, unread set of them
+        with pytest.raises(UsageError, match="task-agnostic mode takes no tasks"):
+            TaskSet(mode="task-agnostic", tasks=((1, 2),))
+
     def test_unknown_mode(self):
         with pytest.raises(UsageError):
             TaskSet(mode="oracle")
@@ -324,12 +329,14 @@ class TestGivenCache:
         context = random_context(90 + n, n)
         tasks = [tuple(random_context(91 + m, m)) for m in (3, 5, 3)]
         task_set = TaskSet.for_context("task-aware" if w is None else "task-agnostic", n, tasks, w)
-        want = collect_attention(gqa_model, context, task_set, reads)
-        cache = prefill(gqa_model, context).cache
         passes = count_calls(
             monkeypatch, kvmodel, "_forward",
             lambda model, held, tokens, *rest: (held.next_position, np.shape(tokens)),
         )
+        want = collect_attention(gqa_model, context, task_set, reads)
+        want_passes = passes[:]
+        cache = prefill(gqa_model, context).cache
+        passes.clear()
         got = collect_attention(gqa_model, context, task_set, reads, cache)
         assert got.cache is cache
         for a, b in [(got.A, want.A), (got.value_norms_raw, want.value_norms_raw)]:
@@ -341,14 +348,18 @@ class TestGivenCache:
         assert cache.next_positions == want.cache.next_positions
         for a, b in zip(cache.keys + cache.values, want.cache.keys + want.cache.values):
             assert a.tobytes() == b.tobytes()
+        # one rule: the rows read rerun after the cache cut at h, and without a
+        # cache h = 0, so every capture built without one prefills once
+        stacks = [(n, (2, 3)), (n, (1, 5))] if reads == "rows" and w is None else []
+        assert want_passes == [(0, (n,))] + stacks
         # "none" runs no pass; tova's head mean reads every row, so it prefills
         h = ROW_BLOCK * ((n - (w or 0)) // ROW_BLOCK)  # 64 at (128, 32): one block, not two
-        want_passes = {
+        given_passes = {
             "none": [],
             "head-mean": [(0, (n,))],
             "rows": [(h, (n - h,))] if w else [(n, (2, 3)), (n, (1, 5))],
         }[reads]
-        assert passes == want_passes
+        assert passes == given_passes
 
     @pytest.mark.parametrize("misfit", ["stacked", "compacted", "next-position"])
     def test_a_cache_that_does_not_fit_is_refused(self, tiny_model, monkeypatch, misfit):

@@ -10,7 +10,8 @@ policy through ``composer.keep_masks`` alone; only ``baselines.py`` names
 the one policy that reads the head-mean attention, so whether a capture
 keeps it is decided in one place; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
-keep any; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
+keep any, and each of its passes skips its logits, which nothing reads
+there; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
 ``numerics.exp_rows`` stays the one home of attention's exponentials;
 no module reads the environment, so a setting such as the forward
 pass's row block size cannot become a hidden knob; only ``cache_io.py``
@@ -290,6 +291,42 @@ def test_only_scoring_asks_to_keep_attention():
         if asks_for_attention(node)
     }
     assert found == set()
+
+
+def logit_keeping_passes(source: str) -> list[int]:
+    """Lines that call ``_forward`` without passing ``logits=False`` by keyword."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_forward"
+        and not any(
+            k.arg == "logits" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in node.keywords
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "line, keeps",
+    [
+        ("_forward(m, c, t, attention_rows=2)", True),
+        ("model._forward(m, c, t, logits=True)", True),
+        ("_forward(m, c, t, attention_rows=2, logits=False)", False),
+        ("prefill(m, tokens)", False),
+    ],
+)
+def test_logit_keeping_pass_finder(line, keeps):
+    assert bool(logit_keeping_passes(line)) == keeps
+
+
+def test_every_capture_pass_skips_its_logits():
+    # a capture reads attention rows and means, never logits: a pass that kept
+    # them would run the last layer's every block and its output projection
+    path = ROOT / "src" / "kvcompose" / "scoring.py"
+    assert logit_keeping_passes(path.read_text()) == []
+    # the context pass and the task stacks, so the check above sees every pass
+    assert called_names(path).count("_forward") == 2
 
 
 def environment_reads(source: str) -> list[int]:
