@@ -114,23 +114,14 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     return (cost == 0.0).reshape(*budgets.shape, n)
 
 
-def snapkv_select(cap: AttentionCapture, budgets: np.ndarray, window: int) -> np.ndarray:
-    """Window top-k per kv head: the trailing window first, then the tokens it
-    attends to hardest (max-pool over the last ``window`` task rows of the capture).
-
-    ``budgets`` is (G, L), rows sharing ``window``, which alone sets the ranking;
-    each is checked to hold the window. Returns each head's (L, H_kv, N) slot order.
-    """
+def snapkv_select(cap: AttentionCapture, window: int) -> np.ndarray:
+    """Each kv head's (L, H_kv, N) window top-k slot order: the trailing window, then the
+    tokens it attends to hardest (max-pool over the last ``window`` task rows of the capture).
+    It reads no budget: only ``select_baseline_indices`` clamps the window to the budgets."""
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
     if window > n:
         raise ConfigError(f"window {window} exceeds context length {n}")
-    for b in np.ravel(budgets):
-        if b < window:
-            raise ConfigError(f"budget {b} smaller than window {window}")
-        if b > n:
-            raise ConfigError(f"budget {b} exceeds context length {n}")
-
     rows = min(window, cap.task_len)
     # query heads by group; rows == 0 (a zero layer budget) scores on every task row
     grouped = cap.A.reshape(layers, kv_heads, -1, cap.task_len, n)[..., -rows:, :]
@@ -197,24 +188,24 @@ def select_baseline_indices(
     Per-layer budgets come from the uniform split, whose remainder goes
     to the earliest layers (pyramid supplies its own schedule). streaming
     and snapkv/pyramid keep the tokens their slot order ranks below a layer's
-    budget, as kvcompose does; the order clamps the sinks to the budget and
-    the window is clamped to the smallest one, so every grid ratio stays
-    feasible except for pyramid, whose floor of one row per layer rejects a
-    total below the layer count (a ratio near 1). tova replays the capture's
-    head-mean attention once for every total; snapkv/pyramid score on the
-    capture's task rows, once per distinct window.
+    budget, as kvcompose does. No order reads a budget: a budget below the sinks keeps
+    the first tokens, and each ratio's window is clamped here, and nowhere else, to its
+    smallest layer budget, so every grid ratio stays feasible except for pyramid, whose
+    floor of one row per layer rejects a total below the layer count (a ratio near 1).
+    tova replays the capture's head-mean attention once for every total; snapkv/pyramid
+    score on the capture's task rows, once per distinct window.
     """
     layers, heads, n = cap.value_norms_raw.shape
     totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
-    uniform = totals // layers + (np.arange(layers) < totals % layers)  # (G, L)
-    every_head = (len(uniform), layers, heads, n)
+    budgets = totals // layers + (np.arange(layers) < totals % layers)  # (G, L)
+    every_head = (len(budgets), layers, heads, n)
     if policy.name == "tova":
         if cap.attention_mean is None:
             raise UsageError("tova replays the head-mean attention: capture with reads='head-mean'")
-        return np.broadcast_to(tova_select(cap.attention_mean, uniform)[:, :, None], every_head)
+        return np.broadcast_to(tova_select(cap.attention_mean, budgets)[:, :, None], every_head)
     if policy.name == "random":  # per head, a uniform-random kept subset; each total reseeds
         masks = np.zeros(every_head, dtype=bool)
-        for mask, row in zip(masks, uniform):
+        for mask, row in zip(masks, budgets):
             rng = SeededRng(policy.seed)
             for layer_mask, b in zip(mask, row):
                 for head_mask in layer_mask:
@@ -224,11 +215,10 @@ def select_baseline_indices(
         rank = ranks(streaming_order(n, policy.sinks))
     elif policy.name in ("snapkv", "pyramid"):
         if policy.name == "pyramid":
-            uniform = np.stack([pyramid_budgets(layers, n, t, policy.shape) for t in budget_totals])
-        windows = [int(min(policy.window, b.min(), n)) for b in uniform]
-        shared = {w: [b for b, v in zip(uniform, windows) if v == w] for w in windows}
-        ranked = {w: ranks(snapkv_select(cap, rows, w)) for w, rows in shared.items()}
+            budgets = np.stack([pyramid_budgets(layers, n, t, policy.shape) for t in budget_totals])
+        windows = [int(min(policy.window, b.min(), n)) for b in budgets]
+        ranked = {w: ranks(snapkv_select(cap, w)) for w in set(windows)}
         rank = np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order
     else:
         raise ConfigError(f"no baseline selector for policy {policy.name!r}")
-    return np.broadcast_to(rank < uniform[..., None, None], every_head)
+    return np.broadcast_to(rank < budgets[..., None, None], every_head)

@@ -216,6 +216,8 @@ def build_model(cfg: RunConfig) -> Model:
 
 
 def build_tasks(cfg: RunConfig, model: Model):
+    if "task_tokens" in cfg.scoring:  # only compress, which builds no tasks, reads them
+        raise ConfigError("scoring.task_tokens: each task is scored on its own query")
     t = cfg.tasks
     if t["kind"] == "recall":
         if cfg.model["kind"] != "induction":

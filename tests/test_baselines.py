@@ -233,30 +233,30 @@ class TestSnapkvSelect:
     def test_full_budget_is_identity(self, tiny_model):
         context = random_context(44, 10)
         cap = self.capture(tiny_model, context, 4)
-        order = snapkv_select(cap, np.full((1, 2), 10), window=4)
+        order = snapkv_select(cap, window=4)
         assert order.shape == (2, 2, 10) and (ranks(order) < 10).all()
 
     def test_uniform_attention_tie_case(self):
         # constant scores: keeps the window plus the lowest-index tokens
         a = np.full((1, 2, 3, 8), 0.125)
         cap = AttentionCapture(A=a, value_norms_raw=np.ones((1, 1, 8)))  # snapkv reads no norms
-        order = snapkv_select(cap, np.asarray([[5]]), window=2)
+        order = snapkv_select(cap, window=2)
         assert order[0, 0].tolist() == [6, 7, 0, 1, 2, 3, 4, 5]  # window first, then by score
         assert kept_rows(order[0, 0], 5) == [0, 1, 2, 6, 7]
 
     def test_matches_topk_oracle(self, tiny_model):
         context = random_context(45, 12)
         cap = self.capture(tiny_model, context, 4)
-        order = snapkv_select(cap, np.full((1, 2), 7), window=4)
+        order = snapkv_select(cap, window=4)
         for layer in range(2):
             for head in range(2):
                 got = kept_rows(order[layer, head], 7)
                 assert got == snapkv_oracle(cap, layer, head, 7, 4)
 
-    def test_budget_below_window_rejected(self, tiny_model):
+    def test_window_past_context_rejected(self, tiny_model):
         cap = self.capture(tiny_model, random_context(46, 8), 4)
-        with pytest.raises(ConfigError):
-            snapkv_select(cap, np.full((1, 2), 3), window=4)
+        with pytest.raises(ConfigError, match="window 9 exceeds context length 8"):
+            snapkv_select(cap, window=9)
 
     def test_full_compression_keeps_nothing(self, tiny_model):
         cap = self.capture(tiny_model, random_context(49, 12), 4)
@@ -285,18 +285,17 @@ class TestSnapkvSelect:
         totals = tuple(retention_budget(r, 2, 20) for r in RATIO_GRID)
         calls = count_calls(monkeypatch, baselines, "snapkv_select")
         want = [select_baseline_indices(cap, policy, (t,))[0] for t in totals]
-        windows = [call[2] for call in calls]
+        windows = [call[1] for call in calls]
         calls.clear()
         got = select_baseline_indices(cap, policy, totals)
         assert len(set(windows)) > 1
-        assert sorted(call[2] for call in calls) == sorted(set(windows))
-        assert [len(call[1]) for call in calls] == [windows.count(call[2]) for call in calls]
+        assert sorted(call[1] for call in calls) == sorted(set(windows))
         assert np.array_equal(got, np.stack(want))
 
     def test_counts_uniform_sets_may_differ(self, tiny_model):
         context = random_context(47, 12)
         cap = self.capture(tiny_model, context, 4)
-        kept = ranks(snapkv_select(cap, np.full((1, 2), 6), window=4)) < 6
+        kept = ranks(snapkv_select(cap, window=4)) < 6
         assert (np.count_nonzero(kept, axis=-1) == 6).all()
 
 
@@ -461,7 +460,7 @@ class TestMaskOracles:
         for window in (0, 1, 4):  # one call per window, on every ratio that fits it
             rows = budgets[(budgets >= window).all(axis=1)]
             want = mark_rows(snapkv_rows(cap, rows, window), kv_heads, n)
-            got = ranks(snapkv_select(cap, rows, window)) < rows[..., None, None]
+            got = ranks(snapkv_select(cap, window)) < rows[..., None, None]
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])

@@ -701,6 +701,16 @@ class TestExitCodes:
         assert captured.err.startswith("config error: scoring.task_tokens")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "ablate", "dump-scores"])
+    def test_task_tokens_refused_where_tasks_bring_their_queries(self, tmp_path, capsys, command):
+        # only compress reads the tokens; these commands score each task on its own query
+        cfg = write_config(tmp_path, scoring={"mode": "task-aware", "task_tokens": [[1, 2, 3]]})
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: scoring.task_tokens")
+        assert not (tmp_path / "out").exists()
+
     def test_recall_requires_induction_model(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

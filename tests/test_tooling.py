@@ -29,7 +29,11 @@ grid in one branch per policy, and a baseline's selection reaches both
 evaluation and ``compress`` as one keep-mask stack from ``keep_masks``;
 only ``RunConfig.resolved`` calls ``dataclasses.asdict`` and no module
 calls ``astuple`` or ``copy.deepcopy``, so a report is written from its
-dataclasses as they are, with no deep copy; and every committed
+dataclasses as they are, with no deep copy; outside ``check_*``
+functions and a short list with reasons, no function takes an argument
+that it reads only in guards (an ``if`` that only raises, or a ``for``
+of such ifs), so a value its caller already vouches for is not passed
+just to be checked again; and every committed
 ``BENCH_*.json`` names only workloads and end-to-end metrics that
 ``BENCHMARK.json`` defines, in its units, with finite parent and change
 medians."""
@@ -598,3 +602,91 @@ def test_only_the_config_echo_deep_copies():
 )
 def test_deep_copy_finder(source, found):
     assert deep_copiers(source) == found
+
+
+# function arguments read only inside guards, each with why the function takes it
+CHECKED_ONLY = {
+    "model.construct_induction_model.num_pairs": (
+        "a recall config's pair count, checked against the model's 128 positions and its "
+        "vocabulary; the model serves any count up to that"
+    ),
+}
+
+
+def is_guard(node: ast.AST) -> bool:
+    """An ``if`` whose body only raises (and whose ``elif`` or ``else``, if any,
+    does too), or a ``for`` whose body holds only such ifs."""
+    if isinstance(node, ast.If):
+        return all(isinstance(s, ast.Raise) for s in node.body) and all(
+            isinstance(s, ast.Raise) or is_guard(s) for s in node.orelse
+        )
+    return (
+        isinstance(node, ast.For)
+        and not node.orelse
+        and all(isinstance(s, ast.If) and is_guard(s) for s in node.body)
+    )
+
+
+def checked_only_arguments(source: str) -> set[str]:
+    """``function.argument`` (``Class.method.argument`` for a method) for each
+    argument of a function in ``source`` that is read, and only inside guards.
+    ``check_*`` and ``_check_*`` functions, whose job is to check, and a
+    method's ``self`` or ``cls`` are skipped."""
+    found = set()
+
+    def visit(node, prefix):
+        for fn in ast.iter_child_nodes(node):
+            if isinstance(fn, ast.ClassDef):
+                visit(fn, f"{prefix}{fn.name}.")
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = f"{prefix}{fn.name}"
+            visit(fn, f"{name}.")
+            if fn.name.startswith(("check_", "_check_")):
+                continue
+            body = [n for stmt in fn.body for n in ast.walk(stmt)]
+            guarded = {id(n) for guard in body if is_guard(guard) for n in ast.walk(guard)}
+            for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs):
+                reads = [
+                    n for n in body
+                    if isinstance(n, ast.Name) and n.id == arg.arg and isinstance(n.ctx, ast.Load)
+                ]
+                if arg.arg not in ("self", "cls") and reads and all(id(n) in guarded for n in reads):
+                    found.add(f"{name}.{arg.arg}")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_function_takes_an_argument_it_only_checks():
+    # a caller that already guarantees what such an argument is checked for
+    # passes it for nothing; the checks belong where the value is made
+    found = {
+        f"{path.stem}.{name}"
+        for path in (ROOT / "src" / "kvcompose").glob("*.py")
+        for name in checked_only_arguments(path.read_text())
+    }
+    assert found == set(CHECKED_ONLY)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(a, b):\n    if a > b:\n        raise ValueError(a)\n    return b", {"f.a"}),
+        (
+            "def f(rows, n):\n    for r in rows:\n        if r > n:\n"
+            "            raise ValueError(r)\n        elif r < 0:\n"
+            "            raise ValueError(r)\n    return n",
+            {"f.rows"},
+        ),
+        ("class C:\n    def g(self, a):\n        if a:\n            raise E\n", {"C.g.a"}),
+        ("def f(a, b):\n    if a > b:\n        raise ValueError(a)\n    return a + b", set()),
+        ("def f(a):\n    if a:\n        raise E\n    else:\n        return 1", set()),
+        ("def f(a):\n    for x in a:\n        print(x)\n    if a:\n        raise E", set()),
+        ("def check_f(a, b):\n    if a > b:\n        raise ValueError(a)\n    return b", set()),
+        ("def _check_f(a):\n    if a < 0:\n        raise ValueError(a)", set()),
+        ("def f(a, unused):\n    return a", set()),
+    ],
+)
+def test_checked_only_argument_finder(source, found):
+    assert checked_only_arguments(source) == found
