@@ -17,20 +17,23 @@ from .errors import ConfigError, UsageError
 from .numerics import SeededRng, argsort_desc, ranks, stable_floor
 from .scoring import AttentionCapture, reduce_axis
 
-POLICY_NAMES = (
-    "kvcompose",
-    "streaming",
-    "tova",
-    "snapkv",
-    "pyramid",
-    "random",
-    "unstructured",
-)
+# the Policy parameters each policy's selector reads; a config may set no other
+POLICY_PARAMS = {
+    "kvcompose": (),
+    "streaming": ("sinks",),
+    "tova": (),
+    "snapkv": ("window",),
+    "pyramid": ("window", "shape"),
+    "random": ("seed",),
+    "unstructured": (),
+}
+POLICY_NAMES = tuple(POLICY_PARAMS)
 
 
 @dataclass(frozen=True)
 class Policy:
-    """An eviction policy and its parameters.
+    """An eviction policy and its parameters; ``POLICY_PARAMS`` lists the ones
+    each policy reads, and a config may set only those.
 
     sinks: leading tokens always kept by streaming.
     window: trailing tokens kept (and scored over) by snapkv/pyramid.

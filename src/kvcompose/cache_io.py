@@ -42,31 +42,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(CurvePoint))
 
 
 class CacheFormatError(KvcError):
-    """Base for malformed cache files."""
-
-
-class BadMagicError(CacheFormatError):
-    pass
-
-
-class UnsupportedVersionError(CacheFormatError):
-    pass
-
-
-class TruncatedError(CacheFormatError):
-    pass
-
-
-class TrailingBytesError(CacheFormatError):
-    pass
-
-
-class ChecksumError(CacheFormatError):
-    pass
-
-
-class MalformedHeaderError(CacheFormatError):
-    pass
+    """A malformed cache file; the message names the failure and its byte offset."""
 
 
 class IoError(KvcError):
@@ -118,26 +94,26 @@ def write_cache(cache: CompressedCache, path: str | Path) -> int:
 def _check_frame(data: bytes, fixed: int) -> None:
     """Check the KVCF magic, version and the ``fixed``-byte header."""
     if len(data) < 4 or data[:4] != MAGIC_CACHE:
-        raise BadMagicError(f"bad magic at byte 0: {data[:4]!r}")
+        raise CacheFormatError(f"bad magic at byte 0: {data[:4]!r}")
     if len(data) < 6:
-        raise TruncatedError(f"file ends at byte {len(data)} inside the version field")
+        raise CacheFormatError(f"file ends at byte {len(data)} inside the version field")
     (found,) = struct.unpack_from("<H", data, 4)
     if found != CACHE_VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {found} at byte 4")
+        raise CacheFormatError(f"unsupported format version {found} at byte 4")
     if len(data) < fixed:
-        raise TruncatedError(f"file ends at byte {len(data)} inside the fixed header")
+        raise CacheFormatError(f"file ends at byte {len(data)} inside the fixed header")
 
 
 def _check_length_and_crc(data: bytes, expected: int) -> None:
     """The file is exactly ``expected`` bytes and its trailing crc32 matches."""
     if len(data) < expected:
-        raise TruncatedError(f"expected {expected} bytes, file has {len(data)}")
+        raise CacheFormatError(f"expected {expected} bytes, file has {len(data)}")
     if len(data) > expected:
-        raise TrailingBytesError(f"expected {expected} bytes, file has {len(data)}")
+        raise CacheFormatError(f"{len(data) - expected} trailing bytes after byte {expected}")
     (stored_crc,) = struct.unpack_from("<I", data, expected - 4)
     actual_crc = zlib.crc32(data[: expected - 4])
     if stored_crc != actual_crc:
-        raise ChecksumError(
+        raise CacheFormatError(
             f"crc mismatch at byte {expected - 4}: "
             f"stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
@@ -147,14 +123,14 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
     _check_frame(data, 18)
     layers, kv_heads, head_dim = struct.unpack_from("<III", data, 6)
     if layers < 1 or kv_heads < 1 or head_dim < 1:
-        raise MalformedHeaderError(
+        raise CacheFormatError(
             f"non-positive dimension in header at byte 6: "
             f"layers={layers} kv_heads={kv_heads} head_dim={head_dim}"
         )
     rows_end = 18 + 4 * layers
     tables_end = cache_header_size(layers)
     if len(data) < tables_end:
-        raise TruncatedError(f"file ends at byte {len(data)}, header tables need {tables_end}")
+        raise CacheFormatError(f"file ends at byte {len(data)}, header tables need {tables_end}")
     rows = list(struct.unpack_from(f"<{layers}I", data, 18))
     total_rows = sum(rows)
     payload = total_rows * kv_heads * head_dim * 4 * 2
@@ -181,7 +157,7 @@ def cache_from_bytes(data: bytes) -> CompressedCache:
     next_positions = list(struct.unpack_from(f"<{layers}I", data, rows_end))
     for l, p in enumerate(prov):
         if p.size and next_positions[l] <= p.max():
-            raise MalformedHeaderError(
+            raise CacheFormatError(
                 f"next position {next_positions[l]} at byte {rows_end + 4 * l} "
                 f"does not follow kept index {int(p.max())} of layer {l}"
             )

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import cache_io
-from .baselines import Policy
+from .baselines import POLICY_PARAMS, Policy
 from .composer import composite_indices, compress, layer_importance
 from .errors import ConfigError, KvcError, UsageError
 from .evaluator import (
@@ -192,12 +192,16 @@ def parse_config(data) -> RunConfig:
     else:
         raise ConfigError(f"tasks.kind must be 'recall' or 'agreement', got {tasks.get('kind')!r}")
 
+    policy_types = get_type_hints(Policy)
+    name = top["policy"].get("name")
+    if isinstance(name, str) and name in POLICY_PARAMS:  # Policy or the type check refuses others
+        policy_types = {k: policy_types[k] for k in ("name", *POLICY_PARAMS[name])}
     return RunConfig(
         **{
             **top,
             "model": model,
             "tasks": tasks,
-            "policy": _section(top["policy"], "policy", get_type_hints(Policy), {"name"}),
+            "policy": _section(top["policy"], "policy", policy_types, {"name"}),
             "scoring": _section(
                 top.get("scoring", {}), "scoring", _SCORING_TYPES, set(), _SCORING_DEFAULTS
             ),
@@ -248,7 +252,8 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         if not 0 <= seed < 2**64:
             raise ConfigError(f"--seed-override must be in [0, 2**64), got {seed}")
         model = {**cfg.model, "seed": seed} if cfg.model["kind"] == "random" else cfg.model
-        policy = {**cfg.policy, "seed": seed} if "seed" in cfg.policy else cfg.policy
+        reseed = "seed" in POLICY_PARAMS[cfg.eviction.name]
+        policy = {**cfg.policy, "seed": seed} if reseed else cfg.policy
         cfg = replace(cfg, model=model, tasks={**cfg.tasks, "seed": seed}, policy=policy)
     if args.grid is not None:
         try:

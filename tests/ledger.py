@@ -1,11 +1,12 @@
 """The output ledger: the SHA-256 of every file the CLI writes on the demo configs.
 
-``generate(root)`` runs 60 CLI commands in process, with ``root`` as the
+``generate(root)`` runs 62 CLI commands in process, with ``root`` as the
 working directory and every path relative to it, so no output embeds
 where it ran. On each of ``configs/demo_agreement.json`` and
 ``configs/demo_recall.json`` it runs:
 
-- ``sweep`` for each of the 7 policies;
+- ``sweep`` for each of the 7 policies, and for ``random`` with
+  ``--seed-override 5`` as well, which reseeds its draws and the tasks;
 - ``compress`` for the 6 cache policies at r = 0, 0.5 and 0.9, on a fixed
   context (task-aware on the recall config, with tasks of lengths 1, 3, 1
   and 5, so that equal-length tasks share a pass);
@@ -88,6 +89,9 @@ def _commands(root: Path) -> list[tuple[str, list[str]]]:
         for policy in POLICY_NAMES:
             run = f"{name}/sweep/{policy}"
             runs.append((run, ["sweep", "--config", config(run, policy={"name": policy})]))
+        run = f"{name}/sweep-seed-override/random"
+        cfg = config(run, policy={"name": "random"})
+        runs.append((run, ["sweep", "--config", cfg, "--seed-override", "5"]))
         for policy in CACHE_POLICIES:
             for r in RATIOS:
                 run = f"{name}/compress/{policy}_r{r}"

@@ -1,10 +1,12 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kvcompose.baselines import (
     POLICY_NAMES,
+    POLICY_PARAMS,
     Policy,
     pyramid_budgets,
     select_baseline_indices,
@@ -63,6 +65,24 @@ class TestPolicy:
         stack = keep_masks(cap, ablation_grid(), (0.0, 0.5, 0.75), policy)
         masks = {arm.tobytes() for arm in stack}
         assert (len(masks) > 1) == policy.reads_aggregation
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_reads_exactly_the_parameters_its_table_lists(self, gqa_model, name):
+        # on the demo agreement shape (N=128, task-agnostic window 32), a changed
+        # parameter moves the masks at some grid ratio iff POLICY_PARAMS lists it
+        policy = Policy(name=name, sinks=2, window=4, shape=1.0, seed=0)
+        task_set = TaskSet(mode="task-agnostic", observation_window=32)
+        cap = collect_attention(gqa_model, random_context(52, 128), task_set, policy.capture_reads)
+
+        def masks(p: Policy) -> np.ndarray:
+            return keep_masks(cap, [AggregationChoice()], RATIO_GRID, p)
+
+        changed = {"sinks": 5, "window": 8, "shape": 0.0, "seed": 1}
+        moved = {
+            key for key, value in changed.items()
+            if not np.array_equal(masks(replace(policy, **{key: value})), masks(policy))
+        }
+        assert moved == set(POLICY_PARAMS[name])
 
 
 def kept_rows(order: np.ndarray, budget: int) -> list[int]:

@@ -11,14 +11,8 @@ from hypothesis import strategies as st
 
 from kvcompose import cache_io
 from kvcompose.cache_io import (
-    BadMagicError,
     CacheFormatError,
-    ChecksumError,
     IoError,
-    MalformedHeaderError,
-    TrailingBytesError,
-    TruncatedError,
-    UnsupportedVersionError,
     cache_from_bytes,
     cache_to_bytes,
     read_cache,
@@ -104,29 +98,29 @@ class TestReadCache:
     def test_corrupted_crc_rejected(self, tmp_path):
         data = bytearray(cache_to_bytes(make_cache(6)))
         data[-1] ^= 0xFF
-        with pytest.raises(ChecksumError):
+        with pytest.raises(CacheFormatError, match=r"^crc mismatch at byte \d+: stored "):
             cache_from_bytes(bytes(data))
 
     def test_truncated_payload_reports_lengths(self):
         data = cache_to_bytes(make_cache(7))
-        with pytest.raises(TruncatedError, match=r"expected \d+ bytes"):
+        with pytest.raises(CacheFormatError, match=r"^expected \d+ bytes, file has \d+$"):
             cache_from_bytes(data[:-10])
 
     def test_trailing_bytes_rejected(self):
         data = cache_to_bytes(make_cache(8))
-        with pytest.raises(TrailingBytesError):
+        with pytest.raises(CacheFormatError, match=f"^1 trailing bytes after byte {len(data)}$"):
             cache_from_bytes(data + b"\x00")
 
     def test_bad_magic(self):
         data = bytearray(cache_to_bytes(make_cache(9)))
         data[0] = ord("X")
-        with pytest.raises(BadMagicError, match="byte 0"):
+        with pytest.raises(CacheFormatError, match="^bad magic at byte 0: "):
             cache_from_bytes(bytes(data))
 
     def test_unknown_version(self):
         data = bytearray(cache_to_bytes(make_cache(10)))
         data[4] = 9
-        with pytest.raises(UnsupportedVersionError):
+        with pytest.raises(CacheFormatError, match="^unsupported format version 9 at byte 4$"):
             cache_from_bytes(bytes(data))
 
     def test_golden_fixture_exact_values(self, tmp_path):
@@ -174,7 +168,7 @@ class TestReadCache:
             + np.asarray([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()  # K then V
             + struct.pack("<I", 7)  # provenance
         )
-        with pytest.raises(UnsupportedVersionError, match="version 1 at byte 4"):
+        with pytest.raises(CacheFormatError, match="^unsupported format version 1 at byte 4$"):
             cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_next_position_before_kept_index_rejected(self):
@@ -186,7 +180,7 @@ class TestReadCache:
             + np.asarray([1.0, 2.0, 3.0, 4.0], dtype="<f4").tobytes()  # K then V
             + struct.pack("<I", 7)  # provenance
         )
-        with pytest.raises(MalformedHeaderError, match="at byte 22"):
+        with pytest.raises(CacheFormatError, match="^next position 0 at byte 22 does not follow"):
             cache_from_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
     def test_non_finite_payload_rejected(self):

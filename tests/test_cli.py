@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kvcompose import evaluator
-from kvcompose.baselines import Policy
+from kvcompose.baselines import POLICY_NAMES, POLICY_PARAMS, Policy
 from kvcompose.cache_io import read_cache
 from kvcompose.cli import (
     EXIT_CONFIG,
@@ -80,10 +80,14 @@ MALFORMED = [
     ({"model": [1]}, "model must be a JSON object"),
     ({"scoring": {"mode": "task-aware", "mean_augment": "no"}}, "scoring.mean_augment"),
     ({"policy": {"name": "snapkv", "window": 2.5}}, "policy.window"),
+    ({"policy": {"name": ["kvcompose"]}}, "policy.name must be a string"),
     (None, "config must be a JSON object"),  # a top-level list
 ]
 
 AGREEMENT_TASKS = {"kind": "agreement", "count": 1, "seed": 2, "context_len": 8}
+
+# a valid value of each Policy parameter, none of them its default
+PARAMETER_VALUES = {"sinks": 9, "window": 8, "shape": 3.0, "seed": 4}
 
 # (config overrides, extra flags, text of the error): rules whose breach
 # the library would meet only after tasks are prepared, or never
@@ -246,6 +250,18 @@ class TestSweepCommand:
         b = json.loads((tmp_path / "s2" / "report.json").read_text())
         assert a["config"]["tasks"]["seed"] == 3
         assert b["config"]["tasks"]["seed"] == 77
+
+    def test_seed_override_reseeds_random_without_a_seed(self, tmp_path, capsys):
+        # the override reaches random's draws whether or not the config names a seed
+        for out, policy in (("bare", {"name": "random"}), ("named", {"name": "random", "seed": 0})):
+            cfg = write_config(tmp_path, policy=policy)
+            flags = ["--out", str(tmp_path / out), "--grid", "0,0.5", "--seed-override", "5"]
+            assert main(["sweep", "--config", str(cfg), *flags]) == EXIT_OK
+        for name in ("report.json", "report.csv"):
+            bare, named = (tmp_path / "bare" / name), (tmp_path / "named" / name)
+            assert bare.read_bytes() == named.read_bytes()
+        report = json.loads((tmp_path / "bare" / "report.json").read_text())
+        assert report["config"]["policy"] == {"name": "random", "seed": 5}
 
     def test_reward_trend_is_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -741,6 +757,24 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [(n, k) for n in POLICY_NAMES for k in PARAMETER_VALUES if k not in POLICY_PARAMS[n]],
+    )
+    def test_parameter_the_policy_does_not_read_refused(self, tmp_path, capsys, name, key):
+        path = write_config(tmp_path, policy={"name": name, key: PARAMETER_VALUES[key]})
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: unknown keys in 'policy': ['{key}']")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_parameters_the_policy_reads_accepted(self, tmp_path, name):
+        params = {k: PARAMETER_VALUES[k] for k in POLICY_PARAMS[name]}
+        cfg = load_config(write_config(tmp_path, policy={"name": name, **params}))
+        assert cfg.eviction == Policy(name=name, **params)
 
     @pytest.mark.parametrize("case", LOAD_RULES)
     def test_rule_checked_before_any_task_is_prepared(self, tmp_path, capsys, monkeypatch, case):

@@ -33,11 +33,14 @@ dataclasses as they are, with no deep copy; outside ``check_*``
 functions and a short list with reasons, no function takes an argument
 that it reads only in guards (an ``if`` that only raises, or a ``for``
 of such ifs), so a value its caller already vouches for is not passed
-just to be checked again; and every committed
+just to be checked again; every exception class the package defines is
+named in one of its ``except`` clauses, or is on a short list with its
+reason, so no error type exists that no handler tells apart; and every committed
 ``BENCH_*.json`` names only workloads and end-to-end metrics that
 ``BENCHMARK.json`` defines, in its units, with finite parent and change
 medians."""
 import ast
+import builtins
 import dataclasses
 import importlib
 import importlib.util
@@ -690,3 +693,82 @@ def test_no_function_takes_an_argument_it_only_checks():
 )
 def test_checked_only_argument_finder(source, found):
     assert checked_only_arguments(source) == found
+
+
+# exception classes no ``except`` clause names, each with how they are told apart
+UNHANDLED_ERRORS = {
+    "errors.ShapeError": (
+        "cli.main reports it through its KvcError handler as 'error:', apart from "
+        "configuration errors"
+    ),
+}
+
+
+def exception_classes(sources: dict[str, str]) -> set[str]:
+    """``module.Class`` for each class in ``sources`` (module -> source) that
+    derives from a built-in exception, directly or through classes defined there."""
+    bases = {
+        (module, node.name): {getattr(b, "attr", getattr(b, "id", None)) for b in node.bases}
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    errors = {
+        name for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    found, size = set(), -1
+    while len(found) != size:
+        size = len(found)
+        for (module, name), named in bases.items():
+            if named & errors:
+                found.add(f"{module}.{name}")
+                errors.add(name)
+    return found
+
+
+def handled_names(source: str) -> set[str]:
+    """The class names the ``except`` clauses of ``source`` catch, bare or through a module."""
+    return {
+        getattr(t, "attr", getattr(t, "id", None))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for t in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])
+    }
+
+
+def test_some_handler_tells_every_error_type_apart():
+    # a class no handler names is told apart from its base by nothing that runs
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "kvcompose").glob("*.py")}
+    handled = set().union(*map(handled_names, sources.values()))
+    found = {c for c in exception_classes(sources) if c.rsplit(".", 1)[1] not in handled}
+    assert found == set(UNHANDLED_ERRORS)
+
+
+@pytest.mark.parametrize(
+    "sources, found",
+    [
+        ({"m": "class E(Exception):\n    pass"}, {"m.E"}),
+        ({"m": "class E(ValueError):\n    pass\nclass F(E):\n    pass"}, {"m.E", "m.F"}),
+        ({"a": "class A(Exception):\n    pass", "b": "class B(a.A):\n    pass"}, {"a.A", "b.B"}),
+        ({"m": "class F(E):\n    pass\nclass E(KeyError):\n    pass"}, {"m.E", "m.F"}),
+        ({"m": "class C:\n    pass\nclass D(C):\n    pass"}, set()),
+        ({"m": "@dataclass\nclass P(Base):\n    x: int"}, set()),
+    ],
+)
+def test_exception_class_finder(sources, found):
+    assert exception_classes(sources) == found
+
+
+@pytest.mark.parametrize(
+    "source, handled",
+    [
+        ("try:\n    f()\nexcept ValueError:\n    pass", {"ValueError"}),
+        ("try:\n    f()\nexcept (cache_io.IoError, OSError) as e:\n    pass", {"IoError", "OSError"}),
+        ("try:\n    f()\nexcept:\n    pass", set()),
+        ("raise ConfigError('bad')", set()),
+        ("ok = isinstance(exc, UsageError)", set()),
+    ],
+)
+def test_handled_name_finder(source, handled):
+    assert handled_names(source) == handled
