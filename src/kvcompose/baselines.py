@@ -1,9 +1,9 @@
 """Structured eviction baselines: sinks+window, online eviction, window top-k,
 a depth-decreasing budget schedule, and a uniform-random control.
 
-streaming and snapkv rank the tokens into slot orders, which
+streaming, snapkv and random rank the tokens into slot orders, which
 ``select_baseline_indices`` masks at each layer's budget by the rule the
-composite path uses; tova and random return bool keep-masks. Every
+composite path uses; tova returns bool keep-masks. Every
 policy keeps the same count in every kv head of a layer, so what it
 keeps drops into the same dense cache layout as the composite path.
 """
@@ -189,9 +189,11 @@ def select_baseline_indices(
     (L, H_kv, N) stack per total in ``budget_totals`` (one per grid ratio).
 
     Per-layer budgets come from the uniform split, whose remainder goes
-    to the earliest layers (pyramid supplies its own schedule). streaming
-    and snapkv/pyramid keep the tokens their slot order ranks below a layer's
-    budget, as kvcompose does. No order reads a budget: a budget below the sinks keeps
+    to the earliest layers (pyramid supplies its own schedule). streaming,
+    snapkv/pyramid and random keep the tokens their slot order ranks below a layer's
+    budget, as kvcompose does; random's order is each head's seeded uniform keys, drawn
+    once for every total, so its kept sets nest across the grid. No order reads a
+    budget: a budget below the sinks keeps
     the first tokens, and each ratio's window is clamped here, and nowhere else, to its
     smallest layer budget, so every grid ratio stays feasible except for pyramid, whose
     floor of one row per layer rejects a total below the layer count (a ratio near 1).
@@ -206,15 +208,10 @@ def select_baseline_indices(
         if cap.attention_mean is None:
             raise UsageError("tova replays the head-mean attention: capture with reads='head-mean'")
         return np.broadcast_to(tova_select(cap.attention_mean, budgets)[:, :, None], every_head)
-    if policy.name == "random":  # per head, a uniform-random kept subset; each total reseeds
-        masks = np.zeros(every_head, dtype=bool)
-        for mask, row in zip(masks, budgets):
-            rng = SeededRng(policy.seed)
-            for layer_mask, b in zip(mask, row):
-                for head_mask in layer_mask:
-                    head_mask[rng.sample(n, b)] = True
-        return masks
-    if policy.name == "streaming":
+    if policy.name == "random":
+        keys = SeededRng(policy.seed).uniform_block(layers * heads * n)
+        rank = ranks(argsort_desc(keys.reshape(layers, heads, n)))
+    elif policy.name == "streaming":
         rank = ranks(streaming_order(n, policy.sinks))
     elif policy.name in ("snapkv", "pyramid"):
         if policy.name == "pyramid":

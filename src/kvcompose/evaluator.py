@@ -207,12 +207,6 @@ def _hit_rate(logits: np.ndarray, task: TaskInstance) -> float | np.ndarray:
     return np.count_nonzero(logits.argmax(axis=-1) == targets, axis=-1) / len(targets)
 
 
-def reward(model: Model, cache: KVCache, task: TaskInstance) -> float:
-    """Score in [0, 1]: exact recall, or per-step argmax agreement, of one
-    plain unmasked run on ``cache``; the evaluator scores mask stacks instead."""
-    return _hit_rate(_run_steps(model, cache, task, None), task)
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

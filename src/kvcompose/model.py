@@ -107,7 +107,7 @@ class KVCache:
 
 @dataclass
 class ForwardResult:
-    cache: KVCache | None  # the held rows plus the new ones, stacked under T; None under G
+    cache: KVCache | None  # the held rows plus the new ones; None if a stack shared them
     logits: np.ndarray  # (M, vocab), or (T or G, M, vocab) under a stack; 0 rows if not asked for
     attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
     attention_mean: list[np.ndarray] | None = None  # per layer (..., M, R+M), mean over H_q
@@ -207,8 +207,9 @@ def _forward(
     is a (G, L, H_kv, W) bool stack: False at [g, l, h, c] hides held row
     c < W of kv head h in layer l from grid row g (score forced to -inf).
     The two stacks do not combine. Under either, outputs gain a leading T or
-    G axis; the cache is stacked under T and None under G, so no layer's
-    masked K/V outlives it. Of
+    G axis. The cache is the grown stack after a stacked cache, and None where
+    a stack shares one cache's held rows (a token stack after one cache, or a
+    mask stack), so no layer's broadcast or masked K/V outlives it. Of
     each layer's (H_q, M, R+M) attention only the last
     ``attention_rows`` query rows (0 to M, none by default) are kept, then
     the per-layer (M, R+M) means over query heads when ``head_mean`` (else
@@ -307,7 +308,7 @@ def _forward(
         attention.append(kept)
         if head_mean:
             means.append(mean)
-        if head_masks is None:  # a mask stack's K/V die with their layer
+        if k_held.shape[:-3] == grid:  # else a stack shares the held rows: K/V die here
             keys.append(k)
             values.append(v)
 
@@ -332,8 +333,9 @@ def decode_step(model: Model, cache: KVCache, token: int | np.ndarray) -> Forwar
     """Run ``token`` after ``cache``, at its next position; ``cache`` is read, never written.
 
     Returns ``_forward``'s result: logits (1, vocab) and the grown cache, a plain KVCache,
-    as its new row is no context row; (T,) tokens give (T, 1, vocab) and a cache stacked
-    (T,). Layers may hold unequal row counts; each attends over what it has plus the new row.
+    as its new row is no context row; (T,) tokens after a cache stacked (T,) give
+    (T, 1, vocab) and the grown stack. Layers may hold unequal row counts; each attends
+    over what it has plus the new row.
     """
     return _forward(model, cache, np.asarray(token)[..., None])
 
@@ -345,7 +347,8 @@ def greedy_decode(
     steps: int,
 ) -> list[int] | list[list[int]]:
     """Repeated decode_step with argmax (ties take the lowest id), each after the last one's
-    grown cache, ``cache`` left as it was; a (T,) ``start`` runs T chains in lockstep."""
+    grown cache, ``cache`` left as it was; a (T,) ``start`` after a cache stacked (T,) runs
+    T chains in lockstep."""
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
     out = [np.asarray(start)]

@@ -193,7 +193,7 @@ def collect_attention(
         attention = _forward(
             model, cache, np.array([task_set.tasks[i] for i in group]),
             attention_rows=m, logits=False,
-        ).attention  # the stack's grown (T, ...) cache is dropped unread
+        ).attention  # the stack shares the held rows, so it returns no cache
         if a.shape[2] < starts[-1]:  # so A never coexists with a first pass's L layers of K/V
             a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
         for layer, attn in enumerate(attention):  # (T, H_q, M, N+M); A keeps N columns

@@ -8,11 +8,11 @@ from kvcompose.baselines import pyramid_budgets
 from kvcompose.composer import CompressedCache
 from kvcompose.evaluator import (
     TaskInstance,
+    _hit_rate,
     _log_softmax,
     _run_steps,
     make_recall_tasks,
     prepare_task,
-    reward,
 )
 from kvcompose.model import (
     KVCache,
@@ -120,6 +120,12 @@ def arm_capture(gqa_model, kind: str, reads: str):
     return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, reads)
 
 
+def reward(model, cache, task) -> float:
+    """Score in [0, 1]: exact recall, or per-step argmax agreement, of one plain
+    unmasked run on ``cache``: the oracle for a row of the evaluator's mask stacks."""
+    return _hit_rate(_run_steps(model, cache, task, None), task)
+
+
 def full_cache_reference(model, task, capture) -> tuple[float, np.ndarray]:
     """(full_reward, reference_logp) of a task by the plain unmasked run on its
     capture's full cache: the oracle for the evaluator's all-kept row 0."""
@@ -215,13 +221,17 @@ def baseline_rows(cap, policy, totals) -> list[list[np.ndarray]]:
             for row in uniform
         ]
     if policy.name == "random":
-        rngs = [SeededRng(policy.seed) for _ in totals]
+        # one uniform key per (layer, head, slot), drawn in that order; each head keeps
+        # its b highest keys, ties to the lower slot (a stable descending sort)
+        rng = SeededRng(policy.seed)
+        keys = [[[rng.uniform() for _ in range(n)] for _ in range(heads)] for _ in range(layers)]
+        orders = [[sorted(range(n), key=lambda c: -head[c]) for head in layer] for layer in keys]
         return [
             [
-                np.asarray([sorted(rng.sample(n, b)) for _ in range(heads)], dtype=np.int64)
-                for b in row
+                np.asarray([sorted(order[:b]) for order in orders[layer]], dtype=np.int64)
+                for layer, b in enumerate(row)
             ]
-            for rng, row in zip(rngs, uniform)
+            for row in uniform
         ]
     if policy.name == "pyramid":
         uniform = [pyramid_budgets(layers, n, int(t), policy.shape) for t in totals[:, 0]]

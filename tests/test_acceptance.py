@@ -35,7 +35,6 @@ from kvcompose.evaluator import (
     kv_entry_count,
     make_recall_tasks,
     max_ratio_under_tolerance,
-    reward,
 )
 from kvcompose.model import (
     ModelConfig,
@@ -49,7 +48,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import allocation_oracle, make_cache
+from conftest import allocation_oracle, make_cache, reward
 from test_model import reference_forward
 
 

@@ -404,6 +404,23 @@ class TestCompressPipeline:
                 assert small <= big
             assert all(a <= b for a, b in zip(budgets[tight], budgets[loose]))
 
+    @pytest.mark.parametrize("config", ["demo_agreement", "demo_recall"])
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_every_policy_nests_across_ratios(self, name, config):
+        # each ratio's kept set holds the next ratio's, counted over every task's ratio
+        # steps (16 x 8 on demo_agreement, 32 x 8 on demo_recall); snapkv alone breaks
+        # it, on demo_recall, where its window shrinks to each ratio's smallest budget
+        breaks = {("snapkv", "demo_recall"): 32}
+        cfg = load_config(Path(__file__).parent.parent / "configs" / f"{config}.json")
+        model, policy = build_model(cfg), Policy(name=name)
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        broken = 0
+        for task in build_tasks(cfg, model):
+            cap = prepare_task(model, task, mode, window, policy.capture_reads)
+            kept = keep_masks(cap, [cfg.agg], tuple(cfg.grid), policy)[0]  # (G, L, H_kv, N)
+            broken += np.count_nonzero((kept[1:] & ~kept[:-1]).any(axis=(1, 2, 3)))
+        assert broken == breaks.get((name, config), 0)
+
     def test_single_kv_head_degenerates_to_top_n(self):
         # with one kv head, composite selection is plain per-layer top-N
         from kvcompose.model import ModelConfig, init_model
@@ -605,8 +622,8 @@ class TestKeepMaskStack:
 
 
 class TestKvHeadSymmetry:
-    # random draws its heads in head order, so swapping the heads moves its draws
-    # onto other rows (48,384 of 147,456 entries on the demo's 16 tasks): left out
+    # random draws its keys in head order, so swapping the heads moves its orders
+    # onto other rows (49,024 of 147,456 entries on the demo's 16 tasks): left out
     @pytest.mark.parametrize(
         "name", ["kvcompose", "unstructured", "snapkv", "pyramid", "streaming", "tova"]
     )

@@ -30,7 +30,6 @@ from kvcompose.evaluator import (
     make_recall_tasks,
     max_ratio_under_tolerance,
     prepare_task,
-    reward,
     sweep,
     sweep_arms,
     _forced_steps,
@@ -61,6 +60,7 @@ from conftest import (
     baseline_rows,
     count_calls,
     full_cache_reference,
+    reward,
     tova_oracle,
 )
 from test_model import reference_forward

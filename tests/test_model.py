@@ -512,10 +512,13 @@ class TestMaskStack:
 
 def assert_stack_row_equals(res, row: int, want) -> None:
     """Row ``row`` of a token stack's result equals the 1-D result ``want`` bit
-    for bit: logits, attention, head mean, and the grown cache's K/V and positions."""
+    for bit: logits, attention, head mean, and, where the stack returns one, the
+    grown cache's K/V and positions."""
     assert res.logits[row].tobytes() == want.logits.tobytes()
     for got, wanted in ((res.attention, want.attention), (res.attention_mean, want.attention_mean)):
         assert [a[row].tobytes() for a in got or []] == [b.tobytes() for b in wanted or []]
+    if res.cache is None:
+        return
     for got, wanted in ((res.cache.keys, want.cache.keys), (res.cache.values, want.cache.values)):
         assert [a[row].tobytes() for a in got] == [b.tobytes() for b in wanted]
     assert res.cache.next_positions == want.cache.next_positions
@@ -528,8 +531,9 @@ def assert_cache_unchanged(cache, before) -> None:
 
 def assert_token_stack_equals_one_call_per_row(model, held, t, m, logits=True):
     # the stack's T rows share the held cache: each gives, bit for bit, the
-    # logits, attention, head mean and grown cache of its own 1-D call, and
-    # the held cache is left as it was
+    # logits, attention and head mean of its own 1-D call; the stack returns no
+    # cache, so its T copies of the held rows die with their layer, and the held
+    # cache is left as it was
     cfg = model.config
     cache = prefill(model, random_context(43, held)).cache if held else empty_cache(model)
     before = cache.clone()
@@ -538,7 +542,7 @@ def assert_token_stack_equals_one_call_per_row(model, held, t, m, logits=True):
     res = _forward(model, cache, tokens, **kwargs)
     assert res.logits.shape == (t, m if logits else 0, cfg.vocab_size)
     assert res.attention[0].shape == (t, cfg.query_heads, m, held + m)
-    assert res.cache.keys[0].shape == (t, cfg.kv_heads, held + m, cfg.head_dim)
+    assert res.cache is None
     for row in range(t):
         assert_stack_row_equals(res, row, _forward(model, before, tokens[row], **kwargs))
     assert_cache_unchanged(cache, before)

@@ -3,7 +3,10 @@ by name, so a renamed or deleted function would break
 ``perfbench/run.py --trace 1`` unseen, and each of them has a caller
 in the program or a stated reason on a short list, so that no traced
 metric reads 0 for want of a caller; every ranking goes through
-``numerics.argsort_desc``, the one home of the tie rule; only
+``numerics.argsort_desc``, the one home of the tie rule; ``baselines.py``
+calls no ``SeededRng`` method that draws one value a call and
+``select_baseline_indices`` runs no ``for`` or ``while`` statement, so no
+baseline draws or selects one row or head at a time; only
 ``model.py`` reads ``max_context``, whose one check is in ``_forward``;
 no dataclass merely wraps one array; the evaluator scores every
 policy through ``composer.keep_masks`` alone; only ``baselines.py`` names
@@ -172,6 +175,54 @@ def test_ranking_sorts_only_in_numerics():
         for line in ranking_sorts(path.read_text())
     }
     assert found == set()
+
+
+PER_DRAW = ("sample", "randint", "uniform")  # SeededRng methods that draw one value a call
+
+
+def per_draw_calls(source: str) -> list[int]:
+    """Lines that call a method named as one of ``PER_DRAW``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in PER_DRAW
+    ]
+
+
+def loop_statements(source: str, function: str) -> list[int]:
+    """Lines of the ``for`` and ``while`` statements in ``function``; comprehensions are none."""
+    return [
+        node.lineno
+        for top in ast.walk(ast.parse(source))
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+        if isinstance(node, (ast.For, ast.While))
+    ]
+
+
+def test_baselines_draw_no_row_at_a_time():
+    source = (ROOT / "src" / "kvcompose" / "baselines.py").read_text()
+    assert per_draw_calls(source) == []
+    assert loop_statements(source, "select_baseline_indices") == []
+
+
+@pytest.mark.parametrize(
+    "source, draws, loops",
+    [
+        ("def f(rng):\n    return rng.sample(8, 2)", [2], []),
+        ("def f(rng, n):\n    for _ in range(n):\n        rng.randint(n)", [3], [2]),
+        ("def f(rng):\n    while True:\n        return rng.uniform()", [3], [2]),
+        ("def f(rng, n):\n    return rng.uniform_block(n)", [], []),
+        ("def f(rows):\n    return [r for r in rows]", [], []),
+        ("def g(rows):\n    for r in rows:\n        pass", [], []),
+    ],
+    ids=[
+        "sample", "randint-in-for", "uniform-in-while", "block", "comprehension", "other-function"
+    ],
+)
+def test_per_draw_and_loop_finders(source, draws, loops):
+    assert per_draw_calls(source) == draws
+    assert loop_statements(source, "f") == loops
 
 
 def called_names(path: Path) -> list[str]:
