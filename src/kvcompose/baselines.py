@@ -1,15 +1,15 @@
 """Structured eviction baselines: sinks+window, online eviction, window top-k,
 a depth-decreasing budget schedule, and a uniform-random control.
 
-streaming, snapkv and random rank the tokens into slot orders, which
-``select_baseline_indices`` masks at each layer's budget by the rule the
-composite path uses; tova returns bool keep-masks. Every
-policy keeps the same count in every kv head of a layer, so what it
-keeps drops into the same dense cache layout as the composite path.
+``POLICIES`` is every policy's row. A baseline's (G, L) budgets come from its row's
+rule (``baseline_budgets``), ``select_baseline_indices`` ranks its tokens, and
+``composer.keep_masks`` keeps those ranked below their layer's budget, as it keeps
+kvcompose's slots: one count in every kv head of a layer, a dense cache layout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,23 +17,30 @@ from .errors import ConfigError, UsageError
 from .numerics import SeededRng, argsort_desc, ranks, stable_floor
 from .scoring import AttentionCapture, reduce_axis
 
-# the Policy parameters each policy's selector reads; a config may set no other
-POLICY_PARAMS = {
-    "kvcompose": (),
-    "streaming": ("sinks",),
-    "tova": (),
-    "snapkv": ("window",),
-    "pyramid": ("window", "shape"),
-    "random": ("seed",),
-    "unstructured": (),
+
+class PolicyRow(NamedTuple):
+    params: tuple[str, ...]  # the Policy parameters its selector reads: a config sets no other
+    capture: str  # what its capture keeps: "rows" (task rows), "head-mean" (tova's) or "none"
+    budgets: str  # its layer budgets: "pooled", "uniform", "pyramid" or "global" (none)
+
+
+POLICIES = {
+    "kvcompose": PolicyRow((), "rows", "pooled"),  # composer.allocate_budgets on its slots
+    "streaming": PolicyRow(("sinks",), "none", "uniform"),
+    "tova": PolicyRow((), "head-mean", "uniform"),
+    "snapkv": PolicyRow(("window",), "rows", "uniform"),
+    "pyramid": PolicyRow(("window", "shape"), "rows", "pyramid"),
+    "random": PolicyRow(("seed",), "none", "uniform"),
+    "unstructured": PolicyRow((), "rows", "global"),  # one top over (L, H_kv, N) entries
 }
-POLICY_NAMES = tuple(POLICY_PARAMS)
+POLICY_PARAMS = {name: row.params for name, row in POLICIES.items()}
+POLICY_NAMES = tuple(POLICIES)
 
 
 @dataclass(frozen=True)
 class Policy:
-    """An eviction policy and its parameters; ``POLICY_PARAMS`` lists the ones
-    each policy reads, and a config may set only those.
+    """An eviction policy and its parameters; its row of ``POLICIES`` lists the
+    ones it reads, and a config may set only those.
 
     sinks: leading tokens always kept by streaming.
     window: trailing tokens kept (and scored over) by snapkv/pyramid.
@@ -59,16 +66,14 @@ class Policy:
 
     @property
     def capture_reads(self) -> str:
-        """What its selector reads of a capture, so all the capture keeps: "rows" (the task
-        rows), "head-mean" (the prefill attention tova replays) or "none" (only the cache)."""
-        if self.name in ("streaming", "random"):
-            return "none"
-        return "head-mean" if self.name == "tova" else "rows"
+        """What its selector reads of a capture, so all the capture keeps (its row's)."""
+        return POLICIES[self.name].capture
 
     @property
     def reads_aggregation(self) -> bool:
-        """Whether an ``AggregationChoice`` (what ``ablate`` varies) can change what it keeps."""
-        return self.name in ("kvcompose", "unstructured")
+        """Whether an ``AggregationChoice`` (what ``ablate`` varies) can change what it
+        keeps: the pooled and global rules alone rank ``score_pipeline``'s scores."""
+        return POLICIES[self.name].budgets in ("pooled", "global")
 
 
 def retention_budget(r_target: float, *dims: int) -> int:
@@ -182,43 +187,37 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
     return budgets
 
 
-def select_baseline_indices(
-    cap: AttentionCapture, policy: Policy, budget_totals: tuple[int, ...]
-) -> np.ndarray:
-    """Dispatch a baseline policy into its (G, L, H_kv, N) bool keep-masks, one
-    (L, H_kv, N) stack per total in ``budget_totals`` (one per grid ratio).
+def baseline_budgets(policy: Policy, layers: int, n: int, totals: list[int]) -> np.ndarray:
+    """A baseline's (G, L) layer budgets, one row per total of ``totals``, by its rule:
+    ``pyramid_budgets``, or the uniform split with the remainder on the earliest layers."""
+    if POLICIES[policy.name].budgets == "pyramid":
+        return np.stack([pyramid_budgets(layers, n, t, policy.shape) for t in totals])
+    t = np.asarray(totals, dtype=np.int64)[:, None]
+    return t // layers + (np.arange(layers) < t % layers)
 
-    Per-layer budgets come from the uniform split, whose remainder goes
-    to the earliest layers (pyramid supplies its own schedule). streaming,
-    snapkv/pyramid and random keep the tokens their slot order ranks below a layer's
-    budget, as kvcompose does; random's order is each head's seeded uniform keys, drawn
-    once for every total, so its kept sets nest across the grid. No order reads a
-    budget: a budget below the sinks keeps
-    the first tokens, and each ratio's window is clamped here, and nowhere else, to its
-    smallest layer budget, so every grid ratio stays feasible except for pyramid, whose
-    floor of one row per layer rejects a total below the layer count (a ratio near 1).
-    tova replays the capture's head-mean attention once for every total; snapkv/pyramid
-    score on the capture's task rows, once per distinct window.
-    """
+
+def select_baseline_indices(
+    cap: AttentionCapture, policy: Policy, budgets: np.ndarray
+) -> np.ndarray:
+    """A baseline's slot ranks under its (G, L) ``budgets``, one row per grid ratio:
+    (L, H_kv, N) where one order serves every ratio, else (G, L, H_kv, N). random's keys
+    are drawn once for every ratio; snapkv/pyramid rank once per distinct window, each
+    ratio's window clamped here, and nowhere else, to its smallest layer budget; tova
+    replays once for every ratio and ranks each replay's survivors first: exact, as a
+    replay keeps exactly its layer's budget."""
     layers, heads, n = cap.value_norms_raw.shape
-    totals = np.asarray(budget_totals, dtype=np.int64)[:, None]
-    budgets = totals // layers + (np.arange(layers) < totals % layers)  # (G, L)
-    every_head = (len(budgets), layers, heads, n)
     if policy.name == "tova":
         if cap.attention_mean is None:
             raise UsageError("tova replays the head-mean attention: capture with reads='head-mean'")
-        return np.broadcast_to(tova_select(cap.attention_mean, budgets)[:, :, None], every_head)
+        survivors = ranks(argsort_desc(tova_select(cap.attention_mean, budgets)))  # (G, L, N)
+        return np.broadcast_to(survivors[:, :, None], (len(budgets), layers, heads, n))
     if policy.name == "random":
         keys = SeededRng(policy.seed).uniform_block(layers * heads * n)
-        rank = ranks(argsort_desc(keys.reshape(layers, heads, n)))
-    elif policy.name == "streaming":
-        rank = ranks(streaming_order(n, policy.sinks))
-    elif policy.name in ("snapkv", "pyramid"):
-        if policy.name == "pyramid":
-            budgets = np.stack([pyramid_budgets(layers, n, t, policy.shape) for t in budget_totals])
+        return ranks(argsort_desc(keys.reshape(layers, heads, n)))
+    if policy.name == "streaming":
+        return np.broadcast_to(ranks(streaming_order(n, policy.sinks)), (layers, heads, n))
+    if policy.name in ("snapkv", "pyramid"):
         windows = [int(min(policy.window, b.min(), n)) for b in budgets]
         ranked = {w: ranks(snapkv_select(cap, w)) for w in set(windows)}
-        rank = np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order
-    else:
-        raise ConfigError(f"no baseline selector for policy {policy.name!r}")
-    return np.broadcast_to(rank < budgets[..., None, None], every_head)
+        return np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order
+    raise ConfigError(f"no baseline selector for policy {policy.name!r}")

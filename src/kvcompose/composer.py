@@ -6,18 +6,16 @@ head, that head's k-th most important token. Slots are scored by
 aggregating the sorted per-head scores, pooled globally across layers, and
 the retention budget goes to the best slots wherever they live. Since rows
 are sorted, kept slots are a prefix, and the cache stays dense per layer.
-
 Slot order in the compressed cache is score order, not original position;
 attention does not care (keys are cached post-rotation), and prefix
 budgets make nestedness across compression ratios immediate.
-``keep_masks`` is every policy's selection, one (A, G, L, H_kv, N) bool
-stack for every ratio and every aggregation choice: for kvcompose each
-choice's scores stack on a leading arm axis, which sorting, allocation and
-masking keep apart, so a token is kept where its slot rank is below its
-layer's budget; a baseline's masks are checked once and broadcast over
-the arms. ``compress`` gathers one ratio's rows: kvcompose's slot-order
-prefixes through ``compact_cache``, or the ascending rows of a baseline's
-one mask through ``gather_cache``.
+
+``keep_masks`` is every policy's selection, one (A, G, L, H_kv, N) bool stack for
+every ratio and aggregation choice: a global rule's top entries, or each token whose
+slot rank is below its layer's budget (kvcompose's slots, each choice on a leading arm
+axis, or a baseline's ranks), checked once. ``compress`` gathers one ratio's rows:
+kvcompose's slot-order prefixes through ``compact_cache``, or each head's ascending
+rows of a baseline's mask through ``gather_cache``.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Policy, retention_budget, select_baseline_indices
+from .baselines import POLICIES, Policy, baseline_budgets, retention_budget, select_baseline_indices
 from .errors import ConfigError, ShapeError, UsageError
 from .model import KVCache, Model
 from .numerics import argsort_desc, ranks
@@ -144,24 +142,17 @@ def _top_entries(values: np.ndarray, grid: tuple[float, ...], dims: int) -> np.n
     return (rank[..., None, :] < budgets[:, None]).reshape(*lead, len(grid), *block)
 
 
-def _check_budgets(name: str, kept: np.ndarray, totals: list[int]) -> None:
-    """Each ratio's (…, G) kept slot count equals its retention budget."""
-    if np.shape(kept)[-1:] != (len(totals),) or np.not_equal(kept, totals).any():
-        raise UsageError(f"policy {name} kept {kept} slots, budgets are {totals}")
-
-
 def _slot_budgets(
     cap: AttentionCapture, choices: list[AggregationChoice], grid: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """kvcompose's (A, L, H_kv, N) slot orders for the A ``choices`` and their (A, G, L)
     layer budgets at every ratio of ``grid``: the choices' scores stack on a leading
     arm axis, each arm sorted, marginalized by its own ``agg_head`` and allocated alone."""
-    layers, kv_heads, n = cap.value_norms_raw.shape
+    kv_heads = cap.value_norms_raw.shape[1]
     s = np.stack([score_pipeline(cap, kv_heads, c) for c in choices])
     idx = composite_indices(s)
     imp = {op: layer_importance(s, idx, op) for op in {c.agg_head for c in choices}}
     budgets = allocate_budgets(np.stack([imp[c.agg_head][a] for a, c in enumerate(choices)]), grid)
-    _check_budgets("kvcompose", budgets.sum(-1), [retention_budget(r, layers, n) for r in grid])
     return idx, budgets
 
 
@@ -169,22 +160,29 @@ def keep_masks(
     cap: AttentionCapture, choices: list[AggregationChoice], grid: tuple[float, ...], policy: Policy
 ) -> np.ndarray:
     """The (A, G, L, H_kv, N) bool keep-masks of ``policy`` for each of the A ``choices``
-    at every ratio of ``grid``: ``unstructured_compress``'s masks, kvcompose's slots
-    ranked below their layer's budget, or a baseline's masks, the same for every choice."""
+    at every ratio of ``grid``, by its row's budget rule (the same masks for every choice
+    but under the pooled and global rules). Every kv head of a layer must keep one count,
+    and each ratio its retention budget."""
     layers, kv_heads, n = cap.value_norms_raw.shape
-    if policy.name == "unstructured":
+    rule = POLICIES[policy.name].budgets
+    if rule == "global":
         s = np.stack([score_pipeline(cap, kv_heads, c) for c in choices])
         return unstructured_compress(s, grid)
-    if policy.name == "kvcompose":
-        idx, budgets = _slot_budgets(cap, choices, grid)
-        return ranks(idx)[:, None] < budgets[..., None, None]
     totals = [retention_budget(r_target, layers, n) for r_target in grid]
-    masks = select_baseline_indices(cap, policy, totals)
-    counts = np.count_nonzero(masks, axis=-1)  # (G, L, H_kv)
+    if rule == "pooled":
+        idx, budgets = _slot_budgets(cap, choices, grid)
+        rank = ranks(idx)[:, None]  # (A, 1, L, H_kv, N) under (A, G, L) budgets
+    else:
+        budgets = baseline_budgets(policy, layers, n, totals)
+        rank = select_baseline_indices(cap, policy, budgets)
+    masks = rank < budgets[..., None, None]
+    counts = np.count_nonzero(masks, axis=-1)  # (…, G, L, H_kv)
     if (counts != counts[..., :1]).any():
         raise UsageError(f"policy {policy.name} keeps unequal counts in the kv heads of a layer")
-    _check_budgets(policy.name, counts[..., 0].sum(axis=-1), totals)
-    return np.broadcast_to(masks, (len(choices), *masks.shape))
+    kept = counts[..., 0].sum(axis=-1)
+    if np.not_equal(kept, totals).any():
+        raise UsageError(f"policy {policy.name} kept {kept} slots, budgets are {totals}")
+    return np.broadcast_to(masks, (len(choices), len(grid), layers, kv_heads, n))
 
 
 def compress(
@@ -196,10 +194,11 @@ def compress(
     policy: Policy,
 ) -> tuple[CompressedCache, CompressReport]:
     """Capture ``task_set`` on ``context``, then compact its cache at one ratio."""
-    if policy.name == "unstructured":
-        raise ConfigError("unstructured policy produces masks; use unstructured_compress")
+    rule = POLICIES[policy.name].budgets
+    if rule == "global":
+        raise ConfigError(f"policy {policy.name} keeps masks only; use unstructured_compress")
     cap = collect_attention(model, context, task_set, policy.capture_reads)
-    if policy.name == "kvcompose":
+    if rule == "pooled":  # slot-order prefixes, so the file keeps the slot order
         idx, budgets = _slot_budgets(cap, [agg_choice], (r_target,))
         compressed = compact_cache(cap.cache, idx[0], budgets[0, 0])
     else:  # each head's ascending rows; keep_masks checked that every head keeps as many

@@ -187,10 +187,10 @@ def _run_steps(
     model: Model,
     cache: KVCache,
     task: TaskInstance,
-    head_masks: np.ndarray | None,
+    head_masks: np.ndarray,
 ) -> np.ndarray:
-    """Teacher-forced (steps, vocab) logits of the scored steps, or
-    (G, steps, vocab) for a (G, L, H_kv, N) mask stack.
+    """Teacher-forced (G, steps, vocab) logits of the scored steps, one row per
+    mask of the (G, L, H_kv, N) stack ``head_masks``.
 
     Every input is known up front, so all of them run after ``cache``, from
     its next position, in one forward pass, which reads the cache and never

@@ -1,9 +1,10 @@
 """Row softmax, deterministic randomness, and selection primitives.
 
-Everything here is deterministic: identical inputs give bit-identical
-outputs on every platform. Matrices are plain 2-D float64 arrays, and no
-function writes one but ``exp_rows``, the one home of ``np.exp``: it works
-in the matrix it is given and leaves a softmax's division to its caller.
+``SeededRng``, ``stable_floor``, ``argsort_desc`` and ``ranks`` give bit-identical
+outputs on every platform; ``exp_rows`` (so ``softmax_rows``) follows numpy's SIMD
+dispatch, whose ``np.exp`` differs in the last bits between AVX2 and AVX-512. Matrices
+are plain 2-D float64 arrays, and no function writes one but ``exp_rows``, the one home
+of ``np.exp``: it works in the matrix it is given and leaves a softmax's division to it.
 """
 from __future__ import annotations
 

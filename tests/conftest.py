@@ -8,9 +8,9 @@ from kvcompose.baselines import pyramid_budgets
 from kvcompose.composer import CompressedCache
 from kvcompose.evaluator import (
     TaskInstance,
+    _forced_steps,
     _hit_rate,
     _log_softmax,
-    _run_steps,
     make_recall_tasks,
     prepare_task,
 )
@@ -120,17 +120,24 @@ def arm_capture(gqa_model, kind: str, reads: str):
     return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, reads)
 
 
+def plain_logits(model, cache, task) -> np.ndarray:
+    """(steps, vocab) logits of a task's scored steps by one plain unmasked pass of
+    ``model._forward`` on ``cache``, apart from the evaluator's mask-stack path."""
+    inputs, targets = _forced_steps(task)
+    return _forward(model, cache, np.asarray(inputs)).logits[-len(targets) :]
+
+
 def reward(model, cache, task) -> float:
     """Score in [0, 1]: exact recall, or per-step argmax agreement, of one plain
     unmasked run on ``cache``: the oracle for a row of the evaluator's mask stacks."""
-    return _hit_rate(_run_steps(model, cache, task, None), task)
+    return _hit_rate(plain_logits(model, cache, task), task)
 
 
 def full_cache_reference(model, task, capture) -> tuple[float, np.ndarray]:
     """(full_reward, reference_logp) of a task by the plain unmasked run on its
     capture's full cache: the oracle for the evaluator's all-kept row 0."""
     cache = capture.cache
-    return reward(model, cache, task), _log_softmax(_run_steps(model, cache, task, None))
+    return reward(model, cache, task), _log_softmax(plain_logits(model, cache, task))
 
 
 def allocation_oracle(importance: np.ndarray, budget: int) -> list[int]:

@@ -8,6 +8,7 @@ from kvcompose.baselines import (
     POLICY_NAMES,
     POLICY_PARAMS,
     Policy,
+    baseline_budgets,
     pyramid_budgets,
     select_baseline_indices,
     snapkv_select,
@@ -15,11 +16,23 @@ from kvcompose.baselines import (
     tova_select,
 )
 from kvcompose.cli import ablation_grid
-from kvcompose.composer import keep_masks, retention_budget
+from kvcompose.composer import (
+    allocate_budgets,
+    composite_indices,
+    keep_masks,
+    layer_importance,
+    retention_budget,
+)
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.evaluator import RATIO_GRID
 from kvcompose.numerics import SeededRng, argsort_desc, ranks
-from kvcompose.scoring import AggregationChoice, AttentionCapture, TaskSet, collect_attention
+from kvcompose.scoring import (
+    AggregationChoice,
+    AttentionCapture,
+    TaskSet,
+    collect_attention,
+    score_pipeline,
+)
 
 from conftest import (
     arm_capture,
@@ -83,6 +96,14 @@ class TestPolicy:
             if not np.array_equal(masks(replace(policy, **{key: value})), masks(policy))
         }
         assert moved == set(POLICY_PARAMS[name])
+
+
+def selected(cap: AttentionCapture, policy: Policy, totals) -> np.ndarray:
+    """(G, L, H_kv, N) bool: a baseline's slot ranks below its layer budgets for ``totals``."""
+    layers, kv_heads, n = cap.value_norms_raw.shape
+    budgets = baseline_budgets(policy, layers, n, list(totals))
+    rank = select_baseline_indices(cap, policy, budgets)
+    return np.broadcast_to(rank < budgets[..., None, None], (len(budgets), layers, kv_heads, n))
 
 
 def kept_rows(order: np.ndarray, budget: int) -> list[int]:
@@ -223,7 +244,7 @@ class TestTovaSelect:
         cap = collect_attention(tiny_model, random_context(49, 12), ts)
         assert cap.attention_mean is None
         with pytest.raises(UsageError, match="reads='head-mean'"):
-            select_baseline_indices(cap, Policy(name="tova"), (12,))
+            select_baseline_indices(cap, Policy(name="tova"), np.asarray([[6, 6]]))
 
     def test_deterministic(self, tiny_model):
         context = random_context(43, 10)
@@ -281,14 +302,14 @@ class TestSnapkvSelect:
     def test_full_compression_keeps_nothing(self, tiny_model):
         cap = self.capture(tiny_model, random_context(49, 12), 4)
         budget = retention_budget(1.0, 2, 12)
-        kept = select_baseline_indices(cap, Policy(name="snapkv"), (budget,))[0]
+        kept = selected(cap, Policy(name="snapkv"), (budget,))[0]
         assert kept.shape == (2, 2, 12) and not kept.any()
 
     def test_zero_layer_budget_clamps_window(self, tiny_model):
         # uniform split of 1 over 2 layers is [1, 0]: the window clamps to 0
         # and layer 0 keeps its top token scored over every task row
         cap = self.capture(tiny_model, random_context(50, 12), 4)
-        kept = select_baseline_indices(cap, Policy(name="snapkv"), (1,))[0]
+        kept = selected(cap, Policy(name="snapkv"), (1,))[0]
         assert not kept[1].any()
         for head in range(2):
             assert np.flatnonzero(kept[0][head]).tolist() == snapkv_oracle(cap, 0, head, 1, 0)
@@ -304,10 +325,10 @@ class TestSnapkvSelect:
         policy = Policy(name=name, shape=0.5)
         totals = tuple(retention_budget(r, 2, 20) for r in RATIO_GRID)
         calls = count_calls(monkeypatch, baselines, "snapkv_select")
-        want = [select_baseline_indices(cap, policy, (t,))[0] for t in totals]
+        want = [selected(cap, policy, (t,))[0] for t in totals]
         windows = [call[1] for call in calls]
         calls.clear()
-        got = select_baseline_indices(cap, policy, totals)
+        got = selected(cap, policy, totals)
         assert len(set(windows)) > 1
         assert sorted(call[1] for call in calls) == sorted(set(windows))
         assert np.array_equal(got, np.stack(want))
@@ -439,10 +460,10 @@ class TestBudgetParity:
             tiny_model, context, TaskSet(mode="task-agnostic", observation_window=4),
             policy.capture_reads,
         )
-        budgets = [retention_budget(r, 2, 16) for r in (0.0, 0.25, 0.5, 0.75)]
-        grid = select_baseline_indices(cap, policy, budgets)
-        assert grid.shape == (len(budgets), 2, 2, 16) and grid.dtype == bool
-        for budget, kept in zip(budgets, grid):
+        totals = [retention_budget(r, 2, 16) for r in (0.0, 0.25, 0.5, 0.75)]
+        grid = selected(cap, policy, totals)
+        assert grid.shape == (len(totals), 2, 2, 16) and grid.dtype == bool
+        for budget, kept in zip(totals, grid):
             counts = np.count_nonzero(kept, axis=-1)  # (L, H_kv)
             assert counts[:, 0].sum() == budget
             assert (counts == counts[:, :1]).all()  # structured: uniform count across heads
@@ -452,7 +473,8 @@ class TestMaskOracles:
     """Each selector keeps exactly the rows of its row-returning oracle
     (``conftest``) at every ratio of RATIO_GRID, on an agreement capture with
     two kv heads and on a recall capture: tova's masks, and streaming's and
-    snapkv's slot orders ranked below each budget."""
+    snapkv's slot orders ranked below each budget; and ``keep_masks`` keeps
+    them for every baseline, from ranks that are each head's permutation."""
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_streaming(self, gqa_model, kind):
@@ -490,6 +512,50 @@ class TestMaskOracles:
         cap = arm_capture(gqa_model, kind, policy.capture_reads)
         layers, kv_heads, n = cap.value_norms_raw.shape
         totals = [retention_budget(r, layers, n) for r in RATIO_GRID]
-        masks = select_baseline_indices(cap, policy, totals)
+        rank = select_baseline_indices(cap, policy, baseline_budgets(policy, layers, n, totals))
+        assert rank.shape in ((layers, kv_heads, n), (len(RATIO_GRID), layers, kv_heads, n))
+        assert (np.sort(rank, axis=-1) == np.arange(n)).all()
+        masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, policy)[0]
         assert masks.shape == (len(RATIO_GRID), layers, kv_heads, n) and masks.dtype == bool
         assert np.array_equal(masks, mark_rows(baseline_rows(cap, policy, totals), kv_heads, n))
+
+
+# each policy's layer-budget rule, stated apart from the table under test
+BUDGET_RULES = {
+    "kvcompose": "pooled",
+    "streaming": "uniform",
+    "tova": "uniform",
+    "snapkv": "uniform",
+    "pyramid": "pyramid",
+    "random": "uniform",
+    "unstructured": "global",
+}
+
+
+class TestBudgetRules:
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_rule_sets_the_per_layer_kept_counts(self, gqa_model, name):
+        # kept rows per (ratio, layer) in every kv head: the uniform split, pyramid_budgets,
+        # or allocate_budgets over the choice's slot scores; the global rule keeps only
+        # its entry total, with counts that differ between the heads of a layer
+        policy, choice = Policy(name=name), AggregationChoice()
+        cap = arm_capture(gqa_model, "agreement", policy.capture_reads)
+        layers, kv_heads, n = cap.value_norms_raw.shape
+        counts = np.count_nonzero(keep_masks(cap, [choice], RATIO_GRID, policy)[0], axis=-1)
+        rule = BUDGET_RULES[name]
+        if rule == "global":
+            totals = [retention_budget(r, layers, kv_heads, n) for r in RATIO_GRID]
+            assert counts.sum(axis=(1, 2)).tolist() == totals
+            assert (counts != counts[..., :1]).any()
+            return
+        if rule == "uniform":
+            want = uniform_grid_budgets(layers, n)
+        elif rule == "pyramid":
+            totals = [retention_budget(r, layers, n) for r in RATIO_GRID]
+            want = np.stack([pyramid_budgets(layers, n, t, policy.shape) for t in totals])
+        else:
+            s = score_pipeline(cap, kv_heads, choice)
+            imp = layer_importance(s, composite_indices(s), choice.agg_head)
+            want = allocate_budgets(imp, RATIO_GRID)
+        assert (want != uniform_grid_budgets(layers, n)).any() or rule == "uniform"
+        assert np.array_equal(counts, np.broadcast_to(want[..., None], counts.shape))

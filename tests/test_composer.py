@@ -582,18 +582,19 @@ class TestKeepMaskStack:
         with pytest.raises(UsageError, match="budgets are"):
             keep_masks(cap, ablation_grid(), RATIO_GRID, Policy(name="kvcompose"))
 
-    @pytest.mark.parametrize("returned", [1, 3])
-    def test_baseline_row_sets_must_match_the_grid(self, gqa_model, monkeypatch, returned):
+    @pytest.mark.parametrize("ties", [1, 3])
+    def test_baseline_row_sets_must_match_the_grid(self, gqa_model, monkeypatch, ties):
         select = composer.select_baseline_indices
 
-        def wrong_count(cap, policy, budgets):
-            return np.concatenate([select(cap, policy, budgets)] * 2)[:returned]
+        def tied(cap, policy, budgets):
+            # not a permutation: each head's top ``ties`` + 1 tokens share rank 0, so
+            # every head of a layer keeps ``ties`` rows past its budget, alike
+            return np.maximum(select(cap, policy, budgets) - ties, 0)
 
-        monkeypatch.setattr(composer, "select_baseline_indices", wrong_count)
+        monkeypatch.setattr(composer, "select_baseline_indices", tied)
         cap = arm_capture(gqa_model, "agreement", "head-mean")
-        # two equal ratios: one mask stack would match both budgets by value
         with pytest.raises(UsageError, match="budgets are"):
-            keep_masks(cap, [AggregationChoice()], (0.5, 0.5), Policy(name="tova"))
+            keep_masks(cap, [AggregationChoice()], (0.25, 0.5), Policy(name="tova"))
 
     @pytest.mark.parametrize("entry", ["keep_masks", "compress"])
     @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])
@@ -602,13 +603,16 @@ class TestKeepMaskStack:
 
         def moved(cap, policy, budgets):
             # layer 0 moves a kept row from head 1 to head 0 and layer 1 one from
-            # head 0 to head 1, so every layer's and every head's total still holds
-            masks = np.array(select(cap, policy, budgets))
+            # head 0 to head 1, so every layer's and every head's total still holds:
+            # the source's first token is ranked past every budget, and the
+            # destination's last ties its first
+            rank = np.array(select(cap, policy, budgets))
+            n = rank.shape[-1]
             for layer, (src, dst) in enumerate([(1, 0), (0, 1)]):
-                for mask in masks[:, layer]:
-                    mask[src, np.flatnonzero(mask[src])[0]] = False
-                    mask[dst, np.flatnonzero(~mask[dst])[0]] = True
-            return masks
+                first, last = rank[..., layer, src, :], rank[..., layer, dst, :]
+                first[first == 0] = n
+                last[last == n - 1] = 0
+            return rank
 
         monkeypatch.setattr(composer, "select_baseline_indices", moved)
         policy = Policy(name=name)

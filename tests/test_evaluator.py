@@ -60,6 +60,7 @@ from conftest import (
     baseline_rows,
     count_calls,
     full_cache_reference,
+    plain_logits,
     reward,
     tova_oracle,
 )
@@ -523,8 +524,10 @@ class TestOnePassTeacherForcing:
     @staticmethod
     def assert_matches_stepwise(model, cache, task, head_masks=None):
         rows_before = [cache.rows(l) for l in range(model.config.layers)]
-        if head_masks is None:
-            got = _run_steps(model, cache, task, None)
+        if head_masks is None:  # an all-kept mask over the fewest rows a layer holds
+            fewest = min(rows_before)
+            masks = np.ones((1, model.config.layers, model.config.kv_heads, fewest), dtype=bool)
+            got = _run_steps(model, cache, task, masks)[0]
         else:  # the mask runs as a G=1 stack
             got = _run_steps(model, cache, task, head_masks[None])[0]
         want = stepwise_logits(model, cache, task, head_masks)
@@ -616,7 +619,7 @@ def reference_point(model, task, cap, reference_logp, policy, agg_choice, r_targ
     else:
         cache = gather_cache(cap.cache, baseline_rows(cap, policy, (budget,))[0])
     total = sum(cache.rows(l) for l in range(cfg.layers))
-    r, kl = _reward_and_kl(_run_steps(model, cache, task, None), reference_logp, task)
+    r, kl = _reward_and_kl(plain_logits(model, cache, task), reference_logp, task)
     return 1.0 - total / (cfg.layers * cap.context_len), r, kl
 
 

@@ -9,9 +9,10 @@ calls no ``SeededRng`` method that draws one value a call and
 baseline draws or selects one row or head at a time; only
 ``model.py`` reads ``max_context``, whose one check is in ``_forward``;
 no dataclass merely wraps one array; the evaluator scores every
-policy through ``composer.keep_masks`` alone; only ``baselines.py`` names
-the one policy that reads the head-mean attention, so whether a capture
-keeps it is decided in one place; outside ``model.py`` only
+policy through ``composer.keep_masks`` alone; only ``baselines.py`` holds
+a policy's name as a string literal (the program's name and a model kind
+aside), so its ``POLICIES`` table decides in one place what each policy's
+capture keeps and how it budgets its layers; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
 keep any, and each of its passes skips its logits, which nothing reads
 there; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
@@ -25,11 +26,11 @@ its config-error handlers; no function
 writes a cache's ``keys``, ``values`` or ``next_positions`` and no module
 calls ``.clone()``, so a cache is a value: a forward pass only reads the
 cache it is given and returns a new one, and rebinding a field raises;
-only the five functions that must dispatch on a policy compare its
-name (the two ``Policy`` properties, ``select_baseline_indices``,
-``keep_masks`` and ``compress``), so each one covers the whole ratio
-grid in one branch per policy, and a baseline's selection reaches both
-evaluation and ``compress`` as one keep-mask stack from ``keep_masks``;
+only ``select_baseline_indices``, which picks each baseline's order
+producer, compares a policy's name, so it covers the whole ratio grid in
+one branch per baseline, every other function reads the policy's row of
+``POLICIES``, and a baseline's selection reaches both evaluation and
+``compress`` through the one mask rule and check in ``keep_masks``;
 only ``RunConfig.resolved`` calls ``dataclasses.asdict`` and no module
 calls ``astuple`` or ``copy.deepcopy``, so a report is written from its
 dataclasses as they are, with no deep copy; outside ``check_*``
@@ -299,15 +300,50 @@ def test_evaluator_has_one_path_for_every_policy():
     assert from_composer == ["keep_masks"]
 
 
-def test_only_baselines_names_tova():
+def policy_name_literals(source: str) -> list[int]:
+    """Lines of ``source`` holding a string literal that names a policy, but for the
+    program's name (a ``prog=`` keyword) and a model kind (compared with a ``kind`` key)."""
+    tree = ast.parse(source)
+    spared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "prog":
+            spared.add(id(node.value))
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any("'kind'" in ast.unparse(side) for side in sides):
+                spared.update(map(id, sides))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in POLICY_NAMES and id(node) not in spared
+    ]
+
+
+def test_only_baselines_names_a_policy():
     found = {
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{line}"
         for path in (ROOT / "src" / "kvcompose").glob("*.py")
         if path.name != "baselines.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Constant) and node.value == "tova"
+        for line in policy_name_literals(path.read_text())
     }
     assert found == set()
+
+
+@pytest.mark.parametrize(
+    "line, names",
+    [
+        ("if policy.name == 'kvcompose': pass", True),
+        ("READS = {'tova': 'head-mean'}", True),
+        ("rule = 'pyramid' if deep else 'uniform'", True),
+        ("run(policy, 'unstructured')", True),
+        ("if model.get('kind') == 'random': pass", False),
+        ("if cfg.model['kind'] == 'random': pass", False),
+        ("parser = ArgumentParser(prog='kvcompose')", False),
+        ("label = 'kvcompose_v2'", False),
+    ],
+)
+def test_policy_name_literal_finder(line, names):
+    assert bool(policy_name_literals(line)) == names
 
 
 def asks_for_attention(node: ast.AST) -> bool:
@@ -587,13 +623,7 @@ def test_only_policy_dispatchers_compare_policy_names():
         for path in (ROOT / "src" / "kvcompose").glob("*.py")
         for name in policy_name_comparers(path.read_text())
     }
-    assert found == {
-        "Policy.capture_reads",
-        "Policy.reads_aggregation",
-        "select_baseline_indices",
-        "keep_masks",
-        "compress",
-    }
+    assert found == {"select_baseline_indices"}
 
 
 @pytest.mark.parametrize(
