@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, UsageError
 from .numerics import SeededRng, argsort_desc, ranks, stable_floor
+from .model import ROW_BLOCK, prefill_weights
 from .scoring import AttentionCapture, reduce_axis
 
 
@@ -93,10 +94,11 @@ def streaming_order(n: int, sinks: int) -> np.ndarray:
     return np.concatenate([np.arange(sinks), np.arange(n - 1, sinks - 1, -1)])
 
 
-def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
-    """Per-layer survivors of online least-attended eviction, replayed on a
-    prefill's (L, N, N) attention averaged over query heads: the one O(N^2)
-    array a capture holds, kept only for tova.
+def tova_select(queries: list, keys: list, budgets: np.ndarray) -> np.ndarray:
+    """Per-layer survivors of online least-attended eviction, replayed on a prefill's
+    attention averaged over query heads, rebuilt from its per-layer (H_q, N, d_h)
+    ``queries`` and N-row ``keys`` one (L, ROW_BLOCK, N) block of rows at a time
+    (``model.prefill_weights``): no (L, N, N) array is ever held.
 
     Step m appends token m to every layer; each layer then holding
     budget+1 tokens evicts the one that row m attends to least, the lowest
@@ -104,7 +106,7 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     nothing. ``budgets`` is (G, L), one row per grid ratio; the (G, L, N)
     keep-masks all come from one replay over positions.
     """
-    layers, n = rows.shape[:2]
+    layers, n = len(keys), keys[0].shape[-2]
     budgets = np.asarray(budgets)
     if budgets.ndim != 2 or budgets.shape[1] != layers or (budgets < 0).any():
         raise ConfigError(f"tova budgets must be (G, L={layers}) and >= 0, got {budgets.tolist()}")
@@ -114,11 +116,15 @@ def tova_select(rows: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     # the keep-mask as an added cost: 0 where a token is held, inf where it
     # is evicted or not yet appended, so the least-attended held token wins
     cost = np.tile(np.where(np.arange(n) < first, 0.0, np.inf), (flat.size, 1))
-    for m in range(first, n):
-        cost[:, m] = 0.0
-        over = np.flatnonzero(flat <= m)  # mask rows now holding budget + 1 tokens
-        worst = (rows[layer[over], m] + cost[over]).argmin(axis=1)
-        cost[over, worst] = np.inf
+    rows = np.zeros((layers, ROW_BLOCK, n))  # steps [start, stop); no step reads past stop
+    for start, stop, weights in prefill_weights(queries, keys, first):
+        for l, w in enumerate(weights):
+            rows[l, : stop - start, :stop] = w.mean(axis=-3)
+        for m in range(start, stop):
+            cost[:, m] = 0.0
+            over = np.flatnonzero(flat <= m)  # mask rows now holding budget + 1 tokens
+            worst = (rows[layer[over], m - start] + cost[over]).argmin(axis=1)
+            cost[over, worst] = np.inf
     return (cost == 0.0).reshape(*budgets.shape, n)
 
 
@@ -207,9 +213,9 @@ def select_baseline_indices(
     replay keeps exactly its layer's budget."""
     layers, heads, n = cap.value_norms_raw.shape
     if policy.name == "tova":
-        if cap.attention_mean is None:
-            raise UsageError("tova replays the head-mean attention: capture with reads='head-mean'")
-        survivors = ranks(argsort_desc(tova_select(cap.attention_mean, budgets)))  # (G, L, N)
+        if cap.queries is None:
+            raise UsageError("tova replays the prefill's queries: capture with reads='head-mean'")
+        survivors = ranks(argsort_desc(tova_select(cap.queries, cap.cache.keys, budgets)))
         return np.broadcast_to(survivors[:, :, None], (len(budgets), layers, heads, n))
     if policy.name == "random":
         keys = SeededRng(policy.seed).uniform_block(layers * heads * n)

@@ -48,7 +48,8 @@ TASK_BLOCK = 16  # agreement tasks whose reference chains decode in lockstep at 
 
 @dataclass(frozen=True)
 class TaskInstance:
-    """A prompt to compress, what is scored after it, and the prompt's prefill ``cache``, if run."""
+    """A prompt to compress, what is scored after it, and the prompt's prefill, if run: its
+    ``cache`` and its per-layer ``queries``, which a capture scores instead of rerunning it."""
 
     id: str
     kind: str  # "recall" | "agreement"
@@ -56,6 +57,7 @@ class TaskInstance:
     query: tuple[int, ...]  # tokens fed after compression (recall only)
     answer: tuple[int, ...]  # paired value, or the reference continuation
     cache: KVCache | None = field(default=None, compare=False, repr=False)
+    queries: list[np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.prompt:
@@ -144,7 +146,8 @@ def make_agreement_tasks(
     agreement rewards compare argmax per step under teacher forcing with exactly this
     history. Every prompt is drawn first; each block of ``TASK_BLOCK`` prompts is
     prefilled one by one, and their caches, stacked, run one lockstep ``greedy_decode``,
-    which equals each task's own chain. Each task keeps its prefill cache, uncopied.
+    which equals each task's own chain; the stack is only its argument, so its first step
+    frees it. Each task keeps its prefill cache and queries, uncopied.
     """
     if steps < 1:
         raise UsageError("steps must be >= 1")
@@ -152,20 +155,21 @@ def make_agreement_tasks(
     rng = SeededRng(seed)
     vocab = model.config.vocab_size
     prompts = [tuple(rng.randint(vocab) for _ in range(context_len)) for _ in range(count)]
-    answers, caches = [], []
+    answers, prefills = [], []
     for b in range(0, count, TASK_BLOCK):
         starts = []
         for prompt in prompts[b : b + TASK_BLOCK]:
             run = prefill(model, list(prompt))
-            caches.append(run.cache)
+            prefills.append((run.cache, run.queries))
             starts.append(int(np.argmax(run.logits[-1])))
-        keys = [np.stack(k) for k in zip(*(c.keys for c in caches[b:]))]  # (T, H_kv, N, d_h)
-        values = [np.stack(v) for v in zip(*(c.values for c in caches[b:]))]
-        stacked = KVCache(keys, values, caches[b].next_positions)
-        answers += zip(starts, greedy_decode(model, stacked, np.asarray(starts), steps))
+        answers += zip(starts, greedy_decode(model, KVCache(  # no name holds the stack
+            [np.stack(k) for k in zip(*(c.keys for c, _ in prefills[b:]))],  # (T, H_kv, N, d_h)
+            [np.stack(v) for v in zip(*(c.values for c, _ in prefills[b:]))],
+            prefills[b][0].next_positions,
+        ), np.asarray(starts), steps))
     return [
-        TaskInstance(f"agreement-{t}", "agreement", prompt, (), (start, *continuation), cache)
-        for t, (prompt, (start, continuation), cache) in enumerate(zip(prompts, answers, caches))
+        TaskInstance(f"agreement-{t}", "agreement", prompt, (), (start, *rest), *carried)
+        for t, (prompt, (start, rest), carried) in enumerate(zip(prompts, answers, prefills))
     ]
 
 
@@ -295,11 +299,11 @@ def check_grid(grid, error: type[Exception] = UsageError) -> None:
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int, reads: str = "rows"
 ) -> AttentionCapture:
-    """The capture of what ``reads`` names (``Policy.capture_reads``) on ``task.cache``, if
-    set; it holds the full prefill cache every keep-mask of the task runs on."""
+    """The capture of what ``reads`` names (``Policy.capture_reads``) on the task's carried
+    prefill, if any; it holds the full prefill cache every keep-mask of the task runs on."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
-    return collect_attention(model, list(task.prompt), tset, reads, task.cache)
+    return collect_attention(model, list(task.prompt), tset, reads, task.cache, task.queries)
 
 
 def _evaluate_task(

@@ -107,10 +107,12 @@ class KVCache:
 
 @dataclass
 class ForwardResult:
+    """One pass's outputs; a capture rescores ``queries`` against the cache's keys."""
+
     cache: KVCache | None  # the held rows plus the new ones; None if a stack shared them
     logits: np.ndarray  # (M, vocab), or (T or G, M, vocab) under a stack; 0 rows if not asked for
     attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
-    attention_mean: list[np.ndarray] | None = None  # per layer (..., M, R+M), mean over H_q
+    queries: list[np.ndarray]  # per layer (..., H_q, M, d_h), rotated and scaled by 1/sqrt(d_h)
 
 
 def _rotate(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -187,13 +189,46 @@ def empty_cache(model: Model) -> KVCache:
     )
 
 
+def _block_weights(q, k, held: int, s: int, e: int, skip: int = 0, visible=None):
+    """Weights before their division, and (..., 1) row sums, of new query rows [s + skip, e)
+    of ``q`` (..., H_q, M, d_h) over the ``held`` rows and new rows [0, e) of ``k`` (..., H_kv,
+    R+M, d_h): the one home of a row block's scores, masks and exponentials. The product runs
+    at the full [s, e) shape, so ``skip`` moves no bit: its rows drop before ``exp_rows``,
+    whose max, exp and sum of a row read that row alone. ``visible`` (..., H_kv, 1, W) hides
+    held row c < W where False. Query head h reads kv head h // group: one batched matmul
+    per kv head serves its group's (group*rows, d_h) block of query rows."""
+    grid, h_kv, width = q.shape[:-3], k.shape[-3], held + e  # every later row is masked
+    q_rows = q[..., s:e, :].reshape(*grid, h_kv, -1, q.shape[-1])  # each kv head's query rows
+    scores = (q_rows @ k[..., :width, :].swapaxes(-1, -2)).reshape(*q.shape[:-2], e - s, width)
+    i = np.arange(e - s)
+    np.copyto(scores[..., held + s :], -np.inf, where=i[:, None] < i)  # causal mask
+    if visible is not None:
+        grouped = scores.reshape(*grid, h_kv, -1, width)
+        np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
+    rows = scores[..., skip:, :]
+    ex, sums = exp_rows(rows.reshape(-1, width))
+    return ex.reshape(rows.shape), sums.reshape(*rows.shape[:-1], 1)
+
+
+def prefill_weights(queries: list[np.ndarray], keys: list[np.ndarray], first: int):
+    """Rows ``first`` to N of a prefill's attention, rebuilt from its per-layer (H_q, N, d_h)
+    ``queries`` and N-row ``keys`` through ``_forward``'s own row blocks, so the bits are the
+    pass's: yields (start, stop, weights), rows [start, stop) of one block, where ``weights``
+    gives each layer's (H_q, stop - start, stop) rows in turn; later columns are causally 0."""
+    n = keys[0].shape[-2]
+    block = min(n, ROW_BLOCK)
+    for s in range(first - first % block, n if first < n else 0, block):
+        e, skip = min(s + block, n), max(first - s, 0)
+        weights = (np.divide(*_block_weights(q, k, 0, s, e, skip)) for q, k in zip(queries, keys))
+        yield s + skip, e, weights
+
+
 def _forward(
     model: Model,
     cache: KVCache,
     tokens: np.ndarray,
     head_masks: np.ndarray | None = None,
     attention_rows: int = 0,
-    head_mean: bool = False,
     logits: bool = True,
 ) -> ForwardResult:
     """Run M >= 1 tokens after the rows held in ``cache``, which it reads and never writes.
@@ -211,23 +246,19 @@ def _forward(
     a stack shares one cache's held rows (a token stack after one cache, or a
     mask stack), so no layer's broadcast or masked K/V outlives it. Of
     each layer's (H_q, M, R+M) attention only the last
-    ``attention_rows`` query rows (0 to M, none by default) are kept, then
-    the per-layer (M, R+M) means over query heads when ``head_mean`` (else
-    None). New rows take positions ``cache.next_position`` onward, whatever R
+    ``attention_rows`` query rows (0 to M, none by default) are kept; every layer's
+    rotated, pre-scaled queries come back, from which ``prefill_weights`` rebuilds any
+    row of a prefill. New rows take positions ``cache.next_position`` onward, whatever R
     is; only here is a position set, and only model.py checks [0, ``max_context``).
-    With ``logits`` off the last layer still adds its K/V rows, but runs only
-    the blocks that hold a kept row (all under ``head_mean``) and skips its
-    output projection; the logits come back as an empty (..., 0, vocab) array.
+    With ``logits`` off the last layer still adds its K/V rows, but runs only the blocks
+    that hold a kept row and skips its output projection; the logits come back as an
+    empty (..., 0, vocab) array.
 
-    Each layer runs its new rows in blocks of ``ROW_BLOCK``. Block [s, e)
-    scores only the held rows and new rows [0, e), so the causal upper triangle
-    past e is never computed and a layer's peak is O(H_q * ROW_BLOCK * (R+M));
-    kept rows and means are zero past e, as the causal mask makes them. The
-    queries carry 1/sqrt(d_h), ``exp_rows`` turns a block's scores into weights
-    and row sums in place, and the block's output is (weights @ v) / sums: only
-    kept or averaged rows divide every weight. Query head h reads kv head
-    h // group: a kv head's group of query rows is one (group*rows, d_h) block,
-    so one batched matmul per kv head serves the group without copying K or V.
+    Each layer runs its new rows in blocks of ``ROW_BLOCK`` through ``_block_weights``.
+    Block [s, e) scores only the held rows and new rows [0, e), so the causal upper
+    triangle past e is never computed and a layer's peak is O(H_q * ROW_BLOCK * (R+M));
+    kept rows are zero past e, as the causal mask makes them. The block's output is
+    (weights @ v) / sums: only kept rows divide every weight.
     """
     cfg = model.config
     if tokens.ndim not in (1, 2) or (tokens.ndim == 2 and head_masks is not None):
@@ -259,13 +290,11 @@ def _forward(
     angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
     cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]
     block = min(m, ROW_BLOCK)
-    upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
     first = m - attention_rows  # the first kept query row
-    keys, values, attention = [], [], []
-    means: list[np.ndarray] | None = [] if head_mean else None
+    keys, values, attention, queries = [], [], [], []
 
     for layer in range(cfg.layers):
-        needs_out = logits or layer < cfg.layers - 1  # else only kept rows and means are read
+        needs_out = logits or layer < cfg.layers - 1  # else only kept rows are read
         rows = x[..., None, :, :]  # each row's (M, d) block meets every head
         q, k_new, v_new = rows @ model.wq[layer], rows @ model.wk[layer], rows @ model.wv[layer]
         qk = _rotate(np.concatenate([q, k_new], axis=-3), cos, sin)
@@ -275,46 +304,34 @@ def _forward(
         k_held, v_held = cache.keys[layer], cache.values[layer]  # every grid row reads them
         k = np.concatenate([np.broadcast_to(k_held, grid + k_held.shape[-3:]), k_new], axis=-2)
         v = np.concatenate([np.broadcast_to(v_held, grid + v_held.shape[-3:]), v_new], axis=-2)
+        visible = None if head_masks is None else head_masks[:, layer, :, None, :]
 
         out = np.empty(grid + (m, h_q * d_h))
         heads_out = out.reshape(*grid, m, h_q, d_h)  # a view: each block's rows copy once
         kept = np.zeros(grid + (h_q, attention_rows, held + m))
-        mean = np.zeros(grid + (m, held + m)) if head_mean else None
         for s in range(0, m, block):
             e = min(s + block, m)
-            if not (needs_out or head_mean or e > first):
+            if not (needs_out or e > first):
                 continue  # blocks start on the same grid either way, so no bit moves
-            width = held + e  # held rows and new rows [0, e): every later one is masked
-            q_rows = q[..., s:e, :].reshape(*grid, h_kv, -1, d_h)  # each kv head's query rows
-            scores = (q_rows @ k[..., :width, :].swapaxes(-1, -2)).reshape(*grid, h_q, e - s, width)
-            np.copyto(scores[..., held + s :], -np.inf, where=upper[: e - s, : e - s])
-            if head_masks is not None:
-                grouped = scores.reshape(*grid, h_kv, -1, width)
-                visible = head_masks[:, layer, :, None, :]
-                np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
-            ex, sums = exp_rows(scores.reshape(-1, width))  # weights before their division
-            ex, sums = ex.reshape(scores.shape), sums.reshape(*scores.shape[:-1], 1)
+            ex, sums = _block_weights(q, k, held, s, e, visible=visible)
             if needs_out:
-                by_kv = ex.reshape(*grid, h_kv, -1, width) @ v[..., :width, :]  # group*(e-s)
+                by_kv = ex.reshape(*grid, h_kv, -1, held + e) @ v[..., : held + e, :]
                 by_kv /= sums.reshape(by_kv.shape[:-1] + (1,))  # d_h divisions a row, not R+e
                 heads_out[..., s:e, :, :] = by_kv.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2)
             if e > first:  # a block wholly before the kept rows writes none of them
                 r = max(first - s, 0)  # the block's first kept row
-                kept[..., s + r - first : e - first, :width] = ex[..., r:, :] / sums[..., r:, :]
-            if head_mean:
-                mean[..., s:e, :width] = (ex / sums).mean(axis=-3)
+                kept[..., s + r - first : e - first, : held + e] = ex[..., r:, :] / sums[..., r:, :]
         if needs_out:
             x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
         attention.append(kept)
-        if head_mean:
-            means.append(mean)
+        queries.append(q)
         if k_held.shape[:-3] == grid:  # else a stack shares the held rows: K/V die here
             keys.append(k)
             values.append(v)
 
     grown = KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers) if keys else None
     final = x if logits else x[..., :0, :]  # no rows: the last layer added nothing to x
-    return ForwardResult(grown, final @ model.embedding.T, attention, means)
+    return ForwardResult(grown, final @ model.embedding.T, attention, queries)
 
 
 def prefill(model: Model, tokens: list[int]) -> ForwardResult:

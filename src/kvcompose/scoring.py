@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError, UsageError
-from .model import ROW_BLOCK, KVCache, Model, _forward, check_tokens, empty_cache
+from .model import KVCache, Model, _forward, check_tokens, empty_cache, prefill_weights
 
 AGG_OPS = ("max", "avg")
 NORM_VARIANTS = ("none", "v-norm", "vo-norm")
@@ -100,15 +100,15 @@ class AttentionCapture:
     through that head's output matrix) they are computed on first read,
     since only vo-norm reads them. Besides the full cache it holds only
     what its policy's selector reads (``Policy.capture_reads``): the task
-    rows, or tova's (L, N, N) prefill attention averaged over query heads
-    (its one O(N^2) array), or nothing; the last two with M = 0 rows. The
-    prefill scores rows in blocks and never holds a full (H_q, N, N) one.
+    rows, or the prefill's per-layer queries, from which tova rebuilds its
+    head means a row block at a time, or nothing; the last two with M = 0 rows.
+    No capture holds an (N, N) array.
     """
 
     A: np.ndarray  # (L, H_q, M, N); M = 0 unless the capture reads "rows"
     value_norms_raw: np.ndarray  # (L, H_kv, N)
     cache: KVCache | None = None  # the context's full prefill cache, maybe its task's; None by hand
-    attention_mean: np.ndarray | None = None  # (L, N, N) prefill attention, mean over H_q
+    queries: list[np.ndarray] | None = None  # per layer (H_q, N, d_h) prefill queries; tova's
     wo: np.ndarray | None = None  # the model's (L, H_q, d_h, d) output matrices
 
     @cached_property
@@ -140,23 +140,21 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 
 def collect_attention(
     model: Model, context: list[int], task_set: TaskSet, reads: str = "rows",
-    cache: KVCache | None = None,
+    cache: KVCache | None = None, queries: list[np.ndarray] | None = None,
 ) -> AttentionCapture:
     """Record how the task tokens attend to the context, plus raw value norms.
 
-    One context pass reruns the rows it reads after the cache cut at
-    ``h = ROW_BLOCK * ((N - read) // ROW_BLOCK)``: ``read`` is the window ``w``
-    for task-agnostic "rows", all N for "head-mean" (tova's means over query heads),
-    else 0. Blocks start at the first new row, so the pass reruns the prefill's own
-    row blocks: same rows, same bits. With no ``cache``, h = 0 and the pass is the
-    prefill, whose cache the capture holds; given the context's own unstacked N-row
-    prefill ``cache``, the capture holds it, and with ``read = 0`` no pass runs.
-    Task-agnostic ``A`` is the pass's kept rows, stacked. With ``reads`` (``Policy.
-    capture_reads``) "rows", task-aware runs the tasks of each distinct length as one
-    (T, M) stack after the cache and copies each task's rows, untransposed, into its
-    own rows of ``A``, in task order; no task writes the cache, so every policy and
-    ratio compresses the same full cache. "head-mean" and "none" hold A with M = 0
-    rows. Nothing reads the logits, so every pass runs with ``logits=False``.
+    A carried prefill, the context's own unstacked N-row ``cache`` and the per-layer
+    ``queries`` its pass returned (``ForwardResult.queries``), is read and never rerun;
+    with neither, one plain prefill with ``logits=False`` gives both. The capture holds
+    that cache. Task-agnostic "rows" (``reads``, ``Policy.capture_reads``) are the last
+    ``w`` rows of the prefill's attention, rebuilt from the queries by
+    ``model.prefill_weights`` in the pass's own row blocks, so with the pass's bits.
+    Task-aware "rows" run the tasks of each distinct length as one (T, M) stack after
+    the cache and copy each task's rows, untransposed, into its own rows of ``A``, in
+    task order; no task writes the cache, so every policy and ratio compresses the same
+    full cache, and nothing reads a stack's logits. "head-mean" (tova's) keeps the
+    queries and "none" nothing, each with M = 0 rows of A.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -165,22 +163,20 @@ def collect_attention(
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
     if w > n:
         raise UsageError(f"observation_window {w} exceeds context length {n}")
-    shape = [(cfg.kv_heads, n, cfg.head_dim)] * cfg.layers  # K of an unstacked N-row cache
-    if cache is not None and ([k.shape for k in cache.keys], cache.next_position) != (shape, n):
-        raise UsageError(f"the given cache is not this {n}-token context's unstacked prefill cache")
-    kept = w if reads == "rows" else 0  # window rows the pass keeps
-    read = n if reads == "head-mean" else kept  # context rows the pass reads
-    h = 0 if cache is None else n if read == 0 else ROW_BLOCK * ((n - read) // ROW_BLOCK)
-    a, mean = np.empty((cfg.layers, cfg.query_heads, 0, n)), None
-    if h < n:  # rows [h, N) after the first h, as the prefill ran them
-        held = empty_cache(model) if cache is None else KVCache(
-            [k[:, :h] for k in cache.keys], [v[:, :h] for v in cache.values], [h] * cfg.layers
-        )
-        run = _forward(
-            model, held, np.asarray(context[h:]), attention_rows=kept,
-            head_mean=reads == "head-mean", logits=False,
-        )
-        a, mean, cache = np.stack(run.attention), run.attention_mean, cache or run.cache
+    if (cache is None) != (queries is None):
+        raise UsageError("a carried prefill brings both its cache and its queries")
+    if cache is None:  # one plain prefill; nothing reads its logits
+        run = _forward(model, empty_cache(model), np.asarray(context), logits=False)
+        cache, queries = run.cache, run.queries
+    shapes = [k.shape for k in cache.keys] + [q.shape for q in queries], cache.next_position
+    if shapes != ([(cfg.kv_heads, n, cfg.head_dim)] * cfg.layers  # an unstacked N-row prefill
+                  + [(cfg.query_heads, n, cfg.head_dim)] * cfg.layers, n):
+        raise UsageError(f"the given cache is not this {n}-token context's unstacked prefill")
+    kept = w if reads == "rows" else 0  # the window rows A keeps
+    a = np.zeros((cfg.layers, cfg.query_heads, kept, n))
+    for start, stop, weights in prefill_weights(queries, cache.keys, n - kept):
+        for layer, rows in enumerate(weights):
+            a[layer, :, start - n + kept : stop - n + kept, :stop] = rows
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
     raw = np.linalg.norm(np.stack(cache.values), axis=3)  # (L, H_kv, N)
     for task in task_set.tasks:  # refused here whatever is read, as a task pass would refuse it
@@ -204,7 +200,7 @@ def collect_attention(
         A=a,
         value_norms_raw=raw,
         cache=cache,
-        attention_mean=None if mean is None else np.stack(mean),
+        queries=queries if reads == "head-mean" else None,
         wo=model.wo,
     )
 

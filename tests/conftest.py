@@ -24,8 +24,9 @@ from kvcompose.model import (
     greedy_decode,
     init_model,
     prefill,
+    prefill_weights,
 )
-from kvcompose.numerics import SeededRng, argsort_desc
+from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import AttentionCapture, TaskSet, collect_attention, reduce_axis
 
 
@@ -152,6 +153,35 @@ def allocation_oracle(importance: np.ndarray, budget: int) -> list[int]:
     return counts
 
 
+def head_mean_oracle(queries: list[np.ndarray], keys: list[np.ndarray]) -> np.ndarray:
+    """(L, N, N) prefill attention averaged over query heads, from a prefill's per-layer
+    (H_q, N, d_h) queries and (H_kv, N, d_h) keys: each ``ROW_BLOCK`` of query rows scored
+    in the pass's own grouped product, then masked and put through ``softmax_rows`` as a
+    whole row range, never through ``model._block_weights``. The plain mean tova replays."""
+    layers, (h_q, n, d_h), h_kv = len(queries), queries[0].shape, keys[0].shape[0]
+    out = np.zeros((layers, n, n))
+    for layer, (q, k) in enumerate(zip(queries, keys)):
+        for s in range(0, n, kvmodel.ROW_BLOCK):
+            e = min(s + kvmodel.ROW_BLOCK, n)
+            scores = q[:, s:e].reshape(h_kv, -1, d_h) @ k[:, :e].swapaxes(1, 2)
+            scores = scores.reshape(h_q, e - s, e)
+            scores[:, np.arange(s, e)[:, None] < np.arange(e)] = -np.inf  # causal
+            weights = softmax_rows(scores.reshape(-1, e), 1.0).reshape(h_q, e - s, e)
+            out[layer, s:e, :e] = weights.mean(axis=0)
+    return out
+
+
+def rebuilt_rows(run, rows: int) -> list[np.ndarray]:
+    """Each layer's last ``rows`` (H_q, rows, N) attention rows of a prefill ``run``,
+    rebuilt from its queries and keys by ``model.prefill_weights``, as a capture does."""
+    n = run.cache.keys[0].shape[-2]
+    out = [np.zeros((q.shape[0], rows, n)) for q in run.queries]
+    for start, stop, weights in prefill_weights(run.queries, run.cache.keys, n - rows):
+        for layer, w in enumerate(weights):
+            out[layer][:, start - n + rows : stop - n + rows, :stop] = w
+    return out
+
+
 def tova_oracle(rows: np.ndarray, budget: int) -> list[int]:
     """One layer's TOVA replay, step by step with explicit set bookkeeping:
     each step over budget evicts the least-attended kept token (the lowest
@@ -221,7 +251,7 @@ def baseline_rows(cap, policy, totals) -> list[list[np.ndarray]]:
     totals = np.asarray(totals, dtype=np.int64)[:, None]
     uniform = totals // layers + (np.arange(layers) < totals % layers)
     if policy.name == "tova":
-        return tova_rows(cap.attention_mean, uniform)
+        return tova_rows(head_mean_oracle(cap.queries, cap.cache.keys), uniform)
     if policy.name == "streaming":
         return [
             [np.asarray(streaming_rows(n, b, min(policy.sinks, b)), dtype=np.int64) for b in row]
@@ -256,8 +286,8 @@ def mark_rows(grid_rows: list[list[np.ndarray]], kv_heads: int, n: int) -> np.nd
 
 
 def prefill_keeping(model, tokens, **options):
-    """A prefill with ``_forward``'s options (``attention_rows``, ``head_mean``,
-    ``logits``): ``_forward`` on an empty cache, as a capture runs it."""
+    """A prefill with ``_forward``'s options (``attention_rows``, ``logits``):
+    ``_forward`` on an empty cache, as a capture runs it."""
     return _forward(model, empty_cache(model), np.asarray(tokens), **options)
 
 

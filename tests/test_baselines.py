@@ -25,6 +25,7 @@ from kvcompose.composer import (
 )
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.evaluator import RATIO_GRID
+from kvcompose.model import ROW_BLOCK, ModelConfig, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, ranks
 from kvcompose.scoring import (
     AggregationChoice,
@@ -38,6 +39,7 @@ from conftest import (
     arm_capture,
     baseline_rows,
     count_calls,
+    head_mean_oracle,
     mark_rows,
     prefill_keeping,
     random_context,
@@ -157,40 +159,56 @@ def uniform_grid_budgets(layers: int, n: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
-def head_mean(model, context) -> np.ndarray:
-    """(L, N, N) prefill attention averaged over query heads: tova's input."""
-    run = prefill_keeping(model, context, attention_rows=len(context))
-    return np.stack([a.mean(axis=0) for a in run.attention])
+def prefill_qk(model, context) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A prefill's per-layer queries and keys: what tova's capture keeps."""
+    run = prefill(model, context)
+    return run.queries, run.cache.keys
+
+
+def random_qk(seed: int, layers: int, n: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Uniform random per-layer (4, n, 8) queries and (2, n, 8) keys: random attention."""
+    draws = SeededRng(seed).uniform_block(layers * 6 * n * 8).reshape(layers, 6, n, 8) * 4.0
+    return [d[:4] for d in draws], [d[4:] for d in draws]
 
 
 class TestTovaSelect:
     def test_budget_at_least_context_keeps_all(self, tiny_model):
-        kept = tova_select(head_mean(tiny_model, random_context(40, 8)), np.asarray([[8, 8]]))[0]
+        kept = tova_select(*prefill_qk(tiny_model, random_context(40, 8)), np.asarray([[8, 8]]))[0]
         assert kept.shape == (2, 8) and kept.all()
 
     def test_budget_one_leaves_one_survivor(self, tiny_model):
-        kept = tova_select(head_mean(tiny_model, random_context(41, 8)), np.asarray([[1, 1]]))[0]
+        kept = tova_select(*prefill_qk(tiny_model, random_context(41, 8)), np.asarray([[1, 1]]))[0]
         assert np.count_nonzero(kept, axis=1).tolist() == [1, 1]
 
     def test_budget_zero_keeps_nothing(self, tiny_model):
-        rows = head_mean(tiny_model, random_context(44, 8))
-        kept = tova_select(rows, np.asarray([[0, 0]]))
+        qk = prefill_qk(tiny_model, random_context(44, 8))
+        kept = tova_select(*qk, np.asarray([[0, 0]]))
         assert kept.shape == (1, 2, 8) and not kept.any()
         with pytest.raises(ConfigError):
-            tova_select(rows, np.asarray([[-1, -1]]))
+            tova_select(*qk, np.asarray([[-1, -1]]))
 
     @pytest.mark.parametrize(
         "budgets", [6, [6, 6], [[6, 6, 6]]], ids=["scalar", "per-layer", "3-layers"]
     )
     def test_budgets_other_than_grid_by_layer_rejected(self, tiny_model, budgets):
         # (G, L) is the one form, so every call returns one mask stack per grid row
-        rows = head_mean(tiny_model, random_context(44, 8))
+        qk = prefill_qk(tiny_model, random_context(44, 8))
         with pytest.raises(ConfigError, match="G, L=2"):
-            tova_select(rows, np.asarray(budgets))
+            tova_select(*qk, np.asarray(budgets))
+
+    @pytest.mark.parametrize("n", [8, ROW_BLOCK + 9, 3 * ROW_BLOCK])
+    def test_oracle_mean_is_the_mean_of_the_pass_rows(self, gqa_model, n):
+        # the oracle's plain (L, N, N) mean is, bit for bit, the query-head mean
+        # of every attention row a prefill keeps: what tova replayed before its
+        # capture kept the queries in place of the mean
+        run = prefill_keeping(gqa_model, random_context(39, n), attention_rows=n)
+        want = np.stack([a.mean(axis=0) for a in run.attention])
+        assert head_mean_oracle(run.queries, run.cache.keys).tobytes() == want.tobytes()
 
     def test_matches_replay_oracle(self, tiny_model):
-        rows = head_mean(tiny_model, random_context(42, 12))
-        kept = tova_select(rows, np.asarray([[6, 6]]))[0]
+        qk = prefill_qk(tiny_model, random_context(42, 12))
+        rows = head_mean_oracle(*qk)
+        kept = tova_select(*qk, np.asarray([[6, 6]]))[0]
         assert kept.dtype == bool
         for layer in range(2):
             assert np.flatnonzero(kept[layer]).tolist() == tova_oracle(rows[layer], 6)
@@ -199,26 +217,30 @@ class TestTovaSelect:
         # one replay serves every layer, each at its own budget: none, one,
         # a middle value and at least the whole context
         n = 24
-        rows = head_mean(gqa_model, random_context(45, n))
+        qk = prefill_qk(gqa_model, random_context(45, n))
+        rows = head_mean_oracle(*qk)
         budgets = np.asarray([0, 1, 9, n + 3])
-        kept = tova_select(rows, budgets[None])[0]
+        kept = tova_select(*qk, budgets[None])[0]
         for layer, b in enumerate(budgets):
             assert np.flatnonzero(kept[layer]).tolist() == tova_oracle(rows[layer], b)
         assert np.count_nonzero(kept, axis=1).tolist() == [0, 1, 9, n]
 
     def test_ties_evict_lowest_index(self):
-        # equal attention everywhere: each step evicts the oldest token
-        rows = np.tril(np.ones((2, 6, 6)))
-        kept = tova_select(rows, np.asarray([[3, 0]]))[0]
+        # zero queries attend equally to every token so far: each step evicts the oldest
+        queries, keys = random_qk(38, 2, 6)
+        queries = [np.zeros_like(q) for q in queries]
+        rows = head_mean_oracle(queries, keys)
+        kept = tova_select(queries, keys, np.asarray([[3, 0]]))[0]
         got = [np.flatnonzero(k).tolist() for k in kept]
         assert got == [[3, 4, 5], []] == [tova_oracle(rows[0], 3), []]
 
     def test_grid_replay_matches_per_ratio_replay(self, gqa_model):
-        # random attention, where ties are rare, and a real prefill's head mean
-        random_rows = SeededRng(46).uniform_block(4 * 128 * 128).reshape(4, 128, 128)
-        for rows in (random_rows, head_mean(gqa_model, random_context(47, 64))):
+        # random attention, where ties are rare, and a real prefill's head mean,
+        # each over two row blocks
+        for qk in (random_qk(46, 4, 128), prefill_qk(gqa_model, random_context(47, 2 * ROW_BLOCK))):
+            rows = head_mean_oracle(*qk)
             budgets = uniform_grid_budgets(*rows.shape[:2])
-            grid = tova_select(rows, budgets)
+            grid = tova_select(*qk, budgets)
             assert grid.shape == (len(RATIO_GRID), *rows.shape[:2]) and grid.dtype == bool
             for row, kept in zip(budgets, grid):
                 want = per_ratio_replay(rows, row)
@@ -234,7 +256,7 @@ class TestTovaSelect:
         cap = collect_attention(tiny_model, context, ts, "head-mean")
         calls = count_calls(monkeypatch, baselines, "tova_select")
         masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, Policy(name="tova"))
-        assert len(calls) == 1 and calls[0][1].shape == (len(RATIO_GRID), 2)
+        assert len(calls) == 1 and calls[0][2].shape == (len(RATIO_GRID), 2)
         assert np.count_nonzero(masks[0, :, :, 0], axis=(1, 2)).tolist() == [
             retention_budget(r, 2, 20) for r in RATIO_GRID
         ]
@@ -242,14 +264,41 @@ class TestTovaSelect:
     def test_capture_without_head_mean_rejected(self, tiny_model):
         ts = TaskSet(mode="task-agnostic", observation_window=4)
         cap = collect_attention(tiny_model, random_context(49, 12), ts)
-        assert cap.attention_mean is None
+        assert cap.queries is None
         with pytest.raises(UsageError, match="reads='head-mean'"):
             select_baseline_indices(cap, Policy(name="tova"), np.asarray([[6, 6]]))
 
+    def test_capture_and_replay_peak_is_o_n(self):
+        # N=2,048 on the demo's random shape: a head-mean capture held the
+        # (L, N, N) mean, 128 MiB; keeping the queries and rebuilding one
+        # (L, ROW_BLOCK, N) block of means at a time, the capture and the
+        # replay peak within 2x a kvcompose capture's window rows
+        import tracemalloc
+
+        n = 2048
+        model = init_model(ModelConfig(
+            layers=4, query_heads=4, kv_heads=2, model_dim=32, head_dim=8, vocab_size=64,
+            seed=7, max_context=n,
+        ))
+        context, ts = random_context(37, n), TaskSet(mode="task-agnostic", observation_window=32)
+        budgets = baseline_budgets(Policy(name="tova"), 4, n, [n // 2, n // 8])
+        peaks = []
+        for reads in ("rows", "head-mean"):
+            tracemalloc.start()
+            try:
+                cap = collect_attention(model, context, ts, reads)
+                if reads == "head-mean":
+                    select_baseline_indices(cap, Policy(name="tova"), budgets)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del cap
+        assert peaks[1] <= 2 * peaks[0], peaks
+
     def test_deterministic(self, tiny_model):
         context = random_context(43, 10)
-        first = tova_select(head_mean(tiny_model, context), np.asarray([[5, 5]]))[0]
-        second = tova_select(head_mean(tiny_model, context), np.asarray([[5, 5]]))[0]
+        first = tova_select(*prefill_qk(tiny_model, context), np.asarray([[5, 5]]))[0]
+        second = tova_select(*prefill_qk(tiny_model, context), np.asarray([[5, 5]]))[0]
         assert np.array_equal(first, second)
 
 
@@ -489,9 +538,10 @@ class TestMaskOracles:
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_tova(self, gqa_model, kind):
         cap = arm_capture(gqa_model, kind, "head-mean")
-        budgets = uniform_grid_budgets(*cap.attention_mean.shape[:2])
-        masks = tova_select(cap.attention_mean, budgets)
-        want = mark_rows(tova_rows(cap.attention_mean, budgets), 1, cap.context_len)
+        budgets = uniform_grid_budgets(len(cap.queries), cap.context_len)
+        masks = tova_select(cap.queries, cap.cache.keys, budgets)
+        rows = head_mean_oracle(cap.queries, cap.cache.keys)
+        want = mark_rows(tova_rows(rows, budgets), 1, cap.context_len)
         assert np.array_equal(masks[:, :, None], want)
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])

@@ -443,7 +443,7 @@ class TestDumpScoresCommand:
             scoring={"mode": "task-agnostic"},
         )
         assert main(["dump-scores", "--config", str(cfg)]) == EXIT_OK
-        assert len(prefills) == 2  # the task's greedy reference run, then its capture
+        assert len(prefills) == 1  # the task's greedy reference run: its capture reruns none
 
     @staticmethod
     def assert_dump_matches_library(config: Path):

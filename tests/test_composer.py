@@ -649,7 +649,7 @@ class TestKvHeadSymmetry:
         policy, mode = Policy(name=name), cfg.scoring["mode"]
         window = cfg.scoring["observation_window"]
         for task in build_tasks(cfg, model):
-            task = replace(task, cache=None)  # each model runs its own prefill
+            task = replace(task, cache=None, queries=None)  # each model runs its own prefill
             want, got = (
                 keep_masks(
                     prepare_task(m, task, mode, window, policy.capture_reads),

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ from conftest import (
     baseline_rows,
     count_calls,
     full_cache_reference,
+    head_mean_oracle,
     plain_logits,
     reward,
     tova_oracle,
@@ -270,16 +272,49 @@ class TestTasks:
 
     def test_agreement_tasks_carry_their_prefill_caches(self, tiny_model, monkeypatch):
         # each task, across lockstep blocks of 2, 2 and 1, carries its own prompt's
-        # prefill cache bit for bit; a recall task has none
+        # prefill cache and queries bit for bit; a recall task has neither
         from kvcompose import evaluator
 
         monkeypatch.setattr(evaluator, "TASK_BLOCK", 2)
         for task in make_agreement_tasks(tiny_model, 5, 6, 4, seed=31):
-            want = prefill(tiny_model, list(task.prompt)).cache
+            run = prefill(tiny_model, list(task.prompt))
+            want = run.cache
             assert task.cache.next_positions == want.next_positions
-            for got, exp in zip(task.cache.keys + task.cache.values, want.keys + want.values):
+            for got, exp in zip(
+                task.cache.keys + task.cache.values + task.queries,
+                want.keys + want.values + run.queries, strict=True,
+            ):
                 assert got.shape == exp.shape and got.tobytes() == exp.tobytes()
-        assert [t.cache for t in make_recall_tasks(4, 16, 2, seed=8)] == [None, None]
+        recall = make_recall_tasks(4, 16, 2, seed=8)
+        assert [(t.cache, t.queries) for t in recall] == [(None, None)] * 2
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="an interpreter before 3.11 holds a call's arguments"
+    )
+    def test_lockstep_stack_dies_at_the_first_decode_step(self, tiny_model, monkeypatch):
+        # the stacked (T, H_kv, N, d_h) copy of a block's caches is only
+        # greedy_decode's argument: once the first step has grown the next
+        # stack, nothing holds it beside the tasks' own caches
+        import weakref
+
+        from kvcompose import evaluator, model
+
+        stacks, alive, greedy, step = [], [], model.greedy_decode, model.decode_step
+
+        def watching(model_, cache, start, steps):  # hands the stack on, holding none of it
+            stacks.append(weakref.ref(cache.keys[0]))
+            held = [cache]
+            del cache
+            return greedy(model_, held.pop(), start, steps)
+
+        def stepping(model_, cache, token):
+            alive.append(stacks[-1]() is not None)
+            return step(model_, cache, token)
+
+        monkeypatch.setattr(evaluator, "greedy_decode", watching)
+        monkeypatch.setattr(model, "decode_step", stepping)
+        make_agreement_tasks(tiny_model, 3, 12, 4, seed=5)
+        assert alive == [True, False, False, False]
 
     def test_agreement_tasks_peak_memory_below_one_attention_set(self):
         # building a task reads logits and the cache, not attention, so its
@@ -383,15 +418,15 @@ class TestSweep:
         assert decodes == []
 
     def test_task_caches_move_no_curve_point(self):
-        # a sweep whose captures hold each task's own cache gives every policy
-        # the points of one whose captures prefill again
+        # a sweep whose captures score each task's own prefill gives every
+        # policy the points of one whose captures prefill again
         from kvcompose.cli import build_model, build_tasks, load_config
 
         cfg = load_config(Path(__file__).parent.parent / "configs" / "demo_agreement.json")
         model = build_model(cfg)
         tasks = build_tasks(cfg, model)
-        bare = [replace(t, cache=None) for t in tasks]
-        assert all(t.cache is not None for t in tasks) and bare == tasks
+        bare = [replace(t, cache=None, queries=None) for t in tasks]
+        assert all(t.cache is not None and t.queries is not None for t in tasks) and bare == tasks
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
         for name in POLICY_NAMES:
             got, want = (
@@ -614,7 +649,8 @@ def reference_point(model, task, cap, reference_logp, policy, agg_choice, r_targ
     elif policy.name == "tova":
         base, extra = divmod(budget, cfg.layers)  # the remainder goes to the earliest layers
         uniform = [base + (layer < extra) for layer in range(cfg.layers)]
-        kept = [tova_oracle(rows, b) for rows, b in zip(cap.attention_mean, uniform)]
+        means = head_mean_oracle(cap.queries, cap.cache.keys)
+        kept = [tova_oracle(rows, b) for rows, b in zip(means, uniform)]
         cache = gather_cache(cap.cache, kept)
     else:
         cache = gather_cache(cap.cache, baseline_rows(cap, policy, (budget,))[0])
@@ -790,10 +826,10 @@ class TestLeanCaptures:
             return
         lean = prepare_task(model, task, mode, window, policy.capture_reads)
         rows = prepare_task(model, task, mode, window, "rows")
-        mean = prepare_task(model, task, mode, window, "head-mean").attention_mean
-        full = AttentionCapture(rows.A, rows.value_norms_raw, rows.cache, mean, rows.wo)
+        queries = prepare_task(model, task, mode, window, "head-mean").queries
+        full = AttentionCapture(rows.A, rows.value_norms_raw, rows.cache, queries, rows.wo)
         assert lean.A.shape == (*rows.A.shape[:2], 0, len(task.prompt)) and rows.A.shape[2] > 0
-        assert (lean.attention_mean is None) == (name != "tova")
+        assert (lean.queries is None) == (name != "tova")
         choice = [AggregationChoice()]
         got, want = (keep_masks(cap, choice, RATIO_GRID, policy) for cap in (lean, full))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kvcompose.baselines import Policy
+from kvcompose.baselines import Policy, tova_select
 from kvcompose.composer import compress
 from kvcompose.errors import ConfigError, UsageError
 from kvcompose.model import (
@@ -21,11 +21,18 @@ from kvcompose.model import (
     induction_value_range,
     init_model,
     prefill,
+    prefill_weights,
 )
 from kvcompose.numerics import SeededRng, exp_rows, softmax_rows
 from kvcompose.scoring import AggregationChoice, TaskSet
 
-from conftest import prefill_keeping, random_context, rotate_two_halves, stack_caches
+from conftest import (
+    prefill_keeping,
+    random_context,
+    rebuilt_rows,
+    rotate_two_halves,
+    stack_caches,
+)
 
 
 def forbid_layers(monkeypatch, model_):
@@ -152,25 +159,23 @@ class TestPrefill:
             prefill(tiny_model, [0] * (tiny_model.config.max_context + 1))
 
     @pytest.mark.parametrize("rows", [0, 1, 5, 12])
-    @pytest.mark.parametrize("head_mean", [False, True])
-    def test_keep_cuts_each_layer_to_the_rows_asked_for(self, gqa_model, rows, head_mean):
-        # the kept rows and the head mean equal those of the full attention
-        # bit for bit, and nothing else of a layer's attention is returned
+    @pytest.mark.parametrize("rebuilt", [False, True])
+    def test_keep_cuts_each_layer_to_the_rows_asked_for(self, gqa_model, rows, rebuilt):
+        # the kept rows equal those of the full attention bit for bit, and
+        # nothing else of a layer's attention is returned; rebuilt from a
+        # plain prefill's queries and keys, as a capture rebuilds its window,
+        # the rows are the same bit for bit
         tokens = random_context(6, 12)
         full = prefill_keeping(gqa_model, tokens, attention_rows=len(tokens))
-        cut = prefill_keeping(gqa_model, tokens, attention_rows=rows, head_mean=head_mean)
+        cut = prefill_keeping(gqa_model, tokens, attention_rows=rows)
         assert np.array_equal(cut.logits, full.logits)
         assert all(np.array_equal(a, b) for a, b in zip(cut.cache.keys, full.cache.keys))
+        assert all(np.array_equal(a, b) for a, b in zip(cut.queries, full.queries, strict=True))
         assert len(cut.attention) == gqa_model.config.layers
-        for got, want in zip(cut.attention, full.attention):
+        kept = rebuilt_rows(prefill(gqa_model, tokens), rows) if rebuilt else cut.attention
+        for got, want in zip(kept, full.attention, strict=True):
             assert got.shape == (4, rows, 12) and got.base is None
             assert np.array_equal(got, want[:, 12 - rows :])
-        assert full.attention_mean is None
-        if head_mean:
-            want = [a.mean(axis=0) for a in full.attention]
-            assert all(np.array_equal(a, b) for a, b in zip(cut.attention_mean, want, strict=True))
-        else:
-            assert cut.attention_mean is None
 
     def test_keep_rejects_bad_row_counts(self, tiny_model):
         with pytest.raises(UsageError, match="-1"):
@@ -181,7 +186,7 @@ class TestPrefill:
     def test_default_keeps_no_attention(self, gqa_model):
         res = prefill(gqa_model, random_context(8, 12))
         assert [a.shape for a in res.attention] == [(4, 0, 12)] * gqa_model.config.layers
-        assert res.attention_mean is None
+        assert [q.shape for q in res.queries] == [(4, 12, 8)] * gqa_model.config.layers
 
     @pytest.mark.parametrize("rows", [-1, 4])
     def test_bad_row_counts_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, rows):
@@ -259,19 +264,21 @@ class TestForward:
         cfg, held = gqa_model.config, 20
         m = {"row_blocks": ROW_BLOCK + 5, "decode_step": 1}.get(form, 3)
         tokens = random_context(12, held + m)
-        cache = prefill(gqa_model, tokens[:held]).cache
+        run = prefill(gqa_model, tokens[:held])
+        cache = run.cache
         lists = (cache.keys, cache.values, cache.next_positions)
         arrays = [id(a) for a in cache.keys + cache.values]
         before = cache.clone()
         kwargs = {
             "attention_rows": {"attention_rows": m},
-            "head_mean": {"head_mean": True},
             "stack": {"head_masks": random_masks(13, 2, cfg.layers, cfg.kv_heads, held)},
         }.get(form, {})
         if form == "decode_step":
             res = decode_step(gqa_model, cache, tokens[held])
         elif form == "greedy":
             res = greedy_decode(gqa_model, cache, tokens[held], m)
+        elif form == "head_mean":  # tova's head means, rebuilt from the prefill's queries
+            res = tova_select(run.queries, cache.keys, np.asarray([[held // 2] * cfg.layers]))
         else:
             res = _forward(gqa_model, cache, np.asarray(tokens[held:]), **kwargs)
         assert all(a is b for a, b in zip((cache.keys, cache.values, cache.next_positions), lists))
@@ -281,6 +288,9 @@ class TestForward:
             assert got.tobytes() == want.tobytes()
         if form == "greedy":
             assert len(res) == m
+            return
+        if form == "head_mean":
+            assert res.shape == (1, cfg.layers, held) and (res.sum(axis=-1) == held // 2).all()
             return
         if form == "stack":
             assert res.cache is None
@@ -333,8 +343,8 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
 
 
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
-    # the last ``rows`` attention rows (all by default) and the head mean,
-    # zero above the diagonal as the reference computes them; a single
+    # the last ``rows`` attention rows (all by default), zero above the
+    # diagonal as the reference computes them, and the queries; a single
     # (L, H_kv, W) mask runs as a G=1 stack, which grows no cache; the
     # reference runs at ``positions``, which _forward works out from the cache
     rows = len(tokens) if rows is None else rows
@@ -342,19 +352,23 @@ def assert_matches_reference(model, cache, tokens, positions, head_masks=None, r
         model, cache, tokens, positions, head_masks
     )
     stack = None if head_masks is None else head_masks[None]
-    res = _forward(model, cache, tokens, stack, attention_rows=rows, head_mean=True)
-    logits, attention, means = res.logits, res.attention, res.attention_mean
+    res = _forward(model, cache, tokens, stack, attention_rows=rows)
+    logits, attention, queries = res.logits, res.attention, res.queries
     if stack is not None:
         assert res.cache is None
-        logits, attention, means = logits[0], [a[0] for a in attention], [a[0] for a in means]
+        logits, attention, queries = logits[0], [a[0] for a in attention], [q[0] for q in queries]
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
         want = want[:, len(tokens) - rows :]
         assert got.shape == want.shape
         assert (np.abs(got - want) < 1e-12).all()
-    for got, want in zip(means, want_attn, strict=True):
-        assert got.shape == want.shape[1:]
-        assert np.abs(got - want.mean(axis=0)).max() < 1e-12
+    # the queries come back rotated and scaled by 1/sqrt(d_h): scored against the
+    # reference's keys where it attends, their row softmax is its attention
+    group = model.config.query_heads // model.config.kv_heads
+    for q, want, k in zip(queries, want_attn, want_cache.keys, strict=True):
+        scores = np.where(want > 0.0, q @ np.repeat(k, group, axis=0).swapaxes(1, 2), -np.inf)
+        got = softmax_rows(scores.reshape(-1, scores.shape[-1]), 1.0).reshape(want.shape)
+        assert np.abs(got - want).max() < 1e-12
     if stack is None:
         assert res.cache.next_positions == want_cache.next_positions
         for layer in range(model.config.layers):
@@ -436,7 +450,7 @@ class TestGroupedKernelOracle:
 
 def assert_stack_equals_one_call_per_mask(model, held, m):
     # the grid rows share the held cache: each gives, bit for bit, the
-    # logits, attention and head mean of its own G=1 call, and the cache
+    # logits, attention and queries of its own G=1 call, and the cache
     # is left as it was
     cfg = model.config
     tokens = random_context(40, held + m)
@@ -445,14 +459,14 @@ def assert_stack_equals_one_call_per_mask(model, held, m):
     stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, held)
     stack[0] = True
     new = np.asarray(tokens[held:])
-    res = _forward(model, cache, new, stack, attention_rows=m, head_mean=True)
-    logits, attention, means = res.logits, res.attention, res.attention_mean
+    res = _forward(model, cache, new, stack, attention_rows=m)
+    logits, attention, queries = res.logits, res.attention, res.queries
     assert logits.shape == (3, m, cfg.vocab_size)
     assert attention[0].shape == (3, cfg.query_heads, m, held + m)
     for g in range(3):
-        want = _forward(model, before, new, stack[g : g + 1], attention_rows=m, head_mean=True)
+        want = _forward(model, before, new, stack[g : g + 1], attention_rows=m)
         assert np.array_equal(logits[g], want.logits[0])
-        for got, wanted in ((attention, want.attention), (means, want.attention_mean)):
+        for got, wanted in ((attention, want.attention), (queries, want.queries)):
             assert all(np.array_equal(a[g], b[0]) for a, b in zip(got, wanted, strict=True))
     unmasked = _forward(model, before, new).logits
     assert np.array_equal(logits[0], unmasked)
@@ -512,11 +526,11 @@ class TestMaskStack:
 
 def assert_stack_row_equals(res, row: int, want) -> None:
     """Row ``row`` of a token stack's result equals the 1-D result ``want`` bit
-    for bit: logits, attention, head mean, and, where the stack returns one, the
+    for bit: logits, attention, queries, and, where the stack returns one, the
     grown cache's K/V and positions."""
     assert res.logits[row].tobytes() == want.logits.tobytes()
-    for got, wanted in ((res.attention, want.attention), (res.attention_mean, want.attention_mean)):
-        assert [a[row].tobytes() for a in got or []] == [b.tobytes() for b in wanted or []]
+    for got, wanted in ((res.attention, want.attention), (res.queries, want.queries)):
+        assert [a[row].tobytes() for a in got] == [b.tobytes() for b in wanted]
     if res.cache is None:
         return
     for got, wanted in ((res.cache.keys, want.cache.keys), (res.cache.values, want.cache.values)):
@@ -531,14 +545,14 @@ def assert_cache_unchanged(cache, before) -> None:
 
 def assert_token_stack_equals_one_call_per_row(model, held, t, m, logits=True):
     # the stack's T rows share the held cache: each gives, bit for bit, the
-    # logits, attention and head mean of its own 1-D call; the stack returns no
+    # logits, attention and queries of its own 1-D call; the stack returns no
     # cache, so its T copies of the held rows die with their layer, and the held
     # cache is left as it was
     cfg = model.config
     cache = prefill(model, random_context(43, held)).cache if held else empty_cache(model)
     before = cache.clone()
     tokens = np.asarray(random_context(44, t * m)).reshape(t, m)
-    kwargs = {"attention_rows": m, "head_mean": True, "logits": logits}
+    kwargs = {"attention_rows": m, "logits": logits}
     res = _forward(model, cache, tokens, **kwargs)
     assert res.logits.shape == (t, m if logits else 0, cfg.vocab_size)
     assert res.attention[0].shape == (t, cfg.query_heads, m, held + m)
@@ -587,11 +601,11 @@ class TestStackedCache:
     @pytest.mark.parametrize("m", [1, 3])
     def test_stack_after_a_stacked_cache_equals_one_call_per_row(self, gqa_model, m):
         # row i of a (T, M) stack runs after row i of the stacked cache alone:
-        # logits, attention, head mean and grown cache, bit for bit
+        # logits, attention, queries and grown cache, bit for bit
         caches, stacked = stacked_prefills(gqa_model, 3, 20, seed=90)
         before = stacked.clone()
         tokens = np.asarray(random_context(93, 3 * m)).reshape(3, m)
-        kwargs = {"attention_rows": m, "head_mean": True}
+        kwargs = {"attention_rows": m}
         res = _forward(gqa_model, stacked, tokens, **kwargs)
         assert res.cache.keys[0].shape == (3, gqa_model.config.kv_heads, 20 + m, 8)
         for row, cache in enumerate(caches):
@@ -663,11 +677,11 @@ class TestRowBlocks:
         from kvcompose import model
 
         tokens = random_context(61, n)
-        blocked = prefill_keeping(gqa_model, tokens, attention_rows=n, head_mean=True)
+        blocked = prefill_keeping(gqa_model, tokens, attention_rows=n)
         monkeypatch.setattr(model, "ROW_BLOCK", n)
-        whole = prefill_keeping(gqa_model, tokens, attention_rows=n, head_mean=True)
+        whole = prefill_keeping(gqa_model, tokens, attention_rows=n)
         assert np.array_equal(blocked.logits, whole.logits)
-        for name in ("attention", "attention_mean"):
+        for name in ("attention", "queries"):
             pairs = zip(getattr(blocked, name), getattr(whole, name), strict=True)
             assert all(np.array_equal(a, b) for a, b in pairs)
         for name in ("keys", "values"):
@@ -693,8 +707,9 @@ class TestDeferredDivision:
         self, gqa_model, monkeypatch, held, m
     ):
         # the queries carry 1/sqrt(d_h), so softmax_rows(scores, 1.0) of each
-        # block's scores is, bit for bit, its kept rows and, averaged over
-        # query heads, its rows of the head mean
+        # block's scores is, bit for bit, its kept rows and, for a prefill,
+        # the block prefill_weights rebuilds from the queries and keys and,
+        # averaged over query heads, tova's rows of the head mean
         from kvcompose import model
 
         cfg = gqa_model.config
@@ -708,32 +723,33 @@ class TestDeferredDivision:
 
         monkeypatch.setattr(model, "exp_rows", recording)
         new = np.asarray(tokens[held:])
-        res = _forward(gqa_model, cache, new, attention_rows=m, head_mean=True)
+        res = _forward(gqa_model, cache, new, attention_rows=m)
         starts = range(0, m, ROW_BLOCK)
         assert len(blocks) == cfg.layers * len(starts)
-        for i, scores in enumerate(blocks):
+        passed, rebuilt = list(blocks), {}
+        if not held:
+            for s, _, weights in prefill_weights(res.queries, res.cache.keys, 0):
+                rebuilt.update(((layer, s), w) for layer, w in enumerate(weights))
+        for i, scores in enumerate(passed):
             layer, s = i // len(starts), starts[i % len(starts)]
             e = min(s + ROW_BLOCK, m)
             want = softmax_rows(scores, 1.0).reshape(cfg.query_heads, e - s, held + e)
-            kept, mean = res.attention[layer][:, s:e, : held + e], res.attention_mean[layer][s:e]
+            kept = res.attention[layer][:, s:e, : held + e]
             assert kept.tobytes() == want.tobytes()
-            assert mean[:, : held + e].tobytes() == want.mean(axis=0).tobytes()
+            if not held:
+                assert rebuilt[layer, s].tobytes() == want.tobytes()
+                assert rebuilt[layer, s].mean(axis=-3).tobytes() == want.mean(axis=0).tobytes()
 
 
-def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0, head_mean=False):
+def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0):
     # everything but the logits matches the default call bit for bit; the
     # logits keep their shape's other axes and have no rows
-    kwargs = dict(attention_rows=rows, head_mean=head_mean)
-    full = _forward(model, cache, tokens, stack, **kwargs)
-    cut = _forward(model, cache, tokens, stack, logits=False, **kwargs)
+    full = _forward(model, cache, tokens, stack, attention_rows=rows)
+    cut = _forward(model, cache, tokens, stack, attention_rows=rows, logits=False)
     assert cut.logits.shape == full.logits.shape[:-2] + (0, model.config.vocab_size)
     assert [a.shape for a in cut.attention] == [a.shape for a in full.attention]
     assert all(np.array_equal(a, b) for a, b in zip(cut.attention, full.attention, strict=True))
-    if head_mean:
-        pairs = zip(cut.attention_mean, full.attention_mean, strict=True)
-        assert all(np.array_equal(a, b) for a, b in pairs)
-    else:
-        assert cut.attention_mean is None
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(cut.queries, full.queries, strict=True))
     if stack is not None:
         assert cut.cache is None
         return
@@ -780,10 +796,7 @@ class TestLogitsOff:
     def test_changes_no_bit_but_the_logits(self, gqa_model, m, rows, held):
         tokens = random_context(70, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
-        for head_mean in (False, True):
-            assert_logits_off_changes_no_bit(
-                gqa_model, cache, np.asarray(tokens[held:]), rows=rows, head_mean=head_mean
-            )
+        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[held:]), rows=rows)
 
     @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK + 6])
     def test_mask_stack_changes_no_bit_but_the_logits(self, gqa_model, rows):
@@ -791,10 +804,7 @@ class TestLogitsOff:
         tokens = random_context(71, 40 + ROW_BLOCK + 6)
         cache = prefill(gqa_model, tokens[:40]).cache
         stack = random_masks(72, 3, cfg.layers, cfg.kv_heads, 40)
-        for head_mean in (False, True):
-            assert_logits_off_changes_no_bit(
-                gqa_model, cache, np.asarray(tokens[40:]), stack, rows, head_mean
-            )
+        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[40:]), stack, rows)
 
     @pytest.mark.parametrize("held", [0, 5])
     def test_last_layer_runs_only_the_blocks_holding_kept_rows(
@@ -802,7 +812,7 @@ class TestLogitsOff:
     ):
         # M=130 runs blocks [0, 64), [64, 128), [128, 130) in every layer;
         # without logits the last one starts at the block of its first kept
-        # row, runs none when it keeps none, and all of them for the mean
+        # row and runs none when it keeps none
         m, layers = 2 * ROW_BLOCK + 2, gqa_model.config.layers
         tokens = random_context(73, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
@@ -817,7 +827,6 @@ class TestLogitsOff:
         for k in (1, 2, 3, ROW_BLOCK + 2, ROW_BLOCK + 3, m):
             got = widths(attention_rows=k, logits=False)
             assert got == [every_block] * (layers - 1) + [every_block[(m - k) // ROW_BLOCK :]]
-        assert widths(head_mean=True, logits=False) == [every_block] * layers
 
 
 class TestDecodeStep:

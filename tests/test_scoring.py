@@ -28,6 +28,7 @@ from conftest import (
     count_prefills,
     prefill_keeping,
     random_context,
+    rebuilt_rows,
     rotate_two_halves,
     stack_caches,
 )
@@ -67,14 +68,15 @@ class TestTaskSet:
 
 
 def reference_capture(model, context, task_set, head_mean):
-    """The capture from passes that keep their logits: a default prefill,
-    one default ``_forward`` per task after its cache with the task's rows
-    stacked per layer as they are, the tasks joined on the task-row axis,
-    and value norms projected through values repeated per query head. A
-    head-mean capture holds the prefill's head mean and no task row."""
+    """The capture from passes that keep their logits: a default prefill
+    keeping the window rows, one default ``_forward`` per task after its
+    cache with the task's rows stacked per layer as they are, the tasks
+    joined on the task-row axis, and value norms projected through values
+    repeated per query head. A head-mean capture holds the prefill's queries
+    and no task row."""
     n = len(context)
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
-    base = prefill_keeping(model, context, attention_rows=w, head_mean=head_mean)
+    base = prefill_keeping(model, context, attention_rows=w)
     if head_mean:
         a = np.empty((model.config.layers, model.config.query_heads, 0, n))
     elif w:
@@ -90,8 +92,7 @@ def reference_capture(model, context, task_set, head_mean):
     group = model.config.query_heads // model.config.kv_heads
     per_query = np.repeat(np.stack(values), group, axis=1)
     proj = np.linalg.norm(per_query @ model.wo, axis=3)
-    mean = np.stack(base.attention_mean) if head_mean else None
-    return a, raw, proj, base.cache, mean
+    return a, raw, proj, base.cache, base.queries if head_mean else None
 
 
 class TestCollectAttention:
@@ -193,12 +194,16 @@ class TestCollectAttention:
 
     @pytest.mark.parametrize("mode", TASK_MODES)
     def test_head_mean_only_when_asked(self, tiny_model, mode):
+        # only a head-mean capture keeps the prefill's queries, from which
+        # the head mean of every row the prefill scores is rebuilt bit for bit
         context = random_context(14, 10)
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
-        assert collect_attention(tiny_model, context, tset).attention_mean is None
+        assert collect_attention(tiny_model, context, tset).queries is None
         cap = collect_attention(tiny_model, context, tset, "head-mean")
         run = prefill_keeping(tiny_model, context, attention_rows=len(context))
-        assert np.array_equal(cap.attention_mean, np.stack([a.mean(axis=0) for a in run.attention]))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cap.queries, run.queries, strict=True))
+        mean = np.stack([rows.mean(axis=0) for rows in rebuilt_rows(cap, len(context))])
+        assert np.array_equal(mean, np.stack([a.mean(axis=0) for a in run.attention]))
 
     @pytest.mark.parametrize("head_mean", [False, True])
     @pytest.mark.parametrize("mode", TASK_MODES)
@@ -206,7 +211,8 @@ class TestCollectAttention:
         self, tiny_model, monkeypatch, mode, head_mean
     ):
         # neither the capture nor the prefill it runs holds an (H_q, N, N)
-        # array: the prefill keeps the window rows, or none when task-aware
+        # array: the prefill keeps no rows, and the capture rebuilds the
+        # window's from its queries
         from kvcompose import scoring
 
         runs = []
@@ -223,10 +229,11 @@ class TestCollectAttention:
         cap = collect_attention(tiny_model, context, tset, "head-mean" if head_mean else "rows")
         arrays = [getattr(cap, f.name) for f in fields(cap)] + cap.cache.keys + cap.cache.values
         assert len(runs) == 1
-        arrays += runs[0].attention + (runs[0].attention_mean or [])
+        arrays += runs[0].attention + runs[0].queries + (cap.queries or [])
         assert [np.shape(a) for a in arrays if np.shape(a)[-3:] == (h_q, 20, 20)] == []
-        kept = 4 if mode == "task-agnostic" and not head_mean else 0  # rows, or none
-        assert [a.shape for a in runs[0].attention] == [(h_q, kept, 20)] * tiny_model.config.layers
+        assert [a.shape for a in runs[0].attention] == [(h_q, 0, 20)] * tiny_model.config.layers
+        kept = 0 if head_mean else 4 if mode == "task-agnostic" else 3  # window or task rows
+        assert cap.A.shape[2] == kept
 
     def test_task_stack_cache_never_meets_a(self):
         # a task stack returns T grown copies of the context cache, which the
@@ -292,16 +299,16 @@ class TestCollectAttention:
             [tuple(random_context(81 + m, m)) for m in tasks], ROW_BLOCK + 2,
         )
         cap = collect_attention(model, context, task_set, "head-mean" if head_mean else "rows")
-        a, raw, proj, cache, mean = reference_capture(model, context, task_set, head_mean)
+        a, raw, proj, cache, queries = reference_capture(model, context, task_set, head_mean)
         for got, want in [(cap.A, a), (cap.value_norms_raw, raw), (cap.value_norms_proj, proj)]:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert cap.cache.next_positions == cache.next_positions
         for got, want in zip(cap.cache.keys + cap.cache.values, cache.keys + cache.values):
             assert got.tobytes() == want.tobytes()
         if head_mean:
-            assert cap.attention_mean.tobytes() == mean.tobytes()
+            assert [q.tobytes() for q in cap.queries] == [q.tobytes() for q in queries]
         else:
-            assert cap.attention_mean is None
+            assert cap.queries is None
 
     def test_value_norm_shapes(self, tiny_model):
         cap = collect_attention(
@@ -313,7 +320,8 @@ class TestCollectAttention:
 
 
 class TestGivenCache:
-    """A capture given its context's own prefill cache holds it instead of prefilling."""
+    """A capture given its context's own prefill, cache and queries, holds it and reruns
+    nothing of it."""
 
     @pytest.mark.parametrize("reads", ["rows", "head-mean", "none"])
     @pytest.mark.parametrize(
@@ -321,9 +329,9 @@ class TestGivenCache:
         ids=["128-32", "200-80", "504-64", "130-3", "task-aware"],
     )
     def test_equals_the_capture_that_prefills(self, gqa_model, monkeypatch, reads, n, w):
-        # bit for bit, so the window's rows must rerun the prefill's own row blocks:
-        # cut at the unaligned h = N - w, the blocks and their widths move and, at
-        # all but (128, 32), so do the kept rows' bits
+        # bit for bit: the window's rows are rebuilt from the queries in the
+        # prefill's own row blocks, whether the capture ran the prefill or was
+        # given it, so an unaligned window start N - w moves no bit
         from kvcompose import model as kvmodel
 
         context = random_context(90 + n, n)
@@ -335,31 +343,38 @@ class TestGivenCache:
         )
         want = collect_attention(gqa_model, context, task_set, reads)
         want_passes = passes[:]
-        cache = prefill(gqa_model, context).cache
+        run = prefill(gqa_model, context)
+        cache = run.cache
         passes.clear()
-        got = collect_attention(gqa_model, context, task_set, reads, cache)
+        got = collect_attention(gqa_model, context, task_set, reads, cache, run.queries)
         assert got.cache is cache
         for a, b in [(got.A, want.A), (got.value_norms_raw, want.value_norms_raw)]:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         if reads == "head-mean":
-            assert got.attention_mean.tobytes() == want.attention_mean.tobytes()
+            assert [q.tobytes() for q in got.queries] == [q.tobytes() for q in want.queries]
         else:
-            assert got.attention_mean is None and want.attention_mean is None
+            assert got.queries is None and want.queries is None
         assert cache.next_positions == want.cache.next_positions
         for a, b in zip(cache.keys + cache.values, want.cache.keys + want.cache.values):
             assert a.tobytes() == b.tobytes()
-        # one rule: the rows read rerun after the cache cut at h, and without a
-        # cache h = 0, so every capture built without one prefills once
+        # without a prefill the capture runs one; given one, it runs only the task stacks
         stacks = [(n, (2, 3)), (n, (1, 5))] if reads == "rows" and w is None else []
         assert want_passes == [(0, (n,))] + stacks
-        # "none" runs no pass; tova's head mean reads every row, so it prefills
-        h = ROW_BLOCK * ((n - (w or 0)) // ROW_BLOCK)  # 64 at (128, 32): one block, not two
-        given_passes = {
-            "none": [],
-            "head-mean": [(0, (n,))],
-            "rows": [(h, (n - h,))] if w else [(n, (2, 3)), (n, (1, 5))],
-        }[reads]
-        assert passes == given_passes
+        assert passes == stacks
+
+    @pytest.mark.parametrize("reads", ["rows", "head-mean", "none"])
+    def test_an_agreement_task_capture_runs_no_pass(self, gqa_model, monkeypatch, reads):
+        # an agreement task carries its prefill's cache and queries, so its
+        # capture, whatever it reads, scores them and runs no forward pass
+        from kvcompose import model as kvmodel
+
+        task = make_agreement_tasks(gqa_model, 2, ROW_BLOCK + 20, 2, seed=97)[1]
+        tset = TaskSet(mode="task-agnostic", observation_window=32)
+        passes = count_calls(monkeypatch, kvmodel, "_forward")
+        cap = collect_attention(gqa_model, list(task.prompt), tset, reads, task.cache, task.queries)
+        assert passes == []
+        assert cap.cache is task.cache and cap.A.shape[2] == (32 if reads == "rows" else 0)
+        assert (cap.queries is task.queries) == (reads == "head-mean")
 
     @pytest.mark.parametrize("misfit", ["stacked", "compacted", "next-position"])
     def test_a_cache_that_does_not_fit_is_refused(self, tiny_model, monkeypatch, misfit):
@@ -368,7 +383,8 @@ class TestGivenCache:
 
         context, layers = random_context(95, 12), tiny_model.config.layers
         task_set = TaskSet(mode="task-agnostic", observation_window=4)
-        cache = prefill(tiny_model, context).cache
+        run = prefill(tiny_model, context)
+        cache = run.cache
         cache = {
             "stacked": lambda: stack_caches([cache, cache]),
             "compacted": lambda: compress(
@@ -379,7 +395,29 @@ class TestGivenCache:
         passes = count_calls(monkeypatch, kvmodel, "_forward")
         for reads in ("rows", "head-mean", "none"):
             with pytest.raises(UsageError, match="not this 12-token context's unstacked prefill"):
-                collect_attention(tiny_model, context, task_set, reads, cache)
+                collect_attention(tiny_model, context, task_set, reads, cache, run.queries)
+        assert passes == []
+
+    @pytest.mark.parametrize("misfit", ["no-queries", "no-cache", "other-context"])
+    def test_queries_that_do_not_fit_are_refused(self, tiny_model, monkeypatch, misfit):
+        # a cache without its queries, queries without their cache, or another
+        # context's queries: refused before any pass, whatever is read
+        from kvcompose import model as kvmodel
+
+        context = random_context(96, 12)
+        task_set = TaskSet(mode="task-agnostic", observation_window=4)
+        run = prefill(tiny_model, context)
+        given, match = {
+            "no-queries": ((run.cache, None), "both its cache and its queries"),
+            "no-cache": ((None, run.queries), "both its cache and its queries"),
+            "other-context": (
+                (run.cache, prefill(tiny_model, context[:8]).queries), "not this 12-token"
+            ),
+        }[misfit]
+        passes = count_calls(monkeypatch, kvmodel, "_forward")
+        for reads in ("rows", "head-mean", "none"):
+            with pytest.raises(UsageError, match=match):
+                collect_attention(tiny_model, context, task_set, reads, *given)
         assert passes == []
 
 

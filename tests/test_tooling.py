@@ -15,8 +15,10 @@ aside), so its ``POLICIES`` table decides in one place what each policy's
 capture keeps and how it budgets its layers; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
 keep any, and each of its passes skips its logits, which nothing reads
-there; ``model.py`` and ``scoring.py`` call no ``np.exp``, so
-``numerics.exp_rows`` stays the one home of attention's exponentials;
+there; ``model.py``, ``scoring.py`` and ``baselines.py`` call no ``np.exp``,
+so ``numerics.exp_rows`` stays the one home of attention's exponentials, and
+only ``model._block_weights`` and ``numerics.softmax_rows`` call it, so a
+capture's rows and tova's head means cannot drift from the pass's bits;
 no module reads the environment, so a setting such as the forward
 pass's row block size cannot become a hidden knob; only ``cache_io.py``
 reads or writes a file (``read_text``, ``read_bytes``, ``write_text``,
@@ -234,17 +236,56 @@ def called_names(path: Path) -> list[str]:
     ]
 
 
+def exp_rows_callers(source: str) -> list[str]:
+    """The innermost function around each call to ``exp_rows``, bare or as an
+    attribute, once per call; ``<module>`` outside every function."""
+    callers = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "exp_rows" in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)
+            ):
+                callers.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+@pytest.mark.parametrize(
+    "source, callers",
+    [
+        ("def collect_attention(s):\n    ex, sums = exp_rows(s)", ["collect_attention"]),
+        ("def f(s):\n    def g():\n        return numerics.exp_rows(s)", ["g"]),
+        ("def f(s):\n    return [exp_rows(b) for b in s], exp_rows(s)", ["f", "f"]),
+        ("weights = exp_rows(scores)", ["<module>"]),
+        ("def f(s):\n    return softmax_rows(s, 1.0)", []),
+    ],
+)
+def test_exp_rows_caller_finder(source, callers):
+    assert exp_rows_callers(source) == callers
+
+
 def test_attention_exponentials_only_in_exp_rows():
+    # attention weights have one home: _forward and every capture's rebuilt rows
+    # and means go through model._block_weights, whose scores, masks and
+    # exp_rows call are the pass's, so a capture cannot drift from its bits;
+    # softmax_rows, the tests' oracle, is the one other caller
     src = ROOT / "src" / "kvcompose"
     found = {
         name
-        for name in ("model.py", "scoring.py")
+        for name in ("model.py", "scoring.py", "baselines.py")
         if {"np.exp", "numpy.exp"} & set(called_names(src / name))
     }
     assert found == set()
-    # _forward calls its one per-block kernel bare, so a tracer wrapping the
-    # name model.py imports sees every row block
-    assert called_names(src / "model.py").count("exp_rows") == 1
+    callers = sorted(
+        (path.name, caller)
+        for path in src.glob("*.py")
+        for caller in exp_rows_callers(path.read_text())
+    )
+    assert callers == [("model.py", "_block_weights"), ("numerics.py", "softmax_rows")]
 
 
 def test_max_context_read_only_in_model():
@@ -347,15 +388,15 @@ def test_policy_name_literal_finder(line, names):
 
 
 def asks_for_attention(node: ast.AST) -> bool:
-    """Whether ``node`` calls ``prefill`` or ``_forward`` with ``attention_rows``
-    or ``head_mean``, by keyword, by position or through ``**kwargs``."""
+    """Whether ``node`` calls ``prefill`` or ``_forward`` with ``attention_rows``,
+    by keyword, by position or through ``**kwargs``."""
     if not isinstance(node, ast.Call):
         return False
     name = getattr(node.func, "attr", getattr(node.func, "id", None))
     plain_args = {"prefill": 2, "_forward": 4}.get(name)  # arguments before attention_rows
     keywords = {k.arg for k in node.keywords}
     return plain_args is not None and (
-        len(node.args) > plain_args or bool(keywords & {"attention_rows", "head_mean", None})
+        len(node.args) > plain_args or bool(keywords & {"attention_rows", None})
     )
 
 
@@ -364,7 +405,6 @@ def asks_for_attention(node: ast.AST) -> bool:
     [
         ("_forward(m, c, t, None, 3)", True),
         ("model._forward(m, c, t, masks, attention_rows=2)", True),
-        ("_forward(m, c, t, head_mean=True)", True),
         ("_forward(m, c, t, **kwargs)", True),
         ("prefill(m, tokens, 4)", True),
         ("_forward(m, c, t, masks)", False),
