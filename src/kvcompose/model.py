@@ -189,19 +189,19 @@ def empty_cache(model: Model) -> KVCache:
     )
 
 
-def _block_weights(q, k, held: int, s: int, e: int, skip: int = 0, visible=None):
+def _block_weights(q, k, held: int, s: int, e: int, upper, skip: int = 0, visible=None):
     """Weights before their division, and (..., 1) row sums, of new query rows [s + skip, e)
     of ``q`` (..., H_q, M, d_h) over the ``held`` rows and new rows [0, e) of ``k`` (..., H_kv,
-    R+M, d_h): the one home of a row block's scores, masks and exponentials. The product runs
-    at the full [s, e) shape, so ``skip`` moves no bit: its rows drop before ``exp_rows``,
-    whose max, exp and sum of a row read that row alone. ``visible`` (..., H_kv, 1, W) hides
-    held row c < W where False. Query head h reads kv head h // group: one batched matmul
-    per kv head serves its group's (group*rows, d_h) block of query rows."""
+    R+M, d_h): the one home of a row block's scores, masks and exponentials. ``upper`` is the
+    pass's causal mask, True above the diagonal of its widest block. The product runs at the
+    full [s, e) shape, so ``skip`` moves no bit: its rows drop before ``exp_rows``, whose max,
+    exp and sum of a row read that row alone. ``visible`` (..., H_kv, 1, W) hides held row
+    c < W where False. Query head h reads kv head h // group: one batched matmul per kv head
+    serves its group's (group*rows, d_h) block of query rows."""
     grid, h_kv, width = q.shape[:-3], k.shape[-3], held + e  # every later row is masked
     q_rows = q[..., s:e, :].reshape(*grid, h_kv, -1, q.shape[-1])  # each kv head's query rows
     scores = (q_rows @ k[..., :width, :].swapaxes(-1, -2)).reshape(*q.shape[:-2], e - s, width)
-    i = np.arange(e - s)
-    np.copyto(scores[..., held + s :], -np.inf, where=i[:, None] < i)  # causal mask
+    np.copyto(scores[..., held + s :], -np.inf, where=upper[: e - s, : e - s])
     if visible is not None:
         grouped = scores.reshape(*grid, h_kv, -1, width)
         np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
@@ -217,10 +217,11 @@ def prefill_weights(queries: list[np.ndarray], keys: list[np.ndarray], first: in
     gives each layer's (H_q, stop - start, stop) rows in turn; later columns are causally 0."""
     n = keys[0].shape[-2]
     block = min(n, ROW_BLOCK)
+    upper = np.arange(block)[:, None] < np.arange(block)
     for s in range(first - first % block, n if first < n else 0, block):
         e, skip = min(s + block, n), max(first - s, 0)
-        weights = (np.divide(*_block_weights(q, k, 0, s, e, skip)) for q, k in zip(queries, keys))
-        yield s + skip, e, weights
+        blocks = (_block_weights(q, k, 0, s, e, upper, skip) for q, k in zip(queries, keys))
+        yield s + skip, e, (np.divide(ex, sums) for ex, sums in blocks)
 
 
 def _forward(
@@ -290,6 +291,7 @@ def _forward(
     angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
     cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]
     block = min(m, ROW_BLOCK)
+    upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
     first = m - attention_rows  # the first kept query row
     keys, values, attention, queries = [], [], [], []
 
@@ -313,7 +315,7 @@ def _forward(
             e = min(s + block, m)
             if not (needs_out or e > first):
                 continue  # blocks start on the same grid either way, so no bit moves
-            ex, sums = _block_weights(q, k, held, s, e, visible=visible)
+            ex, sums = _block_weights(q, k, held, s, e, upper, visible=visible)
             if needs_out:
                 by_kv = ex.reshape(*grid, h_kv, -1, held + e) @ v[..., : held + e, :]
                 by_kv /= sums.reshape(by_kv.shape[:-1] + (1,))  # d_h divisions a row, not R+e
