@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .numerics import SeededRng, argsort_desc, ranks, stable_floor
 from .model import ROW_BLOCK, prefill_weights
+from .numerics import SeededRng, argsort_desc, ranks, stable_floor
 from .scoring import AttentionCapture, reduce_axis
 
 
