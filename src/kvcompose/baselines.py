@@ -117,10 +117,9 @@ def tova_select(queries: list, keys: list, budgets: np.ndarray) -> np.ndarray:
     # is evicted or not yet appended, so the least-attended held token wins
     cost = np.tile(np.where(np.arange(n) < first, 0.0, np.inf), (flat.size, 1))
     rows = np.zeros((layers, ROW_BLOCK, n))  # steps [start, stop); no step reads past stop
-    for start, stop, weights in prefill_weights(queries, keys, first):
-        for l, w in enumerate(weights):
-            rows[l, : stop - start, :stop] = w.mean(axis=-3)
-        for m in range(start, stop):
+    for start, stop, l, weights in prefill_weights(queries, keys, first):
+        rows[l, : stop - start, :stop] = weights.mean(axis=-3)
+        for m in range(start, stop) if l == layers - 1 else ():  # once every layer's rows are in
             cost[:, m] = 0.0
             over = np.flatnonzero(flat <= m)  # mask rows now holding budget + 1 tokens
             worst = (rows[layer[over], m - start] + cost[over]).argmin(axis=1)

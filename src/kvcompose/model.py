@@ -213,15 +213,15 @@ def _block_weights(q, k, held: int, s: int, e: int, upper, skip: int = 0, visibl
 def prefill_weights(queries: list[np.ndarray], keys: list[np.ndarray], first: int):
     """Rows ``first`` to N of a prefill's attention, rebuilt from its per-layer (H_q, N, d_h)
     ``queries`` and N-row ``keys`` through ``_forward``'s own row blocks, so the bits are the
-    pass's: yields (start, stop, weights), rows [start, stop) of one block, where ``weights``
-    gives each layer's (H_q, stop - start, stop) rows in turn; later columns are causally 0."""
+    pass's: yields (start, stop, layer, weights), block by block and layer by layer, where
+    ``weights`` are the layer's (H_q, stop - start, stop) rows; later columns are causally 0."""
     n = keys[0].shape[-2]
     block = min(n, ROW_BLOCK)
     upper = np.arange(block)[:, None] < np.arange(block)
     for s in range(first - first % block, n if first < n else 0, block):
         e, skip = min(s + block, n), max(first - s, 0)
-        blocks = (_block_weights(q, k, 0, s, e, upper, skip) for q, k in zip(queries, keys))
-        yield s + skip, e, (np.divide(ex, sums) for ex, sums in blocks)
+        for layer, (q, k) in enumerate(zip(queries, keys)):
+            yield s + skip, e, layer, np.divide(*_block_weights(q, k, 0, s, e, upper, skip))
 
 
 def _forward(

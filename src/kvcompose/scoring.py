@@ -174,9 +174,8 @@ def collect_attention(
         raise UsageError(f"the given cache is not this {n}-token context's unstacked prefill")
     kept = w if reads == "rows" else 0  # the window rows A keeps
     a = np.zeros((cfg.layers, cfg.query_heads, kept, n))
-    for start, stop, weights in prefill_weights(queries, cache.keys, n - kept):
-        for layer, rows in enumerate(weights):
-            a[layer, :, start - n + kept : stop - n + kept, :stop] = rows
+    for start, stop, layer, rows in prefill_weights(queries, cache.keys, n - kept):
+        a[layer, :, start - n + kept : stop - n + kept, :stop] = rows
     # before the tasks run: after them, this temporary raised compress-long's peak RSS
     raw = np.linalg.norm(np.stack(cache.values), axis=3)  # (L, H_kv, N)
     for task in task_set.tasks:  # refused here whatever is read, as a task pass would refuse it

@@ -176,9 +176,8 @@ def rebuilt_rows(run, rows: int) -> list[np.ndarray]:
     rebuilt from its queries and keys by ``model.prefill_weights``, as a capture does."""
     n = run.cache.keys[0].shape[-2]
     out = [np.zeros((q.shape[0], rows, n)) for q in run.queries]
-    for start, stop, weights in prefill_weights(run.queries, run.cache.keys, n - rows):
-        for layer, w in enumerate(weights):
-            out[layer][:, start - n + rows : stop - n + rows, :stop] = w
+    for start, stop, layer, w in prefill_weights(run.queries, run.cache.keys, n - rows):
+        out[layer][:, start - n + rows : stop - n + rows, :stop] = w
     return out
 
 

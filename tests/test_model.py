@@ -728,8 +728,8 @@ class TestDeferredDivision:
         assert len(blocks) == cfg.layers * len(starts)
         passed, rebuilt = list(blocks), {}
         if not held:
-            for s, _, weights in prefill_weights(res.queries, res.cache.keys, 0):
-                rebuilt.update(((layer, s), w) for layer, w in enumerate(weights))
+            for s, _, layer, w in prefill_weights(res.queries, res.cache.keys, 0):
+                rebuilt[layer, s] = w
         for i, scores in enumerate(passed):
             layer, s = i // len(starts), starts[i % len(starts)]
             e = min(s + ROW_BLOCK, m)

@@ -201,7 +201,7 @@ class TestCollectAttention:
         assert collect_attention(tiny_model, context, tset).queries is None
         cap = collect_attention(tiny_model, context, tset, "head-mean")
         run = prefill_keeping(tiny_model, context, attention_rows=len(context))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(cap.queries, run.queries, strict=True))
+        assert [q.tobytes() for q in cap.queries] == [q.tobytes() for q in run.queries]
         mean = np.stack([rows.mean(axis=0) for rows in rebuilt_rows(cap, len(context))])
         assert np.array_equal(mean, np.stack([a.mean(axis=0) for a in run.attention]))
 
