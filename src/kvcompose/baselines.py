@@ -21,18 +21,17 @@ from .scoring import AttentionCapture, reduce_axis
 
 class PolicyRow(NamedTuple):
     params: tuple[str, ...]  # the Policy parameters its selector reads: a config sets no other
-    capture: str  # what its capture keeps: "rows" (task rows), "head-mean" (tova's) or "none"
     budgets: str  # its layer budgets: "pooled", "uniform", "pyramid" or "global" (none)
 
 
 POLICIES = {
-    "kvcompose": PolicyRow((), "rows", "pooled"),  # composer.allocate_budgets on its slots
-    "streaming": PolicyRow(("sinks",), "none", "uniform"),
-    "tova": PolicyRow((), "head-mean", "uniform"),
-    "snapkv": PolicyRow(("window",), "rows", "uniform"),
-    "pyramid": PolicyRow(("window", "shape"), "rows", "pyramid"),
-    "random": PolicyRow(("seed",), "none", "uniform"),
-    "unstructured": PolicyRow((), "rows", "global"),  # one top over (L, H_kv, N) entries
+    "kvcompose": PolicyRow((), "pooled"),  # composer.allocate_budgets on its slots
+    "streaming": PolicyRow(("sinks",), "uniform"),
+    "tova": PolicyRow((), "uniform"),
+    "snapkv": PolicyRow(("window",), "uniform"),
+    "pyramid": PolicyRow(("window", "shape"), "pyramid"),
+    "random": PolicyRow(("seed",), "uniform"),
+    "unstructured": PolicyRow((), "global"),  # one top over (L, H_kv, N) entries
 }
 POLICY_PARAMS = {name: row.params for name, row in POLICIES.items()}
 POLICY_NAMES = tuple(POLICIES)
@@ -64,11 +63,6 @@ class Policy:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if not (np.isfinite(self.shape) and self.shape >= 0):
             raise ConfigError(f"shape must be a finite number >= 0, got {self.shape}")
-
-    @property
-    def capture_reads(self) -> str:
-        """What its selector reads of a capture, so all the capture keeps (its row's)."""
-        return POLICIES[self.name].capture
 
     @property
     def reads_aggregation(self) -> bool:
@@ -212,8 +206,6 @@ def select_baseline_indices(
     replay keeps exactly its layer's budget."""
     layers, heads, n = cap.value_norms_raw.shape
     if policy.name == "tova":
-        if cap.queries is None:
-            raise UsageError("tova replays the prefill's queries: capture with reads='head-mean'")
         survivors = ranks(argsort_desc(tova_select(cap.queries, cap.cache.keys, budgets)))
         return np.broadcast_to(survivors[:, :, None], (len(budgets), layers, heads, n))
     if policy.name == "random":

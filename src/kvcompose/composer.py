@@ -197,7 +197,7 @@ def compress(
     rule = POLICIES[policy.name].budgets
     if rule == "global":
         raise ConfigError(f"policy {policy.name} keeps masks only; use unstructured_compress")
-    cap = collect_attention(model, context, task_set, policy.capture_reads)
+    cap = collect_attention(model, context, task_set)
     if rule == "pooled":  # slot-order prefixes, so the file keeps the slot order
         idx, budgets = _slot_budgets(cap, [agg_choice], (r_target,))
         compressed = compact_cache(cap.cache, idx[0], budgets[0, 0])

@@ -297,13 +297,13 @@ def check_grid(grid, error: type[Exception] = UsageError) -> None:
 
 
 def prepare_task(
-    model: Model, task: TaskInstance, mode: str, observation_window: int, reads: str = "rows"
+    model: Model, task: TaskInstance, mode: str, observation_window: int
 ) -> AttentionCapture:
-    """The capture of what ``reads`` names (``Policy.capture_reads``) on the task's carried
-    prefill, if any; it holds the full prefill cache every keep-mask of the task runs on."""
+    """The task's capture, on its carried prefill if any, which serves every policy; it
+    holds the full prefill cache every keep-mask of the task runs on."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
-    return collect_attention(model, list(task.prompt), tset, reads, task.cache, task.queries)
+    return collect_attention(model, list(task.prompt), tset, task.cache, task.queries)
 
 
 def _evaluate_task(
@@ -365,8 +365,7 @@ def sweep(
     observation_window: int = OBSERVATION_WINDOW,
 ) -> list[CurvePoint]:
     """Prepare every task, then evaluate one curve point per grid ratio."""
-    reads = policy.capture_reads
-    captures = [prepare_task(model, t, mode, observation_window, reads) for t in tasks]
+    captures = [prepare_task(model, t, mode, observation_window) for t in tasks]
     return sweep_arms(model, tasks, captures, policy, [agg_choice], grid)[0]
 
 

@@ -22,6 +22,7 @@ from .numerics import SeededRng, exp_rows
 
 ROTARY_BASE = 10000.0
 ROW_BLOCK = 64  # new query rows each layer scores at a time in _forward
+CAUSAL = np.arange(ROW_BLOCK)[:, None] < np.arange(ROW_BLOCK)  # True above the diagonal
 
 
 @dataclass(frozen=True)
@@ -189,19 +190,19 @@ def empty_cache(model: Model) -> KVCache:
     )
 
 
-def _block_weights(q, k, held: int, s: int, e: int, upper, skip: int = 0, visible=None):
+def _block_weights(q, k, held: int, s: int, e: int, skip: int = 0, visible=None):
     """Weights before their division, and (..., 1) row sums, of new query rows [s + skip, e)
     of ``q`` (..., H_q, M, d_h) over the ``held`` rows and new rows [0, e) of ``k`` (..., H_kv,
-    R+M, d_h): the one home of a row block's scores, masks and exponentials. ``upper`` is the
-    pass's causal mask, True above the diagonal of its widest block. The product runs at the
-    full [s, e) shape, so ``skip`` moves no bit: its rows drop before ``exp_rows``, whose max,
-    exp and sum of a row read that row alone. ``visible`` (..., H_kv, 1, W) hides held row
-    c < W where False. Query head h reads kv head h // group: one batched matmul per kv head
-    serves its group's (group*rows, d_h) block of query rows."""
+    R+M, d_h): the one home of a row block's scores, masks and exponentials, where the causal
+    mask is ``CAUSAL`` cut to the block. The product runs at the full [s, e) shape, so ``skip``
+    moves no bit: its rows drop before ``exp_rows``, whose max, exp and sum of a row read that
+    row alone. ``visible`` (..., H_kv, 1, W) hides held row c < W where False. Query head h
+    reads kv head h // group: one batched matmul per kv head serves its group's
+    (group*rows, d_h) block of query rows."""
     grid, h_kv, width = q.shape[:-3], k.shape[-3], held + e  # every later row is masked
     q_rows = q[..., s:e, :].reshape(*grid, h_kv, -1, q.shape[-1])  # each kv head's query rows
     scores = (q_rows @ k[..., :width, :].swapaxes(-1, -2)).reshape(*q.shape[:-2], e - s, width)
-    np.copyto(scores[..., held + s :], -np.inf, where=upper[: e - s, : e - s])
+    np.copyto(scores[..., held + s :], -np.inf, where=CAUSAL[: e - s, : e - s])
     if visible is not None:
         grouped = scores.reshape(*grid, h_kv, -1, width)
         np.copyto(grouped[..., : visible.shape[-1]], -np.inf, where=~visible)
@@ -217,11 +218,10 @@ def prefill_weights(queries: list[np.ndarray], keys: list[np.ndarray], first: in
     ``weights`` are the layer's (H_q, stop - start, stop) rows; later columns are causally 0."""
     n = keys[0].shape[-2]
     block = min(n, ROW_BLOCK)
-    upper = np.arange(block)[:, None] < np.arange(block)
     for s in range(first - first % block, n if first < n else 0, block):
         e, skip = min(s + block, n), max(first - s, 0)
         for layer, (q, k) in enumerate(zip(queries, keys)):
-            yield s + skip, e, layer, np.divide(*_block_weights(q, k, 0, s, e, upper, skip))
+            yield s + skip, e, layer, np.divide(*_block_weights(q, k, 0, s, e, skip))
 
 
 def _forward(
@@ -291,7 +291,6 @@ def _forward(
     angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
     cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]
     block = min(m, ROW_BLOCK)
-    upper = np.arange(block)[:, None] < np.arange(block)  # causal mask: True above the diagonal
     first = m - attention_rows  # the first kept query row
     keys, values, attention, queries = [], [], [], []
 
@@ -315,7 +314,7 @@ def _forward(
             e = min(s + block, m)
             if not (needs_out or e > first):
                 continue  # blocks start on the same grid either way, so no bit moves
-            ex, sums = _block_weights(q, k, held, s, e, upper, visible=visible)
+            ex, sums = _block_weights(q, k, held, s, e, visible=visible)
             if needs_out:
                 by_kv = ex.reshape(*grid, h_kv, -1, held + e) @ v[..., : held + e, :]
                 by_kv /= sums.reshape(by_kv.shape[:-1] + (1,))  # d_h divisions a row, not R+e

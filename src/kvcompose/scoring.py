@@ -91,25 +91,53 @@ class AggregationChoice:
 
 @dataclass
 class AttentionCapture:
-    """Raw signal for scoring one context.
+    """Raw signal for scoring one context, the same object for every policy.
+
+    It holds the model, the task set, the context's full prefill cache, the prefill's
+    per-layer queries and the raw value norms, per kv head. What a selector reads beyond
+    them is computed on its first read and kept: the task rows ``A``, and the value norms
+    projected per query head, which only vo-norm reads. So streaming and random compute
+    neither, and tova rebuilds its head means from the queries a row block at a time.
+    No capture holds an (N, N) array.
 
     A is task-major, with axes [layer, query head, task token, context
     token]: row m is task token m's probability distribution over its full
     (causal) key range, of which only the context columns are kept here.
-    Value norms are recorded per kv head (raw); per query head (projected
-    through that head's output matrix) they are computed on first read,
-    since only vo-norm reads them. Besides the full cache it holds only
-    what its policy's selector reads (``Policy.capture_reads``): the task
-    rows, or the prefill's per-layer queries, from which tova rebuilds its
-    head means a row block at a time, or nothing; the last two with M = 0 rows.
-    No capture holds an (N, N) array.
     """
 
-    A: np.ndarray  # (L, H_q, M, N); M = 0 unless the capture reads "rows"
+    model: Model
+    task_set: TaskSet
+    cache: KVCache  # the context's full unstacked prefill cache
+    queries: list[np.ndarray]  # per layer (H_q, N, d_h) prefill queries
     value_norms_raw: np.ndarray  # (L, H_kv, N)
-    cache: KVCache | None = None  # the context's full prefill cache, maybe its task's; None by hand
-    queries: list[np.ndarray] | None = None  # per layer (H_q, N, d_h) prefill queries; tova's
-    wo: np.ndarray | None = None  # the model's (L, H_q, d_h, d) output matrices
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """(L, H_q, M, N) task rows. Task-agnostic, the last ``w`` rows of the prefill's
+        attention, rebuilt from the queries by ``model.prefill_weights`` in the pass's own
+        row blocks, so with the pass's bits. Task-aware, the tasks of each distinct length
+        run as one (T, M) stack after the cache, and each task's rows are copied,
+        untransposed, into its own rows, in task order; no task writes the cache, so every
+        policy and ratio compresses the same full cache, and nothing reads a stack's logits."""
+        cfg, n, tasks = self.model.config, self.context_len, self.task_set.tasks
+        kept = 0 if tasks else self.task_set.observation_window  # the window rows A keeps
+        a = np.zeros((cfg.layers, cfg.query_heads, kept, n))
+        for start, stop, layer, rows in prefill_weights(self.queries, self.cache.keys, n - kept):
+            a[layer, :, start - n + kept : stop - n + kept, :stop] = rows
+        lengths = [len(t) for t in tasks]
+        starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])
+        for m in dict.fromkeys(lengths):  # one stack per length; it never writes the cache
+            group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
+            attention = _forward(
+                self.model, self.cache, np.array([tasks[i] for i in group]),
+                attention_rows=m, logits=False,
+            ).attention  # the stack shares the held rows, so it returns no cache
+            if a.shape[2] < starts[-1]:  # sized after the first stack: A never meets its K/V
+                a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
+            for layer, attn in enumerate(attention):  # (T, H_q, M, N+M); A keeps N columns
+                for i, rows in zip(group, attn):
+                    a[layer, :, starts[i] : starts[i + 1]] = rows[:, :, :n]
+        return a
 
     @cached_property
     def value_norms_proj(self) -> np.ndarray:
@@ -117,16 +145,17 @@ class AttentionCapture:
         head h reads kv head h // group: no copy of the values per query head."""
         values = np.stack(self.cache.values)  # (L, H_kv, N, d_h)
         layers, kv_heads, n, d_h = values.shape
-        wo = self.wo.reshape(layers, kv_heads, -1, d_h, self.wo.shape[-1])
+        wo = self.model.wo.reshape(layers, kv_heads, -1, d_h, self.model.wo.shape[-1])
         return np.linalg.norm(values[:, :, None] @ wo, axis=4).reshape(layers, -1, n)
 
     @property
     def context_len(self) -> int:
-        return self.A.shape[3]
+        return self.value_norms_raw.shape[2]
 
     @property
     def task_len(self) -> int:
-        return self.A.shape[2]
+        tasks = self.task_set.tasks
+        return sum(map(len, tasks)) if tasks else self.task_set.observation_window
 
 
 def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
@@ -139,22 +168,16 @@ def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
 
 
 def collect_attention(
-    model: Model, context: list[int], task_set: TaskSet, reads: str = "rows",
+    model: Model, context: list[int], task_set: TaskSet,
     cache: KVCache | None = None, queries: list[np.ndarray] | None = None,
 ) -> AttentionCapture:
-    """Record how the task tokens attend to the context, plus raw value norms.
+    """The capture of ``task_set`` on ``context``: its prefill and raw value norms.
 
     A carried prefill, the context's own unstacked N-row ``cache`` and the per-layer
     ``queries`` its pass returned (``ForwardResult.queries``), is read and never rerun;
-    with neither, one plain prefill with ``logits=False`` gives both. The capture holds
-    that cache. Task-agnostic "rows" (``reads``, ``Policy.capture_reads``) are the last
-    ``w`` rows of the prefill's attention, rebuilt from the queries by
-    ``model.prefill_weights`` in the pass's own row blocks, so with the pass's bits.
-    Task-aware "rows" run the tasks of each distinct length as one (T, M) stack after
-    the cache and copy each task's rows, untransposed, into its own rows of ``A``, in
-    task order; no task writes the cache, so every policy and ratio compresses the same
-    full cache, and nothing reads a stack's logits. "head-mean" (tova's) keeps the
-    queries and "none" nothing, each with M = 0 rows of A.
+    with neither, one plain prefill with ``logits=False`` gives both. The task rows are
+    computed on the capture's first read of ``A``; the tasks are checked here, as their
+    pass would check them, whether or not any selector reads them.
     """
     if not context:
         raise UsageError("context must be non-empty")
@@ -172,36 +195,10 @@ def collect_attention(
     if shapes != ([(cfg.kv_heads, n, cfg.head_dim)] * cfg.layers  # an unstacked N-row prefill
                   + [(cfg.query_heads, n, cfg.head_dim)] * cfg.layers, n):
         raise UsageError(f"the given cache is not this {n}-token context's unstacked prefill")
-    kept = w if reads == "rows" else 0  # the window rows A keeps
-    a = np.zeros((cfg.layers, cfg.query_heads, kept, n))
-    for start, stop, layer, rows in prefill_weights(queries, cache.keys, n - kept):
-        a[layer, :, start - n + kept : stop - n + kept, :stop] = rows
-    # before the tasks run: after them, this temporary raised compress-long's peak RSS
-    raw = np.linalg.norm(np.stack(cache.values), axis=3)  # (L, H_kv, N)
-    for task in task_set.tasks:  # refused here whatever is read, as a task pass would refuse it
+    for task in task_set.tasks:
         check_tokens(model, np.asarray(task), n)
-
-    lengths = [len(t) for t in task_set.tasks] if reads == "rows" else []
-    starts = np.cumsum([0, *lengths])  # task i's rows are [starts[i], starts[i + 1])
-    for m in dict.fromkeys(lengths):  # one stack per length; it reads the cache, never writes it
-        group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
-        attention = _forward(
-            model, cache, np.array([task_set.tasks[i] for i in group]),
-            attention_rows=m, logits=False,
-        ).attention  # the stack shares the held rows, so it returns no cache
-        if a.shape[2] < starts[-1]:  # so A never coexists with a first pass's L layers of K/V
-            a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
-        for layer, attn in enumerate(attention):  # (T, H_q, M, N+M); A keeps N columns
-            for i, rows in zip(group, attn):
-                a[layer, :, starts[i] : starts[i + 1]] = rows[:, :, :n]
-
-    return AttentionCapture(
-        A=a,
-        value_norms_raw=raw,
-        cache=cache,
-        queries=queries if reads == "head-mean" else None,
-        wo=model.wo,
-    )
+    raw = np.linalg.norm(np.stack(cache.values), axis=3)  # (L, H_kv, N)
+    return AttentionCapture(model, task_set, cache, queries, raw)
 
 
 def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -> np.ndarray:
@@ -213,8 +210,6 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
     """
     if norm_variant not in NORM_VARIANTS:
         raise UsageError(f"unknown norm variant {norm_variant!r}")
-    if cap.task_len < 1:
-        raise UsageError("capture holds no task tokens")
     a = cap.A
     if norm_variant == "v-norm":
         hq, hkv = a.shape[1], cap.value_norms_raw.shape[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvcompose import model as kvmodel
-from kvcompose.baselines import pyramid_budgets
+from kvcompose.baselines import pyramid_budgets, tova_select
 from kvcompose.composer import CompressedCache
 from kvcompose.evaluator import (
     TaskInstance,
@@ -111,14 +111,35 @@ def rotate_two_halves(vecs: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.
     return np.concatenate([a * cos - b * sin, a * sin + b * cos], axis=-1)
 
 
-def arm_capture(gqa_model, kind: str, reads: str):
+def hand_capture(a: np.ndarray, raw: np.ndarray) -> AttentionCapture:
+    """A capture of given (L, H_q, M, N) rows ``a`` and (L, H_kv, N) raw value norms,
+    with no model, cache or queries: its lazy rows are set, not computed."""
+    window = TaskSet("task-agnostic", observation_window=a.shape[2])
+    cap = AttentionCapture(None, window, None, None, raw)
+    cap.A = a
+    return cap
+
+
+def selector_read(cap: AttentionCapture, reads: str) -> np.ndarray:
+    """What one kind of selector reads of ``cap``: its task rows ``A`` ("rows": kvcompose,
+    unstructured, snapkv, pyramid), a replay of tova's head means on its queries
+    ("head-mean"), or nothing computed ("none": streaming and random read its shape)."""
+    if reads == "rows":
+        return cap.A
+    if reads == "head-mean":
+        budgets = np.full((1, len(cap.queries)), cap.context_len // 2)
+        return tova_select(cap.queries, cap.cache.keys, budgets)
+    return cap.value_norms_raw
+
+
+def kind_capture(gqa_model, kind: str):
     """An agreement capture of the random model (two kv heads) or a recall
-    capture of the induction model (one kv head), holding what ``reads`` names."""
+    capture of the induction model (one kv head)."""
     if kind == "agreement":
         ts = TaskSet(mode="task-agnostic", observation_window=8)
-        return collect_attention(gqa_model, random_context(61, 32), ts, reads)
+        return collect_attention(gqa_model, random_context(61, 32), ts)
     task = make_recall_tasks(8, 32, 1, seed=21)[0]
-    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32, reads)
+    return prepare_task(construct_induction_model(8, 32), task, "task-aware", 32)
 
 
 def plain_logits(model, cache, task) -> np.ndarray:

@@ -23,7 +23,7 @@ from kvcompose.composer import (
     layer_importance,
     retention_budget,
 )
-from kvcompose.errors import ConfigError, UsageError
+from kvcompose.errors import ConfigError
 from kvcompose.evaluator import RATIO_GRID
 from kvcompose.model import ROW_BLOCK, ModelConfig, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, ranks
@@ -36,10 +36,11 @@ from kvcompose.scoring import (
 )
 
 from conftest import (
-    arm_capture,
     baseline_rows,
     count_calls,
+    hand_capture,
     head_mean_oracle,
+    kind_capture,
     mark_rows,
     prefill_keeping,
     random_context,
@@ -75,7 +76,6 @@ class TestPolicy:
         policy = Policy(name=name)
         cap = collect_attention(
             gqa_model, random_context(51, 24), TaskSet(mode="task-agnostic", observation_window=8),
-            policy.capture_reads,
         )
         stack = keep_masks(cap, ablation_grid(), (0.0, 0.5, 0.75), policy)
         masks = {arm.tobytes() for arm in stack}
@@ -87,7 +87,7 @@ class TestPolicy:
         # parameter moves the masks at some grid ratio iff POLICY_PARAMS lists it
         policy = Policy(name=name, sinks=2, window=4, shape=1.0, seed=0)
         task_set = TaskSet(mode="task-agnostic", observation_window=32)
-        cap = collect_attention(gqa_model, random_context(52, 128), task_set, policy.capture_reads)
+        cap = collect_attention(gqa_model, random_context(52, 128), task_set)
 
         def masks(p: Policy) -> np.ndarray:
             return keep_masks(cap, [AggregationChoice()], RATIO_GRID, p)
@@ -160,7 +160,7 @@ def uniform_grid_budgets(layers: int, n: int) -> np.ndarray:
 
 
 def prefill_qk(model, context) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """A prefill's per-layer queries and keys: what tova's capture keeps."""
+    """A prefill's per-layer queries and keys: what every capture keeps, and tova reads."""
     run = prefill(model, context)
     return run.queries, run.cache.keys
 
@@ -253,7 +253,7 @@ class TestTovaSelect:
 
         context = random_context(48, 20)
         ts = TaskSet(mode="task-agnostic", observation_window=4)
-        cap = collect_attention(tiny_model, context, ts, "head-mean")
+        cap = collect_attention(tiny_model, context, ts)
         calls = count_calls(monkeypatch, baselines, "tova_select")
         masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, Policy(name="tova"))
         assert len(calls) == 1 and calls[0][2].shape == (len(RATIO_GRID), 2)
@@ -261,12 +261,16 @@ class TestTovaSelect:
             retention_budget(r, 2, 20) for r in RATIO_GRID
         ]
 
-    def test_capture_without_head_mean_rejected(self, tiny_model):
+    def test_any_capture_replays_its_prefill_queries(self, tiny_model):
+        # every capture holds its prefill's queries, so tova reads them and
+        # computes no attention rows of the capture
+        context, budgets = random_context(49, 12), np.asarray([[6, 6]])
         ts = TaskSet(mode="task-agnostic", observation_window=4)
-        cap = collect_attention(tiny_model, random_context(49, 12), ts)
-        assert cap.queries is None
-        with pytest.raises(UsageError, match="reads='head-mean'"):
-            select_baseline_indices(cap, Policy(name="tova"), np.asarray([[6, 6]]))
+        cap = collect_attention(tiny_model, context, ts)
+        got = select_baseline_indices(cap, Policy(name="tova"), budgets)
+        want = ranks(argsort_desc(tova_select(*prefill_qk(tiny_model, context), budgets)))
+        assert got[0, :, 0].tobytes() == want[0].tobytes()
+        assert "A" not in vars(cap)
 
     def test_capture_and_replay_peak_is_o_n(self):
         # N=2,048 on the demo's random shape: a head-mean capture held the
@@ -283,11 +287,13 @@ class TestTovaSelect:
         context, ts = random_context(37, n), TaskSet(mode="task-agnostic", observation_window=32)
         budgets = baseline_budgets(Policy(name="tova"), 4, n, [n // 2, n // 8])
         peaks = []
-        for reads in ("rows", "head-mean"):
+        for reads in ("rows", "head-mean"):  # kvcompose's window rows, or tova's replay
             tracemalloc.start()
             try:
-                cap = collect_attention(model, context, ts, reads)
-                if reads == "head-mean":
+                cap = collect_attention(model, context, ts)
+                if reads == "rows":
+                    cap.A
+                else:
                     select_baseline_indices(cap, Policy(name="tova"), budgets)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -329,7 +335,7 @@ class TestSnapkvSelect:
     def test_uniform_attention_tie_case(self):
         # constant scores: keeps the window plus the lowest-index tokens
         a = np.full((1, 2, 3, 8), 0.125)
-        cap = AttentionCapture(A=a, value_norms_raw=np.ones((1, 1, 8)))  # snapkv reads no norms
+        cap = hand_capture(a, np.ones((1, 1, 8)))  # snapkv reads no norms
         order = snapkv_select(cap, window=2)
         assert order[0, 0].tolist() == [6, 7, 0, 1, 2, 3, 4, 5]  # window first, then by score
         assert kept_rows(order[0, 0], 5) == [0, 1, 2, 6, 7]
@@ -507,7 +513,6 @@ class TestBudgetParity:
         policy = Policy(name=name)
         cap = collect_attention(
             tiny_model, context, TaskSet(mode="task-agnostic", observation_window=4),
-            policy.capture_reads,
         )
         totals = [retention_budget(r, 2, 16) for r in (0.0, 0.25, 0.5, 0.75)]
         grid = selected(cap, policy, totals)
@@ -527,7 +532,7 @@ class TestMaskOracles:
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_streaming(self, gqa_model, kind):
-        layers, _, n = arm_capture(gqa_model, kind, "none").value_norms_raw.shape
+        layers, _, n = kind_capture(gqa_model, kind).value_norms_raw.shape
         budgets = uniform_grid_budgets(layers, n)
         for sinks in (1, 2, 5):
             masks = ranks(streaming_order(n, sinks)) < budgets[..., None]
@@ -537,7 +542,7 @@ class TestMaskOracles:
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_tova(self, gqa_model, kind):
-        cap = arm_capture(gqa_model, kind, "head-mean")
+        cap = kind_capture(gqa_model, kind)
         budgets = uniform_grid_budgets(len(cap.queries), cap.context_len)
         masks = tova_select(cap.queries, cap.cache.keys, budgets)
         rows = head_mean_oracle(cap.queries, cap.cache.keys)
@@ -546,7 +551,7 @@ class TestMaskOracles:
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     def test_snapkv(self, gqa_model, kind):
-        cap = arm_capture(gqa_model, kind, "rows")
+        cap = kind_capture(gqa_model, kind)
         layers, kv_heads, n = cap.value_norms_raw.shape
         budgets = uniform_grid_budgets(layers, n)
         for window in (0, 1, 4):  # one call per window, on every ratio that fits it
@@ -559,7 +564,7 @@ class TestMaskOracles:
     @pytest.mark.parametrize("name", ["streaming", "tova", "snapkv", "pyramid", "random"])
     def test_dispatch(self, gqa_model, kind, name):
         policy = Policy(name=name)
-        cap = arm_capture(gqa_model, kind, policy.capture_reads)
+        cap = kind_capture(gqa_model, kind)
         layers, kv_heads, n = cap.value_norms_raw.shape
         totals = [retention_budget(r, layers, n) for r in RATIO_GRID]
         rank = select_baseline_indices(cap, policy, baseline_budgets(policy, layers, n, totals))
@@ -589,7 +594,7 @@ class TestBudgetRules:
         # or allocate_budgets over the choice's slot scores; the global rule keeps only
         # its entry total, with counts that differ between the heads of a layer
         policy, choice = Policy(name=name), AggregationChoice()
-        cap = arm_capture(gqa_model, "agreement", policy.capture_reads)
+        cap = kind_capture(gqa_model, "agreement")
         layers, kv_heads, n = cap.value_norms_raw.shape
         counts = np.count_nonzero(keep_masks(cap, [choice], RATIO_GRID, policy)[0], axis=-1)
         rule = BUDGET_RULES[name]

@@ -28,7 +28,7 @@ from kvcompose.scoring import AggregationChoice, TaskSet, collect_attention, sco
 
 from conftest import (
     allocation_oracle,
-    arm_capture,
+    kind_capture,
     baseline_rows,
     count_calls,
     count_prefills,
@@ -280,7 +280,7 @@ class TestCompressPipeline:
         else:
             ts = TaskSet(mode=mode, observation_window=6)
         policy = Policy(name=name)
-        cap = collect_attention(tiny_model, context, ts, policy.capture_reads)
+        cap = collect_attention(tiny_model, context, ts)
         grid = oracle_rows(cap, AggregationChoice(), RATIO_GRID, policy)
         masks = keep_masks(cap, [AggregationChoice()], RATIO_GRID, policy)[0]
         assert len(grid) == len(RATIO_GRID) == len(masks)
@@ -416,7 +416,7 @@ class TestCompressPipeline:
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
         broken = 0
         for task in build_tasks(cfg, model):
-            cap = prepare_task(model, task, mode, window, policy.capture_reads)
+            cap = prepare_task(model, task, mode, window)
             kept = keep_masks(cap, [cfg.agg], tuple(cfg.grid), policy)[0]  # (G, L, H_kv, N)
             broken += np.count_nonzero((kept[1:] & ~kept[:-1]).any(axis=(1, 2, 3)))
         assert broken == breaks.get((name, config), 0)
@@ -550,7 +550,7 @@ class TestKeepMaskStack:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_equals_one_build_per_choice(self, gqa_model, kind, name):
         policy = Policy(name=name)
-        cap = arm_capture(gqa_model, kind, policy.capture_reads)
+        cap = kind_capture(gqa_model, kind)
         stack = keep_masks(cap, ablation_grid(), RATIO_GRID, policy)
         oracle = np.stack([per_choice_masks(cap, c, RATIO_GRID, policy) for c in ablation_grid()])
         assert stack.dtype == bool and stack.shape == oracle.shape
@@ -578,7 +578,7 @@ class TestKeepMaskStack:
             return budgets
 
         monkeypatch.setattr(composer, "allocate_budgets", one_short)
-        cap = arm_capture(gqa_model, "agreement", "rows")
+        cap = kind_capture(gqa_model, "agreement")
         with pytest.raises(UsageError, match="budgets are"):
             keep_masks(cap, ablation_grid(), RATIO_GRID, Policy(name="kvcompose"))
 
@@ -592,7 +592,7 @@ class TestKeepMaskStack:
             return np.maximum(select(cap, policy, budgets) - ties, 0)
 
         monkeypatch.setattr(composer, "select_baseline_indices", tied)
-        cap = arm_capture(gqa_model, "agreement", "head-mean")
+        cap = kind_capture(gqa_model, "agreement")
         with pytest.raises(UsageError, match="budgets are"):
             keep_masks(cap, [AggregationChoice()], (0.25, 0.5), Policy(name="tova"))
 
@@ -619,7 +619,7 @@ class TestKeepMaskStack:
         context, ts = random_context(61, 32), TaskSet(mode="task-agnostic", observation_window=8)
         with pytest.raises(UsageError, match="kv heads of a layer"):
             if entry == "keep_masks":
-                cap = collect_attention(gqa_model, context, ts, policy.capture_reads)
+                cap = collect_attention(gqa_model, context, ts)
                 keep_masks(cap, [AggregationChoice()], (0.5,), policy)
             else:  # without the check, each layer's per-head reshape would misassign rows
                 compress(gqa_model, context, ts, AggregationChoice(), 0.5, policy)
@@ -652,7 +652,7 @@ class TestKvHeadSymmetry:
             task = replace(task, cache=None, queries=None)  # each model runs its own prefill
             want, got = (
                 keep_masks(
-                    prepare_task(m, task, mode, window, policy.capture_reads),
+                    prepare_task(m, task, mode, window),
                     [cfg.agg], RATIO_GRID, policy,
                 )
                 for m in (model, swapped)

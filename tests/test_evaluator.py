@@ -49,9 +49,7 @@ from kvcompose.model import (
 from kvcompose.numerics import SeededRng
 from kvcompose.scoring import (
     AggregationChoice,
-    AttentionCapture,
     TaskSet,
-    aggregate_task,
     collect_attention,
     score_pipeline,
 )
@@ -64,12 +62,10 @@ from conftest import (
     head_mean_oracle,
     plain_logits,
     reward,
+    selector_read,
     tova_oracle,
 )
 from test_model import reference_forward
-
-# what each capture may hold, in the order the policies first read it: rows, head-mean, none
-CAPTURE_READS = tuple(dict.fromkeys(Policy(name=name).capture_reads for name in POLICY_NAMES))
 
 
 def point(r, eps=0.0, reward_mean=1.0):
@@ -486,20 +482,17 @@ class TestSweep:
         cfg = load_config(Path(__file__).parent.parent / "configs" / config)
         model = build_model(cfg)
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-        # each policy sweeps the captures that hold what it reads
+        # every policy sweeps the one capture list of the tasks
         tasks = build_tasks(cfg, model)
-        prepared = {
-            reads: [prepare_task(model, t, mode, window, reads) for t in tasks]
-            for reads in CAPTURE_READS
-        }
+        captures = [prepare_task(model, t, mode, window) for t in tasks]
         full_rewards, reference_logps = zip(
-            *(full_cache_reference(model, t, c) for t, c in zip(tasks, prepared["rows"]))
+            *(full_cache_reference(model, t, c) for t, c in zip(tasks, captures))
         )
         epsilons = count_calls(monkeypatch, evaluator, "epsilon")
         scored = count_calls(monkeypatch, evaluator, "_reward_and_kl")
         agg = AggregationChoice()
         for name in POLICY_NAMES:
-            curves, captures = {}, prepared[Policy(name=name).capture_reads]
+            curves = {}
             for grid in (RATIO_GRID, (0.5, 0.9)):
                 epsilons.clear()
                 scored.clear()
@@ -697,6 +690,28 @@ def assert_same_sweep(kind, got, want):
         assert replace(a, kl_mean=0.0) == replace(b, kl_mean=0.0)
 
 
+class TestOneCaptureList:
+    @pytest.mark.parametrize("config", ["demo_agreement.json", "demo_recall.json"])
+    def test_serves_every_policy_as_its_own_sweep(self, config):
+        # one capture list per task set: each policy's report from it is byte for
+        # byte that of its standalone sweep, whichever policies read it before
+        from kvcompose.cache_io import report_to_json
+        from kvcompose.cli import build_model, build_tasks, load_config
+
+        cfg = load_config(Path(__file__).parent.parent / "configs" / config)
+        model = build_model(cfg)
+        tasks, grid = build_tasks(cfg, model), tuple(cfg.grid)
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        captures = [prepare_task(model, t, mode, window) for t in tasks]
+        seeds = [model.config.seed, cfg.tasks["seed"]]
+        for name in POLICY_NAMES:
+            policy = Policy(name=name)
+            shared = sweep_arms(model, tasks, captures, policy, [cfg.agg], grid)[0]
+            alone = sweep(model, tasks, policy, cfg.agg, grid, mode, window)
+            got, want = (report_to_json(build_report(policy, p, seeds)) for p in (shared, alone))
+            assert got == want, name
+
+
 class TestGridOnce:
     @pytest.fixture(scope="class")
     def task_sets(self):
@@ -708,22 +723,19 @@ class TestGridOnce:
         tasks = make_agreement_tasks(agreement_model, 3, 24, 4, seed=17)
         recall_model = construct_induction_model(8, 32)
         recall = make_recall_tasks(8, 32, 4, seed=18)
-        return {  # (kind, what each capture holds) -> (model, tasks, captures)
-            (kind, reads): (
-                model, given, [prepare_task(model, t, mode, window, reads) for t in given]
-            )
+        return {  # kind -> (model, tasks, captures)
+            kind: (model, given, [prepare_task(model, t, mode, window) for t in given])
             for kind, model, given, mode, window in [
                 ("agreement", agreement_model, tasks, "task-agnostic", 8),
                 ("recall", recall_model, recall, "task-aware", 32),
             ]
-            for reads in CAPTURE_READS
         }
 
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_equals_per_ratio_reference(self, task_sets, kind, name):
         policy, agg = Policy(name=name), AggregationChoice()
-        model, tasks, captures = task_sets[kind, policy.capture_reads]
+        model, tasks, captures = task_sets[kind]
         got = sweep_arms(model, tasks, captures, policy, [agg], RATIO_GRID)[0]
         want = reference_sweep(model, tasks, captures, policy, agg, RATIO_GRID)
         assert_same_sweep(kind, got, want)
@@ -732,7 +744,7 @@ class TestGridOnce:
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_arms_equal_one_sweep_per_choice(self, task_sets, kind, name):
         policy = Policy(name=name)
-        model, tasks, captures = task_sets[kind, policy.capture_reads]
+        model, tasks, captures = task_sets[kind]
         choices = [
             AggregationChoice(),
             AggregationChoice(agg_task="avg", norm_variant="vo-norm"),
@@ -796,10 +808,10 @@ class TestZeroFullReward:
 
 
 class TestLeanCaptures:
-    """A capture holds only what its policy's selector reads: streaming and
-    random nothing beyond the cache, tova the head mean, so neither runs a
-    task stack nor keeps a row, yet each keeps the masks it would keep on a
-    capture that holds everything."""
+    """A capture computes only what its policy's selector reads: a streaming,
+    random or tova sweep computes no attention row and no projected norm, so
+    a task-aware one runs no task pass, yet each keeps the masks it would keep
+    on a capture whose rows and norms were read."""
 
     @pytest.fixture(scope="class")
     def demo(self):
@@ -816,32 +828,36 @@ class TestLeanCaptures:
     @pytest.mark.parametrize("mode", ["task-agnostic", "task-aware"])
     @pytest.mark.parametrize("kind", ["agreement", "recall"])
     @pytest.mark.parametrize("name", ["streaming", "tova", "random"])
-    def test_holds_no_rows_and_keeps_the_same_masks(self, demo, name, kind, mode):
+    def test_holds_no_rows_and_keeps_the_same_masks(self, demo, monkeypatch, name, kind, mode):
+        from kvcompose import model as kvmodel
+
         model, task, window = demo[kind]
-        policy = Policy(name=name)
-        if kind == "agreement" and mode == "task-aware":  # no query: refused whatever is read
-            for reads in CAPTURE_READS:
-                with pytest.raises(UsageError, match="non-empty task"):
-                    prepare_task(model, task, mode, window, reads)
+        policy, choice = Policy(name=name), [AggregationChoice()]
+        if kind == "agreement" and mode == "task-aware":  # no query: refused
+            with pytest.raises(UsageError, match="non-empty task"):
+                prepare_task(model, task, mode, window)
             return
-        lean = prepare_task(model, task, mode, window, policy.capture_reads)
-        rows = prepare_task(model, task, mode, window, "rows")
-        queries = prepare_task(model, task, mode, window, "head-mean").queries
-        full = AttentionCapture(rows.A, rows.value_norms_raw, rows.cache, queries, rows.wo)
-        assert lean.A.shape == (*rows.A.shape[:2], 0, len(task.prompt)) and rows.A.shape[2] > 0
-        assert (lean.queries is None) == (name != "tova")
-        choice = [AggregationChoice()]
+        stacks = count_calls(  # task passes: the only (T, M) token stacks a sweep runs
+            monkeypatch, kvmodel, "_forward",
+            lambda model, cache, tokens, *rest: tokens.shape if tokens.ndim == 2 else None,
+        )
+        lean = prepare_task(model, task, mode, window)
+        sweep_arms(model, [task], [lean], policy, choice, RATIO_GRID)
+        assert stacks == []
+        assert [attr for attr in ("A", "value_norms_proj") if attr in vars(lean)] == []
+        full = prepare_task(model, task, mode, window)
+        full.A, full.value_norms_proj
+        assert len(stacks) == (mode == "task-aware")  # the positive control
         got, want = (keep_masks(cap, choice, RATIO_GRID, policy) for cap in (lean, full))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        with pytest.raises(UsageError, match="no task tokens"):
-            aggregate_task(lean, "max")
+        assert "A" not in vars(lean)
 
-    @pytest.mark.parametrize("reads", CAPTURE_READS)
+    @pytest.mark.parametrize("reads", ["rows", "head-mean", "none"])
     def test_checks_hold_whatever_is_read(self, tiny_model, reads):
-        # a capture that runs no task pass still refuses the tasks one would refuse
+        # a capture refuses, before anything reads it, the tasks a task pass would refuse
         too_wide = TaskSet("task-agnostic", observation_window=5)
         with pytest.raises(UsageError, match="observation_window 5 exceeds context length 2"):
-            collect_attention(tiny_model, [1, 2], too_wide, reads)
+            collect_attention(tiny_model, [1, 2], too_wide)
         vocab, limit = tiny_model.config.vocab_size, tiny_model.config.max_context
         for tasks, error in [
             (((1,), (vocab,)), rf"token ids must lie in \[0, {vocab}\), got range \[{vocab}, {vocab}\]"),
@@ -849,13 +865,15 @@ class TestLeanCaptures:
             (((1,), (1,) * (limit - 1)), rf"positions 2 to {limit} leave \[0, max_context {limit}\)"),
         ]:
             with pytest.raises(UsageError, match=error):
-                collect_attention(tiny_model, [1, 2], TaskSet("task-aware", tasks), reads)
-        collect_attention(tiny_model, [1, 2], TaskSet("task-aware", ((1,) * (limit - 2),)), reads)
+                collect_attention(tiny_model, [1, 2], TaskSet("task-aware", tasks))
+        cap = collect_attention(tiny_model, [1, 2], TaskSet("task-aware", ((1,) * (limit - 2),)))
+        selector_read(cap, reads)
 
     def test_tova_sweep_peaks_no_higher_than_kvcompose(self):
         # tracemalloc peaks above set-up of demo_agreement.json's sweeps (16
-        # tasks, N=128): tova holds its head mean, (L, N, N), and no window
-        # rows, so no more than kvcompose's rows; streaming holds neither
+        # tasks, N=128): tova rebuilds its head means a row block at a time and
+        # computes no window rows, so peaks no higher than kvcompose, which
+        # computes them; streaming computes neither
         import tracemalloc
 
         from kvcompose.cli import build_model, build_tasks, load_config

@@ -679,6 +679,7 @@ class TestRowBlocks:
         tokens = random_context(61, n)
         blocked = prefill_keeping(gqa_model, tokens, attention_rows=n)
         monkeypatch.setattr(model, "ROW_BLOCK", n)
+        monkeypatch.setattr(model, "CAUSAL", np.arange(n)[:, None] < np.arange(n))
         whole = prefill_keeping(gqa_model, tokens, attention_rows=n)
         assert np.array_equal(blocked.logits, whole.logits)
         for name in ("attention", "queries"):

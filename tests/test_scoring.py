@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +13,6 @@ from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 from kvcompose.scoring import (
     TASK_MODES,
     AggregationChoice,
-    AttentionCapture,
     TaskSet,
     aggregate_group,
     aggregate_task,
@@ -26,6 +23,8 @@ from kvcompose.scoring import (
 from conftest import (
     count_calls,
     count_prefills,
+    hand_capture,
+    selector_read,
     prefill_keeping,
     random_context,
     rebuilt_rows,
@@ -41,7 +40,7 @@ def make_capture(seed, layers=2, query_heads=4, kv_heads=2, n=6, m=3):
     a = np.ascontiguousarray(a.swapaxes(2, 3))
     raw = rng.uniform_block(layers * kv_heads * n).reshape(layers, kv_heads, n) + 0.5
     proj = rng.uniform_block(layers * query_heads * n).reshape(layers, query_heads, n) + 0.5
-    cap = AttentionCapture(A=a, value_norms_raw=raw)
+    cap = hand_capture(a, raw)
     cap.value_norms_proj = proj  # a capture with no cache to project: set, not computed
     return cap
 
@@ -67,19 +66,16 @@ class TestTaskSet:
             TaskSet(mode="oracle")
 
 
-def reference_capture(model, context, task_set, head_mean):
+def reference_capture(model, context, task_set):
     """The capture from passes that keep their logits: a default prefill
     keeping the window rows, one default ``_forward`` per task after its
     cache with the task's rows stacked per layer as they are, the tasks
     joined on the task-row axis, and value norms projected through values
-    repeated per query head. A head-mean capture holds the prefill's queries
-    and no task row."""
+    repeated per query head."""
     n = len(context)
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
     base = prefill_keeping(model, context, attention_rows=w)
-    if head_mean:
-        a = np.empty((model.config.layers, model.config.query_heads, 0, n))
-    elif w:
+    if w:
         a = np.stack(base.attention)
     else:
         parts = []
@@ -92,7 +88,7 @@ def reference_capture(model, context, task_set, head_mean):
     group = model.config.query_heads // model.config.kv_heads
     per_query = np.repeat(np.stack(values), group, axis=1)
     proj = np.linalg.norm(per_query @ model.wo, axis=3)
-    return a, raw, proj, base.cache, base.queries if head_mean else None
+    return a, raw, proj, base.cache, base.queries
 
 
 class TestCollectAttention:
@@ -194,12 +190,13 @@ class TestCollectAttention:
 
     @pytest.mark.parametrize("mode", TASK_MODES)
     def test_head_mean_only_when_asked(self, tiny_model, mode):
-        # only a head-mean capture keeps the prefill's queries, from which
-        # the head mean of every row the prefill scores is rebuilt bit for bit
+        # a capture holds no head mean and computes no rows: it keeps the prefill's
+        # queries, from which the head mean of every row the prefill scores is
+        # rebuilt bit for bit when tova asks for it
         context = random_context(14, 10)
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
-        assert collect_attention(tiny_model, context, tset).queries is None
-        cap = collect_attention(tiny_model, context, tset, "head-mean")
+        cap = collect_attention(tiny_model, context, tset)
+        assert "A" not in vars(cap)
         run = prefill_keeping(tiny_model, context, attention_rows=len(context))
         assert [q.tobytes() for q in cap.queries] == [q.tobytes() for q in run.queries]
         mean = np.stack([rows.mean(axis=0) for rows in rebuilt_rows(cap, len(context))])
@@ -211,8 +208,8 @@ class TestCollectAttention:
         self, tiny_model, monkeypatch, mode, head_mean
     ):
         # neither the capture nor the prefill it runs holds an (H_q, N, N)
-        # array: the prefill keeps no rows, and the capture rebuilds the
-        # window's from its queries
+        # array once its rows or tova's head means are read: the prefill keeps
+        # no rows, and the capture rebuilds the window's from its queries
         from kvcompose import scoring
 
         runs = []
@@ -226,14 +223,17 @@ class TestCollectAttention:
         monkeypatch.setattr(scoring, "_forward", recording)
         context, h_q = random_context(16, 20), tiny_model.config.query_heads
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(17, 3)),), 4)
-        cap = collect_attention(tiny_model, context, tset, "head-mean" if head_mean else "rows")
-        arrays = [getattr(cap, f.name) for f in fields(cap)] + cap.cache.keys + cap.cache.values
+        cap = collect_attention(tiny_model, context, tset)
+        selector_read(cap, "head-mean" if head_mean else "rows")
+        arrays = [*vars(cap).values()] + cap.cache.keys + cap.cache.values
         assert len(runs) == 1
-        arrays += runs[0].attention + runs[0].queries + (cap.queries or [])
+        arrays += runs[0].attention + runs[0].queries + cap.queries
         assert [np.shape(a) for a in arrays if np.shape(a)[-3:] == (h_q, 20, 20)] == []
         assert [a.shape for a in runs[0].attention] == [(h_q, 0, 20)] * tiny_model.config.layers
-        kept = 0 if head_mean else 4 if mode == "task-agnostic" else 3  # window or task rows
-        assert cap.A.shape[2] == kept
+        if head_mean:  # tova reads no row of A
+            assert "A" not in vars(cap)
+        else:
+            assert cap.A.shape[2] == (4 if mode == "task-agnostic" else 3)  # window or task rows
 
     def test_task_stack_cache_never_meets_a(self):
         # a task stack returns T grown copies of the context cache, which the
@@ -250,6 +250,7 @@ class TestCollectAttention:
         tracemalloc.start()
         try:
             cap = collect_attention(model, context, TaskSet(mode="task-aware", tasks=tasks))
+            cap.A
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,8 +286,9 @@ class TestCollectAttention:
     @pytest.mark.parametrize("group", [2, 3])
     def test_matches_passes_that_keep_their_logits(self, group, tasks, head_mean):
         # passes without logits, the task rows written into one array and
-        # the value norms projected per kv head change no bit of the capture;
-        # N=130 spans three row blocks and the observation window two
+        # the value norms projected per kv head change no bit of the capture,
+        # whether its rows or tova's head means are read first; N=130 spans
+        # three row blocks and the observation window two
         model = init_model(
             ModelConfig(
                 layers=3, query_heads=2 * group, kv_heads=2, model_dim=16 * group,
@@ -298,17 +300,17 @@ class TestCollectAttention:
             "task-aware" if tasks else "task-agnostic", len(context),
             [tuple(random_context(81 + m, m)) for m in tasks], ROW_BLOCK + 2,
         )
-        cap = collect_attention(model, context, task_set, "head-mean" if head_mean else "rows")
-        a, raw, proj, cache, queries = reference_capture(model, context, task_set, head_mean)
+        cap = collect_attention(model, context, task_set)
+        a, raw, proj, cache, queries = reference_capture(model, context, task_set)
+        if head_mean:  # tova's replay reads the queries and computes no row of A
+            selector_read(cap, "head-mean")
+            assert "A" not in vars(cap)
         for got, want in [(cap.A, a), (cap.value_norms_raw, raw), (cap.value_norms_proj, proj)]:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert cap.cache.next_positions == cache.next_positions
         for got, want in zip(cap.cache.keys + cap.cache.values, cache.keys + cache.values):
             assert got.tobytes() == want.tobytes()
-        if head_mean:
-            assert [q.tobytes() for q in cap.queries] == [q.tobytes() for q in queries]
-        else:
-            assert cap.queries is None
+        assert [q.tobytes() for q in cap.queries] == [q.tobytes() for q in queries]
 
     def test_value_norm_shapes(self, tiny_model):
         cap = collect_attention(
@@ -331,7 +333,8 @@ class TestGivenCache:
     def test_equals_the_capture_that_prefills(self, gqa_model, monkeypatch, reads, n, w):
         # bit for bit: the window's rows are rebuilt from the queries in the
         # prefill's own row blocks, whether the capture ran the prefill or was
-        # given it, so an unaligned window start N - w moves no bit
+        # given it, so an unaligned window start N - w moves no bit; each
+        # selector's read computes only what it reads
         from kvcompose import model as kvmodel
 
         context = random_context(90 + n, n)
@@ -341,44 +344,47 @@ class TestGivenCache:
             monkeypatch, kvmodel, "_forward",
             lambda model, held, tokens, *rest: (held.next_position, np.shape(tokens)),
         )
-        want = collect_attention(gqa_model, context, task_set, reads)
+        want = collect_attention(gqa_model, context, task_set)
+        wanted = selector_read(want, reads)
         want_passes = passes[:]
         run = prefill(gqa_model, context)
         cache = run.cache
         passes.clear()
-        got = collect_attention(gqa_model, context, task_set, reads, cache, run.queries)
-        assert got.cache is cache
-        for a, b in [(got.A, want.A), (got.value_norms_raw, want.value_norms_raw)]:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        if reads == "head-mean":
-            assert [q.tobytes() for q in got.queries] == [q.tobytes() for q in want.queries]
-        else:
-            assert got.queries is None and want.queries is None
-        assert cache.next_positions == want.cache.next_positions
-        for a, b in zip(cache.keys + cache.values, want.cache.keys + want.cache.values):
-            assert a.tobytes() == b.tobytes()
-        # without a prefill the capture runs one; given one, it runs only the task stacks
+        got = collect_attention(gqa_model, context, task_set, cache, run.queries)
+        assert selector_read(got, reads).tobytes() == wanted.tobytes()
+        assert ("A" in vars(got)) == ("A" in vars(want)) == (reads == "rows")
+        # without a prefill the capture runs one; given one, it runs only the task
+        # stacks, on the first read of its rows
         stacks = [(n, (2, 3)), (n, (1, 5))] if reads == "rows" and w is None else []
         assert want_passes == [(0, (n,))] + stacks
         assert passes == stacks
+        assert got.cache is cache
+        for a, b in [(got.A, want.A), (got.value_norms_raw, want.value_norms_raw)]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [q.tobytes() for q in got.queries] == [q.tobytes() for q in want.queries]
+        assert cache.next_positions == want.cache.next_positions
+        for a, b in zip(cache.keys + cache.values, want.cache.keys + want.cache.values):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("reads", ["rows", "head-mean", "none"])
     def test_an_agreement_task_capture_runs_no_pass(self, gqa_model, monkeypatch, reads):
         # an agreement task carries its prefill's cache and queries, so its
-        # capture, whatever it reads, scores them and runs no forward pass
+        # capture, whatever its selector reads, scores them and runs no forward pass
         from kvcompose import model as kvmodel
 
         task = make_agreement_tasks(gqa_model, 2, ROW_BLOCK + 20, 2, seed=97)[1]
         tset = TaskSet(mode="task-agnostic", observation_window=32)
         passes = count_calls(monkeypatch, kvmodel, "_forward")
-        cap = collect_attention(gqa_model, list(task.prompt), tset, reads, task.cache, task.queries)
+        cap = collect_attention(gqa_model, list(task.prompt), tset, task.cache, task.queries)
+        selector_read(cap, reads)
         assert passes == []
-        assert cap.cache is task.cache and cap.A.shape[2] == (32 if reads == "rows" else 0)
-        assert (cap.queries is task.queries) == (reads == "head-mean")
+        assert ("A" in vars(cap)) == (reads == "rows")
+        assert cap.cache is task.cache and cap.A.shape[2] == 32
+        assert cap.queries is task.queries
 
     @pytest.mark.parametrize("misfit", ["stacked", "compacted", "next-position"])
     def test_a_cache_that_does_not_fit_is_refused(self, tiny_model, monkeypatch, misfit):
-        # its rows would be another cache's: refused before any pass, whatever is read
+        # its rows would be another cache's: refused before any pass
         from kvcompose import model as kvmodel
 
         context, layers = random_context(95, 12), tiny_model.config.layers
@@ -393,15 +399,14 @@ class TestGivenCache:
             "next-position": lambda: KVCache(cache.keys, cache.values, [13] * layers),
         }[misfit]()
         passes = count_calls(monkeypatch, kvmodel, "_forward")
-        for reads in ("rows", "head-mean", "none"):
-            with pytest.raises(UsageError, match="not this 12-token context's unstacked prefill"):
-                collect_attention(tiny_model, context, task_set, reads, cache, run.queries)
+        with pytest.raises(UsageError, match="not this 12-token context's unstacked prefill"):
+            collect_attention(tiny_model, context, task_set, cache, run.queries)
         assert passes == []
 
     @pytest.mark.parametrize("misfit", ["no-queries", "no-cache", "other-context"])
     def test_queries_that_do_not_fit_are_refused(self, tiny_model, monkeypatch, misfit):
         # a cache without its queries, queries without their cache, or another
-        # context's queries: refused before any pass, whatever is read
+        # context's queries: refused before any pass
         from kvcompose import model as kvmodel
 
         context = random_context(96, 12)
@@ -415,9 +420,8 @@ class TestGivenCache:
             ),
         }[misfit]
         passes = count_calls(monkeypatch, kvmodel, "_forward")
-        for reads in ("rows", "head-mean", "none"):
-            with pytest.raises(UsageError, match=match):
-                collect_attention(tiny_model, context, task_set, reads, *given)
+        with pytest.raises(UsageError, match=match):
+            collect_attention(tiny_model, context, task_set, *given)
         assert passes == []
 
 
@@ -431,7 +435,8 @@ class TestTaskStacks:
         tasks = tuple(tuple(random_context(91 + i, m)) for i, m in enumerate((3, 8, 3, 5)))
         calls = count_calls(monkeypatch, model, "_forward")
         cap = collect_attention(gqa_model, context, TaskSet(mode="task-aware", tasks=tasks))
-        # the prefill, then one pass per distinct length, in first-seen order
+        cap.A
+        # the prefill, then one pass per distinct length on the first read, in first-seen order
         assert [np.shape(c[2]) for c in calls] == [(40,), (2, 3), (1, 8), (1, 5)]
         passes = [
             _forward(gqa_model, cap.cache, np.asarray(t), attention_rows=len(t), logits=False)

@@ -2,7 +2,8 @@
 by name, so a renamed or deleted function would break
 ``perfbench/run.py --trace 1`` unseen, and each of them has a caller
 in the program or a stated reason on a short list, so that no traced
-metric reads 0 for want of a caller; every ranking goes through
+metric reads 0 for want of a caller, and its capture and score measures
+run on a capture of each scoring mode; every ranking goes through
 ``numerics.argsort_desc``, the one home of the tie rule; ``baselines.py``
 calls no ``SeededRng`` method that draws one value a call and
 ``select_baseline_indices`` runs no ``for`` or ``while`` statement, so no
@@ -11,8 +12,8 @@ baseline draws or selects one row or head at a time; only
 no dataclass merely wraps one array; the evaluator scores every
 policy through ``composer.keep_masks`` alone; only ``baselines.py`` holds
 a policy's name as a string literal (the program's name and a model kind
-aside), so its ``POLICIES`` table decides in one place what each policy's
-capture keeps and how it budgets its layers; outside ``model.py`` only
+aside), so its ``POLICIES`` table decides in one place which parameters
+each policy reads and how it budgets its layers; outside ``model.py`` only
 ``scoring.py``, the module that reads attention, asks a forward pass to
 keep any, and each of its passes skips its logits, which nothing reads
 there; ``model.py``, ``scoring.py`` and ``baselines.py`` call no ``np.exp``,
@@ -59,18 +60,29 @@ import pytest
 from kvcompose.baselines import POLICY_NAMES
 from kvcompose.composer import CompressedCache
 from kvcompose.model import KVCache, construct_induction_model
-from kvcompose.scoring import TaskSet, collect_attention
+from kvcompose.scoring import (
+    TASK_MODES,
+    AggregationChoice,
+    TaskSet,
+    collect_attention,
+    score_pipeline,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
-def traced_names() -> dict[str, tuple[str, ...]]:
-    """perfbench's ``TRACED``: module name -> the function names its tracer wraps."""
+def perfbench_tracing():
+    """perfbench's tracer module, loaded from its file without installing it."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TRACED
+    return tracing
+
+
+def traced_names() -> dict[str, tuple[str, ...]]:
+    """perfbench's ``TRACED``: module name -> the function names its tracer wraps."""
+    return perfbench_tracing().TRACED
 
 
 @pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
@@ -135,6 +147,27 @@ def test_traced_capture_attributes_keep_their_shapes(gqa_model):
     assert cap.A.shape == (cfg.layers, cfg.query_heads, 5, 12)
     assert cap.value_norms_raw.shape == (cfg.layers, cfg.kv_heads, 12)
     assert cap.value_norms_proj.shape == (cfg.layers, cfg.query_heads, 12)
+
+
+@pytest.mark.skipif(not TRACING.is_file(), reason="perfbench/ is not in this checkout")
+@pytest.mark.parametrize("mode", TASK_MODES)
+def test_perfbench_capture_measures_run(gqa_model, mode):
+    # the measures perfbench's tracer applies to every capture and score call
+    # under --trace 1, run on a capture of each mode: one that breaks on a lazy
+    # attribute then fails here, not only in the traced benchmark
+    tracing, cfg, context = perfbench_tracing(), gqa_model.config, list(range(12))
+    ts = TaskSet.for_context(mode, len(context), ((1, 2, 3), (4, 5)), 4)
+    cap = collect_attention(gqa_model, context, ts)
+    measured = tracing.MEASURES["scoring.collect_attention"]((gqa_model, context, ts), {}, cap)
+    rows = 4 if mode == "task-agnostic" else 5  # the window, or both tasks' tokens
+    held = cfg.layers * (cfg.query_heads * rows + cfg.kv_heads + cfg.query_heads) * 12
+    assert measured == {"capture_bytes": 8 * held}
+    choice = AggregationChoice()
+    scores = score_pipeline(cap, cfg.kv_heads, choice)
+    (a, raw), keyed = tracing._score_key((cap, cfg.kv_heads, choice), {}, scores)["distinct"]
+    assert keyed == choice
+    assert a[0] == (cfg.layers, cfg.query_heads, rows, 12)
+    assert raw[0] == (cfg.layers, cfg.kv_heads, 12)
 
 
 def test_bench_records_name_only_benchmarked_metrics():
