@@ -333,7 +333,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
         raise ConfigError(f"ablate: policy {cfg.eviction.name} reads no aggregation choice")
     mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]  # one for every arm
     tasks = build_tasks(cfg, model)
-    captures = [prepare_task(model, t, mode, window) for t in tasks]
+    captures = (prepare_task(model, t, mode, window) for t in tasks)  # one at a time
     choices = ablation_grid()
     curves = sweep_arms(model, tasks, captures, cfg.eviction, choices, tuple(cfg.grid))
     resolved = cfg.resolved  # each arm's echo differs only in its scoring choice

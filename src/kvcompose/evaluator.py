@@ -5,14 +5,15 @@ the constructed lookup model, and teacher-forced top-1 agreement with the
 full-cache run for arbitrary models. Degradation epsilon is the mean
 relative reward drop versus the full cache; curves sweep the ratio grid
 and are summarized by span-normalized AUC and the largest ratio whose
-epsilon stays under a tolerance. Every policy is scored the same way:
-as ``composer.keep_masks``' keep-masks on the task's one full cache; a task's
-distinct masks each run once, in forward calls of at most one grid's masks.
-The full-cache reference is one more mask of that stack: the all-kept row 0.
-"""
+epsilon stays under a tolerance. Every policy is scored the same way: as
+``composer.keep_masks``' keep-masks on the task's one full cache, built from its
+capture as the sweep reaches the task, so a sweep holds one capture at a time; a
+task's distinct masks each run once, in forward calls of at most one grid's masks.
+The full-cache reference is one more mask of that stack: the all-kept row 0."""
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,8 +300,8 @@ def check_grid(grid, error: type[Exception] = UsageError) -> None:
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int
 ) -> AttentionCapture:
-    """The task's capture, on its carried prefill if any, which serves every policy; it
-    holds the full prefill cache every keep-mask of the task runs on."""
+    """The task's capture, on its carried prefill if any, with the full prefill cache every
+    keep-mask of the task runs on; ``sweep`` builds it as it reaches the task."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
     return collect_attention(model, list(task.prompt), tset, task.cache, task.queries)
@@ -332,18 +333,20 @@ def _evaluate_task(
 def sweep_arms(
     model: Model,
     tasks: list[TaskInstance],
-    captures: list[AttentionCapture],
+    captures: Iterable[AttentionCapture],
     policy: Policy,
     agg_choices: list[AggregationChoice],
     grid: tuple[float, ...],
 ) -> list[list[CurvePoint]]:
-    """One curve per aggregation choice, each point averaged over the tasks, each
-    scored on its own capture (``prepare_task``), in the same order."""
-    if not tasks or not agg_choices or len(tasks) != len(captures):
-        raise UsageError("sweep needs tasks, a capture for each and one aggregation choice or more")
+    """One curve per aggregation choice, each point averaged over the tasks, each scored
+    on its own capture (``prepare_task``), in task order, as it arrives: a generator of
+    captures is held one at a time, and a list can serve every policy."""
     check_grid(grid)
-    pairs = zip(tasks, captures)
+    stream = iter(captures)  # zip pulls a task first: it stops with no capture too many
+    pairs = zip(tasks, stream) if agg_choices else ()
     evaluated = [_evaluate_task(model, t, c, policy, agg_choices, grid) for t, c in pairs]
+    if not evaluated or len(evaluated) < len(tasks) or next(stream, None) is not None:
+        raise UsageError("sweep needs tasks, a capture for each and one aggregation choice or more")
     full_rewards, per_task = zip(*evaluated)  # each task's full-cache reward, (3, A, G) block
     # (T, 3, A, G) stacked, then laid out (3, A, G, T) with the task axis contiguous:
     # each point's pairwise sum over its task row gives the bits of a 1-D np.mean
@@ -364,8 +367,8 @@ def sweep(
     mode: str = DEFAULT_MODE,
     observation_window: int = OBSERVATION_WINDOW,
 ) -> list[CurvePoint]:
-    """Prepare every task, then evaluate one curve point per grid ratio."""
-    captures = [prepare_task(model, t, mode, observation_window) for t in tasks]
+    """One curve point per grid ratio; each task is prepared as it is evaluated."""
+    captures = (prepare_task(model, t, mode, observation_window) for t in tasks)
     return sweep_arms(model, tasks, captures, policy, [agg_choice], grid)[0]
 
 

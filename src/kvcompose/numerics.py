@@ -29,7 +29,7 @@ class SeededRng:
         z <- (z XOR (z >> 27)) * 0x94D049BB133111EB
         output <- z XOR (z >> 31)
 
-    ``uniform`` maps the top 53 bits of the output to [0, 1). The stream
+    ``uniform_block`` maps the top 53 bits of each output to [0, 1). The stream
     depends only on the seed, never on platform or numpy version, so
     serialized weights and golden files are reproducible everywhere.
     """
@@ -44,11 +44,8 @@ class SeededRng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def uniform_block(self, n: int) -> np.ndarray:
-        """Vectorized batch of ``uniform`` draws, identical to n scalar calls."""
+        """n draws in [0, 1), vectorized: the next n outputs' top 53 bits, scaled."""
         counters = np.arange(1, n + 1, dtype=np.uint64)
         states = (np.uint64(self._state) + counters * np.uint64(_GAMMA)) & np.uint64(_MASK64)
         self._state = int(states[-1]) if n else self._state

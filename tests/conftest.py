@@ -97,6 +97,12 @@ def random_context(seed: int, length: int, vocab: int = 64) -> list[int]:
     return [rng.randint(vocab) for _ in range(length)]
 
 
+def scalar_uniform(rng: SeededRng) -> float:
+    """The scalar draw that ``SeededRng.uniform_block`` vectorizes: the next output's
+    top 53 bits, scaled to [0, 1)."""
+    return (rng.next_u64() >> 11) * 2.0**-53
+
+
 def random_matrix(seed: int, rows: int, cols: int) -> np.ndarray:
     rng = SeededRng(seed)
     return (rng.uniform_block(rows * cols) * 2.0 - 1.0).reshape(rows, cols)
@@ -281,7 +287,9 @@ def baseline_rows(cap, policy, totals) -> list[list[np.ndarray]]:
         # one uniform key per (layer, head, slot), drawn in that order; each head keeps
         # its b highest keys, ties to the lower slot (a stable descending sort)
         rng = SeededRng(policy.seed)
-        keys = [[[rng.uniform() for _ in range(n)] for _ in range(heads)] for _ in range(layers)]
+        keys = [
+            [[scalar_uniform(rng) for _ in range(n)] for _ in range(heads)] for _ in range(layers)
+        ]
         orders = [[sorted(range(n), key=lambda c: -head[c]) for head in layer] for layer in keys]
         return [
             [

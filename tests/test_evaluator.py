@@ -1,6 +1,8 @@
 from dataclasses import replace
 from pathlib import Path
+import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -458,10 +460,12 @@ class TestSweep:
             sweep_arms(tiny_model, [task], captures, Policy(name=name), [], RATIO_GRID)
 
     def test_unequal_task_and_capture_lists_rejected(self, tiny_model):
-        # each task is scored on its own capture: a list one short pairs no task with it
+        # each task is scored on its own capture: a list or a stream one short pairs no
+        # task with it, and one capture too many is refused too
         tasks = make_agreement_tasks(tiny_model, 2, 16, 4, seed=20)
         captures = [prepare_task(tiny_model, t, "task-agnostic", 8) for t in tasks]
-        for given in (captures[:1], captures + captures[:1]):
+        streams = [(c for c in captures[:1]), (c for c in captures + captures[:1])]
+        for given in (captures[:1], captures + captures[:1], *streams):
             with pytest.raises(UsageError, match="a capture for each"):
                 sweep_arms(tiny_model, tasks, given, Policy(name="kvcompose"), [AggregationChoice()], RATIO_GRID)
 
@@ -710,6 +714,63 @@ class TestOneCaptureList:
             alone = sweep(model, tasks, policy, cfg.agg, grid, mode, window)
             got, want = (report_to_json(build_report(policy, p, seeds)) for p in (shared, alone))
             assert got == want, name
+
+
+class TestOneCaptureAtATime:
+    # sweep and ablate build each task's capture as they reach it, so a capture and
+    # the window rows it computed are freed before the next task's is built
+    @pytest.fixture
+    def demo(self, tmp_path):
+        demo = Path(__file__).parent.parent / "configs" / "demo_agreement.json"
+        config = json.loads(demo.read_text())
+        config.update(policy={"name": "kvcompose"}, out_dir=str(tmp_path / "out"))
+        path = tmp_path / "kvcompose.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_one_capture_alive_at_each_evaluation(self, demo, command, monkeypatch):
+        from kvcompose import cli, evaluator
+
+        made, alive = [], []
+        evaluate = evaluator._evaluate_task
+
+        def tracked(*args):
+            capture = prepare_task(*args)
+            made.append(weakref.ref(capture))
+            return capture
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            return evaluate(*args)
+
+        monkeypatch.setattr(evaluator, "prepare_task", tracked)
+        monkeypatch.setattr(cli, "prepare_task", tracked)
+        monkeypatch.setattr(evaluator, "_evaluate_task", counted)
+        assert cli.main([command, "--config", str(demo), "--grid", "0,0.5"]) == 0
+        assert len(made) == len(alive) == 16 and max(alive) == 1, alive
+
+    def test_kvcompose_sweep_peaks_within_two_captures_rows_of_streaming(self, demo):
+        # tracemalloc peaks above set-up: streaming computes no window rows, and a
+        # kvcompose sweep holds at most one task's besides the one it evaluates
+        import tracemalloc
+
+        from kvcompose.cli import build_model, build_tasks, load_config
+
+        cfg = load_config(demo)
+        model = build_model(cfg)
+        tasks = build_tasks(cfg, model)
+        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        rows = prepare_task(model, tasks[0], mode, window).A.nbytes
+        peaks = {}
+        for name in ("kvcompose", "streaming"):
+            tracemalloc.start()
+            try:
+                sweep(model, tasks, Policy(name=name), cfg.agg, tuple(cfg.grid), mode, window)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["kvcompose"] - peaks["streaming"] < 2 * rows, (peaks, rows)
 
 
 class TestGridOnce:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kvcompose.errors import UsageError
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
 
-from conftest import random_matrix
+from conftest import random_matrix, scalar_uniform
 
 
 def softmax_oracle(m, scale):
@@ -192,7 +192,7 @@ class TestSeededRng:
     def test_vectorized_matches_scalar(self):
         scalar = SeededRng(99)
         vec = SeededRng(99)
-        expected = [scalar.uniform() for _ in range(100)]
+        expected = [scalar_uniform(scalar) for _ in range(100)]
         got = vec.uniform_block(100)
         assert np.array_equal(np.asarray(expected), got)
         # streams stay aligned afterwards
