@@ -104,21 +104,21 @@ def tova_select(queries: list, keys: list, budgets: np.ndarray) -> np.ndarray:
     budgets = np.asarray(budgets)
     if budgets.ndim != 2 or budgets.shape[1] != layers or (budgets < 0).any():
         raise ConfigError(f"tova budgets must be (G, L={layers}) and >= 0, got {budgets.tolist()}")
-    first = int(min(budgets.min(), n))  # no layer evicts before step ``first``
-    # the keep-mask as an added (G, L, N+1) cost: 0 where a token is held, inf where it is
-    # evicted or not yet appended, so the least-attended held token wins. Column N, whose
-    # rows stay 0, is a spare that a mask row evicts at step m < budget (-inf), never after
-    cost = np.tile(np.where(np.arange(n + 1) < first, 0.0, np.inf), (*budgets.shape, 1))
-    spare = np.where(np.arange(n)[:, None, None] < budgets, -np.inf, np.inf)  # (N, G, L)
-    every = np.arange(budgets.size)
-    rows = np.zeros((layers, ROW_BLOCK, n + 1))  # steps [start, stop); no step reads past stop
+    flat = budgets.reshape(-1)
+    layer = np.tile(np.arange(layers), len(budgets))  # the attention each mask row reads
+    first = int(min(flat.min(), n))  # no layer evicts before step ``first``
+    # the keep-mask as an added cost: 0 where a token is held, inf where it
+    # is evicted or not yet appended, so the least-attended held token wins
+    cost = np.tile(np.where(np.arange(n) < first, 0.0, np.inf), (flat.size, 1))
+    rows = np.zeros((layers, ROW_BLOCK, n))  # steps [start, stop); no step reads past stop
     for start, stop, l, weights in prefill_weights(queries, keys, first):
         rows[l, : stop - start, :stop] = weights.mean(axis=-3)
         for m in range(start, stop) if l == layers - 1 else ():  # once every layer's rows are in
-            cost[..., m], cost[..., n] = 0.0, spare[m]
-            worst = (rows[:, m - start] + cost).argmin(axis=-1)  # (G, L), ties to the lowest
-            cost.reshape(-1, n + 1)[every, worst.reshape(-1)] = np.inf
-    return cost[..., :n] == 0.0
+            cost[:, m] = 0.0
+            over = np.flatnonzero(flat <= m)  # mask rows now holding budget + 1 tokens
+            worst = (rows[layer[over], m - start] + cost[over]).argmin(axis=1)
+            cost[over, worst] = np.inf
+    return (cost == 0.0).reshape(*budgets.shape, n)
 
 
 def snapkv_select(cap: AttentionCapture, window: int) -> np.ndarray:

@@ -6,10 +6,9 @@ full-cache run for arbitrary models. Degradation epsilon is the mean
 relative reward drop versus the full cache; curves sweep the ratio grid
 and are summarized by span-normalized AUC and the largest ratio whose
 epsilon stays under a tolerance. Every policy is scored the same way: as
-``composer.keep_masks``' keep-masks on the task's one full cache, built from its
-capture as the sweep reaches the task, so a sweep holds one capture at a time; a
-task's distinct masks each run once, in forward calls of at most one grid's masks.
-The full-cache reference is one more mask of that stack: the all-kept row 0."""
+``composer.keep_masks``' keep-masks on the task's one full cache, a sweep holding one
+capture at a time; a task's distinct masks each run once, in forward calls of at most
+one grid's masks. The full-cache reference is one more mask: the all-kept row 0."""
 from __future__ import annotations
 
 import warnings
@@ -300,8 +299,7 @@ def check_grid(grid, error: type[Exception] = UsageError) -> None:
 def prepare_task(
     model: Model, task: TaskInstance, mode: str, observation_window: int
 ) -> AttentionCapture:
-    """The task's capture, on its carried prefill if any, with the full prefill cache every
-    keep-mask of the task runs on; ``sweep`` builds it as it reaches the task."""
+    """The task's capture, on its carried prefill if any: the full cache its masks run on."""
     # task-aware scoring reads the query; an agreement task's empty one is refused
     tset = TaskSet.for_context(mode, len(task.prompt), (task.query,), observation_window)
     return collect_attention(model, list(task.prompt), tset, task.cache, task.queries)
@@ -338,15 +336,17 @@ def sweep_arms(
     agg_choices: list[AggregationChoice],
     grid: tuple[float, ...],
 ) -> list[list[CurvePoint]]:
-    """One curve per aggregation choice, each point averaged over the tasks, each scored
-    on its own capture (``prepare_task``), in task order, as it arrives: a generator of
-    captures is held one at a time, and a list can serve every policy."""
+    """One curve per aggregation choice, averaged over the tasks, each scored on its capture
+    as it arrives, in task order: a generator is held one capture at a time."""
+    needs = "sweep needs tasks, a capture for each and one aggregation choice or more"
+    if not tasks or not agg_choices:
+        raise UsageError(needs)
     check_grid(grid)
     stream = iter(captures)  # zip pulls a task first: it stops with no capture too many
-    pairs = zip(tasks, stream) if agg_choices else ()
+    pairs = zip(tasks, stream)
     evaluated = [_evaluate_task(model, t, c, policy, agg_choices, grid) for t, c in pairs]
-    if not evaluated or len(evaluated) < len(tasks) or next(stream, None) is not None:
-        raise UsageError("sweep needs tasks, a capture for each and one aggregation choice or more")
+    if len(evaluated) < len(tasks) or next(stream, None) is not None:
+        raise UsageError(needs)
     full_rewards, per_task = zip(*evaluated)  # each task's full-cache reward, (3, A, G) block
     # (T, 3, A, G) stacked, then laid out (3, A, G, T) with the task axis contiguous:
     # each point's pairwise sum over its task row gives the bits of a 1-D np.mean

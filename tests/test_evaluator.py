@@ -719,19 +719,15 @@ class TestOneCaptureList:
 class TestOneCaptureAtATime:
     # sweep and ablate build each task's capture as they reach it, so a capture and
     # the window rows it computed are freed before the next task's is built
-    @pytest.fixture
-    def demo(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_one_capture_alive_at_each_evaluation(self, tmp_path, command, monkeypatch):
+        from kvcompose import cli, evaluator
+
         demo = Path(__file__).parent.parent / "configs" / "demo_agreement.json"
         config = json.loads(demo.read_text())
         config.update(policy={"name": "kvcompose"}, out_dir=str(tmp_path / "out"))
         path = tmp_path / "kvcompose.json"
         path.write_text(json.dumps(config))
-        return path
-
-    @pytest.mark.parametrize("command", ["sweep", "ablate"])
-    def test_one_capture_alive_at_each_evaluation(self, demo, command, monkeypatch):
-        from kvcompose import cli, evaluator
-
         made, alive = [], []
         evaluate = evaluator._evaluate_task
 
@@ -747,30 +743,8 @@ class TestOneCaptureAtATime:
         monkeypatch.setattr(evaluator, "prepare_task", tracked)
         monkeypatch.setattr(cli, "prepare_task", tracked)
         monkeypatch.setattr(evaluator, "_evaluate_task", counted)
-        assert cli.main([command, "--config", str(demo), "--grid", "0,0.5"]) == 0
+        assert cli.main([command, "--config", str(path), "--grid", "0,0.5"]) == 0
         assert len(made) == len(alive) == 16 and max(alive) == 1, alive
-
-    def test_kvcompose_sweep_peaks_within_two_captures_rows_of_streaming(self, demo):
-        # tracemalloc peaks above set-up: streaming computes no window rows, and a
-        # kvcompose sweep holds at most one task's besides the one it evaluates
-        import tracemalloc
-
-        from kvcompose.cli import build_model, build_tasks, load_config
-
-        cfg = load_config(demo)
-        model = build_model(cfg)
-        tasks = build_tasks(cfg, model)
-        mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
-        rows = prepare_task(model, tasks[0], mode, window).A.nbytes
-        peaks = {}
-        for name in ("kvcompose", "streaming"):
-            tracemalloc.start()
-            try:
-                sweep(model, tasks, Policy(name=name), cfg.agg, tuple(cfg.grid), mode, window)
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks["kvcompose"] - peaks["streaming"] < 2 * rows, (peaks, rows)
 
 
 class TestGridOnce:
@@ -934,7 +908,8 @@ class TestLeanCaptures:
         # tracemalloc peaks above set-up of demo_agreement.json's sweeps (16
         # tasks, N=128): tova rebuilds its head means a row block at a time and
         # computes no window rows, so peaks no higher than kvcompose, which
-        # computes them; streaming computes neither
+        # computes them; streaming computes neither. A sweep holds one capture at a
+        # time, so kvcompose's rows add less than two captures' worth to the peak
         import tracemalloc
 
         from kvcompose.cli import build_model, build_tasks, load_config
@@ -943,6 +918,7 @@ class TestLeanCaptures:
         model = build_model(cfg)
         tasks = build_tasks(cfg, model)
         mode, window = cfg.scoring["mode"], cfg.scoring["observation_window"]
+        rows = prepare_task(model, tasks[0], mode, window).A.nbytes
         peaks = {}
         for name in ("kvcompose", "tova", "streaming"):
             tracemalloc.start()
@@ -953,3 +929,4 @@ class TestLeanCaptures:
                 tracemalloc.stop()
         assert peaks["tova"] <= peaks["kvcompose"] + 2**20, peaks
         assert peaks["streaming"] < min(peaks["tova"], peaks["kvcompose"]), peaks
+        assert peaks["kvcompose"] - peaks["streaming"] < 2 * rows, (peaks, rows)
