@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import POLICIES, Policy, baseline_budgets, retention_budget, select_baseline_indices
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, UsageError
 from .model import KVCache, Model
 from .numerics import argsort_desc, ranks
 from .scoring import (
@@ -102,7 +102,7 @@ def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
     """Take rows ``kept[l]`` of each layer of an uncompressed cache: one
     (H_kv, n_l) index array per layer, or (n_l,) for the same rows in every head."""
     if len(kept) != cache.layer_count:
-        raise ShapeError(f"cache has {cache.layer_count} layers, index {len(kept)}")
+        raise UsageError(f"cache has {cache.layer_count} layers, index {len(kept)}")
     keys, values, provenance = [], [], []
     for layer, (k, v, take) in enumerate(zip(cache.keys, cache.values, kept)):
         rows = cache.rows(layer)

@@ -5,10 +5,6 @@ class KvcError(Exception):
     """Base class for all engine errors."""
 
 
-class ShapeError(KvcError):
-    """Tensor dimensions do not line up."""
-
-
 class ConfigError(KvcError):
     """Invalid model, policy, or run configuration."""
 

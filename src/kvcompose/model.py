@@ -112,7 +112,7 @@ class ForwardResult:
 
     cache: KVCache | None  # the held rows plus the new ones; None if a stack shared them
     logits: np.ndarray  # (M, vocab), or (T or G, M, vocab) under a stack; 0 rows if not asked for
-    attention: list[np.ndarray]  # per layer (..., H_q, attention_rows, R+M), the last query rows
+    attention: list[np.ndarray]  # per layer (..., H_q, M, R+M) if asked for, else 0 rows
     queries: list[np.ndarray]  # per layer (..., H_q, M, d_h), rotated and scaled by 1/sqrt(d_h)
 
 
@@ -229,7 +229,7 @@ def _forward(
     cache: KVCache,
     tokens: np.ndarray,
     head_masks: np.ndarray | None = None,
-    attention_rows: int = 0,
+    attention: bool = False,
     logits: bool = True,
 ) -> ForwardResult:
     """Run M >= 1 tokens after the rows held in ``cache``, which it reads and never writes.
@@ -245,15 +245,15 @@ def _forward(
     The two stacks do not combine. Under either, outputs gain a leading T or
     G axis. The cache is the grown stack after a stacked cache, and None where
     a stack shares one cache's held rows (a token stack after one cache, or a
-    mask stack), so no layer's broadcast or masked K/V outlives it. Of
-    each layer's (H_q, M, R+M) attention only the last
-    ``attention_rows`` query rows (0 to M, none by default) are kept; every layer's
-    rotated, pre-scaled queries come back, from which ``prefill_weights`` rebuilds any
-    row of a prefill. New rows take positions ``cache.next_position`` onward, whatever R
-    is; only here is a position set, and only model.py checks [0, ``max_context``).
-    With ``logits`` off the last layer still adds its K/V rows, but runs only the blocks
-    that hold a kept row and skips its output projection; the logits come back as an
-    empty (..., 0, vocab) array.
+    mask stack), so no layer's broadcast or masked K/V outlives it. With
+    ``attention`` each layer keeps its whole (..., H_q, M, R+M) attention, and
+    otherwise returns a 0-row array; every layer's rotated, pre-scaled queries come
+    back, from which ``prefill_weights`` rebuilds any row of a prefill. New rows take
+    positions ``cache.next_position`` onward, whatever R is; only here is a position
+    set, and only model.py checks [0, ``max_context``).
+    With ``logits`` off the last layer still adds its K/V rows, but runs its row blocks
+    only if it keeps attention and skips its output projection; the logits come back as
+    an empty (..., 0, vocab) array.
 
     Each layer runs its new rows in blocks of ``ROW_BLOCK`` through ``_block_weights``.
     Block [s, e) scores only the held rows and new rows [0, e), so the causal upper
@@ -270,8 +270,6 @@ def _forward(
     if tokens.size == 0:
         raise UsageError("a forward pass needs at least one new token")
     positions = check_tokens(model, tokens, cache.next_position)  # not R, which compaction lowers
-    if not 0 <= attention_rows <= m:
-        raise UsageError(f"cannot keep {attention_rows} attention rows of {m}")
     x = _embed(model, tokens, positions)  # (M, d) or (T, M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     if head_masks is not None:
@@ -291,11 +289,10 @@ def _forward(
     angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
     cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]
     block = min(m, ROW_BLOCK)
-    first = m - attention_rows  # the first kept query row
-    keys, values, attention, queries = [], [], [], []
+    keys, values, kept_attention, queries = [], [], [], []
 
     for layer in range(cfg.layers):
-        needs_out = logits or layer < cfg.layers - 1  # else only kept rows are read
+        needs_out = logits or layer < cfg.layers - 1  # else only kept attention is read
         rows = x[..., None, :, :]  # each row's (M, d) block meets every head
         q, k_new, v_new = rows @ model.wq[layer], rows @ model.wk[layer], rows @ model.wv[layer]
         qk = _rotate(np.concatenate([q, k_new], axis=-3), cos, sin)
@@ -309,22 +306,19 @@ def _forward(
 
         out = np.empty(grid + (m, h_q * d_h))
         heads_out = out.reshape(*grid, m, h_q, d_h)  # a view: each block's rows copy once
-        kept = np.zeros(grid + (h_q, attention_rows, held + m))
-        for s in range(0, m, block):
+        kept = np.zeros(grid + (h_q, m if attention else 0, held + m))
+        for s in range(0, m if needs_out or attention else 0, block):
             e = min(s + block, m)
-            if not (needs_out or e > first):
-                continue  # blocks start on the same grid either way, so no bit moves
             ex, sums = _block_weights(q, k, held, s, e, visible=visible)
             if needs_out:
                 by_kv = ex.reshape(*grid, h_kv, -1, held + e) @ v[..., : held + e, :]
                 by_kv /= sums.reshape(by_kv.shape[:-1] + (1,))  # d_h divisions a row, not R+e
                 heads_out[..., s:e, :, :] = by_kv.reshape(*grid, h_q, e - s, d_h).swapaxes(-3, -2)
-            if e > first:  # a block wholly before the kept rows writes none of them
-                r = max(first - s, 0)  # the block's first kept row
-                kept[..., s + r - first : e - first, : held + e] = ex[..., r:, :] / sums[..., r:, :]
+            if attention:
+                kept[..., s:e, : held + e] = ex / sums
         if needs_out:
             x = x + out @ model.wo[layer].reshape(h_q * d_h, -1)
-        attention.append(kept)
+        kept_attention.append(kept)
         queries.append(q)
         if k_held.shape[:-3] == grid:  # else a stack shares the held rows: K/V die here
             keys.append(k)
@@ -332,7 +326,7 @@ def _forward(
 
     grown = KVCache(keys, values, [int(positions[-1]) + 1] * cfg.layers) if keys else None
     final = x if logits else x[..., :0, :]  # no rows: the last layer added nothing to x
-    return ForwardResult(grown, final @ model.embedding.T, attention, queries)
+    return ForwardResult(grown, final @ model.embedding.T, kept_attention, queries)
 
 
 def prefill(model: Model, tokens: list[int]) -> ForwardResult:

@@ -4,13 +4,14 @@
 outputs on every platform; ``exp_rows`` (so ``softmax_rows``) follows numpy's SIMD
 dispatch, whose ``np.exp`` differs in the last bits between AVX2 and AVX-512. Matrices
 are plain 2-D float64 arrays, and no function writes one but ``exp_rows``, the one home
-of ``np.exp``: it works in the matrix it is given and leaves a softmax's division to it.
+of attention's exponentials: it works in the matrix it is given and leaves a softmax's
+division to it.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -93,7 +94,7 @@ def exp_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and maps to exactly 0.0; a fully masked row gives zeros and a sum of 1, so
     dividing gives no NaN; a row holding NaN or +inf raises ``UsageError``."""
     if m.dtype != np.float64 or m.ndim != 2:
-        raise ShapeError(f"exp_rows expects a 2-D float64 matrix, got {m.ndim}-D {m.dtype}")
+        raise UsageError(f"exp_rows expects a 2-D float64 matrix, got {m.ndim}-D {m.dtype}")
     mx = np.max(m, axis=1, keepdims=True)
     if not np.all(mx < np.inf):
         raise UsageError("exp_rows needs every row free of NaN and +inf")

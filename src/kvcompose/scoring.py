@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 from .model import KVCache, Model, _forward, check_tokens, empty_cache, prefill_weights
 
 AGG_OPS = ("max", "avg")
@@ -130,7 +130,7 @@ class AttentionCapture:
             group = [i for i, k in enumerate(lengths) if k == m]  # its tasks, in task order
             attention = _forward(
                 self.model, self.cache, np.array([tasks[i] for i in group]),
-                attention_rows=m, logits=False,
+                attention=True, logits=False,
             ).attention  # the stack shares the held rows, so it returns no cache
             if a.shape[2] < starts[-1]:  # sized after the first stack: A never meets its K/V
                 a = np.empty((cfg.layers, cfg.query_heads, starts[-1], n))
@@ -224,7 +224,7 @@ def aggregate_group(s: np.ndarray, kv_heads: int, op: str) -> np.ndarray:
     """Reduce (L, H_q, N) query-head scores onto their kv heads: (L, H_kv, N)."""
     layers, query_heads, n = s.shape
     if query_heads % kv_heads != 0:
-        raise ShapeError(f"{query_heads} query heads do not split into {kv_heads} kv heads")
+        raise UsageError(f"{query_heads} query heads do not split into {kv_heads} kv heads")
     group = query_heads // kv_heads
     grouped = s.reshape(layers, kv_heads, group, n)
     return reduce_axis(grouped, op, axis=2)

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,10 +314,12 @@ def mark_rows(grid_rows: list[list[np.ndarray]], kv_heads: int, n: int) -> np.nd
     return masks
 
 
-def prefill_keeping(model, tokens, **options):
-    """A prefill with ``_forward``'s options (``attention_rows``, ``logits``):
-    ``_forward`` on an empty cache, as a capture runs it."""
-    return _forward(model, empty_cache(model), np.asarray(tokens), **options)
+def prefill_keeping(model, tokens, rows: int, **options):
+    """A prefill that keeps its attention, with ``_forward``'s other options (``logits``):
+    ``_forward`` on an empty cache, as a capture runs it, each layer's attention cut to
+    its last ``rows`` query rows."""
+    run = _forward(model, empty_cache(model), np.asarray(tokens), attention=True, **options)
+    return replace(run, attention=[a[..., a.shape[-2] - rows :, :] for a in run.attention])
 
 
 def count_calls(monkeypatch, module, name: str, record=lambda *args: args) -> list:

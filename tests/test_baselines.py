@@ -201,7 +201,7 @@ class TestTovaSelect:
         # the oracle's plain (L, N, N) mean is, bit for bit, the query-head mean
         # of every attention row a prefill keeps: what tova replayed before its
         # capture kept the queries in place of the mean
-        run = prefill_keeping(gqa_model, random_context(39, n), attention_rows=n)
+        run = prefill_keeping(gqa_model, random_context(39, n), n)
         want = np.stack([a.mean(axis=0) for a in run.attention])
         assert head_mean_oracle(run.queries, run.cache.keys).tobytes() == want.tobytes()
 

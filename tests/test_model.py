@@ -113,7 +113,7 @@ class TestRotate:
 
 class TestPrefill:
     def test_single_token_attention(self, tiny_model):
-        res = prefill_keeping(tiny_model, [3], attention_rows=1)
+        res = prefill_keeping(tiny_model, [3], 1)
         for attn in res.attention:
             assert attn.shape == (4, 1, 1)
             assert np.array_equal(attn, np.ones((4, 1, 1)))
@@ -125,7 +125,7 @@ class TestPrefill:
             assert res.cache.values[layer].shape == (2, 10, 8)
 
     def test_attention_rows_are_distributions(self, tiny_model):
-        res = prefill_keeping(tiny_model, random_context(2, 12), attention_rows=12)
+        res = prefill_keeping(tiny_model, random_context(2, 12), 12)
         for attn in res.attention:
             sums = attn.sum(axis=2)
             assert np.abs(sums - 1.0).max() < 1e-6
@@ -133,7 +133,7 @@ class TestPrefill:
 
     def test_attention_above_the_diagonal_is_exactly_zero(self, gqa_model):
         n = 40
-        res = prefill_keeping(gqa_model, random_context(4, n), attention_rows=n)
+        res = prefill_keeping(gqa_model, random_context(4, n), n)
         future = np.triu(np.ones((n, n), dtype=bool), k=1)
         for attn in res.attention:
             assert (attn[:, future] == 0.0).all()
@@ -159,45 +159,23 @@ class TestPrefill:
             prefill(tiny_model, [0] * (tiny_model.config.max_context + 1))
 
     @pytest.mark.parametrize("rows", [0, 1, 5, 12])
-    @pytest.mark.parametrize("rebuilt", [False, True])
-    def test_keep_cuts_each_layer_to_the_rows_asked_for(self, gqa_model, rows, rebuilt):
-        # the kept rows equal those of the full attention bit for bit, and
-        # nothing else of a layer's attention is returned; rebuilt from a
-        # plain prefill's queries and keys, as a capture rebuilds its window,
-        # the rows are the same bit for bit
+    def test_kept_rows_equal_their_rebuild(self, gqa_model, rows):
+        # keeping attention moves no bit of the logits, keys or queries; the
+        # last ``rows`` rows it keeps equal, bit for bit, those rebuilt from a
+        # plain prefill's queries and keys, as a capture rebuilds its window
         tokens = random_context(6, 12)
-        full = prefill_keeping(gqa_model, tokens, attention_rows=len(tokens))
-        cut = prefill_keeping(gqa_model, tokens, attention_rows=rows)
-        assert np.array_equal(cut.logits, full.logits)
-        assert all(np.array_equal(a, b) for a, b in zip(cut.cache.keys, full.cache.keys))
-        assert all(np.array_equal(a, b) for a, b in zip(cut.queries, full.queries, strict=True))
-        assert len(cut.attention) == gqa_model.config.layers
-        kept = rebuilt_rows(prefill(gqa_model, tokens), rows) if rebuilt else cut.attention
-        for got, want in zip(kept, full.attention, strict=True):
-            assert got.shape == (4, rows, 12) and got.base is None
-            assert np.array_equal(got, want[:, 12 - rows :])
-
-    def test_keep_rejects_bad_row_counts(self, tiny_model):
-        with pytest.raises(UsageError, match="-1"):
-            prefill_keeping(tiny_model, random_context(7, 5), attention_rows=-1)
-        with pytest.raises(UsageError, match="cannot keep 6 attention rows of 5"):
-            prefill_keeping(tiny_model, random_context(7, 5), attention_rows=6)
+        run, plain = prefill_keeping(gqa_model, tokens, rows), prefill(gqa_model, tokens)
+        assert np.array_equal(run.logits, plain.logits)
+        assert all(np.array_equal(a, b) for a, b in zip(run.cache.keys, plain.cache.keys))
+        assert all(np.array_equal(a, b) for a, b in zip(run.queries, plain.queries, strict=True))
+        for got, want in zip(rebuilt_rows(plain, rows), run.attention, strict=True):
+            assert got.shape == want.shape == (4, rows, 12)
+            assert np.array_equal(got, want)
 
     def test_default_keeps_no_attention(self, gqa_model):
         res = prefill(gqa_model, random_context(8, 12))
         assert [a.shape for a in res.attention] == [(4, 0, 12)] * gqa_model.config.layers
         assert [q.shape for q in res.queries] == [(4, 12, 8)] * gqa_model.config.layers
-
-    @pytest.mark.parametrize("rows", [-1, 4])
-    def test_bad_row_counts_rejected_before_any_layer_runs(self, tiny_model, monkeypatch, rows):
-        # three new rows onto a held cache of five: the bound is M, not R+M
-        cache = prefill(tiny_model, random_context(9, 5)).cache
-        before = cache.clone()
-        forbid_layers(monkeypatch, tiny_model)
-        with pytest.raises(UsageError, match=f"cannot keep {rows} attention rows of 3"):
-            _forward(tiny_model, cache, np.asarray([1, 2, 3]), attention_rows=rows)
-        assert cache.next_positions == before.next_positions
-        assert all(np.array_equal(a, b) for a, b in zip(cache.keys, before.keys, strict=True))
 
 
 class TestForward:
@@ -242,9 +220,9 @@ class TestForward:
 
     def test_several_rows_onto_a_held_cache_match_prefill(self, tiny_model):
         tokens = random_context(5, 12)
-        full = prefill_keeping(tiny_model, tokens, attention_rows=len(tokens))
+        full = prefill_keeping(tiny_model, tokens, len(tokens))
         cache = prefill(tiny_model, tokens[:7]).cache
-        res = _forward(tiny_model, cache, np.asarray(tokens[7:]), attention_rows=5)
+        res = _forward(tiny_model, cache, np.asarray(tokens[7:]), attention=True)
         assert np.abs(res.logits - full.logits[7:]).max() < 1e-8
         for got, want in zip(res.attention, full.attention):
             assert got.shape == (4, 5, 12)
@@ -256,7 +234,7 @@ class TestForward:
 
     @pytest.mark.parametrize(
         "form",
-        ["plain", "attention_rows", "head_mean", "stack", "row_blocks", "decode_step", "greedy"],
+        ["plain", "attention", "head_mean", "stack", "row_blocks", "decode_step", "greedy"],
     )
     def test_leaves_the_cache_it_reads_as_it_was(self, gqa_model, form):
         # bit for bit, down to the identity of the cache's lists and arrays;
@@ -270,7 +248,7 @@ class TestForward:
         arrays = [id(a) for a in cache.keys + cache.values]
         before = cache.clone()
         kwargs = {
-            "attention_rows": {"attention_rows": m},
+            "attention": {"attention": True},
             "stack": {"head_masks": random_masks(13, 2, cfg.layers, cfg.kv_heads, held)},
         }.get(form, {})
         if form == "decode_step":
@@ -343,24 +321,25 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
 
 
 def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
-    # the last ``rows`` attention rows (all by default), zero above the
-    # diagonal as the reference computes them, and the queries; a single
-    # (L, H_kv, W) mask runs as a G=1 stack, which grows no cache; the
-    # reference runs at ``positions``, which _forward works out from the cache
+    # a pass that keeps its attention: its last ``rows`` rows (all by
+    # default), zero above the diagonal as the reference computes them, and
+    # the queries; a single (L, H_kv, W) mask runs as a G=1 stack, which
+    # grows no cache; the reference runs at ``positions``, which _forward
+    # works out from the cache
     rows = len(tokens) if rows is None else rows
     want_logits, want_attn, want_cache = reference_forward(
         model, cache, tokens, positions, head_masks
     )
     stack = None if head_masks is None else head_masks[None]
-    res = _forward(model, cache, tokens, stack, attention_rows=rows)
+    res = _forward(model, cache, tokens, stack, attention=True)
     logits, attention, queries = res.logits, res.attention, res.queries
     if stack is not None:
         assert res.cache is None
         logits, attention, queries = logits[0], [a[0] for a in attention], [q[0] for q in queries]
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
-        want = want[:, len(tokens) - rows :]
         assert got.shape == want.shape
+        got, want = got[:, len(tokens) - rows :], want[:, len(tokens) - rows :]
         assert (np.abs(got - want) < 1e-12).all()
     # the queries come back rotated and scaled by 1/sqrt(d_h): scored against the
     # reference's keys where it attends, their row softmax is its attention
@@ -418,10 +397,10 @@ class TestGroupedKernelOracle:
         [(ROW_BLOCK + 9, 20), (3 * ROW_BLOCK + 5, ROW_BLOCK + 6), (3 * ROW_BLOCK + 5, 1)],
     )
     def test_kept_rows_spanning_two_blocks_match_repeat_einsum(self, gqa_model, m, rows):
-        # the last ``rows`` of M new rows onto a held cache: the end of the
-        # first block and all of the second; the end of the second block and
-        # the two after it, past a block that keeps none; the last row alone,
-        # past three such blocks
+        # the last ``rows`` of M new rows onto a held cache, cut from the
+        # whole attention as a caller cuts them: the end of the first block
+        # and all of the second; the end of the second block and the two
+        # after it; the last row alone
         tokens = random_context(26, 30 + m)
         cache = prefill(gqa_model, tokens[:30]).cache
         new, positions = np.asarray(tokens[30:]), np.arange(30, len(tokens))
@@ -459,12 +438,12 @@ def assert_stack_equals_one_call_per_mask(model, held, m):
     stack = random_masks(41, 3, cfg.layers, cfg.kv_heads, held)
     stack[0] = True
     new = np.asarray(tokens[held:])
-    res = _forward(model, cache, new, stack, attention_rows=m)
+    res = _forward(model, cache, new, stack, attention=True)
     logits, attention, queries = res.logits, res.attention, res.queries
     assert logits.shape == (3, m, cfg.vocab_size)
     assert attention[0].shape == (3, cfg.query_heads, m, held + m)
     for g in range(3):
-        want = _forward(model, before, new, stack[g : g + 1], attention_rows=m)
+        want = _forward(model, before, new, stack[g : g + 1], attention=True)
         assert np.array_equal(logits[g], want.logits[0])
         for got, wanted in ((attention, want.attention), (queries, want.queries)):
             assert all(np.array_equal(a[g], b[0]) for a, b in zip(got, wanted, strict=True))
@@ -552,7 +531,7 @@ def assert_token_stack_equals_one_call_per_row(model, held, t, m, logits=True):
     cache = prefill(model, random_context(43, held)).cache if held else empty_cache(model)
     before = cache.clone()
     tokens = np.asarray(random_context(44, t * m)).reshape(t, m)
-    kwargs = {"attention_rows": m, "logits": logits}
+    kwargs = {"attention": True, "logits": logits}
     res = _forward(model, cache, tokens, **kwargs)
     assert res.logits.shape == (t, m if logits else 0, cfg.vocab_size)
     assert res.attention[0].shape == (t, cfg.query_heads, m, held + m)
@@ -605,7 +584,7 @@ class TestStackedCache:
         caches, stacked = stacked_prefills(gqa_model, 3, 20, seed=90)
         before = stacked.clone()
         tokens = np.asarray(random_context(93, 3 * m)).reshape(3, m)
-        kwargs = {"attention_rows": m}
+        kwargs = {"attention": True}
         res = _forward(gqa_model, stacked, tokens, **kwargs)
         assert res.cache.keys[0].shape == (3, gqa_model.config.kv_heads, 20 + m, 8)
         for row, cache in enumerate(caches):
@@ -677,10 +656,10 @@ class TestRowBlocks:
         from kvcompose import model
 
         tokens = random_context(61, n)
-        blocked = prefill_keeping(gqa_model, tokens, attention_rows=n)
+        blocked = prefill_keeping(gqa_model, tokens, n)
         monkeypatch.setattr(model, "ROW_BLOCK", n)
         monkeypatch.setattr(model, "CAUSAL", np.arange(n)[:, None] < np.arange(n))
-        whole = prefill_keeping(gqa_model, tokens, attention_rows=n)
+        whole = prefill_keeping(gqa_model, tokens, n)
         assert np.array_equal(blocked.logits, whole.logits)
         for name in ("attention", "queries"):
             pairs = zip(getattr(blocked, name), getattr(whole, name), strict=True)
@@ -698,7 +677,7 @@ class TestDeferredDivision:
         peaked = replace(gqa_model, wq=gqa_model.wq * 64.0, wk=gqa_model.wk * 64.0)
         tokens = np.asarray(random_context(29, ROW_BLOCK + 20))
         assert_matches_reference(peaked, empty_cache(peaked), tokens, np.arange(len(tokens)))
-        res = _forward(peaked, empty_cache(peaked), tokens, attention_rows=len(tokens))
+        res = _forward(peaked, empty_cache(peaked), tokens, attention=True)
         for attn in res.attention:
             assert attn.max(axis=-1).mean() > 0.5
             assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
@@ -724,7 +703,7 @@ class TestDeferredDivision:
 
         monkeypatch.setattr(model, "exp_rows", recording)
         new = np.asarray(tokens[held:])
-        res = _forward(gqa_model, cache, new, attention_rows=m)
+        res = _forward(gqa_model, cache, new, attention=True)
         starts = range(0, m, ROW_BLOCK)
         assert len(blocks) == cfg.layers * len(starts)
         passed, rebuilt = list(blocks), {}
@@ -743,10 +722,11 @@ class TestDeferredDivision:
 
 
 def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0):
-    # everything but the logits matches the default call bit for bit; the
-    # logits keep their shape's other axes and have no rows
-    full = _forward(model, cache, tokens, stack, attention_rows=rows)
-    cut = _forward(model, cache, tokens, stack, attention_rows=rows, logits=False)
+    # everything but the logits matches the default call bit for bit, the
+    # attention too, kept when a caller reads ``rows`` > 0 of it; the logits
+    # keep their shape's other axes and have no rows
+    full = _forward(model, cache, tokens, stack, attention=rows > 0)
+    cut = _forward(model, cache, tokens, stack, attention=rows > 0, logits=False)
     assert cut.logits.shape == full.logits.shape[:-2] + (0, model.config.vocab_size)
     assert [a.shape for a in cut.attention] == [a.shape for a in full.attention]
     assert all(np.array_equal(a, b) for a, b in zip(cut.attention, full.attention, strict=True))
@@ -812,8 +792,8 @@ class TestLogitsOff:
         self, gqa_model, monkeypatch, held
     ):
         # M=130 runs blocks [0, 64), [64, 128), [128, 130) in every layer;
-        # without logits the last one starts at the block of its first kept
-        # row and runs none when it keeps none
+        # without logits the last one runs every block when it keeps its
+        # attention and none when it does not
         m, layers = 2 * ROW_BLOCK + 2, gqa_model.config.layers
         tokens = random_context(73, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
@@ -823,11 +803,9 @@ class TestLogitsOff:
             return block_widths_per_layer(monkeypatch, gqa_model, cache, new, **kwargs)
 
         every_block = [held + e for e in (ROW_BLOCK, 2 * ROW_BLOCK, m)]
-        assert widths() == [every_block] * layers
+        assert widths() == widths(attention=True) == [every_block] * layers
+        assert widths(attention=True, logits=False) == [every_block] * layers
         assert widths(logits=False) == [every_block] * (layers - 1)
-        for k in (1, 2, 3, ROW_BLOCK + 2, ROW_BLOCK + 3, m):
-            got = widths(attention_rows=k, logits=False)
-            assert got == [every_block] * (layers - 1) + [every_block[(m - k) // ROW_BLOCK :]]
 
 
 class TestDecodeStep:

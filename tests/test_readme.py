@@ -5,6 +5,7 @@ from pathlib import Path
 from kvcompose.baselines import Policy
 from kvcompose.cli import build_model, build_tasks, load_config
 from kvcompose.evaluator import auc, sweep
+from ledger import _commands
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +31,10 @@ def test_worked_example_matches_a_recall_sweep_of_every_policy():
         got = {str(p.r_target): f"{p.reward_mean:.3f}" for p in points}
         got["AUC"] = f"{auc(points):.3f}"
         assert {label: figures[column] for label, figures in table.items()} == got, name
+
+
+def test_ledger_run_count_is_the_ledgers(tmp_path):
+    (tmp_path / "inputs").mkdir()
+    readme = (ROOT / "README.md").read_text()
+    stated = re.search(r"file that (\d+) CLI runs on the two demo configs", readme)
+    assert int(stated.group(1)) == len(_commands(tmp_path))

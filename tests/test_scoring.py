@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from kvcompose.baselines import Policy
 from kvcompose.cli import ablation_grid
 from kvcompose.composer import compress, keep_masks
-from kvcompose.errors import ShapeError, UsageError
+from kvcompose.errors import UsageError
 from kvcompose.evaluator import RATIO_GRID, make_agreement_tasks, sweep
 from kvcompose.model import ROW_BLOCK, KVCache, ModelConfig, _forward, init_model, prefill
 from kvcompose.numerics import SeededRng, argsort_desc, softmax_rows
@@ -74,13 +74,13 @@ def reference_capture(model, context, task_set):
     repeated per query head."""
     n = len(context)
     w = task_set.observation_window if task_set.mode == "task-agnostic" else 0
-    base = prefill_keeping(model, context, attention_rows=w)
+    base = prefill_keeping(model, context, w)
     if w:
         a = np.stack(base.attention)
     else:
         parts = []
         for task in task_set.tasks:
-            run = _forward(model, base.cache, np.asarray(task), attention_rows=len(task))
+            run = _forward(model, base.cache, np.asarray(task), attention=True)
             parts.append(np.stack([x[:, :, :n] for x in run.attention]))
         a = np.concatenate(parts, axis=2)
     values = base.cache.values
@@ -121,7 +121,7 @@ class TestCollectAttention:
             context = random_context(4, n)
             task = tuple(random_context(5, m))
             cap = collect_attention(model, context, TaskSet(mode="task-aware", tasks=(task,)))
-            run = prefill_keeping(model, context + list(task), attention_rows=n + m)
+            run = prefill_keeping(model, context + list(task), n + m)
             for layer in range(model.config.layers):
                 full_attn = run.attention[layer]  # (H_q, N+M, N+M)
                 recomputed = full_attn[:, n:, :n]
@@ -184,7 +184,7 @@ class TestCollectAttention:
         context, w = random_context(13, 24), 5
         tset = TaskSet(mode="task-agnostic", observation_window=w)
         cap = collect_attention(gqa_model, context, tset)
-        run = prefill_keeping(gqa_model, context, attention_rows=len(context))
+        run = prefill_keeping(gqa_model, context, len(context))
         for layer, attn in enumerate(run.attention):
             assert np.array_equal(cap.A[layer], attn[:, -w:, :])
 
@@ -197,7 +197,7 @@ class TestCollectAttention:
         tset = TaskSet.for_context(mode, len(context), (tuple(random_context(15, 3)),), 4)
         cap = collect_attention(tiny_model, context, tset)
         assert "A" not in vars(cap)
-        run = prefill_keeping(tiny_model, context, attention_rows=len(context))
+        run = prefill_keeping(tiny_model, context, len(context))
         assert [q.tobytes() for q in cap.queries] == [q.tobytes() for q in run.queries]
         mean = np.stack([rows.mean(axis=0) for rows in rebuilt_rows(cap, len(context))])
         assert np.array_equal(mean, np.stack([a.mean(axis=0) for a in run.attention]))
@@ -439,7 +439,7 @@ class TestTaskStacks:
         # the prefill, then one pass per distinct length on the first read, in first-seen order
         assert [np.shape(c[2]) for c in calls] == [(40,), (2, 3), (1, 8), (1, 5)]
         passes = [
-            _forward(gqa_model, cap.cache, np.asarray(t), attention_rows=len(t), logits=False)
+            _forward(gqa_model, cap.cache, np.asarray(t), attention=True, logits=False)
             for t in tasks
         ]
         want = np.concatenate(
@@ -560,7 +560,7 @@ class TestAggregateGroup:
 
     def test_shape_mismatch(self):
         s = np.zeros((1, 3, 4))
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError, match="3 query heads do not split into 2 kv heads"):
             aggregate_group(s, kv_heads=2, op="avg")
 
 

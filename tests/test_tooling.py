@@ -421,25 +421,21 @@ def test_policy_name_literal_finder(line, names):
 
 
 def asks_for_attention(node: ast.AST) -> bool:
-    """Whether ``node`` calls ``prefill`` or ``_forward`` with ``attention_rows``,
-    by keyword, by position or through ``**kwargs``."""
+    """Whether ``node`` calls ``_forward`` with ``attention``, by keyword, as its
+    fifth positional argument or through ``**kwargs``."""
     if not isinstance(node, ast.Call):
         return False
     name = getattr(node.func, "attr", getattr(node.func, "id", None))
-    plain_args = {"prefill": 2, "_forward": 4}.get(name)  # arguments before attention_rows
     keywords = {k.arg for k in node.keywords}
-    return plain_args is not None and (
-        len(node.args) > plain_args or bool(keywords & {"attention_rows", None})
-    )
+    return name == "_forward" and (len(node.args) > 4 or bool(keywords & {"attention", None}))
 
 
 @pytest.mark.parametrize(
     "line, asks",
     [
         ("_forward(m, c, t, None, 3)", True),
-        ("model._forward(m, c, t, masks, attention_rows=2)", True),
+        ("model._forward(m, c, t, masks, attention=True)", True),
         ("_forward(m, c, t, **kwargs)", True),
-        ("prefill(m, tokens, 4)", True),
         ("_forward(m, c, t, masks)", False),
         ("_forward(m, c, t)", False),
         ("prefill(m, tokens)", False),
@@ -477,9 +473,9 @@ def logit_keeping_passes(source: str) -> list[int]:
 @pytest.mark.parametrize(
     "line, keeps",
     [
-        ("_forward(m, c, t, attention_rows=2)", True),
+        ("_forward(m, c, t, attention=True)", True),
         ("model._forward(m, c, t, logits=True)", True),
-        ("_forward(m, c, t, attention_rows=2, logits=False)", False),
+        ("_forward(m, c, t, attention=True, logits=False)", False),
         ("prefill(m, tokens)", False),
     ],
 )
@@ -850,12 +846,7 @@ def test_checked_only_argument_finder(source, found):
 
 
 # exception classes no ``except`` clause names, each with how they are told apart
-UNHANDLED_ERRORS = {
-    "errors.ShapeError": (
-        "cli.main reports it through its KvcError handler as 'error:', apart from "
-        "configuration errors"
-    ),
-}
+UNHANDLED_ERRORS: dict[str, str] = {}
 
 
 def exception_classes(sources: dict[str, str]) -> set[str]:
