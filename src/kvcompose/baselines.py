@@ -141,8 +141,8 @@ def snapkv_select(cap: AttentionCapture, window: int) -> np.ndarray:
 def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> np.ndarray:
     """Linearly decreasing per-layer budgets summing to ``total``.
 
-    Budgets are clamped to [1, context_len]; shape=0 gives the uniform
-    split with the remainder placed on the earliest layers.
+    Budgets are clamped to [1, context_len]; shape=0 gives the uniform split with the
+    remainder on the earliest layers. ``total`` is a retention budget, at most L * N.
     """
     if not (np.isfinite(shape) and shape >= 0):
         raise ConfigError(f"shape must be a finite number >= 0, got {shape}")
@@ -150,8 +150,6 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
         raise ConfigError(
             f"budget {total} cannot give every one of {layers} layers its floor of 1"
         )
-    if total > layers * context_len:
-        raise ConfigError(f"budget {total} exceeds cache capacity {layers * context_len}")
     denom = max(layers - 1, 1)
     weights = np.asarray([1.0 + shape * (layers - 1 - l) / denom for l in range(layers)])
 
@@ -171,18 +169,15 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
         remaining -= bound * int(hit.sum())
         active &= ~hit
 
-    if active.any():
-        base = np.floor(raw[active]).astype(np.int64)
-        leftover = remaining - int(base.sum())
-        for i in argsort_desc(raw[active] - base):  # ties -> lower layer
-            if leftover == 0:
-                break
-            if base[i] < context_len:
-                base[i] += 1
-                leftover -= 1
-        budgets[active] = base
-    elif remaining != 0:
-        raise ConfigError(f"cannot schedule budget {total} over {layers} layers")
+    base = np.floor(raw[active]).astype(np.int64)
+    leftover = remaining - int(base.sum())
+    for i in argsort_desc(raw[active] - base):  # ties -> lower layer
+        if leftover == 0:
+            break
+        if base[i] < context_len:
+            base[i] += 1
+            leftover -= 1
+    budgets[active] = base
     return budgets
 
 
@@ -198,12 +193,12 @@ def baseline_budgets(policy: Policy, layers: int, n: int, totals: list[int]) -> 
 def select_baseline_indices(
     cap: AttentionCapture, policy: Policy, budgets: np.ndarray
 ) -> np.ndarray:
-    """A baseline's slot ranks under its (G, L) ``budgets``, one row per grid ratio:
-    (L, H_kv, N) where one order serves every ratio, else (G, L, H_kv, N). random's keys
-    are drawn once for every ratio; snapkv/pyramid rank once per distinct window, each
-    ratio's window clamped here, and nowhere else, to its smallest layer budget; tova
-    replays once for every ratio and ranks each replay's survivors first: exact, as a
-    replay keeps exactly its layer's budget."""
+    """A baseline's slot ranks under its (G, L) ``budgets``, one row per grid ratio, for
+    ``keep_masks``' uniform and pyramid rows: (L, H_kv, N) where one order serves every ratio,
+    else (G, L, H_kv, N). random's keys are drawn once for every ratio; snapkv/pyramid rank
+    once per distinct window, each ratio's window clamped here, and nowhere else, to its
+    smallest layer budget; tova replays once for every ratio and ranks each replay's
+    survivors first: exact, as a replay keeps exactly its layer's budget."""
     layers, heads, n = cap.value_norms_raw.shape
     if policy.name == "tova":
         survivors = ranks(argsort_desc(tova_select(cap.queries, cap.cache.keys, budgets)))
@@ -213,8 +208,6 @@ def select_baseline_indices(
         return ranks(argsort_desc(keys.reshape(layers, heads, n)))
     if policy.name == "streaming":
         return np.broadcast_to(ranks(streaming_order(n, policy.sinks)), (layers, heads, n))
-    if policy.name in ("snapkv", "pyramid"):
-        windows = [int(min(policy.window, b.min(), n)) for b in budgets]
-        ranked = {w: ranks(snapkv_select(cap, w)) for w in set(windows)}
-        return np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order
-    raise ConfigError(f"no baseline selector for policy {policy.name!r}")
+    windows = [int(min(policy.window, b.min(), n)) for b in budgets]  # snapkv and pyramid
+    ranked = {w: ranks(snapkv_select(cap, w)) for w in set(windows)}
+    return np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order

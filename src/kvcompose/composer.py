@@ -89,22 +89,17 @@ def allocate_budgets(importance: np.ndarray, grid: tuple[float, ...]) -> np.ndar
 def compact_cache(
     cache: KVCache, idx: np.ndarray, layer_budgets: np.ndarray
 ) -> CompressedCache:
-    """Gather each head's first ``layer_budgets[l]`` slots of the slot order
-    ``idx`` (from ``composite_indices``) into the compressed cache: the
-    compact stage of a kvcompose ``compress``."""
-    n = idx.shape[2]
-    if (layer_budgets > n).any():
-        raise UsageError(f"layer budgets {layer_budgets.tolist()} exceed context length {n}")
+    """Gather each head's first ``layer_budgets[l]`` slots of the slot order ``idx`` (from
+    ``composite_indices``) into the compressed cache, the compact stage of a kvcompose
+    ``compress``; the budgets, from ``allocate_budgets``, keep at most N slots a layer."""
     return gather_cache(cache, [idx[l, :, :b] for l, b in enumerate(layer_budgets)])
 
 
 def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
-    """Take rows ``kept[l]`` of each layer of an uncompressed cache: one
-    (H_kv, n_l) index array per layer, or (n_l,) for the same rows in every head."""
-    if len(kept) != cache.layer_count:
-        raise UsageError(f"cache has {cache.layer_count} layers, index {len(kept)}")
+    """Take rows ``kept[l]`` of each layer of an uncompressed cache, one index per layer as
+    every caller builds: (H_kv, n_l), or (n_l,) for the same rows in every head."""
     keys, values, provenance = [], [], []
-    for layer, (k, v, take) in enumerate(zip(cache.keys, cache.values, kept)):
+    for layer, (k, v, take) in enumerate(zip(cache.keys, cache.values, kept, strict=True)):
         rows = cache.rows(layer)
         if rows != cache.next_positions[layer]:
             raise UsageError(f"gather needs the uncompressed cache; layer {layer} has {rows} rows")

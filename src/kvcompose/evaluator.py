@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import Policy
 from .composer import keep_masks
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 from .model import (
     KVCache,
     Model,
@@ -111,8 +111,6 @@ def make_recall_tasks(
     rng = SeededRng(seed)
     keys_range = list(induction_key_range(vocab))
     values_range = list(induction_value_range(vocab))
-    if num_pairs > len(keys_range):
-        raise ConfigError(f"num_pairs {num_pairs} exceeds key range {len(keys_range)}")
     tasks = []
     for t in range(count):
         keys = [keys_range[i] for i in rng.sample(len(keys_range), num_pairs)]
@@ -149,8 +147,6 @@ def make_agreement_tasks(
     which equals each task's own chain; the stack is only its argument, so its first step
     frees it. Each task keeps its prefill cache and queries, uncopied.
     """
-    if steps < 1:
-        raise UsageError("steps must be >= 1")
     check_positions(model, context_len + steps, "context_len + teacher_steps")  # before any draw
     rng = SeededRng(seed)
     vocab = model.config.vocab_size
@@ -254,8 +250,6 @@ def auc(points: list[CurvePoint]) -> float:
         raise UsageError("auc needs at least two curve points")
     rs = np.asarray([p.r_target for p in points])
     rewards = np.asarray([p.reward_mean for p in points])
-    if np.unique(rs).size != rs.size:
-        raise UsageError("auc needs distinct ratios")
     span = rs.max() - rs.min()
     area = np.sum((rewards[1:] + rewards[:-1]) / 2.0 * np.diff(rs))
     return float(area / span)

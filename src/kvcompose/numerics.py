@@ -57,9 +57,7 @@ class SeededRng:
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n), rejection-sampled to avoid modulo bias."""
-        if n <= 0:
-            raise UsageError("randint needs n >= 1")
+        """Uniform integer in [0, n), n >= 1, rejection-sampled to avoid modulo bias."""
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
         while True:
             v = self.next_u64()
@@ -89,12 +87,10 @@ def stable_floor(x: float) -> int:
 
 
 def exp_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``exp(m - row max)`` and its (rows, 1) sums, computed in ``m``, which
-    the caller owns and gets back: a softmax before its division. -inf is a mask
-    and maps to exactly 0.0; a fully masked row gives zeros and a sum of 1, so
-    dividing gives no NaN; a row holding NaN or +inf raises ``UsageError``."""
-    if m.dtype != np.float64 or m.ndim != 2:
-        raise UsageError(f"exp_rows expects a 2-D float64 matrix, got {m.ndim}-D {m.dtype}")
+    """Row-wise ``exp(m - row max)`` and its (rows, 1) sums, computed in ``m``, which the
+    caller owns and gets back: a 2-D float64 matrix (``_block_weights`` reshapes one, and
+    ``softmax_rows`` casts one). -inf is a mask and maps to exactly 0.0; a fully masked row
+    gives zeros and a sum of 1, so dividing gives no NaN; NaN or +inf raises ``UsageError``."""
     mx = np.max(m, axis=1, keepdims=True)
     if not np.all(mx < np.inf):
         raise UsageError("exp_rows needs every row free of NaN and +inf")

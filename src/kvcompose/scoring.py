@@ -159,12 +159,10 @@ class AttentionCapture:
 
 
 def reduce_axis(values: np.ndarray, op: str, axis: int) -> np.ndarray:
-    """Max or mean over one axis, as ``op`` (one of AGG_OPS) names."""
+    """Max or mean over one axis, as ``op`` names: an ``AggregationChoice``'s op, or "avg"."""
     if op == "max":
         return values.max(axis=axis)
-    if op == "avg":
-        return values.mean(axis=axis)
-    raise UsageError(f"unknown aggregation op {op!r}")
+    return values.mean(axis=axis)  # "avg"
 
 
 def collect_attention(
@@ -208,8 +206,6 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
     token's kv head; vo-norm uses the norm after the query head's output
     projection. Weighting happens entrywise, before the reduction over A's axis 2.
     """
-    if norm_variant not in NORM_VARIANTS:
-        raise UsageError(f"unknown norm variant {norm_variant!r}")
     a = cap.A
     if norm_variant == "v-norm":
         hq, hkv = a.shape[1], cap.value_norms_raw.shape[1]

@@ -105,6 +105,8 @@ class TestReadCache:
         data = cache_to_bytes(make_cache(7))
         with pytest.raises(CacheFormatError, match=r"^expected \d+ bytes, file has \d+$"):
             cache_from_bytes(data[:-10])
+        with pytest.raises(CacheFormatError, match="^file ends at byte 11 inside the fixed header$"):
+            cache_from_bytes(data[:11])
 
     def test_trailing_bytes_rejected(self):
         data = cache_to_bytes(make_cache(8))
@@ -212,6 +214,11 @@ class TestReadCache:
     def test_header_fuzz_all_rejected(self):
         base = cache_to_bytes(make_cache(13))
         header_len = cache_io.cache_header_size(2)
+        zero_layers = base[:6] + struct.pack("<I", 0) + base[10:]
+        with pytest.raises(
+            CacheFormatError, match="^non-positive dimension in header at byte 6: layers=0 "
+        ):
+            cache_from_bytes(zero_layers)
         rng = SeededRng(99)
         for _ in range(300):
             pos = rng.randint(header_len)

@@ -42,6 +42,7 @@ def write_config(tmp_path, **overrides) -> Path:
         "out_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not None}  # None drops a section
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -82,6 +83,13 @@ MALFORMED = [
     ({"policy": {"name": "snapkv", "window": 2.5}}, "policy.window"),
     ({"policy": {"name": ["kvcompose"]}}, "policy.name must be a string"),
     (None, "config must be a JSON object"),  # a top-level list
+    ({"grid": 0.5}, "grid must be a list"),
+    ({"tasks": None}, "missing keys in 'config': ['tasks']"),
+    ({"model": {"kind": "cnn"}}, "model.kind must be 'random' or 'induction', got 'cnn'"),
+    (
+        {"tasks": {"kind": "qa", "count": 1, "seed": 3}},
+        "tasks.kind must be 'recall' or 'agreement', got 'qa'",
+    ),
 ]
 
 AGREEMENT_TASKS = {"kind": "agreement", "count": 1, "seed": 2, "context_len": 8}
@@ -131,6 +139,19 @@ LOAD_RULES = {
         {"model": RANDOM_MODEL, "tasks": {**AGREEMENT_TASKS, "teacher_steps": 0}},
         [],
         "tasks.teacher_steps must be >= 1, got 0",
+    ),
+    "scoring-mode-unknown": ({"scoring": {"mode": "bogus"}}, [], "got 'bogus'"),
+    "snapkv-window-zero": (
+        {"policy": {"name": "snapkv", "window": 0}}, [], "window must be >= 1, got 0"
+    ),
+}
+
+# (scoring section, context file text, text of the error): compress inputs
+# refused before any prefill, each naming the file or the missing key
+COMPRESS_REFUSALS = {
+    "context-whitespace-only": ({"mode": "task-agnostic"}, " \n\t ", "context file {ctx} is empty"),
+    "task-aware-without-task-tokens": (
+        {"mode": "task-aware"}, "1 9 3 12 5 8", "task-aware compression needs scoring.task_tokens"
     ),
 }
 
@@ -703,6 +724,19 @@ class TestExitCodes:
         want = "token ids must lie in [0, 16)" if task == [999] else "leave [0, max_context 128)"
         assert captured.err.startswith("config error: ") and want in captured.err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", COMPRESS_REFUSALS)
+    def test_compress_input_refused(self, tmp_path, capsys, monkeypatch, case):
+        scoring, text, named = COMPRESS_REFUSALS[case]
+        prefills = count_prefills(monkeypatch)
+        cfg = write_config(tmp_path, scoring=scoring)
+        ctx = tmp_path / "context.txt"
+        ctx.write_text(text)
+        assert main(["compress", "--config", str(cfg), "--context", str(ctx)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: " + named.format(ctx=ctx))
+        assert prefills == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["compress", "sweep"])
     def test_task_tokens_refused_in_task_agnostic_mode(self, tmp_path, capsys, command):

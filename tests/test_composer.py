@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvcompose
 from kvcompose import composer
 from kvcompose.baselines import POLICY_NAMES, Policy
 from kvcompose.cli import ablation_grid, build_model, build_tasks, load_config
@@ -257,6 +258,14 @@ class TestCompactCache:
         assert once.next_positions == [10, 10]
         with pytest.raises(UsageError, match="uncompressed"):
             gather_cache(once, [np.arange(3)] * 2)
+
+    def test_empty_context_rejected(self, tiny_model):
+        # the package API's one refusal of an empty context
+        with pytest.raises(UsageError, match="^context must be non-empty$"):
+            kvcompose.compress(
+                tiny_model, [], TaskSet(mode="task-agnostic", observation_window=1),
+                AggregationChoice(), 0.5, Policy(name="kvcompose"),
+            )
 
     def test_gather_rejects_rows_past_the_cache(self, tiny_model):
         base = prefill(tiny_model, random_context(25, 10))

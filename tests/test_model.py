@@ -320,13 +320,11 @@ def reference_forward(model, cache, tokens, positions, head_masks=None):
     return x @ model.embedding.T, attention, grown
 
 
-def assert_matches_reference(model, cache, tokens, positions, head_masks=None, rows=None):
-    # a pass that keeps its attention: its last ``rows`` rows (all by
-    # default), zero above the diagonal as the reference computes them, and
-    # the queries; a single (L, H_kv, W) mask runs as a G=1 stack, which
-    # grows no cache; the reference runs at ``positions``, which _forward
-    # works out from the cache
-    rows = len(tokens) if rows is None else rows
+def assert_matches_reference(model, cache, tokens, positions, head_masks=None):
+    # a pass that keeps its attention: every row, zero above the diagonal as
+    # the reference computes them, and the queries; a single (L, H_kv, W)
+    # mask runs as a G=1 stack, which grows no cache; the reference runs at
+    # ``positions``, which _forward works out from the cache
     want_logits, want_attn, want_cache = reference_forward(
         model, cache, tokens, positions, head_masks
     )
@@ -339,7 +337,6 @@ def assert_matches_reference(model, cache, tokens, positions, head_masks=None, r
     assert np.abs(logits - want_logits).max() < 1e-12
     for got, want in zip(attention, want_attn, strict=True):
         assert got.shape == want.shape
-        got, want = got[:, len(tokens) - rows :], want[:, len(tokens) - rows :]
         assert (np.abs(got - want) < 1e-12).all()
     # the queries come back rotated and scaled by 1/sqrt(d_h): scored against the
     # reference's keys where it attends, their row softmax is its attention
@@ -384,27 +381,19 @@ class TestGroupedKernelOracle:
         tokens = np.asarray(random_context(24, 6))
         assert_matches_reference(gqa_model, cache, tokens, np.arange(48, 54))
 
-    @pytest.mark.parametrize("m", [ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5])
-    @pytest.mark.parametrize("held", [0, 37])
-    def test_row_block_edges_match_repeat_einsum(self, gqa_model, m, held):
+    @pytest.mark.parametrize(
+        "held, m",
+        [
+            *((held, m) for held in (0, 37) for m in (ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5)),
+            (30, ROW_BLOCK + 9),  # the end of the first block and all of the second
+            (30, 3 * ROW_BLOCK + 5),
+        ],
+    )
+    def test_row_block_edges_match_repeat_einsum(self, gqa_model, held, m):
         tokens = random_context(25, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
         new, positions = np.asarray(tokens[held:]), np.arange(held, held + m)
         assert_matches_reference(gqa_model, cache, new, positions)
-
-    @pytest.mark.parametrize(
-        "m, rows",
-        [(ROW_BLOCK + 9, 20), (3 * ROW_BLOCK + 5, ROW_BLOCK + 6), (3 * ROW_BLOCK + 5, 1)],
-    )
-    def test_kept_rows_spanning_two_blocks_match_repeat_einsum(self, gqa_model, m, rows):
-        # the last ``rows`` of M new rows onto a held cache, cut from the
-        # whole attention as a caller cuts them: the end of the first block
-        # and all of the second; the end of the second block and the two
-        # after it; the last row alone
-        tokens = random_context(26, 30 + m)
-        cache = prefill(gqa_model, tokens[:30]).cache
-        new, positions = np.asarray(tokens[30:]), np.arange(30, len(tokens))
-        assert_matches_reference(gqa_model, cache, new, positions, rows=rows)
 
     def test_masked_rows_over_several_blocks_match_repeat_einsum(self, gqa_model):
         # every block, not only the first, hides the masked held rows
@@ -721,12 +710,12 @@ class TestDeferredDivision:
                 assert rebuilt[layer, s].mean(axis=-3).tobytes() == want.mean(axis=0).tobytes()
 
 
-def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0):
+def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, attention=False):
     # everything but the logits matches the default call bit for bit, the
-    # attention too, kept when a caller reads ``rows`` > 0 of it; the logits
-    # keep their shape's other axes and have no rows
-    full = _forward(model, cache, tokens, stack, attention=rows > 0)
-    cut = _forward(model, cache, tokens, stack, attention=rows > 0, logits=False)
+    # attention too where the pass keeps it; the logits keep their shape's
+    # other axes and have no rows
+    full = _forward(model, cache, tokens, stack, attention=attention)
+    cut = _forward(model, cache, tokens, stack, attention=attention, logits=False)
     assert cut.logits.shape == full.logits.shape[:-2] + (0, model.config.vocab_size)
     assert [a.shape for a in cut.attention] == [a.shape for a in full.attention]
     assert all(np.array_equal(a, b) for a, b in zip(cut.attention, full.attention, strict=True))
@@ -764,28 +753,22 @@ def block_widths_per_layer(monkeypatch, *args, **kwargs):
 
 
 class TestLogitsOff:
-    @pytest.mark.parametrize(
-        "m, rows",
-        [
-            (m, rows)
-            for m in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2)
-            for rows in sorted({0, 1, ROW_BLOCK, ROW_BLOCK + 1, m})
-            if rows <= m
-        ],
-    )
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
     @pytest.mark.parametrize("held", [0, 5])
-    def test_changes_no_bit_but_the_logits(self, gqa_model, m, rows, held):
+    def test_changes_no_bit_but_the_logits(self, gqa_model, held, m, attention):
         tokens = random_context(70, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
-        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[held:]), rows=rows)
+        new = np.asarray(tokens[held:])
+        assert_logits_off_changes_no_bit(gqa_model, cache, new, attention=attention)
 
-    @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK + 6])
-    def test_mask_stack_changes_no_bit_but_the_logits(self, gqa_model, rows):
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_mask_stack_changes_no_bit_but_the_logits(self, gqa_model, attention):
         cfg = gqa_model.config
         tokens = random_context(71, 40 + ROW_BLOCK + 6)
         cache = prefill(gqa_model, tokens[:40]).cache
         stack = random_masks(72, 3, cfg.layers, cfg.kv_heads, 40)
-        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[40:]), stack, rows)
+        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[40:]), stack, attention)
 
     @pytest.mark.parametrize("held", [0, 5])
     def test_last_layer_runs_only_the_blocks_holding_kept_rows(
