@@ -146,15 +146,6 @@ LOAD_RULES = {
     ),
 }
 
-# (scoring section, context file text, text of the error): compress inputs
-# refused before any prefill, each naming the file or the missing key
-COMPRESS_REFUSALS = {
-    "context-whitespace-only": ({"mode": "task-agnostic"}, " \n\t ", "context file {ctx} is empty"),
-    "task-aware-without-task-tokens": (
-        {"mode": "task-aware"}, "1 9 3 12 5 8", "task-aware compression needs scoring.task_tokens"
-    ),
-}
-
 
 def write_context(tmp_path, tokens) -> Path:
     path = tmp_path / "context.txt"
@@ -548,6 +539,7 @@ class TestParseConfig:
 UNREADABLE_INPUT = {
     "config-not-utf8": ("sweep", b'{"model": "\xff"}'),
     "context-not-utf8": ("compress", b"1 2 \xff 3"),
+    "context-whitespace-only": ("compress", b" \n\t "),
     "config-nested-100000": ("sweep", b"[" * 100_000 + b"]" * 100_000),
 }
 
@@ -635,8 +627,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", UNREADABLE_INPUT)
     def test_undecodable_or_over_nested_input(self, tmp_path, capsys, case):
-        # bytes that are not UTF-8, or JSON nested past the parser's recursion
-        # limit, are configuration errors that name the file
+        # bytes that are not UTF-8, a context of no token, or JSON nested past
+        # the parser's recursion limit, are configuration errors that name the file
         command, data = UNREADABLE_INPUT[case]
         bad = tmp_path / "bad"
         bad.write_bytes(data)
@@ -725,17 +717,15 @@ class TestExitCodes:
         assert captured.err.startswith("config error: ") and want in captured.err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", COMPRESS_REFUSALS)
-    def test_compress_input_refused(self, tmp_path, capsys, monkeypatch, case):
-        scoring, text, named = COMPRESS_REFUSALS[case]
+    def test_task_aware_compress_needs_task_tokens(self, tmp_path, capsys, monkeypatch):
         prefills = count_prefills(monkeypatch)
-        cfg = write_config(tmp_path, scoring=scoring)
-        ctx = tmp_path / "context.txt"
-        ctx.write_text(text)
+        cfg = write_config(tmp_path, scoring={"mode": "task-aware"})
+        ctx = write_context(tmp_path, [1, 9, 3, 12, 5, 8])
         assert main(["compress", "--config", str(cfg), "--context", str(ctx)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("config error: " + named.format(ctx=ctx))
+        want = "config error: task-aware compression needs scoring.task_tokens"
+        assert captured.err.startswith(want)
         assert prefills == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["compress", "sweep"])

@@ -383,11 +383,8 @@ class TestGroupedKernelOracle:
 
     @pytest.mark.parametrize(
         "held, m",
-        [
-            *((held, m) for held in (0, 37) for m in (ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5)),
-            (30, ROW_BLOCK + 9),  # the end of the first block and all of the second
-            (30, 3 * ROW_BLOCK + 5),
-        ],
+        [(held, m) for held in (0, 37) for m in (ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5)]
+        + [(30, ROW_BLOCK + 9), (30, 3 * ROW_BLOCK + 5)],
     )
     def test_row_block_edges_match_repeat_einsum(self, gqa_model, held, m):
         tokens = random_context(25, held + m)
