@@ -140,7 +140,7 @@ LOAD_RULES = {
         [],
         "tasks.teacher_steps must be >= 1, got 0",
     ),
-    "scoring-mode-unknown": ({"scoring": {"mode": "bogus"}}, [], "got 'bogus'"),
+    "scoring-mode-unknown": ({"scoring": {"mode": "bogus"}}, [], "scoring.mode must be one of"),
     "snapkv-window-zero": (
         {"policy": {"name": "snapkv", "window": 0}}, [], "window must be >= 1, got 0"
     ),
