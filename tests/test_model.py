@@ -707,15 +707,19 @@ class TestDeferredDivision:
                 assert rebuilt[layer, s].mean(axis=-3).tobytes() == want.mean(axis=0).tobytes()
 
 
-def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, attention=False):
+def assert_logits_off_changes_no_bit(model, cache, tokens, stack=None, rows=0):
     # everything but the logits matches the default call bit for bit, the
-    # attention too where the pass keeps it; the logits keep their shape's
-    # other axes and have no rows
-    full = _forward(model, cache, tokens, stack, attention=attention)
-    cut = _forward(model, cache, tokens, stack, attention=attention, logits=False)
+    # attention too, kept whole when a caller reads ``rows`` > 0 of it, and
+    # its last ``rows`` rows; the logits keep their shape's other axes and
+    # have no rows
+    full = _forward(model, cache, tokens, stack, attention=rows > 0)
+    cut = _forward(model, cache, tokens, stack, attention=rows > 0, logits=False)
     assert cut.logits.shape == full.logits.shape[:-2] + (0, model.config.vocab_size)
     assert [a.shape for a in cut.attention] == [a.shape for a in full.attention]
     assert all(np.array_equal(a, b) for a, b in zip(cut.attention, full.attention, strict=True))
+    if rows:
+        tails = zip(cut.attention, full.attention, strict=True)
+        assert all(a[..., -rows:, :].tobytes() == b[..., -rows:, :].tobytes() for a, b in tails)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(cut.queries, full.queries, strict=True))
     if stack is not None:
         assert cut.cache is None
@@ -750,22 +754,28 @@ def block_widths_per_layer(monkeypatch, *args, **kwargs):
 
 
 class TestLogitsOff:
-    @pytest.mark.parametrize("attention", [False, True])
-    @pytest.mark.parametrize("m", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
+    @pytest.mark.parametrize(
+        "m, rows",
+        [
+            (m, rows)
+            for m in (1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 2)
+            for rows in sorted({0, 1, ROW_BLOCK, ROW_BLOCK + 1, m})
+            if rows <= m
+        ],
+    )
     @pytest.mark.parametrize("held", [0, 5])
-    def test_changes_no_bit_but_the_logits(self, gqa_model, held, m, attention):
+    def test_changes_no_bit_but_the_logits(self, gqa_model, m, rows, held):
         tokens = random_context(70, held + m)
         cache = prefill(gqa_model, tokens[:held]).cache if held else empty_cache(gqa_model)
-        new = np.asarray(tokens[held:])
-        assert_logits_off_changes_no_bit(gqa_model, cache, new, attention=attention)
+        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[held:]), rows=rows)
 
-    @pytest.mark.parametrize("attention", [False, True])
-    def test_mask_stack_changes_no_bit_but_the_logits(self, gqa_model, attention):
+    @pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK + 6])
+    def test_mask_stack_changes_no_bit_but_the_logits(self, gqa_model, rows):
         cfg = gqa_model.config
         tokens = random_context(71, 40 + ROW_BLOCK + 6)
         cache = prefill(gqa_model, tokens[:40]).cache
         stack = random_masks(72, 3, cfg.layers, cfg.kv_heads, 40)
-        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[40:]), stack, attention)
+        assert_logits_off_changes_no_bit(gqa_model, cache, np.asarray(tokens[40:]), stack, rows)
 
     @pytest.mark.parametrize("held", [0, 5])
     def test_last_layer_runs_only_the_blocks_holding_kept_rows(
