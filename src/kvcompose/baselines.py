@@ -97,13 +97,10 @@ def tova_select(queries: list, keys: list, budgets: np.ndarray) -> np.ndarray:
     Step m appends token m to every layer; each layer then holding
     budget+1 tokens evicts the one that row m attends to least, the lowest
     index on ties. The newest token is evictable, so a budget of 0 keeps
-    nothing. ``budgets`` is (G, L), one row per grid ratio; the (G, L, N)
-    keep-masks all come from one replay over positions.
+    nothing. ``budgets`` is (G, L), one row per grid ratio, each >= 0, as
+    ``baseline_budgets`` makes them; the (G, L, N) keep-masks all come from one replay.
     """
     layers, n = len(keys), keys[0].shape[-2]
-    budgets = np.asarray(budgets)
-    if budgets.ndim != 2 or budgets.shape[1] != layers or (budgets < 0).any():
-        raise ConfigError(f"tova budgets must be (G, L={layers}) and >= 0, got {budgets.tolist()}")
     flat = budgets.reshape(-1)
     layer = np.tile(np.arange(layers), len(budgets))  # the attention each mask row reads
     first = int(min(flat.min(), n))  # no layer evicts before step ``first``
@@ -124,11 +121,9 @@ def tova_select(queries: list, keys: list, budgets: np.ndarray) -> np.ndarray:
 def snapkv_select(cap: AttentionCapture, window: int) -> np.ndarray:
     """Each kv head's (L, H_kv, N) window top-k slot order: the trailing window, then the
     tokens it attends to hardest (max-pool over the last ``window`` task rows of the capture).
-    It reads no budget: only ``select_baseline_indices`` clamps the window to the budgets."""
+    It reads no budget: ``select_baseline_indices`` clamps the window to one, at most N."""
     n, layers = cap.context_len, cap.A.shape[0]
     kv_heads = cap.value_norms_raw.shape[1]
-    if window > n:
-        raise ConfigError(f"window {window} exceeds context length {n}")
     rows = min(window, cap.task_len)
     # query heads by group; rows == 0 (a zero layer budget) scores on every task row
     grouped = cap.A.reshape(layers, kv_heads, -1, cap.task_len, n)[..., -rows:, :]
@@ -142,10 +137,8 @@ def pyramid_budgets(layers: int, context_len: int, total: int, shape: float) -> 
     """Linearly decreasing per-layer budgets summing to ``total``.
 
     Budgets are clamped to [1, context_len]; shape=0 gives the uniform split with the
-    remainder on the earliest layers. ``total`` is a retention budget, at most L * N.
-    """
-    if not (np.isfinite(shape) and shape >= 0):
-        raise ConfigError(f"shape must be a finite number >= 0, got {shape}")
+    remainder on the earliest layers. ``baseline_budgets`` passes a retention budget, at
+    most L * N, and the ``shape`` that ``Policy`` checked is finite and >= 0."""
     if total < layers:
         raise ConfigError(
             f"budget {total} cannot give every one of {layers} layers its floor of 1"
@@ -193,12 +186,11 @@ def baseline_budgets(policy: Policy, layers: int, n: int, totals: list[int]) -> 
 def select_baseline_indices(
     cap: AttentionCapture, policy: Policy, budgets: np.ndarray
 ) -> np.ndarray:
-    """A baseline's slot ranks under its (G, L) ``budgets``, one row per grid ratio, for
-    ``keep_masks``' uniform and pyramid rows: (L, H_kv, N) where one order serves every ratio,
-    else (G, L, H_kv, N). random's keys are drawn once for every ratio; snapkv/pyramid rank
-    once per distinct window, each ratio's window clamped here, and nowhere else, to its
-    smallest layer budget; tova replays once for every ratio and ranks each replay's
-    survivors first: exact, as a replay keeps exactly its layer's budget."""
+    """A baseline's slot ranks under ``baseline_budgets``' (G, L) ``budgets``, each in [0, N],
+    for ``keep_masks``' uniform and pyramid rows: (L, H_kv, N) where one order serves every
+    ratio, else (G, L, H_kv, N). random's keys are drawn once for every ratio; snapkv/pyramid
+    rank once per distinct window, clamped here, and nowhere else, to each ratio's smallest
+    layer budget; tova replays once for every ratio and ranks each replay's survivors first."""
     layers, heads, n = cap.value_norms_raw.shape
     if policy.name == "tova":
         survivors = ranks(argsort_desc(tova_select(cap.queries, cap.cache.keys, budgets)))
@@ -208,6 +200,6 @@ def select_baseline_indices(
         return ranks(argsort_desc(keys.reshape(layers, heads, n)))
     if policy.name == "streaming":
         return np.broadcast_to(ranks(streaming_order(n, policy.sinks)), (layers, heads, n))
-    windows = [int(min(policy.window, b.min(), n)) for b in budgets]  # snapkv and pyramid
+    windows = [int(min(policy.window, b.min())) for b in budgets]  # snapkv and pyramid
     ranked = {w: ranks(snapkv_select(cap, w)) for w in set(windows)}
     return np.stack([ranked[w] for w in windows])  # each ratio's window ranks, in grid order

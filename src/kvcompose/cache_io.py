@@ -184,8 +184,9 @@ def write_array(array: np.ndarray, path: str | Path) -> int:
 # --- reports ------------------------------------------------------------------
 
 
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report, default=vars, sort_keys=True, indent=2) + "\n"
+def json_text(obj) -> str:
+    """Sorted keys, indent 2 and a trailing newline; a dataclass is encoded as its fields."""
+    return json.dumps(obj, default=vars, sort_keys=True, indent=2) + "\n"
 
 
 def csv_text(columns, rows) -> str:
@@ -205,6 +206,6 @@ def write_report(report: EvalReport, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"json": out / "report.json", "csv": out / "report.csv"}
-    write_file(paths["json"], report_to_json(report), "report")
+    write_file(paths["json"], json_text(report), "report")
     write_file(paths["csv"], report_to_csv(report), "report")
     return paths

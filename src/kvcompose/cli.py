@@ -343,8 +343,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: RunConfig, model: Model) -> int:
         arm_dir = out / _slug(choice)
         report = _sweep_report(cfg, model, points, echo)
         paths = cache_io.write_report(report, arm_dir)
-        echo_text = json.dumps(echo, sort_keys=True, indent=2) + "\n"
-        cache_io.write_file(arm_dir / "config.json", echo_text, "config")
+        cache_io.write_file(arm_dir / "config.json", cache_io.json_text(echo), "config")
         combined += [(choice.label(), *vars(p).values(), report.auc) for p in points]
         print(f"ablate arm={_slug(choice)} auc={report.auc!r} report={paths['json']}")
 

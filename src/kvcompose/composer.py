@@ -96,17 +96,13 @@ def compact_cache(
 
 
 def gather_cache(cache: KVCache, kept: list[np.ndarray]) -> CompressedCache:
-    """Take rows ``kept[l]`` of each layer of an uncompressed cache, one index per layer as
-    every caller builds: (H_kv, n_l), or (n_l,) for the same rows in every head."""
+    """Take rows ``kept[l]`` of each layer of ``cache``, one index per layer: (H_kv, n_l), or
+    (n_l,) for the same rows in every head. ``compress`` (or its ``compact_cache``) passes its
+    capture's N-row prefill and rows in [0, N) from ``composite_indices`` or ``keep_masks``."""
     keys, values, provenance = [], [], []
-    for layer, (k, v, take) in enumerate(zip(cache.keys, cache.values, kept, strict=True)):
-        rows = cache.rows(layer)
-        if rows != cache.next_positions[layer]:
-            raise UsageError(f"gather needs the uncompressed cache; layer {layer} has {rows} rows")
+    for k, v, take in zip(cache.keys, cache.values, kept, strict=True):
         take = np.asarray(take, dtype=np.int64)
         take = np.broadcast_to(take, (k.shape[0], take.shape[-1]))
-        if take.size and (take.min() < 0 or take.max() >= rows):
-            raise UsageError(f"layer {layer} takes rows outside [0, {rows})")
         heads = np.arange(k.shape[0])[:, None]
         keys.append(k[heads, take])
         values.append(v[heads, take])

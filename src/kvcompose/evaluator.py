@@ -225,13 +225,11 @@ def _reward_and_kl(
 
 
 def epsilon(full_rewards: list[float], comp_rewards: np.ndarray | list) -> float | np.ndarray:
-    """Mean relative degradation over the T tasks of the (T,) or (…, T)
-    ``comp_rewards``; tasks with zero full reward are excluded, with a
-    warning, and a point with no task left reads 0."""
+    """Mean relative degradation over the T tasks of the (T,) or (…, T) ``comp_rewards``,
+    which ``sweep_arms`` builds from one per-task list with ``full_rewards``; tasks with zero
+    full reward are excluded, with a warning, and a point with no task left reads 0."""
     full = np.asarray(full_rewards, dtype=np.float64)
     comp = np.asarray(comp_rewards, dtype=np.float64)
-    if comp.shape[-1:] != full.shape:
-        raise UsageError("reward lists differ in length")
     kept = full != 0.0
     skipped = full.size - int(kept.sum())
     if skipped:

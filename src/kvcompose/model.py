@@ -239,9 +239,9 @@ def _forward(
     M=N on an empty cache and a decode step is M=1. The result's cache is
     new: the held rows plus the new ones. ``tokens`` is (M,) or a (T, M) stack of T
     passes after the same held rows, or each after its own row of a cache stacked
-    (T,), which takes nothing else; ``head_masks``, when given,
-    is a (G, L, H_kv, W) bool stack: False at [g, l, h, c] hides held row
-    c < W of kv head h in layer l from grid row g (score forced to -inf).
+    (T,), which takes nothing else; ``head_masks``, when given, is ``keep_masks``' (G, L,
+    H_kv, W) bool stack over the uncompacted cache ``evaluator._run_steps`` passes: False at
+    [g, l, h, c] hides held row c < W of kv head h in layer l from grid row g (score -inf).
     The two stacks do not combine. Under either, outputs gain a leading T or
     G axis. The cache is the grown stack after a stacked cache, and None where
     a stack shares one cache's held rows (a token stack after one cache, or a
@@ -273,18 +273,7 @@ def _forward(
     x = _embed(model, tokens, positions)  # (M, d) or (T, M, d)
     h_q, h_kv, d_h = cfg.query_heads, cfg.kv_heads, cfg.head_dim
     if head_masks is not None:
-        shape, fewest = head_masks.shape, min(cache.rows(l) for l in range(cfg.layers))
-        if head_masks.dtype != bool or len(shape) != 4 or shape[1:3] != (cfg.layers, h_kv):
-            raise UsageError(
-                f"head_masks must be a bool (G, L={cfg.layers}, H_kv={h_kv}, W) stack, "
-                f"got {head_masks.dtype} {shape}"
-            )
-        if shape[-1] > fewest:
-            raise UsageError(
-                f"mask covers {shape[-1]} context rows but a layer holds only {fewest}; "
-                "attention patching needs the uncompacted cache"
-            )
-        x = np.broadcast_to(x, shape[:1] + x.shape)
+        x = np.broadcast_to(x, head_masks.shape[:1] + x.shape)
     grid = x.shape[:-2]  # (), (T,) or (G,)
     angles = np.tile(positions[:, None] * model.inv_freq, 2)  # (M, d_h), one table for all layers
     cos, sin = np.cos(angles), np.sin(angles) * np.repeat([-1.0, 1.0], d_h // 2)  # [-sin, sin]

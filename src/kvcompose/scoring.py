@@ -217,10 +217,9 @@ def aggregate_task(cap: AttentionCapture, op: str, norm_variant: str = "none") -
 
 
 def aggregate_group(s: np.ndarray, kv_heads: int, op: str) -> np.ndarray:
-    """Reduce (L, H_q, N) query-head scores onto their kv heads: (L, H_kv, N)."""
+    """Reduce (L, H_q, N) query-head scores onto their kv heads: (L, H_kv, N). ``score_stages``
+    passes the model's head counts, whose even split ``ModelConfig`` checked."""
     layers, query_heads, n = s.shape
-    if query_heads % kv_heads != 0:
-        raise UsageError(f"{query_heads} query heads do not split into {kv_heads} kv heads")
     group = query_heads // kv_heads
     grouped = s.reshape(layers, kv_heads, group, n)
     return reduce_axis(grouped, op, axis=2)

@@ -335,7 +335,7 @@ class TestReports:
         if tolerances == "none":
             report = replace(report, tolerances=[])
         assert bool(report.tolerances) == (tolerances == "default")
-        assert cache_io.report_to_json(report) == (
+        assert cache_io.json_text(report) == (
             json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
         )
         assert cache_io.report_to_csv(report) == cache_io.csv_text(

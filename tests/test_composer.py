@@ -242,23 +242,6 @@ class TestCompactCache:
                         compressed.values[layer][h], base.cache.values[layer][h, rows]
                     )
 
-    def test_rejects_compressed_input(self, tiny_model):
-        context = random_context(23, 6)
-        base = prefill(tiny_model, context)
-        s = final_scores(11, layers=2, heads=2, n=6)
-        idx = composite_indices(s)
-        budgets = allocate_budgets(layer_importance(s, idx, "avg"), (0.5,))[0]
-        once = compact_cache(base.cache, idx, budgets)
-        with pytest.raises(UsageError):
-            compact_cache(once, idx, budgets)
-
-    def test_gather_rejects_compressed_input(self, tiny_model):
-        base = prefill(tiny_model, random_context(24, 10))
-        once = gather_cache(base.cache, [np.arange(5)] * 2)
-        assert once.next_positions == [10, 10]
-        with pytest.raises(UsageError, match="uncompressed"):
-            gather_cache(once, [np.arange(3)] * 2)
-
     def test_empty_context_rejected(self, tiny_model):
         # the package API's one refusal of an empty context
         with pytest.raises(UsageError, match="^context must be non-empty$"):
@@ -266,13 +249,6 @@ class TestCompactCache:
                 tiny_model, [], TaskSet(mode="task-agnostic", observation_window=1),
                 AggregationChoice(), 0.5, Policy(name="kvcompose"),
             )
-
-    def test_gather_rejects_rows_past_the_cache(self, tiny_model):
-        base = prefill(tiny_model, random_context(25, 10))
-        with pytest.raises(UsageError, match="outside"):
-            gather_cache(base.cache, [np.arange(5), np.array([0, 10])])
-        with pytest.raises(UsageError, match="outside"):
-            gather_cache(base.cache, [np.arange(5), np.array([-1, 2])])
 
 
 class TestCompressPipeline:

@@ -471,22 +471,6 @@ class TestMaskStack:
             tracemalloc.stop()
         assert res.cache is None
         assert peak < 3 * layer_kv, (peak, layer_kv)
-    @pytest.mark.parametrize(
-        "shape, dtype",
-        [
-            ((1, 2, 1, 8), bool),  # one head's mask would broadcast to both kv heads
-            ((1, 3, 2, 8), bool),  # one layer too many
-            ((1, 1, 2, 8), bool),  # one layer too few
-            ((1, 2, 2, 8), np.int64),
-            ((1, 2, 8), bool),
-            ((2, 2, 8), bool),  # a single (L, H_kv, W) mask: a stack is the one form
-        ],
-        ids=["one-head", "extra-layer", "one-layer", "int", "no-head-axis", "single-mask"],
-    )
-    def test_mask_of_wrong_shape_or_type_rejected(self, tiny_model, shape, dtype):
-        cache = prefill(tiny_model, random_context(42, 8)).cache
-        with pytest.raises(UsageError, match="head_masks"):
-            _forward(tiny_model, cache, np.asarray([3]), np.ones(shape, dtype))
 
 
 def assert_stack_row_equals(res, row: int, want) -> None:
@@ -844,18 +828,6 @@ class TestDecodeStep:
         run = decode_step(tiny_model, replace(res.cache, keys=keys, values=values), 2)
         assert np.isfinite(run.logits).all()
         assert run.cache.rows(0) == 1  # only the appended token
-
-    def test_full_width_mask_on_compacted_cache_rejected(self, tiny_model):
-        # the keep-mask indexes rows of the full context, which compaction reorders and drops
-        context = random_context(25, 16)
-        ts = TaskSet(mode="task-agnostic", observation_window=4)
-        cache, _ = compress(
-            tiny_model, context, ts, AggregationChoice(), 0.5, Policy(name="kvcompose")
-        )
-        assert cache.rows(0) == 8
-        keep = np.ones((1, 2, 2, 16), dtype=bool)
-        with pytest.raises(UsageError, match="uncompacted"):
-            _forward(tiny_model, cache, np.asarray([3]), keep)
 
     def test_key_row_permutation_invariance(self, tiny_model):
         # each head reordered independently, like composite slots are

@@ -45,7 +45,8 @@ named in one of its ``except`` clauses, or is on a short list with its
 reason, so no error type exists that no handler tells apart; and every committed
 ``BENCH_*.json`` names only workloads and end-to-end metrics that
 ``BENCHMARK.json`` defines, in its units, with finite parent and change
-medians."""
+medians. The lister of ``statement_trace``, the plugin that names each
+statement no test executes, spans each statement and skips only docstrings."""
 import ast
 import builtins
 import dataclasses
@@ -917,3 +918,33 @@ def test_exception_class_finder(sources, found):
 )
 def test_handled_name_finder(source, handled):
     assert handled_names(source) == handled
+
+
+STATEMENT_SOURCE = '''"""Module docstring."""
+import os
+
+
+@staticmethod
+@cache
+def f(x):
+    """Function docstring."""
+    if x:
+        return (
+            1
+        )
+    "a string after the first statement"
+    return 2
+
+
+class C:
+    """Class docstring."""
+'''
+
+
+def test_statement_lister():
+    # each statement from its first decorator to its last line, a compound one
+    # spanning its body; docstrings run no code, and only they are left out
+    from statement_trace import statements
+
+    want = [(2, 2), (5, 14), (9, 12), (10, 12), (13, 13), (14, 14), (17, 18)]
+    assert statements(STATEMENT_SOURCE) == want
